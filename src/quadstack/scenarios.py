@@ -9,6 +9,7 @@ drivers directly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -399,6 +400,7 @@ class TrotDriver:
         mask_prev, _ = self.schedule(0.0)
         forces = np.zeros(12)
         plane_err = []
+        speed_sum = 0.0
         for k in range(n):
             t = self.world.t
             mask, phis = self.schedule(t)
@@ -437,7 +439,9 @@ class TrotDriver:
 
             z_ref = self.ground.height(*self.world.state.pos[0:2]) + self.z0
             height_err.append(self.world.state.pos[2] - z_ref)
-            vel_err.append(np.linalg.norm(self.world.state.vel[0:2] - self.v_cmd(t)))
+            vel = self.world.state.vel
+            vel_err.append(np.linalg.norm(vel[0:2] - self.v_cmd(t)))
+            speed_sum += math.hypot(vel[0], vel[1])
             if self.adapt_posture:
                 plane = terrain.fit_plane(self.recent_contacts[:, 0:2],
                                           self.recent_contacts[:, 2])
@@ -458,7 +462,7 @@ class TrotDriver:
             "v_command_mps": float(np.linalg.norm(self.v_des)),
             "height_rms_m": rms(height_err),
             "vel_rmse_mps": rms(vel_err),
-            "mean_speed_mps": float(np.mean([np.linalg.norm(self.world.state.vel[0:2])])),
+            "mean_speed_mps": speed_sum / max(n, 1),
             "runtime_s": time.perf_counter() - t_start,
         }
         if plane_err:
@@ -590,7 +594,8 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
     hands over to the landing force controller, which recovers a stand.
     """
     from .balance import landing_switch as _switch
-    from .swing import grf_from_torque, jump_track_torque, leg_ik, stance_torque
+    from .swing import (UnreachableError, grf_from_torque, jump_track_torque, leg_ik,
+                        stance_torque)
 
     t_start = time.perf_counter()
     model = spec.model
@@ -620,6 +625,7 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
     n = int(round(duration / dt))
     idx_max = len(ref.t) - 1
     forces = np.zeros(12)
+    ik_fallbacks = 0
 
     # goal posture for the landing recovery
     yaw_goal = so3.matrix_to_rpy(spec.r_goal)[2]
@@ -657,8 +663,11 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
                 vf_d = (pf_d_next - pf_d) / dt_ref
                 try:
                     q_d = leg_ik(pf_d, leg, leg_model)
-                except Exception:
+                except UnreachableError:
+                    # the reference foot left the workspace: hold the
+                    # measured joint angles, and count it
                     q_d = enc[leg].q
+                    ik_fallbacks += 1
                 tau_d = stance_torque(q_d, ref.forces[i_ref, 3 * leg:3 * leg + 3],
                                       r_ref, leg, leg_model)
                 refs = {"q_d": q_d, "qd_d": np.zeros(3), "p_foot_d": pf_d,
@@ -698,6 +707,7 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
         "final_height_error_m": float(abs(world.state.pos[2] - z_land)),
         "final_speed_mps": float(np.linalg.norm(world.state.vel)),
         "final_rate_radps": float(np.linalg.norm(world.state.omega)),
+        "ik_fallbacks": ik_fallbacks,
         "runtime_s": time.perf_counter() - t_start,
     }
     return ScenarioResult(summary=summary, log=log.arrays())

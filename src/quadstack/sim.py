@@ -225,11 +225,6 @@ class SimWorld:
         qs, qds = self.read_encoders()
         return [JointState(q=qs[i], qd=qds[i]) for i in range(4)]
 
-    def knee_velocities(self) -> np.ndarray:
-        """Knee joint rates from the encoder channel (zeros before two samples)."""
-        enc = self.synth_encoders()
-        return np.array([e.qd[2] for e in enc])
-
 
 def sim_step(world: SimWorld, stance_forces: np.ndarray, stance_mask: np.ndarray,
              swing_targets: dict[int, np.ndarray] | None = None) -> SimWorld:

@@ -33,10 +33,13 @@ Problem size, for phases i = 1..n_p with N_i intervals and n_i stance feet
     inequalities 4 sum_i N_i n_i + sphere rows + 2
 
 The solver is an augmented-Lagrangian outer loop over the equality and
-inequality constraints with projected quasi-Newton (L-BFGS-B) inner solves
-over the variable bounds; gradients are analytic throughout. Returned
-solutions are re-checked by an independent constraint evaluator that does
-not share code with the solver path.
+inequality constraints. Each subproblem is solved over the variable bounds
+by a projected Newton method on B = ∇²L + rho J^T S^2 J. The cost and
+constraint gradients are analytic. J and ∇²L are forward differences of
+the constraints and of that gradient, one per structural colour. B is
+banded in a knot-by-interval ordering, with the phase durations as a
+border. Returned solutions are re-checked by an independent constraint
+evaluator that does not share code with the solver path.
 """
 
 from __future__ import annotations
@@ -44,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded
+from scipy.optimize import Bounds, OptimizeResult, minimize
 
 from . import so3
 from .balance import BodyModel
@@ -68,6 +72,16 @@ __all__ = [
 ]
 
 _T_PHASE_MIN = 0.05   # vanishing phase guard, seconds
+
+# projected-Newton inner solve
+_FD_STEP = float(np.sqrt(np.finfo(float).eps))   # relative difference step
+_ACTIVE_MARGIN = 1e-6               # bound margin of the fixed set
+_NEWTON_DECREMENT = 1e-14           # stop when -g.d <= this * max(1, |phi|)
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 40
+_DELTA_FLOOR = 1e-12                # first damping, relative to the diagonal
+_DELTA_MAX = 1e6                    # damping limit, relative to the diagonal
+_ROW_GROUP = 64                     # Jacobian rows per Gauss-Newton scatter
 
 
 class SpecError(ValueError):
@@ -693,35 +707,394 @@ def initial_guess(problem: TimingProblem) -> np.ndarray:
 class SolveOptions:
     tol: float = 1e-5                 # target max constraint violation
     max_outer: int = 30
-    max_inner: int = 2500             # L-BFGS-B iterations per subproblem
+    max_inner: int = 100              # projected-Newton steps per subproblem
     rho0: float = 10.0
     rho_growth: float = 5.0
     rho_max: float = 1e9
 
 
-def _row_scales(problem: TimingProblem, z: np.ndarray, n_probe: int = 16,
+# -- structured Newton systems ---------------------------------------------
+
+
+def _jacobian_pattern(p: TimingProblem):
+    """Structural nonzeros of the stacked [equality; inequality] Jacobian.
+
+    Returns ``(rows, cols, unit)``; ``unit`` marks the entries whose value
+    is identically 1: the defect rows of interval j in knot j + 1.
+    """
+    spec = p.spec
+    n_int, n_items = p.n_int, p.n_force // 3
+    rows, cols, unit = [], [], []
+
+    def add(r, c, is_unit=False):
+        r, c = np.broadcast_arrays(r, c)
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+        unit.append(np.full(r.size, is_unit))
+
+    a = np.arange(3)
+    j = np.arange(n_int)[:, None]
+    t_col = (p.nt_off + p.int_phase)[:, None]
+    force = p.nf_off + 3 * np.arange(n_items)[:, None] + a       # (items, 3)
+    stance = np.flatnonzero([bool(f) for f in p.int_feet])[:, None]
+    knot_terms = np.r_[0:3, 9:18]                                 # p and R of a knot
+
+    # boundary rows: one knot variable each
+    add(np.arange(18), np.arange(18))
+    o = 18
+    goal = [np.arange(3), np.arange(9, 18)]
+    if spec.v_goal is not None:
+        goal.append(np.arange(3, 6))
+    if spec.omega_goal is not None:
+        goal.append(np.arange(6, 9))
+    goal = np.concatenate(goal)
+    add(o + np.arange(len(goal)), 18 * n_int + goal)
+    o += len(goal)
+
+    r = o + 3 * j + a                            # position defects
+    add(r, 18 * j + a)
+    add(r, 18 * j + 3 + a)
+    add(r, t_col)
+    add(r, 18 * (j + 1) + a, True)
+    o += 3 * n_int
+    r = o + 3 * j + a                            # velocity defects
+    add(r, 18 * j + 3 + a)
+    add(r, t_col)
+    add(r, 18 * (j + 1) + 3 + a, True)
+    add(o + 3 * p.fi_j[:, None] + a, force)
+    o += 3 * n_int
+    r = o + 3 * j + a                            # body-rate defects
+    add(r[:, :, None], (18 * j + 6 + a)[:, None, :])
+    add(r, t_col)
+    add(r, 18 * (j + 1) + 6 + a, True)
+    add((o + 3 * stance + a)[:, :, None], (18 * stance + knot_terms)[:, None, :])
+    add((o + 3 * p.fi_j[:, None] + a)[:, :, None], force[:, None, :])
+    o += 3 * n_int
+    jj = j[:, :, None]                           # rotation defects, row (j, a, b)
+    r = o + 9 * jj + 3 * a[:, None] + a
+    add(r[..., None], (18 * jj + 9 + 3 * a[:, None])[..., None] + a)
+    add(r[..., None], (18 * jj + 6)[..., None] + a)
+    add(r, t_col[:, :, None])
+    add(r, 18 * (jj + 1) + 9 + 3 * a[:, None] + a, True)
+    o += 9 * n_int
+    if p.int_feet[0]:                            # initial angular-acceleration pin
+        add(o + a[:, None], np.r_[knot_terms, 6:9])
+        add(o + a[:, None], force[p.fi_j == 0].reshape(1, -1))
+        o += 3
+    assert o == p.n_eq
+
+    if n_items:                                  # friction pyramid: (fx|fy, fz)
+        r = o + 4 * np.arange(n_items)[:, None] + np.arange(4)
+        add(r, force[:, [0, 0, 1, 1]])
+        add(r, force[:, 2:3])
+        o += 4 * n_items
+    n_sph = len(p.sk_k)
+    add(o + np.arange(n_sph)[:, None], 18 * p.sk_k[:, None] + knot_terms)
+    o += n_sph
+    add(o + np.arange(2)[:, None], p.nt_off + np.arange(p.n_phases))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(unit)
+
+
+class _KktStructure:
+    """Colouring and band layout of the augmented-Lagrangian Newton matrix.
+
+    Block j holds knot j and the stance forces of interval j; the final knot
+    is a block of its own. Every nonlinear term of the cost and constraints
+    touches one block and the phase durations, and the defect rows of
+    interval j are linear, with unit coefficient, in knot j + 1. So the
+    offset of a variable within its block is a colour: one forward
+    difference per colour recovers the Jacobian (after subtracting the
+    known unit entries) and the block-diagonal Lagrangian Hessian. Each
+    phase duration has a colour of its own; the dense duration rows of the
+    Hessian are filled from the duration columns by symmetry. Ordered block
+    by block, the Newton matrix is banded with the durations as a border.
+    """
+
+    def __init__(self, p: TimingProblem):
+        n_items = p.n_force // 3
+        self.n_eq, self.n_rows = p.n_eq, p.n_eq + p.n_ineq
+        self.n_x, self.n_t = p.nt_off, p.n_phases
+        sizes = np.append(18 + 3 * np.array([len(f) for f in p.int_feet], dtype=int), 18)
+        self.n_block_colours = int(sizes.max())
+        slot = np.arange(n_items) - np.searchsorted(p.fi_j, p.fi_j)
+        colour = np.empty(p.n_vars, dtype=np.intp)
+        block = np.empty(self.n_x, dtype=np.intp)
+        colour[:p.nf_off] = np.tile(np.arange(18), p.n_knots)
+        block[:p.nf_off] = np.repeat(np.arange(p.n_knots), 18)
+        colour[p.nf_off:p.nt_off] = (18 + 3 * slot[:, None] + np.arange(3)).reshape(-1)
+        block[p.nf_off:p.nt_off] = np.repeat(p.fi_j, 3)
+        colour[p.nt_off:] = self.n_block_colours + np.arange(self.n_t)
+        self.colour = colour
+        self.members = [np.flatnonzero(colour == k)
+                        for k in range(self.n_block_colours + self.n_t)]
+        # band position of every non-duration variable; durations follow
+        self.pos = (np.concatenate([[0], np.cumsum(sizes)[:-1]])[block]
+                    + colour[:self.n_x]).astype(np.int32)
+        self.order = np.concatenate([self.pos, self.n_x + np.arange(self.n_t, dtype=np.int32)])
+
+        rows, cols, unit = _jacobian_pattern(p)
+        srt = np.lexsort((cols, rows))
+        self.jr, self.jc = rows[srt].astype(np.int32), cols[srt].astype(np.int32)
+        self.unit = unit[srt]
+        # a differenced entry sharing its row and colour with a unit entry
+        # carries that entry's 1 in its difference quotient
+        n_col = len(self.members)
+        key = self.jr * n_col + colour[self.jc]
+        self.unit_shift = np.isin(key, key[self.unit]).astype(float)
+        self.colour_entries = [np.flatnonzero(colour[self.jc] == k) for k in range(n_col)]
+
+        # half-bandwidth: the widest block or the widest row in band order
+        x_entry = self.jc < self.n_x
+        row_lo = np.full(self.n_rows, self.n_x)
+        row_hi = np.full(self.n_rows, -1)
+        np.minimum.at(row_lo, self.jr[x_entry], self.pos[self.jc[x_entry]])
+        np.maximum.at(row_hi, self.jr[x_entry], self.pos[self.jc[x_entry]])
+        self.u = int(max(np.max(row_hi - row_lo), self.n_block_colours - 1))
+        self.size = (self.u + 1) * self.n_x + (self.n_x + self.n_t) * self.n_t
+
+        # J^T W J: the entry pairs of each row, in small groups of rows with
+        # one entry count (small, to keep the temporaries small)
+        counts = np.bincount(self.jr, minlength=self.n_rows)
+        first = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int32)
+        self.row_groups = []
+        for m in np.unique(counts[counts > 0]):
+            ia, ib = np.triu_indices(m)
+            starts = first[counts == m]
+            for i in range(0, len(starts), _ROW_GROUP):
+                entries = starts[i:i + _ROW_GROUP, None] + np.arange(m, dtype=np.int32)
+                cols = self.jc[entries]
+                self.row_groups.append((entries, ia, ib,
+                                        self._target(cols[:, ia], cols[:, ib])))
+
+        # Lagrangian Hessian: upper triangle of each dense block
+        h_a, h_b = [], []
+        for b in range(p.n_knots):
+            v = np.flatnonzero(block == b).astype(np.int32)
+            ia, ib = np.triu_indices(len(v))
+            h_a.append(v[ia])
+            h_b.append(v[ib])
+        self.h_a, self.h_b = np.concatenate(h_a), np.concatenate(h_b)
+        self.h_idx = self._target(self.h_a, self.h_b)
+
+    def _target(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+        """Flat index of (va, vb) in [band | border | upper corner] storage."""
+        n_x, n_t, u = self.n_x, self.n_t, self.u
+        pa, pb = self.order[va], self.order[vb]
+        lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
+        n_band = (u + 1) * n_x
+        return np.where(hi < n_x, (u + lo - hi) * n_x + hi,
+                        np.where(lo < n_x, n_band + lo * n_t + hi - n_x,
+                                 n_band + n_x * n_t + (lo - n_x) * n_t + hi - n_x))
+
+    def differences(self, problem: TimingProblem, z: np.ndarray, c0: np.ndarray,
+                    grad_args=None, g0=None):
+        """Jacobian values at ``z`` by coloured forward differences of ``_eval``.
+
+        With ``grad_args`` (the multipliers handed to ``grad``) and the
+        gradient ``g0`` at ``z``, also returns the differenced Lagrangian
+        gradient per colour, ``(n_colours, n_vars)``.
+        """
+        dg = None if grad_args is None else np.empty((len(self.members), len(z)))
+        jvals = -self.unit_shift
+        for k, members in enumerate(self.members):
+            step = _FD_STEP * max(1.0, float(np.max(np.abs(z[members]))))
+            zk = z.copy()
+            zk[members] += step
+            _, c_eq, c_in, grad = problem._eval(zk, need_grad=dg is not None)
+            entries = self.colour_entries[k]
+            rows = self.jr[entries]
+            ck = np.concatenate([c_eq, c_in])[rows]
+            ck -= c0[rows]
+            jvals[entries] += ck / step
+            if dg is not None:
+                dg[k] = grad(*grad_args)
+                dg[k] -= g0
+                dg[k] /= step
+        jvals[self.unit] = 1.0
+        return jvals, dg
+
+    def assemble(self, jvals: np.ndarray, weights: np.ndarray,
+                 dg: np.ndarray) -> _BorderedSystem:
+        """Newton matrix ∇²L + J^T diag(weights) J from differenced data."""
+        n_x, n_t, n_bc = self.n_x, self.n_t, self.n_block_colours
+        jw = jvals * np.sqrt(weights[self.jr])
+        flat = np.zeros(self.size)
+        for entries, ia, ib, target in self.row_groups:
+            jg = jw[entries]
+            prod = jg[:, ia]
+            prod *= jg[:, ib]
+            np.add.at(flat, target, prod)
+        col = self.colour
+        h = dg[col[self.h_b], self.h_a]
+        h += dg[col[self.h_a], self.h_b]
+        h *= 0.5
+        np.add.at(flat, self.h_idx, h)
+        n_band = (self.u + 1) * n_x
+        border = flat[n_band:n_band + n_x * n_t].reshape(n_x, n_t)
+        border[self.pos] += dg[n_bc:, :n_x].T
+        upper = flat[n_band + n_x * n_t:].reshape(n_t, n_t)
+        h_tt = dg[n_bc:, n_x:]
+        corner = upper + upper.T - np.diag(np.diag(upper)) + 0.5 * (h_tt + h_tt.T)
+        return _BorderedSystem(flat[:n_band].reshape(self.u + 1, n_x), border, corner, self.pos)
+
+
+class _BorderedSystem:
+    """Symmetric [[A, C], [C^T, D]]: A banded (upper storage), D small.
+
+    Rows and columns of A are in band order; ``pos`` maps the leading
+    variables of the decision vector to it.
+    """
+
+    def __init__(self, band: np.ndarray, border: np.ndarray, corner: np.ndarray,
+                 pos: np.ndarray):
+        self.band, self.border, self.corner, self.pos = band, border, corner, pos
+        self.scale = max(1.0, float(np.max(np.abs(band[-1]), initial=0.0)),
+                         float(np.max(np.abs(np.diag(corner)), initial=0.0)))
+
+    def step(self, g: np.ndarray, fixed: np.ndarray, delta: float):
+        """Newton step -(K + delta I)^-1 g over the free variables, or None.
+
+        Fixed variables keep a zero step. None means the damped matrix is
+        not positive definite.
+        """
+        n_x, u = self.band.shape[1], self.band.shape[0] - 1
+        mx = np.empty(n_x)
+        mx[self.pos] = ~fixed[:n_x]
+        mt = (~fixed[n_x:]).astype(float)
+        ab = self.band.copy()
+        for d in range(u):
+            s = u - d
+            ab[d, s:] *= mx[:-s] * mx[s:]
+        ab[u] = ab[u] * mx + (1.0 - mx) + delta * mx
+        c = self.border * mx[:, None] * mt
+        dmat = self.corner * np.outer(mt, mt) + np.diag(1.0 - mt + delta * mt)
+        rhs = np.empty((n_x, 1 + len(mt)))
+        rhs[self.pos, 0] = -g[:n_x]
+        rhs[:, 0] *= mx
+        rhs[:, 1:] = c
+        try:
+            factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+            y = cho_solve_banded((factor, False), rhs, overwrite_b=True, check_finite=False)
+            schur = np.linalg.cholesky(dmat - c.T @ y[:, 1:])
+        except np.linalg.LinAlgError:
+            return None
+        dt = cho_solve((schur, True), -g[n_x:] * mt - c.T @ y[:, 0], check_finite=False)
+        out = np.empty(len(g))
+        out[:n_x] = (y[:, 0] - y[:, 1:] @ dt)[self.pos]
+        out[n_x:] = dt
+        return out if np.all(np.isfinite(out)) else None
+
+
+class _AugmentedLagrangian:
+    """The AL merit function of one subproblem and its Newton systems."""
+
+    def __init__(self, problem: TimingProblem, structure: _KktStructure,
+                 s_eq: np.ndarray, s_in: np.ndarray, rho: float):
+        self.problem, self.structure = problem, structure
+        self.s_eq, self.s_in = s_eq, s_in
+        self.lam = np.zeros(problem.n_eq)
+        self.mu = np.zeros(problem.n_ineq)
+        self.rho = rho
+        self._base = None
+
+    def value_grad(self, z: np.ndarray):
+        cost, c_eq, c_in, grad = self.problem._eval(z, need_grad=True)
+        cs_eq = self.s_eq * c_eq
+        cs_in = self.s_in * c_in
+        rho, mu = self.rho, self.mu
+        y_eq = self.lam + rho * cs_eq
+        y_in = np.maximum(0.0, mu + rho * cs_in)
+        val = (cost + self.lam @ cs_eq + 0.5 * rho * float(cs_eq @ cs_eq)
+               + float(np.sum(y_in**2 - mu**2)) / (2.0 * rho))
+        args = (self.s_eq * y_eq, self.s_in * y_in)
+        g = grad(*args)
+        self._base = (z.copy(), np.concatenate([c_eq, c_in]), args, g, y_in > 0.0)
+        return val, g
+
+    def newton_system(self, z: np.ndarray) -> _BorderedSystem:
+        """∇²_zz of the AL at ``z``: Lagrangian Hessian plus rho J^T S^2 J.
+
+        S^2 covers the equality rows and the active inequality rows.
+        """
+        if self._base is None or not np.array_equal(z, self._base[0]):
+            self.value_grad(z)
+        _, c0, args, g0, active = self._base
+        s = self.structure
+        jvals, dg = s.differences(self.problem, z, c0, args, g0)
+        weights = self.rho * np.concatenate([self.s_eq**2, self.s_in**2 * active])
+        return s.assemble(jvals, weights, dg)
+
+
+def _projected_newton(fun, x0, jac=None, bounds=None, maxiter=100, newton_system=None,
+                      **_unused):
+    """Projected Newton method over box bounds, as a ``minimize`` method.
+
+    Bertsekas (SIAM J. Control Optim. 20, 1982): variables within a small
+    margin of a bound whose gradient pushes outward are moved onto it and
+    held fixed; the others take a Newton step on ``newton_system(z)``,
+    followed by Armijo backtracking along the projection arc. The
+    Levenberg damping delta rises tenfold whenever the factorization fails
+    or the step is not a descent direction, and falls tenfold after each
+    full step.
+    """
+    lo, hi = bounds.lb, bounds.ub
+    z = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    f, g = fun(z), jac(z)
+    nfev, delta, nit = 1, 0.0, 0
+    message = "iteration limit"
+    while nit < maxiter:
+        proj = z - np.clip(z - g, lo, hi)
+        margin = min(_ACTIVE_MARGIN, float(np.max(np.abs(proj))))
+        at_lo = (z <= lo + margin) & (g > 0.0)
+        at_hi = (z >= hi - margin) & (g < 0.0)
+        fixed = at_lo | at_hi
+        system = newton_system(z)
+        nit += 1
+        free = ~fixed
+        while delta <= _DELTA_MAX * system.scale:
+            d = system.step(g, fixed, delta)
+            if d is not None and (g[free] @ d[free] < 0.0 or not np.any(g[free])):
+                break
+            delta = max(10.0 * delta, _DELTA_FLOOR * system.scale)
+        else:
+            message = "no descent direction"
+            break
+        d[at_lo] = (lo - z)[at_lo]
+        d[at_hi] = (hi - z)[at_hi]
+        if -(g @ d) <= _NEWTON_DECREMENT * max(1.0, abs(f)):
+            message = "Newton decrement below tolerance"
+            break
+        alpha = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            zt = np.clip(z + alpha * d, lo, hi)
+            ft = fun(zt)
+            nfev += 1
+            if ft <= f + _ARMIJO * (g @ (zt - z)):
+                break
+            alpha *= 0.5
+        else:
+            message = "line search found no decrease"
+            break
+        z, f, g = zt, ft, jac(zt)
+        if alpha == 1.0:
+            delta = 0.0 if delta < _DELTA_FLOOR * system.scale * 10.0 else 0.1 * delta
+    return OptimizeResult(x=z, fun=f, jac=g, nit=nit, nfev=nfev, delta=delta,
+                          success=message.startswith("Newton"), message=message)
+
+
+def _row_scales(problem: TimingProblem, z: np.ndarray, structure: _KktStructure,
                 lo: float = 0.3, hi: float = 50.0):
-    """Constraint row-norm estimates by finite-difference probing.
+    """Reciprocal constraint-Jacobian row norms at ``z``, clipped to [lo, hi].
 
     The constraint families have wildly different natural Jacobian scales
     (friction rows carry the force scale, the angular rows the inverse
-    inertia); equilibrating them keeps the penalty Hessian workable for the
-    quasi-Newton inner solver.
+    inertia); equilibrating them keeps the penalty Hessian workable.
     """
-    rng = np.random.default_rng(12345)
-    _, c0_eq, c0_in, _ = problem._eval(z, need_grad=False)
-    acc_eq = np.zeros_like(c0_eq)
-    acc_in = np.zeros_like(c0_in)
-    eps = 1e-6
-    for _ in range(n_probe):
-        u = rng.normal(size=problem.n_vars)
-        u /= np.linalg.norm(u)
-        _, ce, ci, _ = problem._eval(z + eps * u, need_grad=False)
-        acc_eq += ((ce - c0_eq) / eps) ** 2
-        acc_in += ((ci - c0_in) / eps) ** 2
-    row_eq = np.sqrt(acc_eq / n_probe * problem.n_vars)
-    row_in = np.sqrt(acc_in / n_probe * problem.n_vars)
-    return 1.0 / np.clip(row_eq, lo, hi), 1.0 / np.clip(row_in, lo, hi)
+    _, c_eq, c_in, _ = problem._eval(z, need_grad=False)
+    jvals, _ = structure.differences(problem, z, np.concatenate([c_eq, c_in]))
+    norms = np.sqrt(np.bincount(structure.jr, jvals**2, structure.n_rows))
+    scales = 1.0 / np.clip(norms, lo, hi)
+    return scales[:problem.n_eq], scales[problem.n_eq:]
 
 
 def solve_timing(problem: TimingProblem | JumpSpec,
@@ -739,23 +1112,12 @@ def solve_timing(problem: TimingProblem | JumpSpec,
     opts = opts or SolveOptions()
 
     z = initial_guess(problem) if z0 is None else np.asarray(z0, dtype=float).copy()
-    bounds = problem.bounds()
-    z = np.clip(z, [b[0] for b in bounds], [b[1] for b in bounds])
+    bounds = Bounds(*np.array(problem.bounds()).T)
+    z = np.clip(z, bounds.lb, bounds.ub)
 
-    s_eq, s_in = _row_scales(problem, z)
-    lam = np.zeros(problem.n_eq)
-    mu = np.zeros(problem.n_ineq)
-    rho = opts.rho0
-
-    def al_value_grad(zv):
-        cost, c_eq, c_in, grad = problem._eval(zv, need_grad=True)
-        cs_eq = s_eq * c_eq
-        cs_in = s_in * c_in
-        y_eq = lam + rho * cs_eq
-        y_in = np.maximum(0.0, mu + rho * cs_in)
-        val = (cost + lam @ cs_eq + 0.5 * rho * float(cs_eq @ cs_eq)
-               + float(np.sum(y_in**2 - mu**2)) / (2.0 * rho))
-        return val, grad(s_eq * y_eq, s_in * y_in)
+    structure = _KktStructure(problem)
+    s_eq, s_in = _row_scales(problem, z, structure)
+    al = _AugmentedLagrangian(problem, structure, s_eq, s_in, opts.rho0)
 
     def violation(zv):
         _, c_eq, c_in, _ = problem._eval(zv, need_grad=False)
@@ -765,26 +1127,25 @@ def solve_timing(problem: TimingProblem | JumpSpec,
 
     best = None
     kkt = np.inf
+    trace = []
     outer = 0
     for outer in range(1, opts.max_outer + 1):
-        # early subproblems are solved loosely; precision ramps up with the
-        # multiplier estimates
-        maxiter = min(opts.max_inner, 400 * outer)
-        res = minimize(al_value_grad, z, jac=True, method="L-BFGS-B",
-                       bounds=bounds,
-                       options={"maxiter": maxiter, "maxcor": 50,
-                                "ftol": 1e-16, "gtol": 1e-10})
+        res = minimize(al.value_grad, z, jac=True, method=_projected_newton,
+                       bounds=bounds, options={"maxiter": opts.max_inner,
+                                               "newton_system": al.newton_system})
         z = res.x
-        kkt = float(np.max(np.abs(res.jac)))
+        kkt = float(np.max(np.abs(z - np.clip(z - res.jac, bounds.lb, bounds.ub))))
         viol, c_eq, c_in = violation(z)
+        trace.append({"violation": viol, "rho": al.rho, "newton_steps": int(res.nit),
+                      "delta": float(res.delta)})
         if best is None or viol < best[0]:
             best = (viol, z.copy())
         if viol <= opts.tol:
             break
-        lam = lam + rho * s_eq * c_eq
-        mu = np.maximum(0.0, mu + rho * s_in * c_in)
+        al.lam = al.lam + al.rho * s_eq * c_eq
+        al.mu = np.maximum(0.0, al.mu + al.rho * s_in * c_in)
         if outer % 2 == 0:
-            rho = min(rho * opts.rho_growth, opts.rho_max)
+            al.rho = min(al.rho * opts.rho_growth, opts.rho_max)
 
     viol, z = best
     pos, vel, omega, rots, forces, durations = problem.unpack(z)
@@ -802,7 +1163,8 @@ def solve_timing(problem: TimingProblem | JumpSpec,
         raise NoConvergenceError(
             f"timing optimization stalled at violation {viol:.3e} "
             f"(target {opts.tol:.1e}) after {outer} outer iterations",
-            {"violation": viol, "durations": durations, "defects": defects},
+            {"violation": viol, "durations": durations, "defects": defects,
+             "trace": trace},
         )
     return sol
 

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from quadstack.scenarios import (TrotDriver, hop_spec, run_estimate, run_jump_opt,
                                  run_jump_sim, run_stand, run_trot, spin_spec)
+from quadstack.trajopt import BodyReference
 
 
 class TestStand:
@@ -46,6 +47,14 @@ class TestTrot:
         assert np.max(np.abs(log["px_m"])) <= 0.05
         assert res.summary["height_rms_m"] <= 0.01
 
+    def test_mean_speed_averages_ticks(self):
+        # the trot accelerates from rest, so the final speed is well above
+        # the mean; the log samples every tenth tick
+        res = run_trot(duration=0.5, v_des=(1.0, 0.0))
+        logged = np.hypot(res.log["vx_mps"], res.log["vy_mps"])
+        assert logged[-1] > 2.0 * res.summary["mean_speed_mps"]
+        assert_allclose(res.summary["mean_speed_mps"], np.mean(logged), atol=0.01)
+
     def test_trot_log_schema(self):
         res = run_trot(duration=0.5)
         for col in ("t_s", "px_m", "vz_mps", "r00", "foot0x_m", "f3z_N", "stance0"):
@@ -74,6 +83,29 @@ class TestJumpPipeline:
         assert sim_res.summary["landed"]
         assert sim_res.summary["final_height_error_m"] <= 0.03
         assert sim_res.summary["final_orientation_error_deg"] <= 5.0
+
+    def test_unreachable_reference_counts_ik_fallbacks(self):
+        # a hand-made stand reference whose body rises 0.5 m above the
+        # footholds for samples 2-4: the stance legs cannot reach
+        spec = hop_spec(n_knots=4)
+        n = 31
+        pos = np.tile(spec.p_start, (n, 1))
+        forces = np.zeros((n, 12))
+        forces[:, 2::3] = spec.model.weight / 4.0
+
+        def reference(pos):
+            return BodyReference(t=np.arange(n) * 0.01, pos=pos, vel=np.zeros((n, 3)),
+                                 rot=np.tile(np.eye(3), (n, 1, 1)), omega=np.zeros((n, 3)),
+                                 forces=forces, phase_times=np.array([0.25, 0.3]))
+
+        reachable = run_jump_sim(spec, reference(pos), recover_time=0.0)
+        assert reachable.summary["ik_fallbacks"] == 0
+        pos = pos.copy()
+        pos[2:5, 2] += 0.5
+        raised = run_jump_sim(spec, reference(pos), recover_time=0.0)
+        # 4 legs on each tick that reads one of the raised samples
+        assert raised.summary["ik_fallbacks"] % 4 == 0
+        assert 4 * 25 <= raised.summary["ik_fallbacks"] <= 4 * 35
 
     def test_spin_spec_shape(self):
         spec = spin_spec(yaw_deg=45.0, n_knots=6)

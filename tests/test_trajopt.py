@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import Bounds, minimize
 
 from quadstack import so3
 from quadstack.balance import BodyModel
@@ -22,6 +23,7 @@ from quadstack.trajopt import (
     srbd_residual,
     trajectory_cost,
 )
+from quadstack.trajopt import _BorderedSystem, _KktStructure, _projected_newton
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
                  [-0.3, -0.128, 0.0], [-0.3, 0.128, 0.0]])
@@ -207,6 +209,139 @@ class TestBuild:
             assert abs(fd - g[i]) <= 1e-5 * max(1.0, abs(fd))
 
 
+def dense_matrix(system, structure):
+    """The bordered banded Newton matrix as a dense array in variable order."""
+    n_x, u = structure.n_x, structure.u
+    a = np.zeros((n_x, n_x))
+    for d in range(u + 1):
+        s = u - d
+        cols = np.arange(s, n_x)
+        a[cols - s, cols] = system.band[d, s:]
+    a = np.triu(a) + np.triu(a, 1).T
+    p = structure.pos
+    k = np.zeros((n_x + structure.n_t, n_x + structure.n_t))
+    k[:n_x, :n_x] = a[np.ix_(p, p)]
+    k[:n_x, n_x:] = system.border[p]
+    k[n_x:, :n_x] = system.border[p].T
+    k[n_x:, n_x:] = system.corner
+    return k
+
+
+class TestNewtonStructure:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        prob = build_problem(hop_spec(n_knots=4, flight_min=0.1))
+        rng = np.random.default_rng(7)
+        z = initial_guess(prob) + rng.normal(size=prob.n_vars) * 0.01
+        y = (rng.normal(size=prob.n_eq), np.abs(rng.normal(size=prob.n_ineq)))
+        return prob, _KktStructure(prob), z, y
+
+    @staticmethod
+    def constraints(prob, z):
+        _, c_eq, c_in, _ = prob._eval(z, need_grad=False)
+        return np.concatenate([c_eq, c_in])
+
+    def test_jacobian_matches_central_differences(self, setup):
+        prob, structure, z, _ = setup
+        eps = 1e-6
+        jac = np.zeros((structure.n_rows, prob.n_vars))
+        for i in range(prob.n_vars):
+            zp, zm = z.copy(), z.copy()
+            zp[i] += eps
+            zm[i] -= eps
+            jac[:, i] = (self.constraints(prob, zp) - self.constraints(prob, zm)) / (2 * eps)
+        pattern = np.zeros(jac.shape, dtype=bool)
+        pattern[structure.jr, structure.jc] = True
+        assert pattern.sum() == len(structure.jr)       # no duplicate entries
+        assert not np.any(jac[~pattern])                 # every nonzero is structural
+        jvals, _ = structure.differences(prob, z, self.constraints(prob, z))
+        assert_allclose(jvals, jac[structure.jr, structure.jc],
+                        atol=1e-6 * np.max(np.abs(jac)))
+
+    def test_coloured_hessian_matches_dense_differences(self, setup):
+        prob, structure, z, y = setup
+        _, c_eq, c_in, grad = prob._eval(z, need_grad=True)
+        jvals, dg = structure.differences(prob, z, np.concatenate([c_eq, c_in]), y, grad(*y))
+        eps = 1e-6
+        hess = np.zeros((prob.n_vars, prob.n_vars))
+        for i in range(prob.n_vars):
+            zp, zm = z.copy(), z.copy()
+            zp[i] += eps
+            zm[i] -= eps
+            hess[:, i] = (prob._eval(zp, True)[3](*y) - prob._eval(zm, True)[3](*y)) / (2 * eps)
+        hess = 0.5 * (hess + hess.T)
+        scale = np.max(np.abs(hess))
+        lagrangian = dense_matrix(structure.assemble(jvals, np.zeros(structure.n_rows), dg),
+                                  structure)
+        assert_allclose(lagrangian, hess, atol=1e-6 * scale)
+        # the Gauss-Newton term adds J^T W J exactly
+        w = np.random.default_rng(8).uniform(0.0, 2.0, structure.n_rows)
+        jac = np.zeros((structure.n_rows, prob.n_vars))
+        jac[structure.jr, structure.jc] = jvals
+        full = dense_matrix(structure.assemble(jvals, w, dg), structure)
+        assert_allclose(full - lagrangian, jac.T @ (w[:, None] * jac),
+                        atol=1e-9 * np.max(np.abs(full)))
+
+
+def quartic_bowl(x):
+    """Sum of double wells (x^2 - 1)^2 coupled along a chain; indefinite near 0."""
+    d = np.diff(x)
+    f = float(np.sum((x * x - 1.0) ** 2) + 0.5 * np.sum(d * d))
+    g = 4.0 * x * (x * x - 1.0)
+    g[:-1] -= d
+    g[1:] += d
+    h = np.diag(12.0 * x * x - 4.0)
+    h += np.diag(np.r_[1.0, np.full(len(x) - 2, 2.0), 1.0])
+    h -= np.diag(np.ones(len(x) - 1), 1) + np.diag(np.ones(len(x) - 1), -1)
+    return f, g, h
+
+
+class TestProjectedNewton:
+    """The inner solver on a small problem: the last variable is the border."""
+
+    @staticmethod
+    def solve(x0, lo, hi):
+        deltas = []
+
+        def system(x):
+            h = quartic_bowl(x)[2]
+            n_x = len(x) - 1
+            band = np.zeros((n_x, n_x))
+            for d in range(n_x):
+                s = n_x - 1 - d
+                band[d, s:] = h[np.arange(n_x - s), np.arange(s, n_x)]
+            out = _BorderedSystem(band, h[:n_x, n_x:], h[n_x:, n_x:], np.arange(n_x))
+            step = out.step
+
+            def recorded(g, fixed, delta):
+                deltas.append(delta)
+                return step(g, fixed, delta)
+
+            out.step = recorded
+            return out
+
+        res = minimize(lambda x: quartic_bowl(x)[:2], x0, jac=True, method=_projected_newton,
+                       bounds=Bounds(lo, hi), options={"maxiter": 50, "newton_system": system})
+        return res, deltas
+
+    def test_damping_recovers_from_indefinite_hessian(self):
+        x0 = np.array([0.1, -0.1, 0.2, 0.05])
+        res, deltas = self.solve(x0, np.full(4, -np.inf), np.full(4, np.inf))
+        assert res.success
+        assert deltas[0] == 0.0 and max(deltas) > 0.0    # first factorization failed
+        assert np.max(np.abs(res.jac)) <= 1e-6
+        assert np.all(np.linalg.eigvalsh(quartic_bowl(res.x)[2]) > 0.0)
+
+    def test_bound_blocked_variables_stay_on_the_bound(self):
+        # the first variable and the bordered last one would go to about 1
+        hi = np.array([0.5, np.inf, np.inf, 0.25])
+        res, _ = self.solve(np.array([0.9, 0.9, 0.9, 0.2]), np.full(4, -np.inf), hi)
+        assert res.success
+        assert res.x[0] == 0.5 and res.x[3] == 0.25
+        assert res.jac[0] < 0.0 and res.jac[3] < 0.0
+        assert np.max(np.abs(res.jac[1:3])) <= 1e-6
+
+
 @pytest.fixture(scope="module")
 def stand_solution():
     spec = stand_spec(n_knots=8)
@@ -273,6 +408,13 @@ class TestSolveHop:
         spec, sol = hop_solution
         assert sol.converged
         assert check_constraints(spec, sol)["max"] <= 1e-4
+        assert sol.kkt_residual <= 1e-6
+
+    def test_matches_lbfgsb_solution(self, hop_solution):
+        # the optimum the former L-BFGS-B inner solver reached on this spec
+        spec, sol = hop_solution
+        assert_allclose(sol.cost, 1.3975737, rtol=1e-5)
+        assert_allclose(sol.durations, [0.79504, 0.25, 0.75496], atol=1e-4)
 
     def test_ballistic_consistency(self, hop_solution):
         # flight knots lie on a parabola whose takeoff slope matches the
@@ -369,3 +511,9 @@ class TestDiagnostics:
                                                                 max_inner=30))
         diag = exc.value.args[1]
         assert "violation" in diag and "durations" in diag
+        trace = diag["trace"]
+        assert len(trace) == 2
+        assert trace[0]["rho"] == SolveOptions().rho0
+        for entry in trace:
+            assert 1 <= entry["newton_steps"] <= 30
+            assert entry["violation"] > 1e-14 and entry["delta"] >= 0.0

@@ -6,8 +6,11 @@ directory. Configuration is a YAML key/value tree validated against the
 schema below (unknown keys are rejected); any leaf can be overridden
 through environment variables named QUADSTACK_<SECTION>__<KEY>.
 
-Exit codes: 0 success, 1 solver/runtime failure (an error JSON is written),
-2 configuration error.
+Exit codes: 0 success, 1 run failure (an error JSON is written), 2
+configuration error. A run failure is of kind "solver" when the scenario
+failed on its inputs (a solver status, an unreachable foot, terrain or gait
+weights the controller cannot use, an unusable replay log) and of kind
+"internal" for any other exception, which points at a defect of the program.
 """
 
 from __future__ import annotations
@@ -17,14 +20,19 @@ import copy
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import scenarios
-from .balance import BodyModel
-from .trajopt import NoConvergenceError
+from .balance import BodyModel, ForceDistributionError
+from .gait import DegenerateWeightsError
+from .mpc import MpcInfeasibleError
+from .swing import UnreachableError
+from .terrain import SlopeTooSteepError
+from .trajopt import NoConvergenceError, SpecError
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "QUADSTACK_"
@@ -74,6 +82,12 @@ DEFAULT_CONFIG: dict = {
 
 class ConfigError(ValueError):
     pass
+
+
+# exceptions by which a scenario fails on its inputs: reported as kind "solver"
+RUN_FAILURES = (NoConvergenceError, MpcInfeasibleError, ForceDistributionError,
+                np.linalg.LinAlgError, UnreachableError, SlopeTooSteepError,
+                DegenerateWeightsError, scenarios.ReplayLogError)
 
 
 def _merge_validate(defaults: dict, override: dict, path: str = "") -> dict:
@@ -180,27 +194,35 @@ def cmd_stand(cfg: dict, out: Path) -> dict:
     return res.summary
 
 
-def _trot(cfg: dict, out: Path, controller: str) -> dict:
+def _trot_args(cfg: dict) -> dict:
+    """``TrotDriver`` arguments shared by the trot and slope subcommands."""
     from .gait import _PRESETS
 
     if cfg["gait"]["preset"] not in _PRESETS:
         raise ConfigError(f"unknown gait preset: {cfg['gait']['preset']!r} "
                           f"(choose from {sorted(_PRESETS)})")
-    res = scenarios.run_trot(
-        duration=_duration(cfg, 5.0),
+    return dict(
         v_des=(float(cfg["command"]["vx_mps"]), float(cfg["command"]["vy_mps"])),
-        seed=int(cfg["seed"]), controller=controller,
+        seed=int(cfg["seed"]),
         use_estimates=bool(cfg["controller"]["use_estimates"]),
         preset=str(cfg["gait"]["preset"]),
         period=float(cfg["gait"]["period_s"]),
         z0=float(cfg["robot"]["z0_m"]), model=_body_model(cfg),
         ramp_time=float(cfg["command"]["ramp_s"]))
+
+
+def _trot(cfg: dict, out: Path, controller: str) -> dict:
+    res = scenarios.run_trot(duration=_duration(cfg, 5.0), controller=controller,
+                             **_trot_args(cfg))
     write_csv(out / f"trot_{controller}_log.csv", res.log)
     return res.summary
 
 
 def cmd_trot(cfg: dict, out: Path) -> dict:
-    return _trot(cfg, out, cfg["controller"]["type"])
+    controller = cfg["controller"]["type"]
+    if controller not in ("balance", "mpc"):
+        raise ConfigError(f"unknown controller.type: {controller!r} (choose balance or mpc)")
+    return _trot(cfg, out, controller)
 
 
 def cmd_mpc_trot(cfg: dict, out: Path) -> dict:
@@ -208,10 +230,13 @@ def cmd_mpc_trot(cfg: dict, out: Path) -> dict:
 
 
 def cmd_slope(cfg: dict, out: Path) -> dict:
-    res = scenarios.run_slope(
-        duration=_duration(cfg, 4.0), slope=float(cfg["slope"]["grade"]),
-        v_des=(float(cfg["command"]["vx_mps"]), float(cfg["command"]["vy_mps"])),
-        seed=int(cfg["seed"]), model=_body_model(cfg))
+    # the posture adaptation acts through the balance controller's target;
+    # the MPC tracks its own flat-body reference and would ignore it
+    if cfg["controller"]["type"] != "balance":
+        raise ConfigError(f"slope runs the balance controller only, not "
+                          f"controller.type {cfg['controller']['type']!r}")
+    res = scenarios.run_slope(duration=_duration(cfg, 4.0),
+                              slope=float(cfg["slope"]["grade"]), **_trot_args(cfg))
     write_csv(out / "slope_log.csv", res.log)
     return res.summary
 
@@ -220,6 +245,8 @@ def cmd_estimate(cfg: dict, out: Path) -> dict:
     src = cfg["estimate"]["input_csv"]
     if not src:
         raise ConfigError("estimate.input_csv is required for the estimate subcommand")
+    if not Path(src).is_file():
+        raise ConfigError(f"estimate.input_csv not found: {src}")
     log = read_csv(Path(src))
     res = scenarios.run_estimate(log)
     write_csv(out / "estimate_log.csv", res.log)
@@ -313,17 +340,20 @@ def run(subcommand: str, config_path: str | None = None,
 
     try:
         summary = handler(cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, SpecError) as exc:
         return 2, {"error": str(exc), "kind": "config"}
-    except (NoConvergenceError, RuntimeError, np.linalg.LinAlgError,
-            KeyError, ValueError, OSError) as exc:
-        err = {"error": str(exc), "kind": "solver", "scenario": subcommand}
-        write_summary(Path(cfg["out_dir"]) / f"{subcommand.replace('-', '_')}_error.json", err)
-        return 1, err
-
-    summary["seed"] = int(cfg["seed"])
-    write_summary(out / f"{subcommand.replace('-', '_')}_summary.json", summary)
-    return 0, summary
+    except RUN_FAILURES as exc:
+        err = {"error": str(exc), "kind": "solver", "type": type(exc).__name__,
+               "scenario": subcommand}
+    except Exception as exc:
+        err = {"error": str(exc), "kind": "internal", "type": type(exc).__name__,
+               "scenario": subcommand, "traceback": traceback.format_exc()}
+    else:
+        summary["seed"] = int(cfg["seed"])
+        write_summary(out / f"{subcommand.replace('-', '_')}_summary.json", summary)
+        return 0, summary
+    write_summary(out / f"{subcommand.replace('-', '_')}_error.json", err)
+    return 1, err
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -33,6 +33,10 @@ NOMINAL_Z = 0.45
 _GRAVITY_W = np.array([0.0, 0.0, -9.81])
 
 
+class ReplayLogError(KeyError):
+    """A replay log lacks the columns the estimator needs."""
+
+
 def nominal_feet(leg_model: LegModel, ground: PlaneCoeffs | None = None,
                  z0: float = NOMINAL_Z) -> np.ndarray:
     """World foot positions under the hips on the ground surface."""
@@ -495,7 +499,7 @@ def run_estimate(log: dict[str, np.ndarray]) -> ScenarioResult:
     t_start = time.perf_counter()
     missing = [c for c in REPLAY_COLUMNS if c not in log]
     if missing:
-        raise KeyError(f"replay log missing columns: {missing[:4]}")
+        raise ReplayLogError(f"replay log missing columns: {missing[:4]}")
     t = np.asarray(log["t_s"], dtype=float)
     n = len(t)
     filt = OrientationFilter()

@@ -331,6 +331,8 @@ class TimingProblem:
             self.sk_k = np.zeros(0, dtype=int)
             self.sk_f = np.zeros(0, dtype=int)
             self.sk_pw = np.zeros((0, 3))
+        # stance knots are listed knot by knot: the first row of each knot
+        self.sk_knots, self.sk_start = np.unique(self.sk_k, return_index=True)
 
         self.nk_off = 0
         self.nf_off = 18 * self.n_knots
@@ -342,6 +344,16 @@ class TimingProblem:
             so3.interp_rotation(spec.r_start, spec.r_goal, k / self.n_int)
             for k in range(self.n_knots)
         ])
+        # tables of _eval: component-major copies and per-interval phase data
+        self.ref_rots_cm = self.ref_rots.transpose(1, 2, 0)[:, :, None]  # (3, 3, 1, n_knots)
+        self.inertia_cm = spec.model.inertia[:, :, None, None]
+        self.inv_inertia_cm = np.linalg.inv(spec.model.inertia)[:, :, None, None]
+        self.feet_cm = self.int_feet_pos.transpose(2, 1, 0)[:, None]      # (3, 1, 4, N)
+        self.item_slot = self.fi_f * self.n_int + self.fi_j
+        self.sk_pw_cm = self.sk_pw.T[:, None]
+        self.sk_center_cm = spec.sphere_centers[self.sk_f].T[:, None]
+        self.int_nk = self.phase_nk[self.int_phase]
+        self.phase_start = np.concatenate([[0], np.cumsum(self.phase_nk[:-1])]).astype(np.intp)
 
         self.n_goal_twist = (3 if spec.v_goal is not None else 0) + \
             (3 if spec.omega_goal is not None else 0)
@@ -411,227 +423,265 @@ class TimingProblem:
     # -- vectorized evaluation ----------------------------------------------
 
     def _eval(self, z: np.ndarray, need_grad: bool):
-        """Cost, equality residuals, inequality residuals, and a vjp closure."""
-        spec = self.spec
-        model = spec.model
-        m, g_vec = model.mass, model.g_vec
-        inertia = model.inertia
-        inv_i = np.linalg.inv(inertia)
-        pos, vel, omega, rots, forces, durations = self.unpack(z)
-        n_int = self.n_int
-        ph = self.int_phase
-        h = durations[ph] / self.phase_nk[ph]          # (N,)
+        """Cost, equality residuals, inequality residuals, and a vjp closure.
 
-        fsum = forces.sum(axis=1)                      # (N, 3)
-        u = fsum / m + g_vec                           # (N, 3)
+        ``z`` is one decision vector or a stack ``(B, n_vars)`` of them. A
+        stack is evaluated in one pass and gives the costs ``(B,)``, the
+        residuals ``(B, n_eq)`` and ``(B, n_ineq)``, and a ``grad(y_eq, y_in)``
+        that returns ``(B, n_vars)`` for multipliers shared by all rows. One
+        vector is evaluated as a stack of one.
+        """
+        z = np.asarray(z, dtype=float)
+        if z.ndim == 2:
+            return self._eval_stack(z, need_grad)
+        cost, c_eq, c_in, stack_grad = self._eval_stack(z[None], need_grad)
+        if not need_grad:
+            return float(cost[0]), c_eq[0], c_in[0], None
+
+        def grad(y_eq: np.ndarray, y_in: np.ndarray) -> np.ndarray:
+            return stack_grad(y_eq, y_in)[0]
+
+        return float(cost[0]), c_eq[0], c_in[0], grad
+
+    def _eval_stack(self, z: np.ndarray, need_grad: bool):
+        """``_eval`` on a stack ``(B, n_vars)``.
+
+        Internally the arrays are component-major: a 3-vector per knot is
+        ``(3, B, n_knots)`` and a 3x3 matrix ``(3, 3, B, n_knots)``, so every
+        numpy call runs over all intervals of all rows at once.
+        """
+        spec = self.spec
+        m, g_vec = spec.model.mass, spec.model.g_vec
+        inertia, inv_i = self.inertia_cm, self.inv_inertia_cm
+        b, n_int, n_items = len(z), self.n_int, self.n_force // 3
+        knots = np.ascontiguousarray(
+            z[:, :self.nf_off].reshape(b, self.n_knots, 18).transpose(2, 0, 1))
+        pos, vel, omega = knots[0:3], knots[3:6], knots[6:9]
+        rots = knots[9:18].reshape(3, 3, b, self.n_knots)
+        f_items = z[:, self.nf_off:self.nt_off].reshape(b, n_items, 3) * self.f_scale
+        f_cm = f_items.transpose(2, 0, 1)                      # (3, B, items)
+        forces = np.zeros((3, b, 4 * n_int))                   # (3, B, foot x interval)
+        forces[..., self.item_slot] = f_cm
+        forces = forces.reshape(3, b, 4, n_int)
+        durations = z[:, self.nt_off:]
+        h = durations[:, self.int_phase] / self.int_nk        # (B, N)
+        p_k, v_k, om_k, r_k = pos[..., :-1], vel[..., :-1], omega[..., :-1], rots[..., :-1]
+
+        fsum = forces.sum(axis=2)                              # (3, B, N)
+        u = fsum / m + g_vec[:, None, None]
 
         # torque about the CoM per interval, world frame
-        lever = pos[:-1, None, :] - self.int_feet_pos             # (N, 4, 3)
-        tau = np.cross(forces, lever).sum(axis=1)                 # (N, 3)
-        r_k = rots[:-1]
-        tau_b = np.einsum("nji,nj->ni", r_k, tau)                 # R^T tau
-        i_om = omega[:-1] @ inertia.T
-        gyro = np.cross(omega[:-1], i_om)
-        om_dot = (tau_b - gyro) @ inv_i.T
+        lever = p_k[:, :, None] - self.feet_cm                 # (3, B, 4, N)
+        tau = _cross(forces, lever).sum(axis=2)
+        # a stack's arrays are B times those of one evaluation: each one the
+        # gradient does not read is freed as soon as it is consumed
+        del forces
+        tau_b = _matvec(r_k.swapaxes(0, 1), tau)                # R^T tau
+        i_om = _matvec(inertia, om_k)
+        om_dot = _matvec(inv_i, tau_b - _cross(om_k, i_om))
 
-        c_pos = pos[1:] - pos[:-1] - h[:, None] * vel[:-1]
-        c_vel = vel[1:] - vel[:-1] - h[:, None] * u
-        c_om = omega[1:] - omega[:-1] - h[:, None] * om_dot
+        c_pos = pos[..., 1:] - p_k - h * v_k
+        c_vel = vel[..., 1:] - v_k - h * u
+        c_om = omega[..., 1:] - om_k - h * om_dot
 
-        a_mat = _hat_batch(omega[:-1] * h[:, None])
-        a2 = a_mat @ a_mat
-        a3 = a2 @ a_mat
-        a4 = a3 @ a_mat
-        e_mat = (np.eye(3)[None] + a_mat + a2 / 2.0 + a3 / 6.0 + a4 / 24.0)
-        c_rot = rots[1:] - r_k @ e_mat
+        # exp_taylor4(hat(a)) for a = omega h; on skew A, A^3 = -|a|^2 A
+        a = om_k * h
+        th2 = np.sum(a * a, axis=0)
+        c1, c2 = 1.0 - th2 / 6.0, 0.5 - th2 / 24.0
+        e_mat = c2 * a[:, None] * a[None] + _hat(c1 * a)
+        e_mat[[0, 1, 2], [0, 1, 2]] += 1.0 - c2 * th2
+        c_rot = rots[..., 1:] - _matmul(r_k, e_mat)
 
-        eq_parts = [
-            pos[0] - spec.p_start,
-            vel[0],
-            omega[0],
-            (rots[0] - spec.r_start).reshape(9),
-            pos[-1] - spec.p_goal,
-            (rots[-1] - spec.r_goal).reshape(9),
+        head = [
+            pos[..., 0] - spec.p_start[:, None],
+            vel[..., 0],
+            omega[..., 0],
+            (rots[..., 0] - spec.r_start[..., None]).reshape(9, b),
+            pos[..., -1] - spec.p_goal[:, None],
+            (rots[..., -1] - spec.r_goal[..., None]).reshape(9, b),
         ]
         if spec.v_goal is not None:
-            eq_parts.append(vel[-1] - spec.v_goal)
+            head.append(vel[..., -1] - spec.v_goal[:, None])
         if spec.omega_goal is not None:
-            eq_parts.append(omega[-1] - spec.omega_goal)
-        eq_parts += [
-            c_pos.reshape(-1),
-            c_vel.reshape(-1),
-            c_om.reshape(-1),
-            c_rot.reshape(-1),
-        ]
+            head.append(omega[..., -1] - spec.omega_goal[:, None])
+        eq_parts = [np.concatenate(head).T]
+        # defect rows are interval-major, as in the decision vector
+        eq_parts += [c.transpose(1, 2, 0).reshape(b, -1) for c in (c_pos, c_vel, c_om)]
+        eq_parts.append(c_rot.transpose(2, 3, 0, 1).reshape(b, -1))
         if self.int_feet[0]:
-            eq_parts.append(om_dot[0])
-        c_eq = np.concatenate(eq_parts)
+            eq_parts.append(om_dot[..., 0].T)
+        c_eq = np.concatenate(eq_parts, axis=1)
+        del eq_parts, c_pos, c_vel, c_om, c_rot
 
         # inequalities: friction pyramid per force variable block
-        n_items = self.n_force // 3
-        f_items = forces[self.fi_j, self.fi_f] if n_items else np.zeros((0, 3))
-        mu_fz = spec.mu * f_items[:, 2]
-        fric = np.stack([f_items[:, 0] - mu_fz, -f_items[:, 0] - mu_fz,
-                         f_items[:, 1] - mu_fz, -f_items[:, 1] - mu_fz], axis=1)
-        d_sph = self.sk_pw - pos[self.sk_k]
-        u_sph = np.einsum("nij,nj->ni", rots[self.sk_k], d_sph) - spec.sphere_centers[self.sk_f]
-        sph = np.sum(u_sph * u_sph, axis=1) - spec.sphere_radius**2
-        t_total = float(durations.sum())
-        ineq = np.concatenate([fric.reshape(-1), sph,
-                               [spec.t_min - t_total, t_total - spec.t_max]])
+        mu_fz = spec.mu * f_items[..., 2]
+        fric = np.stack([f_items[..., 0] - mu_fz, -f_items[..., 0] - mu_fz,
+                         f_items[..., 1] - mu_fz, -f_items[..., 1] - mu_fz], axis=-1)
+        d_sph = self.sk_pw_cm - pos[..., self.sk_k]           # (3, B, stance knots)
+        u_sph = _matvec(rots[..., self.sk_k], d_sph) - self.sk_center_cm
+        sph = np.sum(u_sph * u_sph, axis=0) - spec.sphere_radius**2
+        t_total = durations.sum(axis=1)[:, None]
+        ineq = np.concatenate([fric.reshape(b, -1), sph,
+                               spec.t_min - t_total, t_total - spec.t_max], axis=1)
+        del fric, sph
 
         # cost
-        m_err = np.einsum("nji,njk->nik", self.ref_rots, rots)  # ref^T R
-        cost_rot, e_vecs, cost_rot_grads = _rot_cost_batch(m_err, spec.eps_rot, need_grad)
-        cost = (spec.eps_omega * float(np.sum(omega * omega))
-                + spec.eps_force * float(np.sum(forces * forces))
+        cost_rot, cost_rot_grads = _rot_cost_batch(
+            _matmul(self.ref_rots_cm.swapaxes(0, 1), rots), spec.eps_rot, need_grad)  # ref^T R
+        cost = (spec.eps_omega * np.sum(omega * omega, axis=(0, 2))
+                + spec.eps_force * np.sum(f_items * f_items, axis=(1, 2))
                 + cost_rot)
 
         if not need_grad:
             return cost, c_eq, ineq, None
 
         def grad(y_eq: np.ndarray, y_in: np.ndarray) -> np.ndarray:
-            """Gradient of cost + y_eq . c_eq + y_in . c_ineq."""
-            g_pos = np.zeros_like(pos)
-            g_vel = np.zeros_like(vel)
-            g_om = np.zeros_like(omega)
-            g_rot = np.zeros_like(rots)
-            g_f = np.zeros_like(forces)
-            g_t = np.zeros(self.n_phases)
+            """Gradient of cost + y_eq . c_eq + y_in . c_ineq, per row."""
+            g_knots = np.zeros((18, b, self.n_knots))
+            g_pos, g_vel, g_om = g_knots[0:3], g_knots[3:6], g_knots[6:9]
+            g_rot = g_knots[9:18].reshape(3, 3, b, self.n_knots)
 
             # cost terms
             g_om += 2.0 * spec.eps_omega * omega
-            g_f += 2.0 * spec.eps_force * forces
-            g_rot += np.einsum("nij,njk->nik", self.ref_rots, cost_rot_grads)
+            g_f = 2.0 * spec.eps_force * f_cm
+            g_rot += _matmul(self.ref_rots_cm, cost_rot_grads)
 
             o = 0
-            g_pos[0] += y_eq[o:o + 3]; o += 3
-            g_vel[0] += y_eq[o:o + 3]; o += 3
-            g_om[0] += y_eq[o:o + 3]; o += 3
-            g_rot[0] += y_eq[o:o + 9].reshape(3, 3); o += 9
-            g_pos[-1] += y_eq[o:o + 3]; o += 3
-            g_rot[-1] += y_eq[o:o + 9].reshape(3, 3); o += 9
+            g_pos[..., 0] += y_eq[o:o + 3, None]; o += 3
+            g_vel[..., 0] += y_eq[o:o + 3, None]; o += 3
+            g_om[..., 0] += y_eq[o:o + 3, None]; o += 3
+            g_rot[..., 0] += y_eq[o:o + 9].reshape(3, 3, 1); o += 9
+            g_pos[..., -1] += y_eq[o:o + 3, None]; o += 3
+            g_rot[..., -1] += y_eq[o:o + 9].reshape(3, 3, 1); o += 9
             if spec.v_goal is not None:
-                g_vel[-1] += y_eq[o:o + 3]; o += 3
+                g_vel[..., -1] += y_eq[o:o + 3, None]; o += 3
             if spec.omega_goal is not None:
-                g_om[-1] += y_eq[o:o + 3]; o += 3
+                g_om[..., -1] += y_eq[o:o + 3, None]; o += 3
 
-            y_pos = y_eq[o:o + 3 * n_int].reshape(n_int, 3); o += 3 * n_int
-            y_vel = y_eq[o:o + 3 * n_int].reshape(n_int, 3); o += 3 * n_int
-            y_om = y_eq[o:o + 3 * n_int].reshape(n_int, 3); o += 3 * n_int
-            y_rot = y_eq[o:o + 9 * n_int].reshape(n_int, 3, 3); o += 9 * n_int
+            # defect multipliers, shared by the rows: (3, 1, N) and (3, 3, 1, N)
+            y_pos = y_eq[o:o + 3 * n_int].reshape(n_int, 1, 3).T; o += 3 * n_int
+            y_vel = y_eq[o:o + 3 * n_int].reshape(n_int, 1, 3).T; o += 3 * n_int
+            y_om = y_eq[o:o + 3 * n_int].reshape(n_int, 1, 3).T; o += 3 * n_int
+            y_rot = y_eq[o:o + 9 * n_int].reshape(n_int, 1, 3, 3).transpose(2, 3, 1, 0)
+            o += 9 * n_int
 
             # position defects
-            g_pos[1:] += y_pos
-            g_pos[:-1] -= y_pos
-            g_vel[:-1] -= h[:, None] * y_pos
-            np.add.at(g_t, ph, -np.sum(y_pos * vel[:-1], axis=1) / self.phase_nk[ph])
+            g_pos[..., 1:] += y_pos
+            g_pos[..., :-1] -= y_pos
+            g_vel[..., :-1] -= h * y_pos
 
             # velocity defects
-            g_vel[1:] += y_vel
-            g_vel[:-1] -= y_vel
-            np.add.at(g_t, ph, -np.sum(y_vel * u, axis=1) / self.phase_nk[ph])
-            if n_items:
-                g_f[self.fi_j, self.fi_f] -= (h[self.fi_j, None] / m) * y_vel[self.fi_j]
+            g_vel[..., 1:] += y_vel
+            g_vel[..., :-1] -= y_vel
+            g_f -= (h[:, self.fi_j] / m) * y_vel[..., self.fi_j]
 
             # omega defects (including the initial angular-acceleration pin)
-            y_om_eff = y_om * h[:, None]
+            y_om_eff = y_om * h
             if self.int_feet[0]:
-                y_pin = y_eq[-3:]
-                y_om_eff[0] -= y_pin  # pin enters as +om_dot[0], defect as -h*om_dot
-            g_om[1:] += y_om
-            g_om[:-1] -= y_om
-            # d om_dot / d omega: -inv_i (hat(om) I - hat(I om))
-            w_vec = np.einsum("ij,nj->ni", inv_i.T, y_om_eff)   # inv_i^T y
-            hat_om = _hat_batch(omega[:-1])
-            hat_iom = _hat_batch(i_om)
-            d_gyro = hat_om @ inertia - hat_iom                 # (N,3,3)
-            g_om[:-1] += np.einsum("nji,nj->ni", d_gyro, w_vec)
+                y_om_eff[..., 0] -= y_eq[-3:, None]  # pin enters as +om_dot[0], defect as -h*om_dot
+            g_om[..., 1:] += y_om
+            g_om[..., :-1] -= y_om
+            w_vec = _matvec(inv_i.swapaxes(0, 1), y_om_eff)      # inv_i^T y
+            # d om_dot / d omega = -inv_i (hat(om) I - hat(I om)), so its
+            # transpose takes w to (I om) x w - I^T (om x w)
+            g_om[..., :-1] += (_cross(i_om, w_vec)
+                               - _matvec(inertia.swapaxes(0, 1), _cross(om_k, w_vec)))
             # d om_dot / d R = inv_i d(R^T tau): grad_R -= outer(tau, w)
-            g_rot[:-1] -= np.einsum("ni,nj->nij", tau, w_vec)
-            # d om_dot / d pos via tau: dtau/dp = sum hat(f_s)
-            hat_fsum = _hat_batch(forces.sum(axis=1))
-            rw = np.einsum("nij,nj->ni", r_k, w_vec)            # R w
-            g_pos[:-1] -= np.einsum("nji,nj->ni", hat_fsum, rw)
-            # total term is -<R w, sum f_s x lever_s>; triple product gives
-            # grad_f = rw x lever
-            if n_items:
-                g_f[self.fi_j, self.fi_f] += np.cross(rw[self.fi_j],
-                                                      lever[self.fi_j, self.fi_f])
-            np.add.at(g_t, ph, -np.sum(y_om * om_dot, axis=1) / self.phase_nk[ph])
+            g_rot[..., :-1] -= tau[:, None] * w_vec[None]
+            # the torque term is -<R w, sum_s f_s x lever_s>: its gradient is
+            # (sum_s f_s) x R w in the position and R w x lever_s in f_s
+            rw = _matvec(r_k, w_vec)
+            g_pos[..., :-1] += _cross(fsum, rw)
+            g_f += _cross(rw[..., self.fi_j],
+                          lever.reshape(3, b, 4 * n_int)[..., self.item_slot])
 
-            # rotation-manifold defects
-            g_rot[1:] += y_rot
-            g_rot[:-1] -= y_rot @ np.transpose(e_mat, (0, 2, 1))
-            v_adj = np.einsum("nji,njk->nik", r_k, y_rot)       # R^T y
-            grad_a = _dexp_taylor4_adjoint(a_mat, a2, a3, v_adj)
-            vs = _vee_star_batch(grad_a)                        # (N,3)
-            g_om[:-1] -= vs * h[:, None]
-            np.add.at(g_t, ph, -np.sum(vs * omega[:-1], axis=1) * h / durations[ph])
+            # rotation-manifold defects: gradient in a of <R^T Y, E(a)>, with
+            # E(a) = I + c1 hat(a) + c2 (a a^T - |a|^2 I)
+            g_rot[..., 1:] += y_rot
+            g_rot[..., :-1] -= _matmul(y_rot, e_mat.swapaxes(0, 1))
+            v_adj = _matmul(r_k.swapaxes(0, 1), y_rot)
+            s_v = _vee_star_batch(v_adj)
+            tr_v = v_adj[0, 0] + v_adj[1, 1] + v_adj[2, 2]
+            sym_a = _matvec(v_adj, a) + _matvec(v_adj.swapaxes(0, 1), a)
+            vs = (c1 * s_v + c2 * (sym_a - 2.0 * tr_v * a)
+                  - (np.sum(s_v * a, axis=0) / 3.0
+                     + (0.5 * np.sum(sym_a * a, axis=0) - th2 * tr_v) / 12.0) * a)
+            g_om[..., :-1] -= vs * h
+
+            # durations: every defect of interval j scales with h_j = T_i / N_i
+            dh = np.sum(y_pos * v_k + y_vel * u + y_om * om_dot + vs * om_k, axis=0)
+            g_t = -np.add.reduceat(dh / self.int_nk, self.phase_start, axis=1)
 
             # friction rows
             if n_items:
                 yf = y_in[:4 * n_items].reshape(-1, 4)
-                g_f[self.fi_j, self.fi_f, 0] += yf[:, 0] - yf[:, 1]
-                g_f[self.fi_j, self.fi_f, 1] += yf[:, 2] - yf[:, 3]
-                g_f[self.fi_j, self.fi_f, 2] += -spec.mu * yf.sum(axis=1)
-            # sphere rows
-            y_sph = y_in[4 * n_items:4 * n_items + len(self.sk_k)]
+                g_f[0] += yf[:, 0] - yf[:, 1]
+                g_f[1] += yf[:, 2] - yf[:, 3]
+                g_f[2] -= spec.mu * yf.sum(axis=1)
+            # sphere rows; the rows of one knot are adjacent
             if len(self.sk_k):
-                ru = np.einsum("nji,nj->ni", rots[self.sk_k], u_sph)
-                np.add.at(g_pos, self.sk_k, -2.0 * y_sph[:, None] * ru)
-                np.add.at(g_rot, self.sk_k,
-                          2.0 * y_sph[:, None, None] * np.einsum("ni,nj->nij", u_sph, d_sph))
+                y_sph = 2.0 * y_in[4 * n_items:4 * n_items + len(self.sk_k)]
+                ru = _matvec(rots[..., self.sk_k].swapaxes(0, 1), u_sph)   # R^T u
+                g_pos[..., self.sk_knots] -= np.add.reduceat(y_sph * ru, self.sk_start, axis=-1)
+                g_rot[..., self.sk_knots] += np.add.reduceat(
+                    (y_sph * u_sph)[:, None] * d_sph[None], self.sk_start, axis=-1)
             # duration window rows
-            g_t += -y_in[-2] + y_in[-1]
+            g_t += y_in[-1] - y_in[-2]
 
-            gz = np.zeros(self.n_vars)
-            gk = np.concatenate([g_pos, g_vel, g_om, g_rot.reshape(self.n_knots, 9)], axis=1)
-            gz[:self.nf_off] = gk.reshape(-1)
-            if n_items:
-                gz[self.nf_off:self.nt_off] = (g_f[self.fi_j, self.fi_f] * self.f_scale).reshape(-1)
-            gz[self.nt_off:] = g_t
+            gz = np.empty((b, self.n_vars))
+            gz[:, :self.nf_off].reshape(b, self.n_knots, 18)[...] = g_knots.transpose(1, 2, 0)
+            gz[:, self.nf_off:self.nt_off].reshape(b, n_items, 3)[...] = \
+                (g_f * self.f_scale).transpose(1, 2, 0)
+            gz[:, self.nt_off:] = g_t
             return gz
 
         return cost, c_eq, ineq, grad
 
 
-def _hat_batch(v: np.ndarray) -> np.ndarray:
-    n = v.shape[0]
-    out = np.zeros((n, 3, 3))
-    out[:, 0, 1] = -v[:, 2]
-    out[:, 0, 2] = v[:, 1]
-    out[:, 1, 0] = v[:, 2]
-    out[:, 1, 2] = -v[:, 0]
-    out[:, 2, 0] = -v[:, 1]
-    out[:, 2, 1] = v[:, 0]
+# -- component-major 3-vector and 3x3 algebra --------------------------------
+#
+# Components lead and the batch axes trail. Products are written out as
+# elementwise multiplies and adds, which numpy never fuses, so a row of a
+# stack gets the same bits as that row evaluated alone; einsum picks fused
+# multiply-add kernels by stride, and would not.
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return m[:, 0] * v[0] + m[:, 1] * v[1] + m[:, 2] * v[2]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a[:, 0, None] * b[0] + a[:, 1, None] * b[1] + a[:, 2, None] * b[2]
+
+
+def _hat(v: np.ndarray) -> np.ndarray:
+    out = np.zeros((3,) + v.shape)
+    out[0, 1] = -v[2]
+    out[0, 2] = v[1]
+    out[1, 0] = v[2]
+    out[1, 2] = -v[0]
+    out[2, 0] = -v[1]
+    out[2, 1] = v[0]
     return out
 
 
 def _vee_star_batch(g: np.ndarray) -> np.ndarray:
     """Adjoint of the hat map: <G, hat(w)> = vee_star(G) . w."""
-    return np.stack([
-        g[:, 2, 1] - g[:, 1, 2],
-        g[:, 0, 2] - g[:, 2, 0],
-        g[:, 1, 0] - g[:, 0, 1],
-    ], axis=1)
-
-
-def _dexp_taylor4_adjoint(a, a2, a3, v):
-    """Gradient in A of <V, sum_{k<=4} A^k / k!> for batched 3x3 blocks."""
-    at = np.transpose(a, (0, 2, 1))
-    a2t = np.transpose(a2, (0, 2, 1))
-    a3t = np.transpose(a3, (0, 2, 1))
-    g = v.copy()
-    g += 0.5 * (v @ at + at @ v)
-    g += (v @ a2t + at @ v @ at + a2t @ v) / 6.0
-    g += (v @ a3t + at @ v @ a2t + a2t @ v @ at + a3t @ v) / 24.0
-    return g
+    return np.stack([g[2, 1] - g[1, 2], g[0, 2] - g[2, 0], g[1, 0] - g[0, 1]])
 
 
 def _rot_cost_batch(m_err: np.ndarray, eps_rot: float, need_grad: bool):
-    """Rotation-error cost and its gradient in the error matrices."""
-    tr = np.trace(m_err, axis1=1, axis2=2)
+    """Rotation-error cost per stack row, and its gradient in the error matrices.
+
+    ``m_err`` is ``(3, 3, B, n_knots)``; the cost is ``(B,)``.
+    """
+    tr = m_err[0, 0] + m_err[1, 1] + m_err[2, 2]
     c = np.clip((tr - 1.0) / 2.0, -1.0 + 1e-9, 1.0)
     theta = np.arccos(c)
     s_vec = _vee_star_batch(m_err)          # entries of M - M^T
@@ -639,21 +689,20 @@ def _rot_cost_batch(m_err: np.ndarray, eps_rot: float, need_grad: bool):
     sin_t = np.sin(theta)
     a_fac = np.where(small, 0.5 + theta**2 / 12.0,
                      theta / (2.0 * np.where(sin_t < 1e-12, 1.0, sin_t)))
-    e_vecs = a_fac[:, None] * s_vec
-    cost = eps_rot * float(np.sum(e_vecs * e_vecs))
+    e_vecs = a_fac * s_vec
+    cost = eps_rot * np.sum(e_vecs * e_vecs, axis=(0, 2))
     if not need_grad:
-        return cost, e_vecs, None
+        return cost, None
     w = 2.0 * eps_rot * e_vecs                              # dJ/de
     # de/dM = a * d(s)/dM + s outer da/dM
-    grads = a_fac[:, None, None] * _hat_batch(w)
-    ws = np.sum(w * s_vec, axis=1)
+    grads = _hat(a_fac * w)
+    ws = np.sum(w * s_vec, axis=0)
     da_dtheta = np.where(small, theta / 6.0,
                          (sin_t - theta * np.cos(theta)) / (2.0 * np.where(sin_t < 1e-12, 1.0, sin_t**2)))
     denom = np.sqrt(np.clip(1.0 - c * c, 1e-12, None))
     dtheta_dc = -1.0 / denom
-    coef = ws * da_dtheta * dtheta_dc * 0.5
-    grads += coef[:, None, None] * np.eye(3)[None]
-    return cost, e_vecs, grads
+    grads[[0, 1, 2], [0, 1, 2]] += ws * da_dtheta * dtheta_dc * 0.5
+    return cost, grads
 
 
 # -- building, solving, checking --------------------------------------------
@@ -825,8 +874,7 @@ class _KktStructure:
         block[p.nf_off:p.nt_off] = np.repeat(p.fi_j, 3)
         colour[p.nt_off:] = self.n_block_colours + np.arange(self.n_t)
         self.colour = colour
-        self.members = [np.flatnonzero(colour == k)
-                        for k in range(self.n_block_colours + self.n_t)]
+        self.n_colours = self.n_block_colours + self.n_t
         # band position of every non-duration variable; durations follow
         self.pos = (np.concatenate([[0], np.cumsum(sizes)[:-1]])[block]
                     + colour[:self.n_x]).astype(np.int32)
@@ -838,10 +886,9 @@ class _KktStructure:
         self.unit = unit[srt]
         # a differenced entry sharing its row and colour with a unit entry
         # carries that entry's 1 in its difference quotient
-        n_col = len(self.members)
-        key = self.jr * n_col + colour[self.jc]
+        self.entry_colour = colour[self.jc]
+        key = self.jr * self.n_colours + self.entry_colour
         self.unit_shift = np.isin(key, key[self.unit]).astype(float)
-        self.colour_entries = [np.flatnonzero(colour[self.jc] == k) for k in range(n_col)]
 
         # half-bandwidth: the widest block or the widest row in band order
         x_entry = self.jc < self.n_x
@@ -892,25 +939,25 @@ class _KktStructure:
 
         With ``grad_args`` (the multipliers handed to ``grad``) and the
         gradient ``g0`` at ``z``, also returns the differenced Lagrangian
-        gradient per colour, ``(n_colours, n_vars)``.
+        gradient per colour, ``(n_colours, n_vars)``. All colours are
+        perturbed in one stack and evaluated in one call.
         """
-        dg = None if grad_args is None else np.empty((len(self.members), len(z)))
-        jvals = -self.unit_shift
-        for k, members in enumerate(self.members):
-            step = _FD_STEP * max(1.0, float(np.max(np.abs(z[members]))))
-            zk = z.copy()
-            zk[members] += step
-            _, c_eq, c_in, grad = problem._eval(zk, need_grad=dg is not None)
-            entries = self.colour_entries[k]
-            rows = self.jr[entries]
-            ck = np.concatenate([c_eq, c_in])[rows]
-            ck -= c0[rows]
-            jvals[entries] += ck / step
-            if dg is not None:
-                dg[k] = grad(*grad_args)
-                dg[k] -= g0
-                dg[k] /= step
+        z_max = np.zeros(self.n_colours)
+        np.maximum.at(z_max, self.colour, np.abs(z))
+        steps = _FD_STEP * np.maximum(1.0, z_max)
+        stack = np.repeat(z[None], len(steps), axis=0)
+        stack[self.colour, np.arange(len(z))] += steps[self.colour]
+        _, c_eq, c_in, grad = problem._eval(stack, need_grad=grad_args is not None)
+        ck = np.concatenate([c_eq, c_in], axis=1)[self.entry_colour, self.jr]
+        del stack, c_eq, c_in        # not held through the gradient pass
+        ck -= c0[self.jr]
+        jvals = ck / steps[self.entry_colour] - self.unit_shift
         jvals[self.unit] = 1.0
+        if grad_args is None:
+            return jvals, None
+        dg = grad(*grad_args)
+        dg -= g0
+        dg /= steps[:, None]
         return jvals, dg
 
     def assemble(self, jvals: np.ndarray, weights: np.ndarray,

@@ -255,6 +255,7 @@ class TestCriterion6:
         assert report(6, "closed-loop trot (balance and MPC)", ok, f"({detail})")
 
 
+@pytest.mark.slow
 class TestCriterion7:
     def test_vertical_hop_physics(self, hop_solution):
         spec, sol, runtime = hop_solution
@@ -280,6 +281,7 @@ class TestCriterion7:
                       f"runtime {runtime:.0f}s)")
 
 
+@pytest.mark.slow
 class TestCriterion8:
     def test_spin_jump(self):
         spec = spin_spec(yaw_deg=90.0, n_knots=30)

@@ -7,6 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from quadstack import cli
+from quadstack.balance import ForceDistributionError
+from quadstack.mpc import MpcInfeasibleError
+from quadstack.trajopt import NoConvergenceError
 
 
 def run_cli(tmp_path, subcommand, config_text=None, **overrides):
@@ -53,6 +56,48 @@ class TestConfig:
         assert code == 1
         assert payload["kind"] == "solver"
         assert (tmp_path / "out" / "estimate_error.json").exists()
+
+    def test_missing_replay_file_is_config_error(self, tmp_path):
+        code, payload = run_cli(
+            tmp_path, "estimate",
+            config_text=f"estimate:\n  input_csv: {tmp_path / 'absent.csv'}\n")
+        assert code == 2
+        assert "absent.csv" in payload["error"]
+
+    def test_inconsistent_jump_config_is_config_error(self, tmp_path):
+        code, payload = run_cli(tmp_path, "jump-opt", "jump:\n  n_knots: 1\n")
+        assert code == 2
+        assert payload["kind"] == "config"
+
+
+class TestErrorKinds:
+    @staticmethod
+    def run_raising(tmp_path, monkeypatch, exc):
+        def handler(cfg, out):
+            raise exc
+
+        monkeypatch.setitem(cli.COMMANDS, "stand", handler)
+        return run_cli(tmp_path, "stand")
+
+    @pytest.mark.parametrize("exc", [KeyError("q_typo"), ValueError("q_typo")])
+    def test_programming_error_is_internal(self, tmp_path, monkeypatch, exc):
+        code, payload = self.run_raising(tmp_path, monkeypatch, exc)
+        assert code == 1
+        assert payload["kind"] == "internal"
+        assert payload["type"] == type(exc).__name__
+        assert "q_typo" in payload["traceback"]
+        body = json.loads((tmp_path / "out" / "stand_error.json").read_text())
+        assert body["kind"] == "internal"
+
+    @pytest.mark.parametrize("exc", [NoConvergenceError("stalled", {}),
+                                     MpcInfeasibleError("infeasible"),
+                                     ForceDistributionError("max iter"),
+                                     np.linalg.LinAlgError("not positive definite")])
+    def test_solver_failures_are_solver(self, tmp_path, monkeypatch, exc):
+        code, payload = self.run_raising(tmp_path, monkeypatch, exc)
+        assert code == 1
+        assert payload["kind"] == "solver"
+        assert payload["type"] == type(exc).__name__
 
 
 class TestCsvRoundTrip:
@@ -148,3 +193,26 @@ class TestTrot:
         code, summary = run_cli(tmp_path, "slope", duration_s=2.0)
         assert code == 0
         assert abs(summary["slope_estimate"] - summary["slope_true"]) <= 0.02
+
+    @pytest.mark.parametrize("config_text", ["robot:\n  z0_m: 0.40\n",
+                                             "command:\n  ramp_s: 0.2\n"])
+    def test_slope_honours_trot_settings(self, tmp_path, config_text):
+        code, default = run_cli(tmp_path, "slope", out_dir=str(tmp_path / "default"),
+                                duration_s=0.3)
+        assert code == 0
+        code, changed = run_cli(tmp_path, "slope", config_text,
+                                out_dir=str(tmp_path / "changed"), duration_s=0.3)
+        assert code == 0
+        logs = [cli.read_csv(tmp_path / d / "slope_log.csv") for d in ("default", "changed")]
+        assert not np.array_equal(logs[0]["pz_m"], logs[1]["pz_m"])
+        assert default["vel_rmse_mps"] != changed["vel_rmse_mps"]
+
+    def test_slope_rejects_mpc(self, tmp_path):
+        code, payload = run_cli(tmp_path, "slope", "controller:\n  type: mpc\n")
+        assert code == 2
+        assert "controller.type" in payload["error"]
+
+    def test_unknown_controller_rejected(self, tmp_path):
+        code, payload = run_cli(tmp_path, "trot", "controller:\n  type: pid\n")
+        assert code == 2
+        assert "pid" in payload["error"]

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import Bounds, minimize
 
-from quadstack import so3
+from quadstack import scenarios, so3
 from quadstack.balance import BodyModel
 from quadstack.qpsolver import QpProblem, solve as qp_solve
 from quadstack.trajopt import (
@@ -23,7 +23,7 @@ from quadstack.trajopt import (
     srbd_residual,
     trajectory_cost,
 )
-from quadstack.trajopt import _BorderedSystem, _KktStructure, _projected_newton
+from quadstack.trajopt import _FD_STEP, _BorderedSystem, _KktStructure, _projected_newton
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
                  [-0.3, -0.128, 0.0], [-0.3, 0.128, 0.0]])
@@ -283,6 +283,74 @@ class TestNewtonStructure:
                         atol=1e-9 * np.max(np.abs(full)))
 
 
+class TestBatchedEvaluation:
+    """All coloured differences come from one stacked ``_eval`` call."""
+
+    @pytest.fixture(scope="class", params=["hop", "spin"])
+    def setup(self, request):
+        spec = (scenarios.hop_spec(n_knots=4) if request.param == "hop"
+                else scenarios.spin_spec(n_knots=4))
+        prob = build_problem(spec)
+        rng = np.random.default_rng(11)
+        z = initial_guess(prob) + rng.normal(size=prob.n_vars) * 0.01
+        y = (rng.normal(size=prob.n_eq), np.abs(rng.normal(size=prob.n_ineq)))
+        return prob, _KktStructure(prob), z, y
+
+    @staticmethod
+    def per_colour_loop(prob, structure, z, y):
+        """The differences with one ``_eval`` and one ``grad`` call per colour."""
+        _, c_eq, c_in, grad = prob._eval(z, need_grad=True)
+        c0, g0 = np.concatenate([c_eq, c_in]), grad(*y)
+        jvals = -structure.unit_shift
+        dg = np.empty((structure.n_colours, prob.n_vars))
+        for k in range(structure.n_colours):
+            members = np.flatnonzero(structure.colour == k)
+            step = _FD_STEP * max(1.0, float(np.max(np.abs(z[members]))))
+            zk = z.copy()
+            zk[members] += step
+            _, ck_eq, ck_in, grad_k = prob._eval(zk, need_grad=True)
+            entries = np.flatnonzero(structure.colour[structure.jc] == k)
+            rows = structure.jr[entries]
+            jvals[entries] += (np.concatenate([ck_eq, ck_in])[rows] - c0[rows]) / step
+            dg[k] = (grad_k(*y) - g0) / step
+        jvals[structure.unit] = 1.0
+        return c0, g0, jvals, dg
+
+    def test_differences_match_per_colour_loop(self, setup):
+        prob, structure, z, y = setup
+        c0, g0, j_loop, dg_loop = self.per_colour_loop(prob, structure, z, y)
+        jvals, dg = structure.differences(prob, z, c0, y, g0)
+        assert_allclose(jvals, j_loop, rtol=1e-12, atol=1e-12 * np.max(np.abs(j_loop)))
+        assert_allclose(dg, dg_loop, rtol=1e-12, atol=1e-12 * np.max(np.abs(dg_loop)))
+        # without multipliers only the Jacobian is differenced
+        jvals_only, none = structure.differences(prob, z, c0)
+        assert none is None
+        assert_allclose(jvals_only, j_loop, rtol=1e-12, atol=1e-12 * np.max(np.abs(j_loop)))
+
+    def test_one_row_stack_is_the_unbatched_call(self, setup):
+        prob, _, z, y = setup
+        cost, c_eq, c_in, grad = prob._eval(z, need_grad=True)
+        s_cost, s_eq, s_in, s_grad = prob._eval(z[None], need_grad=True)
+        assert s_cost.shape == (1,) and s_eq.shape == (1, prob.n_eq)
+        assert s_cost[0] == cost
+        assert np.array_equal(s_eq[0], c_eq) and np.array_equal(s_in[0], c_in)
+        assert np.array_equal(s_grad(*y)[0], grad(*y))
+        assert np.array_equal(prob._eval(z[None], need_grad=False)[1][0],
+                              prob._eval(z, need_grad=False)[1])
+
+    def test_stack_rows_match_single_calls(self, setup):
+        prob, _, z, y = setup
+        stack = z + np.random.default_rng(12).normal(size=(5, prob.n_vars)) * 1e-3
+        cost, c_eq, c_in, grad = prob._eval(stack, need_grad=True)
+        g = grad(*y)
+        assert g.shape == (5, prob.n_vars)
+        for i, zi in enumerate(stack):
+            ci, eq_i, in_i, grad_i = prob._eval(zi, need_grad=True)
+            assert cost[i] == pytest.approx(ci, rel=1e-14)
+            assert np.array_equal(c_eq[i], eq_i) and np.array_equal(c_in[i], in_i)
+            assert np.array_equal(g[i], grad_i(*y))
+
+
 def quartic_bowl(x):
     """Sum of double wells (x^2 - 1)^2 coupled along a chain; indefinite near 0."""
     d = np.diff(x)
@@ -361,6 +429,7 @@ def yaw_stand_solution():
     return spec, solve_timing(build_problem(spec))
 
 
+@pytest.mark.slow
 class TestSolveStand:
 
     def test_converges(self, stand_solution):
@@ -402,6 +471,7 @@ class TestSolveStand:
         assert rep["max"] <= 1e-4
 
 
+@pytest.mark.slow
 class TestSolveHop:
 
     def test_feasible(self, hop_solution):

@@ -9,7 +9,7 @@ for running closed-loop scenarios. Submodules:
 ``gait``       gait scheduling, phase weights, support polygon, footsteps
 ``qpsolver``   dense active-set convex QP solver
 ``balance``    QP stance-force distribution and landing control
-``swing``      3-DOF leg kinematics/dynamics and swing-leg control
+``swing``      3-DOF leg kinematics, jump-tracking torques and swing trajectories
 ``mpc``        linearized model-predictive ground-force planning
 ``trajopt``    contact-timing trajectory optimization over SRB dynamics
 ``sim``        rigid-body simulator with kinematic point feet and sensors

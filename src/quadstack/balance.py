@@ -31,21 +31,18 @@ __all__ = [
     "BodyModel",
     "FrictionSpec",
     "ForceDistributionError",
-    "default_body_model",
     "pd_wrench",
     "build_force_model",
     "BalanceController",
     "balance_qp",
     "landing_switch",
-    "knee_impact_detect",
 ]
 
 CONTACT_FORCE_THRESHOLD = 20.0     # N, landing-switch default
-KNEE_IMPACT_THRESHOLD = 5.0        # rad/s, impact-detection default
 
 
 class ForceDistributionError(RuntimeError):
-    """The force QP found no optimum, even after backing off the target wrench."""
+    """The force QP ended without an optimum (infeasible, iteration limit, dependent rows)."""
 
 
 @dataclass
@@ -82,10 +79,6 @@ class BodyModel:
     @property
     def weight(self) -> float:
         return self.mass * float(np.linalg.norm(self.g_vec))
-
-
-def default_body_model() -> BodyModel:
-    return BodyModel()
 
 
 @dataclass
@@ -156,7 +149,7 @@ def _friction_rows(n_stance: int, friction: FrictionSpec):
 
 def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
                gains: BalanceGains, friction: FrictionSpec,
-               stance_mask: np.ndarray, model: BodyModel | None = None,
+               stance_mask: np.ndarray,
                solver: ActiveSetSolver | None = None) -> np.ndarray:
     """Distribute foot forces minimizing the weighted wrench error.
 
@@ -164,11 +157,8 @@ def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
     s.t. friction pyramid and normal bounds per stance foot; F = 0 on swing
     feet (their variables are eliminated, so the zeros are exact).
 
-    If the force QP is infeasible and ``model`` is given, the target wrench
-    is backed off toward pure gravity compensation (50, 25, 10, 0 %) until
-    feasible. A problem that stays infeasible, or a QP that stops for any
-    other reason (iteration limit, dependent working set), raises
-    :class:`ForceDistributionError`.
+    A QP that ends without an optimum (infeasible, iteration limit,
+    dependent working set) raises :class:`ForceDistributionError`.
     """
     stance_mask = np.asarray(stance_mask, dtype=bool).reshape(4)
     if not stance_mask.any():
@@ -184,23 +174,9 @@ def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
     n = cols.size
     h = 2.0 * (a_s.T @ s_w @ a_s + (gains.alpha + gains.beta) * np.eye(n))
     c_ineq, d_ineq = _friction_rows(stance.size, friction)
-
-    b_grav = None
-    if model is not None:
-        b_grav = np.concatenate([-model.mass * model.g_vec, np.zeros(3)])
-
-    def attempt(b_target):
-        g = -2.0 * (a_s.T @ (s_w @ b_target) + gains.beta * f_prev_s)
-        qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
-        return solver.solve(qp, x0=f_prev_s if np.all(c_ineq @ f_prev_s <= d_ineq + 1e-9) else None)
-
-    res = attempt(np.asarray(b_d, dtype=float))
-    if res.status is QpStatus.INFEASIBLE and b_grav is not None:
-        # back the commanded wrench off toward gravity compensation
-        for scale in (0.5, 0.25, 0.1, 0.0):
-            res = attempt(b_grav + scale * (b_d - b_grav))
-            if res.status is not QpStatus.INFEASIBLE:
-                break
+    g = -2.0 * (a_s.T @ (s_w @ np.asarray(b_d, dtype=float)) + gains.beta * f_prev_s)
+    qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
+    res = solver.solve(qp, x0=f_prev_s if np.all(c_ineq @ f_prev_s <= d_ineq + 1e-9) else None)
     if res.status is not QpStatus.OPTIMAL:
         raise ForceDistributionError(f"force QP failed with status {res.status}")
 
@@ -229,7 +205,7 @@ class BalanceController:
         a, b_d = build_force_model(state.pos, state.feet, self.model,
                                    acc_lin, acc_ang, r=state.rot)
         f = balance_qp(a, b_d, self.f_prev, self.gains, self.friction,
-                       stance_mask, model=self.model, solver=self._solver)
+                       stance_mask, solver=self._solver)
         self.f_prev = f
         return f
 
@@ -243,12 +219,3 @@ def landing_switch(contact_forces: np.ndarray, t: float, t_posing: float,
         return False
     return bool(np.max(np.asarray(contact_forces, dtype=float)) >= threshold)
 
-
-def knee_impact_detect(t: float, t_posing: float, knee_vel: np.ndarray,
-                       threshold: float = KNEE_IMPACT_THRESHOLD) -> bool:
-    """True once past the posing instant and any knee speed reaches the threshold."""
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
-    if t < t_posing:
-        return False
-    return bool(np.max(np.abs(np.asarray(knee_vel, dtype=float))) >= threshold)

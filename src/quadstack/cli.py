@@ -276,7 +276,10 @@ def cmd_jump_opt(cfg: dict, out: Path) -> dict:
 
 def cmd_jump_sim(cfg: dict, out: Path) -> dict:
     spec, _ = _jump_spec(cfg)
-    ref_csv = cfg["jump"]["reference_csv"] or (out / "jump_ref.csv")
+    ref_csv = cfg["jump"]["reference_csv"]
+    if ref_csv and not Path(ref_csv).exists():
+        raise ConfigError(f"jump.reference_csv not found: {ref_csv}")
+    ref_csv = ref_csv or (out / "jump_ref.csv")
     if not Path(ref_csv).exists():
         opt_res, ref = scenarios.run_jump_opt(spec)
         write_csv(out / "jump_ref.csv", opt_res.log)

@@ -39,7 +39,6 @@ __all__ = [
     "ImuSample",
     "OrientationFilter",
     "KfState",
-    "LegMeasurement",
     "SingularInnovationError",
     "adaptive_kappa",
     "orientation_step",
@@ -47,9 +46,7 @@ __all__ = [
     "kf_update",
     "kf_default_state",
     "leg_measurement_from_kinematics",
-    "leg_kinematics",
     "leg_measurements_batch",
-    "kf_update_arrays",
     "Q_ACCEL_DEFAULT",
     "Q_FOOT_STANCE_DEFAULT",
     "R_POS_DEFAULT",
@@ -162,40 +159,27 @@ def kf_default_state(p_b: np.ndarray, feet: np.ndarray,
     return KfState(mean=mean, cov=cov)
 
 
-@dataclass
-class LegMeasurement:
-    rel_pos: np.ndarray        # world frame, foot minus body, from kinematics
-    rel_vel: np.ndarray        # world frame, d/dt of rel_pos, from kinematics
-    contact_height: float      # assumed ground height of the foot
-    in_stance: bool
-
-    def __post_init__(self):
-        self.rel_pos = np.asarray(self.rel_pos, dtype=float).reshape(3)
-        self.rel_vel = np.asarray(self.rel_vel, dtype=float).reshape(3)
-
-
 def leg_measurement_from_kinematics(q: np.ndarray, qd: np.ndarray, r_hat: np.ndarray,
-                                    gyro: np.ndarray, leg: int, model: LegModel,
-                                    contact_height: float, in_stance: bool) -> LegMeasurement:
-    """Build a leg measurement from encoders, the orientation estimate, and gyro.
+                                    gyro: np.ndarray, leg: int,
+                                    model: LegModel) -> tuple[np.ndarray, np.ndarray]:
+    """One leg's measurement from encoders, the orientation estimate, and gyro.
 
+    Returns the world-frame foot-minus-body position and velocity:
     rel_pos = R p_foot(q);  rel_vel = R (hat(gyro) p_foot(q) + J(q) qd).
     """
     p_body = leg_fk(q, leg, model)
     v_body = so3.hat(gyro) @ p_body + leg_jacobian(q, leg, model) @ np.asarray(qd, dtype=float)
     r_hat = np.asarray(r_hat, dtype=float)
-    return LegMeasurement(rel_pos=r_hat @ p_body, rel_vel=r_hat @ v_body,
-                          contact_height=contact_height, in_stance=in_stance)
+    return r_hat @ p_body, r_hat @ v_body
 
 
-def leg_kinematics(qs: np.ndarray, qds: np.ndarray, r_hat: np.ndarray,
-                   gyro: np.ndarray, model: LegModel) -> tuple[np.ndarray, np.ndarray]:
+def leg_measurements_batch(qs: np.ndarray, qds: np.ndarray, r_hat: np.ndarray,
+                           gyro: np.ndarray, model: LegModel) -> tuple[np.ndarray, np.ndarray]:
     """World-frame foot-minus-body positions and velocities, (4, 3) each.
 
-    The kinematics of :func:`leg_measurement_from_kinematics` for all four
-    legs, in scalars (numpy's per-call cost dominates at this size); the
-    1 kHz scenario loops feed these arrays straight to
-    :func:`kf_update_arrays`.
+    :func:`leg_measurement_from_kinematics` for all four legs, in scalars
+    (numpy's per-call cost dominates at this size); these arrays are the
+    leg measurement of :func:`kf_update`.
     """
     l1, l2 = model.l1, model.l2
     gx, gy, gz = np.asarray(gyro, dtype=float).reshape(3).tolist()
@@ -223,20 +207,6 @@ def leg_kinematics(qs: np.ndarray, qds: np.ndarray, r_hat: np.ndarray,
                        (gx * py - gy * px) + (ry * qd0 + c0 * duz)))
     r_t = np.asarray(r_hat, dtype=float).T
     return np.array(p_body) @ r_t, np.array(v_body) @ r_t
-
-
-def leg_measurements_batch(qs: np.ndarray, qds: np.ndarray, r_hat: np.ndarray,
-                           gyro: np.ndarray, model: LegModel,
-                           contact_heights: np.ndarray,
-                           in_stance: np.ndarray) -> list[LegMeasurement]:
-    """All four leg measurements from :func:`leg_kinematics`.
-
-    Matches :func:`leg_measurement_from_kinematics` per leg.
-    """
-    rel_pos, rel_vel = leg_kinematics(qs, qds, r_hat, gyro, model)
-    return [LegMeasurement(rel_pos=rel_pos[i], rel_vel=rel_vel[i],
-                           contact_height=float(contact_heights[i]),
-                           in_stance=bool(in_stance[i])) for i in range(4)]
 
 
 _PROC_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
@@ -305,32 +275,21 @@ def _measurement_matrix() -> np.ndarray:
 _H = _measurement_matrix()
 
 
-def kf_update(s: KfState, r_hat: np.ndarray, meas: list[LegMeasurement],
+def kf_update(s: KfState, rel_pos: np.ndarray, rel_vel: np.ndarray,
+              contact_heights: np.ndarray, in_stance: np.ndarray,
               r_p: float = R_POS_DEFAULT, r_v: float = R_VEL_DEFAULT,
               r_h: float = R_HEIGHT_DEFAULT,
               swing_inflation: float = SWING_INFLATION_DEFAULT) -> KfState:
     """Innovation step over the stacked 28-row leg measurement.
 
-    Swing feet keep their rows but with covariance scaled by
-    ``swing_inflation`` so they carry (numerically) no information.
-    Raises :class:`SingularInnovationError` if the innovation covariance
-    cannot be factorized. See :func:`kf_update_arrays`.
+    ``rel_pos`` and ``rel_vel`` are the (4, 3) world-frame foot-minus-body
+    positions and velocities of :func:`leg_measurements_batch`,
+    ``contact_heights`` the (4,) assumed ground heights of the feet, and
+    ``in_stance`` the (4,) contact flags. Swing feet keep their rows but
+    with covariance scaled by ``swing_inflation`` so they carry
+    (numerically) no information. Raises :class:`SingularInnovationError`
+    if the innovation covariance cannot be factorized.
     """
-    if len(meas) != 4:
-        raise ValueError("expected one measurement per leg")
-    return kf_update_arrays(
-        s, np.array([m.rel_pos for m in meas]), np.array([m.rel_vel for m in meas]),
-        np.array([m.contact_height for m in meas], dtype=float),
-        np.array([m.in_stance for m in meas], dtype=bool),
-        r_p=r_p, r_v=r_v, r_h=r_h, swing_inflation=swing_inflation)
-
-
-def kf_update_arrays(s: KfState, rel_pos: np.ndarray, rel_vel: np.ndarray,
-                     contact_heights: np.ndarray, in_stance: np.ndarray,
-                     r_p: float = R_POS_DEFAULT, r_v: float = R_VEL_DEFAULT,
-                     r_h: float = R_HEIGHT_DEFAULT,
-                     swing_inflation: float = SWING_INFLATION_DEFAULT) -> KfState:
-    """:func:`kf_update` with the leg measurements as (4, 3), (4, 3), (4,), (4,) arrays."""
     # rows per foot: [rel pos; rel vel; height]. h(x) = -v_b on the velocity
     # rows: feet fixed => rel_vel = -v_b
     z = np.concatenate([rel_pos, rel_vel, np.reshape(contact_heights, (4, 1))], axis=1).reshape(28)

@@ -71,7 +71,7 @@ _PRESETS = {
     "trot": ((0.0, 0.5, 0.5, 0.0), 0.5),
     "pace": ((0.0, 0.5, 0.0, 0.5), 0.5),
     "bound": ((0.0, 0.0, 0.5, 0.5), 0.5),
-    "stand": ((0.0, 0.0, 0.0, 0.0), 0.999),
+    "stand": ((0.0, 0.0, 0.0, 0.0), 0.999),  # legs practically never swing
 }
 
 
@@ -81,9 +81,6 @@ def gait_preset(name: str, period: float = 0.4) -> GaitSchedule:
         offsets, stance = _PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown gait preset {name!r}; choose from {sorted(_PRESETS)}") from None
-    if name == "stand":
-        # stance fraction ~1: legs practically never swing
-        return GaitSchedule(period=period, offsets=offsets, stance_fraction=stance, name=name)
     return GaitSchedule(period=period, offsets=offsets, stance_fraction=stance, name=name)
 
 

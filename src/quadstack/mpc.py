@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .balance import BodyModel, FrictionSpec
+from .balance import BodyModel, FrictionSpec, _friction_rows
 from .qpsolver import ActiveSetSolver, QpProblem, QpStatus
 
 __all__ = ["MpcConfig", "MpcInfeasibleError", "linearize_srbd", "solve_mpc",
@@ -179,31 +179,13 @@ def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec,
     g = 2.0 * (su.T @ (q_bar @ resid0))
 
     # friction pyramid and bounds per active force block
-    rows, rhs = [], []
-    for idx in range(len(active)):
-        base = 3 * idx
-        for sgn in (1.0, -1.0):
-            for axis in (0, 1):
-                r = np.zeros(nu)
-                r[base + axis] = sgn
-                r[base + 2] = -friction.mu
-                rows.append(r)
-                rhs.append(0.0)
-        r = np.zeros(nu)
-        r[base + 2] = 1.0
-        rows.append(r)
-        rhs.append(friction.f_max)
-        r = np.zeros(nu)
-        r[base + 2] = -1.0
-        rows.append(r)
-        rhs.append(-friction.f_min)
-
+    c_ineq, d_ineq = _friction_rows(len(active), friction)
     x_start = None
     if u_prev is not None:
         u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
         if u_prev.shape[0] == nu:
             x_start = u_prev
-    qp = QpProblem(h=h, g=g, c_ineq=np.array(rows), d_ineq=np.array(rhs))
+    qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
     res = solver.solve(qp, x0=x_start)
     if res.status is not QpStatus.OPTIMAL:
         raise MpcInfeasibleError(f"force plan QP returned {res.status}")

@@ -312,9 +312,6 @@ class ActiveSetSolver:
         return x, QpStatus.OPTIMAL
 
 
-_DEFAULT = ActiveSetSolver()
-
-
 def solve(qp: QpProblem, tol: float = 1e-9, max_iter: int = 200,
           x0: np.ndarray | None = None) -> QpResult:
     """One-shot solve with a fresh default solver (see :class:`ActiveSetSolver`)."""

@@ -18,8 +18,8 @@ import numpy as np
 from . import gait, so3, terrain
 from .balance import (BalanceController, BalanceGains, BodyModel, FrictionSpec,
                       landing_switch)
-from .estimation import (ImuSample, OrientationFilter, kf_default_state,
-                         kf_predict, kf_update, kf_update_arrays, leg_kinematics,
+from .estimation import (Q_FOOT_STANCE_DEFAULT, ImuSample, OrientationFilter,
+                         kf_default_state, kf_predict, kf_update,
                          leg_measurements_batch, orientation_step)
 from .mpc import MpcConfig, solve_mpc
 from .sim import SensorNoise, SimWorld
@@ -30,6 +30,11 @@ from .trajopt import (BodyReference, ContactPhase, JumpSpec, build_problem,
                       check_constraints, export_reference, solve_timing)
 
 NOMINAL_Z = 0.45
+# trot MPC: horizon steps, seconds per step, ticks between replans (the
+# plan is also redone on every contact switch)
+MPC_HORIZON = 10
+MPC_DT = 0.03
+MPC_DECIMATION = 33
 _GRAVITY_W = np.array([0.0, 0.0, -9.81])
 
 
@@ -87,21 +92,12 @@ def _log_state(log: Logger, world: SimWorld, extra: dict | None = None):
 class EstimatorLoop:
     """Orientation filter + KF wired to the simulated sensors."""
 
-    def __init__(self, world: SimWorld, kappa_ref: float = 0.1,
-                 q_accel: float = 1e-2, q_foot: float = 1e-6,
-                 r_pos: float = 1e-4, r_vel: float = 1e-3, r_height: float = 1e-4,
-                 swing_inflation: float = 1e6):
-        self.filter = OrientationFilter(r_hat=world.state.rot.copy(), kappa_ref=kappa_ref)
+    def __init__(self, world: SimWorld):
+        self.filter = OrientationFilter(r_hat=world.state.rot.copy())
         self.kf = kf_default_state(world.state.pos, world.state.feet)
         # dead-reckoning baseline: mean-only integration of the same inputs
         self.pred_pos = world.state.pos.copy()
         self.pred_vel = np.zeros(3)
-        self.q_accel = q_accel
-        self.q_foot = q_foot
-        self.r_pos = r_pos
-        self.r_vel = r_vel
-        self.r_height = r_height
-        self.swing_inflation = swing_inflation
         self.leg_model = world.leg_model
         self._last_gyro = np.zeros(3)
 
@@ -112,8 +108,8 @@ class EstimatorLoop:
         self._last_gyro = imu.gyro.copy()
         self.filter = orientation_step(self.filter, imu, dt)
         r_hat = self.filter.r_hat
-        q_p = np.where(stance_mask, self.q_foot, self.q_foot * 1e6)
-        self.kf = kf_predict(self.kf, r_hat, imu.accel, dt, q_v=self.q_accel, q_p=q_p)
+        q_p = np.where(stance_mask, Q_FOOT_STANCE_DEFAULT, Q_FOOT_STANCE_DEFAULT * 1e6)
+        self.kf = kf_predict(self.kf, r_hat, imu.accel, dt, q_p=q_p)
         u = (r_hat @ imu.accel + _GRAVITY_W).tolist()
         pos, vel = self.pred_pos.tolist(), self.pred_vel.tolist()
         self.pred_pos = np.array([p + dt * v + 0.5 * dt * dt * ui
@@ -121,10 +117,8 @@ class EstimatorLoop:
         self.pred_vel = np.array([v + dt * ui for v, ui in zip(vel, u)])
         feet = world.state.feet
         heights = ground.height(feet[:, 0], feet[:, 1])
-        rel_pos, rel_vel = leg_kinematics(qs, qds, r_hat, imu.gyro, self.leg_model)
-        self.kf = kf_update_arrays(self.kf, rel_pos, rel_vel, heights, stance_mask,
-                                   r_p=self.r_pos, r_v=self.r_vel, r_h=self.r_height,
-                                   swing_inflation=self.swing_inflation)
+        rel_pos, rel_vel = leg_measurements_batch(qs, qds, r_hat, imu.gyro, self.leg_model)
+        self.kf = kf_update(self.kf, rel_pos, rel_vel, heights, stance_mask)
 
     def estimated_state(self, world: SimWorld) -> RobotState:
         # body rate taken straight from the gyro channel
@@ -208,7 +202,7 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
     for k in range(n):
         world.step(forces, stance)
         imu = world.synth_imu()
-        qs, qds = world.read_encoders()
+        qs, qds = world.synth_encoders()
         est.step(world, imu, qs, qds, stance, ground)
         if controller == "balance":
             state = est.estimated_state(world) if use_estimates else world.state
@@ -258,8 +252,7 @@ class TrotDriver:
     def __init__(self, v_des=(1.0, 0.0), duration=5.0, seed=0, controller="balance",
                  preset="trot", period=0.3, z0=NOMINAL_Z, ground: PlaneCoeffs | None = None,
                  model: BodyModel | None = None, use_estimates=False,
-                 mpc_horizon=10, mpc_dt=0.03, mpc_decimation=33,
-                 adapt_posture=False, dt=1e-3, ramp_time=0.8):
+                 adapt_posture=False, ramp_time=0.8):
         self.model = model or BodyModel()
         self.leg_model = LegModel()
         self.ground = ground or PlaneCoeffs()
@@ -271,15 +264,11 @@ class TrotDriver:
         self.z0 = z0
         self.controller_type = controller
         self.use_estimates = use_estimates
-        self.mpc_horizon = mpc_horizon
-        self.mpc_dt = mpc_dt
-        self.mpc_decimation = mpc_decimation
         self.adapt_posture = adapt_posture
-        self.dt = dt
         feet = nominal_feet(self.leg_model, self.ground, z0)
         start_z = self.ground.height(0.0, 0.0) + z0
         self.world = SimWorld(RobotState(pos=[0.0, 0.0, start_z], feet=feet),
-                              self.model, dt=dt, seed=seed, leg_model=self.leg_model)
+                              self.model, seed=seed, leg_model=self.leg_model)
         self.balance = BalanceController(self.model)
         self.friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=500.0)
         self.swing_trajs: dict[int, tuple[SwingTrajectory, float]] = {}
@@ -320,8 +309,8 @@ class TrotDriver:
         v_now = self.v_cmd(t)
         if self.p_ref_xy is None:
             self.p_ref_xy = polygon_xy.copy()
-        self.p_ref_xy = (self.p_ref_xy + v_now * self.dt
-                         + self.anchor_rate * self.dt * (polygon_xy - self.p_ref_xy))
+        self.p_ref_xy = (self.p_ref_xy + v_now * self.world.dt
+                         + self.anchor_rate * self.world.dt * (polygon_xy - self.p_ref_xy))
         com_xy = self.p_ref_xy
         if self.adapt_posture:
             plane = terrain.fit_plane(self.recent_contacts[:, 0:2], self.recent_contacts[:, 2])
@@ -348,14 +337,14 @@ class TrotDriver:
         self.swing_trajs[leg] = (traj, t)
 
     def mpc_tables(self, t, state: RobotState):
-        k = self.mpc_horizon
+        k = MPC_HORIZON
         x_ref = np.zeros((k, 12))
         p_nom = np.zeros((k, 3))
         contact = np.zeros((k, 4), dtype=bool)
         feet = np.zeros((k, 4, 3))
         feet_now = state.feet.copy()
         for i in range(k):
-            ti = t + (i + 1) * self.mpc_dt
+            ti = t + (i + 1) * MPC_DT
             for leg in range(4):
                 c, _ = gait.subphase(ti, self.sched, leg)
                 contact[i, leg] = c
@@ -381,12 +370,12 @@ class TrotDriver:
 
     def mpc_forces(self, t, state: RobotState, step_idx, mask):
         switched = self._mpc_mask is None or not np.array_equal(mask, self._mpc_mask)
-        if switched or step_idx % self.mpc_decimation == 0:
+        if switched or step_idx % MPC_DECIMATION == 0:
             x_ref, contact, feet, p_nom = self.mpc_tables(t, state)
             contact[0] = mask  # first step uses the realized contact set
             x0 = np.concatenate([state.pos, so3.matrix_to_rpy(state.rot),
                                  state.vel, state.rot @ state.omega])
-            cfg = MpcConfig(horizon=self.mpc_horizon, dt=self.mpc_dt,
+            cfg = MpcConfig(horizon=MPC_HORIZON, dt=MPC_DT,
                             q_weight=self.mpc_q, r_weight=self.mpc_r,
                             x_ref=x_ref, contact=contact, feet=feet,
                             op_yaw=0.0, model=self.model, p_nom=p_nom)
@@ -398,7 +387,7 @@ class TrotDriver:
 
     def run(self) -> ScenarioResult:
         t_start = time.perf_counter()
-        n = int(round(self.duration / self.dt))
+        n = int(round(self.duration / self.world.dt))
         log = Logger()
         height_err, vel_err = [], []
         mask_prev, _ = self.schedule(0.0)
@@ -412,7 +401,7 @@ class TrotDriver:
 
             if self.est is not None:
                 imu = self.world.synth_imu()
-                qs, qds = self.world.read_encoders()
+                qs, qds = self.world.synth_encoders()
                 self.est.step(self.world, imu, qs, qds, mask, self.ground)
                 ctrl_state = self.est.estimated_state(self.world)
             else:
@@ -438,7 +427,7 @@ class TrotDriver:
             for leg in range(4):
                 if not mask[leg] and leg in self.swing_trajs:
                     traj, t0 = self.swing_trajs[leg]
-                    swing_targets[leg] = traj.sample(t + self.dt - t0)[0]
+                    swing_targets[leg] = traj.sample(t + self.world.dt - t0)[0]
             self.world.step(forces, stance_mask, swing_targets)
 
             z_ref = self.ground.height(*self.world.state.pos[0:2]) + self.z0
@@ -518,16 +507,14 @@ def run_estimate(log: dict[str, np.ndarray]) -> ScenarioResult:
         imu = ImuSample(gyro=gyro, accel=accel)
         filt = orientation_step(filt, imu, dt)
         if kf is None:
-            feet0 = leg_measurements_batch(qs, qds, filt.r_hat, gyro, model,
-                                           np.zeros(4), stance)
+            feet0, _ = leg_measurements_batch(qs, qds, filt.r_hat, gyro, model)
             p0 = np.array([log[f"p{ax}_m"][0] for ax in "xyz"]) if has_truth else \
-                np.array([0.0, 0.0, -np.mean([m.rel_pos[2] for m in feet0])])
-            kf = kf_default_state(p0, np.stack([p0 + m.rel_pos for m in feet0]))
+                np.array([0.0, 0.0, -np.mean(feet0[:, 2])])
+            kf = kf_default_state(p0, p0 + feet0)
         q_p = np.where(stance, 1e-6, 1.0)
         kf = kf_predict(kf, filt.r_hat, accel, dt, q_p=q_p)
-        heights = np.zeros(4)
-        meas = leg_measurements_batch(qs, qds, filt.r_hat, gyro, model, heights, stance)
-        kf = kf_update(kf, filt.r_hat, meas)
+        rel_pos, rel_vel = leg_measurements_batch(qs, qds, filt.r_hat, gyro, model)
+        kf = kf_update(kf, rel_pos, rel_vel, np.zeros(4), stance)
         row = {"t_s": t[k]}
         for i, ax in enumerate("xyz"):
             row[f"phat_{ax}_m"] = kf.pos[i]
@@ -655,7 +642,7 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
                              for i in range(4) if not landing_stance[i]}
         elif in_stance_phase:
             # reference tracking through the legs
-            enc = world.synth_encoders()
+            qs, qds = world.synth_encoders()
             p_ref, r_ref = ref.pos[i_ref], ref.rot[i_ref]
             i_next = min(i_ref + 1, idx_max)
             dt_ref = max(ref.t[1] - ref.t[0], 1e-9)
@@ -670,15 +657,14 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
                 except UnreachableError:
                     # the reference foot left the workspace: hold the
                     # measured joint angles, and count it
-                    q_d = enc[leg].q
+                    q_d = qs[leg]
                     ik_fallbacks += 1
                 tau_d = stance_torque(q_d, ref.forces[i_ref, 3 * leg:3 * leg + 3],
                                       r_ref, leg, leg_model)
                 refs = {"q_d": q_d, "qd_d": np.zeros(3), "p_foot_d": pf_d,
                         "v_foot_d": vf_d, "tau_d": tau_d}
-                tau = jump_track_torque(enc[leg].q, enc[leg].qd, refs, gains,
-                                        leg, leg_model)
-                f_leg = grf_from_torque(enc[leg].q, tau, state.rot, leg, leg_model)
+                tau = jump_track_torque(qs[leg], qds[leg], refs, gains, leg, leg_model)
+                f_leg = grf_from_torque(qs[leg], tau, state.rot, leg, leg_model)
                 # the ground cannot pull or exceed the hardware force budget
                 f_leg[2] = min(max(f_leg[2], 0.0), spec.f_max)
                 f_leg[0] = np.clip(f_leg[0], -spec.mu * f_leg[2], spec.mu * f_leg[2])

@@ -28,11 +28,11 @@ import numpy as np
 from . import so3
 from .balance import BodyModel
 from .estimation import ImuSample
-from .swing import JointState, LegModel, UnreachableError, ik_angles
+from .swing import LegModel, UnreachableError, ik_angles
 from .state import RobotState
 from .terrain import PlaneCoeffs
 
-__all__ = ["SensorNoise", "SimWorld", "sim_step", "synth_imu", "synth_encoders"]
+__all__ = ["SensorNoise", "SimWorld"]
 
 
 def _ik_batch(p_body: np.ndarray, model: LegModel) -> np.ndarray:
@@ -202,7 +202,7 @@ class SimWorld:
             accel = accel + self.rng.normal(size=3) * n.accel_std
         return ImuSample(gyro=gyro, accel=accel)
 
-    def read_encoders(self) -> tuple[np.ndarray, np.ndarray]:
+    def synth_encoders(self) -> tuple[np.ndarray, np.ndarray]:
         """Joint angles and rates, (4, 3) each, via leg IK of the body-frame feet.
 
         Velocities are backward differences of the joint angles, matching
@@ -219,22 +219,3 @@ class SimWorld:
             qds = (qs - self._q_prev) / self.dt
         self._q_prev = qs.copy()
         return qs, qds
-
-    def synth_encoders(self) -> list[JointState]:
-        """:meth:`read_encoders` as one :class:`JointState` per leg."""
-        qs, qds = self.read_encoders()
-        return [JointState(q=qs[i], qd=qds[i]) for i in range(4)]
-
-
-def sim_step(world: SimWorld, stance_forces: np.ndarray, stance_mask: np.ndarray,
-             swing_targets: dict[int, np.ndarray] | None = None) -> SimWorld:
-    """Module-level convenience wrapper around :meth:`SimWorld.step`."""
-    return world.step(stance_forces, stance_mask, swing_targets)
-
-
-def synth_imu(world: SimWorld) -> ImuSample:
-    return world.synth_imu()
-
-
-def synth_encoders(world: SimWorld) -> list[JointState]:
-    return world.synth_encoders()

@@ -1,15 +1,9 @@
-"""3-DOF leg kinematics, dynamics, and swing/stance torque laws.
+"""3-DOF leg kinematics, jump-tracking and stance torque laws, swing trajectories.
 
 Joint order per leg is [abduction, hip pitch, knee pitch]. The abduction
 axis is the body x-axis through the hip; hip and knee rotate about the leg
 plane's y-axis. At q = 0 the leg hangs straight down: the foot sits at
 hip_offset - (0, 0, l1 + l2).
-
-Leg inertia is modeled as two point masses at the link midpoints (the
-abduction link is massless); this matches the light-limb design the force
-controllers assume and gives closed-form mass/gravity terms. Coriolis terms
-come from Christoffel symbols of the mass matrix (dM/dq by central
-differences, error ~1e-9 at the chosen step).
 
 Frames: everything here is in the body frame. Stance torque mapping and its
 inverse convert between world-frame ground reaction forces and joint
@@ -27,26 +21,16 @@ from . import so3
 
 __all__ = [
     "LegModel",
-    "JointState",
     "UnreachableError",
-    "default_leg_model",
-    "hip_position",
     "leg_fk",
     "leg_ik",
     "ik_angles",
     "leg_jacobian",
-    "leg_dynamics_terms",
-    "op_space_inertia",
-    "swing_torque",
-    "scale_gains",
     "jump_track_torque",
     "stance_torque",
     "grf_from_torque",
     "SwingTrajectory",
 ]
-
-_DM_STEP = 1e-6       # central-difference step for dM/dq
-_LAMBDA_DAMP = 1e-3   # damped inverse for the operational-space inertia
 
 
 class UnreachableError(ValueError):
@@ -55,7 +39,7 @@ class UnreachableError(ValueError):
 
 @dataclass
 class LegModel:
-    """Geometry and point-mass inertia of one leg family (all four identical)."""
+    """Geometry of one leg family (all four identical)."""
 
     l1: float = 0.34
     l2: float = 0.34
@@ -65,30 +49,9 @@ class LegModel:
         [-0.3, -0.128, 0.0],  # BR
         [-0.3, 0.128, 0.0],   # BL
     ]))
-    m1: float = 0.3375
-    m2: float = 0.3375
-    gravity: float = 9.81
 
     def hip(self, leg: int) -> np.ndarray:
         return np.asarray(self.hip_offsets, dtype=float)[leg]
-
-
-def default_leg_model() -> LegModel:
-    return LegModel()
-
-
-@dataclass
-class JointState:
-    q: np.ndarray
-    qd: np.ndarray
-
-    def __post_init__(self):
-        self.q = np.asarray(self.q, dtype=float).reshape(3)
-        self.qd = np.asarray(self.qd, dtype=float).reshape(3)
-
-
-def hip_position(leg: int, model: LegModel) -> np.ndarray:
-    return model.hip(leg).copy()
 
 
 def _planar_points(q1: float, q2: float, l1: float, l2: float):
@@ -148,116 +111,6 @@ def ik_angles(d, model: LegModel, knee_sign: float = 1.0) -> tuple[float, float,
     q2 = knee_sign * math.acos(cos_knee)
     q1 = math.atan2(-dx, -vz) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
     return q0, q1, q2
-
-
-def _point_jacobians(q: np.ndarray, model: LegModel):
-    """Jacobians of the two link-midpoint masses (hip offset drops out)."""
-    q = np.asarray(q, dtype=float).reshape(3)
-    rx = so3.rot_x(q[0])
-    l1, l2 = model.l1, model.l2
-    s1, c1 = np.sin(q[1]), np.cos(q[1])
-    s12, c12 = np.sin(q[1] + q[2]), np.cos(q[1] + q[2])
-
-    p1 = np.array([-0.5 * l1 * s1, 0.0, -0.5 * l1 * c1])
-    p2 = np.array([-l1 * s1 - 0.5 * l2 * s12, 0.0, -l1 * c1 - 0.5 * l2 * c12])
-
-    j1 = np.column_stack([
-        np.cross([1.0, 0.0, 0.0], rx @ p1),
-        rx @ np.array([-0.5 * l1 * c1, 0.0, 0.5 * l1 * s1]),
-        np.zeros(3),
-    ])
-    j2 = np.column_stack([
-        np.cross([1.0, 0.0, 0.0], rx @ p2),
-        rx @ np.array([-l1 * c1 - 0.5 * l2 * c12, 0.0, l1 * s1 + 0.5 * l2 * s12]),
-        rx @ np.array([-0.5 * l2 * c12, 0.0, 0.5 * l2 * s12]),
-    ])
-    return (rx @ p1, j1), (rx @ p2, j2)
-
-
-def mass_matrix(q: np.ndarray, model: LegModel) -> np.ndarray:
-    (_, j1), (_, j2) = _point_jacobians(q, model)
-    return model.m1 * j1.T @ j1 + model.m2 * j2.T @ j2
-
-
-def gravity_torque(q: np.ndarray, model: LegModel) -> np.ndarray:
-    """Gradient of potential energy: torque needed to hold the leg statically."""
-    (_, j1), (_, j2) = _point_jacobians(q, model)
-    g = model.gravity
-    return g * (model.m1 * j1[2, :] + model.m2 * j2[2, :])
-
-
-def potential_energy(q: np.ndarray, model: LegModel) -> float:
-    (p1, _), (p2, _) = _point_jacobians(q, model)
-    return model.gravity * (model.m1 * p1[2] + model.m2 * p2[2])
-
-
-def coriolis_vector(q: np.ndarray, qd: np.ndarray, model: LegModel) -> np.ndarray:
-    """C(q, qd) qd from Christoffel symbols of the mass matrix."""
-    qd = np.asarray(qd, dtype=float).reshape(3)
-    dm = np.zeros((3, 3, 3))  # dm[k] = dM/dq_k
-    for k in range(3):
-        dq = np.zeros(3)
-        dq[k] = _DM_STEP
-        dm[k] = (mass_matrix(q + dq, model) - mass_matrix(q - dq, model)) / (2.0 * _DM_STEP)
-    c = np.zeros(3)
-    for i in range(3):
-        acc = 0.0
-        for j in range(3):
-            for k in range(3):
-                gamma = 0.5 * (dm[k][i, j] + dm[j][i, k] - dm[i][j, k])
-                acc += gamma * qd[j] * qd[k]
-        c[i] = acc
-    return c
-
-
-def op_space_inertia(q: np.ndarray, leg: int, model: LegModel) -> np.ndarray:
-    """Operational-space inertia (J M^-1 J^T)^-1 with a damped inverse."""
-    j = leg_jacobian(q, leg, model)
-    m = mass_matrix(q, model)
-    jmj = j @ np.linalg.solve(m + _LAMBDA_DAMP**2 * np.eye(3), j.T)
-    return np.linalg.inv(jmj + _LAMBDA_DAMP**2 * np.eye(3))
-
-
-def leg_dynamics_terms(q: np.ndarray, qd: np.ndarray, leg: int,
-                       model: LegModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(operational-space inertia, Coriolis vector, gravity torque)."""
-    return (op_space_inertia(q, leg, model),
-            coriolis_vector(q, qd, model),
-            gravity_torque(q, model))
-
-
-def jdot_qd(q: np.ndarray, qd: np.ndarray, leg: int, model: LegModel,
-            eps: float = 1e-6) -> np.ndarray:
-    """dJ/dt * qd via a directional difference of J along qd."""
-    qd = np.asarray(qd, dtype=float).reshape(3)
-    jp = leg_jacobian(q + eps * qd, leg, model)
-    jm = leg_jacobian(q - eps * qd, leg, model)
-    return ((jp - jm) / (2.0 * eps)) @ qd
-
-
-def swing_torque(q: np.ndarray, qd: np.ndarray, p_ref: np.ndarray, v_ref: np.ndarray,
-                 a_ref: np.ndarray, kp: np.ndarray, kd: np.ndarray, leg: int,
-                 model: LegModel) -> np.ndarray:
-    """Cartesian PD with operational-space feedforward for a swing foot.
-
-    tau = J^T [Kp (p_ref - p) + Kd (v_ref - v)]
-        + J^T Lambda (a_ref - Jdot qd) + C qd + G
-    """
-    q = np.asarray(q, dtype=float).reshape(3)
-    qd = np.asarray(qd, dtype=float).reshape(3)
-    j = leg_jacobian(q, leg, model)
-    lam, cqd, grav = leg_dynamics_terms(q, qd, leg, model)
-    e_p = np.asarray(p_ref, dtype=float) - leg_fk(q, leg, model)
-    e_v = np.asarray(v_ref, dtype=float) - j @ qd
-    ff = j.T @ (lam @ (np.asarray(a_ref, dtype=float) - jdot_qd(q, qd, leg, model)))
-    return j.T @ (np.asarray(kp) @ e_p + np.asarray(kd) @ e_v) + ff + cqd + grav
-
-
-def scale_gains(omega_des: float, lam: np.ndarray) -> np.ndarray:
-    """Diagonal Cartesian P gain scaled by apparent mass: Kp_jj = omega_des * Lambda_jj."""
-    if omega_des <= 0.0:
-        raise ValueError("omega_des must be positive")
-    return np.diag(omega_des * np.diag(np.asarray(lam, dtype=float)))
 
 
 def jump_track_torque(q: np.ndarray, qd: np.ndarray, refs: dict, gains: dict,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import so3
 
-__all__ = ["PlaneCoeffs", "SlopeTooSteepError", "fit_plane", "posture_from_plane", "PlaneFilter"]
+__all__ = ["PlaneCoeffs", "SlopeTooSteepError", "fit_plane", "posture_from_plane"]
 
 _MAX_SLOPE = 10.0          # precondition on |a1|, |a2|
 _MIN_NORMAL_TILT = np.deg2rad(5.0)   # normal within 5 deg of horizontal is rejected
@@ -83,24 +83,3 @@ def posture_from_plane(a: PlaneCoeffs, yaw: float, z0: float) -> tuple[np.ndarra
     r_d = r_tilt @ so3.rot_z(yaw)
     return r_d, float(z0)
 
-
-class PlaneFilter:
-    """Optional first-order low-pass over plane coefficients (off by default).
-
-    ``alpha`` is the per-update blend toward the new fit; ``alpha=1``
-    reproduces the raw fit.
-    """
-
-    def __init__(self, alpha: float = 1.0):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self._state: np.ndarray | None = None
-
-    def update(self, fresh: PlaneCoeffs) -> PlaneCoeffs:
-        arr = fresh.as_array()
-        if self._state is None or self.alpha == 1.0:
-            self._state = arr.copy()
-        else:
-            self._state = (1.0 - self.alpha) * self._state + self.alpha * arr
-        return PlaneCoeffs(*self._state)

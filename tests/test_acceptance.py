@@ -159,7 +159,7 @@ class TestCriterion4:
                 mask[0] = True
             a_i, b_i = build_force_model([0.0, 0.0, 0.45], FEET + rng.normal(size=(4, 3)) * 0.04,
                                          model, rng.normal(size=3) * 2, rng.normal(size=3))
-            fi = balance_qp(a_i, b_i, np.zeros(12), BalanceGains(), friction, mask, model=model)
+            fi = balance_qp(a_i, b_i, np.zeros(12), BalanceGains(), friction, mask)
             for leg in range(4):
                 fx, fy, fz = fi[3 * leg:3 * leg + 3]
                 if mask[leg]:

@@ -10,7 +10,6 @@ from quadstack.balance import (
     FrictionSpec,
     balance_qp,
     build_force_model,
-    knee_impact_detect,
     landing_switch,
     pd_wrench,
 )
@@ -134,8 +133,7 @@ class TestBalanceQp:
             acc = rng.normal(size=3) * 2.0
             ang = rng.normal(size=3) * 1.0
             a, b_d = build_force_model(STAND.pos, feet, MODEL, acc, ang)
-            f = balance_qp(a, b_d, np.zeros(12), BalanceGains(), friction, mask,
-                           model=MODEL)
+            f = balance_qp(a, b_d, np.zeros(12), BalanceGains(), friction, mask)
             for i in range(4):
                 fx, fy, fz = f[3 * i:3 * i + 3]
                 if mask[i]:
@@ -145,13 +143,13 @@ class TestBalanceQp:
                 else:
                     assert fx == fy == fz == 0.0
 
-    def test_infeasible_backoff(self):
-        # unreachable wrench with tight bounds: falls back toward gravity comp
+    def test_unreachable_wrench_saturates_at_bounds(self):
+        # unreachable wrench with tight bounds: the normal forces stop at f_max
         friction = FrictionSpec(mu=0.3, f_min=0.0, f_max=150.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
                                    np.array([0.0, 0.0, 100.0]), np.zeros(3))
         f = balance_qp(a, b_d, np.zeros(12), BalanceGains(), friction,
-                       np.ones(4, dtype=bool), model=MODEL)
+                       np.ones(4, dtype=bool))
         assert np.all(f[2::3] <= 150.0 + 1e-7)
 
     def test_iteration_limit_raises_without_backoff(self):
@@ -169,7 +167,7 @@ class TestBalanceQp:
                                    np.zeros(3))
         with pytest.raises(ForceDistributionError, match="MAX_ITER"):
             balance_qp(a, b_d, np.zeros(12), BalanceGains(), FrictionSpec(),
-                       np.ones(4, dtype=bool), model=MODEL, solver=solver)
+                       np.ones(4, dtype=bool), solver=solver)
         assert solver.calls == 1
 
 
@@ -182,9 +180,3 @@ class TestSwitches:
 
     def test_landing_switch_fires(self):
         assert landing_switch([0.0, 40.0, 0.0, 0.0], t=1.0, t_posing=0.5)
-
-    def test_knee_impact(self):
-        assert not knee_impact_detect(1.0, 0.5, np.zeros(4))
-        assert knee_impact_detect(1.0, 0.5, [0.0, 0.0, 7.5, 0.0])
-        assert not knee_impact_detect(0.1, 0.5, [100.0] * 4)
-        assert knee_impact_detect(1.0, 0.5, [-7.5, 0.0, 0.0, 0.0])

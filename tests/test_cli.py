@@ -165,6 +165,15 @@ class TestJump:
         assert summary["final_height_error_m"] <= 0.03
         assert summary["final_orientation_error_deg"] <= 5.0
 
+    def test_missing_reference_csv_is_config_error(self, tmp_path):
+        # a reference named explicitly is never replaced by a fresh solve
+        absent = tmp_path / "absent_ref.csv"
+        code, payload = run_cli(tmp_path, "jump-sim", self.CFG + f"  reference_csv: {absent}\n")
+        assert code == 2
+        assert payload["kind"] == "config"
+        assert "absent_ref.csv" in payload["error"]
+        assert not (tmp_path / "out" / "jump_ref.csv").exists()
+
     def test_unknown_preset_rejected(self, tmp_path):
         code, payload = run_cli(tmp_path, "jump-opt", "jump:\n  preset: cartwheel\n")
         assert code == 2

@@ -7,7 +7,6 @@ from quadstack import so3
 from quadstack.estimation import (
     ImuSample,
     KfState,
-    LegMeasurement,
     OrientationFilter,
     SingularInnovationError,
     adaptive_kappa,
@@ -26,11 +25,9 @@ FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
 
 
 def stance_measurements(p_b, v_b, feet=FEET, in_stance=(True,) * 4):
-    meas = []
-    for i in range(4):
-        meas.append(LegMeasurement(rel_pos=feet[i] - p_b, rel_vel=-v_b,
-                                   contact_height=feet[i][2], in_stance=in_stance[i]))
-    return meas
+    """Leg measurements of pinned feet: (rel_pos, rel_vel, heights, in_stance)."""
+    return (feet - p_b, np.tile(-np.asarray(v_b, dtype=float), (4, 1)),
+            feet[:, 2].copy(), np.array(in_stance, dtype=bool))
 
 
 class TestAdaptiveKappa:
@@ -156,22 +153,22 @@ class TestKfUpdate:
     def test_consistent_measurements_no_change(self):
         p_b = np.array([0.0, 0.0, 0.45])
         s = kf_default_state(p_b, FEET)
-        out = kf_update(s, np.eye(3), stance_measurements(p_b, np.zeros(3)))
+        out = kf_update(s, *stance_measurements(p_b, np.zeros(3)))
         assert_allclose(out.mean, s.mean, atol=1e-12)
 
     def test_swing_rows_ignored(self):
         p_b = np.array([0.0, 0.0, 0.45])
         s = kf_default_state(p_b, FEET)
-        meas = stance_measurements(p_b, np.zeros(3))
-        meas[2] = LegMeasurement(rel_pos=[5.0, 5.0, 5.0], rel_vel=[3.0, 0.0, 0.0],
-                                 contact_height=2.0, in_stance=False)
-        ref = stance_measurements(p_b, np.zeros(3))
-        ref[2].in_stance = False
-        out_wild = kf_update(s, np.eye(3), meas)
-        out_ref = kf_update(s, np.eye(3), ref)
+        leg2_swings = (True, True, False, True)
+        meas = stance_measurements(p_b, np.zeros(3), in_stance=leg2_swings)
+        rel_pos, rel_vel, heights, _ = meas
+        rel_pos[2], rel_vel[2], heights[2] = [5.0, 5.0, 5.0], [3.0, 0.0, 0.0], 2.0
+        ref = stance_measurements(p_b, np.zeros(3), in_stance=leg2_swings)
+        out_wild = kf_update(s, *meas)
+        out_ref = kf_update(s, *ref)
         delta_wild = np.linalg.norm(out_wild.mean - s.mean)
         # same wild foot with no inflation moves the mean a lot
-        out_trusted = kf_update(s, np.eye(3), meas, swing_inflation=1.0)
+        out_trusted = kf_update(s, *meas, swing_inflation=1.0)
         delta_trusted = np.linalg.norm(out_trusted.mean - s.mean)
         assert delta_wild <= 1e-4 * delta_trusted
         assert np.linalg.norm(out_wild.mean - out_ref.mean) <= 1e-4
@@ -180,7 +177,7 @@ class TestKfUpdate:
         p_b = np.array([0.0, 0.0, 0.45])
         s = kf_default_state(p_b, FEET)
         meas = stance_measurements(p_b + 0.3, np.ones(3), in_stance=(False,) * 4)
-        out = kf_update(s, np.eye(3), meas, swing_inflation=1e12)
+        out = kf_update(s, *meas, swing_inflation=1e12)
         assert np.linalg.norm(out.mean - s.mean) <= 1e-6
 
     def test_cov_stays_symmetric_psd(self):
@@ -191,7 +188,7 @@ class TestKfUpdate:
             s = kf_predict(s, np.eye(3), [0.0, 0.0, G] + rng.normal(size=3) * 0.05, 0.001)
             meas = stance_measurements(p_b + rng.normal(size=3) * 0.001,
                                        rng.normal(size=3) * 0.01)
-            s = kf_update(s, np.eye(3), meas)
+            s = kf_update(s, *meas)
             assert_allclose(s.cov, s.cov.T, atol=1e-12)
             assert np.min(np.linalg.eigvalsh(s.cov)) >= -1e-10
 
@@ -206,7 +203,7 @@ class TestKfUpdate:
         for _ in range(4000):
             accel = np.array([0.0, 0.0, G]) + bias
             s = kf_predict(s, np.eye(3), accel, dt)
-            s = kf_update(s, np.eye(3), stance_measurements(p_b, np.zeros(3)))
+            s = kf_update(s, *stance_measurements(p_b, np.zeros(3)))
             s_dead = kf_predict(s_dead, np.eye(3), accel, dt)
         assert np.linalg.norm(s.vel) < 0.05
         assert np.linalg.norm(s.pos - p_b) < 0.01
@@ -216,7 +213,7 @@ class TestKfUpdate:
         s = KfState(mean=np.zeros(18), cov=np.zeros((18, 18)))
         meas = stance_measurements(np.zeros(3), np.zeros(3))
         with pytest.raises(SingularInnovationError):
-            kf_update(s, np.eye(3), meas, r_p=0.0, r_v=0.0, r_h=0.0)
+            kf_update(s, *meas, r_p=0.0, r_v=0.0, r_h=0.0)
 
     def test_closed_loop_estimator_stable(self):
         # spectral radius of (I - K H) A below one at the steady-state gain
@@ -244,14 +241,14 @@ class TestLegMeasurementHelper:
         qd = np.array([0.1, -0.2, 0.3])
         gyro = np.array([0.05, -0.1, 0.2])
         r_hat = so3.exp_exact([0.02, 0.05, -0.1])
-        m = leg_measurement_from_kinematics(q, qd, r_hat, gyro, leg, model, 0.0, True)
-        assert_allclose(m.rel_pos, r_hat @ leg_fk(q, leg, model), atol=1e-12)
+        rel_pos, rel_vel = leg_measurement_from_kinematics(q, qd, r_hat, gyro, leg, model)
+        assert_allclose(rel_pos, r_hat @ leg_fk(q, leg, model), atol=1e-12)
         # numerical check of the velocity: differentiate R(t) p(q(t))
         eps = 1e-7
         q2 = q + eps * qd
         r2 = r_hat @ so3.exp_exact(gyro * eps)
         v_fd = (r2 @ leg_fk(q2, leg, model) - r_hat @ leg_fk(q, leg, model)) / eps
-        assert_allclose(m.rel_vel, v_fd, atol=1e-5)
+        assert_allclose(rel_vel, v_fd, atol=1e-5)
 
     def test_batch_matches_per_leg(self):
         # the four-leg loop version against the per-leg reference
@@ -263,13 +260,9 @@ class TestLegMeasurementHelper:
             qds = rng.normal(size=(4, 3))
             gyro = rng.normal(size=3) * 0.5
             r_hat = so3.exp_exact(rng.normal(size=3) * 0.3)
-            heights = rng.normal(size=4) * 0.01
-            stance = rng.uniform(size=4) < 0.5
-            batch = leg_measurements_batch(qs, qds, r_hat, gyro, model, heights, stance)
+            rel_pos, rel_vel = leg_measurements_batch(qs, qds, r_hat, gyro, model)
             for leg in range(4):
-                ref = leg_measurement_from_kinematics(qs[leg], qds[leg], r_hat, gyro, leg,
-                                                      model, heights[leg], stance[leg])
-                assert_allclose(batch[leg].rel_pos, ref.rel_pos, rtol=0.0, atol=1e-12)
-                assert_allclose(batch[leg].rel_vel, ref.rel_vel, rtol=0.0, atol=1e-12)
-                assert batch[leg].contact_height == ref.contact_height
-                assert batch[leg].in_stance == ref.in_stance
+                ref_pos, ref_vel = leg_measurement_from_kinematics(qs[leg], qds[leg], r_hat,
+                                                                   gyro, leg, model)
+                assert_allclose(rel_pos[leg], ref_pos, rtol=0.0, atol=1e-12)
+                assert_allclose(rel_vel[leg], ref_vel, rtol=0.0, atol=1e-12)

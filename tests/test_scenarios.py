@@ -2,9 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from quadstack import scenarios, sim
 from quadstack.scenarios import (TrotDriver, hop_spec, run_estimate, run_jump_opt,
                                  run_jump_sim, run_stand, run_trot, spin_spec)
 from quadstack.trajopt import BodyReference
+
+
+def flat_stand_reference(spec, n=31):
+    """A 0.3 s hand-made reference: stand still at the start pose, take off at 0.25 s."""
+    forces = np.zeros((n, 12))
+    forces[:, 2::3] = spec.model.weight / 4.0
+    return BodyReference(t=np.arange(n) * 0.01, pos=np.tile(spec.p_start, (n, 1)),
+                         vel=np.zeros((n, 3)), rot=np.tile(np.eye(3), (n, 1, 1)),
+                         omega=np.zeros((n, 3)), forces=forces,
+                         phase_times=np.array([0.25, 0.3]))
 
 
 class TestStand:
@@ -88,21 +99,11 @@ class TestJumpPipeline:
         # a hand-made stand reference whose body rises 0.5 m above the
         # footholds for samples 2-4: the stance legs cannot reach
         spec = hop_spec(n_knots=4)
-        n = 31
-        pos = np.tile(spec.p_start, (n, 1))
-        forces = np.zeros((n, 12))
-        forces[:, 2::3] = spec.model.weight / 4.0
-
-        def reference(pos):
-            return BodyReference(t=np.arange(n) * 0.01, pos=pos, vel=np.zeros((n, 3)),
-                                 rot=np.tile(np.eye(3), (n, 1, 1)), omega=np.zeros((n, 3)),
-                                 forces=forces, phase_times=np.array([0.25, 0.3]))
-
-        reachable = run_jump_sim(spec, reference(pos), recover_time=0.0)
+        reachable = run_jump_sim(spec, flat_stand_reference(spec), recover_time=0.0)
         assert reachable.summary["ik_fallbacks"] == 0
-        pos = pos.copy()
-        pos[2:5, 2] += 0.5
-        raised = run_jump_sim(spec, reference(pos), recover_time=0.0)
+        ref = flat_stand_reference(spec)
+        ref.pos[2:5, 2] += 0.5
+        raised = run_jump_sim(spec, ref, recover_time=0.0)
         # 4 legs on each tick that reads one of the raised samples
         assert raised.summary["ik_fallbacks"] % 4 == 0
         assert 4 * 25 <= raised.summary["ik_fallbacks"] <= 4 * 35
@@ -111,3 +112,69 @@ class TestJumpPipeline:
         spec = spin_spec(yaw_deg=45.0, n_knots=6)
         assert len(spec.phases) == 2
         assert spec.phases[1].feet == ()
+
+
+class TestLayerBoundaries:
+    """The 1 kHz loops cross the sensor and estimator layers by these names.
+
+    The benchmark's per-layer tracer times exactly these attributes, so a
+    loop that bypasses them makes its layer read zero.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"synth_encoders": 0, "leg_measurements_batch": 0, "kf_update": 0}
+        step_times = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def recording_step(world, *args, **kwargs):
+            step_times.append(world.t)
+            return original_step(world, *args, **kwargs)
+
+        original_step = sim.SimWorld.step
+        monkeypatch.setattr(sim.SimWorld, "step", recording_step)
+        monkeypatch.setattr(sim.SimWorld, "synth_encoders",
+                            counting("synth_encoders", sim.SimWorld.synth_encoders))
+        for name in ("leg_measurements_batch", "kf_update"):
+            monkeypatch.setattr(scenarios, name, counting(name, getattr(scenarios, name)))
+
+        def take():
+            out = dict(counts, ticks=len(step_times), step_times=list(step_times))
+            for name in counts:
+                counts[name] = 0
+            step_times.clear()
+            return out
+
+        return take
+
+    def test_estimated_state_trot(self, calls):
+        run_trot(duration=0.05, use_estimates=True)
+        c = calls()
+        assert c["ticks"] == 50
+        assert c["synth_encoders"] == c["leg_measurements_batch"] == c["kf_update"] == 50
+
+    def test_estimate_replay(self, calls):
+        log = run_stand(duration=0.05, controller="hover", log_every=1).log
+        calls()
+        run_estimate(log)
+        c = calls()
+        n = len(log["t_s"])
+        assert n == 50
+        assert c["synth_encoders"] == 0
+        assert c["kf_update"] == n
+        assert c["leg_measurements_batch"] == n + 1  # plus the initial foothold fix
+
+    def test_jump_sim_stance_ticks(self, calls):
+        spec = hop_spec(n_knots=4)
+        ref = flat_stand_reference(spec)
+        run_jump_sim(spec, ref, recover_time=0.0)
+        c = calls()
+        stance_ticks = sum(t < ref.phase_times[0] for t in c["step_times"])
+        assert 0 < stance_ticks < c["ticks"]
+        assert c["synth_encoders"] == stance_ticks
+        assert c["leg_measurements_batch"] == c["kf_update"] == 0

@@ -2,24 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quadstack import swing
 from quadstack.swing import (
     LegModel,
     SwingTrajectory,
     UnreachableError,
-    coriolis_vector,
     grf_from_torque,
-    gravity_torque,
     jump_track_torque,
-    leg_dynamics_terms,
     leg_fk,
     leg_ik,
     leg_jacobian,
-    mass_matrix,
-    potential_energy,
-    scale_gains,
     stance_torque,
-    swing_torque,
 )
 
 MODEL = LegModel()
@@ -29,30 +21,6 @@ RNG = np.random.default_rng(9)
 def random_q(rng, n=1):
     qs = rng.uniform([-0.6, -1.2, 0.3], [0.6, 1.2, 2.2], size=(n, 3))
     return qs[0] if n == 1 else qs
-
-
-def leg_qdd(q, qd, tau, model):
-    m = mass_matrix(q, model)
-    return np.linalg.solve(m, tau - coriolis_vector(q, qd, model) - gravity_torque(q, model))
-
-
-def rk4_leg(q, qd, tau_fn, dt, steps, model, t0=0.0):
-    """Integrate M qdd = tau - C qd - G; tau_fn(t, q, qd) -> tau."""
-    t = t0
-    for _ in range(steps):
-        def f(state, ti):
-            qq, dq = state[:3], state[3:]
-            return np.concatenate([dq, leg_qdd(qq, dq, tau_fn(ti, qq, dq), model)])
-
-        y = np.concatenate([q, qd])
-        k1 = f(y, t)
-        k2 = f(y + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = f(y + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = f(y + dt * k3, t + dt)
-        y = y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        q, qd = y[:3], y[3:]
-        t += dt
-    return q, qd
 
 
 class TestKinematics:
@@ -101,112 +69,6 @@ class TestKinematics:
         p_plus = leg_fk(q0 + dt * qd, 0, MODEL)
         p_minus = leg_fk(q0 - dt * qd, 0, MODEL)
         assert_allclose((p_plus - p_minus) / (2 * dt), leg_jacobian(q0, 0, MODEL) @ qd, atol=1e-7)
-
-
-class TestDynamics:
-    def test_zero_velocity_no_coriolis(self):
-        q = random_q(RNG)
-        assert_allclose(coriolis_vector(q, np.zeros(3), MODEL), np.zeros(3), atol=1e-12)
-
-    def test_gravity_matches_energy_gradient(self):
-        eps = 1e-7
-        for _ in range(10):
-            q = random_q(RNG)
-            g = gravity_torque(q, MODEL)
-            g_fd = np.zeros(3)
-            for k in range(3):
-                dq = np.zeros(3)
-                dq[k] = eps
-                g_fd[k] = (potential_energy(q + dq, MODEL) - potential_energy(q - dq, MODEL)) / (2 * eps)
-            assert_allclose(g, g_fd, atol=1e-6)
-
-    def test_mass_matrix_spd(self):
-        for _ in range(10):
-            q = random_q(RNG)
-            m = mass_matrix(q, MODEL)
-            assert_allclose(m, m.T, atol=1e-12)
-            assert np.min(np.linalg.eigvalsh(m)) > 0.0
-
-    def test_op_space_inertia_spd(self):
-        q = np.array([0.1, -0.5, 1.1])
-        lam, _, _ = leg_dynamics_terms(q, np.zeros(3), 0, MODEL)
-        assert_allclose(lam, lam.T, atol=1e-9)
-        assert np.min(np.linalg.eigvalsh(lam)) > 0.0
-
-    def test_free_swing_energy_consistency(self):
-        q = np.array([0.2, -0.3, 1.4])
-        qd = np.array([0.5, 1.0, -1.5])
-        dt = 1e-3
-
-        def energy(qq, dq):
-            return 0.5 * dq @ mass_matrix(qq, MODEL) @ dq + potential_energy(qq, MODEL)
-
-        e_prev = energy(q, qd)
-        for _ in range(200):
-            q, qd = rk4_leg(q, qd, lambda *_: np.zeros(3), dt, 1, MODEL)
-            e = energy(q, qd)
-            assert abs(e - e_prev) <= 1e-4
-            e_prev = e
-
-
-class TestSwingControl:
-    def test_static_torque_is_gravity(self):
-        q = np.array([0.1, -0.4, 1.2])
-        p = leg_fk(q, 0, MODEL)
-        tau = swing_torque(q, np.zeros(3), p, np.zeros(3), np.zeros(3),
-                           100 * np.eye(3), 10 * np.eye(3), 0, MODEL)
-        assert_allclose(tau, gravity_torque(q, MODEL), atol=1e-9)
-
-    def test_pure_position_error(self):
-        q = np.array([0.0, -0.5, 1.0])
-        p = leg_fk(q, 0, MODEL)
-        e = np.array([0.02, -0.01, 0.03])
-        kp = np.diag([120.0, 120.0, 120.0])
-        tau = swing_torque(q, np.zeros(3), p + e, np.zeros(3), np.zeros(3),
-                           kp, np.zeros((3, 3)), 0, MODEL)
-        j = leg_jacobian(q, 0, MODEL)
-        assert_allclose(tau, j.T @ (kp @ e) + gravity_torque(q, MODEL), atol=1e-9)
-
-    def test_scale_gains(self):
-        assert_allclose(scale_gains(30.0, np.eye(3)), 30.0 * np.eye(3))
-        lam = np.diag([0.5, 1.0, 2.0])
-        assert_allclose(np.diag(scale_gains(10.0, 2 * lam)),
-                        2 * np.diag(scale_gains(10.0, lam)))
-
-    def test_gains_vary_smoothly_along_sweep(self):
-        prev = None
-        for q1 in np.linspace(-0.8, 0.2, 30):
-            q = np.array([0.0, q1, 1.3])
-            lam, _, _ = leg_dynamics_terms(q, np.zeros(3), 0, MODEL)
-            kp = np.diag(scale_gains(30.0, lam))
-            if prev is not None:
-                assert np.max(np.abs(kp - prev)) < 5.0
-            prev = kp
-
-    def test_quintic_tracking_rms(self):
-        # closed loop on the exact leg model: RMS foot error under 5 mm
-        leg = 0
-        q = leg_ik(MODEL.hip(leg) + np.array([0.0, 0.0, -0.45]), leg, MODEL)
-        qd = np.zeros(3)
-        target = MODEL.hip(leg) + np.array([0.12, 0.02, -0.45])
-        traj = SwingTrajectory(leg_fk(q, leg, MODEL), target, duration=0.2, apex=0.08)
-        kp = np.diag([700.0, 700.0, 700.0])
-        kd = np.diag([12.0, 12.0, 12.0])
-        dt = 1e-3
-        errs = []
-        t = 0.0
-
-        def tau_fn(ti, qq, dq):
-            pr, vr, ar = traj.sample(ti)
-            return swing_torque(qq, dq, pr, vr, ar, kp, kd, leg, MODEL)
-
-        for _ in range(200):
-            q, qd = rk4_leg(q, qd, tau_fn, dt, 1, MODEL, t0=t)
-            t += dt
-            errs.append(np.linalg.norm(leg_fk(q, leg, MODEL) - traj.sample(t)[0]))
-        rms = np.sqrt(np.mean(np.square(errs)))
-        assert rms <= 5e-3
-        assert_allclose(leg_fk(q, leg, MODEL), target, atol=5e-3)
 
 
 class TestJumpTracking:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from quadstack import so3
-from quadstack.terrain import PlaneCoeffs, PlaneFilter, SlopeTooSteepError, fit_plane, posture_from_plane
+from quadstack.terrain import PlaneCoeffs, SlopeTooSteepError, fit_plane, posture_from_plane
 
 FEET_XY = np.array([[0.3, -0.2], [0.3, 0.2], [-0.3, -0.2], [-0.3, 0.2]])
 
@@ -97,18 +97,3 @@ class TestPosture:
         with pytest.raises(SlopeTooSteepError):
             posture_from_plane(PlaneCoeffs(0.0, 50.0, 0.0), yaw=0.0, z0=0.4)
 
-
-class TestPlaneFilter:
-    def test_identity_at_alpha_one(self):
-        f = PlaneFilter()
-        a = PlaneCoeffs(0.1, 0.2, 0.3)
-        out = f.update(a)
-        assert_allclose(out.as_array(), a.as_array())
-
-    def test_low_pass_converges(self):
-        f = PlaneFilter(alpha=0.2)
-        target = PlaneCoeffs(0.1, 0.05, -0.02)
-        out = f.update(PlaneCoeffs())
-        for _ in range(100):
-            out = f.update(target)
-        assert_allclose(out.as_array(), target.as_array(), atol=1e-6)

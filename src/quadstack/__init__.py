@@ -7,7 +7,7 @@ for running closed-loop scenarios. Submodules:
 ``estimation`` orientation filter and position/velocity Kalman filter
 ``terrain``    walking-surface plane fit and posture adjustment
 ``gait``       gait scheduling, phase weights, support polygon, footsteps
-``qpsolver``   dense active-set convex QP solver
+``qpsolver``   dense dual active-set (Goldfarb–Idnani) convex QP solver
 ``balance``    QP stance-force distribution and landing control
 ``swing``      3-DOF leg kinematics, jump-tracking torques and swing trajectories
 ``mpc``        linearized model-predictive ground-force planning

@@ -18,6 +18,7 @@ their own touchdown.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,26 +126,19 @@ def build_force_model(p_c: np.ndarray, feet: np.ndarray, model: BodyModel,
     return a, b_d
 
 
-def _friction_rows(n_stance: int, friction: FrictionSpec):
-    rows, rhs = [], []
-    for i in range(n_stance):
-        base = 3 * i
-        for sgn in (1.0, -1.0):
-            for axis in (0, 1):
-                r = np.zeros(3 * n_stance)
-                r[base + axis] = sgn
-                r[base + 2] = -friction.mu
-                rows.append(r)
-                rhs.append(0.0)
-        r = np.zeros(3 * n_stance)
-        r[base + 2] = 1.0
-        rows.append(r)
-        rhs.append(friction.f_max)
-        r = np.zeros(3 * n_stance)
-        r[base + 2] = -1.0
-        rows.append(r)
-        rhs.append(-friction.f_min)
-    return np.array(rows), np.array(rhs)
+@functools.lru_cache(maxsize=64)
+def _friction_rows(n_stance: int, mu: float, f_min: float, f_max: float):
+    """Pyramid and normal-bound rows C F <= d for n_stance feet, read-only."""
+    block = np.array([[1.0, 0.0, -mu], [0.0, 1.0, -mu], [-1.0, 0.0, -mu],
+                      [0.0, -1.0, -mu], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    rows = np.zeros((n_stance, 6, n_stance, 3))
+    feet = np.arange(n_stance)
+    rows[feet, :, feet, :] = block  # one block per foot on the diagonal
+    rows = rows.reshape(6 * n_stance, 3 * n_stance)
+    rhs = np.tile([0.0, 0.0, 0.0, 0.0, f_max, -f_min], n_stance)
+    rows.setflags(write=False)
+    rhs.setflags(write=False)
+    return rows, rhs
 
 
 def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
@@ -173,10 +167,11 @@ def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
     s_w = gains.s_weight
     n = cols.size
     h = 2.0 * (a_s.T @ s_w @ a_s + (gains.alpha + gains.beta) * np.eye(n))
-    c_ineq, d_ineq = _friction_rows(stance.size, friction)
+    c_ineq, d_ineq = _friction_rows(stance.size, friction.mu, friction.f_min,
+                                    friction.f_max)
     g = -2.0 * (a_s.T @ (s_w @ np.asarray(b_d, dtype=float)) + gains.beta * f_prev_s)
     qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
-    res = solver.solve(qp, x0=f_prev_s if np.all(c_ineq @ f_prev_s <= d_ineq + 1e-9) else None)
+    res = solver.solve(qp)
     if res.status is not QpStatus.OPTIMAL:
         raise ForceDistributionError(f"force QP failed with status {res.status}")
 
@@ -186,7 +181,7 @@ def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
 
 
 class BalanceController:
-    """Stateful wrapper owning the warm-start cache (previous solution)."""
+    """Stateful wrapper owning the previous solution ``f_prev``, the reference of the beta term."""
 
     def __init__(self, model: BodyModel, gains: BalanceGains | None = None,
                  friction: FrictionSpec | None = None):

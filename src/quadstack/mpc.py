@@ -12,7 +12,7 @@ reference position trajectory:
 
 with I_w the body inertia rotated by the operating yaw. Force columns of
 swing feet are zero by construction. The horizon problem is condensed onto
-the stance forces and handed to the dense active-set QP solver together
+the stance forces and handed to the dense dual active-set QP solver together
 with per-step friction pyramids and normal-force bounds; the returned plan
 covers the whole horizon and the caller applies the first step.
 """
@@ -149,9 +149,7 @@ def _condense(cfg: MpcConfig, x0: np.ndarray):
     return sx, su, sc, active, col_of, nu
 
 
-def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec,
-              solver: ActiveSetSolver | None = None,
-              u_prev: np.ndarray | None = None) -> np.ndarray:
+def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec) -> np.ndarray:
     """Plan stance forces over the horizon; returns a (k, 12) array.
 
     Swing-foot entries are exactly zero (their variables are eliminated).
@@ -159,7 +157,6 @@ def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec,
     point under the friction pyramid and bounds.
     """
     x0 = np.asarray(x0, dtype=float).reshape(NX)
-    solver = solver or ActiveSetSolver(max_iter=400)
     sx, su, sc, active, col_of, nu = _condense(cfg, x0)
     k = cfg.horizon
 
@@ -179,14 +176,10 @@ def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec,
     g = 2.0 * (su.T @ (q_bar @ resid0))
 
     # friction pyramid and bounds per active force block
-    c_ineq, d_ineq = _friction_rows(len(active), friction)
-    x_start = None
-    if u_prev is not None:
-        u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
-        if u_prev.shape[0] == nu:
-            x_start = u_prev
+    c_ineq, d_ineq = _friction_rows(len(active), friction.mu, friction.f_min,
+                                    friction.f_max)
     qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
-    res = solver.solve(qp, x0=x_start)
+    res = ActiveSetSolver().solve(qp)
     if res.status is not QpStatus.OPTIMAL:
         raise MpcInfeasibleError(f"force plan QP returned {res.status}")
 

@@ -162,11 +162,13 @@ class TestBalanceQp:
                 self.calls += 1
                 return super().solve(qp, **kw)
 
+        # the saturating wrench needs several working-set changes
         solver = CountingSolver(max_iter=1)
-        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.array([0.0, 0.0, 1.0]),
+        friction = FrictionSpec(mu=0.3, f_min=0.0, f_max=150.0)
+        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.array([0.0, 0.0, 100.0]),
                                    np.zeros(3))
         with pytest.raises(ForceDistributionError, match="MAX_ITER"):
-            balance_qp(a, b_d, np.zeros(12), BalanceGains(), FrictionSpec(),
+            balance_qp(a, b_d, np.zeros(12), BalanceGains(), friction,
                        np.ones(4, dtype=bool), solver=solver)
         assert solver.calls == 1
 

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from quadstack import so3
 from quadstack.balance import BalanceGains, BodyModel, FrictionSpec, balance_qp, build_force_model
 from quadstack.mpc import MpcConfig, linearize_srbd, plan_cost, rollout, solve_mpc
+from quadstack.qpsolver import ActiveSetSolver, QpStatus
 from quadstack.sim import SimWorld
 from quadstack.state import RobotState
 
@@ -104,12 +105,24 @@ class TestSolve:
         plan = solve_mpc(cfg, stand_x0(), FrictionSpec())
         assert_allclose(plan[2], np.zeros(12), atol=0.0)
 
-    def test_friction_respected(self):
+    def test_friction_respected(self, monkeypatch):
+        results = []
+        solve = ActiveSetSolver.solve
+
+        def recording_solve(self, *args, **kwargs):
+            results.append(solve(self, *args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(ActiveSetSolver, "solve", recording_solve)
         cfg = stand_cfg()
         x0 = stand_x0()
         x0[6] = 1.5  # large forward velocity error
         friction = FrictionSpec(mu=0.4, f_min=0.0, f_max=300.0)
         plan = solve_mpc(cfg, x0, friction)
+        # 34 working rows at the optimum; the dual method adds each once
+        [res] = results
+        assert res.status is QpStatus.OPTIMAL
+        assert res.iterations <= 50
         for i in range(cfg.horizon):
             for f in range(4):
                 fx, fy, fz = plan[i, 3 * f:3 * f + 3]

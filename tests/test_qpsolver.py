@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpStatus, solve
@@ -107,6 +110,13 @@ class TestBasics:
         res = solve(qp)
         assert res.status is QpStatus.INFEASIBLE
 
+    def test_redundant_equalities_flagged(self):
+        # the second row is twice the first, right-hand side included
+        qp = QpProblem(h=np.eye(2), g=np.zeros(2),
+                       c_eq=np.array([[1.0, 1.0], [2.0, 2.0]]), d_eq=np.array([1.0, 2.0]))
+        res = solve(qp)
+        assert res.status is QpStatus.SINGULAR
+
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(6, 6))
@@ -183,24 +193,12 @@ class TestProperties:
             assert res.status is QpStatus.OPTIMAL
             assert_kkt_certificate(qp, res)
 
-    def test_warm_start_reaches_same_solution(self):
-        rng = np.random.default_rng(31)
-        c, d = friction_box_constraints(2, mu=0.5, f_min=0.0, f_max=80.0)
-        a = rng.normal(size=(6, 6))
-        qp = QpProblem(h=a @ a.T + 0.2 * np.eye(6), g=rng.normal(size=6) * 20.0,
-                       c_ineq=c, d_ineq=d)
-        solver = ActiveSetSolver()
-        cold = solver.solve(qp)
-        warm = solver.solve(qp, x0=cold.x)
-        assert_allclose(warm.x, cold.x, atol=1e-8)
-        assert warm.iterations <= cold.iterations
-
 
 class TestDegenerate:
     def test_stance_force_qp_from_degenerate_start(self):
         # the stance-force QP of a one-step plan (45 kg body, four feet,
-        # mu = 0.6, fz <= 400 N), cold-started at F = 0, where 20 of its 24
-        # rows are active and a foot's four pyramid faces are dependent.
+        # mu = 0.6, fz <= 400 N). At its vertex F = 0, 20 of its 24 rows
+        # are active and a foot's four pyramid faces are dependent.
         # H has eigenvalues from 2e-5 to 41.
         feet = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
                          [-0.3, -0.128, 0.0], [-0.3, 0.128, 0.0]])
@@ -214,7 +212,7 @@ class TestDegenerate:
         c, d = friction_box_constraints(4, mu=0.6, f_min=0.0, f_max=400.0)
         qp = QpProblem(h=2.0 * (a.T @ s_w @ a + 1e-5 * np.eye(12)),
                        g=-2.0 * a.T @ s_w @ b_d, c_ineq=c, d_ineq=d)
-        res = ActiveSetSolver().solve(qp, x0=np.zeros(12))
+        res = ActiveSetSolver().solve(qp)
         assert res.status is QpStatus.OPTIMAL
         assert qp.max_violation(res.x) <= 1e-9
         assert_kkt_certificate(qp, res)
@@ -235,3 +233,97 @@ class TestDegenerate:
                                   d_ineq=np.zeros(8)))
             assert res.status is QpStatus.OPTIMAL
             assert_allclose(res.x, plain.x, atol=1e-9)
+
+
+# deterministic examples, so the suite gives the same verdict on every run
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
+
+
+def unit_floats(shape, scale=1.0):
+    return arrays(float, shape, elements=st.floats(-scale, scale, allow_subnormal=False))
+
+
+@st.composite
+def convex_qps(draw, m_max=8):
+    """A strictly convex QP (n <= 5, 1 <= m <= m_max) and a point x_f that
+    satisfies its inequality rows with a margin."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, m_max))
+    a = draw(unit_floats((n, n)))
+    c = draw(unit_floats((m, n)))
+    x_f = draw(unit_floats(n))
+    slack = draw(arrays(float, m, elements=st.floats(0.1, 2.0)))
+    qp = QpProblem(h=a @ a.T + 0.5 * np.eye(n), g=draw(unit_floats(n, 2.0)),
+                   c_ineq=c, d_ineq=c @ x_f + slack)
+    return qp, x_f
+
+
+def assert_matches_enumeration(qp, res):
+    assert res.status is QpStatus.OPTIMAL
+    x_ref, f_ref = brute_force_qp(qp)
+    assert x_ref is not None
+    assert qp.objective(res.x) <= f_ref + 1e-6
+    assert_allclose(res.x, x_ref, atol=1e-6)
+
+
+class TestProperty:
+    @PROPERTY
+    @given(convex_qps())
+    def test_random_problems(self, case):
+        qp, _ = case
+        res = solve(qp)
+        assert_matches_enumeration(qp, res)
+        assert_kkt_certificate(qp, res)
+
+    @PROPERTY
+    @given(convex_qps(m_max=4))
+    # a tolerance on the raw residual, not on the distance to the bound,
+    # swaps the scaled copies in and out of the working set until MAX_ITER
+    @example((QpProblem(h=np.diag([0.625, 0.5]), g=np.full(2, 0.25),
+                        c_ineq=-np.ones((2, 2)), d_ineq=np.full(2, 0.25)), None))
+    def test_rows_duplicated_at_scale(self, case):
+        # each copy is dependent on its original, and the scale lifts the
+        # roundoff in its residual above the feasibility tolerance
+        qp, _ = case
+        scaled = QpProblem(h=qp.h, g=qp.g, c_ineq=np.vstack([qp.c_ineq, 1e8 * qp.c_ineq]),
+                           d_ineq=np.concatenate([qp.d_ineq, 1e8 * qp.d_ineq]))
+        res = solve(scaled)
+        assert res.status is QpStatus.OPTIMAL
+        x_ref, _ = brute_force_qp(qp)
+        assert_allclose(res.x, x_ref, atol=1e-6)
+
+    @PROPERTY
+    @given(unit_floats((3, 3)), arrays(float, 6, elements=st.floats(0.0, 10.0)))
+    def test_optimum_at_pyramid_vertex(self, a, lam):
+        # g = -C^T lam with lam >= 0 on the five rows active at F = 0 makes
+        # the degenerate vertex F = 0 the optimum
+        c, d = friction_box_constraints(1, mu=0.6, f_min=0.0, f_max=120.0)
+        lam[4] = 0.0  # the f_max row is not active at F = 0
+        qp = QpProblem(h=a @ a.T + 0.1 * np.eye(3), g=-c.T @ lam, c_ineq=c, d_ineq=d)
+        res = solve(qp)
+        assert_matches_enumeration(qp, res)
+        assert_kkt_certificate(qp, res)
+        assert_allclose(res.x, np.zeros(3), atol=1e-6)
+
+    @PROPERTY
+    @given(convex_qps(m_max=6), unit_floats(5), st.floats(1e-3, 1.0))
+    def test_inconsistent_pair_is_infeasible(self, case, row, gap):
+        # c x <= b and -c x <= -b - gap cannot both hold
+        qp, x_f = case
+        c = row[:qp.n] + 2.0  # every entry in [1, 3]
+        b = float(c @ x_f)
+        bad = QpProblem(h=qp.h, g=qp.g, c_ineq=np.vstack([qp.c_ineq, c, -c]),
+                        d_ineq=np.concatenate([qp.d_ineq, [b, -b - gap]]))
+        assert solve(bad).status is QpStatus.INFEASIBLE
+
+    @PROPERTY
+    @given(convex_qps(), unit_floats(5))
+    def test_one_equality_row(self, case, row):
+        qp, x_f = case
+        e = row[:qp.n] + 2.0  # every entry in [1, 3]
+        qp = QpProblem(h=qp.h, g=qp.g, c_ineq=qp.c_ineq, d_ineq=qp.d_ineq,
+                       c_eq=e[None, :], d_eq=[e @ x_f])
+        res = solve(qp)
+        assert_matches_enumeration(qp, res)
+        assert abs(e @ res.x - e @ x_f) <= 1e-9
+

@@ -205,12 +205,10 @@ class BalanceController:
         return f
 
 
-def landing_switch(contact_forces: np.ndarray, t: float, t_posing: float,
-                   threshold: float = CONTACT_FORCE_THRESHOLD) -> bool:
-    """True once past the posing instant and any foot force reaches the threshold."""
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+def landing_switch(contact_forces: np.ndarray, t: float, t_posing: float) -> bool:
+    """True once past the posing instant and any foot force reaches
+    :data:`CONTACT_FORCE_THRESHOLD`."""
     if t < t_posing:
         return False
-    return bool(np.max(np.asarray(contact_forces, dtype=float)) >= threshold)
+    return bool(np.max(np.asarray(contact_forces, dtype=float)) >= CONTACT_FORCE_THRESHOLD)
 

@@ -2,15 +2,17 @@
 
 Subcommands: stand, trot, mpc-trot, slope, estimate, jump-opt, jump-sim.
 Each run writes a CSV time-series log and a JSON summary into the output
-directory. Configuration is a YAML key/value tree validated against the
-schema below (unknown keys are rejected); any leaf can be overridden
-through environment variables named QUADSTACK_<SECTION>__<KEY>.
+directory; jump-sim always tracks the reference read from ``jump_ref.csv``
+(see :func:`cmd_jump_sim`). Configuration is a YAML key/value tree
+validated against the schema below (unknown keys are rejected); any leaf can
+be overridden through environment variables named QUADSTACK_<SECTION>__<KEY>.
 
 Exit codes: 0 success, 1 run failure (an error JSON is written), 2
 configuration error. A run failure is of kind "solver" when the scenario
 failed on its inputs (a solver status, an unreachable foot, terrain or gait
-weights the controller cannot use, an unusable replay log) and of kind
-"internal" for any other exception, which points at a defect of the program.
+weights the controller cannot use, an unusable replay log or jump reference)
+and of kind "internal" for any other exception, which points at a defect of
+the program.
 """
 
 from __future__ import annotations
@@ -275,45 +277,21 @@ def cmd_jump_opt(cfg: dict, out: Path) -> dict:
 
 
 def cmd_jump_sim(cfg: dict, out: Path) -> dict:
+    """Track ``jump.reference_csv``, or ``<out_dir>/jump_ref.csv``, which is
+    solved for and written first when it is absent."""
     spec, _ = _jump_spec(cfg)
     ref_csv = cfg["jump"]["reference_csv"]
     if ref_csv and not Path(ref_csv).exists():
         raise ConfigError(f"jump.reference_csv not found: {ref_csv}")
-    ref_csv = ref_csv or (out / "jump_ref.csv")
-    if not Path(ref_csv).exists():
-        opt_res, ref = scenarios.run_jump_opt(spec)
-        write_csv(out / "jump_ref.csv", opt_res.log)
-    else:
-        ref = _reference_from_log(read_csv(Path(ref_csv)), spec)
+    ref_csv = Path(ref_csv or out / "jump_ref.csv")
+    if not ref_csv.exists():
+        opt_res, _ref = scenarios.run_jump_opt(spec)
+        write_csv(ref_csv, opt_res.log)
+    ref = scenarios.reference_from_log(read_csv(ref_csv))
     res = scenarios.run_jump_sim(spec, ref, z_land=float(cfg["robot"]["z0_m"]),
                                  seed=int(cfg["seed"]))
     write_csv(out / "jump_sim_log.csv", res.log)
     return res.summary
-
-
-def _reference_from_log(log: dict[str, np.ndarray], spec) -> "scenarios.BodyReference":
-    from .trajopt import BodyReference
-
-    n = len(log["t_s"])
-    rot = np.zeros((n, 3, 3))
-    for r in range(3):
-        for c in range(3):
-            rot[:, r, c] = log[f"r{r}{c}"]
-    pos = np.stack([log[f"p{ax}_m"] for ax in "xyz"], axis=1)
-    vel = np.stack([log[f"v{ax}_mps"] for ax in "xyz"], axis=1)
-    omega = np.stack([log[f"w{ax}_radps"] for ax in "xyz"], axis=1)
-    forces = np.stack([log[f"f{f}{ax}_N"] for f in range(4) for ax in "xyz"], axis=1)
-    # takeoff = end of the first contiguous block of commanded force (a
-    # landing phase later in the file may carry force again)
-    active = np.abs(forces).sum(axis=1) > 1e-9
-    t_take = log["t_s"][-1]
-    for i in range(1, n):
-        if active[i - 1] and not active[i]:
-            t_take = log["t_s"][i]
-            break
-    phase_times = np.array([t_take, log["t_s"][-1]])
-    return BodyReference(t=log["t_s"], pos=pos, vel=vel, rot=rot, omega=omega,
-                         forces=forces, phase_times=phase_times)
 
 
 COMMANDS = {

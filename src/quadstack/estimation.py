@@ -33,7 +33,8 @@ from .swing import LegModel, leg_fk, leg_jacobian
 
 _EYE3_X15 = 1.5 * np.eye(3)
 _EYE18 = np.eye(18)
-_GRAVITY_W = np.array([0.0, 0.0, -9.81])
+_GRAVITY = 9.81
+_GRAVITY_W = np.array([0.0, 0.0, -_GRAVITY])
 
 __all__ = [
     "ImuSample",
@@ -62,6 +63,7 @@ R_POS_DEFAULT = 1e-4            # m^2
 R_VEL_DEFAULT = 1e-3            # (m/s)^2
 R_HEIGHT_DEFAULT = 1e-4         # m^2
 SWING_INFLATION_DEFAULT = 1e6
+_PRIOR_VAR = 1e-4              # m^2 and (m/s)^2, initial KF state variance
 
 
 class SingularInnovationError(np.linalg.LinAlgError):
@@ -82,7 +84,6 @@ class ImuSample:
 class OrientationFilter:
     r_hat: np.ndarray = field(default_factory=lambda: np.eye(3))
     kappa_ref: float = 0.1
-    gravity: float = 9.81
 
     def __post_init__(self):
         self.r_hat = np.asarray(self.r_hat, dtype=float).reshape(3, 3)
@@ -115,7 +116,7 @@ def orientation_step(f: OrientationFilter, imu: ImuSample, dt: float) -> Orienta
     wx, wy, wz = imu.gyro.tolist()
     a_norm = math.sqrt(ax * ax + ay * ay + az * az)
     if a_norm > 1e-9:
-        kappa = _kappa(a_norm, f.kappa_ref, f.gravity)
+        kappa = _kappa(a_norm, f.kappa_ref, _GRAVITY)
         ax, ay, az = ax / a_norm, ay / a_norm, az / a_norm
         rx, ry, rz = f.r_hat[2].tolist()  # R^T e_z is the third row
         wx += kappa * (ay * rz - az * ry)
@@ -125,7 +126,7 @@ def orientation_step(f: OrientationFilter, imu: ImuSample, dt: float) -> Orienta
     # one polar-Newton step of renormalization: keeps the per-step
     # orthogonality defect at machine scale without an SVD
     r_new = r_new @ (_EYE3_X15 - 0.5 * (r_new.T @ r_new))
-    return OrientationFilter(r_hat=r_new, kappa_ref=f.kappa_ref, gravity=f.gravity)
+    return OrientationFilter(r_hat=r_new, kappa_ref=f.kappa_ref)
 
 
 @dataclass
@@ -149,14 +150,12 @@ class KfState:
         return self.mean[6 + 3 * i: 9 + 3 * i]
 
 
-def kf_default_state(p_b: np.ndarray, feet: np.ndarray,
-                     pos_var: float = 1e-4, vel_var: float = 1e-4,
-                     foot_var: float = 1e-4) -> KfState:
+def kf_default_state(p_b: np.ndarray, feet: np.ndarray) -> KfState:
+    """Body at ``p_b`` at rest on the footholds ``feet``, every state variance
+    :data:`_PRIOR_VAR`."""
     mean = np.concatenate([np.asarray(p_b, dtype=float).reshape(3), np.zeros(3),
                            np.asarray(feet, dtype=float).reshape(12)])
-    cov = np.diag(np.concatenate([np.full(3, pos_var), np.full(3, vel_var),
-                                  np.full(12, foot_var)]))
-    return KfState(mean=mean, cov=cov)
+    return KfState(mean=mean, cov=_PRIOR_VAR * _EYE18)
 
 
 def leg_measurement_from_kinematics(q: np.ndarray, qd: np.ndarray, r_hat: np.ndarray,

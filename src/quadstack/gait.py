@@ -11,7 +11,7 @@ from transitions at the defaults).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

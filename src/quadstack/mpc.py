@@ -41,8 +41,8 @@ class MpcInfeasibleError(RuntimeError):
 class MpcConfig:
     horizon: int
     dt: float
-    q_weight: np.ndarray                  # (12,12) or (k,12,12)
-    r_weight: np.ndarray                  # scalar, (12,12) or per-step
+    q_weight: np.ndarray                  # (12, 12) state weight of every step
+    r_weight: float                       # force weight, times the identity
     x_ref: np.ndarray                     # (k, 12) target states for steps 1..k
     contact: np.ndarray                   # (k, 4) scheduled contact per step
     feet: np.ndarray                      # (k, 4, 3) foot positions per step
@@ -57,21 +57,13 @@ class MpcConfig:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
         k = self.horizon
+        self.q_weight = np.asarray(self.q_weight, dtype=float).reshape(NX, NX)
+        self.r_weight = float(self.r_weight)
         self.x_ref = np.asarray(self.x_ref, dtype=float).reshape(k, NX)
         self.contact = np.asarray(self.contact, dtype=bool).reshape(k, 4)
         self.feet = np.asarray(self.feet, dtype=float).reshape(k, 4, 3)
         if self.p_nom is not None:
             self.p_nom = np.asarray(self.p_nom, dtype=float).reshape(k, 3)
-
-    def q_at(self, i: int) -> np.ndarray:
-        q = np.asarray(self.q_weight, dtype=float)
-        return q[i] if q.ndim == 3 else q.reshape(NX, NX)
-
-    def r_at(self, i: int) -> np.ndarray:
-        r = np.asarray(self.r_weight, dtype=float)
-        if r.ndim == 0:
-            return float(r) * np.eye(NX)
-        return r[i] if r.ndim == 3 else r.reshape(NX, NX)
 
 
 def linearize_srbd(op_yaw: float, feet: np.ndarray, model: BodyModel, dt: float,
@@ -164,12 +156,9 @@ def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec) -> np.ndar
         return np.zeros((k, 12))  # full flight
 
     q_bar = np.zeros((k * NX, k * NX))
-    r_bar = np.zeros((nu, nu))
     for i in range(k):
-        q_bar[i * NX:(i + 1) * NX, i * NX:(i + 1) * NX] = cfg.q_at(i)
-    for idx, (i, f) in enumerate(active):
-        r_full = cfg.r_at(i)
-        r_bar[3 * idx:3 * idx + 3, 3 * idx:3 * idx + 3] = r_full[3 * f:3 * f + 3, 3 * f:3 * f + 3]
+        q_bar[i * NX:(i + 1) * NX, i * NX:(i + 1) * NX] = cfg.q_weight
+    r_bar = cfg.r_weight * np.eye(nu)
 
     resid0 = sx @ x0 + sc - cfg.x_ref.reshape(-1)
     h = 2.0 * (su.T @ q_bar @ su + r_bar)
@@ -209,5 +198,5 @@ def plan_cost(cfg: MpcConfig, x0: np.ndarray, plan: np.ndarray) -> float:
     for i in range(cfg.horizon):
         e = xs[i] - cfg.x_ref[i]
         u = np.asarray(plan[i], dtype=float)
-        j += float(e @ cfg.q_at(i) @ e + u @ cfg.r_at(i) @ u)
+        j += float(e @ cfg.q_weight @ e + (cfg.r_weight * u) @ u)
     return j

@@ -204,6 +204,6 @@ class ActiveSetSolver:
                         active_set=sorted(j - m_eq for j in work[m_eq:]))
 
 
-def solve(qp: QpProblem, tol: float = 1e-9, max_iter: int = 200) -> QpResult:
+def solve(qp: QpProblem) -> QpResult:
     """One-shot solve with a fresh default solver (see :class:`ActiveSetSolver`)."""
-    return ActiveSetSolver(tol=tol, max_iter=max_iter).solve(qp)
+    return ActiveSetSolver().solve(qp)

@@ -5,6 +5,10 @@ into a runnable scenario and returns a :class:`ScenarioResult` holding the
 time-series log (column name -> array, names carry units) and a summary
 dict. The CLI serializes these to CSV/JSON; the acceptance suite calls the
 drivers directly.
+
+The log schemas live here too, among them the jump reference that
+:func:`reference_log` writes and :func:`reference_from_log` reads back bit
+for bit; a log its reader cannot use raises :class:`ReplayLogError`.
 """
 
 from __future__ import annotations
@@ -16,15 +20,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gait, so3, terrain
-from .balance import (BalanceController, BalanceGains, BodyModel, FrictionSpec,
-                      landing_switch)
+from .balance import BalanceController, BodyModel, FrictionSpec, landing_switch
 from .estimation import (Q_FOOT_STANCE_DEFAULT, ImuSample, OrientationFilter,
                          kf_default_state, kf_predict, kf_update,
                          leg_measurements_batch, orientation_step)
 from .mpc import MpcConfig, solve_mpc
 from .sim import SensorNoise, SimWorld
 from .state import DesiredState, RobotState
-from .swing import LegModel, SwingTrajectory, leg_fk
+from .swing import LegModel, SwingTrajectory
 from .terrain import PlaneCoeffs
 from .trajopt import (BodyReference, ContactPhase, JumpSpec, build_problem,
                       check_constraints, export_reference, solve_timing)
@@ -39,7 +42,7 @@ _GRAVITY_W = np.array([0.0, 0.0, -9.81])
 
 
 class ReplayLogError(KeyError):
-    """A replay log lacks the columns the estimator needs."""
+    """A replay log or a jump reference lacks what its reader needs."""
 
 
 def nominal_feet(leg_model: LegModel, ground: PlaneCoeffs | None = None,
@@ -71,11 +74,15 @@ class Logger:
         return {k: np.asarray(v) for k, v in self.rows.items()}
 
 
-_STATE_COLS = (["t_s"]
-               + [f"{c}{ax}_{u}" for ax in "xyz" for c, u in (("p", "m"), ("v", "mps"), ("w", "radps"))]
-               + [f"r{r}{c}" for r in range(3) for c in range(3)]
+_BODY_COLS = ([f"{c}{ax}_{u}" for ax in "xyz" for c, u in (("p", "m"), ("v", "mps"), ("w", "radps"))]
+              + [f"r{r}{c}" for r in range(3) for c in range(3)])
+_STATE_COLS = (["t_s"] + _BODY_COLS
                + [f"{c}{ax}_{u}" for f in range(4) for ax in "xyz"
                   for c, u in ((f"foot{f}", "m"), (f"f{f}", "N"))])
+# jump_ref.csv: the body columns, the commanded forces, and on each row the
+# end time of the contact phase the row's time falls in
+_REFERENCE_COLS = (["t_s"] + _BODY_COLS
+                   + [f"f{f}{ax}_N" for f in range(4) for ax in "xyz"] + ["phase_end_s"])
 
 
 def _log_state(log: Logger, world: SimWorld, extra: dict | None = None):
@@ -333,7 +340,7 @@ class TrotDriver:
         target = np.array([target_xy[0], target_xy[1],
                            self.ground.height(*target_xy)])
         duration = self.sched.swing_time()
-        traj = SwingTrajectory(state.feet[leg].copy(), target, duration, apex=0.08)
+        traj = SwingTrajectory(state.feet[leg].copy(), target, duration)
         self.swing_trajs[leg] = (traj, t)
 
     def mpc_tables(self, t, state: RobotState):
@@ -533,28 +540,48 @@ def run_estimate(log: dict[str, np.ndarray]) -> ScenarioResult:
     return ScenarioResult(summary=summary, log=out.arrays())
 
 
-def run_jump_opt(spec: JumpSpec, dt_ref: float = 0.01,
+def reference_log(ref: BodyReference) -> dict[str, np.ndarray]:
+    """The ``jump_ref.csv`` columns of a body reference.
+
+    Each phase end time is read back only if a sample falls in the phase,
+    which holds for phases of at least one sample interval.
+    """
+    n = len(ref.t)
+    kin = np.stack([ref.pos, ref.vel, ref.omega], axis=2)   # (sample, axis, p/v/w)
+    phase = np.minimum(np.searchsorted(ref.phase_times, ref.t), len(ref.phase_times) - 1)
+    table = np.column_stack([ref.t, kin.reshape(n, 9), ref.rot.reshape(n, 9), ref.forces,
+                             ref.phase_times[phase]])
+    return dict(zip(_REFERENCE_COLS, table.T))
+
+
+def reference_from_log(log: dict[str, np.ndarray]) -> BodyReference:
+    """The body reference a ``jump_ref.csv`` log holds, bit for bit.
+
+    Raises :class:`ReplayLogError` when a column is missing (a file written
+    without ``phase_end_s`` among them) or when it has fewer than two samples.
+    """
+    missing = [c for c in _REFERENCE_COLS if c not in log]
+    if missing:
+        raise ReplayLogError(f"jump reference missing columns: {missing[:4]}")
+    table = np.column_stack([log[c] for c in _REFERENCE_COLS])
+    n = len(table)
+    if n < 2:
+        raise ReplayLogError(f"jump reference has {n} samples, needs at least 2")
+    kin = table[:, 1:10].reshape(n, 3, 3)
+    return BodyReference(t=table[:, 0], pos=kin[:, :, 0], vel=kin[:, :, 1],
+                         rot=table[:, 10:19].reshape(n, 3, 3), omega=kin[:, :, 2],
+                         forces=table[:, 19:31], phase_times=np.unique(table[:, 31]))
+
+
+def run_jump_opt(spec: JumpSpec,
                  context_timings_10ms: tuple | None = None) -> tuple[ScenarioResult, BodyReference]:
-    """Solve a contact-timing problem and export the sampled body reference."""
+    """Solve a contact-timing problem and export the sampled body reference,
+    logged as :func:`reference_log` writes it."""
     t_start = time.perf_counter()
     problem = build_problem(spec)
     sol = solve_timing(problem)
     report = check_constraints(spec, sol)
-    ref = export_reference(sol, spec, dt=dt_ref)
-    log = Logger()
-    for i in range(len(ref.t)):
-        cols = {"t_s": ref.t[i]}
-        for j, ax in enumerate("xyz"):
-            cols[f"p{ax}_m"] = ref.pos[i, j]
-            cols[f"v{ax}_mps"] = ref.vel[i, j]
-            cols[f"w{ax}_radps"] = ref.omega[i, j]
-        for r in range(3):
-            for c in range(3):
-                cols[f"r{r}{c}"] = ref.rot[i, r, c]
-        for f in range(4):
-            for j, ax in enumerate("xyz"):
-                cols[f"f{f}{ax}_N"] = ref.forces[i, 3 * f + j]
-        log.push(**cols)
+    ref = export_reference(sol, spec)
     summary = {
         "scenario": "jump-opt",
         "durations_s": [float(x) for x in sol.durations],
@@ -571,7 +598,7 @@ def run_jump_opt(spec: JumpSpec, dt_ref: float = 0.01,
         # published reference timings for this jump family, context only
         summary["reference_timings_10ms"] = list(context_timings_10ms)
         summary["our_timings_10ms"] = [round(float(x) * 100.0, 1) for x in sol.durations]
-    return ScenarioResult(summary=summary, log=log.arrays()), ref
+    return ScenarioResult(summary=summary, log=reference_log(ref)), ref
 
 
 def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
@@ -584,7 +611,6 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
     takeoff the legs hold the pre-landing pose; the force-threshold switch
     hands over to the landing force controller, which recovers a stand.
     """
-    from .balance import landing_switch as _switch
     from .swing import (UnreachableError, grf_from_torque, jump_track_torque, leg_ik,
                         stance_torque)
 
@@ -682,7 +708,7 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
         world.step(forces, stance_mask, swing_targets)
         if world.t >= t_posing:
             landing_stance |= world.touched_down
-            if not landed and _switch(world.contact_forces[2::3], world.t, t_posing):
+            if not landed and landing_switch(world.contact_forces[2::3], world.t, t_posing):
                 landed = True
         if k % 10 == 0:
             _log_state(log, world, {"landed": float(landed)})

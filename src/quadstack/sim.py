@@ -65,12 +65,10 @@ class SensorNoise:
     gyro_std: float = 0.0          # rad/s
     accel_std: float = 0.0         # m/s^2
     accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gyro_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
     foot_slip_std: float = 0.0     # m per sqrt(step), stance feet
 
     def __post_init__(self):
         self.accel_bias = np.asarray(self.accel_bias, dtype=float).reshape(3)
-        self.gyro_bias = np.asarray(self.gyro_bias, dtype=float).reshape(3)
 
 
 class SimWorld:
@@ -194,7 +192,7 @@ class SimWorld:
     def synth_imu(self) -> ImuSample:
         """Gyro and accelerometer in the body frame, noise per the config."""
         n = self.noise
-        gyro = self.state.omega + n.gyro_bias
+        gyro = self.state.omega.copy()
         if n.gyro_std > 0.0:
             gyro = gyro + self.rng.normal(size=3) * n.gyro_std
         accel = self.state.rot.T @ (self.last_accel - self.model.g_vec) + n.accel_bias

@@ -32,6 +32,8 @@ __all__ = [
     "SwingTrajectory",
 ]
 
+_APEX = 0.08   # m, height of the swing clearance bump at mid-swing
+
 
 class UnreachableError(ValueError):
     """Commanded foot position lies outside the leg workspace."""
@@ -83,18 +85,18 @@ def leg_jacobian(q: np.ndarray, leg: int, model: LegModel) -> np.ndarray:
     return np.column_stack([col0, col1, col2])
 
 
-def leg_ik(p_body: np.ndarray, leg: int, model: LegModel,
-           knee_sign: float = 1.0) -> np.ndarray:
+def leg_ik(p_body: np.ndarray, leg: int, model: LegModel) -> np.ndarray:
     """Joint angles placing the foot at the body-frame position ``p_body``.
 
-    Raises :class:`UnreachableError` when the target leaves the annular
+    Returns the branch with the knee angle in [0, pi]. Raises
+    :class:`UnreachableError` when the target leaves the annular
     workspace |l1 - l2| <= r <= l1 + l2 about the hip.
     """
     d = np.asarray(p_body, dtype=float).reshape(3) - model.hip(leg)
-    return np.array(ik_angles(d.tolist(), model, knee_sign))
+    return np.array(ik_angles(d.tolist(), model))
 
 
-def ik_angles(d, model: LegModel, knee_sign: float = 1.0) -> tuple[float, float, float]:
+def ik_angles(d, model: LegModel) -> tuple[float, float, float]:
     """:func:`leg_ik` for the hip-to-foot vector ``d`` = (dx, dy, dz), in scalars."""
     dx, dy, dz = d
     l1, l2 = model.l1, model.l2
@@ -108,7 +110,7 @@ def ik_angles(d, model: LegModel, knee_sign: float = 1.0) -> tuple[float, float,
 
     cos_knee = (dx * dx + vz * vz - l1 * l1 - l2 * l2) / (2.0 * l1 * l2)
     cos_knee = min(1.0, max(-1.0, cos_knee))
-    q2 = knee_sign * math.acos(cos_knee)
+    q2 = math.acos(cos_knee)
     q1 = math.atan2(-dx, -vz) - math.atan2(l2 * math.sin(q2), l1 + l2 * math.cos(q2))
     return q0, q1, q2
 
@@ -168,14 +170,12 @@ class SwingTrajectory:
     velocities are zero.
     """
 
-    def __init__(self, p_start: np.ndarray, p_end: np.ndarray, duration: float,
-                 apex: float = 0.08):
+    def __init__(self, p_start: np.ndarray, p_end: np.ndarray, duration: float):
         if duration <= 0.0:
             raise ValueError("duration must be positive")
         self.p0 = np.asarray(p_start, dtype=float).reshape(3)
         self.p1 = np.asarray(p_end, dtype=float).reshape(3)
         self.duration = float(duration)
-        self.apex = float(apex)
 
     def _s(self, u: float) -> tuple[float, float, float]:
         s = u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
@@ -194,7 +194,7 @@ class SwingTrajectory:
         bump = 16.0 * u * u * (1.0 - u) ** 2
         dbump = 32.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
         ddbump = 32.0 * (1.0 - 6.0 * u + 6.0 * u * u)
-        pos = pos + np.array([0.0, 0.0, self.apex * bump])
-        vel = vel + np.array([0.0, 0.0, self.apex * dbump * inv])
-        acc = acc + np.array([0.0, 0.0, self.apex * ddbump * inv * inv])
+        pos = pos + np.array([0.0, 0.0, _APEX * bump])
+        vel = vel + np.array([0.0, 0.0, _APEX * dbump * inv])
+        acc = acc + np.array([0.0, 0.0, _APEX * ddbump * inv * inv])
         return pos, vel, acc

@@ -78,6 +78,9 @@ _FD_STEP = float(np.sqrt(np.finfo(float).eps))   # relative difference step
 _ACTIVE_MARGIN = 1e-6               # bound margin of the fixed set
 _NEWTON_DECREMENT = 1e-14           # stop when -g.d <= this * max(1, |phi|)
 _ARMIJO = 1e-4
+_RHO0 = 10.0                        # first augmented-Lagrangian penalty
+_RHO_GROWTH = 5.0                   # its growth factor, every second outer iteration
+_RHO_MAX = 1e9
 _MAX_BACKTRACKS = 40
 _DELTA_FLOOR = 1e-12                # first damping, relative to the diagonal
 _DELTA_MAX = 1e6                    # damping limit, relative to the diagonal
@@ -757,9 +760,6 @@ class SolveOptions:
     tol: float = 1e-5                 # target max constraint violation
     max_outer: int = 30
     max_inner: int = 100              # projected-Newton steps per subproblem
-    rho0: float = 10.0
-    rho_growth: float = 5.0
-    rho_max: float = 1e9
 
 
 # -- structured Newton systems ---------------------------------------------
@@ -1164,7 +1164,7 @@ def solve_timing(problem: TimingProblem | JumpSpec,
 
     structure = _KktStructure(problem)
     s_eq, s_in = _row_scales(problem, z, structure)
-    al = _AugmentedLagrangian(problem, structure, s_eq, s_in, opts.rho0)
+    al = _AugmentedLagrangian(problem, structure, s_eq, s_in, _RHO0)
 
     def violation(zv):
         _, c_eq, c_in, _ = problem._eval(zv, need_grad=False)
@@ -1192,7 +1192,7 @@ def solve_timing(problem: TimingProblem | JumpSpec,
         al.lam = al.lam + al.rho * s_eq * c_eq
         al.mu = np.maximum(0.0, al.mu + al.rho * s_in * c_in)
         if outer % 2 == 0:
-            al.rho = min(al.rho * opts.rho_growth, opts.rho_max)
+            al.rho = min(al.rho * _RHO_GROWTH, _RHO_MAX)
 
     viol, z = best
     pos, vel, omega, rots, forces, durations = problem.unpack(z)

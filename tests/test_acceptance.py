@@ -10,13 +10,12 @@ import time
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from quadstack import gait, so3
 from quadstack.balance import BalanceGains, BodyModel, FrictionSpec, balance_qp, build_force_model
 from quadstack.estimation import ImuSample, OrientationFilter, orientation_step
 from quadstack.qpsolver import QpProblem, QpStatus, solve as qp_solve
-from quadstack.scenarios import (hop_spec, nominal_feet, run_jump_opt, run_jump_sim,
+from quadstack.scenarios import (hop_spec, nominal_feet, run_jump_sim,
                                  run_stand, run_trot, spin_spec,
                                  SPIN90_REFERENCE_TIMINGS_10MS)
 from quadstack.swing import LegModel

@@ -1,15 +1,12 @@
 import json
-import os
-from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from quadstack import cli
+from quadstack import cli, scenarios
 from quadstack.balance import ForceDistributionError
 from quadstack.mpc import MpcInfeasibleError
-from quadstack.trajopt import NoConvergenceError
+from quadstack.trajopt import BodyReference, NoConvergenceError
 
 
 def run_cli(tmp_path, subcommand, config_text=None, **overrides):
@@ -164,6 +161,36 @@ class TestJump:
         assert summary["landed"]
         assert summary["final_height_error_m"] <= 0.03
         assert summary["final_orientation_error_deg"] <= 5.0
+
+    def test_jump_sim_always_tracks_the_file(self, tmp_path):
+        # the first run solves and writes jump_ref.csv, the second reads it:
+        # both track the same reference, taking off at the solved phase end
+        code, opt = run_cli(tmp_path, "jump-opt", self.CFG, out_dir=str(tmp_path / "opt"))
+        assert code == 0
+        runs = []
+        for _ in range(2):
+            code, summary = run_cli(tmp_path, "jump-sim", self.CFG)
+            assert code == 0
+            summary.pop("runtime_s")
+            runs.append((summary, (tmp_path / "out" / "jump_sim_log.csv").read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0]["takeoff_time_s"] == opt["durations_s"][0]
+
+    @pytest.mark.parametrize("dropped, rows", [("phase_end_s", 3), ("r00", 3), (None, 1)])
+    def test_unusable_reference_is_solver_failure(self, tmp_path, dropped, rows):
+        # phase_end_s is missing from files written before it existed
+        ref = BodyReference(t=np.arange(rows) * 0.01, pos=np.zeros((rows, 3)),
+                            vel=np.zeros((rows, 3)), rot=np.tile(np.eye(3), (rows, 1, 1)),
+                            omega=np.zeros((rows, 3)), forces=np.zeros((rows, 12)),
+                            phase_times=np.array([0.01, 0.02]))
+        log = scenarios.reference_log(ref)
+        log.pop(dropped, None)
+        path = tmp_path / "ref.csv"
+        cli.write_csv(path, log)
+        code, payload = run_cli(tmp_path, "jump-sim", self.CFG + f"  reference_csv: {path}\n")
+        assert code == 1
+        assert payload["kind"] == "solver"
+        assert (dropped or "samples") in payload["error"]
 
     def test_missing_reference_csv_is_config_error(self, tmp_path):
         # a reference named explicitly is never replaced by a fresh solve

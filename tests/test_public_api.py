@@ -1,5 +1,6 @@
 """The public names each module declares, and the layer boundaries the benchmark patches."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -42,3 +43,32 @@ def test_benchmark_tracer_installs_and_restores():
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but neither reads nor lists in ``__all__``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in sorted(imported.items())
+            if name not in read]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    files = sorted((root / "src" / "quadstack").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    unused = [entry for path in files for entry in _unused_imports(path)]
+    assert not unused, f"imported but never read: {unused}"

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quadstack import scenarios, sim
-from quadstack.scenarios import (TrotDriver, hop_spec, run_estimate, run_jump_opt,
-                                 run_jump_sim, run_stand, run_trot, spin_spec)
+from quadstack import cli, scenarios, sim
+from quadstack.scenarios import (hop_spec, reference_from_log, reference_log, run_estimate,
+                                 run_jump_opt, run_jump_sim, run_stand, run_trot, spin_spec)
 from quadstack.trajopt import BodyReference
 
 
@@ -112,6 +114,27 @@ class TestJumpPipeline:
         spec = spin_spec(yaw_deg=45.0, n_knots=6)
         assert len(spec.phases) == 2
         assert spec.phases[1].feet == ()
+
+
+class TestReferenceLog:
+    """jump_ref.csv carries a body reference exactly, phase times included."""
+
+    @staticmethod
+    def assert_round_trip(ref, tmp_path):
+        path = tmp_path / "jump_ref.csv"
+        cli.write_csv(path, reference_log(ref))
+        back = reference_from_log(cli.read_csv(path))
+        for f in dataclasses.fields(ref):
+            a, b = getattr(ref, f.name), getattr(back, f.name)
+            assert a.shape == b.shape and np.array_equal(a, b), f.name
+
+    def test_hand_made_reference(self, tmp_path):
+        self.assert_round_trip(flat_stand_reference(hop_spec(n_knots=4)), tmp_path)
+
+    def test_solved_reference(self, tmp_path):
+        _, ref = run_jump_opt(hop_spec(n_knots=8))
+        assert len(ref.phase_times) == 3
+        self.assert_round_trip(ref, tmp_path)
 
 
 class TestLayerBoundaries:

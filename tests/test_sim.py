@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from quadstack.balance import BodyModel
 from quadstack.sim import SensorNoise, SimWorld
 from quadstack.state import RobotState
-from quadstack.swing import LegModel, UnreachableError, leg_fk
+from quadstack.swing import UnreachableError, leg_fk
 from quadstack import so3
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],

@@ -122,6 +122,6 @@ class TestSwingTrajectory:
         assert_allclose(v1, np.zeros(3), atol=1e-12)
 
     def test_apex_clearance(self):
-        traj = SwingTrajectory(np.zeros(3), np.array([0.2, 0.0, 0.0]), 0.25, apex=0.08)
+        traj = SwingTrajectory(np.zeros(3), np.array([0.2, 0.0, 0.0]), 0.25)
         p_mid, _, _ = traj.sample(0.125)
         assert_allclose(p_mid[2], 0.08, atol=1e-12)

@@ -3,11 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import Bounds, minimize
 
-from quadstack import scenarios, so3
+from quadstack import scenarios, so3, trajopt
 from quadstack.balance import BodyModel
 from quadstack.qpsolver import QpProblem, solve as qp_solve
 from quadstack.trajopt import (
-    BodyReference,
     ContactPhase,
     JumpSpec,
     NoConvergenceError,
@@ -583,7 +582,7 @@ class TestDiagnostics:
         assert "violation" in diag and "durations" in diag
         trace = diag["trace"]
         assert len(trace) == 2
-        assert trace[0]["rho"] == SolveOptions().rho0
+        assert trace[0]["rho"] == trajopt._RHO0
         for entry in trace:
             assert 1 <= entry["newton_steps"] <= 30
             assert entry["violation"] > 1e-14 and entry["delta"] >= 0.0

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 __all__ = ["QpProblem", "QpStatus", "QpResult", "solve", "ActiveSetSolver"]
 
@@ -111,6 +111,20 @@ class QpResult:
     lam_ineq: np.ndarray | None = None  # multipliers on the full inequality block
 
 
+def _solved(result: tuple[np.ndarray, int]) -> np.ndarray:
+    """The solution of a LAPACK ``dtrtrs`` call, which must have succeeded.
+
+    The factors here are C-ordered and ``dtrtrs`` reads Fortran order, so
+    each call passes the transpose with ``lower`` and ``trans`` flipped, as
+    ``scipy.linalg.solve_triangular`` does (same bits), without that
+    wrapper's input checks and dispatch.
+    """
+    x, info = result
+    if info != 0:
+        raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info}")
+    return x
+
+
 class ActiveSetSolver:
     """Reusable dual active-set solver; one instance per thread."""
 
@@ -131,7 +145,7 @@ class ActiveSetSolver:
         d = np.concatenate([qp.d_eq if m_eq else [], qp.d_ineq if qp.m_ineq else []])
         norm = np.linalg.norm(c, axis=1)
         # the row normals and the unconstrained minimum in y = L^T x
-        wg = solve_triangular(l, np.vstack([c, qp.g]).T, lower=True, check_finite=False)
+        wg = _solved(lapack.dtrtrs(l.T, np.vstack([c, qp.g]).T, lower=0, trans=1))
         w, y = wg[:, :-1], -wg[:, -1]
 
         work: list[int] = []  # working rows, the equality rows first
@@ -156,7 +170,7 @@ class ActiveSetSolver:
                 it += 1
                 proj = q.T @ n_p
                 z = n_p - q @ proj  # primal step direction
-                dual = solve_triangular(r, proj, check_finite=False)
+                dual = _solved(lapack.dtrtrs(r.T, proj, lower=1, trans=1)) if work else proj
                 # dual ratio test over the working inequalities
                 block = np.flatnonzero(dual[m_eq:] > 0.0) + m_eq
                 ratio = u[block] / dual[block]
@@ -184,13 +198,13 @@ class ActiveSetSolver:
                     u = np.delete(u, drop)
                 q, r = np.linalg.qr(w[:, work])
 
-        x = solve_triangular(l, y, trans="T", lower=True, check_finite=False)
+        x = _solved(lapack.dtrtrs(l.T, y, lower=0))
         if work:
             # refinement: the smallest move in the H norm that puts the
             # working rows back on their bounds
             resid = d[work] - c[work] @ x
-            v = q @ solve_triangular(r, resid, trans="T", check_finite=False)
-            x = x + solve_triangular(l, v, trans="T", lower=True, check_finite=False)
+            v = q @ _solved(lapack.dtrtrs(r.T, resid, lower=1))
+            x = x + _solved(lapack.dtrtrs(l.T, v, lower=0))
         active = np.array(work[m_eq:], dtype=int) - m_eq
         lam = np.zeros(qp.m_ineq)
         lam[active] = np.maximum(u[m_eq:], 0.0)
@@ -199,7 +213,7 @@ class ActiveSetSolver:
 
     @staticmethod
     def _stopped(l, y, status, it, work, m_eq) -> QpResult:
-        x = solve_triangular(l, y, trans="T", lower=True, check_finite=False)
+        x = _solved(lapack.dtrtrs(l.T, y, lower=0))
         return QpResult(x=x, status=status, iterations=it,
                         active_set=sorted(j - m_eq for j in work[m_eq:]))
 

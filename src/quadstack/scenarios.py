@@ -41,7 +41,7 @@ MPC_DECIMATION = 33
 _GRAVITY_W = np.array([0.0, 0.0, -9.81])
 
 
-class ReplayLogError(KeyError):
+class ReplayLogError(ValueError):
     """A replay log or a jump reference lacks what its reader needs."""
 
 
@@ -592,6 +592,8 @@ def run_jump_opt(spec: JumpSpec,
         "kkt_residual": sol.kkt_residual,
         "ortho_defect": sol.ortho_defect,
         "outer_iterations": sol.outer_iterations,
+        "newton_steps": sum(entry["newton_steps"] for entry in sol.trace),
+        "trace": sol.trace,
         "runtime_s": time.perf_counter() - t_start,
     }
     if context_timings_10ms is not None:

@@ -35,16 +35,18 @@ Problem size, for phases i = 1..n_p with N_i intervals and n_i stance feet
 The solver is an augmented-Lagrangian outer loop over the equality and
 inequality constraints. Each subproblem is solved over the variable bounds
 by a projected Newton method on B = ∇²L + rho J^T S^2 J. The cost and
-constraint gradients are analytic. J and ∇²L are forward differences of
-the constraints and of that gradient, one per structural colour. B is
-banded in a knot-by-interval ordering, with the phase durations as a
-border. Returned solutions are re-checked by an independent constraint
-evaluator that does not share code with the solver path.
+constraint gradients, J and ∇²L are analytic. Every nonlinear term touches
+one knot, the forces of the interval it starts and one phase duration, so
+J and ∇²L are computed block by block in closed form. B is banded in a
+knot-by-interval ordering, with the phase durations as a border. Returned
+solutions are re-checked by an independent constraint evaluator that does
+not share code with the solver path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded
@@ -74,7 +76,6 @@ __all__ = [
 _T_PHASE_MIN = 0.05   # vanishing phase guard, seconds
 
 # projected-Newton inner solve
-_FD_STEP = float(np.sqrt(np.finfo(float).eps))   # relative difference step
 _ACTIVE_MARGIN = 1e-6               # bound margin of the fixed set
 _NEWTON_DECREMENT = 1e-14           # stop when -g.d <= this * max(1, |phi|)
 _ARMIJO = 1e-4
@@ -84,7 +85,6 @@ _RHO_MAX = 1e9
 _MAX_BACKTRACKS = 40
 _DELTA_FLOOR = 1e-12                # first damping, relative to the diagonal
 _DELTA_MAX = 1e6                    # damping limit, relative to the diagonal
-_ROW_GROUP = 64                     # Jacobian rows per Gauss-Newton scatter
 
 
 class SpecError(ValueError):
@@ -195,6 +195,7 @@ class TimingSolution:
     converged: bool
     outer_iterations: int
     ortho_defect: float              # max knot orthogonality defect
+    trace: list                      # per outer iteration: violation, rho, newton_steps, delta
 
 
 @dataclass
@@ -273,7 +274,8 @@ def trajectory_cost(states: list[SrbdState], forces: np.ndarray,
 
 
 class TimingProblem:
-    """Packed NLP: decision vector, bounds, cost/constraints with gradients.
+    """Packed NLP: decision vector, bounds, cost/constraints with gradients,
+    and the exact derivative blocks of the Newton matrix.
 
     Layout: knots [p v omega R(9)] x (N+1), then scaled stance forces
     (f / (m g)) per stance interval and foot, then phase durations.
@@ -348,21 +350,84 @@ class TimingProblem:
             for k in range(self.n_knots)
         ])
         # tables of _eval: component-major copies and per-interval phase data
-        self.ref_rots_cm = self.ref_rots.transpose(1, 2, 0)[:, :, None]  # (3, 3, 1, n_knots)
-        self.inertia_cm = spec.model.inertia[:, :, None, None]
-        self.inv_inertia_cm = np.linalg.inv(spec.model.inertia)[:, :, None, None]
-        self.feet_cm = self.int_feet_pos.transpose(2, 1, 0)[:, None]      # (3, 1, 4, N)
+        self.ref_rots_cm = self.ref_rots.transpose(1, 2, 0)                # (3, 3, n_knots)
+        self.inertia_cm = spec.model.inertia[:, :, None]
+        self.inv_inertia_cm = np.linalg.inv(spec.model.inertia)[:, :, None]
+        self.feet_cm = self.int_feet_pos.transpose(2, 1, 0)                # (3, 4, N)
         self.item_slot = self.fi_f * self.n_int + self.fi_j
-        self.sk_pw_cm = self.sk_pw.T[:, None]
-        self.sk_center_cm = spec.sphere_centers[self.sk_f].T[:, None]
+        self.sk_pw_cm = self.sk_pw.T
+        self.sk_center_cm = spec.sphere_centers[self.sk_f].T
         self.int_nk = self.phase_nk[self.int_phase]
         self.phase_start = np.concatenate([[0], np.cumsum(self.phase_nk[:-1])]).astype(np.intp)
 
         self.n_goal_twist = (3 if spec.v_goal is not None else 0) + \
             (3 if spec.omega_goal is not None else 0)
-        self.n_eq = 18 + 12 + self.n_goal_twist + 18 * self.n_int \
-            + (3 if self.int_feet[0] else 0)
+        self.n_head = 18 + 12 + self.n_goal_twist
+        self.n_eq = self.n_head + 18 * self.n_int + (3 if self.int_feet[0] else 0)
         self.n_ineq = 4 * (self.n_force // 3) + len(self.stance_knots) + 2
+        self._block_layout()
+
+    def _block_layout(self):
+        """Rows and variables of the derivative blocks, one block per knot.
+
+        Block j holds knot j and the stance forces of interval j (padded to
+        ``block_size``), then knot j + 1, then the duration of interval j's
+        phase; its rows are the defects of interval j, the angular-
+        acceleration pin (block 0), the friction rows of interval j's forces
+        and the sphere rows of knot j. ``block_rows`` and ``block_cols`` give
+        the global row and variable of each local one, -1 for padding. The
+        boundary rows pin one variable each with unit coefficient
+        (``unit_rows`` on ``unit_vars``); the duration window rows are the
+        last two.
+        """
+        n, n_items, nk = self.n_int, self.n_force // 3, self.n_knots
+        ax = np.arange(3)
+        slot = np.arange(n_items) - np.searchsorted(self.fi_j, self.fi_j)   # within its interval
+        self.item_col = 18 + 3 * slot
+        max_feet = max(len(f) for f in self.int_feet)
+        self.block_size = bs = 18 + 3 * max_feet
+        cols = np.full((nk, bs + 19), -1, dtype=np.int32)
+        cols[:, :18] = 18 * np.arange(nk)[:, None] + np.arange(18)
+        cols[self.fi_j[:, None], self.item_col[:, None] + ax] = \
+            self.nf_off + 3 * np.arange(n_items)[:, None] + ax
+        cols[:n, bs:bs + 18] = cols[1:, :18]
+        cols[:n, -1] = self.nt_off + self.int_phase
+
+        n_pin = 3 if self.int_feet[0] else 0
+        fric0 = 18 + n_pin
+        sph0 = fric0 + 4 * max_feet
+        sk_slot = np.arange(len(self.sk_k)) - np.searchsorted(self.sk_k, self.sk_k)
+        self.sk_row = sph0 + sk_slot
+        rows = np.full((nk, sph0 + int(sk_slot.max(initial=-1)) + 1), -1, dtype=np.int32)
+        o, j = self.n_head, np.arange(n)[:, None]
+        for first, width in ((0, 3), (3, 3), (6, 3), (9, 9)):   # p, v, omega, R defects
+            rows[:n, first:first + width] = o + width * j + np.arange(width)
+            o += width * n
+        rows[0, 18:fric0] = o + np.arange(n_pin)
+        self.fric_row = fric0 + 4 * slot[:, None] + np.arange(4)
+        rows[self.fi_j[:, None], self.fric_row] = self.n_eq + 4 * np.arange(n_items)[:, None] \
+            + np.arange(4)
+        rows[self.sk_k, self.sk_row] = self.n_eq + 4 * n_items + np.arange(len(self.sk_k))
+        self.block_rows, self.block_cols = rows, cols
+
+        # the local columns each local row may touch
+        p, v, w, r, f = np.r_[0:3], np.r_[3:6], np.r_[6:9], np.r_[9:18], np.r_[18:bs]
+        t = [bs + 18]
+        pattern = np.zeros(rows.shape[1:] + cols.shape[1:], dtype=bool)
+        for local, touched in ((np.r_[0:3], [p, v, bs + p, t]), (np.r_[3:6], [v, f, bs + v, t]),
+                               (np.r_[6:9], [p, w, r, f, bs + w, t]),
+                               (np.r_[9:18], [w, r, bs + r, t]), (np.r_[18:fric0], [p, w, r, f]),
+                               (np.r_[fric0:sph0], [f]), (np.r_[sph0:rows.shape[1]], [p, r])):
+            pattern[np.ix_(local, np.concatenate(touched))] = True
+        self.block_pattern = pattern
+
+        goal = [np.arange(3), np.arange(9, 18)]
+        if self.spec.v_goal is not None:
+            goal.append(np.arange(3, 6))
+        if self.spec.omega_goal is not None:
+            goal.append(np.arange(6, 9))
+        self.unit_rows = np.arange(self.n_head)
+        self.unit_vars = np.concatenate([np.arange(18), 18 * n + np.concatenate(goal)])
 
     # -- packing ------------------------------------------------------------
 
@@ -424,229 +489,346 @@ class TimingProblem:
         return list(zip(lo, hi))
 
     # -- vectorized evaluation ----------------------------------------------
+    #
+    # Arrays are component-major: a 3-vector per knot is (3, n_knots) and a
+    # 3x3 matrix (3, 3, n_knots), so every numpy call runs over all knots or
+    # intervals at once. Per-interval quantities have n_int columns; the
+    # suffix _k marks the knot that starts the interval.
 
-    def _eval(self, z: np.ndarray, need_grad: bool):
-        """Cost, equality residuals, inequality residuals, and a vjp closure.
-
-        ``z`` is one decision vector or a stack ``(B, n_vars)`` of them. A
-        stack is evaluated in one pass and gives the costs ``(B,)``, the
-        residuals ``(B, n_eq)`` and ``(B, n_ineq)``, and a ``grad(y_eq, y_in)``
-        that returns ``(B, n_vars)`` for multipliers shared by all rows. One
-        vector is evaluated as a stack of one.
-        """
-        z = np.asarray(z, dtype=float)
-        if z.ndim == 2:
-            return self._eval_stack(z, need_grad)
-        cost, c_eq, c_in, stack_grad = self._eval_stack(z[None], need_grad)
-        if not need_grad:
-            return float(cost[0]), c_eq[0], c_in[0], None
-
-        def grad(y_eq: np.ndarray, y_in: np.ndarray) -> np.ndarray:
-            return stack_grad(y_eq, y_in)[0]
-
-        return float(cost[0]), c_eq[0], c_in[0], grad
-
-    def _eval_stack(self, z: np.ndarray, need_grad: bool):
-        """``_eval`` on a stack ``(B, n_vars)``.
-
-        Internally the arrays are component-major: a 3-vector per knot is
-        ``(3, B, n_knots)`` and a 3x3 matrix ``(3, 3, B, n_knots)``, so every
-        numpy call runs over all intervals of all rows at once.
-        """
+    def _state(self, z: np.ndarray) -> SimpleNamespace:
+        """Knot, force and step quantities at ``z``."""
         spec = self.spec
-        m, g_vec = spec.model.mass, spec.model.g_vec
         inertia, inv_i = self.inertia_cm, self.inv_inertia_cm
-        b, n_int, n_items = len(z), self.n_int, self.n_force // 3
-        knots = np.ascontiguousarray(
-            z[:, :self.nf_off].reshape(b, self.n_knots, 18).transpose(2, 0, 1))
-        pos, vel, omega = knots[0:3], knots[3:6], knots[6:9]
-        rots = knots[9:18].reshape(3, 3, b, self.n_knots)
-        f_items = z[:, self.nf_off:self.nt_off].reshape(b, n_items, 3) * self.f_scale
-        f_cm = f_items.transpose(2, 0, 1)                      # (3, B, items)
-        forces = np.zeros((3, b, 4 * n_int))                   # (3, B, foot x interval)
-        forces[..., self.item_slot] = f_cm
-        forces = forces.reshape(3, b, 4, n_int)
-        durations = z[:, self.nt_off:]
-        h = durations[:, self.int_phase] / self.int_nk        # (B, N)
-        p_k, v_k, om_k, r_k = pos[..., :-1], vel[..., :-1], omega[..., :-1], rots[..., :-1]
+        n_int, n_items = self.n_int, self.n_force // 3
+        st = SimpleNamespace()
+        knots = np.ascontiguousarray(z[:self.nf_off].reshape(self.n_knots, 18).T)
+        st.pos, st.vel, st.omega = knots[0:3], knots[3:6], knots[6:9]
+        st.rots = knots[9:18].reshape(3, 3, self.n_knots)
+        st.f_cm = z[self.nf_off:self.nt_off].reshape(n_items, 3).T * self.f_scale
+        forces = np.zeros((3, 4 * n_int))                      # (3, foot x interval)
+        forces[:, self.item_slot] = st.f_cm
+        forces = forces.reshape(3, 4, n_int)
+        st.durations = z[self.nt_off:]
+        st.h = st.durations[self.int_phase] / self.int_nk
+        st.p_k, st.v_k = st.pos[:, :-1], st.vel[:, :-1]
+        st.om_k, st.r_k = st.omega[:, :-1], st.rots[..., :-1]
 
-        fsum = forces.sum(axis=2)                              # (3, B, N)
-        u = fsum / m + g_vec[:, None, None]
-
+        st.fsum = forces.sum(axis=1)
+        st.u = st.fsum / spec.model.mass + spec.model.g_vec[:, None]
         # torque about the CoM per interval, world frame
-        lever = p_k[:, :, None] - self.feet_cm                 # (3, B, 4, N)
-        tau = _cross(forces, lever).sum(axis=2)
-        # a stack's arrays are B times those of one evaluation: each one the
-        # gradient does not read is freed as soon as it is consumed
-        del forces
-        tau_b = _matvec(r_k.swapaxes(0, 1), tau)                # R^T tau
-        i_om = _matvec(inertia, om_k)
-        om_dot = _matvec(inv_i, tau_b - _cross(om_k, i_om))
-
-        c_pos = pos[..., 1:] - p_k - h * v_k
-        c_vel = vel[..., 1:] - v_k - h * u
-        c_om = omega[..., 1:] - om_k - h * om_dot
+        lever = st.p_k[:, None] - self.feet_cm                  # (3, 4, N)
+        st.lever_items = lever.reshape(3, 4 * n_int)[:, self.item_slot]
+        st.tau = _cross(forces, lever).sum(axis=1)
+        st.i_om = _matvec(inertia, st.om_k)
+        st.om_dot = _matvec(inv_i, _matvec(st.r_k.swapaxes(0, 1), st.tau)
+                            - _cross(st.om_k, st.i_om))
 
         # exp_taylor4(hat(a)) for a = omega h; on skew A, A^3 = -|a|^2 A
-        a = om_k * h
-        th2 = np.sum(a * a, axis=0)
-        c1, c2 = 1.0 - th2 / 6.0, 0.5 - th2 / 24.0
-        e_mat = c2 * a[:, None] * a[None] + _hat(c1 * a)
-        e_mat[[0, 1, 2], [0, 1, 2]] += 1.0 - c2 * th2
-        c_rot = rots[..., 1:] - _matmul(r_k, e_mat)
+        st.a = st.om_k * st.h
+        st.th2 = np.sum(st.a * st.a, axis=0)
+        st.c1, st.c2 = 1.0 - st.th2 / 6.0, 0.5 - st.th2 / 24.0
+        st.e_mat = st.c2 * st.a[:, None] * st.a[None] + _hat(st.c1 * st.a)
+        st.e_mat[[0, 1, 2], [0, 1, 2]] += 1.0 - st.c2 * st.th2
 
-        head = [
-            pos[..., 0] - spec.p_start[:, None],
-            vel[..., 0],
-            omega[..., 0],
-            (rots[..., 0] - spec.r_start[..., None]).reshape(9, b),
-            pos[..., -1] - spec.p_goal[:, None],
-            (rots[..., -1] - spec.r_goal[..., None]).reshape(9, b),
+        st.d_sph = self.sk_pw_cm - st.pos[:, self.sk_k]        # (3, stance knots)
+        st.u_sph = _matvec(st.rots[..., self.sk_k], st.d_sph) - self.sk_center_cm
+        st.m_err = _matmul(self.ref_rots_cm.swapaxes(0, 1), st.rots)   # ref^T R
+        return st
+
+    def _multipliers(self, y_eq: np.ndarray, y_in: np.ndarray) -> SimpleNamespace:
+        """Multipliers by constraint family, component-major."""
+        n, n_items = self.n_int, self.n_force // 3
+        y = SimpleNamespace()
+        o = self.n_head
+        y.pos, y.vel, y.om = (y_eq[o + 3 * n * i:o + 3 * n * (i + 1)].reshape(n, 3).T
+                              for i in range(3))
+        o += 9 * n
+        y.rot = y_eq[o:o + 9 * n].reshape(n, 3, 3).transpose(1, 2, 0)
+        y.pin = y_eq[o + 9 * n:]
+        y.fric = y_in[:4 * n_items].reshape(-1, 4)
+        y.sph = y_in[4 * n_items:4 * n_items + len(self.sk_k)]
+        y.window = y_in[-2:]
+        return y
+
+    def _rate_weights(self, st: SimpleNamespace, y: SimpleNamespace) -> np.ndarray:
+        """inv(I)^T times the multipliers of h * om_dot, the pin's included.
+
+        The defects enter as -h om_dot and the pin as +om_dot[0], so the
+        Lagrangian holds -<w, R^T tau - om x I om> per interval.
+        """
+        y_eff = y.om * st.h
+        if len(y.pin):
+            y_eff[:, 0] -= y.pin
+        return _matvec(self.inv_inertia_cm.swapaxes(0, 1), y_eff)
+
+    def _rate_adjoint(self, st: SimpleNamespace, w: np.ndarray):
+        """Gradients of -<w, R^T tau - om x I om> per interval.
+
+        Returns the parts in omega_k, p_k, R_k and the force items (world
+        units).
+        """
+        # d om_dot / d omega = -inv_i (hat(om) I - hat(I om)), so its
+        # transpose takes w to (I om) x w - I^T (om x w)
+        g_om = (_cross(st.i_om, w)
+                - _matvec(self.inertia_cm.swapaxes(0, 1), _cross(st.om_k, w)))
+        # the torque term is -<R w, sum_s f_s x lever_s>: its gradient is
+        # (sum_s f_s) x R w in the position, R w x lever_s in f_s and
+        # -outer(tau, w) in R
+        rw = _matvec(st.r_k, w)
+        g_r = -st.tau[:, None] * w[None]
+        return g_om, _cross(st.fsum, rw), g_r, _cross(rw[:, self.fi_j], st.lever_items)
+
+    def _eval(self, z: np.ndarray, need_grad: bool):
+        """Cost, equality residuals, inequality residuals, and a vjp closure."""
+        spec = self.spec
+        st = self._state(np.asarray(z, dtype=float))
+        pos, vel, omega, rots, h = st.pos, st.vel, st.omega, st.rots, st.h
+        n_items = self.n_force // 3
+
+        c_pos = pos[:, 1:] - st.p_k - h * st.v_k
+        c_vel = vel[:, 1:] - st.v_k - h * st.u
+        c_om = omega[:, 1:] - st.om_k - h * st.om_dot
+        c_rot = rots[..., 1:] - _matmul(st.r_k, st.e_mat)
+        eq_parts = [
+            pos[:, 0] - spec.p_start,
+            vel[:, 0],
+            omega[:, 0],
+            (rots[..., 0] - spec.r_start).reshape(9),
+            pos[:, -1] - spec.p_goal,
+            (rots[..., -1] - spec.r_goal).reshape(9),
         ]
         if spec.v_goal is not None:
-            head.append(vel[..., -1] - spec.v_goal[:, None])
+            eq_parts.append(vel[:, -1] - spec.v_goal)
         if spec.omega_goal is not None:
-            head.append(omega[..., -1] - spec.omega_goal[:, None])
-        eq_parts = [np.concatenate(head).T]
+            eq_parts.append(omega[:, -1] - spec.omega_goal)
         # defect rows are interval-major, as in the decision vector
-        eq_parts += [c.transpose(1, 2, 0).reshape(b, -1) for c in (c_pos, c_vel, c_om)]
-        eq_parts.append(c_rot.transpose(2, 3, 0, 1).reshape(b, -1))
+        eq_parts += [c.T.reshape(-1) for c in (c_pos, c_vel, c_om)]
+        eq_parts.append(c_rot.transpose(2, 0, 1).reshape(-1))
         if self.int_feet[0]:
-            eq_parts.append(om_dot[..., 0].T)
-        c_eq = np.concatenate(eq_parts, axis=1)
-        del eq_parts, c_pos, c_vel, c_om, c_rot
+            eq_parts.append(st.om_dot[:, 0])
+        c_eq = np.concatenate(eq_parts)
 
         # inequalities: friction pyramid per force variable block
-        mu_fz = spec.mu * f_items[..., 2]
-        fric = np.stack([f_items[..., 0] - mu_fz, -f_items[..., 0] - mu_fz,
-                         f_items[..., 1] - mu_fz, -f_items[..., 1] - mu_fz], axis=-1)
-        d_sph = self.sk_pw_cm - pos[..., self.sk_k]           # (3, B, stance knots)
-        u_sph = _matvec(rots[..., self.sk_k], d_sph) - self.sk_center_cm
-        sph = np.sum(u_sph * u_sph, axis=0) - spec.sphere_radius**2
-        t_total = durations.sum(axis=1)[:, None]
-        ineq = np.concatenate([fric.reshape(b, -1), sph,
-                               spec.t_min - t_total, t_total - spec.t_max], axis=1)
-        del fric, sph
+        fx, fy, mu_fz = st.f_cm[0], st.f_cm[1], spec.mu * st.f_cm[2]
+        fric = np.stack([fx - mu_fz, -fx - mu_fz, fy - mu_fz, -fy - mu_fz], axis=-1)
+        sph = np.sum(st.u_sph * st.u_sph, axis=0) - spec.sphere_radius**2
+        t_total = float(st.durations.sum())
+        ineq = np.concatenate([fric.reshape(-1), sph,
+                               [spec.t_min - t_total, t_total - spec.t_max]])
 
-        # cost
-        cost_rot, cost_rot_grads = _rot_cost_batch(
-            _matmul(self.ref_rots_cm.swapaxes(0, 1), rots), spec.eps_rot, need_grad)  # ref^T R
-        cost = (spec.eps_omega * np.sum(omega * omega, axis=(0, 2))
-                + spec.eps_force * np.sum(f_items * f_items, axis=(1, 2))
-                + cost_rot)
-
+        cost_rot, cost_rot_grads = _rot_cost_batch(st.m_err, spec.eps_rot, need_grad)
+        cost = float(spec.eps_omega * np.sum(omega * omega)
+                     + spec.eps_force * np.sum(st.f_cm * st.f_cm) + cost_rot)
         if not need_grad:
             return cost, c_eq, ineq, None
 
         def grad(y_eq: np.ndarray, y_in: np.ndarray) -> np.ndarray:
-            """Gradient of cost + y_eq . c_eq + y_in . c_ineq, per row."""
-            g_knots = np.zeros((18, b, self.n_knots))
+            """Gradient of cost + y_eq . c_eq + y_in . c_ineq."""
+            y = self._multipliers(y_eq, y_in)
+            m = spec.model.mass
+            g_knots = np.zeros((18, self.n_knots))
             g_pos, g_vel, g_om = g_knots[0:3], g_knots[3:6], g_knots[6:9]
-            g_rot = g_knots[9:18].reshape(3, 3, b, self.n_knots)
+            g_rot = g_knots[9:18].reshape(3, 3, self.n_knots)
 
             # cost terms
             g_om += 2.0 * spec.eps_omega * omega
-            g_f = 2.0 * spec.eps_force * f_cm
+            g_f = 2.0 * spec.eps_force * st.f_cm
             g_rot += _matmul(self.ref_rots_cm, cost_rot_grads)
 
-            o = 0
-            g_pos[..., 0] += y_eq[o:o + 3, None]; o += 3
-            g_vel[..., 0] += y_eq[o:o + 3, None]; o += 3
-            g_om[..., 0] += y_eq[o:o + 3, None]; o += 3
-            g_rot[..., 0] += y_eq[o:o + 9].reshape(3, 3, 1); o += 9
-            g_pos[..., -1] += y_eq[o:o + 3, None]; o += 3
-            g_rot[..., -1] += y_eq[o:o + 9].reshape(3, 3, 1); o += 9
-            if spec.v_goal is not None:
-                g_vel[..., -1] += y_eq[o:o + 3, None]; o += 3
-            if spec.omega_goal is not None:
-                g_om[..., -1] += y_eq[o:o + 3, None]; o += 3
+            # position and velocity defects
+            g_pos[:, 1:] += y.pos
+            g_pos[:, :-1] -= y.pos
+            g_vel[:, :-1] -= h * y.pos
+            g_vel[:, 1:] += y.vel
+            g_vel[:, :-1] -= y.vel
+            g_f -= (h[self.fi_j] / m) * y.vel[:, self.fi_j]
 
-            # defect multipliers, shared by the rows: (3, 1, N) and (3, 3, 1, N)
-            y_pos = y_eq[o:o + 3 * n_int].reshape(n_int, 1, 3).T; o += 3 * n_int
-            y_vel = y_eq[o:o + 3 * n_int].reshape(n_int, 1, 3).T; o += 3 * n_int
-            y_om = y_eq[o:o + 3 * n_int].reshape(n_int, 1, 3).T; o += 3 * n_int
-            y_rot = y_eq[o:o + 9 * n_int].reshape(n_int, 1, 3, 3).transpose(2, 3, 1, 0)
-            o += 9 * n_int
+            # body-rate defects (including the initial angular-acceleration pin)
+            g_om[:, 1:] += y.om
+            g_om[:, :-1] -= y.om
+            r_om, r_p, r_rot, r_f = self._rate_adjoint(st, self._rate_weights(st, y))
+            g_om[:, :-1] += r_om
+            g_pos[:, :-1] += r_p
+            g_rot[..., :-1] += r_rot
+            g_f += r_f
 
-            # position defects
-            g_pos[..., 1:] += y_pos
-            g_pos[..., :-1] -= y_pos
-            g_vel[..., :-1] -= h * y_pos
-
-            # velocity defects
-            g_vel[..., 1:] += y_vel
-            g_vel[..., :-1] -= y_vel
-            g_f -= (h[:, self.fi_j] / m) * y_vel[..., self.fi_j]
-
-            # omega defects (including the initial angular-acceleration pin)
-            y_om_eff = y_om * h
-            if self.int_feet[0]:
-                y_om_eff[..., 0] -= y_eq[-3:, None]  # pin enters as +om_dot[0], defect as -h*om_dot
-            g_om[..., 1:] += y_om
-            g_om[..., :-1] -= y_om
-            w_vec = _matvec(inv_i.swapaxes(0, 1), y_om_eff)      # inv_i^T y
-            # d om_dot / d omega = -inv_i (hat(om) I - hat(I om)), so its
-            # transpose takes w to (I om) x w - I^T (om x w)
-            g_om[..., :-1] += (_cross(i_om, w_vec)
-                               - _matvec(inertia.swapaxes(0, 1), _cross(om_k, w_vec)))
-            # d om_dot / d R = inv_i d(R^T tau): grad_R -= outer(tau, w)
-            g_rot[..., :-1] -= tau[:, None] * w_vec[None]
-            # the torque term is -<R w, sum_s f_s x lever_s>: its gradient is
-            # (sum_s f_s) x R w in the position and R w x lever_s in f_s
-            rw = _matvec(r_k, w_vec)
-            g_pos[..., :-1] += _cross(fsum, rw)
-            g_f += _cross(rw[..., self.fi_j],
-                          lever.reshape(3, b, 4 * n_int)[..., self.item_slot])
-
-            # rotation-manifold defects: gradient in a of <R^T Y, E(a)>, with
-            # E(a) = I + c1 hat(a) + c2 (a a^T - |a|^2 I)
-            g_rot[..., 1:] += y_rot
-            g_rot[..., :-1] -= _matmul(y_rot, e_mat.swapaxes(0, 1))
-            v_adj = _matmul(r_k.swapaxes(0, 1), y_rot)
-            s_v = _vee_star_batch(v_adj)
-            tr_v = v_adj[0, 0] + v_adj[1, 1] + v_adj[2, 2]
-            sym_a = _matvec(v_adj, a) + _matvec(v_adj.swapaxes(0, 1), a)
-            vs = (c1 * s_v + c2 * (sym_a - 2.0 * tr_v * a)
-                  - (np.sum(s_v * a, axis=0) / 3.0
-                     + (0.5 * np.sum(sym_a * a, axis=0) - th2 * tr_v) / 12.0) * a)
-            g_om[..., :-1] -= vs * h
+            # rotation-manifold defects: -<R^T Y, E(a)> per interval
+            g_rot[..., 1:] += y.rot
+            g_rot[..., :-1] -= _matmul(y.rot, st.e_mat.swapaxes(0, 1))
+            vs, _ = _exp_curvature(st, _matmul(st.r_k.swapaxes(0, 1), y.rot))
+            g_om[:, :-1] -= vs * h
 
             # durations: every defect of interval j scales with h_j = T_i / N_i
-            dh = np.sum(y_pos * v_k + y_vel * u + y_om * om_dot + vs * om_k, axis=0)
-            g_t = -np.add.reduceat(dh / self.int_nk, self.phase_start, axis=1)
+            dh = np.sum(y.pos * st.v_k + y.vel * st.u + y.om * st.om_dot + vs * st.om_k, axis=0)
+            g_t = -np.add.reduceat(dh / self.int_nk, self.phase_start)
 
             # friction rows
             if n_items:
-                yf = y_in[:4 * n_items].reshape(-1, 4)
+                yf = y.fric
                 g_f[0] += yf[:, 0] - yf[:, 1]
                 g_f[1] += yf[:, 2] - yf[:, 3]
                 g_f[2] -= spec.mu * yf.sum(axis=1)
             # sphere rows; the rows of one knot are adjacent
             if len(self.sk_k):
-                y_sph = 2.0 * y_in[4 * n_items:4 * n_items + len(self.sk_k)]
-                ru = _matvec(rots[..., self.sk_k].swapaxes(0, 1), u_sph)   # R^T u
-                g_pos[..., self.sk_knots] -= np.add.reduceat(y_sph * ru, self.sk_start, axis=-1)
+                y_sph = 2.0 * y.sph
+                ru = _matvec(rots[..., self.sk_k].swapaxes(0, 1), st.u_sph)   # R^T u
+                g_pos[:, self.sk_knots] -= np.add.reduceat(y_sph * ru, self.sk_start, axis=-1)
                 g_rot[..., self.sk_knots] += np.add.reduceat(
-                    (y_sph * u_sph)[:, None] * d_sph[None], self.sk_start, axis=-1)
+                    (y_sph * st.u_sph)[:, None] * st.d_sph[None], self.sk_start, axis=-1)
             # duration window rows
-            g_t += y_in[-1] - y_in[-2]
+            g_t += y.window[1] - y.window[0]
 
-            gz = np.empty((b, self.n_vars))
-            gz[:, :self.nf_off].reshape(b, self.n_knots, 18)[...] = g_knots.transpose(1, 2, 0)
-            gz[:, self.nf_off:self.nt_off].reshape(b, n_items, 3)[...] = \
-                (g_f * self.f_scale).transpose(1, 2, 0)
-            gz[:, self.nt_off:] = g_t
+            gz = np.empty(self.n_vars)
+            gz[:self.nf_off] = g_knots.T.reshape(-1)
+            gz[self.nf_off:self.nt_off] = (g_f * self.f_scale).T.reshape(-1)
+            gz[self.nt_off:] = g_t
+            gz[self.unit_vars] += y_eq[self.unit_rows]               # boundary rows
             return gz
 
         return cost, c_eq, ineq, grad
 
+    def _derivative_blocks(self, z: np.ndarray, y_eq: np.ndarray | None = None,
+                           y_in: np.ndarray | None = None):
+        """Exact constraint Jacobian and Lagrangian Hessian, block by block.
+
+        Returns ``jac`` of shape ``block_rows.shape + (n_cols,)``: the
+        derivatives of each block's rows in its variables (see
+        :meth:`_block_layout`). Given multipliers, also returns ``hess``,
+        ``(n_knots, block_size + 1, block_size + 1)``: the Hessian of cost +
+        y_eq . c_eq + y_in . c_in in each block's own variables and its
+        duration (last). No nonlinear term touches knot j + 1, so these are
+        all its terms; only the upper triangle is filled. The boundary and
+        duration window rows are linear and left out.
+        """
+        spec = self.spec
+        st = self._state(z)
+        n, n_items, bs = self.n_int, self.n_force // 3, self.block_size
+        m, fs = spec.model.mass, self.f_scale
+        inertia, inv_i = self.inertia_cm, self.inv_inertia_cm
+        h, nk = st.h, self.int_nk
+        ax = np.arange(3)
+        t_col = bs + 18
+        fi_j, ic = self.fi_j[:, None], self.item_col[:, None]
+        jac = np.zeros(self.block_rows.shape + self.block_cols.shape[1:])
+        jac[:n, np.arange(18), bs + np.arange(18)] = 1.0          # knot j + 1 in its defects
+        mu = spec.mu
+        jac[fi_j[:, :, None], self.fric_row[:, :, None], ic[:, :, None] + ax] = fs * np.array(
+            [[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]])
+
+        # position and velocity defects
+        jac[:n, ax, ax] = -1.0
+        jac[:n, 3 + ax, 3 + ax] = -1.0
+        jac[:n, ax, 3 + ax] = -h[:, None]
+        jac[:n, 0:3, t_col] = -(st.v_k / nk).T
+        jac[fi_j, 3 + ax, ic + ax] = -(h[self.fi_j] * fs / m)[:, None]
+        jac[:n, 3:6, t_col] = -(st.u / nk).T
+
+        # body-rate defects: d om_dot / d (p, omega, R, forces) of knot j
+        rate = np.zeros((n, 3, bs))
+        r_t = st.r_k.swapaxes(0, 1)
+        rate[:, :, 0:3] = _matmul(inv_i, _matmul(r_t, _hat(st.fsum))).transpose(2, 0, 1)
+        rate[:, :, 6:9] = _matmul(inv_i, _hat(st.i_om) - _matmul(_hat(st.om_k), inertia)
+                                  ).transpose(2, 0, 1)
+        rate[:, :, 9:18] = (inv_i[:, None] * st.tau[None, :, None]   # inv_i[a, c] tau[b]
+                            ).reshape(3, 9, n).transpose(2, 0, 1)
+        if n_items:
+            d_f = -fs * _matmul(inv_i, _matmul(r_t[..., self.fi_j], _hat(st.lever_items)))
+            rate[fi_j[:, :, None], ax[:, None], ic[:, :, None] + ax] = d_f.transpose(2, 0, 1)
+        jac[:n, 6:9, :bs] = -h[:, None, None] * rate
+        jac[:n, 6 + ax, 6 + ax] -= 1.0
+        jac[:n, 6:9, t_col] = -(st.om_dot / nk).T
+        if self.int_feet[0]:
+            jac[0, 18:21, :bs] = rate[0]
+
+        # rotation defects R_{j+1} - R_j E(a): row (a, b) has -E[c, b] at R_j[a, c]
+        de = _exp_jacobian(st)                                  # dE/da_k, (3, 3, k, N)
+        r_de = _matmul(st.r_k[:, :, None], de)                  # R dE/da_k
+        jac[:n, _ROT_ROWS, _ROT_COLS] = -st.e_mat[_ROT_C, _ROT_B].T
+        jac[:n, 9:18, 6:9] = -h[:, None, None] * r_de.reshape(9, 3, n).transpose(2, 0, 1)
+        jac[:n, 9:18, t_col] = -(np.sum(r_de * st.om_k, axis=2).reshape(9, n) / nk).T
+
+        # sphere rows |R (p_f - p) - c|^2 - r^2
+        n_sph = len(self.sk_k)
+        if n_sph:
+            ru = _matvec(st.rots[..., self.sk_k].swapaxes(0, 1), st.u_sph)
+            jac[self.sk_k, self.sk_row, 0:3] = -2.0 * ru.T
+            jac[self.sk_k, self.sk_row, 9:18] = \
+                2.0 * (st.u_sph[:, None] * st.d_sph[None]).reshape(9, n_sph).T
+        if y_eq is None:
+            return jac, None
+
+        y = self._multipliers(y_eq, y_in)
+        hess = np.zeros((self.n_knots, bs + 1, bs + 1))          # the duration last
+        # cost
+        hess[:, 6 + ax, 6 + ax] = 2.0 * spec.eps_omega
+        hess[fi_j, ic + ax, ic + ax] = 2.0 * spec.eps_force * fs**2
+        hess[:, 9:18, 9:18] = _rot_cost_hessian(st.m_err, self.ref_rots, spec.eps_rot)
+
+        # position and velocity defects: linear in h, so only the duration
+        # column
+        hess[:n, 3:6, bs] = -(y.pos / nk).T
+        hess[fi_j, ic + ax, bs] = -(y.vel[:, self.fi_j] * fs / (m * nk[self.fi_j])).T
+
+        # body-rate defects
+        w = self._rate_weights(st, y)
+        hat_w = _hat(w)
+        hess[:n, 6:9, 6:9] += (_matmul(inertia, hat_w) - _matmul(hat_w, inertia)
+                               ).transpose(2, 0, 1)
+        # d^2 / dp[i] dR[b, c] = hat(sum_s f_s)[i, b] w[c]
+        hess[:n, 0:3, 9:18] += (_hat(st.fsum)[:, :, None] * w[None, None]
+                                ).reshape(3, 9, n).transpose(2, 0, 1)
+        if n_items:
+            w_it = w[:, self.fi_j]
+            rw = _matvec(st.r_k[..., self.fi_j], w_it)
+            hess[fi_j[:, :, None], ax[:, None], ic[:, :, None] + ax] = \
+                -fs * _hat(rw).transpose(2, 0, 1)
+            # d^2 / dR[b, c] df[a] = -hat(lever)[a, b] w[c]
+            r_force = -fs * _hat(st.lever_items)[:, :, None] * w_it[None, None]
+            hess[fi_j[:, :, None], 9 + np.arange(9)[:, None], ic[:, :, None] + ax] = \
+                r_force.transpose(3, 1, 2, 0).reshape(n_items, 9, 3)
+        # w = h inv_i^T y_om (+ the pin): its duration derivative is
+        # inv_i^T y_om / N_i
+        r_om, r_p, r_rot, r_f = self._rate_adjoint(
+            st, _matvec(inv_i.swapaxes(0, 1), y.om / nk))
+        hess[:n, 6:9, bs] += r_om.T
+        hess[:n, 0:3, bs] += r_p.T
+        hess[:n, 9:18, bs] += r_rot.reshape(9, n).T
+        hess[fi_j, ic + ax, bs] += (fs * r_f).T
+
+        # rotation defects: -<R^T Y, E(a)>, a = omega h
+        vs, hv = _exp_curvature(st, _matmul(r_t, y.rot))
+        y_de = _matmul(y.rot[:, :, None], de.swapaxes(0, 1))   # Y dE/da_k^T
+        hess[:n, 6:9, 6:9] -= (h * h * hv).transpose(2, 0, 1)
+        hess[:n, 6:9, 9:18] -= h[:, None, None] * y_de.reshape(9, 3, n).transpose(2, 1, 0)
+        hess[:n, 9:18, bs] -= (np.sum(y_de * st.om_k, axis=2).reshape(9, n) / nk).T
+        hv_om = _matvec(hv, st.om_k)
+        hess[:n, 6:9, bs] -= ((vs + h * hv_om) / nk).T
+        hess[:n, bs, bs] = -np.sum(st.om_k * hv_om, axis=0) / nk**2
+
+        # sphere rows, summed per knot
+        if n_sph:
+            ys = 2.0 * y.sph
+            kk, start = self.sk_knots, self.sk_start
+            y_sum = np.add.reduceat(ys, start)
+            y_u = np.add.reduceat(ys * st.u_sph, start, axis=-1)
+            y_d = np.add.reduceat(ys * st.d_sph, start, axis=-1)
+            y_dd = np.add.reduceat(ys * st.d_sph[:, None] * st.d_sph[None], start, axis=-1)
+            r = st.rots[..., kk]
+            hess[kk, 0:3, 0:3] += (y_sum * _matmul(r.swapaxes(0, 1), r)).transpose(2, 0, 1)
+            for i in range(3):
+                hess[kk, 9 + 3 * i:12 + 3 * i, 9 + 3 * i:12 + 3 * i] += y_dd.transpose(2, 0, 1)
+            # d^2 / dp[i] dR[a, b] = -2 y (delta_ib u_a + R[a, i] d_b)
+            p_r = -(np.eye(3)[:, None, :, None] * y_u[None, :, None]
+                    + r.swapaxes(0, 1)[:, :, None] * y_d[None, None])
+            hess[kk, 0:3, 9:18] += p_r.reshape(3, 9, len(kk)).transpose(2, 0, 1)
+        return jac, hess
+
 
 # -- component-major 3-vector and 3x3 algebra --------------------------------
 #
-# Components lead and the batch axes trail. Products are written out as
-# elementwise multiplies and adds, which numpy never fuses, so a row of a
-# stack gets the same bits as that row evaluated alone; einsum picks fused
-# multiply-add kernels by stride, and would not.
+# Components lead and the knot or interval axes trail. Products are written
+# out as elementwise multiplies and adds over the trailing axes, which beats
+# einsum and matmul dispatch on these 3-wide operands.
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -674,38 +856,113 @@ def _hat(v: np.ndarray) -> np.ndarray:
     return out
 
 
+_HAT_UNITS = _hat(np.eye(3)).transpose(2, 0, 1)      # hat(e_k), (k, 3, 3)
+# rotation-defect row (a, b) holds -E[c, b] in column R_j[a, c]
+_ROT_A, _ROT_B, _ROT_C = (i.ravel() for i in np.indices((3, 3, 3)))
+_ROT_ROWS, _ROT_COLS = 9 + 3 * _ROT_A + _ROT_B, 9 + 3 * _ROT_A + _ROT_C
+
+
 def _vee_star_batch(g: np.ndarray) -> np.ndarray:
     """Adjoint of the hat map: <G, hat(w)> = vee_star(G) . w."""
     return np.stack([g[2, 1] - g[1, 2], g[0, 2] - g[2, 0], g[1, 0] - g[0, 1]])
 
 
-def _rot_cost_batch(m_err: np.ndarray, eps_rot: float, need_grad: bool):
-    """Rotation-error cost per stack row, and its gradient in the error matrices.
+def _exp_jacobian(st: SimpleNamespace) -> np.ndarray:
+    """dE/da_k of E(a) = I + c1 hat(a) + c2 (a a^T - |a|^2 I), as (3, 3, k, N)."""
+    a, eye = st.a, np.eye(3)
+    # c1 = 1 - |a|^2 / 6 and c2 = 1/2 - |a|^2 / 24 contribute their a_k terms
+    de = -(_hat(a) / 3.0 + (a[:, None] * a[None] - st.th2 * eye[:, :, None]) / 12.0
+           )[:, :, None] * a[None, None]
+    de += st.c1 * _HAT_UNITS.transpose(1, 2, 0)[..., None]
+    de += st.c2 * (eye[:, None, :, None] * a[None, :, None]          # e_k a^T
+                   + a[:, None, None] * eye[None, :, :, None]          # a e_k^T
+                   - 2.0 * eye[:, :, None, None] * a[None, None])      # -2 a_k I
+    return de
 
-    ``m_err`` is ``(3, 3, B, n_knots)``; the cost is ``(B,)``.
+
+def _exp_curvature(st: SimpleNamespace, v: np.ndarray):
+    """Gradient (3, N) and Hessian (3, 3, N) in a of <V, E(a)>.
+
+    <V, E(a)> = tr V + c1 s.a + c2 a^T P a with s = vee_star(V) and
+    P = sym(V) - tr(V) I.
+    """
+    a, c1, c2 = st.a, st.c1, st.c2
+    s_v = _vee_star_batch(v)
+    p_mat = 0.5 * (v + v.swapaxes(0, 1))
+    p_mat[[0, 1, 2], [0, 1, 2]] -= v[0, 0] + v[1, 1] + v[2, 2]
+    pa = _matvec(p_mat, a)
+    k = np.sum(s_v * a, axis=0) / 3.0 + np.sum(pa * a, axis=0) / 12.0
+    grad = c1 * s_v + 2.0 * c2 * pa - k * a
+    hess = 2.0 * c2 * p_mat - (a[:, None] * s_v[None] + s_v[:, None] * a[None]) / 3.0 \
+        - (a[:, None] * pa[None] + pa[:, None] * a[None]) / 6.0
+    hess[[0, 1, 2], [0, 1, 2]] -= k
+    return grad, hess
+
+
+def _log_factor(m_err: np.ndarray):
+    """log(M)^vee = a(c) s per knot, with c = (tr M - 1) / 2 and s = vee_star(M).
+
+    Returns ``(s, a, a_c, a_cc)``: a(c) = theta / (2 sin theta) and its
+    first two derivatives in c. c is clipped to [-1 + 1e-9, 1], where a is
+    constant. Near c = 1 the closed forms cancel digits, so a series in
+    x = 1 - c takes over.
     """
     tr = m_err[0, 0] + m_err[1, 1] + m_err[2, 2]
-    c = np.clip((tr - 1.0) / 2.0, -1.0 + 1e-9, 1.0)
+    c_raw = (tr - 1.0) / 2.0
+    c = np.clip(c_raw, -1.0 + 1e-9, 1.0)
     theta = np.arccos(c)
-    s_vec = _vee_star_batch(m_err)          # entries of M - M^T
-    small = theta < 1e-6
-    sin_t = np.sin(theta)
-    a_fac = np.where(small, 0.5 + theta**2 / 12.0,
-                     theta / (2.0 * np.where(sin_t < 1e-12, 1.0, sin_t)))
+    x = 1.0 - c
+    series = x < 1e-3
+    sn = np.where(series, 1.0, np.sin(theta))
+    a = np.where(series,
+                 0.5 + x * (1 / 6 + x * (1 / 15 + x * (1 / 35 + x * (4 / 315 + x * 4 / 693)))),
+                 theta / (2.0 * sn))
+    a_c = np.where(series, -(1 / 6 + x * (2 / 15 + x * (3 / 35 + x * (16 / 315 + x * 20 / 693)))),
+                   -(sn - theta * c) / (2.0 * sn**3))
+    a_cc = np.where(series, 2 / 15 + x * (6 / 35 + x * (16 / 105 + x * 80 / 693)),
+                    (theta * (1.0 + 2.0 * c * c) - 3.0 * c * sn) / (2.0 * sn**5))
+    held = c != c_raw
+    return _vee_star_batch(m_err), a, np.where(held, 0.0, a_c), np.where(held, 0.0, a_cc)
+
+
+def _rot_cost_batch(m_err: np.ndarray, eps_rot: float, need_grad: bool):
+    """Rotation-error cost over the knots, and its gradient in the error matrices.
+
+    ``m_err`` is ``(3, 3, n_knots)``. The cost is eps |a(c) s|^2 per knot:
+    eps q(tr M) |s|^2 with q = a^2.
+    """
+    s_vec, a_fac, a_c, _ = _log_factor(m_err)
     e_vecs = a_fac * s_vec
-    cost = eps_rot * np.sum(e_vecs * e_vecs, axis=(0, 2))
+    cost = eps_rot * float(np.sum(e_vecs * e_vecs))
     if not need_grad:
         return cost, None
-    w = 2.0 * eps_rot * e_vecs                              # dJ/de
-    # de/dM = a * d(s)/dM + s outer da/dM
-    grads = _hat(a_fac * w)
-    ws = np.sum(w * s_vec, axis=0)
-    da_dtheta = np.where(small, theta / 6.0,
-                         (sin_t - theta * np.cos(theta)) / (2.0 * np.where(sin_t < 1e-12, 1.0, sin_t**2)))
-    denom = np.sqrt(np.clip(1.0 - c * c, 1e-12, None))
-    dtheta_dc = -1.0 / denom
-    grads[[0, 1, 2], [0, 1, 2]] += ws * da_dtheta * dtheta_dc * 0.5
+    # 2 q sigma + q' |s|^2 I, with d<s, x>/dM = hat(x) and q' = a a_c
+    grads = _hat(2.0 * eps_rot * a_fac * e_vecs)
+    grads[[0, 1, 2], [0, 1, 2]] += eps_rot * a_fac * a_c * np.sum(s_vec * s_vec, axis=0)
     return cost, grads
+
+
+def _rot_cost_hessian(m_err: np.ndarray, ref: np.ndarray, eps_rot: float) -> np.ndarray:
+    """Hessian of the rotation-error cost in each knot's rotation entries, (n_knots, 9, 9).
+
+    ``ref`` is ``(n_knots, 3, 3)`` and ``m_err`` = ref^T R. In the entries
+    of M the Hessian of eps q(tr M) |s|^2 is eps (q'' |s|^2 tau tau^T +
+    2 q' (tau sigma^T + sigma tau^T) + 2 q sum_i sigma_i sigma_i^T), with
+    tau = vec(I), sigma = vec(hat(s)) and sigma_i = vec(hat(e_i)); the map
+    R -> M takes vec(X) back to vec(ref X).
+    """
+    s_vec, a_fac, a_c, a_cc = _log_factor(m_err)
+    q1 = eps_rot * a_fac * a_c                            # d q / d tr, times eps
+    q2 = eps_rot * 0.5 * (a_c * a_c + a_fac * a_cc)       # d^2 q / d tr^2, times eps
+    n = len(ref)
+    tau = ref.reshape(n, 9)                               # vec(ref I)
+    ref_hat = (ref[:, None] @ _HAT_UNITS).reshape(n, 3, 9)   # vec(ref hat(e_i))
+    sigma = np.einsum("ik,kij->kj", s_vec, ref_hat)       # vec(ref hat(s))
+    out = (q2 * np.sum(s_vec * s_vec, axis=0))[:, None, None] * tau[:, :, None] * tau[:, None]
+    cross = tau[:, :, None] * sigma[:, None]
+    out += 2.0 * q1[:, None, None] * (cross + cross.transpose(0, 2, 1))
+    out += np.einsum("k,kia,kib->kab", 2.0 * eps_rot * a_fac * a_fac, ref_hat, ref_hat)
+    return out
 
 
 # -- building, solving, checking --------------------------------------------
@@ -765,224 +1022,116 @@ class SolveOptions:
 # -- structured Newton systems ---------------------------------------------
 
 
-def _jacobian_pattern(p: TimingProblem):
-    """Structural nonzeros of the stacked [equality; inequality] Jacobian.
-
-    Returns ``(rows, cols, unit)``; ``unit`` marks the entries whose value
-    is identically 1: the defect rows of interval j in knot j + 1.
-    """
-    spec = p.spec
-    n_int, n_items = p.n_int, p.n_force // 3
-    rows, cols, unit = [], [], []
-
-    def add(r, c, is_unit=False):
-        r, c = np.broadcast_arrays(r, c)
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        unit.append(np.full(r.size, is_unit))
-
-    a = np.arange(3)
-    j = np.arange(n_int)[:, None]
-    t_col = (p.nt_off + p.int_phase)[:, None]
-    force = p.nf_off + 3 * np.arange(n_items)[:, None] + a       # (items, 3)
-    stance = np.flatnonzero([bool(f) for f in p.int_feet])[:, None]
-    knot_terms = np.r_[0:3, 9:18]                                 # p and R of a knot
-
-    # boundary rows: one knot variable each
-    add(np.arange(18), np.arange(18))
-    o = 18
-    goal = [np.arange(3), np.arange(9, 18)]
-    if spec.v_goal is not None:
-        goal.append(np.arange(3, 6))
-    if spec.omega_goal is not None:
-        goal.append(np.arange(6, 9))
-    goal = np.concatenate(goal)
-    add(o + np.arange(len(goal)), 18 * n_int + goal)
-    o += len(goal)
-
-    r = o + 3 * j + a                            # position defects
-    add(r, 18 * j + a)
-    add(r, 18 * j + 3 + a)
-    add(r, t_col)
-    add(r, 18 * (j + 1) + a, True)
-    o += 3 * n_int
-    r = o + 3 * j + a                            # velocity defects
-    add(r, 18 * j + 3 + a)
-    add(r, t_col)
-    add(r, 18 * (j + 1) + 3 + a, True)
-    add(o + 3 * p.fi_j[:, None] + a, force)
-    o += 3 * n_int
-    r = o + 3 * j + a                            # body-rate defects
-    add(r[:, :, None], (18 * j + 6 + a)[:, None, :])
-    add(r, t_col)
-    add(r, 18 * (j + 1) + 6 + a, True)
-    add((o + 3 * stance + a)[:, :, None], (18 * stance + knot_terms)[:, None, :])
-    add((o + 3 * p.fi_j[:, None] + a)[:, :, None], force[:, None, :])
-    o += 3 * n_int
-    jj = j[:, :, None]                           # rotation defects, row (j, a, b)
-    r = o + 9 * jj + 3 * a[:, None] + a
-    add(r[..., None], (18 * jj + 9 + 3 * a[:, None])[..., None] + a)
-    add(r[..., None], (18 * jj + 6)[..., None] + a)
-    add(r, t_col[:, :, None])
-    add(r, 18 * (jj + 1) + 9 + 3 * a[:, None] + a, True)
-    o += 9 * n_int
-    if p.int_feet[0]:                            # initial angular-acceleration pin
-        add(o + a[:, None], np.r_[knot_terms, 6:9])
-        add(o + a[:, None], force[p.fi_j == 0].reshape(1, -1))
-        o += 3
-    assert o == p.n_eq
-
-    if n_items:                                  # friction pyramid: (fx|fy, fz)
-        r = o + 4 * np.arange(n_items)[:, None] + np.arange(4)
-        add(r, force[:, [0, 0, 1, 1]])
-        add(r, force[:, 2:3])
-        o += 4 * n_items
-    n_sph = len(p.sk_k)
-    add(o + np.arange(n_sph)[:, None], 18 * p.sk_k[:, None] + knot_terms)
-    o += n_sph
-    add(o + np.arange(2)[:, None], p.nt_off + np.arange(p.n_phases))
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(unit)
-
-
 class _KktStructure:
-    """Colouring and band layout of the augmented-Lagrangian Newton matrix.
+    """Band layout of the augmented-Lagrangian Newton matrix.
 
     Block j holds knot j and the stance forces of interval j; the final knot
-    is a block of its own. Every nonlinear term of the cost and constraints
-    touches one block and the phase durations, and the defect rows of
-    interval j are linear, with unit coefficient, in knot j + 1. So the
-    offset of a variable within its block is a colour: one forward
-    difference per colour recovers the Jacobian (after subtracting the
-    known unit entries) and the block-diagonal Lagrangian Hessian. Each
-    phase duration has a colour of its own; the dense duration rows of the
-    Hessian are filled from the duration columns by symmetry. Ordered block
-    by block, the Newton matrix is banded with the durations as a border.
+    is a block of its own. Every Jacobian row but the boundary and duration
+    window rows lies in one derivative block of
+    :meth:`TimingProblem._derivative_blocks`, which spans block j, knot
+    j + 1 and the duration of one phase, and so does every Lagrangian
+    Hessian term. Ordered block by block, the Newton matrix is therefore
+    banded with the durations as a border: each derivative block's
+    J^T W J + ∇²L is one dense product, and the band and border are
+    gathered from those products through a precomputed index.
     """
 
     def __init__(self, p: TimingProblem):
-        n_items = p.n_force // 3
-        self.n_eq, self.n_rows = p.n_eq, p.n_eq + p.n_ineq
+        self.n_rows = p.n_eq + p.n_ineq
         self.n_x, self.n_t = p.nt_off, p.n_phases
-        sizes = np.append(18 + 3 * np.array([len(f) for f in p.int_feet], dtype=int), 18)
-        self.n_block_colours = int(sizes.max())
-        slot = np.arange(n_items) - np.searchsorted(p.fi_j, p.fi_j)
-        colour = np.empty(p.n_vars, dtype=np.intp)
-        block = np.empty(self.n_x, dtype=np.intp)
-        colour[:p.nf_off] = np.tile(np.arange(18), p.n_knots)
-        block[:p.nf_off] = np.repeat(np.arange(p.n_knots), 18)
-        colour[p.nf_off:p.nt_off] = (18 + 3 * slot[:, None] + np.arange(3)).reshape(-1)
-        block[p.nf_off:p.nt_off] = np.repeat(p.fi_j, 3)
-        colour[p.nt_off:] = self.n_block_colours + np.arange(self.n_t)
-        self.colour = colour
-        self.n_colours = self.n_block_colours + self.n_t
+        self.unit_rows, self.int_phase = p.unit_rows, p.int_phase
+        self.bs = bs = p.block_size
+        cols = p.block_cols
+        n_blocks, n_cols = cols.shape
+        # padding rows read a zero weight from the slot after the last row
+        self.row_of = np.where(p.block_rows >= 0, p.block_rows, self.n_rows)
+
         # band position of every non-duration variable; durations follow
-        self.pos = (np.concatenate([[0], np.cumsum(sizes)[:-1]])[block]
-                    + colour[:self.n_x]).astype(np.int32)
+        sizes = np.append(18 + 3 * np.array([len(f) for f in p.int_feet], dtype=int), 18)
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        blk, off = np.nonzero(cols[:, :bs] >= 0)
+        self.pos = np.empty(self.n_x, dtype=np.int32)
+        self.pos[cols[blk, off]] = starts[blk] + off
+
+        # the local pairs that a row or a Hessian term couples: any two
+        # columns of a row, and any two of block j and its duration
+        touch = p.block_pattern.astype(np.intp)
+        coupled = touch.T @ touch > 0
+        own = np.r_[0:bs, n_cols - 1]
+        coupled[np.ix_(own, own)] = True
+        # Knot j + 1 and its duration entries appear in derivative blocks j
+        # and j + 1. assemble() first adds block j's share into block j + 1
+        # (the duration entries only when both intervals share a phase), so
+        # that every band and border entry has one source.
+        t = n_cols - 1
+        self.carry = np.flatnonzero(p.int_phase[1:] == p.int_phase[:-1])
+        ia, ib = np.nonzero(np.triu(coupled))
+        keep = ~((ia >= bs) & (ib < t)) & (ia < t)     # no knot j + 1 pair, no corner
+        ia, ib = ia[keep], ib[keep]
+        va, vb = cols[:, ia], cols[:, ib]
+        ok = (va >= 0) & (vb >= 0)
+        carried = np.zeros((n_blocks, 1), dtype=bool)
+        carried[self.carry] = True
+        ok &= ~(carried & (ia >= bs) & (ib == t))
+        # half-bandwidth: the widest coupled pair of a block and the knot after it
+        pa, pb = self.pos[va[ok & (ib < t)]], self.pos[vb[ok & (ib < t)]]
+        self.u = int(np.max(pb - pa))
         self.order = np.concatenate([self.pos, self.n_x + np.arange(self.n_t, dtype=np.int32)])
-
-        rows, cols, unit = _jacobian_pattern(p)
-        srt = np.lexsort((cols, rows))
-        self.jr, self.jc = rows[srt].astype(np.int32), cols[srt].astype(np.int32)
-        self.unit = unit[srt]
-        # a differenced entry sharing its row and colour with a unit entry
-        # carries that entry's 1 in its difference quotient
-        self.entry_colour = colour[self.jc]
-        key = self.jr * self.n_colours + self.entry_colour
-        self.unit_shift = np.isin(key, key[self.unit]).astype(float)
-
-        # half-bandwidth: the widest block or the widest row in band order
-        x_entry = self.jc < self.n_x
-        row_lo = np.full(self.n_rows, self.n_x)
-        row_hi = np.full(self.n_rows, -1)
-        np.minimum.at(row_lo, self.jr[x_entry], self.pos[self.jc[x_entry]])
-        np.maximum.at(row_hi, self.jr[x_entry], self.pos[self.jc[x_entry]])
-        self.u = int(max(np.max(row_hi - row_lo), self.n_block_colours - 1))
-        self.size = (self.u + 1) * self.n_x + (self.n_x + self.n_t) * self.n_t
-
-        # J^T W J: the entry pairs of each row, in small groups of rows with
-        # one entry count (small, to keep the temporaries small)
-        counts = np.bincount(self.jr, minlength=self.n_rows)
-        first = np.concatenate([[0], np.cumsum(counts)[:-1]]).astype(np.int32)
-        self.row_groups = []
-        for m in np.unique(counts[counts > 0]):
-            ia, ib = np.triu_indices(m)
-            starts = first[counts == m]
-            for i in range(0, len(starts), _ROW_GROUP):
-                entries = starts[i:i + _ROW_GROUP, None] + np.arange(m, dtype=np.int32)
-                cols = self.jc[entries]
-                self.row_groups.append((entries, ia, ib,
-                                        self._target(cols[:, ia], cols[:, ib])))
-
-        # Lagrangian Hessian: upper triangle of each dense block
-        h_a, h_b = [], []
-        for b in range(p.n_knots):
-            v = np.flatnonzero(block == b).astype(np.int32)
-            ia, ib = np.triu_indices(len(v))
-            h_a.append(v[ia])
-            h_b.append(v[ib])
-        self.h_a, self.h_b = np.concatenate(h_a), np.concatenate(h_b)
-        self.h_idx = self._target(self.h_a, self.h_b)
+        src = (n_cols * n_cols * np.arange(n_blocks)[:, None] + n_cols * ia + ib)[ok]
+        # entries without a source read the final block's empty knot j + 1
+        # diagonal entry, which stays zero
+        empty = n_cols * n_cols * (n_blocks - 1) + (n_cols + 1) * bs
+        self.gather = np.full((self.u + 1 + self.n_t) * self.n_x, empty, dtype=np.intp)
+        self.gather[self._target(va[ok], vb[ok])] = src
+        # the boundary rows are unit rows on one variable: a diagonal entry
+        knot = p.unit_vars // 18
+        self.unit_src = n_cols * n_cols * knot + (n_cols + 1) * (p.unit_vars - 18 * knot)
+        # the products of assemble(), reused: fresh pages cost more than they do
+        self._k = np.empty((n_blocks, n_cols, n_cols))
 
     def _target(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-        """Flat index of (va, vb) in [band | border | upper corner] storage."""
-        n_x, n_t, u = self.n_x, self.n_t, self.u
+        """Flat index of (va, vb) in [band | border] storage; vb may be a duration."""
+        n_x, u = self.n_x, self.u
         pa, pb = self.order[va], self.order[vb]
         lo, hi = np.minimum(pa, pb), np.maximum(pa, pb)
-        n_band = (u + 1) * n_x
         return np.where(hi < n_x, (u + lo - hi) * n_x + hi,
-                        np.where(lo < n_x, n_band + lo * n_t + hi - n_x,
-                                 n_band + n_x * n_t + (lo - n_x) * n_t + hi - n_x))
+                        (u + 1) * n_x + lo * self.n_t + hi - n_x)
 
-    def differences(self, problem: TimingProblem, z: np.ndarray, c0: np.ndarray,
-                    grad_args=None, g0=None):
-        """Jacobian values at ``z`` by coloured forward differences of ``_eval``.
+    def row_norms(self, jac: np.ndarray) -> np.ndarray:
+        """Euclidean norm of every Jacobian row, from the derivative blocks."""
+        sq = np.zeros(self.n_rows + 1)
+        sq[self.row_of] = np.sum(jac * jac, axis=2)
+        sq[self.unit_rows] = 1.0
+        sq[self.n_rows - 2:self.n_rows] = self.n_t        # the duration window
+        return np.sqrt(sq[:-1])
 
-        With ``grad_args`` (the multipliers handed to ``grad``) and the
-        gradient ``g0`` at ``z``, also returns the differenced Lagrangian
-        gradient per colour, ``(n_colours, n_vars)``. All colours are
-        perturbed in one stack and evaluated in one call.
+    def assemble(self, problem: TimingProblem, z: np.ndarray, y: tuple,
+                 weights: np.ndarray) -> _BorderedSystem:
+        """Newton matrix ∇²L + J^T diag(weights) J at ``z``.
+
+        ``y`` holds the multipliers ``(y_eq, y_in)`` of the Lagrangian.
         """
-        z_max = np.zeros(self.n_colours)
-        np.maximum.at(z_max, self.colour, np.abs(z))
-        steps = _FD_STEP * np.maximum(1.0, z_max)
-        stack = np.repeat(z[None], len(steps), axis=0)
-        stack[self.colour, np.arange(len(z))] += steps[self.colour]
-        _, c_eq, c_in, grad = problem._eval(stack, need_grad=grad_args is not None)
-        ck = np.concatenate([c_eq, c_in], axis=1)[self.entry_colour, self.jr]
-        del stack, c_eq, c_in        # not held through the gradient pass
-        ck -= c0[self.jr]
-        jvals = ck / steps[self.entry_colour] - self.unit_shift
-        jvals[self.unit] = 1.0
-        if grad_args is None:
-            return jvals, None
-        dg = grad(*grad_args)
-        dg -= g0
-        dg /= steps[:, None]
-        return jvals, dg
-
-    def assemble(self, jvals: np.ndarray, weights: np.ndarray,
-                 dg: np.ndarray) -> _BorderedSystem:
-        """Newton matrix ∇²L + J^T diag(weights) J from differenced data."""
-        n_x, n_t, n_bc = self.n_x, self.n_t, self.n_block_colours
-        jw = jvals * np.sqrt(weights[self.jr])
-        flat = np.zeros(self.size)
-        for entries, ia, ib, target in self.row_groups:
-            jg = jw[entries]
-            prod = jg[:, ia]
-            prod *= jg[:, ib]
-            np.add.at(flat, target, prod)
-        col = self.colour
-        h = dg[col[self.h_b], self.h_a]
-        h += dg[col[self.h_a], self.h_b]
-        h *= 0.5
-        np.add.at(flat, self.h_idx, h)
+        n_x, bs = self.n_x, self.bs
+        jac, hess = problem._derivative_blocks(z, *y)
+        jac *= np.sqrt(np.append(weights, 0.0)[self.row_of])[:, :, None]
+        k = np.matmul(jac.transpose(0, 2, 1), jac, out=self._k)
+        del jac                       # freed before the band is allocated
+        t = k.shape[2] - 1
+        k[:, :bs, :bs] += hess[:, :bs, :bs]
+        k[:, :bs, t] += hess[:, :bs, bs]
+        k[:, t, t] += hess[:, bs, bs]
+        del hess
+        flat_k = k.reshape(-1)
+        flat_k[self.unit_src] += weights[self.unit_rows]
+        k[1:, :18, :18] += k[:-1, bs:bs + 18, bs:bs + 18]
+        k[self.carry + 1, :18, t] += k[self.carry, bs:bs + 18, t]
+        flat = flat_k[self.gather]
         n_band = (self.u + 1) * n_x
-        border = flat[n_band:n_band + n_x * n_t].reshape(n_x, n_t)
-        border[self.pos] += dg[n_bc:, :n_x].T
-        upper = flat[n_band + n_x * n_t:].reshape(n_t, n_t)
-        h_tt = dg[n_bc:, n_x:]
-        corner = upper + upper.T - np.diag(np.diag(upper)) + 0.5 * (h_tt + h_tt.T)
-        return _BorderedSystem(flat[:n_band].reshape(self.u + 1, n_x), border, corner, self.pos)
+        # each phase's duration meets only itself within a block; the
+        # duration window rows weigh every pair of durations
+        corner = np.diag(np.bincount(self.int_phase, k[:-1, t, t], self.n_t)) + weights[-2:].sum()
+        return _BorderedSystem(flat[:n_band].reshape(self.u + 1, n_x),
+                               flat[n_band:].reshape(n_x, self.n_t), corner, self.pos)
 
 
 class _BorderedSystem:
@@ -1054,9 +1203,8 @@ class _AugmentedLagrangian:
         val = (cost + self.lam @ cs_eq + 0.5 * rho * float(cs_eq @ cs_eq)
                + float(np.sum(y_in**2 - mu**2)) / (2.0 * rho))
         args = (self.s_eq * y_eq, self.s_in * y_in)
-        g = grad(*args)
-        self._base = (z.copy(), np.concatenate([c_eq, c_in]), args, g, y_in > 0.0)
-        return val, g
+        self._base = (z.copy(), args, y_in > 0.0)
+        return val, grad(*args)
 
     def newton_system(self, z: np.ndarray) -> _BorderedSystem:
         """∇²_zz of the AL at ``z``: Lagrangian Hessian plus rho J^T S^2 J.
@@ -1065,11 +1213,9 @@ class _AugmentedLagrangian:
         """
         if self._base is None or not np.array_equal(z, self._base[0]):
             self.value_grad(z)
-        _, c0, args, g0, active = self._base
-        s = self.structure
-        jvals, dg = s.differences(self.problem, z, c0, args, g0)
+        _, args, active = self._base
         weights = self.rho * np.concatenate([self.s_eq**2, self.s_in**2 * active])
-        return s.assemble(jvals, weights, dg)
+        return self.structure.assemble(self.problem, z, args, weights)
 
 
 def _projected_newton(fun, x0, jac=None, bounds=None, maxiter=100, newton_system=None,
@@ -1137,10 +1283,8 @@ def _row_scales(problem: TimingProblem, z: np.ndarray, structure: _KktStructure,
     (friction rows carry the force scale, the angular rows the inverse
     inertia); equilibrating them keeps the penalty Hessian workable.
     """
-    _, c_eq, c_in, _ = problem._eval(z, need_grad=False)
-    jvals, _ = structure.differences(problem, z, np.concatenate([c_eq, c_in]))
-    norms = np.sqrt(np.bincount(structure.jr, jvals**2, structure.n_rows))
-    scales = 1.0 / np.clip(norms, lo, hi)
+    jac, _ = problem._derivative_blocks(z)
+    scales = 1.0 / np.clip(structure.row_norms(jac), lo, hi)
     return scales[:problem.n_eq], scales[problem.n_eq:]
 
 
@@ -1205,6 +1349,7 @@ def solve_timing(problem: TimingProblem | JumpSpec,
         durations=durations, states=states, forces=forces, cost=cost,
         max_violation=viol, defect_norms=defects, kkt_residual=kkt,
         converged=viol <= opts.tol, outer_iterations=outer, ortho_defect=ortho,
+        trace=trace,
     )
     if not sol.converged:
         raise NoConvergenceError(
@@ -1218,7 +1363,7 @@ def solve_timing(problem: TimingProblem | JumpSpec,
 
 def _defect_norms(problem: TimingProblem, c_eq: np.ndarray, c_in: np.ndarray) -> dict:
     n = problem.n_int
-    o = 18 + 12
+    o = problem.n_head
     return {
         "boundary": float(np.max(np.abs(c_eq[:o]), initial=0.0)),
         "position": float(np.max(np.abs(c_eq[o:o + 3 * n]), initial=0.0)),

@@ -152,6 +152,9 @@ class TestJump:
         assert first == second
         assert s1["durations_s"] == s2["durations_s"]
         assert s1["checker_max_violation"] <= 1e-4
+        # the convergence trace: one entry per outer iteration
+        assert len(s1["trace"]) == s1["outer_iterations"]
+        assert s1["newton_steps"] == sum(entry["newton_steps"] for entry in s1["trace"]) > 0
 
     def test_jump_sim_from_csv_reference(self, tmp_path):
         code, _ = run_cli(tmp_path, "jump-opt", self.CFG)
@@ -191,6 +194,7 @@ class TestJump:
         assert code == 1
         assert payload["kind"] == "solver"
         assert (dropped or "samples") in payload["error"]
+        assert payload["error"].startswith("jump reference")     # not a quoted repr
 
     def test_missing_reference_csv_is_config_error(self, tmp_path):
         # a reference named explicitly is never replaced by a fresh solve

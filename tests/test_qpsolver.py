@@ -1,12 +1,15 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
-from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpStatus, solve
+from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpStatus, _solved, solve
 
 
 def brute_force_qp(qp: QpProblem, feas_tol: float = 1e-8):
@@ -125,6 +128,21 @@ class TestBasics:
         r2 = solve(qp)
         assert r1.status is r2.status
         assert np.array_equal(r1.x, r2.x)
+
+    def test_triangular_solves_keep_solve_triangular_bits(self):
+        # the solver hands its C-ordered factors to LAPACK the way
+        # solve_triangular does: transposed, with lower and trans flipped
+        rng = np.random.default_rng(4)
+        for n in range(1, 40):
+            a = rng.normal(size=(n, n))
+            l = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+            b = rng.normal(size=(n, 3))
+            assert np.array_equal(_solved(dtrtrs(l.T, b, lower=0, trans=1)),
+                                  solve_triangular(l, b, lower=True))
+            assert np.array_equal(_solved(dtrtrs(l.T, b, lower=0)),
+                                  solve_triangular(l, b, trans="T", lower=True))
+        with pytest.raises(np.linalg.LinAlgError):
+            _solved(dtrtrs(np.zeros((2, 2)), np.ones(2)))
 
 
 class TestAgainstBruteForce:

@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from quadstack import cli, scenarios, sim
-from quadstack.scenarios import (hop_spec, reference_from_log, reference_log, run_estimate,
-                                 run_jump_opt, run_jump_sim, run_stand, run_trot, spin_spec)
+from quadstack.scenarios import (ReplayLogError, hop_spec, reference_from_log, reference_log,
+                                 run_estimate, run_jump_opt, run_jump_sim, run_stand, run_trot,
+                                 spin_spec)
 from quadstack.trajopt import BodyReference
 
 
@@ -76,7 +77,7 @@ class TestTrot:
 
 class TestEstimateReplay:
     def test_missing_columns_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ReplayLogError, match="missing columns"):
             run_estimate({"t_s": np.zeros(3)})
 
     def test_replay_matches_online(self):

@@ -22,7 +22,7 @@ from quadstack.trajopt import (
     srbd_residual,
     trajectory_cost,
 )
-from quadstack.trajopt import _FD_STEP, _BorderedSystem, _KktStructure, _projected_newton
+from quadstack.trajopt import _BorderedSystem, _KktStructure, _projected_newton
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
                  [-0.3, -0.128, 0.0], [-0.3, 0.128, 0.0]])
@@ -150,6 +150,24 @@ class TestCost:
         c = trajectory_cost([x], np.zeros((0, 4, 3)), [np.eye(3)], 0.0, 0.0, 2.0)
         assert_allclose(c, 2.0 * 0.2**2, atol=1e-10)
 
+    def test_log_factor_derivatives(self):
+        # a(c) = theta / (2 sin theta) and its c-derivatives, on both sides
+        # of the switch to the series near c = 1 and across it
+        def factor(c):
+            m = np.stack([so3.rot_z(np.arccos(x)) for x in c], axis=-1)
+            return trajopt._log_factor(m)[1:]
+
+        c = np.array([1.0 - 5e-4, 0.99, 0.5, -0.7])
+        eps = 1e-6
+        a, a_c, a_cc = factor(c)
+        a_p, a_c_p, _ = factor(c + eps)
+        a_m, a_c_m, _ = factor(c - eps)
+        assert_allclose(a_c, (a_p - a_m) / (2 * eps), rtol=1e-6)
+        assert_allclose(a_cc, (a_c_p - a_c_m) / (2 * eps), rtol=1e-5)
+        switch = factor(1.0 - 1e-3 * np.array([1.0 - 1e-9, 1.0 + 1e-9]))
+        for side in switch:
+            assert_allclose(side[0], side[1], rtol=1e-9)
+
 
 class TestBuild:
     def test_variable_and_constraint_counts(self):
@@ -208,6 +226,20 @@ class TestBuild:
             assert abs(fd - g[i]) <= 1e-5 * max(1.0, abs(fd))
 
 
+def dense_jacobian(prob, jac):
+    """The stacked [equality; inequality] Jacobian from its derivative blocks."""
+    full = np.zeros((prob.n_eq + prob.n_ineq, prob.n_vars))
+    rows, cols = prob.block_rows, prob.block_cols
+    g, r, c = np.nonzero((rows[:, :, None] >= 0) & (cols[:, None, :] >= 0))
+    entries = rows[g, r] * prob.n_vars + cols[g, c]
+    assert len(np.unique(entries)) == len(entries)       # no entry in two blocks
+    full[rows[g, r], cols[g, c]] = jac[g, r, c]
+    full[prob.unit_rows, prob.unit_vars] = 1.0            # boundary rows
+    full[-2, prob.nt_off:] = -1.0                         # duration window
+    full[-1, prob.nt_off:] = 1.0
+    return full
+
+
 def dense_matrix(system, structure):
     """The bordered banded Newton matrix as a dense array in variable order."""
     n_x, u = structure.n_x, structure.u
@@ -227,127 +259,72 @@ def dense_matrix(system, structure):
 
 
 class TestNewtonStructure:
+    """The exact derivative blocks against central differences of ``_eval``."""
+
     @pytest.fixture(scope="class")
-    def setup(self):
-        prob = build_problem(hop_spec(n_knots=4, flight_min=0.1))
-        rng = np.random.default_rng(7)
-        z = initial_guess(prob) + rng.normal(size=prob.n_vars) * 0.01
-        y = (rng.normal(size=prob.n_eq), np.abs(rng.normal(size=prob.n_ineq)))
-        return prob, _KktStructure(prob), z, y
+    def setups(self):
+        out = []
+        for seed, spec in enumerate((scenarios.hop_spec(n_knots=4),
+                                     scenarios.spin_spec(n_knots=4))):
+            prob = build_problem(spec)
+            rng = np.random.default_rng(7 + seed)
+            z = initial_guess(prob) + rng.normal(size=prob.n_vars) * 0.01
+            # push some tangential forces out of the pyramid and lift the
+            # body at a stance knot so that its sphere rows are violated
+            items = prob.nf_off + 3 * np.arange(0, prob.n_force // 3, 5)
+            z[items] += 0.3
+            z[18 * 2 + 2] += 0.25
+            _, c_eq, c_in, _ = prob._eval(z, need_grad=False)
+            n_fric = 4 * (prob.n_force // 3)
+            assert np.any(c_in[:n_fric] > 0.0) and np.any(c_in[n_fric:-2] > 0.0)
+            # multipliers on the active inequality rows only, as in the AL
+            y = (rng.normal(size=prob.n_eq),
+                 np.abs(rng.normal(size=prob.n_ineq)) * (c_in > 0.0))
+            out.append((prob, _KktStructure(prob), z, y))
+        return out
 
     @staticmethod
     def constraints(prob, z):
         _, c_eq, c_in, _ = prob._eval(z, need_grad=False)
         return np.concatenate([c_eq, c_in])
 
-    def test_jacobian_matches_central_differences(self, setup):
-        prob, structure, z, _ = setup
-        eps = 1e-6
-        jac = np.zeros((structure.n_rows, prob.n_vars))
-        for i in range(prob.n_vars):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += eps
-            zm[i] -= eps
-            jac[:, i] = (self.constraints(prob, zp) - self.constraints(prob, zm)) / (2 * eps)
-        pattern = np.zeros(jac.shape, dtype=bool)
-        pattern[structure.jr, structure.jc] = True
-        assert pattern.sum() == len(structure.jr)       # no duplicate entries
-        assert not np.any(jac[~pattern])                 # every nonzero is structural
-        jvals, _ = structure.differences(prob, z, self.constraints(prob, z))
-        assert_allclose(jvals, jac[structure.jr, structure.jc],
-                        atol=1e-6 * np.max(np.abs(jac)))
+    def test_jacobian_matches_central_differences(self, setups):
+        for prob, structure, z, _ in setups:
+            eps = 1e-6
+            fd = np.zeros((structure.n_rows, prob.n_vars))
+            for i in range(prob.n_vars):
+                zp, zm = z.copy(), z.copy()
+                zp[i] += eps
+                zm[i] -= eps
+                fd[:, i] = (self.constraints(prob, zp) - self.constraints(prob, zm)) / (2 * eps)
+            jac, _ = prob._derivative_blocks(z)
+            padding = (prob.block_rows[:, :, None] < 0) | (prob.block_cols[:, None, :] < 0)
+            assert not np.any(jac[padding])
+            assert not np.any(jac[:, ~prob.block_pattern])     # the band layout's pattern
+            full = dense_jacobian(prob, jac)
+            assert_allclose(full, fd, atol=1e-6 * np.max(np.abs(fd)))
+            # the row scaling reads the same rows
+            assert_allclose(structure.row_norms(jac), np.linalg.norm(full, axis=1), rtol=1e-12)
 
-    def test_coloured_hessian_matches_dense_differences(self, setup):
-        prob, structure, z, y = setup
-        _, c_eq, c_in, grad = prob._eval(z, need_grad=True)
-        jvals, dg = structure.differences(prob, z, np.concatenate([c_eq, c_in]), y, grad(*y))
-        eps = 1e-6
-        hess = np.zeros((prob.n_vars, prob.n_vars))
-        for i in range(prob.n_vars):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += eps
-            zm[i] -= eps
-            hess[:, i] = (prob._eval(zp, True)[3](*y) - prob._eval(zm, True)[3](*y)) / (2 * eps)
-        hess = 0.5 * (hess + hess.T)
-        scale = np.max(np.abs(hess))
-        lagrangian = dense_matrix(structure.assemble(jvals, np.zeros(structure.n_rows), dg),
-                                  structure)
-        assert_allclose(lagrangian, hess, atol=1e-6 * scale)
-        # the Gauss-Newton term adds J^T W J exactly
-        w = np.random.default_rng(8).uniform(0.0, 2.0, structure.n_rows)
-        jac = np.zeros((structure.n_rows, prob.n_vars))
-        jac[structure.jr, structure.jc] = jvals
-        full = dense_matrix(structure.assemble(jvals, w, dg), structure)
-        assert_allclose(full - lagrangian, jac.T @ (w[:, None] * jac),
-                        atol=1e-9 * np.max(np.abs(full)))
-
-
-class TestBatchedEvaluation:
-    """All coloured differences come from one stacked ``_eval`` call."""
-
-    @pytest.fixture(scope="class", params=["hop", "spin"])
-    def setup(self, request):
-        spec = (scenarios.hop_spec(n_knots=4) if request.param == "hop"
-                else scenarios.spin_spec(n_knots=4))
-        prob = build_problem(spec)
-        rng = np.random.default_rng(11)
-        z = initial_guess(prob) + rng.normal(size=prob.n_vars) * 0.01
-        y = (rng.normal(size=prob.n_eq), np.abs(rng.normal(size=prob.n_ineq)))
-        return prob, _KktStructure(prob), z, y
-
-    @staticmethod
-    def per_colour_loop(prob, structure, z, y):
-        """The differences with one ``_eval`` and one ``grad`` call per colour."""
-        _, c_eq, c_in, grad = prob._eval(z, need_grad=True)
-        c0, g0 = np.concatenate([c_eq, c_in]), grad(*y)
-        jvals = -structure.unit_shift
-        dg = np.empty((structure.n_colours, prob.n_vars))
-        for k in range(structure.n_colours):
-            members = np.flatnonzero(structure.colour == k)
-            step = _FD_STEP * max(1.0, float(np.max(np.abs(z[members]))))
-            zk = z.copy()
-            zk[members] += step
-            _, ck_eq, ck_in, grad_k = prob._eval(zk, need_grad=True)
-            entries = np.flatnonzero(structure.colour[structure.jc] == k)
-            rows = structure.jr[entries]
-            jvals[entries] += (np.concatenate([ck_eq, ck_in])[rows] - c0[rows]) / step
-            dg[k] = (grad_k(*y) - g0) / step
-        jvals[structure.unit] = 1.0
-        return c0, g0, jvals, dg
-
-    def test_differences_match_per_colour_loop(self, setup):
-        prob, structure, z, y = setup
-        c0, g0, j_loop, dg_loop = self.per_colour_loop(prob, structure, z, y)
-        jvals, dg = structure.differences(prob, z, c0, y, g0)
-        assert_allclose(jvals, j_loop, rtol=1e-12, atol=1e-12 * np.max(np.abs(j_loop)))
-        assert_allclose(dg, dg_loop, rtol=1e-12, atol=1e-12 * np.max(np.abs(dg_loop)))
-        # without multipliers only the Jacobian is differenced
-        jvals_only, none = structure.differences(prob, z, c0)
-        assert none is None
-        assert_allclose(jvals_only, j_loop, rtol=1e-12, atol=1e-12 * np.max(np.abs(j_loop)))
-
-    def test_one_row_stack_is_the_unbatched_call(self, setup):
-        prob, _, z, y = setup
-        cost, c_eq, c_in, grad = prob._eval(z, need_grad=True)
-        s_cost, s_eq, s_in, s_grad = prob._eval(z[None], need_grad=True)
-        assert s_cost.shape == (1,) and s_eq.shape == (1, prob.n_eq)
-        assert s_cost[0] == cost
-        assert np.array_equal(s_eq[0], c_eq) and np.array_equal(s_in[0], c_in)
-        assert np.array_equal(s_grad(*y)[0], grad(*y))
-        assert np.array_equal(prob._eval(z[None], need_grad=False)[1][0],
-                              prob._eval(z, need_grad=False)[1])
-
-    def test_stack_rows_match_single_calls(self, setup):
-        prob, _, z, y = setup
-        stack = z + np.random.default_rng(12).normal(size=(5, prob.n_vars)) * 1e-3
-        cost, c_eq, c_in, grad = prob._eval(stack, need_grad=True)
-        g = grad(*y)
-        assert g.shape == (5, prob.n_vars)
-        for i, zi in enumerate(stack):
-            ci, eq_i, in_i, grad_i = prob._eval(zi, need_grad=True)
-            assert cost[i] == pytest.approx(ci, rel=1e-14)
-            assert np.array_equal(c_eq[i], eq_i) and np.array_equal(c_in[i], in_i)
-            assert np.array_equal(g[i], grad_i(*y))
+    def test_coloured_hessian_matches_dense_differences(self, setups):
+        for prob, structure, z, y in setups:
+            eps = 1e-6
+            fd = np.zeros((prob.n_vars, prob.n_vars))
+            for i in range(prob.n_vars):
+                zp, zm = z.copy(), z.copy()
+                zp[i] += eps
+                zm[i] -= eps
+                fd[:, i] = (prob._eval(zp, True)[3](*y) - prob._eval(zm, True)[3](*y)) / (2 * eps)
+            fd = 0.5 * (fd + fd.T)
+            lagrangian = dense_matrix(structure.assemble(prob, z, y, np.zeros(structure.n_rows)),
+                                      structure)
+            assert_allclose(lagrangian, fd, atol=1e-6 * np.max(np.abs(fd)))
+            # the Gauss-Newton term adds J^T W J exactly
+            w = np.random.default_rng(8).uniform(0.0, 2.0, structure.n_rows)
+            j_full = dense_jacobian(prob, prob._derivative_blocks(z)[0])
+            full = dense_matrix(structure.assemble(prob, z, y, w), structure)
+            assert_allclose(full - lagrangian, j_full.T @ (w[:, None] * j_full),
+                            atol=1e-9 * np.max(np.abs(full)))
 
 
 def quartic_bowl(x):
@@ -573,6 +550,15 @@ class TestExport:
 
 
 class TestDiagnostics:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("preset", ["hop", "spin90"])
+    def test_no_subproblem_reaches_the_step_limit(self, preset):
+        spec = (scenarios.hop_spec(n_knots=30) if preset == "hop"
+                else scenarios.spin_spec(yaw_deg=90.0, n_knots=30))
+        sol = solve_timing(build_problem(spec))
+        assert sol.converged and len(sol.trace) == sol.outer_iterations
+        assert max(entry["newton_steps"] for entry in sol.trace) < SolveOptions().max_inner
+
     def test_no_convergence_reports(self):
         spec = hop_spec(n_knots=6)
         with pytest.raises(NoConvergenceError) as exc:

@@ -161,38 +161,54 @@ def polygon_vertex(p_i: np.ndarray, xi_minus: np.ndarray, xi_plus: np.ndarray,
             + w_next * np.asarray(xi_plus, dtype=float)) / denom
 
 
-def support_polygon(feet_xy: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def support_polygon(feet_xy, weights) -> list[tuple[float, float]]:
     """All four predictive polygon vertices from foot positions and weights.
 
-    ``feet_xy`` is (4, 2) in leg order FR, FL, BR, BL; ``weights`` is (4,).
+    ``feet_xy`` holds four rows in leg order FR, FL, BR, BL whose first two
+    entries are the foot's x and y (a (4, 2) or (4, 3) array, or nested
+    lists); ``weights`` holds the four foot weights. Returns the vertices as
+    (x, y) tuples. Each vertex is :func:`virtual_points` then
+    :func:`polygon_vertex` in Python floats, in the same operation order and
+    so with the same bits: numpy's per-call cost would dominate at this size.
     """
-    feet_xy = np.asarray(feet_xy, dtype=float).reshape(4, 2)
-    weights = np.asarray(weights, dtype=float).reshape(4)
-    verts = np.zeros((4, 2))
+    xy = [(float(p[0]), float(p[1])) for p in feet_xy]
+    w = [float(x) for x in weights]
+    verts = []
     for i in range(4):
         i_prev, i_next = _CW_NEXT[i], _CCW_NEXT[i]
-        xi_m, xi_p = virtual_points(feet_xy[i], feet_xy[i_prev], feet_xy[i_next], weights[i])
-        verts[i] = polygon_vertex(feet_xy[i], xi_m, xi_p,
-                                  weights[i], weights[i_prev], weights[i_next])
+        w_i, w_prev, w_next = w[i], w[i_prev], w[i_next]
+        denom = w_i + w_prev + w_next
+        if denom <= 1e-9:
+            raise DegenerateWeightsError("all three legs feeding this vertex are mid-swing")
+        w_rest = 1.0 - w_i
+        vertex = []
+        for p, p_prev, p_next in zip(xy[i], xy[i_prev], xy[i_next]):
+            wp = w_i * p
+            xi_minus = wp + w_rest * p_prev
+            xi_plus = wp + w_rest * p_next
+            vertex.append((wp + w_prev * xi_minus + w_next * xi_plus) / denom)
+        verts.append(tuple(vertex))
     return verts
 
 
-def desired_com(vertices: np.ndarray) -> np.ndarray:
-    """Desired CoM ground position: arithmetic mean of the polygon vertices."""
-    return np.mean(np.asarray(vertices, dtype=float).reshape(4, 2), axis=0)
+def desired_com(vertices) -> tuple[float, float]:
+    """Desired CoM ground position (x, y): the arithmetic mean of the four
+    polygon vertices, summed in order as ``np.mean(vertices, axis=0)`` does."""
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = vertices
+    return (x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0
 
 
-def footstep(p_hip: np.ndarray, t_stance: float, v_des: np.ndarray, v: np.ndarray,
-             z0: float, g: float = 9.81) -> np.ndarray:
-    """Touchdown target on the ground plane for one foot.
+def footstep(p_hip, t_stance: float, v_des, v, z0: float, g: float = 9.81) -> tuple[float, float]:
+    """Touchdown target (x, y) on the ground plane for one foot.
 
     Half-stance feedforward from the commanded velocity plus the
     inverted-pendulum velocity-feedback offset sqrt(z0/g)*(v - v_des),
-    measured from the hip's ground projection.
+    measured from the hip's ground projection. ``p_hip``, ``v_des`` and
+    ``v`` are (x, y) pairs.
     """
     if z0 <= 0.0 or g <= 0.0:
         raise ValueError("z0 and g must be positive")
-    p_hip = np.asarray(p_hip, dtype=float).reshape(2)
-    v_des = np.asarray(v_des, dtype=float).reshape(2)
-    v = np.asarray(v, dtype=float).reshape(2)
-    return p_hip + 0.5 * t_stance * v_des + np.sqrt(z0 / g) * (v - v_des)
+    (hx, hy), (dx, dy), (vx, vy) = p_hip, v_des, v
+    ff = 0.5 * t_stance
+    fb = math.sqrt(z0 / g)
+    return hx + ff * dx + fb * (vx - dx), hy + ff * dy + fb * (vy - dy)

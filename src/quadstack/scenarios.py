@@ -281,55 +281,66 @@ class TrotDriver:
         self.swing_trajs: dict[int, tuple[SwingTrajectory, float]] = {}
         self.est = EstimatorLoop(self.world) if use_estimates else None
         self.recent_contacts = feet.copy()
+        # ground plane through recent_contacts and the posture it asks for;
+        # refit only when a touchdown writes recent_contacts
+        self.plane: PlaneCoeffs | None = None
+        if adapt_posture:
+            self._fit_contacts()
         self.mpc_q = np.diag([50.0, 50.0, 800.0, 400.0, 400.0, 100.0,
                               60.0, 60.0, 80.0, 4.0, 4.0, 4.0])
         self.mpc_r = 1e-6
         self._mpc_plan = np.zeros((1, 12))
-        self._mpc_mask = None
-        # CoM reference: integrates the commanded velocity, gently anchored
-        # to the predictive support polygon (pure polygon tracking at speed
-        # leaves the position term fighting the velocity command)
-        self.p_ref_xy: np.ndarray | None = None
+        self._mpc_contact = None
+        # CoM reference (x, y): integrates the commanded velocity, gently
+        # anchored to the predictive support polygon (pure polygon tracking at
+        # speed leaves the position term fighting the velocity command)
+        self.p_ref_xy: tuple[float, float] | None = None
         self.anchor_rate = 0.2  # 1/s
 
-    def v_cmd(self, t: float) -> np.ndarray:
-        """Commanded velocity with a spin-up ramp from standstill."""
+    def v_cmd(self, t: float) -> tuple[float, float]:
+        """Commanded velocity (vx, vy) with a spin-up ramp from standstill."""
+        vx, vy = self.v_des.tolist()
         if self.ramp_time <= 0.0:
-            return self.v_des
-        return self.v_des * min(1.0, t / self.ramp_time)
+            return vx, vy
+        ramp = min(1.0, t / self.ramp_time)
+        return vx * ramp, vy * ramp
 
     # -- helpers ------------------------------------------------------------
+    # The per-tick helpers run on Python floats in the operation order of
+    # the array formulas they stand for: numpy's per-call cost would dominate
+    # on 2- and 3-vectors.
 
     def schedule(self, t):
-        mask = np.zeros(4, dtype=bool)
-        phis = np.zeros(4)
-        for leg in range(4):
-            mask[leg], phis[leg] = gait.subphase(t, self.sched, leg)
-        return mask, phis
+        """Scheduled contact flags and subphase progress of the four legs."""
+        contact, phis = zip(*[gait.subphase(t, self.sched, leg) for leg in range(4)])
+        return contact, phis
+
+    def _fit_contacts(self):
+        self.plane = terrain.fit_plane(self.recent_contacts[:, 0:2], self.recent_contacts[:, 2])
+        r_d, height = terrain.posture_from_plane(self.plane, yaw=0.0, z0=self.z0)
+        self._posture = r_d, (self.plane.normal() * height).tolist()
 
     def desired(self, t, state: RobotState) -> DesiredState:
-        mask, phis = self.schedule(t)
-        weights = np.array([gait.total_weight(mask[i], phis[i], self.gains)
-                            for i in range(4)])
-        verts = gait.support_polygon(state.feet[:, 0:2], weights)
-        polygon_xy = gait.desired_com(verts)
-        v_now = self.v_cmd(t)
+        contact, phis = self.schedule(t)
+        weights = [gait.total_weight(c, phi, self.gains) for c, phi in zip(contact, phis)]
+        verts = gait.support_polygon(state.feet.tolist(), weights)
+        poly_x, poly_y = gait.desired_com(verts)
+        vx, vy = self.v_cmd(t)
+        dt = self.world.dt
         if self.p_ref_xy is None:
-            self.p_ref_xy = polygon_xy.copy()
-        self.p_ref_xy = (self.p_ref_xy + v_now * self.world.dt
-                         + self.anchor_rate * self.world.dt * (polygon_xy - self.p_ref_xy))
-        com_xy = self.p_ref_xy
+            self.p_ref_xy = poly_x, poly_y
+        ref_x, ref_y = self.p_ref_xy
+        anchor = self.anchor_rate * dt
+        cx = ref_x + vx * dt + anchor * (poly_x - ref_x)
+        cy = ref_y + vy * dt + anchor * (poly_y - ref_y)
+        self.p_ref_xy = cx, cy
         if self.adapt_posture:
-            plane = terrain.fit_plane(self.recent_contacts[:, 0:2], self.recent_contacts[:, 2])
-            r_d, height = terrain.posture_from_plane(plane, yaw=0.0, z0=self.z0)
-            normal = plane.normal()
-            base = np.array([com_xy[0], com_xy[1], plane.height(*com_xy)])
-            pos_d = base + normal * height
+            r_d, (ox, oy, oz) = self._posture
+            pos_d = [cx + ox, cy + oy, self.plane.height(cx, cy) + oz]
         else:
             r_d = np.eye(3)
-            pos_d = np.array([com_xy[0], com_xy[1],
-                              self.ground.height(*com_xy) + self.z0])
-        return DesiredState(pos=pos_d, vel=np.array([*v_now, 0.0]), rot=r_d)
+            pos_d = [cx, cy, self.ground.height(cx, cy) + self.z0]
+        return DesiredState(pos=np.array(pos_d), vel=np.array([vx, vy, 0.0]), rot=r_d)
 
     def plan_swing(self, leg, t, state: RobotState):
         hip_w = state.pos + state.rot @ self.leg_model.hip(leg)
@@ -344,42 +355,44 @@ class TrotDriver:
         self.swing_trajs[leg] = (traj, t)
 
     def mpc_tables(self, t, state: RobotState):
-        k = MPC_HORIZON
-        x_ref = np.zeros((k, 12))
-        p_nom = np.zeros((k, 3))
-        contact = np.zeros((k, 4), dtype=bool)
-        feet = np.zeros((k, 4, 3))
-        feet_now = state.feet.copy()
-        for i in range(k):
+        """Reference states, contact flags, footholds and moment-arm origins
+        over the MPC horizon, (k, 12), (k, 4), (k, 4, 3) and (k, 3)."""
+        swing_now = [not c for c in self.schedule(t)[0]]
+        px, py, pz = state.pos.tolist()
+        feet_now = state.feet.tolist()
+        # a leg now in swing lands under its hip advanced by the command
+        hips = {leg: (state.rot @ self.leg_model.hip(leg)).tolist()
+                for leg in range(4) if swing_now[leg]}
+        base_x, base_y = (px, py) if self.p_ref_xy is None else self.p_ref_xy
+        t_stance = self.sched.stance_time()
+        x_ref, contact, feet, p_nom = [], [], [], []
+        for i in range(MPC_HORIZON):
             ti = t + (i + 1) * MPC_DT
+            vx, vy = self.v_cmd(ti)
+            dx, dy = vx * (ti - t), vy * (ti - t)
+            contact_i = [gait.subphase(ti, self.sched, leg)[0] for leg in range(4)]
+            feet_i = []
             for leg in range(4):
-                c, _ = gait.subphase(ti, self.sched, leg)
-                contact[i, leg] = c
-            # feet prediction: current positions, future steps land under the
-            # hip advanced by the command
-            for leg in range(4):
-                if contact[i, leg] and not self.schedule(t)[0][leg]:
-                    hip_w = state.pos + np.array([*(self.v_cmd(ti) * (ti - t)), 0.0]) \
-                        + state.rot @ self.leg_model.hip(leg)
-                    xy = gait.footstep(hip_w[0:2], self.sched.stance_time(),
-                                       self.v_cmd(ti), self.v_cmd(ti), self.z0)
-                    feet[i, leg] = [xy[0], xy[1], self.ground.height(*xy)]
+                if contact_i[leg] and swing_now[leg]:
+                    hx, hy, _ = hips[leg]
+                    xy = gait.footstep((px + dx + hx, py + dy + hy), t_stance,
+                                       (vx, vy), (vx, vy), self.z0)
+                    feet_i.append([xy[0], xy[1], self.ground.height(*xy)])
                 else:
-                    feet[i, leg] = feet_now[leg]
-            base = state.pos[0:2] if self.p_ref_xy is None else self.p_ref_xy
-            com = base + self.v_cmd(ti) * (ti - t)
-            x_ref[i, 0:2] = com
-            x_ref[i, 2] = self.ground.height(*com) + self.z0
-            x_ref[i, 6:8] = self.v_cmd(ti)
+                    feet_i.append(feet_now[leg])
+            com_x, com_y = base_x + dx, base_y + dy
+            x_ref.append([com_x, com_y, self.ground.height(com_x, com_y) + self.z0,
+                          0.0, 0.0, 0.0, vx, vy, 0.0, 0.0, 0.0, 0.0])
+            contact.append(contact_i)
+            feet.append(feet_i)
             # moment arms about the predicted body path, not the target path
-            p_nom[i] = state.pos + np.array([*(self.v_cmd(ti) * (ti - t)), 0.0])
-        return x_ref, contact, feet, p_nom
+            p_nom.append([px + dx, py + dy, pz])
+        return np.array(x_ref), np.array(contact), np.array(feet), np.array(p_nom)
 
-    def mpc_forces(self, t, state: RobotState, step_idx, mask):
-        switched = self._mpc_mask is None or not np.array_equal(mask, self._mpc_mask)
-        if switched or step_idx % MPC_DECIMATION == 0:
+    def mpc_forces(self, t, state: RobotState, step_idx, contact_now):
+        if contact_now != self._mpc_contact or step_idx % MPC_DECIMATION == 0:
             x_ref, contact, feet, p_nom = self.mpc_tables(t, state)
-            contact[0] = mask  # first step uses the realized contact set
+            contact[0] = contact_now  # first step uses the realized contact set
             x0 = np.concatenate([state.pos, so3.matrix_to_rpy(state.rot),
                                  state.vel, state.rot @ state.omega])
             cfg = MpcConfig(horizon=MPC_HORIZON, dt=MPC_DT,
@@ -387,7 +400,7 @@ class TrotDriver:
                             x_ref=x_ref, contact=contact, feet=feet,
                             op_yaw=0.0, model=self.model, p_nom=p_nom)
             self._mpc_plan = solve_mpc(cfg, x0, self.friction)
-            self._mpc_mask = mask.copy()
+            self._mpc_contact = contact_now
         return self._mpc_plan[0]
 
     # -- main loop ------------------------------------------------------------
@@ -397,13 +410,13 @@ class TrotDriver:
         n = int(round(self.duration / self.world.dt))
         log = Logger()
         height_err, vel_err = [], []
-        mask_prev, _ = self.schedule(0.0)
+        contact_prev, _ = self.schedule(0.0)
         forces = np.zeros(12)
-        plane_err = []
         speed_sum = 0.0
         for k in range(n):
             t = self.world.t
-            mask, phis = self.schedule(t)
+            contact, _ = self.schedule(t)
+            mask = np.array(contact)
             state = self.world.state
 
             if self.est is not None:
@@ -415,42 +428,40 @@ class TrotDriver:
                 ctrl_state = state
 
             # liftoff events start swing trajectories; touchdowns record contacts
+            touchdown = False
             for leg in range(4):
-                if mask_prev[leg] and not mask[leg]:
+                if contact_prev[leg] and not contact[leg]:
                     self.plan_swing(leg, t, ctrl_state)
-                if mask[leg] and not mask_prev[leg]:
+                if contact[leg] and not contact_prev[leg]:
                     self.recent_contacts[leg] = state.feet[leg].copy()
-            mask_prev = mask
+                    touchdown = True
+            contact_prev = contact
+            if touchdown and self.adapt_posture:
+                self._fit_contacts()
 
             des = self.desired(t, ctrl_state)
-            stance_mask = mask
             if self.controller_type == "mpc":
-                forces = self.mpc_forces(t, ctrl_state, k, stance_mask)
-                forces = forces * np.repeat(stance_mask, 3)
+                forces = self.mpc_forces(t, ctrl_state, k, contact)
+                forces = forces * np.repeat(mask, 3)
             else:
-                forces = self.balance.compute(ctrl_state, des, stance_mask)
+                forces = self.balance.compute(ctrl_state, des, mask)
 
             swing_targets = {}
             for leg in range(4):
-                if not mask[leg] and leg in self.swing_trajs:
+                if not contact[leg] and leg in self.swing_trajs:
                     traj, t0 = self.swing_trajs[leg]
                     swing_targets[leg] = traj.sample(t + self.world.dt - t0)[0]
-            self.world.step(forces, stance_mask, swing_targets)
+            self.world.step(forces, mask, swing_targets)
 
-            z_ref = self.ground.height(*self.world.state.pos[0:2]) + self.z0
-            height_err.append(self.world.state.pos[2] - z_ref)
+            px, py, pz = self.world.state.pos.tolist()
+            height_err.append(pz - (self.ground.height(px, py) + self.z0))
             vel = self.world.state.vel
             vel_err.append(np.linalg.norm(vel[0:2] - self.v_cmd(t)))
             speed_sum += math.hypot(vel[0], vel[1])
-            if self.adapt_posture:
-                plane = terrain.fit_plane(self.recent_contacts[:, 0:2],
-                                          self.recent_contacts[:, 2])
-                plane_err.append(abs(plane.a1 - self.ground.a1)
-                                 + abs(plane.a2 - self.ground.a2))
             if k % 10 == 0:
                 _log_state(log, self.world, {
-                    "stance0": float(mask[0]), "stance1": float(mask[1]),
-                    "stance2": float(mask[2]), "stance3": float(mask[3]),
+                    "stance0": float(contact[0]), "stance1": float(contact[1]),
+                    "stance2": float(contact[2]), "stance3": float(contact[3]),
                 })
 
         def rms(a):
@@ -465,8 +476,9 @@ class TrotDriver:
             "mean_speed_mps": speed_sum / max(n, 1),
             "runtime_s": time.perf_counter() - t_start,
         }
-        if plane_err:
-            summary["slope_fit_error_final"] = float(plane_err[-1])
+        if self.adapt_posture and n > 0:
+            summary["slope_fit_error_final"] = float(abs(self.plane.a1 - self.ground.a1)
+                                                     + abs(self.plane.a2 - self.ground.a2))
         return ScenarioResult(summary=summary, log=log.arrays())
 
 
@@ -737,7 +749,7 @@ def run_slope(duration=4.0, slope=0.17, v_des=(0.3, 0.0), seed=0, **kw) -> Scena
     driver = TrotDriver(v_des=v_des, duration=duration, seed=seed,
                         ground=ground, adapt_posture=True, **kw)
     res = driver.run()
-    plane = terrain.fit_plane(driver.recent_contacts[:, 0:2], driver.recent_contacts[:, 2])
+    plane = driver.plane
     res.summary["scenario"] = "slope"
     res.summary["slope_true"] = slope
     res.summary["slope_estimate"] = float(plane.a1)

@@ -176,6 +176,8 @@ class SwingTrajectory:
         self.p0 = np.asarray(p_start, dtype=float).reshape(3)
         self.p1 = np.asarray(p_end, dtype=float).reshape(3)
         self.duration = float(duration)
+        self._p0 = self.p0.tolist()
+        self._delta = (self.p1 - self.p0).tolist()
 
     def _s(self, u: float) -> tuple[float, float, float]:
         s = u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
@@ -183,18 +185,19 @@ class SwingTrajectory:
         dds = 60.0 * u * (1.0 - 3.0 * u + 2.0 * u * u)
         return s, ds, dds
 
-    def sample(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Position, velocity, acceleration at time ``t`` since liftoff."""
+    def sample(self, t: float) -> tuple[tuple[float, float, float], ...]:
+        """Position, velocity, acceleration at time ``t`` since liftoff, as
+        (x, y, z) tuples. Python floats in the operation order of the 3-vector
+        formula, bump added to every axis (zero in x and y)."""
         u = min(1.0, max(0.0, t / self.duration))
         s, ds, dds = self._s(u)
         inv = 1.0 / self.duration
-        pos = self.p0 + s * (self.p1 - self.p0)
-        vel = ds * inv * (self.p1 - self.p0)
-        acc = dds * inv * inv * (self.p1 - self.p0)
         bump = 16.0 * u * u * (1.0 - u) ** 2
         dbump = 32.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
         ddbump = 32.0 * (1.0 - 6.0 * u + 6.0 * u * u)
-        pos = pos + np.array([0.0, 0.0, _APEX * bump])
-        vel = vel + np.array([0.0, 0.0, _APEX * dbump * inv])
-        acc = acc + np.array([0.0, 0.0, _APEX * ddbump * inv * inv])
+        (x0, y0, z0), (dx, dy, dz) = self._p0, self._delta
+        k_vel, k_acc = ds * inv, dds * inv * inv
+        pos = (x0 + s * dx + 0.0, y0 + s * dy + 0.0, z0 + s * dz + _APEX * bump)
+        vel = (k_vel * dx + 0.0, k_vel * dy + 0.0, k_vel * dz + _APEX * dbump * inv)
+        acc = (k_acc * dx + 0.0, k_acc * dy + 0.0, k_acc * dz + _APEX * ddbump * inv * inv)
         return pos, vel, acc

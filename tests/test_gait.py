@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from quadstack import gait
 
@@ -10,6 +10,32 @@ TROT = gait.gait_preset("trot", period=0.4)
 P = gait.PhaseGainParams()
 
 NOMINAL_FEET = np.array([[0.3, -0.128], [0.3, 0.128], [-0.3, -0.128], [-0.3, 0.128]])
+# ring neighbours of each leg, clockwise and counterclockwise viewed from above
+RING_PREV = {0: 2, 1: 0, 2: 3, 3: 1}
+RING_NEXT = {0: 1, 1: 3, 2: 0, 3: 2}
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert_array_equal(actual, expected)
+    assert_array_equal(np.signbit(actual), np.signbit(expected))  # tells -0.0 from 0.0
+
+
+def polygon_per_vertex(feet_xy, weights):
+    """support_polygon as the numpy composition virtual_points -> polygon_vertex."""
+    verts = np.zeros((4, 2))
+    for i in range(4):
+        i_prev, i_next = RING_PREV[i], RING_NEXT[i]
+        xi_m, xi_p = gait.virtual_points(feet_xy[i], feet_xy[i_prev], feet_xy[i_next], weights[i])
+        verts[i] = gait.polygon_vertex(feet_xy[i], xi_m, xi_p,
+                                       weights[i], weights[i_prev], weights[i_next])
+    return verts
+
+
+def footstep_numpy(p_hip, t_stance, v_des, v, z0, g=9.81):
+    """footstep's formula on 2-vectors."""
+    p_hip, v_des, v = (np.asarray(x, dtype=float) for x in (p_hip, v_des, v))
+    return p_hip + 0.5 * t_stance * v_des + np.sqrt(z0 / g) * (v - v_des)
 
 
 class TestSubphase:
@@ -134,6 +160,57 @@ class TestPolygon:
             coms.append(gait.desired_com(gait.support_polygon(NOMINAL_FEET, weights)))
         steps = np.linalg.norm(np.diff(np.array(coms), axis=0), axis=1)
         assert np.max(steps) <= 1e-3
+
+
+class TestFloatArithmetic:
+    """The per-tick helpers give the bits of the array formulas they replace."""
+
+    coords = st.floats(-3.0, 3.0, allow_nan=False)
+    weight = st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-9), st.just(0.0))
+
+    @given(st.lists(coords, min_size=8, max_size=8), st.lists(weight, min_size=4, max_size=4))
+    def test_support_polygon_matches_per_vertex(self, xy, weights):
+        feet_xy = np.array(xy).reshape(4, 2)
+        try:
+            expected = polygon_per_vertex(feet_xy, np.array(weights))
+        except gait.DegenerateWeightsError:
+            with pytest.raises(gait.DegenerateWeightsError):
+                gait.support_polygon(feet_xy, weights)
+            return
+        assert_same_bits(gait.support_polygon(feet_xy, weights), expected)
+        # nested (x, y, z) lists, as the trot driver passes them
+        rows = [[x, y, 0.45] for x, y in feet_xy.tolist()]
+        assert_same_bits(gait.support_polygon(rows, weights), expected)
+        assert_same_bits(gait.desired_com(gait.support_polygon(rows, weights)),
+                         np.mean(expected, axis=0))
+
+    def test_gait_cycle_matches_per_vertex(self):
+        rng = np.random.default_rng(4)
+        for t in np.arange(0.0, 2.0 * TROT.period, 7e-3):
+            feet_xy = NOMINAL_FEET + rng.normal(scale=0.05, size=(4, 2))
+            weights = np.array([gait.total_weight(*gait.subphase(t, TROT, leg), P)
+                                for leg in range(4)])
+            expected = polygon_per_vertex(feet_xy, weights)
+            verts = gait.support_polygon(feet_xy, weights.tolist())
+            assert_same_bits(verts, expected)
+            assert_same_bits(gait.desired_com(verts), np.mean(expected, axis=0))
+
+    def test_degenerate_vertex_still_raises(self):
+        # vertex 0 blends legs 0, 2 and 1, which are all (nearly) weightless
+        weights = [0.0, 0.0, 1e-10, 1.0]
+        with pytest.raises(gait.DegenerateWeightsError):
+            polygon_per_vertex(NOMINAL_FEET, np.array(weights))
+        with pytest.raises(gait.DegenerateWeightsError):
+            gait.support_polygon(NOMINAL_FEET, weights)
+
+    @given(st.lists(coords, min_size=6, max_size=6), st.floats(0.0, 0.5),
+           st.floats(0.05, 1.0))
+    def test_footstep_matches_vector_formula(self, xy, t_stance, z0):
+        p_hip, v_des, v = xy[0:2], xy[2:4], xy[4:6]
+        expected = footstep_numpy(p_hip, t_stance, v_des, v, z0)
+        assert_same_bits(gait.footstep(p_hip, t_stance, v_des, v, z0), expected)
+        assert_same_bits(gait.footstep(np.array(p_hip), t_stance, np.array(v_des),
+                                       np.array(v), z0), expected)
 
 
 class TestFootstep:

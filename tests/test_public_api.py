@@ -21,15 +21,19 @@ def test_all_names_exist(name):
     assert not missing, f"quadstack.{name}.__all__ names missing attributes: {missing}"
 
 
-def test_benchmark_tracer_installs_and_restores():
-    # the tracer patches class and module attributes by name; a deleted or
-    # renamed boundary makes install raise instead of tracing nothing
+def _layers():
     for name in MODULES:
         importlib.import_module(f"quadstack.{name}")
     spec = importlib.util.spec_from_file_location("quadstack_bench_layers", LAYERS_PY)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
 
+
+def test_benchmark_tracer_installs_and_restores():
+    # the tracer patches class and module attributes by name; a deleted or
+    # renamed boundary makes install raise instead of tracing nothing
+    layers = _layers()
     tracer = layers.Tracer()
     patched = []
     try:
@@ -43,6 +47,33 @@ def test_benchmark_tracer_installs_and_restores():
     for owner, attr, original in patched:
         current = owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original
+
+
+# the per-tick helpers of the trot loop that the tracer times; a loop that
+# inlines one of them makes its per-layer metric read 0
+TROT_BOUNDARIES = ("gait.subphase", "gait.total_weight", "gait.support_polygon",
+                   "gait.desired_com", "gait.footstep", "scenarios.desired",
+                   "scenarios.plan_swing", "swing.sample")
+
+
+@pytest.mark.parametrize("controller", ["balance", "mpc"])
+def test_trot_loop_calls_traced_boundaries(controller):
+    layers = _layers()
+    tracer = layers.Tracer()
+    try:
+        layers.install(tracer, quadstack)
+        quadstack.scenarios.run_trot(duration=0.2, controller=controller)
+    finally:
+        tracer.restore()
+    expected = TROT_BOUNDARIES + (("scenarios.mpc_tables",) if controller == "mpc" else ())
+    traced = {name for name, *_ in tracer.spans}
+    missing = [name for name in expected if name not in traced]
+    assert not missing, f"no span recorded for {missing}"
+    metrics = layers.layer_metrics(tracer.spans)
+    for key in ("gait.us_per_tick", "scenarios.desired_us", "swing.sample_us"):
+        assert metrics[key] > 0.0, key
+    if controller == "mpc":
+        assert metrics["scenarios.mpc_tables_us"] > 0.0
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -2,9 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from quadstack import cli, scenarios, sim
+from quadstack import cli, gait, scenarios, sim
 from quadstack.scenarios import (ReplayLogError, hop_spec, reference_from_log, reference_log,
                                  run_estimate, run_jump_opt, run_jump_sim, run_stand, run_trot,
                                  spin_spec)
@@ -73,6 +73,76 @@ class TestTrot:
         res = run_trot(duration=0.5)
         for col in ("t_s", "px_m", "vz_mps", "r00", "foot0x_m", "f3z_N", "stance0"):
             assert col in res.log
+
+
+def mpc_tables_per_leg(driver, t, state):
+    """TrotDriver.mpc_tables as the per-(step, leg) numpy loop it replaced."""
+    def schedule(t):
+        return np.array([gait.subphase(t, driver.sched, leg)[0] for leg in range(4)]), None
+
+    def v_cmd(t):
+        return driver.v_des * min(1.0, t / driver.ramp_time)
+
+    def footstep(p_hip, t_stance, v_des, v, z0, g=9.81):
+        return p_hip + 0.5 * t_stance * v_des + np.sqrt(z0 / g) * (v - v_des)
+
+    k = scenarios.MPC_HORIZON
+    x_ref = np.zeros((k, 12))
+    p_nom = np.zeros((k, 3))
+    contact = np.zeros((k, 4), dtype=bool)
+    feet = np.zeros((k, 4, 3))
+    feet_now = state.feet.copy()
+    for i in range(k):
+        ti = t + (i + 1) * scenarios.MPC_DT
+        for leg in range(4):
+            c, _ = gait.subphase(ti, driver.sched, leg)
+            contact[i, leg] = c
+        for leg in range(4):
+            if contact[i, leg] and not schedule(t)[0][leg]:
+                hip_w = state.pos + np.array([*(v_cmd(ti) * (ti - t)), 0.0]) \
+                    + state.rot @ driver.leg_model.hip(leg)
+                xy = footstep(hip_w[0:2], driver.sched.stance_time(),
+                              v_cmd(ti), v_cmd(ti), driver.z0)
+                feet[i, leg] = [xy[0], xy[1], driver.ground.height(*xy)]
+            else:
+                feet[i, leg] = feet_now[leg]
+        base = state.pos[0:2] if driver.p_ref_xy is None else np.array(driver.p_ref_xy)
+        com = base + v_cmd(ti) * (ti - t)
+        x_ref[i, 0:2] = com
+        x_ref[i, 2] = driver.ground.height(*com) + driver.z0
+        x_ref[i, 6:8] = v_cmd(ti)
+        p_nom[i] = state.pos + np.array([*(v_cmd(ti) * (ti - t)), 0.0])
+    return x_ref, contact, feet, p_nom
+
+
+class TestMpcTables:
+    def test_matches_per_leg_loop(self, monkeypatch):
+        # record the state of every replan of a 1 s MPC trot: t = 0, the
+        # 0.8 s command ramp, liftoff ticks, mid-stance and past the ramp
+        driver = scenarios.TrotDriver(v_des=(0.9, -0.08), duration=1.0, controller="mpc")
+        calls = []
+        original = scenarios.TrotDriver.mpc_tables
+
+        def recording(self, t, state):
+            calls.append((t, state.copy(), self.p_ref_xy))
+            return original(self, t, state)
+
+        monkeypatch.setattr(scenarios.TrotDriver, "mpc_tables", recording)
+        driver.run()
+        monkeypatch.undo()
+        ticks = [round(t / driver.world.dt) for t, _, _ in calls]
+        assert ticks[0] == 0 and 33 in ticks and max(ticks) > 800
+        assert 150 in ticks and 300 in ticks  # liftoffs of legs 0 and 3, then of 1 and 2
+        assert 66 in ticks  # mid-stance of legs 0 and 3, no switch
+
+        for t, state, p_ref in calls:
+            for driver.p_ref_xy in (None, p_ref):
+                got = driver.mpc_tables(t, state)
+                want = mpc_tables_per_leg(driver, t, state)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert_array_equal(a, b)
+                    assert_array_equal(np.signbit(a), np.signbit(b))  # -0.0 vs 0.0
 
 
 class TestEstimateReplay:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from quadstack import swing
 from quadstack.swing import (
     LegModel,
     SwingTrajectory,
@@ -111,7 +112,40 @@ class TestStanceMapping:
         assert_allclose(grf_from_torque(q, tau, r, 0, MODEL), f, atol=1e-9)
 
 
+def swing_sample_numpy(p_start, p_end, duration, t):
+    """SwingTrajectory.sample's formula on 3-vectors."""
+    p0, p1 = np.asarray(p_start, dtype=float), np.asarray(p_end, dtype=float)
+    u = min(1.0, max(0.0, t / duration))
+    s = u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
+    ds = 30.0 * u * u * (1.0 - u) ** 2
+    dds = 60.0 * u * (1.0 - 3.0 * u + 2.0 * u * u)
+    inv = 1.0 / duration
+    bump = 16.0 * u * u * (1.0 - u) ** 2
+    dbump = 32.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
+    ddbump = 32.0 * (1.0 - 6.0 * u + 6.0 * u * u)
+    pos = p0 + s * (p1 - p0) + np.array([0.0, 0.0, swing._APEX * bump])
+    vel = ds * inv * (p1 - p0) + np.array([0.0, 0.0, swing._APEX * dbump * inv])
+    acc = dds * inv * inv * (p1 - p0) + np.array([0.0, 0.0, swing._APEX * ddbump * inv * inv])
+    return pos, vel, acc
+
+
 class TestSwingTrajectory:
+    def test_sample_matches_vector_formula(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p0 = rng.normal(scale=0.5, size=3)
+            p1 = p0 + rng.normal(scale=0.2, size=3)
+            still = rng.integers(3)
+            p1[still] = p0[still]  # one axis without travel
+            duration = rng.uniform(0.05, 0.4)
+            traj = SwingTrajectory(p0, p1, duration)
+            for t in (-0.01, 0.0, 1e-3, rng.uniform(0.0, duration), 0.5 * duration,
+                      duration, duration + 0.02):
+                for got, want in zip(traj.sample(t), swing_sample_numpy(p0, p1, duration, t)):
+                    got = np.asarray(got)
+                    assert_array_equal(got, want)
+                    assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0 vs 0.0
+
     def test_endpoints_and_velocity(self):
         traj = SwingTrajectory(np.zeros(3), np.array([0.2, 0.0, 0.0]), 0.25)
         p0, v0, _ = traj.sample(0.0)

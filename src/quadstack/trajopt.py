@@ -34,10 +34,12 @@ Problem size, for phases i = 1..n_p with N_i intervals and n_i stance feet
 
 The solver is an augmented-Lagrangian outer loop over the equality and
 inequality constraints. Each subproblem is solved over the variable bounds
-by a projected Newton method on B = ∇²L + rho J^T S^2 J. The cost and
-constraint gradients, J and ∇²L are analytic. Every nonlinear term touches
-one knot, the forces of the interval it starts and one phase duration, so
-J and ∇²L are computed block by block in closed form. B is banded in a
+by a projected Newton method on B = ∇²L + rho J^T S^2 J. Every nonlinear
+term touches one knot, the forces of the interval it starts and one phase
+duration, so J and ∇²L are computed block by block in closed form. J is
+the one source of first derivatives: the AL gradient is ∇cost + J^T y,
+formed from the same blocks at each accepted point, while line-search
+trial points evaluate the merit value only. B is banded in a
 knot-by-interval ordering, with the phase durations as a border. Returned
 solutions are re-checked by an independent constraint evaluator that does
 not share code with the solver path.
@@ -46,6 +48,7 @@ not share code with the solver path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,7 +198,7 @@ class TimingSolution:
     converged: bool
     outer_iterations: int
     ortho_defect: float              # max knot orthogonality defect
-    trace: list                      # per outer iteration: violation, rho, newton_steps, delta
+    trace: list                      # per outer: violation, rho, newton_steps, merit_evals, delta
 
 
 @dataclass
@@ -274,8 +277,9 @@ def trajectory_cost(states: list[SrbdState], forces: np.ndarray,
 
 
 class TimingProblem:
-    """Packed NLP: decision vector, bounds, cost/constraints with gradients,
-    and the exact derivative blocks of the Newton matrix.
+    """Packed NLP: decision vector, bounds, cost and constraints, and their
+    exact derivatives block by block: the constraint Jacobian J, the
+    Lagrangian Hessian and the Lagrangian gradient ∇cost + J^T y.
 
     Layout: knots [p v omega R(9)] x (N+1), then scaled stance forces
     (f / (m g)) per stance interval and foot, then phase durations.
@@ -358,7 +362,6 @@ class TimingProblem:
         self.sk_pw_cm = self.sk_pw.T
         self.sk_center_cm = spec.sphere_centers[self.sk_f].T
         self.int_nk = self.phase_nk[self.int_phase]
-        self.phase_start = np.concatenate([[0], np.cumsum(self.phase_nk[:-1])]).astype(np.intp)
 
         self.n_goal_twist = (3 if spec.v_goal is not None else 0) + \
             (3 if spec.omega_goal is not None else 0)
@@ -545,9 +548,7 @@ class TimingProblem:
         o += 9 * n
         y.rot = y_eq[o:o + 9 * n].reshape(n, 3, 3).transpose(1, 2, 0)
         y.pin = y_eq[o + 9 * n:]
-        y.fric = y_in[:4 * n_items].reshape(-1, 4)
         y.sph = y_in[4 * n_items:4 * n_items + len(self.sk_k)]
-        y.window = y_in[-2:]
         return y
 
     def _rate_weights(self, st: SimpleNamespace, y: SimpleNamespace) -> np.ndarray:
@@ -579,11 +580,17 @@ class TimingProblem:
         return g_om, _cross(st.fsum, rw), g_r, _cross(rw[:, self.fi_j], st.lever_items)
 
     def _eval(self, z: np.ndarray, need_grad: bool):
-        """Cost, equality residuals, inequality residuals, and a vjp closure."""
+        """Cost, equality residuals, inequality residuals and, given
+        ``need_grad``, a handle on the derivatives at ``z``.
+
+        The handle ``derivatives(y_eq, y_in)`` is :meth:`_derivative_blocks`
+        at this point; nothing is computed until it is called, so a line
+        search may hold it for every trial and call it only where it stops.
+        """
         spec = self.spec
-        st = self._state(np.asarray(z, dtype=float))
+        z = np.asarray(z, dtype=float)
+        st = self._state(z)
         pos, vel, omega, rots, h = st.pos, st.vel, st.omega, st.rots, st.h
-        n_items = self.n_force // 3
 
         c_pos = pos[:, 1:] - st.p_k - h * st.v_k
         c_vel = vel[:, 1:] - st.v_k - h * st.u
@@ -616,89 +623,30 @@ class TimingProblem:
         ineq = np.concatenate([fric.reshape(-1), sph,
                                [spec.t_min - t_total, t_total - spec.t_max]])
 
-        cost_rot, cost_rot_grads = _rot_cost_batch(st.m_err, spec.eps_rot, need_grad)
+        # rotation error eps |log(ref^T R)^vee|^2 per knot, log(M)^vee = a(c) s
+        s_vec, a_fac, _, _ = _log_factor(st.m_err)
+        e_vecs = a_fac * s_vec
         cost = float(spec.eps_omega * np.sum(omega * omega)
-                     + spec.eps_force * np.sum(st.f_cm * st.f_cm) + cost_rot)
+                     + spec.eps_force * np.sum(st.f_cm * st.f_cm)
+                     + spec.eps_rot * float(np.sum(e_vecs * e_vecs)))
         if not need_grad:
             return cost, c_eq, ineq, None
-
-        def grad(y_eq: np.ndarray, y_in: np.ndarray) -> np.ndarray:
-            """Gradient of cost + y_eq . c_eq + y_in . c_ineq."""
-            y = self._multipliers(y_eq, y_in)
-            m = spec.model.mass
-            g_knots = np.zeros((18, self.n_knots))
-            g_pos, g_vel, g_om = g_knots[0:3], g_knots[3:6], g_knots[6:9]
-            g_rot = g_knots[9:18].reshape(3, 3, self.n_knots)
-
-            # cost terms
-            g_om += 2.0 * spec.eps_omega * omega
-            g_f = 2.0 * spec.eps_force * st.f_cm
-            g_rot += _matmul(self.ref_rots_cm, cost_rot_grads)
-
-            # position and velocity defects
-            g_pos[:, 1:] += y.pos
-            g_pos[:, :-1] -= y.pos
-            g_vel[:, :-1] -= h * y.pos
-            g_vel[:, 1:] += y.vel
-            g_vel[:, :-1] -= y.vel
-            g_f -= (h[self.fi_j] / m) * y.vel[:, self.fi_j]
-
-            # body-rate defects (including the initial angular-acceleration pin)
-            g_om[:, 1:] += y.om
-            g_om[:, :-1] -= y.om
-            r_om, r_p, r_rot, r_f = self._rate_adjoint(st, self._rate_weights(st, y))
-            g_om[:, :-1] += r_om
-            g_pos[:, :-1] += r_p
-            g_rot[..., :-1] += r_rot
-            g_f += r_f
-
-            # rotation-manifold defects: -<R^T Y, E(a)> per interval
-            g_rot[..., 1:] += y.rot
-            g_rot[..., :-1] -= _matmul(y.rot, st.e_mat.swapaxes(0, 1))
-            vs, _ = _exp_curvature(st, _matmul(st.r_k.swapaxes(0, 1), y.rot))
-            g_om[:, :-1] -= vs * h
-
-            # durations: every defect of interval j scales with h_j = T_i / N_i
-            dh = np.sum(y.pos * st.v_k + y.vel * st.u + y.om * st.om_dot + vs * st.om_k, axis=0)
-            g_t = -np.add.reduceat(dh / self.int_nk, self.phase_start)
-
-            # friction rows
-            if n_items:
-                yf = y.fric
-                g_f[0] += yf[:, 0] - yf[:, 1]
-                g_f[1] += yf[:, 2] - yf[:, 3]
-                g_f[2] -= spec.mu * yf.sum(axis=1)
-            # sphere rows; the rows of one knot are adjacent
-            if len(self.sk_k):
-                y_sph = 2.0 * y.sph
-                ru = _matvec(rots[..., self.sk_k].swapaxes(0, 1), st.u_sph)   # R^T u
-                g_pos[:, self.sk_knots] -= np.add.reduceat(y_sph * ru, self.sk_start, axis=-1)
-                g_rot[..., self.sk_knots] += np.add.reduceat(
-                    (y_sph * st.u_sph)[:, None] * st.d_sph[None], self.sk_start, axis=-1)
-            # duration window rows
-            g_t += y.window[1] - y.window[0]
-
-            gz = np.empty(self.n_vars)
-            gz[:self.nf_off] = g_knots.T.reshape(-1)
-            gz[self.nf_off:self.nt_off] = (g_f * self.f_scale).T.reshape(-1)
-            gz[self.nt_off:] = g_t
-            gz[self.unit_vars] += y_eq[self.unit_rows]               # boundary rows
-            return gz
-
-        return cost, c_eq, ineq, grad
+        return cost, c_eq, ineq, partial(self._derivative_blocks, z.copy())
 
     def _derivative_blocks(self, z: np.ndarray, y_eq: np.ndarray | None = None,
                            y_in: np.ndarray | None = None):
-        """Exact constraint Jacobian and Lagrangian Hessian, block by block.
+        """Exact constraint Jacobian, Lagrangian Hessian and gradient.
 
-        Returns ``jac`` of shape ``block_rows.shape + (n_cols,)``: the
-        derivatives of each block's rows in its variables (see
-        :meth:`_block_layout`). Given multipliers, also returns ``hess``,
-        ``(n_knots, block_size + 1, block_size + 1)``: the Hessian of cost +
-        y_eq . c_eq + y_in . c_in in each block's own variables and its
-        duration (last). No nonlinear term touches knot j + 1, so these are
-        all its terms; only the upper triangle is filled. The boundary and
-        duration window rows are linear and left out.
+        Returns ``(jac, hess, grad)``. ``jac`` has shape ``block_rows.shape +
+        (n_cols,)``: the derivatives of each block's rows in its variables
+        (see :meth:`_block_layout`); the linear boundary and duration window
+        rows are left out. Given multipliers, ``hess``, ``(n_knots,
+        block_size + 1, block_size + 1)``, is the Hessian of L = cost + y_eq .
+        c_eq + y_in . c_in in each block's own variables and its duration
+        (last). No nonlinear term touches knot j + 1, so these are all its
+        terms; only the upper triangle is filled. ``grad`` is the gradient
+        of L over the decision vector, ∇cost + J^T y, the linear rows
+        included. Without multipliers both are None.
         """
         spec = self.spec
         st = self._state(z)
@@ -755,14 +703,28 @@ class TimingProblem:
             jac[self.sk_k, self.sk_row, 9:18] = \
                 2.0 * (st.u_sph[:, None] * st.d_sph[None]).reshape(9, n_sph).T
         if y_eq is None:
-            return jac, None
+            return jac, None, None
+
+        # gradient: J^T y block by block, padding rows reading the zero
+        # appended to y and padding columns (-1) landing in a dropped slot;
+        # then the linear rows and the cost
+        y_rows = np.concatenate([y_eq, y_in, [0.0]])[self.block_rows]
+        grad = np.bincount(self.block_cols.ravel() + 1, np.matmul(y_rows[:, None], jac).ravel(),
+                           self.n_vars + 1)[1:]
+        grad[self.unit_vars] += y_eq[self.unit_rows]
+        grad[self.nt_off:] += y_in[-1] - y_in[-2]
+        rot_grad, rot_hess = _rot_cost_derivatives(st.m_err, self.ref_rots, spec.eps_rot)
+        g_knots = grad[:self.nf_off].reshape(self.n_knots, 18)
+        g_knots[:, 6:9] += 2.0 * spec.eps_omega * st.omega.T
+        g_knots[:, 9:18] += rot_grad
+        grad[self.nf_off:self.nt_off] += 2.0 * spec.eps_force * fs * st.f_cm.T.ravel()
 
         y = self._multipliers(y_eq, y_in)
         hess = np.zeros((self.n_knots, bs + 1, bs + 1))          # the duration last
         # cost
         hess[:, 6 + ax, 6 + ax] = 2.0 * spec.eps_omega
         hess[fi_j, ic + ax, ic + ax] = 2.0 * spec.eps_force * fs**2
-        hess[:, 9:18, 9:18] = _rot_cost_hessian(st.m_err, self.ref_rots, spec.eps_rot)
+        hess[:, 9:18, 9:18] = rot_hess
 
         # position and velocity defects: linear in h, so only the duration
         # column
@@ -821,7 +783,7 @@ class TimingProblem:
             p_r = -(np.eye(3)[:, None, :, None] * y_u[None, :, None]
                     + r.swapaxes(0, 1)[:, :, None] * y_d[None, None])
             hess[kk, 0:3, 9:18] += p_r.reshape(3, 9, len(kk)).transpose(2, 0, 1)
-        return jac, hess
+        return jac, hess, grad
 
 
 # -- component-major 3-vector and 3x3 algebra --------------------------------
@@ -925,44 +887,32 @@ def _log_factor(m_err: np.ndarray):
     return _vee_star_batch(m_err), a, np.where(held, 0.0, a_c), np.where(held, 0.0, a_cc)
 
 
-def _rot_cost_batch(m_err: np.ndarray, eps_rot: float, need_grad: bool):
-    """Rotation-error cost over the knots, and its gradient in the error matrices.
+def _rot_cost_derivatives(m_err: np.ndarray, ref: np.ndarray, eps_rot: float):
+    """Gradient ``(n_knots, 9)`` and Hessian ``(n_knots, 9, 9)`` of the
+    rotation-error cost in each knot's rotation entries.
 
-    ``m_err`` is ``(3, 3, n_knots)``. The cost is eps |a(c) s|^2 per knot:
-    eps q(tr M) |s|^2 with q = a^2.
-    """
-    s_vec, a_fac, a_c, _ = _log_factor(m_err)
-    e_vecs = a_fac * s_vec
-    cost = eps_rot * float(np.sum(e_vecs * e_vecs))
-    if not need_grad:
-        return cost, None
-    # 2 q sigma + q' |s|^2 I, with d<s, x>/dM = hat(x) and q' = a a_c
-    grads = _hat(2.0 * eps_rot * a_fac * e_vecs)
-    grads[[0, 1, 2], [0, 1, 2]] += eps_rot * a_fac * a_c * np.sum(s_vec * s_vec, axis=0)
-    return cost, grads
-
-
-def _rot_cost_hessian(m_err: np.ndarray, ref: np.ndarray, eps_rot: float) -> np.ndarray:
-    """Hessian of the rotation-error cost in each knot's rotation entries, (n_knots, 9, 9).
-
-    ``ref`` is ``(n_knots, 3, 3)`` and ``m_err`` = ref^T R. In the entries
-    of M the Hessian of eps q(tr M) |s|^2 is eps (q'' |s|^2 tau tau^T +
-    2 q' (tau sigma^T + sigma tau^T) + 2 q sum_i sigma_i sigma_i^T), with
-    tau = vec(I), sigma = vec(hat(s)) and sigma_i = vec(hat(e_i)); the map
-    R -> M takes vec(X) back to vec(ref X).
+    ``ref`` is ``(n_knots, 3, 3)`` and ``m_err`` = ref^T R, so the map R -> M
+    takes vec(X) back to vec(ref X). With log(M)^vee = a(c) s the cost is
+    eps q(tr M) |s|^2, q = a^2. In the entries of M its gradient is eps (2 q
+    sigma + q' |s|^2 tau) and its Hessian eps (q'' |s|^2 tau tau^T + 2 q'
+    (tau sigma^T + sigma tau^T) + 2 q sum_i sigma_i sigma_i^T), with tau =
+    vec(I), sigma = vec(hat(s)) and sigma_i = vec(hat(e_i)).
     """
     s_vec, a_fac, a_c, a_cc = _log_factor(m_err)
+    s_sq = np.sum(s_vec * s_vec, axis=0)
+    q = eps_rot * a_fac * a_fac
     q1 = eps_rot * a_fac * a_c                            # d q / d tr, times eps
     q2 = eps_rot * 0.5 * (a_c * a_c + a_fac * a_cc)       # d^2 q / d tr^2, times eps
     n = len(ref)
     tau = ref.reshape(n, 9)                               # vec(ref I)
     ref_hat = (ref[:, None] @ _HAT_UNITS).reshape(n, 3, 9)   # vec(ref hat(e_i))
     sigma = np.einsum("ik,kij->kj", s_vec, ref_hat)       # vec(ref hat(s))
-    out = (q2 * np.sum(s_vec * s_vec, axis=0))[:, None, None] * tau[:, :, None] * tau[:, None]
+    grad = 2.0 * q[:, None] * sigma + (q1 * s_sq)[:, None] * tau
+    hess = (q2 * s_sq)[:, None, None] * tau[:, :, None] * tau[:, None]
     cross = tau[:, :, None] * sigma[:, None]
-    out += 2.0 * q1[:, None, None] * (cross + cross.transpose(0, 2, 1))
-    out += np.einsum("k,kia,kib->kab", 2.0 * eps_rot * a_fac * a_fac, ref_hat, ref_hat)
-    return out
+    hess += 2.0 * q1[:, None, None] * (cross + cross.transpose(0, 2, 1))
+    hess += np.einsum("k,kia,kib->kab", 2.0 * q, ref_hat, ref_hat)
+    return grad, hess
 
 
 # -- building, solving, checking --------------------------------------------
@@ -1105,22 +1055,19 @@ class _KktStructure:
         sq[self.n_rows - 2:self.n_rows] = self.n_t        # the duration window
         return np.sqrt(sq[:-1])
 
-    def assemble(self, problem: TimingProblem, z: np.ndarray, y: tuple,
+    def assemble(self, jac: np.ndarray, hess: np.ndarray,
                  weights: np.ndarray) -> _BorderedSystem:
-        """Newton matrix ∇²L + J^T diag(weights) J at ``z``.
+        """Newton matrix ∇²L + J^T diag(weights) J from the derivative blocks.
 
-        ``y`` holds the multipliers ``(y_eq, y_in)`` of the Lagrangian.
+        ``jac`` is scaled in place: callers pass blocks they no longer need.
         """
         n_x, bs = self.n_x, self.bs
-        jac, hess = problem._derivative_blocks(z, *y)
         jac *= np.sqrt(np.append(weights, 0.0)[self.row_of])[:, :, None]
         k = np.matmul(jac.transpose(0, 2, 1), jac, out=self._k)
-        del jac                       # freed before the band is allocated
         t = k.shape[2] - 1
         k[:, :bs, :bs] += hess[:, :bs, :bs]
         k[:, :bs, t] += hess[:, :bs, bs]
         k[:, t, t] += hess[:, bs, bs]
-        del hess
         flat_k = k.reshape(-1)
         flat_k[self.unit_src] += weights[self.unit_rows]
         k[1:, :18, :18] += k[:-1, bs:bs + 18, bs:bs + 18]
@@ -1182,7 +1129,12 @@ class _BorderedSystem:
 
 
 class _AugmentedLagrangian:
-    """The AL merit function of one subproblem and its Newton systems."""
+    """The AL merit function of one subproblem, its gradient and Newton systems.
+
+    ``value`` runs at every line-search trial and keeps the derivative
+    handle of its point; ``grad`` and ``newton_system`` run at accepted
+    points only and share one :meth:`TimingProblem._derivative_blocks` call.
+    """
 
     def __init__(self, problem: TimingProblem, structure: _KktStructure,
                  s_eq: np.ndarray, s_in: np.ndarray, rho: float):
@@ -1191,31 +1143,41 @@ class _AugmentedLagrangian:
         self.lam = np.zeros(problem.n_eq)
         self.mu = np.zeros(problem.n_ineq)
         self.rho = rho
-        self._base = None
+        self._point = None             # (z, derivative handle, multipliers, active rows)
+        self._blocks = None            # (z, jac, hess, weights) for newton_system
 
-    def value_grad(self, z: np.ndarray):
-        cost, c_eq, c_in, grad = self.problem._eval(z, need_grad=True)
+    def value(self, z: np.ndarray) -> float:
+        cost, c_eq, c_in, derivatives = self.problem._eval(z, need_grad=True)
         cs_eq = self.s_eq * c_eq
         cs_in = self.s_in * c_in
         rho, mu = self.rho, self.mu
         y_eq = self.lam + rho * cs_eq
         y_in = np.maximum(0.0, mu + rho * cs_in)
-        val = (cost + self.lam @ cs_eq + 0.5 * rho * float(cs_eq @ cs_eq)
-               + float(np.sum(y_in**2 - mu**2)) / (2.0 * rho))
-        args = (self.s_eq * y_eq, self.s_in * y_in)
-        self._base = (z.copy(), args, y_in > 0.0)
-        return val, grad(*args)
+        self._point = (z.copy(), derivatives, (self.s_eq * y_eq, self.s_in * y_in), y_in > 0.0)
+        return (cost + self.lam @ cs_eq + 0.5 * rho * float(cs_eq @ cs_eq)
+                + float(np.sum(y_in**2 - mu**2)) / (2.0 * rho))
+
+    def grad(self, z: np.ndarray) -> np.ndarray:
+        """∇_z of the AL: the Lagrangian gradient at the AL multipliers."""
+        if self._point is None or not np.array_equal(z, self._point[0]):
+            self.value(z)
+        z, derivatives, y, active = self._point
+        self._blocks = None            # freed before the next ones are formed
+        jac, hess, g = derivatives(*y)
+        weights = self.rho * np.concatenate([self.s_eq**2, self.s_in**2 * active])
+        self._blocks = (z, jac, hess, weights)
+        return g
 
     def newton_system(self, z: np.ndarray) -> _BorderedSystem:
         """∇²_zz of the AL at ``z``: Lagrangian Hessian plus rho J^T S^2 J.
 
         S^2 covers the equality rows and the active inequality rows.
         """
-        if self._base is None or not np.array_equal(z, self._base[0]):
-            self.value_grad(z)
-        _, args, active = self._base
-        weights = self.rho * np.concatenate([self.s_eq**2, self.s_in**2 * active])
-        return self.structure.assemble(self.problem, z, args, weights)
+        if self._blocks is None or not np.array_equal(z, self._blocks[0]):
+            self.grad(z)
+        _, jac, hess, weights = self._blocks
+        self._blocks = None
+        return self.structure.assemble(jac, hess, weights)
 
 
 def _projected_newton(fun, x0, jac=None, bounds=None, maxiter=100, newton_system=None,
@@ -1228,7 +1190,8 @@ def _projected_newton(fun, x0, jac=None, bounds=None, maxiter=100, newton_system
     followed by Armijo backtracking along the projection arc. The
     Levenberg damping delta rises tenfold whenever the factorization fails
     or the step is not a descent direction, and falls tenfold after each
-    full step.
+    full step. ``fun`` runs at every trial point of the line search,
+    ``jac`` and ``newton_system`` only at the start and at accepted points.
     """
     lo, hi = bounds.lb, bounds.ub
     z = np.clip(np.asarray(x0, dtype=float), lo, hi)
@@ -1283,14 +1246,12 @@ def _row_scales(problem: TimingProblem, z: np.ndarray, structure: _KktStructure,
     (friction rows carry the force scale, the angular rows the inverse
     inertia); equilibrating them keeps the penalty Hessian workable.
     """
-    jac, _ = problem._derivative_blocks(z)
+    jac = problem._derivative_blocks(z)[0]
     scales = 1.0 / np.clip(structure.row_norms(jac), lo, hi)
     return scales[:problem.n_eq], scales[problem.n_eq:]
 
 
-def solve_timing(problem: TimingProblem | JumpSpec,
-                 z0: np.ndarray | None = None,
-                 opts: SolveOptions | None = None) -> TimingSolution:
+def solve_timing(problem: TimingProblem, opts: SolveOptions | None = None) -> TimingSolution:
     """Augmented-Lagrangian solve; returns the best feasible iterate found.
 
     Multipliers are updated every outer iteration; the penalty grows on a
@@ -1298,11 +1259,8 @@ def solve_timing(problem: TimingProblem | JumpSpec,
     violations. Raises :class:`NoConvergenceError` with diagnostics when
     the violation target cannot be met.
     """
-    if isinstance(problem, JumpSpec):
-        problem = build_problem(problem)
     opts = opts or SolveOptions()
-
-    z = initial_guess(problem) if z0 is None else np.asarray(z0, dtype=float).copy()
+    z = initial_guess(problem)
     bounds = Bounds(*np.array(problem.bounds()).T)
     z = np.clip(z, bounds.lb, bounds.ub)
 
@@ -1321,14 +1279,14 @@ def solve_timing(problem: TimingProblem | JumpSpec,
     trace = []
     outer = 0
     for outer in range(1, opts.max_outer + 1):
-        res = minimize(al.value_grad, z, jac=True, method=_projected_newton,
+        res = minimize(al.value, z, jac=al.grad, method=_projected_newton,
                        bounds=bounds, options={"maxiter": opts.max_inner,
                                                "newton_system": al.newton_system})
         z = res.x
         kkt = float(np.max(np.abs(z - np.clip(z - res.jac, bounds.lb, bounds.ub))))
         viol, c_eq, c_in = violation(z)
         trace.append({"violation": viol, "rho": al.rho, "newton_steps": int(res.nit),
-                      "delta": float(res.delta)})
+                      "merit_evals": int(res.nfev), "delta": float(res.delta)})
         if best is None or viol < best[0]:
             best = (viol, z.copy())
         if viol <= opts.tol:

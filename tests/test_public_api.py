@@ -76,6 +76,27 @@ def test_trot_loop_calls_traced_boundaries(controller):
         assert metrics["scenarios.mpc_tables_us"] > 0.0
 
 
+def test_timing_solve_calls_traced_boundaries():
+    # the tracer's _eval hook reads need_grad and times the derivative handle
+    # it returns; a changed _eval signature fails here, not first under --trace
+    layers = _layers()
+    tracer = layers.Tracer()
+    try:
+        layers.install(tracer, quadstack)
+        problem = quadstack.trajopt.build_problem(quadstack.scenarios.hop_spec(n_knots=4))
+        sol = quadstack.scenarios.solve_timing(problem)
+    finally:
+        tracer.restore()
+    traced = {name for name, *_ in tracer.spans}
+    missing = [name for name in ("trajopt.solve", "trajopt.minimize", "trajopt.eval",
+                                 "trajopt.grad") if name not in traced]
+    assert not missing, f"no span recorded for {missing}"
+    metrics = layers.layer_metrics(tracer.spans)
+    assert metrics["trajopt.outer_iters"] == sol.outer_iterations
+    assert metrics["trajopt.inner_iters"] == sum(e["newton_steps"] for e in sol.trace)
+    assert metrics["trajopt.evals"] == sum(e["merit_evals"] for e in sol.trace)
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports but neither reads nor lists in ``__all__``."""
     tree = ast.parse(path.read_text(), filename=str(path))

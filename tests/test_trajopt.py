@@ -210,20 +210,33 @@ class TestBuild:
         rho = 3.0
 
         def al(zv):
-            cost, c_eq, c_in, grad = prob._eval(zv, need_grad=True)
+            cost, c_eq, c_in, _ = prob._eval(zv, need_grad=False)
             y_eq = lam + rho * c_eq
             y_in = np.maximum(0.0, mu + rho * c_in)
             val = (cost + lam @ c_eq + 0.5 * rho * float(c_eq @ c_eq)
                    + float(np.sum(y_in**2 - mu**2)) / (2.0 * rho))
-            return val, grad(y_eq, y_in)
+            return val, (y_eq, y_in)
 
-        _, g = al(z)
+        # the AL gradient is the Lagrangian's at y = (lam + rho c_eq, max(0, mu + rho c_in))
+        g = prob._derivative_blocks(z, *al(z)[1])[2]
         eps = 1e-5
         for i in rng.choice(prob.n_vars, size=60, replace=False):
             zp = z.copy(); zp[i] += eps
             zm = z.copy(); zm[i] -= eps
             fd = (al(zp)[0] - al(zm)[0]) / (2 * eps)
             assert abs(fd - g[i]) <= 1e-5 * max(1.0, abs(fd))
+
+    def test_derivative_handle_is_the_blocks(self):
+        prob = build_problem(hop_spec(n_knots=4, flight_min=0.1))
+        rng = np.random.default_rng(4)
+        z = initial_guess(prob) + rng.normal(size=prob.n_vars) * 0.01
+        y = (rng.normal(size=prob.n_eq), np.abs(rng.normal(size=prob.n_ineq)))
+        _, _, _, derivatives = prob._eval(z, need_grad=True)
+        assert prob._eval(z, need_grad=False)[3] is None
+        z_seen = z.copy()
+        z[:] = 0.0                       # the handle keeps its own point
+        for a, b in zip(derivatives(*y), prob._derivative_blocks(z_seen, *y)):
+            assert np.array_equal(a, b)
 
 
 def dense_jacobian(prob, jac):
@@ -297,7 +310,7 @@ class TestNewtonStructure:
                 zp[i] += eps
                 zm[i] -= eps
                 fd[:, i] = (self.constraints(prob, zp) - self.constraints(prob, zm)) / (2 * eps)
-            jac, _ = prob._derivative_blocks(z)
+            jac = prob._derivative_blocks(z)[0]
             padding = (prob.block_rows[:, :, None] < 0) | (prob.block_cols[:, None, :] < 0)
             assert not np.any(jac[padding])
             assert not np.any(jac[:, ~prob.block_pattern])     # the band layout's pattern
@@ -314,15 +327,18 @@ class TestNewtonStructure:
                 zp, zm = z.copy(), z.copy()
                 zp[i] += eps
                 zm[i] -= eps
-                fd[:, i] = (prob._eval(zp, True)[3](*y) - prob._eval(zm, True)[3](*y)) / (2 * eps)
+                fd[:, i] = (prob._derivative_blocks(zp, *y)[2]
+                            - prob._derivative_blocks(zm, *y)[2]) / (2 * eps)
             fd = 0.5 * (fd + fd.T)
-            lagrangian = dense_matrix(structure.assemble(prob, z, y, np.zeros(structure.n_rows)),
+            jac, hess, _ = prob._derivative_blocks(z, *y)
+            lagrangian = dense_matrix(structure.assemble(jac, hess, np.zeros(structure.n_rows)),
                                       structure)
             assert_allclose(lagrangian, fd, atol=1e-6 * np.max(np.abs(fd)))
             # the Gauss-Newton term adds J^T W J exactly
             w = np.random.default_rng(8).uniform(0.0, 2.0, structure.n_rows)
             j_full = dense_jacobian(prob, prob._derivative_blocks(z)[0])
-            full = dense_matrix(structure.assemble(prob, z, y, w), structure)
+            full = dense_matrix(structure.assemble(*prob._derivative_blocks(z, *y)[:2], w),
+                                structure)
             assert_allclose(full - lagrangian, j_full.T @ (w[:, None] * j_full),
                             atol=1e-9 * np.max(np.abs(full)))
 
@@ -558,6 +574,31 @@ class TestDiagnostics:
         sol = solve_timing(build_problem(spec))
         assert sol.converged and len(sol.trace) == sol.outer_iterations
         assert max(entry["newton_steps"] for entry in sol.trace) < SolveOptions().max_inner
+
+    def test_derivatives_only_at_accepted_points(self, monkeypatch):
+        # one _derivative_blocks call for the row scales, then one per
+        # subproblem start and accepted step; the Newton systems reuse them
+        # and line-search trials evaluate the merit value only
+        calls = {"blocks": 0, "eval": 0}
+        blocks, evaluate = trajopt.TimingProblem._derivative_blocks, trajopt.TimingProblem._eval
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(trajopt.TimingProblem, "_derivative_blocks", counted("blocks", blocks))
+        monkeypatch.setattr(trajopt.TimingProblem, "_eval", counted("eval", evaluate))
+        sol = solve_timing(build_problem(hop_spec(n_knots=6)))
+        steps = sum(entry["newton_steps"] for entry in sol.trace)
+        merit = sum(entry["merit_evals"] for entry in sol.trace)
+        # a subproblem that stops on its Newton decrement accepts one step fewer
+        assert 1 + steps <= calls["blocks"] <= 1 + steps + sol.outer_iterations
+        assert calls["blocks"] < calls["eval"]
+        # the merit evaluations, one violation check per outer iteration and the final one
+        assert calls["eval"] == merit + sol.outer_iterations + 1
+        assert all(entry["merit_evals"] >= entry["newton_steps"] for entry in sol.trace)
 
     def test_no_convergence_reports(self):
         spec = hop_spec(n_knots=6)

@@ -15,6 +15,13 @@ swing feet are zero by construction. The horizon problem is condensed onto
 the stance forces and handed to the dense dual active-set QP solver together
 with per-step friction pyramids and normal-force bounds; the returned plan
 covers the whole horizon and the caller applies the first step.
+
+Within one plan A and c are fixed, and A = I + N with N^2 = 0 (N holds only
+the dt and dt Rz^T blocks), so the condensation is closed-form: A^l = I + l N,
+and every force block of the prediction is B_i + l N B_i, formed for all steps
+and feet in one batched pass. ``linearize_srbd``, ``rollout`` and
+``plan_cost`` take the same dynamics one step at a time; they are the
+independent oracle the condensation is tested against.
 """
 
 from __future__ import annotations
@@ -101,44 +108,41 @@ def linearize_srbd(op_yaw: float, feet: np.ndarray, model: BodyModel, dt: float,
     return a, b, c
 
 
-def _condense(cfg: MpcConfig, x0: np.ndarray):
-    """Stack x_1..x_k as X = sx @ x0 + su @ U + sc over the active force columns."""
-    k = cfg.horizon
-    mats = []
-    for i in range(k):
-        p_arm = cfg.x_ref[i, 0:3] if cfg.p_nom is None else cfg.p_nom[i]
-        mats.append(linearize_srbd(cfg.op_yaw, cfg.feet[i], cfg.model, cfg.dt,
-                                   cfg.contact[i], p_arm))
+def _condense(cfg: MpcConfig):
+    """Stack x_1..x_k as X = sx @ x0 + su @ U + sc over the stance force columns.
 
-    active = []  # (step, foot) pairs owning force variables
-    col_of = {}
-    for i in range(k):
-        for f in range(4):
-            if cfg.contact[i, f]:
-                col_of[(i, f)] = 3 * len(active)
-                active.append((i, f))
-    nu = 3 * len(active)
+    A = I + N with N^2 = 0, so A^l = I + l N: row block j of ``sx`` is
+    I + (j+1) N, and the block of step j in the columns of a force applied at
+    step i <= j is A^(j-i) B_i = B_i + (j-i) N B_i. The columns follow the
+    row-major order of ``cfg.contact``.
+    """
+    k, dt, m = cfg.horizon, cfg.dt, cfg.model.mass
+    rz = so3.rot_z(cfg.op_yaw)
+    i_inv = np.linalg.inv(rz @ cfg.model.inertia @ rz.T)
+    n_mat = np.zeros((NX, NX))
+    n_mat[0:3, 6:9] = dt * np.eye(3)
+    n_mat[3:6, 9:12] = dt * rz.T
+    c = np.zeros(NX)
+    c[0:3] = 0.5 * dt * dt * cfg.model.g_vec
+    c[6:9] = dt * cfg.model.g_vec
+    steps = np.arange(1.0, k + 1.0)
+    sx = (np.eye(NX) + steps[:, None, None] * n_mat).reshape(k * NX, NX)
+    sc = (steps[:, None] * c + (0.5 * steps * (steps - 1.0))[:, None] * (n_mat @ c)).reshape(-1)
 
-    sx = np.zeros((k * NX, NX))
-    su = np.zeros((k * NX, nu))
-    sc = np.zeros(k * NX)
-    # build row blocks iteratively: x_{i+1} = A_i x_i + B_i u_i + c_i
-    prev_rows_x = np.eye(NX)
-    prev_rows_u = np.zeros((NX, nu))
-    prev_rows_c = np.zeros(NX)
-    for i in range(k):
-        a, b, c = mats[i]
-        rows_x = a @ prev_rows_x
-        rows_u = a @ prev_rows_u
-        for f in range(4):
-            if cfg.contact[i, f]:
-                rows_u[:, col_of[(i, f)]:col_of[(i, f)] + 3] += b[:, 3 * f:3 * f + 3]
-        rows_c = a @ prev_rows_c + c
-        sx[i * NX:(i + 1) * NX] = rows_x
-        su[i * NX:(i + 1) * NX] = rows_u
-        sc[i * NX:(i + 1) * NX] = rows_c
-        prev_rows_x, prev_rows_u, prev_rows_c = rows_x, rows_u, rows_c
-    return sx, su, sc, active, col_of, nu
+    step, foot = np.nonzero(cfg.contact)
+    p_arm = cfg.x_ref[:, 0:3] if cfg.p_nom is None else cfg.p_nom
+    arm = cfg.feet[step, foot] - p_arm[step]
+    hats = np.zeros((step.size, 3, 3))  # so3.hat of each moment arm
+    hats[:, (2, 0, 1), (1, 2, 0)] = arm
+    hats[:, (1, 2, 0), (2, 0, 1)] = -arm
+    b = np.zeros((NX, step.size, 3))  # B_i in the columns of each stance force
+    b[0:3] = 0.5 * dt * dt / m * np.eye(3)[:, None]
+    b[6:9] = dt / m * np.eye(3)[:, None]
+    b[9:12] = dt * (i_inv @ hats).transpose(1, 0, 2)
+    b = b.reshape(NX, 3 * step.size)
+    lag = (np.arange(k)[:, None] - step.repeat(3))[:, None, :]  # (k, 1, nu)
+    su = np.where(lag >= 0, b + lag * (n_mat @ b), 0.0)
+    return sx, su.reshape(k * NX, 3 * step.size), sc
 
 
 def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec) -> np.ndarray:
@@ -149,33 +153,27 @@ def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec) -> np.ndar
     point under the friction pyramid and bounds.
     """
     x0 = np.asarray(x0, dtype=float).reshape(NX)
-    sx, su, sc, active, col_of, nu = _condense(cfg, x0)
     k = cfg.horizon
-
+    plan = np.zeros((k, 4, 3))
+    sx, su, sc = _condense(cfg)
+    nu = su.shape[1]
     if nu == 0:
-        return np.zeros((k, 12))  # full flight
+        return plan.reshape(k, 12)  # full flight
 
-    q_bar = np.zeros((k * NX, k * NX))
-    for i in range(k):
-        q_bar[i * NX:(i + 1) * NX, i * NX:(i + 1) * NX] = cfg.q_weight
-    r_bar = cfg.r_weight * np.eye(nu)
+    # the state cost is block-diagonal in the steps: sum_j su_j^T Q su_j
+    resid0 = (sx @ x0 + sc - cfg.x_ref.reshape(-1)).reshape(k, NX)
+    h = 2.0 * (su.T @ (cfg.q_weight @ su.reshape(k, NX, nu)).reshape(k * NX, nu))
+    h[np.diag_indices(nu)] += 2.0 * cfg.r_weight
+    g = 2.0 * (su.T @ (resid0 @ cfg.q_weight.T).reshape(-1))
 
-    resid0 = sx @ x0 + sc - cfg.x_ref.reshape(-1)
-    h = 2.0 * (su.T @ q_bar @ su + r_bar)
-    g = 2.0 * (su.T @ (q_bar @ resid0))
-
-    # friction pyramid and bounds per active force block
-    c_ineq, d_ineq = _friction_rows(len(active), friction.mu, friction.f_min,
-                                    friction.f_max)
+    # friction pyramid and bounds per stance force block
+    c_ineq, d_ineq = _friction_rows(nu // 3, friction.mu, friction.f_min, friction.f_max)
     qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
     res = ActiveSetSolver().solve(qp)
     if res.status is not QpStatus.OPTIMAL:
         raise MpcInfeasibleError(f"force plan QP returned {res.status}")
-
-    plan = np.zeros((k, 12))
-    for idx, (i, f) in enumerate(active):
-        plan[i, 3 * f:3 * f + 3] = res.x[3 * idx:3 * idx + 3]
-    return plan
+    plan[cfg.contact] = res.x.reshape(-1, 3)
+    return plan.reshape(k, 12)
 
 
 def rollout(cfg: MpcConfig, x0: np.ndarray, plan: np.ndarray) -> np.ndarray:

@@ -19,15 +19,18 @@ row is dropped.
 With H = L L^T the steps are taken in y = L^T x, where the Hessian is the
 identity. A QR factorization of the working normals L^-1 C^T gives both step
 directions: the primal step is the part of the new normal orthogonal to the
-working normals, the dual step its coefficients on them. A row whose primal
-step vanishes is linearly dependent on the working set (as a foot's four
-pyramid faces are at F = 0) and takes only the dual step. A dependent row
-that no working multiplier can make room for proves the problem infeasible;
-an equality row dependent on the ones before it ends the solve as INFEASIBLE
-if it contradicts them and as SINGULAR if it is redundant.
-Once the working set is final, one refinement step puts the working rows
-back on their bounds. Ties are broken in a fixed order, so identical inputs
-produce bitwise-identical outputs.
+working normals, the dual step its coefficients on them. The factors are
+updated, not recomputed (Golub & Van Loan, Matrix Computations, on updating
+QR factorizations): a row that joins appends its primal step, normalized, as
+the new column of Q, and a dropped row is removed by Givens rotations
+(``scipy.linalg.qr_delete``). A row whose primal step vanishes is linearly
+dependent on the working set (as a foot's four pyramid faces are at F = 0)
+and takes only the dual step. A dependent row that no working multiplier can
+make room for proves the problem infeasible; an equality row dependent on the
+ones before it ends the solve as INFEASIBLE if it contradicts them and as
+SINGULAR if it is redundant. Once the working set is final, one refinement
+step puts the working rows back on their bounds. Ties are broken in a fixed
+order, so identical inputs produce bitwise-identical outputs.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import lapack, qr_delete
 
 __all__ = ["QpProblem", "QpStatus", "QpResult", "solve", "ActiveSetSolver"]
 
@@ -150,7 +153,9 @@ class ActiveSetSolver:
 
         work: list[int] = []  # working rows, the equality rows first
         u = np.zeros(0)  # their multipliers; free in sign on equality rows
-        q, r = np.zeros((n, 0)), np.zeros((0, 0))  # working normals = q r
+        # working normals = q r, in buffers that the factor updates fill
+        qf, rf = np.zeros((n, n), order="F"), np.zeros((n, n))
+        q, r = qf[:, :0], rf[:0, :0]
         it = 0
         while True:
             if len(work) < m_eq:
@@ -190,13 +195,27 @@ class ActiveSetSolver:
                 if t2 < np.inf:
                     y = y - t * z
                 u, u_p = u - t * dual, u_p + t
+                k = len(work)
                 if full:
+                    # append n_p = q (proj + s) + |z| e_k to the factors,
+                    # after one reorthogonalization pass s = q^T z; the row
+                    # is cleared because qr_delete takes a triangular r
+                    s = q.T @ z
+                    z = z - q @ s
+                    rf[k, :k] = 0.0
+                    rf[:k, k] = proj + s
+                    rf[k, k] = np.linalg.norm(z)
+                    qf[:, k] = z / rf[k, k]
                     work.append(p)
                     u = np.append(u, u_p)
                 else:
+                    # Givens rotations restore the triangle without the
+                    # column; with k = n the factors come back full-sized
+                    qd, rd = qr_delete(q, r, drop, which="col", check_finite=False)
+                    qf[:, :k - 1], rf[:k - 1, :k - 1] = qd[:, :k - 1], rd[:k - 1]
                     work.pop(drop)
                     u = np.delete(u, drop)
-                q, r = np.linalg.qr(w[:, work])
+                q, r = qf[:, :len(work)], rf[:len(work), :len(work)]
 
         x = _solved(lapack.dtrtrs(l.T, y, lower=0))
         if work:

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from quadstack import so3
 from quadstack.balance import BalanceGains, BodyModel, FrictionSpec, balance_qp, build_force_model
-from quadstack.mpc import MpcConfig, linearize_srbd, plan_cost, rollout, solve_mpc
+from quadstack.mpc import MpcConfig, _condense, linearize_srbd, plan_cost, rollout, solve_mpc
 from quadstack.qpsolver import ActiveSetSolver, QpStatus
 from quadstack.sim import SimWorld
 from quadstack.state import RobotState
@@ -84,6 +85,65 @@ class TestLinearize:
         slopes = np.diff(np.log(errs)) / np.diff(np.log(scales))
         assert np.all(slopes >= 0.9)
         assert errs[0] <= 1e-3  # absolute one-step error at ~2 deg tilt
+
+
+TROT = np.array([[True, False, False, True], [False, True, True, False]])
+
+
+def random_cfg(rng, contact, op_yaw=0.0, with_p_nom=False):
+    k = contact.shape[0]
+    x_ref = np.tile(stand_x0(), (k, 1)) + rng.normal(scale=0.1, size=(k, 12))
+    feet = FEET + rng.normal(scale=0.05, size=(k, 4, 3))
+    p_nom = x_ref[:, 0:3] + rng.normal(scale=0.05, size=(k, 3)) if with_p_nom else None
+    return MpcConfig(horizon=k, dt=0.03, q_weight=np.eye(12), r_weight=1e-6, x_ref=x_ref,
+                     contact=contact, feet=feet, op_yaw=op_yaw, model=MODEL, p_nom=p_nom)
+
+
+class TestCondense:
+    # contact schedules: all four feet, trot diagonals, one foot, flight steps
+    SCHEDULES = {
+        "stance": np.ones((10, 4), dtype=bool),
+        "trot": np.repeat(TROT, 5, axis=0),
+        "one_foot": np.tile([False, False, True, False], (6, 1)),
+        "flight_steps": np.array([TROT[0], [False] * 4, [True] * 4, [False] * 4, TROT[1]]),
+        "horizon_one": np.ones((1, 4), dtype=bool),
+        "all_flight": np.zeros((4, 4), dtype=bool),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCHEDULES))
+    @pytest.mark.parametrize("op_yaw", [0.0, 0.7, -2.9])
+    @pytest.mark.parametrize("with_p_nom", [False, True])
+    def test_matches_per_step_rollout(self, name, op_yaw, with_p_nom):
+        # the closed-form prediction against mpc.rollout, which composes the
+        # per-step linearize_srbd dynamics one step at a time
+        rng = np.random.default_rng(7)
+        contact = self.SCHEDULES[name]
+        k = contact.shape[0]
+        for _ in range(3):
+            cfg = random_cfg(rng, contact, op_yaw, with_p_nom)
+            x0 = stand_x0() + rng.normal(scale=0.2, size=12)
+            plan = rng.normal(scale=80.0, size=(k, 12)) * np.repeat(contact, 3, axis=1)
+            sx, su, sc = _condense(cfg)
+            assert su.shape == (12 * k, 3 * int(contact.sum()))
+            u = plan.reshape(k, 4, 3)[contact].reshape(-1)
+            pred = (sx @ x0 + su @ u + sc).reshape(k, 12)
+            oracle = rollout(cfg, x0, plan)
+            assert np.max(np.abs(pred - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("dt", [1e-3, 0.03, 0.25])
+    @pytest.mark.parametrize("op_yaw", [0.0, 0.4, np.pi / 2, -2.2])
+    def test_state_matrix_is_identity_plus_nilpotent(self, dt, op_yaw):
+        a, _, _ = linearize_srbd(op_yaw, FEET, MODEL, dt, np.ones(4, dtype=bool),
+                                 np.array([0.0, 0.0, 0.45]))
+        n = a - np.eye(12)
+        assert np.any(n != 0.0)
+        assert np.array_equal(n @ n, np.zeros((12, 12)))
+
+    def test_all_flight_plan_is_exact_zeros(self):
+        cfg = random_cfg(np.random.default_rng(1), self.SCHEDULES["all_flight"])
+        plan = solve_mpc(cfg, stand_x0(), FrictionSpec())
+        assert plan.shape == (4, 12)
+        assert not plan.any() and not np.signbit(plan).any()
 
 
 class TestSolve:

@@ -65,7 +65,9 @@ def test_trot_loop_calls_traced_boundaries(controller):
         quadstack.scenarios.run_trot(duration=0.2, controller=controller)
     finally:
         tracer.restore()
-    expected = TROT_BOUNDARIES + (("scenarios.mpc_tables",) if controller == "mpc" else ())
+    # the MPC replan's layers: the tables, the condensed solve and its QP
+    expected = TROT_BOUNDARIES + (("scenarios.mpc_tables", "mpc.solve", "qpsolver.solve")
+                                  if controller == "mpc" else ())
     traced = {name for name, *_ in tracer.spans}
     missing = [name for name in expected if name not in traced]
     assert not missing, f"no span recorded for {missing}"
@@ -73,7 +75,8 @@ def test_trot_loop_calls_traced_boundaries(controller):
     for key in ("gait.us_per_tick", "scenarios.desired_us", "swing.sample_us"):
         assert metrics[key] > 0.0, key
     if controller == "mpc":
-        assert metrics["scenarios.mpc_tables_us"] > 0.0
+        for key in ("scenarios.mpc_tables_us", "mpc.build_ms", "qpsolver.mpc.iters"):
+            assert metrics[key] > 0.0, key
 
 
 def test_timing_solve_calls_traced_boundaries():

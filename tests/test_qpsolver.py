@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
+from quadstack import qpsolver
 from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpStatus, _solved, solve
+from quadstack.scenarios import run_trot
 
 
 def brute_force_qp(qp: QpProblem, feas_tol: float = 1e-8):
@@ -67,6 +69,10 @@ def assert_kkt_certificate(qp: QpProblem, res):
     """Stationarity, dual feasibility and complementary slackness of ``res``."""
     # stationarity: H x + g + C^T mu = 0 with mu >= 0
     grad = qp.h @ res.x + qp.g + qp.c_ineq.T @ res.lam_ineq
+    if qp.c_eq is not None:
+        # equality multipliers are free in sign: remove the span of their rows
+        nu, *_ = np.linalg.lstsq(qp.c_eq.T, -grad, rcond=None)
+        grad = grad + qp.c_eq.T @ nu
     assert np.linalg.norm(grad, ord=np.inf) <= 1e-6
     assert np.all(res.lam_ineq >= -1e-9)
     # complementary slackness
@@ -344,3 +350,90 @@ class TestProperty:
         assert_matches_enumeration(qp, res)
         assert abs(e @ res.x - e @ x_f) <= 1e-9
 
+
+def vertex_qp(a, lam, noise, eq_point=None, eq_row=None):
+    """One foot's friction pyramid and force bounds and a gradient that
+    pushes into the vertex F = 0, where the faces are dependent. An equality
+    row through ``eq_point`` enters the working set first."""
+    c, d = friction_box_constraints(1, mu=0.6, f_min=0.0, f_max=120.0)
+    eq = {} if eq_row is None else dict(c_eq=eq_row[None, :], d_eq=[eq_row @ eq_point])
+    return QpProblem(h=a @ a.T + 0.1 * np.eye(3), g=-c[[0, 1, 2, 3, 5]].T @ lam + noise,
+                     c_ineq=c, d_ineq=d, **eq)
+
+
+def assert_solves_with_faces_at_scale(qp):
+    """Solve ``qp`` with its four pyramid faces repeated at 1e8 scale.
+
+    The copies leave the feasible set as it is, so the enumeration of ``qp``
+    is the reference; the KKT certificate is taken on the problem solved.
+    """
+    scaled = QpProblem(h=qp.h, g=qp.g, c_ineq=np.vstack([qp.c_ineq, 1e8 * qp.c_ineq[:4]]),
+                       d_ineq=np.concatenate([qp.d_ineq, 1e8 * qp.d_ineq[:4]]),
+                       c_eq=qp.c_eq, d_eq=qp.d_eq)
+    res = solve(scaled)
+    assert res.status is QpStatus.OPTIMAL
+    x_ref, f_ref = brute_force_qp(qp)
+    assert qp.objective(res.x) <= f_ref + 1e-6
+    assert_allclose(res.x, x_ref, atol=1e-6)
+    assert_kkt_certificate(scaled, res)
+
+
+@st.composite
+def vertex_qps(draw):
+    args = [draw(unit_floats((3, 3))), draw(arrays(float, 5, elements=st.floats(0.0, 10.0))),
+            draw(unit_floats(3))]
+    if draw(st.booleans()):
+        fz = draw(st.floats(1.0, 100.0))  # an interior point of the pyramid
+        args += [np.array([*(0.3 * fz * draw(unit_floats(2))), fz]), draw(unit_floats(3)) + 2.0]
+    return vertex_qp(*args)
+
+
+class TestFactorUpdates:
+    @PROPERTY
+    @given(vertex_qps())
+    def test_paths_that_drop_rows(self, qp):
+        assert_solves_with_faces_at_scale(qp)
+
+    def test_vertex_cases_drop_rows(self, monkeypatch):
+        # cases like the drawn ones reach the drop path (a qr_delete call),
+        # with and without the equality row
+        drops = []
+        qr_delete = qpsolver.qr_delete
+
+        def counting_qr_delete(*args, **kwargs):
+            drops.append(1)
+            return qr_delete(*args, **kwargs)
+
+        monkeypatch.setattr(qpsolver, "qr_delete", counting_qr_delete)
+        rng = np.random.default_rng(2)
+        dropped = {False: 0, True: 0}
+        for case in range(100):
+            args = [rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(0.0, 10.0, 5),
+                    rng.uniform(-1.0, 1.0, 3)]
+            if case % 2:
+                fz = rng.uniform(1.0, 100.0)
+                args += [np.array([*(0.3 * fz * rng.uniform(-1.0, 1.0, 2)), fz]),
+                         rng.uniform(1.0, 3.0, 3)]
+            qp = vertex_qp(*args)
+            before = len(drops)
+            assert_solves_with_faces_at_scale(qp)
+            dropped[qp.c_eq is not None] += len(drops) > before
+        assert dropped[False] and dropped[True], dropped
+
+    def test_every_mpc_trot_qp_has_a_kkt_certificate(self, monkeypatch):
+        results = []
+        original = ActiveSetSolver.solve
+
+        def recording_solve(self, qp):
+            results.append((qp, original(self, qp)))
+            return results[-1][1]
+
+        monkeypatch.setattr(ActiveSetSolver, "solve", recording_solve)
+        run_trot(duration=1.0, controller="mpc")
+        assert len(results) > 30
+        # some of these paths drop rows: more steps than working rows
+        assert any(res.iterations > len(res.active_set) for _, res in results)
+        for qp, res in results:
+            assert res.status is QpStatus.OPTIMAL
+            assert qp.max_violation(res.x) <= 1e-9
+            assert_kkt_certificate(qp, res)

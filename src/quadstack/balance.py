@@ -41,6 +41,10 @@ __all__ = [
 
 CONTACT_FORCE_THRESHOLD = 20.0     # N, landing-switch default
 
+# rows 0-2 of the force map: every foot force enters the net force as is
+_FORCE_TEMPLATE = np.vstack([np.hstack([np.eye(3)] * 4), np.zeros((3, 12))])
+_FORCE_TEMPLATE.setflags(write=False)
+
 
 class ForceDistributionError(RuntimeError):
     """The force QP ended without an optimum (infeasible, iteration limit, dependent rows)."""
@@ -111,15 +115,21 @@ def build_force_model(p_c: np.ndarray, feet: np.ndarray, model: BodyModel,
                       r: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Force/moment map A (6x12) and target wrench b_d (6,).
 
-    b_d = [m (acc_lin - g_vec); I_w acc_ang] with the inertia rotated to the
-    world frame when ``r`` is given.
+    A = [I I I I; hat(p_1 - p_c) ... hat(p_4 - p_c)]: the identity rows come
+    from a constant template, and the skew blocks are written from the lever
+    arms computed as floats, the same bits as :func:`so3.hat` of the array
+    difference. b_d = [m (acc_lin - g_vec); I_w acc_ang] with the inertia
+    rotated to the world frame when ``r`` is given.
     """
-    p_c = np.asarray(p_c, dtype=float).reshape(3)
-    feet = np.asarray(feet, dtype=float).reshape(4, 3)
-    a = np.zeros((6, 12))
-    for i in range(4):
-        a[0:3, 3 * i:3 * i + 3] = np.eye(3)
-        a[3:6, 3 * i:3 * i + 3] = so3.hat(feet[i] - p_c)
+    px, py, pz = np.asarray(p_c, dtype=float).reshape(3).tolist()
+    r0, r1, r2 = [], [], []
+    for fx, fy, fz in np.asarray(feet, dtype=float).reshape(4, 3).tolist():
+        x, y, z = fx - px, fy - py, fz - pz
+        r0 += (0.0, -z, y)
+        r1 += (z, 0.0, -x)
+        r2 += (-y, x, 0.0)
+    a = _FORCE_TEMPLATE.copy()
+    a[3:6] = (r0, r1, r2)
     inertia = model.inertia if r is None else model.inertia_world(r)
     b_d = np.concatenate([model.mass * (np.asarray(acc_lin, dtype=float) - model.g_vec),
                           inertia @ np.asarray(acc_ang, dtype=float)])
@@ -141,6 +151,14 @@ def _friction_rows(n_stance: int, mu: float, f_min: float, f_max: float):
     return rows, rhs
 
 
+@functools.lru_cache(maxsize=16)
+def _stance_cols(stance: tuple[bool, ...]) -> np.ndarray:
+    """Indices of the stance feet's force components in F (12,), read-only."""
+    cols = np.array([3 * i + k for i, on in enumerate(stance) if on for k in range(3)])
+    cols.setflags(write=False)
+    return cols
+
+
 def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
                gains: BalanceGains, friction: FrictionSpec,
                stance_mask: np.ndarray,
@@ -154,21 +172,22 @@ def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
     A QP that ends without an optimum (infeasible, iteration limit,
     dependent working set) raises :class:`ForceDistributionError`.
     """
-    stance_mask = np.asarray(stance_mask, dtype=bool).reshape(4)
-    if not stance_mask.any():
+    stance = tuple(np.asarray(stance_mask, dtype=bool).reshape(4).tolist())
+    if not any(stance):
         raise ValueError("at least one stance leg required")
     f_prev = np.zeros(12) if f_prev is None else np.asarray(f_prev, dtype=float).reshape(12)
     solver = solver or ActiveSetSolver()
 
-    stance = np.flatnonzero(stance_mask)
-    cols = np.concatenate([[3 * i, 3 * i + 1, 3 * i + 2] for i in stance])
+    cols = _stance_cols(stance)
     a_s = a[:, cols]
     f_prev_s = f_prev[cols]
     s_w = gains.s_weight
     n = cols.size
-    h = 2.0 * (a_s.T @ s_w @ a_s + (gains.alpha + gains.beta) * np.eye(n))
-    c_ineq, d_ineq = _friction_rows(stance.size, friction.mu, friction.f_min,
-                                    friction.f_max)
+    # 2 (A_s^T S A_s + (alpha + beta) I), with the identity added in place
+    h = a_s.T @ s_w @ a_s
+    h.ravel()[::n + 1] += gains.alpha + gains.beta
+    h *= 2.0
+    c_ineq, d_ineq = _friction_rows(n // 3, friction.mu, friction.f_min, friction.f_max)
     g = -2.0 * (a_s.T @ (s_w @ np.asarray(b_d, dtype=float)) + gains.beta * f_prev_s)
     qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
     res = solver.solve(qp)

@@ -143,19 +143,23 @@ class ActiveSetSolver:
         except np.linalg.LinAlgError:
             l = np.linalg.cholesky(h + _REG * np.eye(n))
         m_eq = 0 if qp.c_eq is None else qp.c_eq.shape[0]
-        c = np.vstack([qp.c_eq if m_eq else np.zeros((0, n)),
-                       qp.c_ineq if qp.m_ineq else np.zeros((0, n))])
-        d = np.concatenate([qp.d_eq if m_eq else [], qp.d_ineq if qp.m_ineq else []])
+        if not m_eq and qp.m_ineq:
+            c, d = qp.c_ineq, qp.d_ineq  # inequality rows only: used as given
+        else:
+            c = np.vstack([qp.c_eq if m_eq else np.zeros((0, n)),
+                           qp.c_ineq if qp.m_ineq else np.zeros((0, n))])
+            d = np.concatenate([qp.d_eq if m_eq else [], qp.d_ineq if qp.m_ineq else []])
         norm = np.linalg.norm(c, axis=1)
         # the row normals and the unconstrained minimum in y = L^T x
-        wg = _solved(lapack.dtrtrs(l.T, np.vstack([c, qp.g]).T, lower=0, trans=1))
+        wg = _solved(lapack.dtrtrs(l.T, np.concatenate((c, qp.g[None])).T, lower=0, trans=1))
         w, y = wg[:, :-1], -wg[:, -1]
 
         work: list[int] = []  # working rows, the equality rows first
         u = np.zeros(0)  # their multipliers; free in sign on equality rows
-        # working normals = q r, in buffers that the factor updates fill
-        qf, rf = np.zeros((n, n), order="F"), np.zeros((n, n))
-        q, r = qf[:, :0], rf[:0, :0]
+        # working normals = q r, in buffers that the factor updates fill,
+        # allocated when the first row joins
+        qf = rf = None
+        q, r = np.zeros((n, 0)), np.zeros((0, 0))
         it = 0
         while True:
             if len(work) < m_eq:
@@ -164,7 +168,8 @@ class ActiveSetSolver:
                 viol = w.T @ y - d
                 # a row within tol of its bound, as a distance, is satisfied
                 viol[viol <= self.tol * norm] = 0.0
-                viol[:m_eq] = viol[work] = 0.0
+                if work:  # it holds every equality row by now
+                    viol[work] = 0.0
                 if not viol.any():
                     break
                 p = int(np.argmax(viol))
@@ -197,6 +202,8 @@ class ActiveSetSolver:
                 u, u_p = u - t * dual, u_p + t
                 k = len(work)
                 if full:
+                    if qf is None:
+                        qf, rf = np.zeros((n, n), order="F"), np.zeros((n, n))
                     # append n_p = q (proj + s) + |z| e_k to the factors,
                     # after one reorthogonalization pass s = q^T z; the row
                     # is cleared because qr_delete takes a triangular r
@@ -218,17 +225,16 @@ class ActiveSetSolver:
                 q, r = qf[:, :len(work)], rf[:len(work), :len(work)]
 
         x = _solved(lapack.dtrtrs(l.T, y, lower=0))
+        lam = np.zeros(qp.m_ineq)
         if work:
             # refinement: the smallest move in the H norm that puts the
             # working rows back on their bounds
             resid = d[work] - c[work] @ x
             v = q @ _solved(lapack.dtrtrs(r.T, resid, lower=1))
             x = x + _solved(lapack.dtrtrs(l.T, v, lower=0))
-        active = np.array(work[m_eq:], dtype=int) - m_eq
-        lam = np.zeros(qp.m_ineq)
-        lam[active] = np.maximum(u[m_eq:], 0.0)
+            lam[np.array(work[m_eq:], dtype=int) - m_eq] = np.maximum(u[m_eq:], 0.0)
         return QpResult(x=x, status=QpStatus.OPTIMAL, iterations=it,
-                        active_set=sorted(active.tolist()), lam_ineq=lam)
+                        active_set=sorted(j - m_eq for j in work[m_eq:]), lam_ineq=lam)
 
     @staticmethod
     def _stopped(l, y, status, it, work, m_eq) -> QpResult:

@@ -4,16 +4,19 @@ from numpy.testing import assert_allclose
 
 from quadstack import so3
 from quadstack.balance import (
+    BalanceController,
     BalanceGains,
     BodyModel,
     ForceDistributionError,
     FrictionSpec,
+    _friction_rows,
+    _stance_cols,
     balance_qp,
     build_force_model,
     landing_switch,
     pd_wrench,
 )
-from quadstack.qpsolver import ActiveSetSolver
+from quadstack.qpsolver import ActiveSetSolver, QpProblem
 from quadstack.state import DesiredState, RobotState
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
@@ -24,6 +27,46 @@ STAND = RobotState(pos=[0.0, 0.0, 0.45], feet=FEET)
 
 def hover_desired():
     return DesiredState(pos=[0.0, 0.0, 0.45])
+
+
+def force_model_per_leg(p_c, feet, model, acc_lin, acc_ang, r=None):
+    """build_force_model as the per-leg np.eye / so3.hat construction."""
+    a = np.zeros((6, 12))
+    for i in range(4):
+        a[0:3, 3 * i:3 * i + 3] = np.eye(3)
+        a[3:6, 3 * i:3 * i + 3] = so3.hat(feet[i] - p_c)
+    inertia = model.inertia if r is None else model.inertia_world(r)
+    b_d = np.concatenate([model.mass * (acc_lin - model.g_vec), inertia @ acc_ang])
+    return a, b_d
+
+
+def balance_qp_gather(a, b_d, f_prev, gains, friction, stance_mask, solver):
+    """balance_qp with its stance columns gathered per call and the
+    regularization added as (alpha + beta) * np.eye(n); returns the QP too."""
+    stance = np.flatnonzero(stance_mask)
+    cols = np.concatenate([[3 * i, 3 * i + 1, 3 * i + 2] for i in stance])
+    a_s = a[:, cols]
+    s_w = gains.s_weight
+    h = 2.0 * (a_s.T @ s_w @ a_s + (gains.alpha + gains.beta) * np.eye(cols.size))
+    c_ineq, d_ineq = _friction_rows(stance.size, friction.mu, friction.f_min, friction.f_max)
+    g = -2.0 * (a_s.T @ (s_w @ b_d) + gains.beta * f_prev[cols])
+    qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
+    f = np.zeros(12)
+    f[cols] = solver.solve(qp).x
+    return f, qp
+
+
+class RecordingSolver(ActiveSetSolver):
+    def __init__(self):
+        super().__init__()
+        self.problems = []
+
+    def solve(self, qp):
+        self.problems.append(qp)
+        return super().solve(qp)
+
+
+ALL_MASKS = [np.array([(k >> leg) & 1 for leg in range(4)], dtype=bool) for k in range(1, 16)]
 
 
 class TestPdWrench:
@@ -65,6 +108,22 @@ class TestForceModel:
         a2, _ = build_force_model(STAND.pos + shift, FEET + shift, MODEL,
                                   np.zeros(3), np.zeros(3))
         assert_allclose(a1, a2, atol=1e-12)
+
+    def test_matches_per_leg_construction_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for case in range(200):
+            p_c = rng.normal(size=3)
+            feet = p_c + rng.normal(size=(4, 3)) * 0.4
+            if case % 10 == 0:
+                feet[case % 4] = p_c  # a zero lever arm: hat has signed zeros
+            if case % 7 == 0:
+                feet[:, 2] = p_c[2]  # a lever arm in the body's plane
+            acc_lin, acc_ang = rng.normal(size=3), rng.normal(size=3)
+            r = so3.exp_exact(rng.normal(size=3)) if case % 2 else None
+            got = build_force_model(p_c, feet, MODEL, acc_lin, acc_ang, r=r)
+            want = force_model_per_leg(p_c, feet, MODEL, acc_lin, acc_ang, r=r)
+            for x, y in zip(got, want):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), case
 
 
 class TestBalanceQp:
@@ -171,6 +230,49 @@ class TestBalanceQp:
             balance_qp(a, b_d, np.zeros(12), BalanceGains(), friction,
                        np.ones(4, dtype=bool), solver=solver)
         assert solver.calls == 1
+
+
+class TestStanceSets:
+    def test_matches_column_gather_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=300.0)
+        for mask in ALL_MASKS:
+            for case in range(6):
+                feet = FEET + rng.normal(size=(4, 3)) * 0.05
+                # the larger wrenches saturate the bounds: rows join the working set
+                scale = 40.0 if case % 2 else 1.0
+                a, b_d = build_force_model(STAND.pos, feet, MODEL, rng.normal(size=3) * scale,
+                                           rng.normal(size=3) * scale)
+                f_prev = rng.normal(size=12) * 50.0
+                solver = RecordingSolver()
+                f = balance_qp(a, b_d, f_prev, BalanceGains(), friction, mask, solver=solver)
+                f_ref, qp_ref = balance_qp_gather(a, b_d, f_prev, BalanceGains(), friction,
+                                                  mask, ActiveSetSolver())
+                qp, = solver.problems
+                for name in ("h", "g", "c_ineq", "d_ineq"):
+                    assert getattr(qp, name).tobytes() == getattr(qp_ref, name).tobytes(), name
+                assert f.tobytes() == f_ref.tobytes(), (mask, case)
+
+    def test_all_swing_raises_before_any_cache_lookup(self):
+        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
+        before = (_stance_cols.cache_info(), _friction_rows.cache_info())
+        with pytest.raises(ValueError, match="stance"):
+            balance_qp(a, b_d, np.zeros(12), BalanceGains(), FrictionSpec(),
+                       np.zeros(4, dtype=bool))
+        assert (_stance_cols.cache_info(), _friction_rows.cache_info()) == before
+
+    def test_friction_reassigned_after_construction_takes_effect(self):
+        # jump-sim's lander raises f_max from 500 to 700 N after construction;
+        # a 1 m height error asks for about 1,460 N per foot
+        controller = BalanceController(MODEL)
+        des = DesiredState(pos=STAND.pos + [0.0, 0.0, 1.0])
+        stance = np.ones(4, dtype=bool)
+        f = controller.compute(STAND, des, stance)
+        assert_allclose(f[2::3], 500.0, atol=1e-7)
+        controller.friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=700.0)
+        controller.reset()
+        f = controller.compute(STAND, des, stance)
+        assert_allclose(f[2::3], 700.0, atol=1e-7)
 
 
 class TestSwitches:

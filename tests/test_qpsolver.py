@@ -6,11 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr_delete, solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 from quadstack import qpsolver
-from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpStatus, _solved, solve
+from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpResult, QpStatus, _solved, solve
 from quadstack.scenarios import run_trot
 
 
@@ -437,3 +437,179 @@ class TestFactorUpdates:
             assert res.status is QpStatus.OPTIMAL
             assert qp.max_violation(res.x) <= 1e-9
             assert_kkt_certificate(qp, res)
+
+
+def stacked_reference_solve(qp: QpProblem, tol=1e-9, max_iter=200) -> QpResult:
+    """The dual active-set loop with every row block stacked by vstack and
+    concatenate, the factor buffers allocated up front and the result built
+    from index arrays. Every path of ``ActiveSetSolver.solve`` returns its bits."""
+    n = qp.n
+    h = 0.5 * (qp.h + qp.h.T)
+    try:
+        l = np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        l = np.linalg.cholesky(h + qpsolver._REG * np.eye(n))
+    m_eq = 0 if qp.c_eq is None else qp.c_eq.shape[0]
+    c = np.vstack([qp.c_eq if m_eq else np.zeros((0, n)),
+                   qp.c_ineq if qp.m_ineq else np.zeros((0, n))])
+    d = np.concatenate([qp.d_eq if m_eq else [], qp.d_ineq if qp.m_ineq else []])
+    norm = np.linalg.norm(c, axis=1)
+    wg = _solved(dtrtrs(l.T, np.vstack([c, qp.g]).T, lower=0, trans=1))
+    w, y = wg[:, :-1], -wg[:, -1]
+
+    def stopped(status):
+        return QpResult(x=_solved(dtrtrs(l.T, y, lower=0)), status=status, iterations=it,
+                        active_set=sorted(j - m_eq for j in work[m_eq:]))
+
+    work, u = [], np.zeros(0)
+    qf, rf = np.zeros((n, n), order="F"), np.zeros((n, n))
+    q, r = qf[:, :0], rf[:0, :0]
+    it = 0
+    while True:
+        if len(work) < m_eq:
+            p = len(work)
+        else:
+            viol = w.T @ y - d
+            viol[viol <= tol * norm] = 0.0
+            viol[:m_eq] = viol[work] = 0.0
+            if not viol.any():
+                break
+            p = int(np.argmax(viol))
+        n_p, u_p, full = w[:, p], 0.0, False
+        while not full:
+            if it == max_iter:
+                return stopped(QpStatus.MAX_ITER)
+            it += 1
+            proj = q.T @ n_p
+            z = n_p - q @ proj
+            dual = _solved(dtrtrs(r.T, proj, lower=1, trans=1)) if work else proj
+            block = np.flatnonzero(dual[m_eq:] > 0.0) + m_eq
+            ratio = u[block] / dual[block]
+            drop = block[np.argmin(ratio)] if block.size else -1
+            t1 = np.min(ratio, initial=np.inf)
+            zz = z @ z
+            resid = n_p @ y - d[p]
+            t2 = resid / zz if zz > (qpsolver._DEP_TOL * np.linalg.norm(n_p)) ** 2 else np.inf
+            if t1 == t2 == np.inf:
+                redundant = p < m_eq and abs(resid) <= tol * norm[p]
+                return stopped(QpStatus.SINGULAR if redundant else QpStatus.INFEASIBLE)
+            full = t2 <= t1
+            t = min(t1, t2)
+            if t2 < np.inf:
+                y = y - t * z
+            u, u_p = u - t * dual, u_p + t
+            k = len(work)
+            if full:
+                s = q.T @ z
+                z = z - q @ s
+                rf[k, :k] = 0.0
+                rf[:k, k] = proj + s
+                rf[k, k] = np.linalg.norm(z)
+                qf[:, k] = z / rf[k, k]
+                work.append(p)
+                u = np.append(u, u_p)
+            else:
+                qd, rd = qr_delete(q, r, drop, which="col", check_finite=False)
+                qf[:, :k - 1], rf[:k - 1, :k - 1] = qd[:, :k - 1], rd[:k - 1]
+                work.pop(drop)
+                u = np.delete(u, drop)
+            q, r = qf[:, :len(work)], rf[:len(work), :len(work)]
+
+    x = _solved(dtrtrs(l.T, y, lower=0))
+    if work:
+        resid = d[work] - c[work] @ x
+        v = q @ _solved(dtrtrs(r.T, resid, lower=1))
+        x = x + _solved(dtrtrs(l.T, v, lower=0))
+    active = np.array(work[m_eq:], dtype=int) - m_eq
+    lam = np.zeros(qp.m_ineq)
+    lam[active] = np.maximum(u[m_eq:], 0.0)
+    return QpResult(x=x, status=QpStatus.OPTIMAL, iterations=it,
+                    active_set=sorted(active.tolist()), lam_ineq=lam)
+
+
+def assert_same_bits(res, ref):
+    assert res.status is ref.status
+    assert res.iterations == ref.iterations
+    assert res.active_set == ref.active_set
+    assert res.x.tobytes() == ref.x.tobytes()
+    if ref.lam_ineq is None:
+        assert res.lam_ineq is None
+    else:
+        assert res.lam_ineq.shape == ref.lam_ineq.shape
+        assert res.lam_ineq.tobytes() == ref.lam_ineq.tobytes()
+
+
+class TestRowBlocks:
+    """Inequality-only problems use their rows as given; the others stack
+    their blocks. Either way the bits are those of the stacked reference."""
+
+    @staticmethod
+    def random_qps(rng, n_cases):
+        for case in range(n_cases):
+            n = int(rng.integers(1, 7))
+            a = rng.normal(size=(n, n))
+            h, g = a @ a.T + 0.3 * np.eye(n), rng.normal(size=n) * 5.0
+            x_f = rng.normal(size=n)
+            c = rng.normal(size=(int(rng.integers(1, 10)), n))
+            e = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+            ineq = dict(c_ineq=c, d_ineq=c @ x_f + rng.uniform(0.0, 1.0, len(c)))
+            eq = dict(c_eq=e, d_eq=e @ x_f)
+            yield [QpProblem(h=h, g=g, **ineq), QpProblem(h=h, g=g, **eq),
+                   QpProblem(h=h, g=g, **ineq, **eq), QpProblem(h=h, g=g),
+                   QpProblem(h=h, g=g, c_ineq=np.zeros((0, n)), d_ineq=np.zeros(0), **eq)]
+
+    def test_every_block_layout_keeps_the_reference_bits(self):
+        rng = np.random.default_rng(31)
+        iterations = {True: 0, False: 0}
+        for qps in self.random_qps(rng, 60):
+            for qp in qps:
+                res = solve(qp)
+                assert_same_bits(res, stacked_reference_solve(qp))
+                iterations[qp.c_eq is None] += res.iterations
+        # the inequality-only and the mixed problems both move rows in
+        assert iterations[True] and iterations[False]
+
+    def test_paths_that_drop_rows_keep_the_reference_bits(self):
+        rng = np.random.default_rng(2)
+        for case in range(40):
+            args = [rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(0.0, 10.0, 5),
+                    rng.uniform(-1.0, 1.0, 3)]
+            if case % 2:
+                fz = rng.uniform(1.0, 100.0)
+                args += [np.array([*(0.3 * fz * rng.uniform(-1.0, 1.0, 2)), fz]),
+                         rng.uniform(1.0, 3.0, 3)]
+            qp = vertex_qp(*args)
+            scaled = QpProblem(h=qp.h, g=qp.g, c_ineq=np.vstack([qp.c_ineq, 1e8 * qp.c_ineq[:4]]),
+                               d_ineq=np.concatenate([qp.d_ineq, 1e8 * qp.d_ineq[:4]]),
+                               c_eq=qp.c_eq, d_eq=qp.d_eq)
+            for p in (qp, scaled):
+                assert_same_bits(solve(p), stacked_reference_solve(p))
+
+    def test_stopped_solves_keep_the_reference_bits(self):
+        c, d = friction_box_constraints(1, mu=0.6, f_min=0.0, f_max=120.0)
+        infeasible = QpProblem(h=np.eye(1), g=np.zeros(1), c_ineq=np.array([[1.0], [-1.0]]),
+                               d_ineq=np.array([-1.0, 0.0]))
+        redundant = QpProblem(h=np.eye(2), g=np.zeros(2), c_eq=np.array([[1.0, 1.0], [2.0, 2.0]]),
+                              d_eq=np.array([1.0, 2.0]))
+        saturated = QpProblem(h=np.eye(3), g=np.array([0.0, 0.0, -500.0]), c_ineq=c, d_ineq=d)
+        for qp, status in ((infeasible, QpStatus.INFEASIBLE), (redundant, QpStatus.SINGULAR)):
+            res = solve(qp)
+            assert res.status is status
+            assert_same_bits(res, stacked_reference_solve(qp))
+        res = ActiveSetSolver(max_iter=0).solve(saturated)
+        assert res.status is QpStatus.MAX_ITER
+        assert_same_bits(res, stacked_reference_solve(saturated, max_iter=0))
+
+    def test_zero_inequality_rows(self):
+        # a c_ineq block with no rows is the unconstrained problem
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(4, 4))
+        h, g = a @ a.T + np.eye(4), rng.normal(size=4)
+        empty = QpProblem(h=h, g=g, c_ineq=np.zeros((0, 4)), d_ineq=np.zeros(0))
+        res = solve(empty)
+        assert res.status is QpStatus.OPTIMAL
+        assert res.iterations == 0 and res.active_set == []
+        assert res.lam_ineq.shape == (0,)
+        assert_allclose(res.x, np.linalg.solve(h, -g), atol=1e-12)
+        assert_same_bits(res, solve(QpProblem(h=h, g=g)))
+        assert_same_bits(res, stacked_reference_solve(empty))

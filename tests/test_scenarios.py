@@ -69,6 +69,16 @@ class TestTrot:
         assert logged[-1] > 2.0 * res.summary["mean_speed_mps"]
         assert_allclose(res.summary["mean_speed_mps"], np.mean(logged), atol=0.01)
 
+    def test_repeated_runs_write_identical_logs(self):
+        # the balance and MPC trots run in turn, twice: no module-level
+        # cache (stance columns, friction rows) carries state between runs
+        runs = [run_trot(duration=0.3, use_estimates=True), run_trot(duration=0.3, controller="mpc"),
+                run_trot(duration=0.3, use_estimates=True), run_trot(duration=0.3, controller="mpc")]
+        for first, again in ((runs[0], runs[2]), (runs[1], runs[3])):
+            assert first.log.keys() == again.log.keys()
+            for k in first.log:
+                assert np.asarray(first.log[k]).tobytes() == np.asarray(again.log[k]).tobytes(), k
+
     def test_trot_log_schema(self):
         res = run_trot(duration=0.5)
         for col in ("t_s", "px_m", "vz_mps", "r00", "foot0x_m", "f3z_N", "stance0"):

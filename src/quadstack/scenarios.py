@@ -29,7 +29,7 @@ from .sim import SensorNoise, SimWorld
 from .state import DesiredState, RobotState
 from .swing import LegModel, SwingTrajectory
 from .terrain import PlaneCoeffs
-from .trajopt import (BodyReference, ContactPhase, JumpSpec, build_problem,
+from .trajopt import (BodyReference, ContactPhase, JumpSpec, TimingProblem,
                       check_constraints, export_reference, solve_timing)
 
 NOMINAL_Z = 0.45
@@ -590,7 +590,7 @@ def run_jump_opt(spec: JumpSpec,
     """Solve a contact-timing problem and export the sampled body reference,
     logged as :func:`reference_log` writes it."""
     t_start = time.perf_counter()
-    problem = build_problem(spec)
+    problem = TimingProblem(spec)
     sol = solve_timing(problem)
     report = check_constraints(spec, sol)
     ref = export_reference(sol, spec)

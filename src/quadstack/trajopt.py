@@ -34,7 +34,8 @@ Problem size, for phases i = 1..n_p with N_i intervals and n_i stance feet
 
 The solver is an augmented-Lagrangian outer loop over the equality and
 inequality constraints. Each subproblem is solved over the variable bounds
-by a projected Newton method on B = ∇²L + rho J^T S^2 J. Every nonlinear
+by :func:`minimize`, the module's own projected Newton loop on
+B = ∇²L + rho J^T S^2 J, which records why it stopped. Every nonlinear
 term touches one knot, the forces of the interval it starts and one phase
 duration, so J and ∇²L are computed block by block in closed form. J is
 the one source of first derivatives: the AL gradient is ∇cost + J^T y,
@@ -53,7 +54,6 @@ from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded
-from scipy.optimize import Bounds, OptimizeResult, minimize
 
 from . import so3
 from .balance import BodyModel
@@ -69,7 +69,7 @@ __all__ = [
     "srbd_residual",
     "rotation_defect",
     "trajectory_cost",
-    "build_problem",
+    "TimingProblem",
     "initial_guess",
     "solve_timing",
     "check_constraints",
@@ -78,7 +78,14 @@ __all__ = [
 
 _T_PHASE_MIN = 0.05   # vanishing phase guard, seconds
 
+# augmented-Lagrangian outer loop
+_TOL = 1e-5                         # target max constraint violation
+_MAX_OUTER = 30
+_ROW_NORM_MIN = 0.3                 # constraint row norms are clipped to
+_ROW_NORM_MAX = 50.0                # [min, max] before they set the row scales
+
 # projected-Newton inner solve
+_MAX_INNER = 100                    # Newton steps per subproblem
 _ACTIVE_MARGIN = 1e-6               # bound margin of the fixed set
 _NEWTON_DECREMENT = 1e-14           # stop when -g.d <= this * max(1, |phi|)
 _ARMIJO = 1e-4
@@ -198,7 +205,7 @@ class TimingSolution:
     converged: bool
     outer_iterations: int
     ortho_defect: float              # max knot orthogonality defect
-    trace: list                      # per outer: violation, rho, newton_steps, merit_evals, delta
+    trace: list                      # per outer: violation, rho, newton_steps, merit_evals, delta, stop
 
 
 @dataclass
@@ -308,39 +315,22 @@ class TimingProblem:
             self.phase_feet_pos[self.int_phase[j]] for j in range(self.n_int)
         ])
 
-        # force variable table: (interval, foot) -> slice start
-        self.force_index: dict[tuple[int, int], int] = {}
-        nf = 0
-        for j in range(self.n_int):
-            for f in self.int_feet[j]:
-                self.force_index[(j, f)] = nf
-                nf += 3
-        self.n_force = nf
-        self.fi_j = np.array([j for (j, _f) in self.force_index], dtype=int)
-        self.fi_f = np.array([f for (_j, f) in self.force_index], dtype=int)
+        # force variables: 3 per (interval, stance foot), interval by interval
+        self.fi_j = np.repeat(np.arange(self.n_int), [len(f) for f in self.int_feet])
+        self.fi_f = np.array([f for feet in self.int_feet for f in feet], dtype=int)
+        self.n_force = 3 * len(self.fi_j)
 
-        # stance-knot set: a knot is contact-constrained when an adjacent
-        # interval has stance feet; footholds come from that interval
-        self.stance_knots: list[tuple[int, int, np.ndarray]] = []  # (knot, foot, world pos)
-        for k in range(self.n_knots):
-            seen: dict[int, np.ndarray] = {}
-            if k < self.n_int:
-                for f in self.int_feet[k]:
-                    seen[f] = self.int_feet_pos[k, f]
-            if k > 0:
-                for f in self.int_feet[k - 1]:
-                    seen.setdefault(f, self.int_feet_pos[k - 1, f])
-            for f in sorted(seen):
-                self.stance_knots.append((k, f, seen[f]))
-        if self.stance_knots:
-            self.sk_k = np.array([k for k, _f, _p in self.stance_knots], dtype=int)
-            self.sk_f = np.array([f for _k, f, _p in self.stance_knots], dtype=int)
-            self.sk_pw = np.stack([p for _k, _f, p in self.stance_knots])
-        else:
-            self.sk_k = np.zeros(0, dtype=int)
-            self.sk_f = np.zeros(0, dtype=int)
-            self.sk_pw = np.zeros((0, 3))
-        # stance knots are listed knot by knot: the first row of each knot
+        # stance knots, knot by knot and foot by foot: a knot is contact-
+        # constrained when an adjacent interval has stance feet; the interval
+        # it starts gives the foothold, else the one it ends
+        starts = np.zeros((self.n_knots, 4), dtype=bool)
+        starts[self.fi_j, self.fi_f] = True
+        stance = starts.copy()
+        stance[1:] |= starts[:-1]
+        self.sk_k, self.sk_f = np.divmod(np.flatnonzero(stance), 4)
+        source = np.where(starts[self.sk_k, self.sk_f], self.sk_k, self.sk_k - 1)
+        self.sk_pw = self.int_feet_pos[source, self.sk_f]
+        # the first row of each stance knot
         self.sk_knots, self.sk_start = np.unique(self.sk_k, return_index=True)
 
         self.nk_off = 0
@@ -367,7 +357,7 @@ class TimingProblem:
             (3 if spec.omega_goal is not None else 0)
         self.n_head = 18 + 12 + self.n_goal_twist
         self.n_eq = self.n_head + 18 * self.n_int + (3 if self.int_feet[0] else 0)
-        self.n_ineq = 4 * (self.n_force // 3) + len(self.stance_knots) + 2
+        self.n_ineq = 4 * (self.n_force // 3) + len(self.sk_k) + 2
         self._block_layout()
 
     def _block_layout(self):
@@ -460,36 +450,25 @@ class TimingProblem:
         durations = z[self.nt_off:].copy()
         return pos, vel, omega, rots, forces, durations
 
-    def bounds(self) -> list[tuple[float, float]]:
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper variable bounds."""
         spec = self.spec
         lo = np.full(self.n_vars, -np.inf)
         hi = np.full(self.n_vars, np.inf)
-        knots = np.arange(self.n_knots)
+        lo_k, hi_k = (b[:self.nf_off].reshape(self.n_knots, 18) for b in (lo, hi))
         # rotation entries live in [-1, 1] up to the Taylor defect
-        for k in knots:
-            base = 18 * k
-            lo[base + 9:base + 18] = -1.2
-            hi[base + 9:base + 18] = 1.2
-            lo[base + 6:base + 9] = -60.0
-            hi[base + 6:base + 9] = 60.0
-        if spec.com_min is not None or spec.com_max is not None:
-            cmin = -np.inf * np.ones(3) if spec.com_min is None else np.asarray(spec.com_min, dtype=float)
-            cmax = np.inf * np.ones(3) if spec.com_max is None else np.asarray(spec.com_max, dtype=float)
-            stance_set = {k for k, _, _ in self.stance_knots}
-            for k in stance_set:
-                base = 18 * k
-                lo[base:base + 3] = cmin
-                hi[base:base + 3] = cmax
-        for (j, f), idx in self.force_index.items():
-            col = self.nf_off + idx
-            lo[col + 2] = spec.f_min / self.f_scale
-            hi[col + 2] = spec.f_max / self.f_scale
-            lo[col:col + 2] = -spec.f_max / self.f_scale
-            hi[col:col + 2] = spec.f_max / self.f_scale
-        for i, ph in enumerate(spec.phases):
-            lo[self.nt_off + i] = ph.t_min
-            hi[self.nt_off + i] = min(ph.t_max, spec.t_max)
-        return list(zip(lo, hi))
+        lo_k[:, 9:18], hi_k[:, 9:18] = -1.2, 1.2
+        lo_k[:, 6:9], hi_k[:, 6:9] = -60.0, 60.0
+        if spec.com_min is not None:
+            lo_k[self.sk_knots, 0:3] = spec.com_min
+        if spec.com_max is not None:
+            hi_k[self.sk_knots, 0:3] = spec.com_max
+        lo_f, hi_f = (b[self.nf_off:self.nt_off].reshape(-1, 3) for b in (lo, hi))
+        lo_f[:, 0:2], hi_f[:] = -spec.f_max / self.f_scale, spec.f_max / self.f_scale
+        lo_f[:, 2] = spec.f_min / self.f_scale
+        lo[self.nt_off:] = [ph.t_min for ph in spec.phases]
+        hi[self.nt_off:] = [min(ph.t_max, spec.t_max) for ph in spec.phases]
+        return lo, hi
 
     # -- vectorized evaluation ----------------------------------------------
     #
@@ -918,11 +897,6 @@ def _rot_cost_derivatives(m_err: np.ndarray, ref: np.ndarray, eps_rot: float):
 # -- building, solving, checking --------------------------------------------
 
 
-def build_problem(spec: JumpSpec) -> TimingProblem:
-    """Assemble the packed NLP for a jump specification."""
-    return TimingProblem(spec)
-
-
 def initial_guess(problem: TimingProblem) -> np.ndarray:
     """Geodesic rotations, linear positions, gravity-support forces, mid durations.
 
@@ -960,13 +934,6 @@ def initial_guess(problem: TimingProblem) -> np.ndarray:
         for f in feet:
             forces[j, f, 2] = weight / len(feet)
     return problem.pack(pos, vel, omega, rots, forces, durations)
-
-
-@dataclass
-class SolveOptions:
-    tol: float = 1e-5                 # target max constraint violation
-    max_outer: int = 30
-    max_inner: int = 100              # projected-Newton steps per subproblem
 
 
 # -- structured Newton systems ---------------------------------------------
@@ -1129,11 +1096,10 @@ class _BorderedSystem:
 
 
 class _AugmentedLagrangian:
-    """The AL merit function of one subproblem, its gradient and Newton systems.
+    """The AL merit function of one subproblem and its derivatives.
 
     ``value`` runs at every line-search trial and keeps the derivative
-    handle of its point; ``grad`` and ``newton_system`` run at accepted
-    points only and share one :meth:`TimingProblem._derivative_blocks` call.
+    handle of its point; ``derivatives`` runs at accepted points only.
     """
 
     def __init__(self, problem: TimingProblem, structure: _KktStructure,
@@ -1143,8 +1109,7 @@ class _AugmentedLagrangian:
         self.lam = np.zeros(problem.n_eq)
         self.mu = np.zeros(problem.n_ineq)
         self.rho = rho
-        self._point = None             # (z, derivative handle, multipliers, active rows)
-        self._blocks = None            # (z, jac, hess, weights) for newton_system
+        self._point = None             # (derivative handle, multipliers, active rows)
 
     def value(self, z: np.ndarray) -> float:
         cost, c_eq, c_in, derivatives = self.problem._eval(z, need_grad=True)
@@ -1153,58 +1118,51 @@ class _AugmentedLagrangian:
         rho, mu = self.rho, self.mu
         y_eq = self.lam + rho * cs_eq
         y_in = np.maximum(0.0, mu + rho * cs_in)
-        self._point = (z.copy(), derivatives, (self.s_eq * y_eq, self.s_in * y_in), y_in > 0.0)
+        self._point = (derivatives, (self.s_eq * y_eq, self.s_in * y_in), y_in > 0.0)
         return (cost + self.lam @ cs_eq + 0.5 * rho * float(cs_eq @ cs_eq)
                 + float(np.sum(y_in**2 - mu**2)) / (2.0 * rho))
 
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        """∇_z of the AL: the Lagrangian gradient at the AL multipliers."""
-        if self._point is None or not np.array_equal(z, self._point[0]):
-            self.value(z)
-        z, derivatives, y, active = self._point
-        self._blocks = None            # freed before the next ones are formed
-        jac, hess, g = derivatives(*y)
-        weights = self.rho * np.concatenate([self.s_eq**2, self.s_in**2 * active])
-        self._blocks = (z, jac, hess, weights)
-        return g
+    def derivatives(self):
+        """Gradient and Newton matrix at the point of the last :meth:`value`.
 
-    def newton_system(self, z: np.ndarray) -> _BorderedSystem:
-        """∇²_zz of the AL at ``z``: Lagrangian Hessian plus rho J^T S^2 J.
-
+        The gradient is the Lagrangian's at the AL multipliers. The second
+        value builds ∇²L + rho J^T S^2 J from the same blocks when called;
         S^2 covers the equality rows and the active inequality rows.
         """
-        if self._blocks is None or not np.array_equal(z, self._blocks[0]):
-            self.grad(z)
-        _, jac, hess, weights = self._blocks
-        self._blocks = None
-        return self.structure.assemble(jac, hess, weights)
+        derivatives, y, active = self._point
+        jac, hess, g = derivatives(*y)
+        weights = self.rho * np.concatenate([self.s_eq**2, self.s_in**2 * active])
+        return g, partial(self.structure.assemble, jac, hess, weights)
 
 
-def _projected_newton(fun, x0, jac=None, bounds=None, maxiter=100, newton_system=None,
-                      **_unused):
-    """Projected Newton method over box bounds, as a ``minimize`` method.
+def minimize(al: _AugmentedLagrangian, z: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray) -> SimpleNamespace:
+    """Projected Newton method on the merit ``al`` over the box [lo, hi].
 
     Bertsekas (SIAM J. Control Optim. 20, 1982): variables within a small
     margin of a bound whose gradient pushes outward are moved onto it and
-    held fixed; the others take a Newton step on ``newton_system(z)``,
-    followed by Armijo backtracking along the projection arc. The
-    Levenberg damping delta rises tenfold whenever the factorization fails
-    or the step is not a descent direction, and falls tenfold after each
-    full step. ``fun`` runs at every trial point of the line search,
-    ``jac`` and ``newton_system`` only at the start and at accepted points.
+    held fixed; the others take a Newton step, followed by Armijo
+    backtracking along the projection arc. The Levenberg damping delta
+    rises tenfold whenever the factorization fails or the step is not a
+    descent direction, and falls tenfold after each full step.
+    ``al.value`` runs at every trial point, ``al.derivatives`` only at the
+    start and at accepted points. Returns the point ``x``, its gradient
+    ``grad``, the Newton steps ``nit``, ``merit_evals``, the final
+    ``delta`` and why the loop stopped, ``stop``.
     """
-    lo, hi = bounds.lb, bounds.ub
-    z = np.clip(np.asarray(x0, dtype=float), lo, hi)
-    f, g = fun(z), jac(z)
-    nfev, delta, nit = 1, 0.0, 0
-    message = "iteration limit"
-    while nit < maxiter:
+    z = np.clip(z, lo, hi)
+    f = al.value(z)
+    g, newton_matrix = al.derivatives()
+    merit_evals, delta, nit = 1, 0.0, 0
+    stop = "iteration limit"
+    while nit < _MAX_INNER:
         proj = z - np.clip(z - g, lo, hi)
         margin = min(_ACTIVE_MARGIN, float(np.max(np.abs(proj))))
         at_lo = (z <= lo + margin) & (g > 0.0)
         at_hi = (z >= hi - margin) & (g < 0.0)
         fixed = at_lo | at_hi
-        system = newton_system(z)
+        system = newton_matrix()
+        newton_matrix = None           # frees the blocks before the next ones are formed
         nit += 1
         free = ~fixed
         while delta <= _DELTA_MAX * system.scale:
@@ -1213,45 +1171,46 @@ def _projected_newton(fun, x0, jac=None, bounds=None, maxiter=100, newton_system
                 break
             delta = max(10.0 * delta, _DELTA_FLOOR * system.scale)
         else:
-            message = "no descent direction"
+            stop = "no descent direction"
             break
         d[at_lo] = (lo - z)[at_lo]
         d[at_hi] = (hi - z)[at_hi]
         if -(g @ d) <= _NEWTON_DECREMENT * max(1.0, abs(f)):
-            message = "Newton decrement below tolerance"
+            stop = "Newton decrement below tolerance"
             break
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS):
             zt = np.clip(z + alpha * d, lo, hi)
-            ft = fun(zt)
-            nfev += 1
+            ft = al.value(zt)
+            merit_evals += 1
             if ft <= f + _ARMIJO * (g @ (zt - z)):
                 break
             alpha *= 0.5
         else:
-            message = "line search found no decrease"
+            stop = "line search found no decrease"
             break
-        z, f, g = zt, ft, jac(zt)
+        z, f = zt, ft
+        g, newton_matrix = al.derivatives()
         if alpha == 1.0:
             delta = 0.0 if delta < _DELTA_FLOOR * system.scale * 10.0 else 0.1 * delta
-    return OptimizeResult(x=z, fun=f, jac=g, nit=nit, nfev=nfev, delta=delta,
-                          success=message.startswith("Newton"), message=message)
+    return SimpleNamespace(x=z, grad=g, nit=nit, merit_evals=merit_evals, delta=delta,
+                           stop=stop)
 
 
-def _row_scales(problem: TimingProblem, z: np.ndarray, structure: _KktStructure,
-                lo: float = 0.3, hi: float = 50.0):
-    """Reciprocal constraint-Jacobian row norms at ``z``, clipped to [lo, hi].
+def _row_scales(problem: TimingProblem, z: np.ndarray, structure: _KktStructure):
+    """Reciprocal constraint-Jacobian row norms at ``z``, clipped to
+    [_ROW_NORM_MIN, _ROW_NORM_MAX].
 
     The constraint families have wildly different natural Jacobian scales
     (friction rows carry the force scale, the angular rows the inverse
     inertia); equilibrating them keeps the penalty Hessian workable.
     """
     jac = problem._derivative_blocks(z)[0]
-    scales = 1.0 / np.clip(structure.row_norms(jac), lo, hi)
+    scales = 1.0 / np.clip(structure.row_norms(jac), _ROW_NORM_MIN, _ROW_NORM_MAX)
     return scales[:problem.n_eq], scales[problem.n_eq:]
 
 
-def solve_timing(problem: TimingProblem, opts: SolveOptions | None = None) -> TimingSolution:
+def solve_timing(problem: TimingProblem) -> TimingSolution:
     """Augmented-Lagrangian solve; returns the best feasible iterate found.
 
     Multipliers are updated every outer iteration; the penalty grows on a
@@ -1259,10 +1218,8 @@ def solve_timing(problem: TimingProblem, opts: SolveOptions | None = None) -> Ti
     violations. Raises :class:`NoConvergenceError` with diagnostics when
     the violation target cannot be met.
     """
-    opts = opts or SolveOptions()
-    z = initial_guess(problem)
-    bounds = Bounds(*np.array(problem.bounds()).T)
-    z = np.clip(z, bounds.lb, bounds.ub)
+    lo, hi = problem.bounds()
+    z = np.clip(initial_guess(problem), lo, hi)
 
     structure = _KktStructure(problem)
     s_eq, s_in = _row_scales(problem, z, structure)
@@ -1278,18 +1235,16 @@ def solve_timing(problem: TimingProblem, opts: SolveOptions | None = None) -> Ti
     kkt = np.inf
     trace = []
     outer = 0
-    for outer in range(1, opts.max_outer + 1):
-        res = minimize(al.value, z, jac=al.grad, method=_projected_newton,
-                       bounds=bounds, options={"maxiter": opts.max_inner,
-                                               "newton_system": al.newton_system})
+    for outer in range(1, _MAX_OUTER + 1):
+        res = minimize(al, z, lo, hi)
         z = res.x
-        kkt = float(np.max(np.abs(z - np.clip(z - res.jac, bounds.lb, bounds.ub))))
+        kkt = float(np.max(np.abs(z - np.clip(z - res.grad, lo, hi))))
         viol, c_eq, c_in = violation(z)
-        trace.append({"violation": viol, "rho": al.rho, "newton_steps": int(res.nit),
-                      "merit_evals": int(res.nfev), "delta": float(res.delta)})
+        trace.append({"violation": viol, "rho": al.rho, "newton_steps": res.nit,
+                      "merit_evals": res.merit_evals, "delta": res.delta, "stop": res.stop})
         if best is None or viol < best[0]:
             best = (viol, z.copy())
-        if viol <= opts.tol:
+        if viol <= _TOL:
             break
         al.lam = al.lam + al.rho * s_eq * c_eq
         al.mu = np.maximum(0.0, al.mu + al.rho * s_in * c_in)
@@ -1306,13 +1261,13 @@ def solve_timing(problem: TimingProblem, opts: SolveOptions | None = None) -> Ti
     sol = TimingSolution(
         durations=durations, states=states, forces=forces, cost=cost,
         max_violation=viol, defect_norms=defects, kkt_residual=kkt,
-        converged=viol <= opts.tol, outer_iterations=outer, ortho_defect=ortho,
+        converged=viol <= _TOL, outer_iterations=outer, ortho_defect=ortho,
         trace=trace,
     )
     if not sol.converged:
         raise NoConvergenceError(
             f"timing optimization stalled at violation {viol:.3e} "
-            f"(target {opts.tol:.1e}) after {outer} outer iterations",
+            f"(target {_TOL:.1e}) after {outer} outer iterations",
             {"violation": viol, "durations": durations, "defects": defects,
              "trace": trace},
         )

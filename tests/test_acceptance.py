@@ -20,7 +20,7 @@ from quadstack.scenarios import (hop_spec, nominal_feet, run_jump_sim,
                                  SPIN90_REFERENCE_TIMINGS_10MS)
 from quadstack.swing import LegModel
 from quadstack.terrain import fit_plane
-from quadstack.trajopt import build_problem, check_constraints, solve_timing
+from quadstack.trajopt import TimingProblem, check_constraints, solve_timing
 
 G = 9.81
 FEET = nominal_feet(LegModel())
@@ -36,7 +36,7 @@ def report(num, name, passed, detail=""):
 def hop_solution():
     spec = hop_spec(n_knots=30)
     t0 = time.perf_counter()
-    sol = solve_timing(build_problem(spec))
+    sol = solve_timing(TimingProblem(spec))
     return spec, sol, time.perf_counter() - t0
 
 
@@ -284,7 +284,7 @@ class TestCriterion7:
 class TestCriterion8:
     def test_spin_jump(self):
         spec = spin_spec(yaw_deg=90.0, n_knots=30)
-        sol = solve_timing(build_problem(spec))
+        sol = solve_timing(TimingProblem(spec))
         checker = check_constraints(spec, sol)
         r_final = so3.project_so3(sol.states[-1].rot)
         rot_err = float(np.linalg.norm(so3.rotation_error(spec.r_goal, r_final)))

@@ -86,7 +86,7 @@ def test_timing_solve_calls_traced_boundaries():
     tracer = layers.Tracer()
     try:
         layers.install(tracer, quadstack)
-        problem = quadstack.trajopt.build_problem(quadstack.scenarios.hop_spec(n_knots=4))
+        problem = quadstack.trajopt.TimingProblem(quadstack.scenarios.hop_spec(n_knots=4))
         sol = quadstack.scenarios.solve_timing(problem)
     finally:
         tracer.restore()

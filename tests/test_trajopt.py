@@ -1,7 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import Bounds, minimize
 
 from quadstack import scenarios, so3, trajopt
 from quadstack.balance import BodyModel
@@ -10,10 +11,9 @@ from quadstack.trajopt import (
     ContactPhase,
     JumpSpec,
     NoConvergenceError,
-    SolveOptions,
     SpecError,
     SrbdState,
-    build_problem,
+    TimingProblem,
     check_constraints,
     export_reference,
     initial_guess,
@@ -22,7 +22,7 @@ from quadstack.trajopt import (
     srbd_residual,
     trajectory_cost,
 )
-from quadstack.trajopt import _BorderedSystem, _KktStructure, _projected_newton
+from quadstack.trajopt import _BorderedSystem, _KktStructure
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
                  [-0.3, -0.128, 0.0], [-0.3, 0.128, 0.0]])
@@ -172,7 +172,7 @@ class TestCost:
 class TestBuild:
     def test_variable_and_constraint_counts(self):
         spec = hop_spec(n_knots=10)
-        prob = build_problem(spec)
+        prob = TimingProblem(spec)
         n = 30  # intervals
         assert prob.n_int == n
         assert prob.n_vars == 18 * (n + 1) + 3 * (4 * 10 + 0 + 4 * 10) + 3
@@ -186,8 +186,8 @@ class TestBuild:
 
     def test_flight_knots_have_no_force_variables(self):
         spec = hop_spec(n_knots=6)
-        prob = build_problem(spec)
-        for (j, f) in prob.force_index:
+        prob = TimingProblem(spec)
+        for j in prob.fi_j:
             assert prob.int_feet[j], "force variable on a flight interval"
 
     def test_spec_validation(self):
@@ -202,7 +202,7 @@ class TestBuild:
 
     def test_gradient_matches_finite_differences(self):
         spec = hop_spec(n_knots=4, flight_min=0.1)
-        prob = build_problem(spec)
+        prob = TimingProblem(spec)
         rng = np.random.default_rng(3)
         z = initial_guess(prob) + rng.normal(size=prob.n_vars) * 0.01
         lam = rng.normal(size=prob.n_eq)
@@ -227,7 +227,7 @@ class TestBuild:
             assert abs(fd - g[i]) <= 1e-5 * max(1.0, abs(fd))
 
     def test_derivative_handle_is_the_blocks(self):
-        prob = build_problem(hop_spec(n_knots=4, flight_min=0.1))
+        prob = TimingProblem(hop_spec(n_knots=4, flight_min=0.1))
         rng = np.random.default_rng(4)
         z = initial_guess(prob) + rng.normal(size=prob.n_vars) * 0.01
         y = (rng.normal(size=prob.n_eq), np.abs(rng.normal(size=prob.n_ineq)))
@@ -279,7 +279,7 @@ class TestNewtonStructure:
         out = []
         for seed, spec in enumerate((scenarios.hop_spec(n_knots=4),
                                      scenarios.spin_spec(n_knots=4))):
-            prob = build_problem(spec)
+            prob = TimingProblem(spec)
             rng = np.random.default_rng(7 + seed)
             z = initial_guess(prob) + rng.normal(size=prob.n_vars) * 0.01
             # push some tangential forces out of the pyramid and lift the
@@ -356,69 +356,180 @@ def quartic_bowl(x):
     return f, g, h
 
 
+class BowlMerit:
+    """quartic_bowl as the merit object of ``trajopt.minimize``: the last
+    variable is the border, and every damping the loop tries is recorded."""
+
+    def __init__(self):
+        self.deltas = []
+
+    def value(self, x):
+        self.x = x.copy()
+        return quartic_bowl(x)[0]
+
+    def derivatives(self):
+        _, g, h = quartic_bowl(self.x)
+        return g, lambda: self.system(h)
+
+    def system(self, h):
+        n_x = len(h) - 1
+        band = np.zeros((n_x, n_x))
+        for d in range(n_x):
+            s = n_x - 1 - d
+            band[d, s:] = h[np.arange(n_x - s), np.arange(s, n_x)]
+        out = _BorderedSystem(band, h[:n_x, n_x:], h[n_x:, n_x:], np.arange(n_x))
+        step = out.step
+
+        def recorded(g, fixed, delta):
+            self.deltas.append(delta)
+            return step(g, fixed, delta)
+
+        out.step = recorded
+        return out
+
+
 class TestProjectedNewton:
-    """The inner solver on a small problem: the last variable is the border."""
+    """``trajopt.minimize`` on a small problem."""
 
     @staticmethod
-    def solve(x0, lo, hi):
-        deltas = []
+    def solve(x0, lo, hi, monkeypatch):
+        monkeypatch.setattr(trajopt, "_MAX_INNER", 50)
+        merit = BowlMerit()
+        return trajopt.minimize(merit, x0, lo, hi), merit.deltas
 
-        def system(x):
-            h = quartic_bowl(x)[2]
-            n_x = len(x) - 1
-            band = np.zeros((n_x, n_x))
-            for d in range(n_x):
-                s = n_x - 1 - d
-                band[d, s:] = h[np.arange(n_x - s), np.arange(s, n_x)]
-            out = _BorderedSystem(band, h[:n_x, n_x:], h[n_x:, n_x:], np.arange(n_x))
-            step = out.step
-
-            def recorded(g, fixed, delta):
-                deltas.append(delta)
-                return step(g, fixed, delta)
-
-            out.step = recorded
-            return out
-
-        res = minimize(lambda x: quartic_bowl(x)[:2], x0, jac=True, method=_projected_newton,
-                       bounds=Bounds(lo, hi), options={"maxiter": 50, "newton_system": system})
-        return res, deltas
-
-    def test_damping_recovers_from_indefinite_hessian(self):
+    def test_damping_recovers_from_indefinite_hessian(self, monkeypatch):
         x0 = np.array([0.1, -0.1, 0.2, 0.05])
-        res, deltas = self.solve(x0, np.full(4, -np.inf), np.full(4, np.inf))
-        assert res.success
+        res, deltas = self.solve(x0, np.full(4, -np.inf), np.full(4, np.inf), monkeypatch)
+        assert res.stop == "Newton decrement below tolerance"
         assert deltas[0] == 0.0 and max(deltas) > 0.0    # first factorization failed
-        assert np.max(np.abs(res.jac)) <= 1e-6
+        assert np.max(np.abs(res.grad)) <= 1e-6
         assert np.all(np.linalg.eigvalsh(quartic_bowl(res.x)[2]) > 0.0)
 
-    def test_bound_blocked_variables_stay_on_the_bound(self):
+    def test_bound_blocked_variables_stay_on_the_bound(self, monkeypatch):
         # the first variable and the bordered last one would go to about 1
         hi = np.array([0.5, np.inf, np.inf, 0.25])
-        res, _ = self.solve(np.array([0.9, 0.9, 0.9, 0.2]), np.full(4, -np.inf), hi)
-        assert res.success
+        res, _ = self.solve(np.array([0.9, 0.9, 0.9, 0.2]), np.full(4, -np.inf), hi,
+                            monkeypatch)
+        assert res.stop == "Newton decrement below tolerance"
         assert res.x[0] == 0.5 and res.x[3] == 0.25
-        assert res.jac[0] < 0.0 and res.jac[3] < 0.0
-        assert np.max(np.abs(res.jac[1:3])) <= 1e-6
+        assert res.grad[0] < 0.0 and res.grad[3] < 0.0
+        assert np.max(np.abs(res.grad[1:3])) <= 1e-6
+
+    def test_each_stop_is_reported(self, monkeypatch):
+        free = np.full(4, -np.inf), np.full(4, np.inf)
+        x0 = np.array([0.1, -0.1, 0.2, 0.05])
+        monkeypatch.setattr(trajopt, "_MAX_INNER", 1)
+        res = trajopt.minimize(BowlMerit(), x0, *free)
+        assert (res.stop, res.nit, res.merit_evals) == ("iteration limit", 1, 2)
+
+        monkeypatch.setattr(trajopt, "_MAX_INNER", 50)
+        rising = BowlMerit()
+        rising.value = lambda x: float(np.sum(x * x))   # a value its gradient does not fit
+        rising.x = x0
+        res = trajopt.minimize(rising, x0, *free)
+        assert res.stop == "line search found no decrease" and res.nit == 1
+        assert res.merit_evals == 1 + trajopt._MAX_BACKTRACKS
+
+        singular = BowlMerit()        # no damping gives a factorization
+        singular.system = lambda h: SimpleNamespace(scale=1.0, step=lambda g, fixed, delta: None)
+        res = trajopt.minimize(singular, x0, *free)
+        assert (res.stop, res.nit, res.merit_evals) == ("no descent direction", 1, 1)
+        assert np.array_equal(res.x, x0)
+
+
+def legacy_tables(prob):
+    """The force and stance-knot tables and the bounds, built from a
+    (interval, foot) dict and a list of (knot, foot, foothold) tuples."""
+    spec = prob.spec
+    force_index = {}
+    for j in range(prob.n_int):
+        for f in prob.int_feet[j]:
+            force_index[(j, f)] = 3 * len(force_index)
+    stance_knots = []
+    for k in range(prob.n_knots):
+        seen = {}
+        if k < prob.n_int:
+            for f in prob.int_feet[k]:
+                seen[f] = prob.int_feet_pos[k, f]
+        if k > 0:
+            for f in prob.int_feet[k - 1]:
+                seen.setdefault(f, prob.int_feet_pos[k - 1, f])
+        for f in sorted(seen):
+            stance_knots.append((k, f, seen[f]))
+    lo, hi = np.full(prob.n_vars, -np.inf), np.full(prob.n_vars, np.inf)
+    for k in range(prob.n_knots):
+        base = 18 * k
+        lo[base + 9:base + 18], hi[base + 9:base + 18] = -1.2, 1.2
+        lo[base + 6:base + 9], hi[base + 6:base + 9] = -60.0, 60.0
+    if spec.com_min is not None or spec.com_max is not None:
+        cmin = -np.inf * np.ones(3) if spec.com_min is None else np.asarray(spec.com_min, float)
+        cmax = np.inf * np.ones(3) if spec.com_max is None else np.asarray(spec.com_max, float)
+        for k in {k for k, _, _ in stance_knots}:
+            lo[18 * k:18 * k + 3], hi[18 * k:18 * k + 3] = cmin, cmax
+    for idx in force_index.values():
+        col = prob.nf_off + idx
+        lo[col + 2], hi[col + 2] = spec.f_min / prob.f_scale, spec.f_max / prob.f_scale
+        lo[col:col + 2], hi[col:col + 2] = -spec.f_max / prob.f_scale, spec.f_max / prob.f_scale
+    for i, ph in enumerate(spec.phases):
+        lo[prob.nt_off + i], hi[prob.nt_off + i] = ph.t_min, min(ph.t_max, spec.t_max)
+    return {
+        "fi_j": np.array([j for j, _f in force_index], dtype=int),
+        "fi_f": np.array([f for _j, f in force_index], dtype=int),
+        "sk_k": np.array([k for k, _f, _p in stance_knots], dtype=int),
+        "sk_f": np.array([f for _k, f, _p in stance_knots], dtype=int),
+        "sk_pw": np.stack([p for _k, _f, p in stance_knots]),
+        "bounds": tuple(np.array(list(zip(lo, hi))).T),
+    }
+
+
+class TestTables:
+    @pytest.mark.parametrize("box", [{"com_max": [0.2, 0.1, 0.5]},
+                                     {"com_min": [-0.2, -0.1, 0.3]}])
+    def test_tables_match_the_dict_and_list_construction(self, box):
+        # foot 0 steps between two stance phases, so a knot where both meet
+        # takes the foothold of the interval it starts; feet are listed out
+        # of order, the CoM box has one side only, and the second phase's
+        # t_max lies above spec.t_max
+        moved = FEET.copy()
+        moved[0] += [0.05, -0.02, 0.0]
+        spec = stand_spec(phases=[
+            ContactPhase(feet=(0, 1, 2, 3), n_knots=3),
+            ContactPhase(feet=(3, 0, 1), n_knots=3, feet_pos=moved, t_max=5.0),
+            ContactPhase(feet=(), n_knots=2, t_max=0.3),
+            ContactPhase(feet=(2, 0), n_knots=2, feet_pos=moved),
+        ], t_max=1.2, **box)
+        prob = TimingProblem(spec)
+        old = legacy_tables(prob)
+        for name in ("fi_j", "fi_f", "sk_k", "sk_f", "sk_pw"):
+            new = getattr(prob, name)
+            assert new.dtype == old[name].dtype and new.shape == old[name].shape, name
+            assert new.flags.c_contiguous, name
+            assert new.tobytes() == old[name].tobytes(), name
+        for new, ref in zip(prob.bounds(), old["bounds"]):
+            assert new.tobytes() == ref.tobytes()
+        assert prob.n_force == 3 * len(old["fi_j"])
+        assert prob.n_ineq == 4 * len(old["fi_j"]) + len(old["sk_k"]) + 2
+        # the knot between the two stance phases holds foot 0 at its new foothold
+        assert_allclose(prob.sk_pw[(prob.sk_k == 3) & (prob.sk_f == 0)], moved[[0]])
 
 
 @pytest.fixture(scope="module")
 def stand_solution():
     spec = stand_spec(n_knots=8)
-    return spec, solve_timing(build_problem(spec))
+    return spec, solve_timing(TimingProblem(spec))
 
 
 @pytest.fixture(scope="module")
 def hop_solution():
     spec = hop_spec(n_knots=10)
-    return spec, solve_timing(build_problem(spec))
+    return spec, solve_timing(TimingProblem(spec))
 
 
 @pytest.fixture(scope="module")
 def yaw_stand_solution():
     spec = stand_spec(n_knots=8, r_goal=so3.rot_z(0.4),
                       sphere_radius=0.25, t_min=0.4, t_max=0.9)
-    return spec, solve_timing(build_problem(spec))
+    return spec, solve_timing(TimingProblem(spec))
 
 
 @pytest.mark.slow
@@ -520,7 +631,7 @@ class TestSolveHop:
         # O(h); doubling the knot count roughly halves it
         spec10, sol10 = hop_solution
         spec20 = hop_spec(n_knots=20)
-        sol20 = solve_timing(build_problem(spec20))
+        sol20 = solve_timing(TimingProblem(spec20))
 
         def flight_error(sol, n):
             t_f = float(sol.durations[1])
@@ -565,15 +676,19 @@ class TestExport:
             assert so3.orthonormality_defect(r) <= 1e-9
 
 
+STOPS = ("Newton decrement below tolerance", "iteration limit",
+         "line search found no decrease", "no descent direction")
+
+
 class TestDiagnostics:
     @pytest.mark.slow
     @pytest.mark.parametrize("preset", ["hop", "spin90"])
     def test_no_subproblem_reaches_the_step_limit(self, preset):
         spec = (scenarios.hop_spec(n_knots=30) if preset == "hop"
                 else scenarios.spin_spec(yaw_deg=90.0, n_knots=30))
-        sol = solve_timing(build_problem(spec))
+        sol = solve_timing(TimingProblem(spec))
         assert sol.converged and len(sol.trace) == sol.outer_iterations
-        assert max(entry["newton_steps"] for entry in sol.trace) < SolveOptions().max_inner
+        assert max(entry["newton_steps"] for entry in sol.trace) < trajopt._MAX_INNER
 
     def test_derivatives_only_at_accepted_points(self, monkeypatch):
         # one _derivative_blocks call for the row scales, then one per
@@ -590,7 +705,7 @@ class TestDiagnostics:
 
         monkeypatch.setattr(trajopt.TimingProblem, "_derivative_blocks", counted("blocks", blocks))
         monkeypatch.setattr(trajopt.TimingProblem, "_eval", counted("eval", evaluate))
-        sol = solve_timing(build_problem(hop_spec(n_knots=6)))
+        sol = solve_timing(TimingProblem(hop_spec(n_knots=6)))
         steps = sum(entry["newton_steps"] for entry in sol.trace)
         merit = sum(entry["merit_evals"] for entry in sol.trace)
         # a subproblem that stops on its Newton decrement accepts one step fewer
@@ -600,11 +715,13 @@ class TestDiagnostics:
         assert calls["eval"] == merit + sol.outer_iterations + 1
         assert all(entry["merit_evals"] >= entry["newton_steps"] for entry in sol.trace)
 
-    def test_no_convergence_reports(self):
+    def test_no_convergence_reports(self, monkeypatch):
         spec = hop_spec(n_knots=6)
+        monkeypatch.setattr(trajopt, "_TOL", 1e-14)
+        monkeypatch.setattr(trajopt, "_MAX_OUTER", 2)
+        monkeypatch.setattr(trajopt, "_MAX_INNER", 30)
         with pytest.raises(NoConvergenceError) as exc:
-            solve_timing(build_problem(spec), opts=SolveOptions(tol=1e-14, max_outer=2,
-                                                                max_inner=30))
+            solve_timing(TimingProblem(spec))
         diag = exc.value.args[1]
         assert "violation" in diag and "durations" in diag
         trace = diag["trace"]
@@ -613,3 +730,4 @@ class TestDiagnostics:
         for entry in trace:
             assert 1 <= entry["newton_steps"] <= 30
             assert entry["violation"] > 1e-14 and entry["delta"] >= 0.0
+            assert entry["stop"] in STOPS

@@ -636,8 +636,8 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
                      leg_model=leg_model)
     lander = BalanceController(model)
     lander.friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=700.0)
-    gains = {"kp_cart": np.full(3, 900.0), "kd_cart": np.full(3, 20.0),
-             "kp_joint": np.full(3, 20.0), "kd_joint": np.full(3, 0.5)}
+    gains = {"kp_cart": (900.0,) * 3, "kd_cart": (20.0,) * 3,
+             "kp_joint": (20.0,) * 3, "kd_joint": (0.5,) * 3}
 
     # takeoff = end of the first contact block
     t_takeoff = float(ref.phase_times[0])
@@ -655,8 +655,34 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
     duration = t_total + recover_time
     n = int(round(duration / dt))
     idx_max = len(ref.t) - 1
+    dt_ref = max(ref.t[1] - ref.t[0], 1e-9)
     forces = np.zeros(12)
     ik_fallbacks = 0
+
+    # a leg's targets per reference sample, kept only when its IK succeeds:
+    # a fallback is recomputed, and counted, on every tick
+    targets: dict[tuple[int, int], dict] = {}
+
+    def leg_targets(leg, i_ref, q_meas):
+        nonlocal ik_fallbacks
+        i_next = min(i_ref + 1, idx_max)
+        foot_w = spec.feet_start[leg]
+        pf_d = ref.rot[i_ref].T @ (foot_w - ref.pos[i_ref])
+        vf_d = (ref.rot[i_next].T @ (foot_w - ref.pos[i_next]) - pf_d) / dt_ref
+        try:
+            q_d, reached = leg_ik(pf_d, leg, leg_model), True
+        except UnreachableError:
+            # the reference foot left the workspace: hold the measured
+            # joint angles, and count it
+            q_d, reached = q_meas, False
+            ik_fallbacks += 1
+        tau_d = stance_torque(q_d, ref.forces[i_ref, 3 * leg:3 * leg + 3], ref.rot[i_ref],
+                              leg, leg_model)
+        refs = {"q_d": q_d.tolist(), "qd_d": (0.0, 0.0, 0.0), "p_foot_d": pf_d.tolist(),
+                "v_foot_d": vf_d.tolist(), "tau_d": tau_d.tolist()}
+        if reached:
+            targets[i_ref, leg] = refs
+        return refs
 
     # goal posture for the landing recovery
     yaw_goal = so3.matrix_to_rpy(spec.r_goal)[2]
@@ -683,33 +709,17 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
         elif in_stance_phase:
             # reference tracking through the legs
             qs, qds = world.synth_encoders()
-            p_ref, r_ref = ref.pos[i_ref], ref.rot[i_ref]
-            i_next = min(i_ref + 1, idx_max)
-            dt_ref = max(ref.t[1] - ref.t[0], 1e-9)
-            forces = np.zeros(12)
+            leg_forces = []
             for leg in range(4):
-                foot_w = spec.feet_start[leg]
-                pf_d = r_ref.T @ (foot_w - p_ref)
-                pf_d_next = ref.rot[i_next].T @ (foot_w - ref.pos[i_next])
-                vf_d = (pf_d_next - pf_d) / dt_ref
-                try:
-                    q_d = leg_ik(pf_d, leg, leg_model)
-                except UnreachableError:
-                    # the reference foot left the workspace: hold the
-                    # measured joint angles, and count it
-                    q_d = qs[leg]
-                    ik_fallbacks += 1
-                tau_d = stance_torque(q_d, ref.forces[i_ref, 3 * leg:3 * leg + 3],
-                                      r_ref, leg, leg_model)
-                refs = {"q_d": q_d, "qd_d": np.zeros(3), "p_foot_d": pf_d,
-                        "v_foot_d": vf_d, "tau_d": tau_d}
+                refs = targets.get((i_ref, leg)) or leg_targets(leg, i_ref, qs[leg])
                 tau = jump_track_torque(qs[leg], qds[leg], refs, gains, leg, leg_model)
-                f_leg = grf_from_torque(qs[leg], tau, state.rot, leg, leg_model)
-                # the ground cannot pull or exceed the hardware force budget
-                f_leg[2] = min(max(f_leg[2], 0.0), spec.f_max)
-                f_leg[0] = np.clip(f_leg[0], -spec.mu * f_leg[2], spec.mu * f_leg[2])
-                f_leg[1] = np.clip(f_leg[1], -spec.mu * f_leg[2], spec.mu * f_leg[2])
-                forces[3 * leg:3 * leg + 3] = f_leg
+                fx, fy, fz = grf_from_torque(qs[leg], tau, state.rot, leg, leg_model).tolist()
+                # the ground cannot pull or exceed the hardware force budget;
+                # min(max(.)) keeps np.clip's result, signed zeros included
+                fz = min(max(fz, 0.0), spec.f_max)
+                lo, hi = -spec.mu * fz, spec.mu * fz
+                leg_forces += [min(max(fx, lo), hi), min(max(fy, lo), hi), fz]
+            forces = np.array(leg_forces)
             stance_mask = np.ones(4, dtype=bool)
             swing_targets = None
         else:

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import so3
-
 __all__ = [
     "LegModel",
     "UnreachableError",
@@ -56,33 +54,43 @@ class LegModel:
         return np.asarray(self.hip_offsets, dtype=float)[leg]
 
 
-def _planar_points(q1: float, q2: float, l1: float, l2: float):
-    """Knee and foot positions in the leg plane (x, z), plus their q1/q2 columns."""
-    s1, c1 = np.sin(q1), np.cos(q1)
-    s12, c12 = np.sin(q1 + q2), np.cos(q1 + q2)
-    knee = np.array([-l1 * s1, 0.0, -l1 * c1])
-    foot = knee + np.array([-l2 * s12, 0.0, -l2 * c12])
-    return knee, foot, (s1, c1, s12, c12)
+def _floats(v) -> list[float]:
+    return np.asarray(v, dtype=float).reshape(3).tolist()
+
+
+def _foot_and_jacobian(q, leg: int, model: LegModel) -> tuple[tuple, np.ndarray]:
+    """Body-frame foot position (x, y, z) and the 3x3 foot Jacobian, in floats.
+
+    The foot in the leg plane is (ux, 0, uz), turned about body x by the
+    abduction q0. Each row of ``rot_x(q0) @ (a, 0, b)`` has one nonzero
+    product, so each entry is that product, plus 0.0 where the matrix
+    product's sum of zeros gives +0.0 for a -0.0 product.
+    """
+    q0, q1, q2 = q
+    l1, l2 = model.l1, model.l2
+    s0, c0 = math.sin(q0), math.cos(q0)
+    s1, c1 = math.sin(q1), math.cos(q1)
+    s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
+    ux, uz = -l1 * s1 - l2 * s12, -l1 * c1 - l2 * c12
+    ry, rz = -s0 * uz + 0.0, c0 * uz + 0.0
+    hx, hy, hz = model.hip(leg).tolist()
+    # columns: e_x x (turned foot), then rot_x times d(ux, uz)/dq1 = (uz, b1)
+    # and d(ux, uz)/dq2 = (-l2 c12, b2)
+    b1, b2 = l1 * s1 + l2 * s12, l2 * s12
+    jac = np.array([[0.0, uz, -l2 * c12],
+                    [-rz, -s0 * b1 + 0.0, -s0 * b2 + 0.0],
+                    [ry, c0 * b1 + 0.0, c0 * b2 + 0.0]])
+    return (hx + ux, hy + ry, hz + rz), jac
 
 
 def leg_fk(q: np.ndarray, leg: int, model: LegModel) -> np.ndarray:
     """Body-frame foot position for joint angles ``q``."""
-    q = np.asarray(q, dtype=float).reshape(3)
-    _, foot, _ = _planar_points(q[1], q[2], model.l1, model.l2)
-    return model.hip(leg) + so3.rot_x(q[0]) @ foot
+    return np.array(_foot_and_jacobian(_floats(q), leg, model)[0])
 
 
 def leg_jacobian(q: np.ndarray, leg: int, model: LegModel) -> np.ndarray:
     """Foot Jacobian d(foot)/dq, 3x3, body frame."""
-    q = np.asarray(q, dtype=float).reshape(3)
-    rx = so3.rot_x(q[0])
-    _, foot, (s1, c1, s12, c12) = _planar_points(q[1], q[2], model.l1, model.l2)
-    l1, l2 = model.l1, model.l2
-    _, py, pz = rx @ foot
-    col0 = np.array([0.0, -pz, py])  # e_x x (rx foot), written out: np.cross is slow at n = 3
-    col1 = rx @ np.array([-l1 * c1 - l2 * c12, 0.0, l1 * s1 + l2 * s12])
-    col2 = rx @ np.array([-l2 * c12, 0.0, l2 * s12])
-    return np.column_stack([col0, col1, col2])
+    return _foot_and_jacobian(_floats(q), leg, model)[1]
 
 
 def leg_ik(p_body: np.ndarray, leg: int, model: LegModel) -> np.ndarray:
@@ -121,26 +129,20 @@ def jump_track_torque(q: np.ndarray, qd: np.ndarray, refs: dict, gains: dict,
 
     ``refs`` carries q_d, qd_d, p_foot_d, v_foot_d, tau_d (body-frame foot
     targets, feedforward torque); ``gains`` carries kp_cart, kd_cart,
-    kp_joint, kd_joint (3x3 or diagonal vectors). Cartesian PD plus the
-    feedforward, plus a joint-space PD.
+    kp_joint, kd_joint (diagonal gains, 3 values each). Cartesian PD plus
+    the feedforward, plus a joint-space PD. A diagonal gain times a vector
+    is one product per row, done in floats; the products with J stay BLAS.
     """
-    q = np.asarray(q, dtype=float).reshape(3)
-    qd = np.asarray(qd, dtype=float).reshape(3)
-    j = leg_jacobian(q, leg, model)
-    p_f = leg_fk(q, leg, model)
-    v_f = j @ qd
-
-    def as_mat(g):
-        g = np.asarray(g, dtype=float)
-        return np.diag(g) if g.ndim == 1 else g
-
-    kp_c, kd_c = as_mat(gains["kp_cart"]), as_mat(gains["kd_cart"])
-    kp_j, kd_j = as_mat(gains["kp_joint"]), as_mat(gains["kd_joint"])
-    tau_ff = j.T @ (kp_c @ (np.asarray(refs["p_foot_d"], dtype=float) - p_f)
-                    + kd_c @ (np.asarray(refs["v_foot_d"], dtype=float) - v_f))
-    tau_ff = tau_ff + np.asarray(refs["tau_d"], dtype=float)
-    return tau_ff + kp_j @ (np.asarray(refs["q_d"], dtype=float) - q) \
-        + kd_j @ (np.asarray(refs["qd_d"], dtype=float) - qd)
+    q, qd = _floats(q), _floats(qd)
+    p_f, j = _foot_and_jacobian(q, leg, model)
+    v_f = (j @ np.array(qd)).tolist()
+    wrench = [kp * (p_d - p) + kd * (v_d - v) for kp, kd, p_d, p, v_d, v in zip(
+        gains["kp_cart"], gains["kd_cart"], refs["p_foot_d"], p_f, refs["v_foot_d"], v_f)]
+    tau_ff = (j.T @ np.array(wrench)).tolist()
+    return np.array([t + t_d + kp * (q_d - qi) + kd * (qd_d - qdi)
+                     for t, t_d, kp, q_d, qi, kd, qd_d, qdi in zip(
+                         tau_ff, refs["tau_d"], gains["kp_joint"], refs["q_d"], q,
+                         gains["kd_joint"], refs["qd_d"], qd)])
 
 
 def stance_torque(q: np.ndarray, grf_world: np.ndarray, r_body: np.ndarray,
@@ -150,14 +152,14 @@ def stance_torque(q: np.ndarray, grf_world: np.ndarray, r_body: np.ndarray,
     tau = -J^T R^T F: the leg pushes against the ground so that the
     reaction on the body equals ``grf_world``.
     """
-    j = leg_jacobian(q, leg, model)
+    _, j = _foot_and_jacobian(_floats(q), leg, model)
     return -j.T @ (np.asarray(r_body, dtype=float).T @ np.asarray(grf_world, dtype=float))
 
 
 def grf_from_torque(q: np.ndarray, tau: np.ndarray, r_body: np.ndarray,
                     leg: int, model: LegModel) -> np.ndarray:
     """Inverse of :func:`stance_torque`: world GRF implied by joint torques."""
-    j = leg_jacobian(q, leg, model)
+    _, j = _foot_and_jacobian(_floats(q), leg, model)
     f_body = np.linalg.solve(j.T, -np.asarray(tau, dtype=float))
     return np.asarray(r_body, dtype=float) @ f_body
 

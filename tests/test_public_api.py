@@ -6,9 +6,13 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quadstack
+from quadstack import so3
+from quadstack.swing import LegModel, UnreachableError, leg_ik
+from quadstack.trajopt import BodyReference
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(quadstack.__path__))
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
@@ -98,6 +102,70 @@ def test_timing_solve_calls_traced_boundaries():
     assert metrics["trajopt.outer_iters"] == sol.outer_iterations
     assert metrics["trajopt.inner_iters"] == sum(e["newton_steps"] for e in sol.trace)
     assert metrics["trajopt.evals"] == sum(e["merit_evals"] for e in sol.trace)
+
+
+# the tracking helpers run_jump_sim calls per stance tick, plus the sim
+JUMP_BOUNDARIES = ("swing.leg_ik", "swing.stance_torque", "swing.jump_track_torque",
+                   "swing.grf_from_torque", "sim.step", "sim.encoders")
+
+
+def _traced_jump_sim(spec, ref, **kw):
+    layers = _layers()
+    tracer = layers.Tracer()
+    try:
+        layers.install(tracer, quadstack)
+        res = quadstack.scenarios.run_jump_sim(spec, ref, **kw)
+    finally:
+        tracer.restore()
+    return res, tracer.spans, layers.layer_metrics(tracer.spans)
+
+
+def test_jump_sim_calls_traced_boundaries():
+    # a jump loop that inlines a tracking helper makes swing.track_us_per_tick
+    # read 0
+    spec = quadstack.scenarios.hop_spec(n_knots=4)
+    _, ref = quadstack.scenarios.run_jump_opt(spec)
+    _, spans, metrics = _traced_jump_sim(spec, ref, recover_time=0.0)
+    traced = {name for name, *_ in spans}
+    missing = [name for name in JUMP_BOUNDARIES if name not in traced]
+    assert not missing, f"no span recorded for {missing}"
+    assert metrics["swing.track_us_per_tick"] > 0.0
+
+
+def test_jump_sim_counts_each_ik_fallback_tick():
+    # leg targets are kept per 10 ms reference sample, but only after leg_ik
+    # succeeds: a target outside the workspace is retried and counted on every
+    # stance tick, by the summary and by the tracer alike
+    spec = quadstack.scenarios.hop_spec(n_knots=4)
+    n = 31
+    forces = np.zeros((n, 12))
+    forces[:, 2::3] = spec.model.weight / 4.0
+    ref = BodyReference(t=np.arange(n) * 0.01, pos=np.tile(spec.p_start, (n, 1)),
+                        vel=np.zeros((n, 3)), rot=np.tile(np.eye(3), (n, 1, 1)),
+                        omega=np.zeros((n, 3)), forces=forces,
+                        phase_times=np.array([0.25, 0.3]))
+    # samples 5-8 raise and pitch the body: the front feet leave the workspace
+    ref.pos[5:9, 2] += 0.2
+    ref.rot[5:9] = so3.rot_y(-0.2)
+    model = LegModel()
+    failing = []
+    for p, r in zip(ref.pos, ref.rot):
+        legs_out = 0
+        for leg, foot in enumerate(spec.feet_start):
+            try:
+                leg_ik(r.T @ (foot - p), leg, model)
+            except UnreachableError:
+                legs_out += 1
+        failing.append(legs_out)
+    assert failing[5:9] == [2, 2, 2, 2] and sum(failing) == 8
+    # stance ticks at t = k * 1 ms (summed as the sim sums it) read sample t // 10 ms
+    expected, t = 0, 0.0
+    while t < ref.phase_times[0]:
+        expected += failing[min(int(t / (ref.t[1] - ref.t[0])), n - 1)]
+        t += 1e-3
+    res, _, metrics = _traced_jump_sim(spec, ref, recover_time=0.0)
+    assert res.summary["ik_fallbacks"] == expected > 0
+    assert metrics["swing.ik_fallbacks"] == expected
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from quadstack import swing
+from quadstack import so3, swing
 from quadstack.swing import (
     LegModel,
     SwingTrajectory,
@@ -22,6 +22,65 @@ RNG = np.random.default_rng(9)
 def random_q(rng, n=1):
     qs = rng.uniform([-0.6, -1.2, 0.3], [0.6, 1.2, 2.2], size=(n, 3))
     return qs[0] if n == 1 else qs
+
+
+def leg_fk_numpy(q, leg, model):
+    """leg_fk's formula: planar foot turned by rot_x about the hip."""
+    q = np.asarray(q, dtype=float)
+    l1, l2 = model.l1, model.l2
+    s1, c1 = np.sin(q[1]), np.cos(q[1])
+    s12, c12 = np.sin(q[1] + q[2]), np.cos(q[1] + q[2])
+    foot = np.array([-l1 * s1, 0.0, -l1 * c1]) + np.array([-l2 * s12, 0.0, -l2 * c12])
+    return model.hip(leg) + so3.rot_x(q[0]) @ foot
+
+
+def leg_jacobian_numpy(q, leg, model):
+    """leg_jacobian's formula: e_x x (turned foot), then the turned planar columns."""
+    q = np.asarray(q, dtype=float)
+    l1, l2 = model.l1, model.l2
+    rx = so3.rot_x(q[0])
+    s1, c1 = np.sin(q[1]), np.cos(q[1])
+    s12, c12 = np.sin(q[1] + q[2]), np.cos(q[1] + q[2])
+    _, py, pz = rx @ np.array([-l1 * s1 - l2 * s12, 0.0, -l1 * c1 - l2 * c12])
+    return np.column_stack([np.array([0.0, -pz, py]),
+                            rx @ np.array([-l1 * c1 - l2 * c12, 0.0, l1 * s1 + l2 * s12]),
+                            rx @ np.array([-l2 * c12, 0.0, l2 * s12])])
+
+
+def jump_track_torque_numpy(q, qd, refs, gains, leg, model):
+    """jump_track_torque's formula with 3x3 diagonal gain matrices."""
+    q, qd = np.asarray(q, dtype=float), np.asarray(qd, dtype=float)
+    j = leg_jacobian_numpy(q, leg, model)
+    kp_c, kd_c, kp_j, kd_j = (np.diag(np.asarray(gains[k], dtype=float))
+                              for k in ("kp_cart", "kd_cart", "kp_joint", "kd_joint"))
+    r = {k: np.asarray(v, dtype=float) for k, v in refs.items()}
+    tau = j.T @ (kp_c @ (r["p_foot_d"] - leg_fk_numpy(q, leg, model))
+                 + kd_c @ (r["v_foot_d"] - j @ qd))
+    tau = tau + r["tau_d"]
+    return tau + kp_j @ (r["q_d"] - q) + kd_j @ (r["qd_d"] - qd)
+
+
+def stance_torque_numpy(q, grf_world, r_body, leg, model):
+    return -leg_jacobian_numpy(q, leg, model).T @ (r_body.T @ grf_world)
+
+
+def grf_from_torque_numpy(q, tau, r_body, leg, model):
+    return r_body @ np.linalg.solve(leg_jacobian_numpy(q, leg, model).T, -tau)
+
+
+def assert_same_bits(got, want):
+    got = np.asarray(got)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert_array_equal(np.signbit(got), np.signbit(want))  # -0.0 vs 0.0
+
+
+def workspace_qs(rng, n):
+    """Joint angles across the workspace: abduction of both signs, and every
+    fourth knee within 1e-4 rad of straight."""
+    qs = rng.uniform([-0.8, -1.5, 0.05], [0.8, 1.5, 2.6], size=(n, 3))
+    qs[::4, 2] = rng.uniform(1e-6, 1e-4, size=len(qs[::4]))
+    return np.vstack([np.zeros(3), [-0.3, 0.0, 0.0], qs])
 
 
 class TestKinematics:
@@ -63,6 +122,13 @@ class TestKinematics:
         j = leg_jacobian([0.2, 0.4, 0.0], 0, MODEL)
         assert abs(np.linalg.det(j)) <= 1e-12
 
+    def test_fk_and_jacobian_match_array_formulas(self):
+        rng = np.random.default_rng(21)
+        for i, q in enumerate(workspace_qs(rng, 400)):
+            leg = i % 4
+            assert_same_bits(leg_fk(q, leg, MODEL), leg_fk_numpy(q, leg, MODEL))
+            assert_same_bits(leg_jacobian(q, leg, MODEL), leg_jacobian_numpy(q, leg, MODEL))
+
     def test_velocity_map_along_path(self):
         q0 = np.array([0.1, -0.4, 1.2])
         qd = np.array([0.3, 0.5, -0.7])
@@ -92,19 +158,35 @@ class TestJumpTracking:
         tau = jump_track_torque(q, np.zeros(3), refs, self.GAINS, 0, MODEL)
         assert_allclose(tau, np.diag(self.GAINS["kp_joint"]) @ dq, atol=1e-12)
 
-    def test_reference_interpolation_midpoint(self):
-        # linear interpolation of knot references hits the midpoint average
-        a = {"q_d": np.zeros(3), "tau_d": np.zeros(3)}
-        b = {"q_d": np.ones(3), "tau_d": np.full(3, 2.0)}
-        mid = {k: 0.5 * (a[k] + b[k]) for k in a}
-        assert_allclose(mid["q_d"], np.full(3, 0.5))
-        assert_allclose(mid["tau_d"], np.full(3, 1.0))
+    def test_matches_array_formula(self):
+        rng = np.random.default_rng(22)
+        gains = {k: tuple(v.tolist()) for k, v in self.GAINS.items()}
+        for i, q in enumerate(workspace_qs(rng, 200)):
+            leg = i % 4
+            qd = rng.normal(scale=2.0, size=3)
+            refs = {"q_d": q + rng.normal(scale=0.1, size=3), "qd_d": np.zeros(3),
+                    "p_foot_d": leg_fk(q, leg, MODEL) + rng.normal(scale=0.02, size=3),
+                    "v_foot_d": rng.normal(size=3), "tau_d": rng.normal(scale=20.0, size=3)}
+            want = jump_track_torque_numpy(q, qd, refs, gains, leg, MODEL)
+            assert_same_bits(jump_track_torque(q, qd, refs, gains, leg, MODEL), want)
+            as_floats = {k: v.tolist() for k, v in refs.items()}
+            assert_same_bits(jump_track_torque(q, qd, as_floats, gains, leg, MODEL), want)
 
 
 class TestStanceMapping:
-    def test_grf_roundtrip(self):
-        from quadstack import so3
+    def test_matches_array_formulas(self):
+        rng = np.random.default_rng(23)
+        for i, q in enumerate(workspace_qs(rng, 200)):
+            leg = i % 4
+            r = so3.exp_exact(rng.normal(scale=0.5, size=3))
+            f = rng.normal(scale=[20.0, 20.0, 100.0])
+            tau = stance_torque(q, f, r, leg, MODEL)
+            assert_same_bits(tau, stance_torque_numpy(q, f, r, leg, MODEL))
+            if q[2] != 0.0:  # a straight knee makes J singular
+                assert_same_bits(grf_from_torque(q, tau, r, leg, MODEL),
+                                 grf_from_torque_numpy(q, tau, r, leg, MODEL))
 
+    def test_grf_roundtrip(self):
         q = np.array([0.1, -0.5, 1.2])
         r = so3.exp_exact([0.05, -0.1, 0.3])
         f = np.array([5.0, -3.0, 80.0])

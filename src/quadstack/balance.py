@@ -210,9 +210,6 @@ class BalanceController:
         self.f_prev = np.zeros(12)
         self._solver = ActiveSetSolver()
 
-    def reset(self):
-        self.f_prev = np.zeros(12)
-
     def compute(self, state: RobotState, des: DesiredState,
                 stance_mask: np.ndarray) -> np.ndarray:
         acc_lin, acc_ang = pd_wrench(state, des, self.gains)

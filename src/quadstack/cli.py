@@ -75,8 +75,8 @@ DEFAULT_CONFIG: dict = {
     "jump": {
         "preset": "hop",         # hop | spin90
         "n_knots": 30,
-        "flight_min_s": 0.3,
-        "yaw_goal_deg": 90.0,
+        "flight_min_s": None,    # null: the preset's own (hop 0.3 s, spin90 0.25 s)
+        "yaw_goal_deg": None,    # spin90 only; null: the preset's own 90 deg
         "reference_csv": None,   # jump-sim input; defaults to <out_dir>/jump_ref.csv
     },
 }
@@ -256,16 +256,21 @@ def cmd_estimate(cfg: dict, out: Path) -> dict:
 
 
 def _jump_spec(cfg: dict):
+    """The preset's spec and its published timings; a ``jump.*`` key left
+    null keeps the preset's own value."""
     jump = cfg["jump"]
-    model = _body_model(cfg)
-    n = int(jump["n_knots"])
+    kw = dict(n_knots=int(jump["n_knots"]), z0=float(cfg["robot"]["z0_m"]),
+              model=_body_model(cfg))
+    if jump["flight_min_s"] is not None:
+        kw["flight_min"] = float(jump["flight_min_s"])
     if jump["preset"] == "hop":
-        return scenarios.hop_spec(n_knots=n, z0=float(cfg["robot"]["z0_m"]),
-                                  flight_min=float(jump["flight_min_s"]), model=model), None
+        if jump["yaw_goal_deg"] is not None:
+            raise ConfigError("jump.yaw_goal_deg applies to the spin90 preset only")
+        return scenarios.hop_spec(**kw), None
     if jump["preset"] == "spin90":
-        context = scenarios.SPIN90_REFERENCE_TIMINGS_10MS
-        return scenarios.spin_spec(yaw_deg=float(jump["yaw_goal_deg"]), n_knots=n,
-                                   z0=float(cfg["robot"]["z0_m"]), model=model), context
+        if jump["yaw_goal_deg"] is not None:
+            kw["yaw_deg"] = float(jump["yaw_goal_deg"])
+        return scenarios.spin_spec(**kw), scenarios.SPIN90_REFERENCE_TIMINGS_10MS
     raise ConfigError(f"unknown jump preset: {jump['preset']!r}")
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "OrientationFilter",
     "KfState",
     "SingularInnovationError",
-    "adaptive_kappa",
     "orientation_step",
     "kf_predict",
     "kf_update",
@@ -56,7 +55,7 @@ __all__ = [
     "SWING_INFLATION_DEFAULT",
 ]
 
-# default noise densities / covariances (tunable via scenario config)
+# noise densities and measurement covariances
 Q_ACCEL_DEFAULT = 1e-2          # (m/s^2)^2 * s, accelerometer white noise
 Q_FOOT_STANCE_DEFAULT = 1e-6    # m^2 * s, stance-foot position drift
 R_POS_DEFAULT = 1e-4            # m^2
@@ -89,15 +88,9 @@ class OrientationFilter:
         self.r_hat = np.asarray(self.r_hat, dtype=float).reshape(3, 3)
 
 
-def adaptive_kappa(accel: np.ndarray, kappa_ref: float, gravity: float) -> float:
-    """Correction gain shrinking as |accel| departs from g.
-
-    kappa = kappa_ref * clamp(1 - ||accel| - g| / g, 0, 1).
-    """
-    return _kappa(float(np.linalg.norm(accel)), kappa_ref, gravity)
-
-
 def _kappa(a_norm: float, kappa_ref: float, gravity: float) -> float:
+    """Correction gain shrinking as the accelerometer norm departs from g:
+    kappa_ref * clamp(1 - |a_norm - g| / g, 0, 1)."""
     if gravity <= 0.0:
         raise ValueError("gravity must be positive")
     ratio = abs(a_norm - gravity) / gravity
@@ -211,9 +204,9 @@ def leg_measurements_batch(qs: np.ndarray, qds: np.ndarray, r_hat: np.ndarray,
 _PROC_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _process_matrices(dt: float, q_v: float, q_p: np.ndarray):
+def _process_matrices(dt: float, q_p: np.ndarray):
     q_p = np.asarray(q_p, dtype=float)
-    key = (dt, q_v, q_p.tobytes())
+    key = (dt, q_p.tobytes())
     hit = _PROC_CACHE.get(key)
     if hit is not None:
         return hit
@@ -221,10 +214,10 @@ def _process_matrices(dt: float, q_v: float, q_p: np.ndarray):
     a[0:3, 3:6] = dt * np.eye(3)
     # exact discretization of white accel noise on the (p, v) block
     q = np.zeros((18, 18))
-    q[0:3, 0:3] = q_v * dt**3 / 3.0 * np.eye(3)
-    q[0:3, 3:6] = q_v * dt**2 / 2.0 * np.eye(3)
+    q[0:3, 0:3] = Q_ACCEL_DEFAULT * dt**3 / 3.0 * np.eye(3)
+    q[0:3, 3:6] = Q_ACCEL_DEFAULT * dt**2 / 2.0 * np.eye(3)
     q[3:6, 0:3] = q[0:3, 3:6]
-    q[3:6, 3:6] = q_v * dt * np.eye(3)
+    q[3:6, 3:6] = Q_ACCEL_DEFAULT * dt * np.eye(3)
     for i in range(4):
         s = 6 + 3 * i
         q[s:s + 3, s:s + 3] = q_p[i] * dt * np.eye(3)
@@ -234,21 +227,19 @@ def _process_matrices(dt: float, q_v: float, q_p: np.ndarray):
 
 
 def kf_predict(s: KfState, r_hat: np.ndarray, accel: np.ndarray, dt: float,
-               q_v: float = Q_ACCEL_DEFAULT,
-               q_p: np.ndarray | None = None) -> KfState:
+               q_p: np.ndarray) -> KfState:
     """Propagate mean and covariance one step under the rotated accel input.
 
-    ``q_p`` is the per-foot process noise density; inflate entries for swing
-    feet so they are free to move.
+    ``q_p`` is the (4,) per-foot process noise density; inflate entries for
+    swing feet so they are free to move. The body's is
+    :data:`Q_ACCEL_DEFAULT`.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if q_p is None:
-        q_p = np.full(4, Q_FOOT_STANCE_DEFAULT)
     q_p = np.asarray(q_p, dtype=float).reshape(4)
 
     u = (np.asarray(r_hat, dtype=float) @ np.asarray(accel, dtype=float) + _GRAVITY_W).tolist()
-    a, q = _process_matrices(dt, q_v, q_p)
+    a, q = _process_matrices(dt, q_p)
     mean = s.mean.copy()
     pos, vel = s.mean[0:3].tolist(), s.mean[3:6].tolist()
     mean[0:6] = ([p + (dt * v + 0.5 * dt * dt * ui) for p, v, ui in zip(pos, vel, u)]
@@ -272,28 +263,27 @@ def _measurement_matrix() -> np.ndarray:
 
 
 _H = _measurement_matrix()
+# measurement variances of one stance foot's rows
+_R_FOOT = np.array([R_POS_DEFAULT] * 3 + [R_VEL_DEFAULT] * 3 + [R_HEIGHT_DEFAULT])
 
 
 def kf_update(s: KfState, rel_pos: np.ndarray, rel_vel: np.ndarray,
-              contact_heights: np.ndarray, in_stance: np.ndarray,
-              r_p: float = R_POS_DEFAULT, r_v: float = R_VEL_DEFAULT,
-              r_h: float = R_HEIGHT_DEFAULT,
-              swing_inflation: float = SWING_INFLATION_DEFAULT) -> KfState:
+              contact_heights: np.ndarray, in_stance: np.ndarray) -> KfState:
     """Innovation step over the stacked 28-row leg measurement.
 
     ``rel_pos`` and ``rel_vel`` are the (4, 3) world-frame foot-minus-body
     positions and velocities of :func:`leg_measurements_batch`,
     ``contact_heights`` the (4,) assumed ground heights of the feet, and
     ``in_stance`` the (4,) contact flags. Swing feet keep their rows but
-    with covariance scaled by ``swing_inflation`` so they carry
+    with covariance scaled by :data:`SWING_INFLATION_DEFAULT` so they carry
     (numerically) no information. Raises :class:`SingularInnovationError`
     if the innovation covariance cannot be factorized.
     """
     # rows per foot: [rel pos; rel vel; height]. h(x) = -v_b on the velocity
     # rows: feet fixed => rel_vel = -v_b
     z = np.concatenate([rel_pos, rel_vel, np.reshape(contact_heights, (4, 1))], axis=1).reshape(28)
-    scale = np.where(in_stance, 1.0, swing_inflation)
-    r_diag = (scale[:, None] * np.array([r_p, r_p, r_p, r_v, r_v, r_v, r_h])).reshape(28)
+    scale = np.where(in_stance, 1.0, SWING_INFLATION_DEFAULT)
+    r_diag = (scale[:, None] * _R_FOOT).reshape(28)
 
     innovation = z - _H @ s.mean
     pht = s.cov @ _H.T

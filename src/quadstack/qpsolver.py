@@ -41,7 +41,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import lapack, qr_delete
 
-__all__ = ["QpProblem", "QpStatus", "QpResult", "solve", "ActiveSetSolver"]
+__all__ = ["QpProblem", "QpStatus", "QpResult", "ActiveSetSolver"]
 
 _REG = 1e-9  # Hessian regularization added when Cholesky fails
 # a row whose primal step is below this fraction of its normal (both in y) is
@@ -241,8 +241,3 @@ class ActiveSetSolver:
         x = _solved(lapack.dtrtrs(l.T, y, lower=0))
         return QpResult(x=x, status=status, iterations=it,
                         active_set=sorted(j - m_eq for j in work[m_eq:]))
-
-
-def solve(qp: QpProblem) -> QpResult:
-    """One-shot solve with a fresh default solver (see :class:`ActiveSetSolver`)."""
-    return ActiveSetSolver().solve(qp)

@@ -97,41 +97,35 @@ def _log_state(log: Logger, world: SimWorld, extra: dict | None = None):
 
 
 class EstimatorLoop:
-    """Orientation filter + KF wired to the simulated sensors."""
+    """Orientation filter + KF over one stream of IMU and encoder samples.
 
-    def __init__(self, world: SimWorld):
-        self.filter = OrientationFilter(r_hat=world.state.rot.copy())
-        self.kf = kf_default_state(world.state.pos, world.state.feet)
-        # dead-reckoning baseline: mean-only integration of the same inputs
-        self.pred_pos = world.state.pos.copy()
-        self.pred_vel = np.zeros(3)
-        self.leg_model = world.leg_model
+    The live scenarios feed it the simulated sensors tick by tick; the
+    replay of :func:`run_estimate` feeds it a recorded log.
+    """
+
+    def __init__(self, r_hat: np.ndarray, pos: np.ndarray, feet: np.ndarray,
+                 leg_model: LegModel):
+        self.filter = OrientationFilter(r_hat=np.array(r_hat, dtype=float))
+        self.kf = kf_default_state(pos, feet)
+        self.leg_model = leg_model
         self._last_gyro = np.zeros(3)
 
-    def step(self, world: SimWorld, imu: ImuSample, qs: np.ndarray, qds: np.ndarray,
-             stance_mask, ground: PlaneCoeffs):
-        """One estimator tick on the IMU sample and the (4, 3) encoder arrays."""
-        dt = world.dt
+    def step(self, imu: ImuSample, qs: np.ndarray, qds: np.ndarray, stance_mask,
+             heights: np.ndarray, dt: float):
+        """One estimator tick on the IMU sample, the (4, 3) encoder arrays and
+        the (4,) ground heights under the feet."""
         self._last_gyro = imu.gyro.copy()
         self.filter = orientation_step(self.filter, imu, dt)
         r_hat = self.filter.r_hat
         q_p = np.where(stance_mask, Q_FOOT_STANCE_DEFAULT, Q_FOOT_STANCE_DEFAULT * 1e6)
-        self.kf = kf_predict(self.kf, r_hat, imu.accel, dt, q_p=q_p)
-        u = (r_hat @ imu.accel + _GRAVITY_W).tolist()
-        pos, vel = self.pred_pos.tolist(), self.pred_vel.tolist()
-        self.pred_pos = np.array([p + dt * v + 0.5 * dt * dt * ui
-                                  for p, v, ui in zip(pos, vel, u)])
-        self.pred_vel = np.array([v + dt * ui for v, ui in zip(vel, u)])
-        feet = world.state.feet
-        heights = ground.height(feet[:, 0], feet[:, 1])
+        self.kf = kf_predict(self.kf, r_hat, imu.accel, dt, q_p)
         rel_pos, rel_vel = leg_measurements_batch(qs, qds, r_hat, imu.gyro, self.leg_model)
         self.kf = kf_update(self.kf, rel_pos, rel_vel, heights, stance_mask)
 
-    def estimated_state(self, world: SimWorld) -> RobotState:
+    def estimated_state(self, feet: np.ndarray) -> RobotState:
         # body rate taken straight from the gyro channel
         return RobotState(pos=self.kf.pos, vel=self.kf.vel,
-                          rot=self.filter.r_hat, omega=self._last_gyro,
-                          feet=world.state.feet)
+                          rot=self.filter.r_hat, omega=self._last_gyro, feet=feet)
 
 
 def hop_spec(n_knots: int = 30, z0: float = NOMINAL_Z,
@@ -193,7 +187,9 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
     feet = nominal_feet(leg_model)
     world = SimWorld(RobotState(pos=[0.0, 0.0, NOMINAL_Z], feet=feet), model,
                      dt=dt, noise=noise, seed=seed, leg_model=leg_model)
-    est = EstimatorLoop(world)
+    est = EstimatorLoop(world.state.rot, world.state.pos, feet, leg_model)
+    # dead-reckoning baseline: mean-only integration of the same inputs
+    pred_pos, pred_vel = world.state.pos.tolist(), [0.0, 0.0, 0.0]
     balancer = BalanceController(model)
     des = DesiredState(pos=[0.0, 0.0, NOMINAL_Z])
     stance = np.ones(4, dtype=bool)
@@ -210,16 +206,20 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
         world.step(forces, stance)
         imu = world.synth_imu()
         qs, qds = world.synth_encoders()
-        est.step(world, imu, qs, qds, stance, ground)
+        feet = world.state.feet
+        est.step(imu, qs, qds, stance, ground.height(feet[:, 0], feet[:, 1]), dt)
+        u = (est.filter.r_hat @ imu.accel + _GRAVITY_W).tolist()
+        pred_pos = [p + dt * v + 0.5 * dt * dt * ui for p, v, ui in zip(pred_pos, pred_vel, u)]
+        pred_vel = [v + dt * ui for v, ui in zip(pred_vel, u)]
         if controller == "balance":
-            state = est.estimated_state(world) if use_estimates else world.state
+            state = est.estimated_state(feet) if use_estimates else world.state
             forces = balancer.compute(state, des, stance)
         else:
             forces = hover
 
         truth[k, 0:3], truth[k, 3:6] = world.state.pos, world.state.vel
         fused[k] = est.kf.mean[0:6]
-        pred[k, 0:3], pred[k, 3:6] = est.pred_pos, est.pred_vel
+        pred[k, 0:3], pred[k, 3:6] = pred_pos, pred_vel
         if k % log_every == 0:
             extra = {
                 "phat_x_m": est.kf.pos[0], "phat_y_m": est.kf.pos[1], "phat_z_m": est.kf.pos[2],
@@ -279,7 +279,8 @@ class TrotDriver:
         self.balance = BalanceController(self.model)
         self.friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=500.0)
         self.swing_trajs: dict[int, tuple[SwingTrajectory, float]] = {}
-        self.est = EstimatorLoop(self.world) if use_estimates else None
+        self.est = (EstimatorLoop(self.world.state.rot, self.world.state.pos, feet,
+                                  self.leg_model) if use_estimates else None)
         self.recent_contacts = feet.copy()
         # ground plane through recent_contacts and the posture it asks for;
         # refit only when a touchdown writes recent_contacts
@@ -422,8 +423,10 @@ class TrotDriver:
             if self.est is not None:
                 imu = self.world.synth_imu()
                 qs, qds = self.world.synth_encoders()
-                self.est.step(self.world, imu, qs, qds, mask, self.ground)
-                ctrl_state = self.est.estimated_state(self.world)
+                feet = state.feet
+                self.est.step(imu, qs, qds, mask, self.ground.height(feet[:, 0], feet[:, 1]),
+                              self.world.dt)
+                ctrl_state = self.est.estimated_state(feet)
             else:
                 ctrl_state = state
 
@@ -508,32 +511,29 @@ def run_estimate(log: dict[str, np.ndarray]) -> ScenarioResult:
     missing = [c for c in REPLAY_COLUMNS if c not in log]
     if missing:
         raise ReplayLogError(f"replay log missing columns: {missing[:4]}")
-    t = np.asarray(log["t_s"], dtype=float)
-    n = len(t)
-    filt = OrientationFilter()
-    kf = None
-    model = LegModel()
+    table = np.column_stack([log[c] for c in REPLAY_COLUMNS])
+    n = len(table)
+    t, gyro, accel = table[:, 0], table[:, 1:4], table[:, 4:7]
+    qs, qds = table[:, 7:19].reshape(n, 4, 3), table[:, 19:31].reshape(n, 4, 3)
+    stance = table[:, 31:35] > 0.5
+    has_truth = all(f"p{ax}_m" in log for ax in "xyz")
     out = Logger()
     pos_err, vel_err = [], []
-    has_truth = all(f"p{ax}_m" in log for ax in "xyz")
+    est = None
     for k in range(n):
         dt = t[k] - t[k - 1] if k > 0 else (t[1] - t[0] if n > 1 else 1e-3)
-        gyro = np.array([log[f"gyro_{ax}_radps"][k] for ax in "xyz"])
-        accel = np.array([log[f"accel_{ax}_mps2"][k] for ax in "xyz"])
-        qs = np.array([[log[f"q{leg}{j}_rad"][k] for j in range(3)] for leg in range(4)])
-        qds = np.array([[log[f"qd{leg}{j}_radps"][k] for j in range(3)] for leg in range(4)])
-        stance = np.array([log[f"stance{leg}"][k] > 0.5 for leg in range(4)])
-        imu = ImuSample(gyro=gyro, accel=accel)
-        filt = orientation_step(filt, imu, dt)
-        if kf is None:
-            feet0, _ = leg_measurements_batch(qs, qds, filt.r_hat, gyro, model)
+        imu = ImuSample(gyro=gyro[k], accel=accel[k])
+        if est is None:
+            # footholds fixed from the first sample under the orientation
+            # the first filter step gives
+            model = LegModel()
+            r_first = orientation_step(OrientationFilter(), imu, dt).r_hat
+            feet0, _ = leg_measurements_batch(qs[0], qds[0], r_first, imu.gyro, model)
             p0 = np.array([log[f"p{ax}_m"][0] for ax in "xyz"]) if has_truth else \
                 np.array([0.0, 0.0, -np.mean(feet0[:, 2])])
-            kf = kf_default_state(p0, p0 + feet0)
-        q_p = np.where(stance, 1e-6, 1.0)
-        kf = kf_predict(kf, filt.r_hat, accel, dt, q_p=q_p)
-        rel_pos, rel_vel = leg_measurements_batch(qs, qds, filt.r_hat, gyro, model)
-        kf = kf_update(kf, rel_pos, rel_vel, np.zeros(4), stance)
+            est = EstimatorLoop(np.eye(3), p0, p0 + feet0, model)
+        est.step(imu, qs[k], qds[k], stance[k], np.zeros(4), dt)
+        kf = est.kf
         row = {"t_s": t[k]}
         for i, ax in enumerate("xyz"):
             row[f"phat_{ax}_m"] = kf.pos[i]

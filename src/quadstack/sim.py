@@ -4,9 +4,9 @@ The body integrates under the applied ground reaction forces and gravity
 with RK4; rotation is advanced multiplicatively with the exact exponential
 of the RK4-averaged body rate, so the ground truth is strictly more
 accurate than both the optimizer's Euler transcription and the estimator's
-models. Feet are kinematic: stance feet stay pinned where they are (with
-optional injected slip noise), swing feet follow the commanded targets. The
-measured constraint force equals the commanded force.
+models. Feet are kinematic: stance feet stay pinned where they are, swing
+feet follow the commanded targets. The measured constraint force equals the
+commanded force.
 
 Sensors are synthesized from the true state: IMU (gyro plus accelerometer
 with the gravity reaction included, so a stationary upright reading is
@@ -65,7 +65,6 @@ class SensorNoise:
     gyro_std: float = 0.0          # rad/s
     accel_std: float = 0.0         # m/s^2
     accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    foot_slip_std: float = 0.0     # m per sqrt(step), stance feet
 
     def __post_init__(self):
         self.accel_bias = np.asarray(self.accel_bias, dtype=float).reshape(3)
@@ -161,15 +160,11 @@ class SimWorld:
         s.rot = new_rot
         self.last_accel = np.array(acc)
 
-        # feet: stance pinned (plus optional slip), swing follow the command
+        # feet: stance pinned, swing follow the command
         sensor = np.where(stance_mask[:, None], f4, 0.0).reshape(12)
         self.touched_down[:] = False
-        slip = self.noise.foot_slip_std
         for i in range(4):
-            if stance[i]:
-                if slip > 0.0:
-                    s.feet[i, 0:2] += self.rng.normal(size=2) * slip
-            else:
+            if not stance[i]:
                 target = None if swing_targets is None else swing_targets.get(i)
                 if target is not None:
                     prev = s.feet[i].copy()

@@ -41,9 +41,6 @@ class PlaneCoeffs:
         n = np.array([-self.a1, -self.a2, 1.0])
         return n / np.linalg.norm(n)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a0, self.a1, self.a2])
-
 
 def fit_plane(foot_xy: np.ndarray, foot_z: np.ndarray) -> PlaneCoeffs:
     """Least-squares plane through foothold samples.

@@ -254,18 +254,6 @@ def rotation_defect(r_k: np.ndarray, r_k1: np.ndarray, omega_k: np.ndarray,
         np.asarray(omega_k, dtype=float) * h)
 
 
-def _smooth_log(m: np.ndarray) -> np.ndarray:
-    """log(m)^vee for a near-rotation matrix, smooth in the entries."""
-    c = min(1.0, max(-1.0 + 1e-9, (float(np.trace(m)) - 1.0) / 2.0))
-    theta = np.arccos(c)
-    s = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    if theta < 1e-6:
-        a = 0.5 + theta * theta / 12.0
-    else:
-        a = theta / (2.0 * np.sin(theta))
-    return a * s
-
-
 def trajectory_cost(states: list[SrbdState], forces: np.ndarray,
                     ref_rots: list[np.ndarray], eps_omega: float,
                     eps_force: float, eps_rot: float) -> float:
@@ -273,7 +261,7 @@ def trajectory_cost(states: list[SrbdState], forces: np.ndarray,
     j = 0.0
     for k, x in enumerate(states):
         j += eps_omega * float(x.omega @ x.omega)
-        e = _smooth_log(np.asarray(ref_rots[k]).T @ x.rot)
+        e = so3.log_map(np.asarray(ref_rots[k]).T @ x.rot)
         j += eps_rot * float(e @ e)
     f = np.asarray(forces, dtype=float)
     j += eps_force * float(np.sum(f * f))

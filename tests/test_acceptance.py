@@ -7,6 +7,7 @@ are shared through module fixtures.
 
 import itertools
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from quadstack import gait, so3
 from quadstack.balance import BalanceGains, BodyModel, FrictionSpec, balance_qp, build_force_model
 from quadstack.estimation import ImuSample, OrientationFilter, orientation_step
-from quadstack.qpsolver import QpProblem, QpStatus, solve as qp_solve
+from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpStatus
 from quadstack.scenarios import (hop_spec, nominal_feet, run_jump_sim,
                                  run_stand, run_trot, spin_spec,
                                  SPIN90_REFERENCE_TIMINGS_10MS)
@@ -89,7 +90,7 @@ class TestCriterion3:
     def test_plane_fit(self):
         xy = FEET[:, 0:2]
         a = fit_plane(xy, 0.2 * xy[:, 0])
-        exact = np.max(np.abs(a.as_array() - [0.0, 0.2, 0.0]))
+        exact = np.max(np.abs(np.array(astuple(a)) - [0.0, 0.2, 0.0]))
 
         rng = np.random.default_rng(7)
         sigma = 0.005
@@ -100,7 +101,7 @@ class TestCriterion3:
         for _ in range(300):
             truth = rng.uniform([-0.1, -0.3, -0.3], [0.1, 0.3, 0.3])
             z = w @ truth + rng.normal(size=4) * sigma
-            errors.append(fit_plane(xy, z).as_array() - truth)
+            errors.append(np.array(astuple(fit_plane(xy, z))) - truth)
         errors = np.array(errors)
         frac = float(np.mean(np.abs(errors) <= bounds))
         std_ratio = errors.std(axis=0) / np.sqrt(np.diag(cov))
@@ -201,7 +202,7 @@ class TestCriterion4:
                 rows.append(r)
                 rhs.append(-f_min)
             qp = QpProblem(h=h, g=g, c_ineq=np.array(rows), d_ineq=np.array(rhs))
-            res = qp_solve(qp)
+            res = ActiveSetSolver().solve(qp)
             assert res.status is QpStatus.OPTIMAL
             x_ref = np.concatenate([
                 self._brute_force_per_foot(h_blocks[i], g_blocks[i], mu, f_min, f_max)[0]

@@ -270,7 +270,6 @@ class TestStanceSets:
         f = controller.compute(STAND, des, stance)
         assert_allclose(f[2::3], 500.0, atol=1e-7)
         controller.friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=700.0)
-        controller.reset()
         f = controller.compute(STAND, des, stance)
         assert_allclose(f[2::3], 700.0, atol=1e-7)
 

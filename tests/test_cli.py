@@ -210,6 +210,20 @@ class TestJump:
         assert code == 2
         assert "cartwheel" in payload["error"]
 
+    def test_spin90_honours_flight_min(self, tmp_path):
+        # the preset's own 0.25 s floor leaves a 0.52 s flight; a 0.6 s floor binds
+        code, summary = run_cli(tmp_path, "jump-opt",
+                                "jump:\n  preset: spin90\n  n_knots: 8\n  flight_min_s: 0.6\n")
+        assert code == 0
+        assert summary["durations_s"][1] >= 0.6 - 1e-9
+
+    def test_hop_rejects_yaw_goal(self, tmp_path):
+        code, payload = run_cli(tmp_path, "jump-opt", self.CFG + "  yaw_goal_deg: 45.0\n")
+        assert code == 2
+        assert payload["kind"] == "config"
+        assert "yaw_goal_deg" in payload["error"]
+        assert not (tmp_path / "out" / "jump_ref.csv").exists()
+
 
 class TestTrot:
     def test_gait_preset_accepted(self, tmp_path):

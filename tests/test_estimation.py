@@ -3,18 +3,20 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
-from quadstack import so3
+from quadstack import estimation, so3
 from quadstack.estimation import (
     ImuSample,
     KfState,
     OrientationFilter,
+    Q_ACCEL_DEFAULT,
+    Q_FOOT_STANCE_DEFAULT,
     SingularInnovationError,
-    adaptive_kappa,
     kf_default_state,
     kf_predict,
     kf_update,
     leg_measurement_from_kinematics,
     leg_measurements_batch,
+    _kappa,
     _process_matrices,
 )
 from quadstack.swing import LegModel, leg_fk, leg_ik
@@ -22,6 +24,7 @@ from quadstack.swing import LegModel, leg_fk, leg_ik
 G = 9.81
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
                  [-0.3, -0.128, 0.0], [-0.3, 0.128, 0.0]])
+Q_STANCE = np.full(4, Q_FOOT_STANCE_DEFAULT)  # per-foot process noise, all feet in stance
 
 
 def stance_measurements(p_b, v_b, feet=FEET, in_stance=(True,) * 4):
@@ -32,18 +35,18 @@ def stance_measurements(p_b, v_b, feet=FEET, in_stance=(True,) * 4):
 
 class TestAdaptiveKappa:
     def test_at_rest(self):
-        assert_allclose(adaptive_kappa([0.0, 0.0, G], 0.1, G), 0.1)
+        assert_allclose(_kappa(G, 0.1, G), 0.1)
 
     def test_double_gravity(self):
-        assert_allclose(adaptive_kappa([0.0, 0.0, 2 * G], 0.1, G), 0.0)
+        assert_allclose(_kappa(2 * G, 0.1, G), 0.0)
 
     def test_zero_accel(self):
-        assert_allclose(adaptive_kappa(np.zeros(3), 0.1, G), 0.0)
+        assert_allclose(_kappa(0.0, 0.1, G), 0.0)
 
     def test_range(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            k = adaptive_kappa(rng.normal(size=3) * 15.0, 0.1, G)
+            k = _kappa(float(np.linalg.norm(rng.normal(size=3) * 15.0)), 0.1, G)
             assert 0.0 <= k <= 0.1
 
 
@@ -113,26 +116,26 @@ class TestKfPredict:
         s = kf_default_state(np.zeros(3), FEET)
         s.mean[3:6] = [1.0, 0.0, 0.0]
         # accel input balancing gravity: u = R a + a_g = 0
-        out = kf_predict(s, np.eye(3), [0.0, 0.0, G], 0.001)
+        out = kf_predict(s, np.eye(3), [0.0, 0.0, G], 0.001, Q_STANCE)
         assert_allclose(out.pos, [0.001, 0.0, 0.0], atol=1e-12)
         assert_allclose(out.vel, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_free_fall(self):
         s = kf_default_state(np.zeros(3), FEET)
-        out = kf_predict(s, np.eye(3), np.zeros(3), 0.001)
+        out = kf_predict(s, np.eye(3), np.zeros(3), 0.001, Q_STANCE)
         assert_allclose(out.vel, [0.0, 0.0, -G * 0.001], atol=1e-12)
 
     def test_cov_trace_increases(self):
         s = kf_default_state(np.zeros(3), FEET)
-        out = kf_predict(s, np.eye(3), [0.0, 0.0, G], 0.001)
+        out = kf_predict(s, np.eye(3), [0.0, 0.0, G], 0.001, Q_STANCE)
         assert np.trace(out.cov) > np.trace(s.cov)
 
     def test_discretization_matches_van_loan(self):
         # brute-force oracle: Van Loan matrix-exponential discretization of
         # the continuous (p, v) + feet model
-        dt, q_v = 0.004, 1e-2
+        dt, q_v = 0.004, Q_ACCEL_DEFAULT
         q_p = np.array([1e-6, 1e-6, 1.0, 1e-6])
-        a_d, q_d = _process_matrices(dt, q_v, q_p)
+        a_d, q_d = _process_matrices(dt, q_p)
 
         a_c = np.zeros((18, 18))
         a_c[0:3, 3:6] = np.eye(3)
@@ -156,7 +159,7 @@ class TestKfUpdate:
         out = kf_update(s, *stance_measurements(p_b, np.zeros(3)))
         assert_allclose(out.mean, s.mean, atol=1e-12)
 
-    def test_swing_rows_ignored(self):
+    def test_swing_rows_ignored(self, monkeypatch):
         p_b = np.array([0.0, 0.0, 0.45])
         s = kf_default_state(p_b, FEET)
         leg2_swings = (True, True, False, True)
@@ -168,16 +171,18 @@ class TestKfUpdate:
         out_ref = kf_update(s, *ref)
         delta_wild = np.linalg.norm(out_wild.mean - s.mean)
         # same wild foot with no inflation moves the mean a lot
-        out_trusted = kf_update(s, *meas, swing_inflation=1.0)
+        monkeypatch.setattr(estimation, "SWING_INFLATION_DEFAULT", 1.0)
+        out_trusted = kf_update(s, *meas)
         delta_trusted = np.linalg.norm(out_trusted.mean - s.mean)
         assert delta_wild <= 1e-4 * delta_trusted
         assert np.linalg.norm(out_wild.mean - out_ref.mean) <= 1e-4
 
-    def test_all_rows_inflated_is_identity_on_mean(self):
+    def test_all_rows_inflated_is_identity_on_mean(self, monkeypatch):
         p_b = np.array([0.0, 0.0, 0.45])
         s = kf_default_state(p_b, FEET)
         meas = stance_measurements(p_b + 0.3, np.ones(3), in_stance=(False,) * 4)
-        out = kf_update(s, *meas, swing_inflation=1e12)
+        monkeypatch.setattr(estimation, "SWING_INFLATION_DEFAULT", 1e12)
+        out = kf_update(s, *meas)
         assert np.linalg.norm(out.mean - s.mean) <= 1e-6
 
     def test_cov_stays_symmetric_psd(self):
@@ -185,7 +190,8 @@ class TestKfUpdate:
         p_b = np.array([0.0, 0.0, 0.45])
         s = kf_default_state(p_b, FEET)
         for _ in range(50):
-            s = kf_predict(s, np.eye(3), [0.0, 0.0, G] + rng.normal(size=3) * 0.05, 0.001)
+            s = kf_predict(s, np.eye(3), [0.0, 0.0, G] + rng.normal(size=3) * 0.05, 0.001,
+                           Q_STANCE)
             meas = stance_measurements(p_b + rng.normal(size=3) * 0.001,
                                        rng.normal(size=3) * 0.01)
             s = kf_update(s, *meas)
@@ -202,25 +208,27 @@ class TestKfUpdate:
         s_dead = kf_default_state(p_b, FEET)
         for _ in range(4000):
             accel = np.array([0.0, 0.0, G]) + bias
-            s = kf_predict(s, np.eye(3), accel, dt)
+            s = kf_predict(s, np.eye(3), accel, dt, Q_STANCE)
             s = kf_update(s, *stance_measurements(p_b, np.zeros(3)))
-            s_dead = kf_predict(s_dead, np.eye(3), accel, dt)
+            s_dead = kf_predict(s_dead, np.eye(3), accel, dt, Q_STANCE)
         assert np.linalg.norm(s.vel) < 0.05
         assert np.linalg.norm(s.pos - p_b) < 0.01
         assert np.linalg.norm(s_dead.vel) > 0.5  # 0.2 m/s^2 * 4 s
 
     def test_singular_innovation_raises(self):
-        s = KfState(mean=np.zeros(18), cov=np.zeros((18, 18)))
+        # a negative-definite state covariance makes the innovation
+        # covariance H P H^T + R indefinite
+        s = KfState(mean=np.zeros(18), cov=-np.eye(18))
         meas = stance_measurements(np.zeros(3), np.zeros(3))
         with pytest.raises(SingularInnovationError):
-            kf_update(s, *meas, r_p=0.0, r_v=0.0, r_h=0.0)
+            kf_update(s, *meas)
 
     def test_closed_loop_estimator_stable(self):
         # spectral radius of (I - K H) A below one at the steady-state gain
         from quadstack.estimation import _H, _process_matrices
 
         dt = 0.001
-        a, q = _process_matrices(dt, 1e-2, np.full(4, 1e-6))
+        a, q = _process_matrices(dt, np.full(4, 1e-6))
         r = np.diag(np.tile([1e-4] * 3 + [1e-3] * 3 + [1e-4], 4))
         p = np.eye(18) * 1e-4
         for _ in range(3000):

@@ -195,3 +195,78 @@ def test_no_unused_imports():
     files = sorted((root / "src" / "quadstack").glob("*.py")) + sorted((root / "tests").glob("*.py"))
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert not unused, f"imported but never read: {unused}"
+
+
+# public names that only tests call, each with the reason it stays
+TEST_ONLY_ALLOWED = {
+    "estimation.leg_measurement_from_kinematics":
+        "per-leg reference that leg_measurements_batch is compared against",
+    "gait.virtual_points": "numpy reference step that support_polygon is compared against",
+    "gait.polygon_vertex": "numpy reference step that support_polygon is compared against",
+    "mpc.plan_cost": "cost oracle the condensed MPC QP is compared against",
+    "so3.vee": "inverse of hat, the reference hat is checked against",
+    "so3.rotation_error": "orientation oracle of the acceptance suite",
+    "so3.rpy_to_matrix": "I/O helper, the inverse of matrix_to_rpy",
+    "trajopt.trajectory_cost": "cost oracle the timing solver's cost is compared against",
+}
+
+
+def _reads(node, skip=frozenset()) -> set[str]:
+    """Bare names and ``name.attr`` pairs a syntax tree reads, leaving out
+    type annotations and the definitions in ``skip``."""
+    if node in skip:
+        return set()
+    if isinstance(node, ast.FunctionDef):
+        children = [*node.decorator_list, *node.args.defaults,
+                    *[d for d in node.args.kw_defaults if d is not None], *node.body]
+    elif isinstance(node, ast.AnnAssign):
+        children = [] if node.value is None else [node.value]
+    else:
+        children = list(ast.iter_child_nodes(node))
+    out = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        out.add(node.id)
+    elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+          and isinstance(node.value, ast.Name)):
+        out.add(f"{node.value.id}.{node.attr}")
+    for child in children:
+        out |= _reads(child, skip)
+    return out
+
+
+def _module_reads(tree) -> set[str]:
+    """The ``module.name`` of each quadstack name a file reads: through a
+    module attribute (``so3.log_map``) or a name imported from the module."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.removeprefix("quadstack.")
+            for alias in node.names:
+                imported[alias.asname or alias.name] = f"{module}.{alias.name}"
+    return {imported.get(read, read) for read in _reads(tree)}
+
+
+def test_public_names_have_a_program_caller():
+    # a name in __all__ is read by the program, outside its own definition,
+    # or by the benchmark, or it is an oracle or I/O helper listed above
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src" / "quadstack"
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(src.glob("*.py")) + sorted((root / "perfbench").glob("*.py"))}
+    reads = {path: _module_reads(tree) for path, tree in trees.items()}
+    uncalled, declared = [], set()
+    for name in MODULES:
+        module = importlib.import_module(f"quadstack.{name}")
+        own = src / f"{name}.py"
+        other_reads = set().union(*(r for path, r in reads.items() if path != own))
+        for public in getattr(module, "__all__", ()):
+            declared.add(f"{name}.{public}")
+            own_defs = frozenset(node for node in trees[own].body
+                                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                                 and node.name == public)
+            if public not in _reads(trees[own], own_defs) and f"{name}.{public}" not in other_reads:
+                uncalled.append(f"{name}.{public}")
+    unexplained = [n for n in uncalled if n not in TEST_ONLY_ALLOWED]
+    assert not unexplained, f"public names with no program caller: {unexplained}"
+    stale = [n for n in TEST_ONLY_ALLOWED if n not in declared or n not in uncalled]
+    assert not stale, f"allowlist entries that are not test-only public names: {stale}"

@@ -10,8 +10,11 @@ from scipy.linalg import qr_delete, solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 from quadstack import qpsolver
-from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpResult, QpStatus, _solved, solve
+from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpResult, QpStatus, _solved
 from quadstack.scenarios import run_trot
+
+# the solver keeps no state between solves
+solve = ActiveSetSolver().solve
 
 
 def brute_force_qp(qp: QpProblem, feas_tol: float = 1e-8):

@@ -5,9 +5,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from quadstack import cli, gait, scenarios, sim
+from quadstack.estimation import ImuSample
 from quadstack.scenarios import (ReplayLogError, hop_spec, reference_from_log, reference_log,
                                  run_estimate, run_jump_opt, run_jump_sim, run_stand, run_trot,
                                  spin_spec)
+from quadstack.swing import LegModel
 from quadstack.trajopt import BodyReference
 
 
@@ -166,6 +168,29 @@ class TestEstimateReplay:
         # both estimators see identical sensor streams
         assert_allclose(replay.summary["vel_rmse_mps"],
                         online.summary["vel_rmse_mps"], rtol=0.3, atol=5e-4)
+
+    @pytest.mark.parametrize("controller", ["hover", "balance"])
+    def test_logged_stream_reproduces_the_live_estimates(self, controller):
+        # the live loop and the replay are one pipeline: an EstimatorLoop
+        # started from the stand's initial state and fed the logged sensor
+        # stream reproduces the logged estimates bit for bit
+        log = run_stand(duration=0.5, controller=controller, log_every=1).log
+        leg_model = LegModel()
+        est = scenarios.EstimatorLoop(np.eye(3), [0.0, 0.0, scenarios.NOMINAL_Z],
+                                      scenarios.nominal_feet(leg_model), leg_model)
+        phat, vhat = [], []
+        for k in range(len(log["t_s"])):
+            imu = ImuSample(gyro=[log[f"gyro_{ax}_radps"][k] for ax in "xyz"],
+                            accel=[log[f"accel_{ax}_mps2"][k] for ax in "xyz"])
+            qs = np.array([[log[f"q{leg}{j}_rad"][k] for j in range(3)] for leg in range(4)])
+            qds = np.array([[log[f"qd{leg}{j}_radps"][k] for j in range(3)] for leg in range(4)])
+            stance = np.array([log[f"stance{leg}"][k] > 0.5 for leg in range(4)])
+            est.step(imu, qs, qds, stance, np.zeros(4), 1e-3)
+            phat.append(est.kf.pos.copy())
+            vhat.append(est.kf.vel.copy())
+        assert len(phat) == 500
+        assert np.array_equal(phat, np.column_stack([log[f"phat_{ax}_m"] for ax in "xyz"]))
+        assert np.array_equal(vhat, np.column_stack([log[f"vhat_{ax}_mps"] for ax in "xyz"]))
 
 
 class TestJumpPipeline:

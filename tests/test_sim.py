@@ -124,13 +124,6 @@ class TestFeet:
         assert w.state.feet[0][2] == 0.0
         assert w.contact_forces[2] >= 20.0
 
-    def test_slip_noise_moves_feet(self):
-        w = stand_world(noise=SensorNoise(foot_slip_std=1e-4))
-        feet0 = w.state.feet.copy()
-        for _ in range(100):
-            w.step(hover_forces(), np.ones(4, dtype=bool))
-        assert np.linalg.norm(w.state.feet - feet0) > 0.0
-
 
 class TestSensors:
     def test_stationary_accel_reads_gravity(self):

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -32,10 +34,10 @@ class TestFitPlane:
         z = rng.normal(size=4) * 0.05
         a = fit_plane(FEET_XY, z)
         w = np.column_stack([np.ones(4), FEET_XY[:, 0], FEET_XY[:, 1]])
-        best = np.linalg.norm(w @ a.as_array() - z)
+        best = np.linalg.norm(w @ np.array(astuple(a)) - z)
         for k in range(3):
             for delta in (-1e-3, 1e-3):
-                coeffs = a.as_array()
+                coeffs = np.array(astuple(a))
                 coeffs[k] += delta
                 assert np.linalg.norm(w @ coeffs - z) >= best - 1e-12
 
@@ -62,7 +64,7 @@ class TestFitPlane:
         for _ in range(300):
             truth = rng.uniform([-0.1, -0.3, -0.3], [0.1, 0.3, 0.3])
             z = w @ truth + rng.normal(size=4) * sigma
-            errors.append(fit_plane(FEET_XY, z).as_array() - truth)
+            errors.append(np.array(astuple(fit_plane(FEET_XY, z))) - truth)
         errors = np.array(errors)
         within = np.abs(errors) <= bounds
         assert within.mean() >= 0.97  # Gaussian expectation 0.9973

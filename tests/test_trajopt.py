@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from quadstack import scenarios, so3, trajopt
 from quadstack.balance import BodyModel
-from quadstack.qpsolver import QpProblem, solve as qp_solve
+from quadstack.qpsolver import ActiveSetSolver, QpProblem
 from quadstack.trajopt import (
     ContactPhase,
     JumpSpec,
@@ -149,6 +149,19 @@ class TestCost:
         x = stand_state(rot=so3.rot_z(0.2))
         c = trajectory_cost([x], np.zeros((0, 4, 3)), [np.eye(3)], 0.0, 0.0, 2.0)
         assert_allclose(c, 2.0 * 0.2**2, atol=1e-10)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("solution", ["hop_solution", "yaw_stand_solution"])
+    def test_oracle_of_the_solver_cost(self, solution, request):
+        # the per-knot cost sum, on references interpolated here, against the
+        # cost the solver's vectorized evaluation reports
+        spec, sol = request.getfixturevalue(solution)
+        n_int = len(sol.states) - 1
+        refs = [so3.interp_rotation(spec.r_start, spec.r_goal, k / n_int)
+                for k in range(n_int + 1)]
+        cost = trajectory_cost(sol.states, sol.forces, refs, spec.eps_omega,
+                               spec.eps_force, spec.eps_rot)
+        assert_allclose(cost, sol.cost, rtol=1e-12, atol=0.0)
 
     def test_log_factor_derivatives(self):
         # a(c) = theta / (2 sin theta) and its c-derivatives, on both sides
@@ -563,7 +576,7 @@ class TestSolveStand:
         b = np.concatenate([[0.0, 0.0, MODEL.mass * G], np.zeros(3)])
         qp = QpProblem(h=2 * spec.eps_force * np.eye(12), g=np.zeros(12),
                        c_eq=a, d_eq=b)
-        res = qp_solve(qp)
+        res = ActiveSetSolver().solve(qp)
         f_qp = res.x.reshape(4, 3)
         mid = sol.forces.shape[0] // 2
         assert_allclose(sol.forces[mid], f_qp, atol=2.0)

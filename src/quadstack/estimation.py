@@ -139,8 +139,10 @@ class KfState:
     def vel(self) -> np.ndarray:
         return self.mean[3:6]
 
-    def foot(self, i: int) -> np.ndarray:
-        return self.mean[6 + 3 * i: 9 + 3 * i]
+    @property
+    def feet(self) -> np.ndarray:
+        """The (4, 3) foot positions, a view of the mean."""
+        return self.mean[6:18].reshape(4, 3)
 
 
 def kf_default_state(p_b: np.ndarray, feet: np.ndarray) -> KfState:
@@ -227,16 +229,18 @@ def _process_matrices(dt: float, q_p: np.ndarray):
 
 
 def kf_predict(s: KfState, r_hat: np.ndarray, accel: np.ndarray, dt: float,
-               q_p: np.ndarray) -> KfState:
+               in_stance: np.ndarray) -> KfState:
     """Propagate mean and covariance one step under the rotated accel input.
 
-    ``q_p`` is the (4,) per-foot process noise density; inflate entries for
-    swing feet so they are free to move. The body's is
-    :data:`Q_ACCEL_DEFAULT`.
+    ``in_stance`` holds the (4,) contact flags. A stance foot drifts with
+    process noise density :data:`Q_FOOT_STANCE_DEFAULT`; a swing foot's is
+    scaled by :data:`SWING_INFLATION_DEFAULT`, so it is free to move. The
+    body's is :data:`Q_ACCEL_DEFAULT`.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    q_p = np.asarray(q_p, dtype=float).reshape(4)
+    q_p = np.where(in_stance, Q_FOOT_STANCE_DEFAULT,
+                   Q_FOOT_STANCE_DEFAULT * SWING_INFLATION_DEFAULT)
 
     u = (np.asarray(r_hat, dtype=float) @ np.asarray(accel, dtype=float) + _GRAVITY_W).tolist()
     a, q = _process_matrices(dt, q_p)

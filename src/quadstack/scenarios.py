@@ -21,9 +21,8 @@ import numpy as np
 
 from . import gait, so3, terrain
 from .balance import BalanceController, BodyModel, FrictionSpec, landing_switch
-from .estimation import (Q_FOOT_STANCE_DEFAULT, ImuSample, OrientationFilter,
-                         kf_default_state, kf_predict, kf_update,
-                         leg_measurements_batch, orientation_step)
+from .estimation import (ImuSample, OrientationFilter, kf_default_state, kf_predict,
+                         kf_update, leg_measurements_batch, orientation_step)
 from .mpc import MpcConfig, solve_mpc
 from .sim import SensorNoise, SimWorld
 from .state import DesiredState, RobotState
@@ -117,15 +116,14 @@ class EstimatorLoop:
         self._last_gyro = imu.gyro.copy()
         self.filter = orientation_step(self.filter, imu, dt)
         r_hat = self.filter.r_hat
-        q_p = np.where(stance_mask, Q_FOOT_STANCE_DEFAULT, Q_FOOT_STANCE_DEFAULT * 1e6)
-        self.kf = kf_predict(self.kf, r_hat, imu.accel, dt, q_p)
+        self.kf = kf_predict(self.kf, r_hat, imu.accel, dt, stance_mask)
         rel_pos, rel_vel = leg_measurements_batch(qs, qds, r_hat, imu.gyro, self.leg_model)
         self.kf = kf_update(self.kf, rel_pos, rel_vel, heights, stance_mask)
 
-    def estimated_state(self, feet: np.ndarray) -> RobotState:
+    def estimated_state(self) -> RobotState:
         # body rate taken straight from the gyro channel
         return RobotState(pos=self.kf.pos, vel=self.kf.vel,
-                          rot=self.filter.r_hat, omega=self._last_gyro, feet=feet)
+                          rot=self.filter.r_hat, omega=self._last_gyro, feet=self.kf.feet)
 
 
 def hop_spec(n_knots: int = 30, z0: float = NOMINAL_Z,
@@ -206,13 +204,13 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
         world.step(forces, stance)
         imu = world.synth_imu()
         qs, qds = world.synth_encoders()
-        feet = world.state.feet
+        feet = est.kf.feet  # the ground heights are read under the KF's own feet
         est.step(imu, qs, qds, stance, ground.height(feet[:, 0], feet[:, 1]), dt)
         u = (est.filter.r_hat @ imu.accel + _GRAVITY_W).tolist()
         pred_pos = [p + dt * v + 0.5 * dt * dt * ui for p, v, ui in zip(pred_pos, pred_vel, u)]
         pred_vel = [v + dt * ui for v, ui in zip(pred_vel, u)]
         if controller == "balance":
-            state = est.estimated_state(feet) if use_estimates else world.state
+            state = est.estimated_state() if use_estimates else world.state
             forces = balancer.compute(state, des, stance)
         else:
             forces = hover
@@ -423,10 +421,10 @@ class TrotDriver:
             if self.est is not None:
                 imu = self.world.synth_imu()
                 qs, qds = self.world.synth_encoders()
-                feet = state.feet
+                feet = self.est.kf.feet
                 self.est.step(imu, qs, qds, mask, self.ground.height(feet[:, 0], feet[:, 1]),
                               self.world.dt)
-                ctrl_state = self.est.estimated_state(feet)
+                ctrl_state = self.est.estimated_state()
             else:
                 ctrl_state = state
 

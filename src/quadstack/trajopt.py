@@ -200,7 +200,6 @@ class TimingSolution:
     forces: np.ndarray               # (N, 4, 3), zero on swing feet
     cost: float
     max_violation: float
-    defect_norms: dict
     kkt_residual: float
     converged: bool
     outer_iterations: int
@@ -1243,12 +1242,11 @@ def solve_timing(problem: TimingProblem) -> TimingSolution:
     pos, vel, omega, rots, forces, durations = problem.unpack(z)
     states = [SrbdState(pos=pos[k], vel=vel[k], omega=omega[k], rot=rots[k])
               for k in range(problem.n_knots)]
-    cost, c_eq, c_in, _ = problem._eval(z, need_grad=False)
-    defects = _defect_norms(problem, c_eq, c_in)
+    cost, *_ = problem._eval(z, need_grad=False)
     ortho = max(so3.orthonormality_defect(r) for r in rots)
     sol = TimingSolution(
         durations=durations, states=states, forces=forces, cost=cost,
-        max_violation=viol, defect_norms=defects, kkt_residual=kkt,
+        max_violation=viol, kkt_residual=kkt,
         converged=viol <= _TOL, outer_iterations=outer, ortho_defect=ortho,
         trace=trace,
     )
@@ -1256,23 +1254,9 @@ def solve_timing(problem: TimingProblem) -> TimingSolution:
         raise NoConvergenceError(
             f"timing optimization stalled at violation {viol:.3e} "
             f"(target {_TOL:.1e}) after {outer} outer iterations",
-            {"violation": viol, "durations": durations, "defects": defects,
-             "trace": trace},
+            {"violation": viol, "durations": durations, "trace": trace},
         )
     return sol
-
-
-def _defect_norms(problem: TimingProblem, c_eq: np.ndarray, c_in: np.ndarray) -> dict:
-    n = problem.n_int
-    o = problem.n_head
-    return {
-        "boundary": float(np.max(np.abs(c_eq[:o]), initial=0.0)),
-        "position": float(np.max(np.abs(c_eq[o:o + 3 * n]), initial=0.0)),
-        "velocity": float(np.max(np.abs(c_eq[o + 3 * n:o + 6 * n]), initial=0.0)),
-        "body_rate": float(np.max(np.abs(c_eq[o + 6 * n:o + 9 * n]), initial=0.0)),
-        "rotation": float(np.max(np.abs(c_eq[o + 9 * n:o + 18 * n]), initial=0.0)),
-        "inequality": float(np.max(c_in, initial=0.0)),
-    }
 
 
 def check_constraints(spec: JumpSpec, sol: TimingSolution) -> dict:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quadstack import so3
+from quadstack import qpsolver, so3
 from quadstack.balance import (
     BalanceController,
     BalanceGains,
@@ -211,7 +211,7 @@ class TestBalanceQp:
                        np.ones(4, dtype=bool))
         assert np.all(f[2::3] <= 150.0 + 1e-7)
 
-    def test_iteration_limit_raises_without_backoff(self):
+    def test_iteration_limit_raises_without_backoff(self, monkeypatch):
         # a solver stopped by its iteration limit is not an infeasible
         # problem: no weaker wrench is tried in its place
         class CountingSolver(ActiveSetSolver):
@@ -222,7 +222,8 @@ class TestBalanceQp:
                 return super().solve(qp, **kw)
 
         # the saturating wrench needs several working-set changes
-        solver = CountingSolver(max_iter=1)
+        monkeypatch.setattr(qpsolver, "_MAX_ITER", 1)
+        solver = CountingSolver()
         friction = FrictionSpec(mu=0.3, f_min=0.0, f_max=150.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.array([0.0, 0.0, 100.0]),
                                    np.zeros(3))

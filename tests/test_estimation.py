@@ -24,7 +24,7 @@ from quadstack.swing import LegModel, leg_fk, leg_ik
 G = 9.81
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
                  [-0.3, -0.128, 0.0], [-0.3, 0.128, 0.0]])
-Q_STANCE = np.full(4, Q_FOOT_STANCE_DEFAULT)  # per-foot process noise, all feet in stance
+ALL_STANCE = np.ones(4, dtype=bool)
 
 
 def stance_measurements(p_b, v_b, feet=FEET, in_stance=(True,) * 4):
@@ -116,19 +116,31 @@ class TestKfPredict:
         s = kf_default_state(np.zeros(3), FEET)
         s.mean[3:6] = [1.0, 0.0, 0.0]
         # accel input balancing gravity: u = R a + a_g = 0
-        out = kf_predict(s, np.eye(3), [0.0, 0.0, G], 0.001, Q_STANCE)
+        out = kf_predict(s, np.eye(3), [0.0, 0.0, G], 0.001, ALL_STANCE)
         assert_allclose(out.pos, [0.001, 0.0, 0.0], atol=1e-12)
         assert_allclose(out.vel, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_free_fall(self):
         s = kf_default_state(np.zeros(3), FEET)
-        out = kf_predict(s, np.eye(3), np.zeros(3), 0.001, Q_STANCE)
+        out = kf_predict(s, np.eye(3), np.zeros(3), 0.001, ALL_STANCE)
         assert_allclose(out.vel, [0.0, 0.0, -G * 0.001], atol=1e-12)
 
     def test_cov_trace_increases(self):
         s = kf_default_state(np.zeros(3), FEET)
-        out = kf_predict(s, np.eye(3), [0.0, 0.0, G], 0.001, Q_STANCE)
+        out = kf_predict(s, np.eye(3), [0.0, 0.0, G], 0.001, ALL_STANCE)
         assert np.trace(out.cov) > np.trace(s.cov)
+
+    def test_swing_feet_inflated(self, monkeypatch):
+        # a swing foot drifts with the stance density scaled by
+        # SWING_INFLATION_DEFAULT, read on every call
+        s = kf_default_state(np.zeros(3), FEET)
+        stance = np.array([True, False, True, True])
+        for inflation in (1e6, 1e3):
+            monkeypatch.setattr(estimation, "SWING_INFLATION_DEFAULT", inflation)
+            out = kf_predict(s, np.eye(3), [0.0, 0.0, G], 0.001, stance)
+            growth = np.diag(out.cov - s.cov)[6:18].reshape(4, 3)
+            assert_allclose(growth[stance], Q_FOOT_STANCE_DEFAULT * 0.001, rtol=1e-6)
+            assert_allclose(growth[1], Q_FOOT_STANCE_DEFAULT * inflation * 0.001, rtol=1e-6)
 
     def test_discretization_matches_van_loan(self):
         # brute-force oracle: Van Loan matrix-exponential discretization of
@@ -191,7 +203,7 @@ class TestKfUpdate:
         s = kf_default_state(p_b, FEET)
         for _ in range(50):
             s = kf_predict(s, np.eye(3), [0.0, 0.0, G] + rng.normal(size=3) * 0.05, 0.001,
-                           Q_STANCE)
+                           ALL_STANCE)
             meas = stance_measurements(p_b + rng.normal(size=3) * 0.001,
                                        rng.normal(size=3) * 0.01)
             s = kf_update(s, *meas)
@@ -208,9 +220,9 @@ class TestKfUpdate:
         s_dead = kf_default_state(p_b, FEET)
         for _ in range(4000):
             accel = np.array([0.0, 0.0, G]) + bias
-            s = kf_predict(s, np.eye(3), accel, dt, Q_STANCE)
+            s = kf_predict(s, np.eye(3), accel, dt, ALL_STANCE)
             s = kf_update(s, *stance_measurements(p_b, np.zeros(3)))
-            s_dead = kf_predict(s_dead, np.eye(3), accel, dt, Q_STANCE)
+            s_dead = kf_predict(s_dead, np.eye(3), accel, dt, ALL_STANCE)
         assert np.linalg.norm(s.vel) < 0.05
         assert np.linalg.norm(s.pos - p_b) < 0.01
         assert np.linalg.norm(s_dead.vel) > 0.5  # 0.2 m/s^2 * 4 s

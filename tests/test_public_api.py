@@ -1,9 +1,11 @@
-"""The public names each module declares, and the layer boundaries the benchmark patches."""
+"""The public names and class members each module declares, and the layer
+boundaries the benchmark patches."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -270,3 +272,56 @@ def test_public_names_have_a_program_caller():
     assert not unexplained, f"public names with no program caller: {unexplained}"
     stale = [n for n in TEST_ONLY_ALLOWED if n not in declared or n not in uncalled]
     assert not stale, f"allowlist entries that are not test-only public names: {stale}"
+
+
+# class members that only tests read, each with the reason it stays
+MEMBER_TEST_ONLY_ALLOWED = {
+    "qpsolver.QpProblem.objective": "objective of the brute-force QP oracle",
+    "qpsolver.QpResult.lam_ineq": "multipliers of the KKT certificate the QP tests check",
+}
+
+
+def _attribute_loads(node) -> Counter:
+    """How often each attribute name is loaded in a syntax tree (``x.name``
+    for any ``x``); bare names do not count."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _class_members(tree):
+    """``(class, member, definition nodes)`` for each method, property and
+    dataclass field of the module's classes, dunder methods left out. A
+    field's definition includes the class's ``__post_init__``, which only
+    coerces it."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        post_init = [n for n in cls.body
+                     if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"]
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+                yield cls.name, node.name, [node]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                yield cls.name, node.target.id, [node, *post_init]
+
+
+def test_class_members_have_a_program_reader():
+    # a member is read as an attribute by the program, outside its own
+    # definition, or by the benchmark, or it is an oracle listed above
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src" / "quadstack"
+    paths = sorted(src.glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    loads = sum((_attribute_loads(tree) for tree in trees.values()), Counter())
+    unread, declared = [], set()
+    for path in sorted(src.glob("*.py")):
+        for cls, member, own in _class_members(trees[path]):
+            name = f"{path.stem}.{cls}.{member}"
+            declared.add(name)
+            own_loads = sum((_attribute_loads(node)[member] for node in own), 0)
+            if loads[member] - own_loads <= 0:
+                unread.append(name)
+    unexplained = [n for n in unread if n not in MEMBER_TEST_ONLY_ALLOWED]
+    assert not unexplained, f"class members with no program reader: {unexplained}"
+    stale = [n for n in MEMBER_TEST_ONLY_ALLOWED if n not in declared or n not in unread]
+    assert not stale, f"allowlist entries that are not test-only members: {stale}"

@@ -22,14 +22,11 @@ def brute_force_qp(qp: QpProblem, feas_tol: float = 1e-8):
     solve the corresponding equality-constrained KKT system, and return the
     best feasible candidate. Independent of the solver under test."""
     n = qp.n
-    m = qp.m_ineq
+    m = len(qp.d_ineq)
     best_x, best_f = None, np.inf
-    eq_rows = qp.c_eq if qp.c_eq is not None else np.zeros((0, n))
-    eq_rhs = qp.d_eq if qp.d_eq is not None else np.zeros(0)
     for size in range(0, m + 1):
         for subset in itertools.combinations(range(m), size):
-            a = np.vstack([eq_rows, qp.c_ineq[list(subset)]]) if (subset or eq_rows.size) else np.zeros((0, n))
-            b = np.concatenate([eq_rhs, qp.d_ineq[list(subset)]]) if (subset or eq_rhs.size) else np.zeros(0)
+            a, b = qp.c_ineq[list(subset)], qp.d_ineq[list(subset)]
             k = a.shape[0]
             kkt = np.block([[qp.h, a.T], [a, np.zeros((k, k))]])
             rhs = np.concatenate([-qp.g, b])
@@ -72,10 +69,6 @@ def assert_kkt_certificate(qp: QpProblem, res):
     """Stationarity, dual feasibility and complementary slackness of ``res``."""
     # stationarity: H x + g + C^T mu = 0 with mu >= 0
     grad = qp.h @ res.x + qp.g + qp.c_ineq.T @ res.lam_ineq
-    if qp.c_eq is not None:
-        # equality multipliers are free in sign: remove the span of their rows
-        nu, *_ = np.linalg.lstsq(qp.c_eq.T, -grad, rcond=None)
-        grad = grad + qp.c_eq.T @ nu
     assert np.linalg.norm(grad, ord=np.inf) <= 1e-6
     assert np.all(res.lam_ineq >= -1e-9)
     # complementary slackness
@@ -97,16 +90,10 @@ class TestBasics:
         assert_allclose(res.x, [0.0, 2.0], atol=1e-9)
 
     def test_unconstrained(self):
-        qp = QpProblem(h=np.diag([2.0, 2.0]), g=np.array([-2.0, -4.0]))
+        qp = QpProblem(h=np.diag([2.0, 2.0]), g=np.array([-2.0, -4.0]),
+                       c_ineq=np.zeros((0, 2)), d_ineq=np.zeros(0))
         res = solve(qp)
         assert_allclose(res.x, [1.0, 2.0], atol=1e-10)
-
-    def test_equality_constrained(self):
-        # min |x|^2 s.t. x0 + x1 = 1 -> (0.5, 0.5)
-        qp = QpProblem(h=2 * np.eye(2), g=np.zeros(2),
-                       c_eq=np.array([[1.0, 1.0]]), d_eq=np.array([1.0]))
-        res = solve(qp)
-        assert_allclose(res.x, [0.5, 0.5], atol=1e-10)
 
     def test_infeasible_flagged(self):
         # x <= -1 and -x <= 0 cannot both hold
@@ -114,19 +101,6 @@ class TestBasics:
                        c_ineq=np.array([[1.0], [-1.0]]), d_ineq=np.array([-1.0, 0.0]))
         res = solve(qp)
         assert res.status is QpStatus.INFEASIBLE
-
-    def test_inconsistent_equalities_flagged(self):
-        qp = QpProblem(h=np.eye(1), g=np.zeros(1),
-                       c_eq=np.array([[1.0], [1.0]]), d_eq=np.array([0.0, 1.0]))
-        res = solve(qp)
-        assert res.status is QpStatus.INFEASIBLE
-
-    def test_redundant_equalities_flagged(self):
-        # the second row is twice the first, right-hand side included
-        qp = QpProblem(h=np.eye(2), g=np.zeros(2),
-                       c_eq=np.array([[1.0, 1.0], [2.0, 2.0]]), d_eq=np.array([1.0, 2.0]))
-        res = solve(qp)
-        assert res.status is QpStatus.SINGULAR
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(3)
@@ -342,26 +316,19 @@ class TestProperty:
                         d_ineq=np.concatenate([qp.d_ineq, [b, -b - gap]]))
         assert solve(bad).status is QpStatus.INFEASIBLE
 
-    @PROPERTY
-    @given(convex_qps(), unit_floats(5))
-    def test_one_equality_row(self, case, row):
-        qp, x_f = case
-        e = row[:qp.n] + 2.0  # every entry in [1, 3]
-        qp = QpProblem(h=qp.h, g=qp.g, c_ineq=qp.c_ineq, d_ineq=qp.d_ineq,
-                       c_eq=e[None, :], d_eq=[e @ x_f])
-        res = solve(qp)
-        assert_matches_enumeration(qp, res)
-        assert abs(e @ res.x - e @ x_f) <= 1e-9
 
-
-def vertex_qp(a, lam, noise, eq_point=None, eq_row=None):
+def vertex_qp(a, lam, noise):
     """One foot's friction pyramid and force bounds and a gradient that
-    pushes into the vertex F = 0, where the faces are dependent. An equality
-    row through ``eq_point`` enters the working set first."""
+    pushes into the vertex F = 0, where the faces are dependent."""
     c, d = friction_box_constraints(1, mu=0.6, f_min=0.0, f_max=120.0)
-    eq = {} if eq_row is None else dict(c_eq=eq_row[None, :], d_eq=[eq_row @ eq_point])
     return QpProblem(h=a @ a.T + 0.1 * np.eye(3), g=-c[[0, 1, 2, 3, 5]].T @ lam + noise,
-                     c_ineq=c, d_ineq=d, **eq)
+                     c_ineq=c, d_ineq=d)
+
+
+def faces_at_scale(qp):
+    """``qp`` with its four pyramid faces repeated at 1e8 scale."""
+    return QpProblem(h=qp.h, g=qp.g, c_ineq=np.vstack([qp.c_ineq, 1e8 * qp.c_ineq[:4]]),
+                     d_ineq=np.concatenate([qp.d_ineq, 1e8 * qp.d_ineq[:4]]))
 
 
 def assert_solves_with_faces_at_scale(qp):
@@ -370,9 +337,7 @@ def assert_solves_with_faces_at_scale(qp):
     The copies leave the feasible set as it is, so the enumeration of ``qp``
     is the reference; the KKT certificate is taken on the problem solved.
     """
-    scaled = QpProblem(h=qp.h, g=qp.g, c_ineq=np.vstack([qp.c_ineq, 1e8 * qp.c_ineq[:4]]),
-                       d_ineq=np.concatenate([qp.d_ineq, 1e8 * qp.d_ineq[:4]]),
-                       c_eq=qp.c_eq, d_eq=qp.d_eq)
+    scaled = faces_at_scale(qp)
     res = solve(scaled)
     assert res.status is QpStatus.OPTIMAL
     x_ref, f_ref = brute_force_qp(qp)
@@ -383,12 +348,14 @@ def assert_solves_with_faces_at_scale(qp):
 
 @st.composite
 def vertex_qps(draw):
-    args = [draw(unit_floats((3, 3))), draw(arrays(float, 5, elements=st.floats(0.0, 10.0))),
-            draw(unit_floats(3))]
-    if draw(st.booleans()):
-        fz = draw(st.floats(1.0, 100.0))  # an interior point of the pyramid
-        args += [np.array([*(0.3 * fz * draw(unit_floats(2))), fz]), draw(unit_floats(3)) + 2.0]
-    return vertex_qp(*args)
+    return vertex_qp(draw(unit_floats((3, 3))),
+                     draw(arrays(float, 5, elements=st.floats(0.0, 10.0))), draw(unit_floats(3)))
+
+
+def random_vertex_qps(rng, n_cases):
+    for _ in range(n_cases):
+        yield vertex_qp(rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(0.0, 10.0, 5),
+                        rng.uniform(-1.0, 1.0, 3))
 
 
 class TestFactorUpdates:
@@ -398,8 +365,7 @@ class TestFactorUpdates:
         assert_solves_with_faces_at_scale(qp)
 
     def test_vertex_cases_drop_rows(self, monkeypatch):
-        # cases like the drawn ones reach the drop path (a qr_delete call),
-        # with and without the equality row
+        # cases like the drawn ones reach the drop path (a qr_delete call)
         drops = []
         qr_delete = qpsolver.qr_delete
 
@@ -408,20 +374,9 @@ class TestFactorUpdates:
             return qr_delete(*args, **kwargs)
 
         monkeypatch.setattr(qpsolver, "qr_delete", counting_qr_delete)
-        rng = np.random.default_rng(2)
-        dropped = {False: 0, True: 0}
-        for case in range(100):
-            args = [rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(0.0, 10.0, 5),
-                    rng.uniform(-1.0, 1.0, 3)]
-            if case % 2:
-                fz = rng.uniform(1.0, 100.0)
-                args += [np.array([*(0.3 * fz * rng.uniform(-1.0, 1.0, 2)), fz]),
-                         rng.uniform(1.0, 3.0, 3)]
-            qp = vertex_qp(*args)
-            before = len(drops)
+        for qp in random_vertex_qps(np.random.default_rng(2), 100):
             assert_solves_with_faces_at_scale(qp)
-            dropped[qp.c_eq is not None] += len(drops) > before
-        assert dropped[False] and dropped[True], dropped
+        assert drops
 
     def test_every_mpc_trot_qp_has_a_kkt_certificate(self, monkeypatch):
         results = []
@@ -442,51 +397,45 @@ class TestFactorUpdates:
             assert_kkt_certificate(qp, res)
 
 
-def stacked_reference_solve(qp: QpProblem, tol=1e-9, max_iter=200) -> QpResult:
-    """The dual active-set loop with every row block stacked by vstack and
-    concatenate, the factor buffers allocated up front and the result built
-    from index arrays. Every path of ``ActiveSetSolver.solve`` returns its bits."""
+def stacked_reference_solve(qp: QpProblem) -> QpResult:
+    """The dual active-set loop with the row normals and g stacked by vstack,
+    the factor buffers allocated up front and the result built from index
+    arrays. Every path of ``ActiveSetSolver.solve`` returns its bits."""
     n = qp.n
     h = 0.5 * (qp.h + qp.h.T)
     try:
         l = np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         l = np.linalg.cholesky(h + qpsolver._REG * np.eye(n))
-    m_eq = 0 if qp.c_eq is None else qp.c_eq.shape[0]
-    c = np.vstack([qp.c_eq if m_eq else np.zeros((0, n)),
-                   qp.c_ineq if qp.m_ineq else np.zeros((0, n))])
-    d = np.concatenate([qp.d_eq if m_eq else [], qp.d_ineq if qp.m_ineq else []])
+    c, d = qp.c_ineq, qp.d_ineq
     norm = np.linalg.norm(c, axis=1)
     wg = _solved(dtrtrs(l.T, np.vstack([c, qp.g]).T, lower=0, trans=1))
     w, y = wg[:, :-1], -wg[:, -1]
 
     def stopped(status):
         return QpResult(x=_solved(dtrtrs(l.T, y, lower=0)), status=status, iterations=it,
-                        active_set=sorted(j - m_eq for j in work[m_eq:]))
+                        active_set=sorted(work))
 
     work, u = [], np.zeros(0)
     qf, rf = np.zeros((n, n), order="F"), np.zeros((n, n))
     q, r = qf[:, :0], rf[:0, :0]
     it = 0
     while True:
-        if len(work) < m_eq:
-            p = len(work)
-        else:
-            viol = w.T @ y - d
-            viol[viol <= tol * norm] = 0.0
-            viol[:m_eq] = viol[work] = 0.0
-            if not viol.any():
-                break
-            p = int(np.argmax(viol))
+        viol = w.T @ y - d
+        viol[viol <= qpsolver._TOL * norm] = 0.0
+        viol[work] = 0.0
+        if not viol.any():
+            break
+        p = int(np.argmax(viol))
         n_p, u_p, full = w[:, p], 0.0, False
         while not full:
-            if it == max_iter:
+            if it == qpsolver._MAX_ITER:
                 return stopped(QpStatus.MAX_ITER)
             it += 1
             proj = q.T @ n_p
             z = n_p - q @ proj
             dual = _solved(dtrtrs(r.T, proj, lower=1, trans=1)) if work else proj
-            block = np.flatnonzero(dual[m_eq:] > 0.0) + m_eq
+            block = np.flatnonzero(dual > 0.0)
             ratio = u[block] / dual[block]
             drop = block[np.argmin(ratio)] if block.size else -1
             t1 = np.min(ratio, initial=np.inf)
@@ -494,8 +443,7 @@ def stacked_reference_solve(qp: QpProblem, tol=1e-9, max_iter=200) -> QpResult:
             resid = n_p @ y - d[p]
             t2 = resid / zz if zz > (qpsolver._DEP_TOL * np.linalg.norm(n_p)) ** 2 else np.inf
             if t1 == t2 == np.inf:
-                redundant = p < m_eq and abs(resid) <= tol * norm[p]
-                return stopped(QpStatus.SINGULAR if redundant else QpStatus.INFEASIBLE)
+                return stopped(QpStatus.INFEASIBLE)
             full = t2 <= t1
             t = min(t1, t2)
             if t2 < np.inf:
@@ -523,9 +471,9 @@ def stacked_reference_solve(qp: QpProblem, tol=1e-9, max_iter=200) -> QpResult:
         resid = d[work] - c[work] @ x
         v = q @ _solved(dtrtrs(r.T, resid, lower=1))
         x = x + _solved(dtrtrs(l.T, v, lower=0))
-    active = np.array(work[m_eq:], dtype=int) - m_eq
-    lam = np.zeros(qp.m_ineq)
-    lam[active] = np.maximum(u[m_eq:], 0.0)
+    active = np.array(work, dtype=int)
+    lam = np.zeros(len(d))
+    lam[active] = np.maximum(u, 0.0)
     return QpResult(x=x, status=QpStatus.OPTIMAL, iterations=it,
                     active_set=sorted(active.tolist()), lam_ineq=lam)
 
@@ -543,8 +491,7 @@ def assert_same_bits(res, ref):
 
 
 class TestRowBlocks:
-    """Inequality-only problems use their rows as given; the others stack
-    their blocks. Either way the bits are those of the stacked reference."""
+    """Problems with rows, and with none, keep the bits of the reference."""
 
     @staticmethod
     def random_qps(rng, n_cases):
@@ -552,59 +499,42 @@ class TestRowBlocks:
             n = int(rng.integers(1, 7))
             a = rng.normal(size=(n, n))
             h, g = a @ a.T + 0.3 * np.eye(n), rng.normal(size=n) * 5.0
-            x_f = rng.normal(size=n)
             c = rng.normal(size=(int(rng.integers(1, 10)), n))
-            e = rng.normal(size=(int(rng.integers(1, n + 1)), n))
-            ineq = dict(c_ineq=c, d_ineq=c @ x_f + rng.uniform(0.0, 1.0, len(c)))
-            eq = dict(c_eq=e, d_eq=e @ x_f)
-            yield [QpProblem(h=h, g=g, **ineq), QpProblem(h=h, g=g, **eq),
-                   QpProblem(h=h, g=g, **ineq, **eq), QpProblem(h=h, g=g),
-                   QpProblem(h=h, g=g, c_ineq=np.zeros((0, n)), d_ineq=np.zeros(0), **eq)]
+            d = c @ rng.normal(size=n) + rng.uniform(0.0, 1.0, len(c))
+            yield [QpProblem(h=h, g=g, c_ineq=c, d_ineq=d),
+                   QpProblem(h=h, g=g, c_ineq=np.zeros((0, n)), d_ineq=np.zeros(0))]
 
     def test_every_block_layout_keeps_the_reference_bits(self):
         rng = np.random.default_rng(31)
-        iterations = {True: 0, False: 0}
+        iterations = 0
         for qps in self.random_qps(rng, 60):
             for qp in qps:
                 res = solve(qp)
                 assert_same_bits(res, stacked_reference_solve(qp))
-                iterations[qp.c_eq is None] += res.iterations
-        # the inequality-only and the mixed problems both move rows in
-        assert iterations[True] and iterations[False]
+                iterations += res.iterations
+        # rows move in and out of the working set
+        assert iterations
 
     def test_paths_that_drop_rows_keep_the_reference_bits(self):
-        rng = np.random.default_rng(2)
-        for case in range(40):
-            args = [rng.uniform(-1.0, 1.0, (3, 3)), rng.uniform(0.0, 10.0, 5),
-                    rng.uniform(-1.0, 1.0, 3)]
-            if case % 2:
-                fz = rng.uniform(1.0, 100.0)
-                args += [np.array([*(0.3 * fz * rng.uniform(-1.0, 1.0, 2)), fz]),
-                         rng.uniform(1.0, 3.0, 3)]
-            qp = vertex_qp(*args)
-            scaled = QpProblem(h=qp.h, g=qp.g, c_ineq=np.vstack([qp.c_ineq, 1e8 * qp.c_ineq[:4]]),
-                               d_ineq=np.concatenate([qp.d_ineq, 1e8 * qp.d_ineq[:4]]),
-                               c_eq=qp.c_eq, d_eq=qp.d_eq)
-            for p in (qp, scaled):
+        for qp in random_vertex_qps(np.random.default_rng(2), 40):
+            for p in (qp, faces_at_scale(qp)):
                 assert_same_bits(solve(p), stacked_reference_solve(p))
 
-    def test_stopped_solves_keep_the_reference_bits(self):
+    def test_stopped_solves_keep_the_reference_bits(self, monkeypatch):
         c, d = friction_box_constraints(1, mu=0.6, f_min=0.0, f_max=120.0)
         infeasible = QpProblem(h=np.eye(1), g=np.zeros(1), c_ineq=np.array([[1.0], [-1.0]]),
                                d_ineq=np.array([-1.0, 0.0]))
-        redundant = QpProblem(h=np.eye(2), g=np.zeros(2), c_eq=np.array([[1.0, 1.0], [2.0, 2.0]]),
-                              d_eq=np.array([1.0, 2.0]))
         saturated = QpProblem(h=np.eye(3), g=np.array([0.0, 0.0, -500.0]), c_ineq=c, d_ineq=d)
-        for qp, status in ((infeasible, QpStatus.INFEASIBLE), (redundant, QpStatus.SINGULAR)):
-            res = solve(qp)
-            assert res.status is status
-            assert_same_bits(res, stacked_reference_solve(qp))
-        res = ActiveSetSolver(max_iter=0).solve(saturated)
+        res = solve(infeasible)
+        assert res.status is QpStatus.INFEASIBLE
+        assert_same_bits(res, stacked_reference_solve(infeasible))
+        monkeypatch.setattr(qpsolver, "_MAX_ITER", 0)
+        res = solve(saturated)
         assert res.status is QpStatus.MAX_ITER
-        assert_same_bits(res, stacked_reference_solve(saturated, max_iter=0))
+        assert_same_bits(res, stacked_reference_solve(saturated))
 
     def test_zero_inequality_rows(self):
-        # a c_ineq block with no rows is the unconstrained problem
+        # a problem with no rows is the unconstrained problem
         rng = np.random.default_rng(5)
         a = rng.normal(size=(4, 4))
         h, g = a @ a.T + np.eye(4), rng.normal(size=4)
@@ -614,5 +544,4 @@ class TestRowBlocks:
         assert res.iterations == 0 and res.active_set == []
         assert res.lam_ineq.shape == (0,)
         assert_allclose(res.x, np.linalg.solve(h, -g), atol=1e-12)
-        assert_same_bits(res, solve(QpProblem(h=h, g=g)))
         assert_same_bits(res, stacked_reference_solve(empty))

@@ -87,6 +87,41 @@ class TestTrot:
             assert col in res.log
 
 
+class TestEstimatedFeet:
+    @pytest.mark.parametrize("scenario", ["stand", "trot"])
+    def test_balance_receives_the_kf_feet(self, monkeypatch, scenario):
+        # under use_estimates the controller's feet are the KF's own foot
+        # states, not the simulator's
+        seen, current = [], {}
+        step, imu, compute = (scenarios.EstimatorLoop.step, sim.SimWorld.synth_imu,
+                              scenarios.BalanceController.compute)
+
+        def recording_step(self, *args):
+            current["loop"] = self
+            return step(self, *args)
+
+        def recording_imu(self):
+            current["world"] = self
+            return imu(self)
+
+        def recording_compute(self, state, *args):
+            seen.append((state.feet.copy(), current["loop"].kf.mean[6:18].reshape(4, 3),
+                         current["world"].state.feet.copy()))
+            return compute(self, state, *args)
+
+        monkeypatch.setattr(scenarios.EstimatorLoop, "step", recording_step)
+        monkeypatch.setattr(sim.SimWorld, "synth_imu", recording_imu)
+        monkeypatch.setattr(scenarios.BalanceController, "compute", recording_compute)
+        if scenario == "stand":
+            run_stand(duration=0.2, controller="balance", use_estimates=True)
+        else:
+            run_trot(duration=0.2, use_estimates=True)
+        assert len(seen) == 200
+        for feet, kf_feet, _ in seen:
+            assert np.array_equal(feet, kf_feet)
+        assert not all(np.array_equal(kf_feet, true_feet) for _, kf_feet, true_feet in seen)
+
+
 def mpc_tables_per_leg(driver, t, state):
     """TrotDriver.mpc_tables as the per-(step, leg) numpy loop it replaced."""
     def schedule(t):

@@ -28,7 +28,6 @@ from .qpsolver import ActiveSetSolver, QpProblem, QpStatus
 from .state import DesiredState, RobotState
 
 __all__ = [
-    "BalanceGains",
     "BodyModel",
     "FrictionSpec",
     "ForceDistributionError",
@@ -40,6 +39,18 @@ __all__ = [
 ]
 
 CONTACT_FORCE_THRESHOLD = 20.0     # N, landing-switch default
+GRAVITY_W = np.array([0.0, 0.0, -9.81])   # m/s^2, gravitational acceleration, world frame
+GRAVITY_W.setflags(write=False)
+
+# PD gains on the CoM position and the body orientation, and the force QP's
+# weights: S on the wrench error, alpha on |F|^2, beta on |F - F_prev|^2
+_KP_POS = np.diag([50.0, 50.0, 120.0])
+_KD_POS = np.diag([15.0, 15.0, 25.0])
+_KP_ORN = np.diag([300.0, 300.0, 200.0])
+_KD_ORN = np.diag([40.0, 40.0, 30.0])
+_S_WEIGHT = np.diag([1.0, 1.0, 1.0, 20.0, 20.0, 10.0])
+_ALPHA = 1e-4
+_BETA = 1e-4
 
 # rows 0-2 of the force map: every foot force enters the net force as is
 _FORCE_TEMPLATE = np.vstack([np.hstack([np.eye(3)] * 4), np.zeros((3, 12))])
@@ -51,31 +62,14 @@ class ForceDistributionError(RuntimeError):
 
 
 @dataclass
-class BalanceGains:
-    kp_pos: np.ndarray = field(default_factory=lambda: np.diag([50.0, 50.0, 120.0]))
-    kd_pos: np.ndarray = field(default_factory=lambda: np.diag([15.0, 15.0, 25.0]))
-    kp_orn: np.ndarray = field(default_factory=lambda: np.diag([300.0, 300.0, 200.0]))
-    kd_orn: np.ndarray = field(default_factory=lambda: np.diag([40.0, 40.0, 30.0]))
-    s_weight: np.ndarray = field(default_factory=lambda: np.diag([1.0, 1.0, 1.0, 20.0, 20.0, 10.0]))
-    alpha: float = 1e-4
-    beta: float = 1e-4
-
-    def __post_init__(self):
-        for name in ("kp_pos", "kd_pos", "kp_orn", "kd_orn", "s_weight"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-
-
-@dataclass
 class BodyModel:
-    """Mass, centroidal inertia (body frame), gravitational acceleration."""
+    """Mass and centroidal inertia (body frame); gravity is :data:`GRAVITY_W`."""
 
     mass: float = 45.0
     inertia: np.ndarray = field(default_factory=lambda: np.diag([0.35, 2.1, 2.1]))
-    g_vec: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.81]))
 
     def __post_init__(self):
         self.inertia = np.asarray(self.inertia, dtype=float).reshape(3, 3)
-        self.g_vec = np.asarray(self.g_vec, dtype=float).reshape(3)
 
     def inertia_world(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -83,7 +77,7 @@ class BodyModel:
 
     @property
     def weight(self) -> float:
-        return self.mass * float(np.linalg.norm(self.g_vec))
+        return self.mass * float(np.linalg.norm(GRAVITY_W))
 
 
 @dataclass
@@ -97,16 +91,17 @@ class FrictionSpec:
             raise ValueError("need mu > 0 and 0 <= f_min < f_max")
 
 
-def pd_wrench(state: RobotState, des: DesiredState,
-              gains: BalanceGains) -> tuple[np.ndarray, np.ndarray]:
+def pd_wrench(state: RobotState, des: DesiredState) -> tuple[np.ndarray, np.ndarray]:
     """Desired linear and angular accelerations from the PD law.
 
     Orientation feedback acts on log(R_d R^T), a world-frame axis-angle
-    error; both outputs vanish when the state matches the target.
+    error, and the target body rate is zero; both outputs vanish when the
+    state matches the target.
     """
-    acc_lin = gains.kp_pos @ (des.pos - state.pos) + gains.kd_pos @ (des.vel - state.vel)
+    acc_lin = _KP_POS @ (des.pos - state.pos) + _KD_POS @ (des.vel - state.vel)
     err_rot = so3.log_map(des.rot @ state.rot.T)
-    acc_ang = gains.kp_orn @ err_rot + gains.kd_orn @ (des.omega_world - state.omega_world())
+    # 0.0 - w, not -w: the rate error keeps the signed zeros of a zero target
+    acc_ang = _KP_ORN @ err_rot + _KD_ORN @ (0.0 - state.omega_world())
     return acc_lin, acc_ang
 
 
@@ -118,7 +113,7 @@ def build_force_model(p_c: np.ndarray, feet: np.ndarray, model: BodyModel,
     A = [I I I I; hat(p_1 - p_c) ... hat(p_4 - p_c)]: the identity rows come
     from a constant template, and the skew blocks are written from the lever
     arms computed as floats, the same bits as :func:`so3.hat` of the array
-    difference. b_d = [m (acc_lin - g_vec); I_w acc_ang] with the inertia
+    difference. b_d = [m (acc_lin - g); I_w acc_ang] with the inertia
     rotated to the world frame when ``r`` is given.
     """
     px, py, pz = np.asarray(p_c, dtype=float).reshape(3).tolist()
@@ -131,7 +126,7 @@ def build_force_model(p_c: np.ndarray, feet: np.ndarray, model: BodyModel,
     a = _FORCE_TEMPLATE.copy()
     a[3:6] = (r0, r1, r2)
     inertia = model.inertia if r is None else model.inertia_world(r)
-    b_d = np.concatenate([model.mass * (np.asarray(acc_lin, dtype=float) - model.g_vec),
+    b_d = np.concatenate([model.mass * (np.asarray(acc_lin, dtype=float) - GRAVITY_W),
                           inertia @ np.asarray(acc_ang, dtype=float)])
     return a, b_d
 
@@ -160,8 +155,7 @@ def _stance_cols(stance: tuple[bool, ...]) -> np.ndarray:
 
 
 def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
-               gains: BalanceGains, friction: FrictionSpec,
-               stance_mask: np.ndarray,
+               friction: FrictionSpec, stance_mask: np.ndarray,
                solver: ActiveSetSolver | None = None) -> np.ndarray:
     """Distribute foot forces minimizing the weighted wrench error.
 
@@ -181,14 +175,13 @@ def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
     cols = _stance_cols(stance)
     a_s = a[:, cols]
     f_prev_s = f_prev[cols]
-    s_w = gains.s_weight
     n = cols.size
     # 2 (A_s^T S A_s + (alpha + beta) I), with the identity added in place
-    h = a_s.T @ s_w @ a_s
-    h.ravel()[::n + 1] += gains.alpha + gains.beta
+    h = a_s.T @ _S_WEIGHT @ a_s
+    h.ravel()[::n + 1] += _ALPHA + _BETA
     h *= 2.0
     c_ineq, d_ineq = _friction_rows(n // 3, friction.mu, friction.f_min, friction.f_max)
-    g = -2.0 * (a_s.T @ (s_w @ np.asarray(b_d, dtype=float)) + gains.beta * f_prev_s)
+    g = -2.0 * (a_s.T @ (_S_WEIGHT @ np.asarray(b_d, dtype=float)) + _BETA * f_prev_s)
     qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
     res = solver.solve(qp)
     if res.status is not QpStatus.OPTIMAL:
@@ -202,21 +195,19 @@ def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
 class BalanceController:
     """Stateful wrapper owning the previous solution ``f_prev``, the reference of the beta term."""
 
-    def __init__(self, model: BodyModel, gains: BalanceGains | None = None,
-                 friction: FrictionSpec | None = None):
+    def __init__(self, model: BodyModel, friction: FrictionSpec | None = None):
         self.model = model
-        self.gains = gains or BalanceGains()
         self.friction = friction or FrictionSpec()
         self.f_prev = np.zeros(12)
         self._solver = ActiveSetSolver()
 
     def compute(self, state: RobotState, des: DesiredState,
                 stance_mask: np.ndarray) -> np.ndarray:
-        acc_lin, acc_ang = pd_wrench(state, des, self.gains)
+        acc_lin, acc_ang = pd_wrench(state, des)
         a, b_d = build_force_model(state.pos, state.feet, self.model,
                                    acc_lin, acc_ang, r=state.rot)
-        f = balance_qp(a, b_d, self.f_prev, self.gains, self.friction,
-                       stance_mask, solver=self._solver)
+        f = balance_qp(a, b_d, self.f_prev, self.friction, stance_mask,
+                       solver=self._solver)
         self.f_prev = f
         return f
 

@@ -92,7 +92,7 @@ RUN_FAILURES = (NoConvergenceError, MpcInfeasibleError, ForceDistributionError,
                 DegenerateWeightsError, scenarios.ReplayLogError)
 
 
-def _merge_validate(defaults: dict, override: dict, path: str = "") -> dict:
+def _merge_validate(defaults: dict, override: dict, path: str) -> dict:
     out = copy.deepcopy(defaults)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -133,7 +133,7 @@ def load_config(path: str | None) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError("config root must be a mapping")
         override = loaded
-    cfg = _merge_validate(DEFAULT_CONFIG, override)
+    cfg = _merge_validate(DEFAULT_CONFIG, override, "")
     return _apply_env(cfg)
 
 
@@ -197,20 +197,32 @@ def cmd_stand(cfg: dict, out: Path) -> dict:
 
 
 def _trot_args(cfg: dict) -> dict:
-    """``TrotDriver`` arguments shared by the trot and slope subcommands."""
+    """``TrotDriver`` arguments shared by the trot and slope subcommands.
+
+    The sensors are read only by the estimator, so a ``noise.*`` key other
+    than its default needs ``controller.use_estimates``.
+    """
     from .gait import _PRESETS
 
     if cfg["gait"]["preset"] not in _PRESETS:
         raise ConfigError(f"unknown gait preset: {cfg['gait']['preset']!r} "
                           f"(choose from {sorted(_PRESETS)})")
+    use_estimates = bool(cfg["controller"]["use_estimates"])
+    noise = {key: float(value) for key, value in cfg["noise"].items()}
+    if not use_estimates:
+        changed = [key for key, value in noise.items() if value != DEFAULT_CONFIG["noise"][key]]
+        if changed:
+            raise ConfigError(f"noise.{changed[0]} applies only with controller.use_estimates")
     return dict(
         v_des=(float(cfg["command"]["vx_mps"]), float(cfg["command"]["vy_mps"])),
         seed=int(cfg["seed"]),
-        use_estimates=bool(cfg["controller"]["use_estimates"]),
+        use_estimates=use_estimates,
         preset=str(cfg["gait"]["preset"]),
         period=float(cfg["gait"]["period_s"]),
         z0=float(cfg["robot"]["z0_m"]), model=_body_model(cfg),
-        ramp_time=float(cfg["command"]["ramp_s"]))
+        ramp_time=float(cfg["command"]["ramp_s"]),
+        accel_std=noise["accel_std"], gyro_std=noise["gyro_std"],
+        accel_bias_mag=noise["accel_bias"])
 
 
 def _trot(cfg: dict, out: Path, controller: str) -> dict:

@@ -4,8 +4,8 @@ Legs are indexed 0=FR, 1=FL, 2=BR, 3=BL. Each leg runs an independent phase
 clock with a per-leg offset; scheduled contact is a boolean derived from the
 clock and the stance fraction. Phase weights are erf-shaped gains that fade
 a leg's contribution to the support polygon in and out around contact
-switches; their widths are configuration (the shape saturates quickly away
-from transitions at the defaults).
+switches; their widths are fixed at 0.1 of a subphase (the shape saturates
+quickly away from transitions).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "GaitSchedule",
-    "PhaseGainParams",
     "DegenerateWeightsError",
     "gait_preset",
     "subphase",
@@ -37,6 +36,14 @@ LEG_NAMES = ("FR", "FL", "BR", "BL")
 # FR -> FL -> BL -> BR -> FR
 _CCW_NEXT = {0: 1, 1: 3, 3: 2, 2: 0}
 _CW_NEXT = {v: k for k, v in _CCW_NEXT.items()}
+
+# erf widths of the phase weights, in units of a subphase: contact gain at
+# its start and end, swing gain at its start and end
+_SIGMA_C0 = 0.1
+_SIGMA_C1 = 0.1
+_SIGMA_S0 = 0.1
+_SIGMA_S1 = 0.1
+_GRAVITY = 9.81   # m/s^2, of the footstep's pendulum feedback
 
 
 class DegenerateWeightsError(ValueError):
@@ -99,41 +106,27 @@ def subphase(t: float, sched: GaitSchedule, leg: int) -> tuple[bool, float]:
     return False, (tau - sf) / (1.0 - sf)
 
 
-@dataclass
-class PhaseGainParams:
-    """erf widths for the contact/swing weighting gains (all positive)."""
-
-    sigma_c0: float = 0.1
-    sigma_c1: float = 0.1
-    sigma_s0: float = 0.1
-    sigma_s1: float = 0.1
-
-    def __post_init__(self):
-        if min(self.sigma_c0, self.sigma_c1, self.sigma_s0, self.sigma_s1) <= 0.0:
-            raise ValueError("erf widths must be positive")
-
-
-def phase_gain_contact(phi: float, p: PhaseGainParams) -> float:
+def phase_gain_contact(phi: float) -> float:
     """Contact weighting 0.5*[erf(phi/(s0*sqrt2)) + erf((1-phi)/(s1*sqrt2))].
 
     Near 1 in mid-contact, ~0.5 at either end of the contact subphase.
     """
-    return 0.5 * (math.erf(phi / (p.sigma_c0 * math.sqrt(2.0)))
-                  + math.erf((1.0 - phi) / (p.sigma_c1 * math.sqrt(2.0))))
+    return 0.5 * (math.erf(phi / (_SIGMA_C0 * math.sqrt(2.0)))
+                  + math.erf((1.0 - phi) / (_SIGMA_C1 * math.sqrt(2.0))))
 
 
-def phase_gain_swing(phi: float, p: PhaseGainParams) -> float:
+def phase_gain_swing(phi: float) -> float:
     """Swing weighting 0.5*[2 + erf(-phi/(s0*sqrt2)) + erf((phi-1)/(s1*sqrt2))].
 
     Near 0 in mid-swing, ~0.5 at either end of the swing subphase.
     """
-    return 0.5 * (2.0 + math.erf(-phi / (p.sigma_s0 * math.sqrt(2.0)))
-                  + math.erf((phi - 1.0) / (p.sigma_s1 * math.sqrt(2.0))))
+    return 0.5 * (2.0 + math.erf(-phi / (_SIGMA_S0 * math.sqrt(2.0)))
+                  + math.erf((phi - 1.0) / (_SIGMA_S1 * math.sqrt(2.0))))
 
 
-def total_weight(in_contact: bool, phi: float, p: PhaseGainParams) -> float:
+def total_weight(in_contact: bool, phi: float) -> float:
     """Total foot weight: contact gain when scheduled in contact, else swing gain."""
-    return phase_gain_contact(phi, p) if in_contact else phase_gain_swing(phi, p)
+    return phase_gain_contact(phi) if in_contact else phase_gain_swing(phi)
 
 
 def virtual_points(p_i: np.ndarray, p_prev: np.ndarray, p_next: np.ndarray,
@@ -198,17 +191,17 @@ def desired_com(vertices) -> tuple[float, float]:
     return (x0 + x1 + x2 + x3) / 4.0, (y0 + y1 + y2 + y3) / 4.0
 
 
-def footstep(p_hip, t_stance: float, v_des, v, z0: float, g: float = 9.81) -> tuple[float, float]:
+def footstep(p_hip, t_stance: float, v_des, v, z0: float) -> tuple[float, float]:
     """Touchdown target (x, y) on the ground plane for one foot.
 
     Half-stance feedforward from the commanded velocity plus the
     inverted-pendulum velocity-feedback offset sqrt(z0/g)*(v - v_des),
-    measured from the hip's ground projection. ``p_hip``, ``v_des`` and
-    ``v`` are (x, y) pairs.
+    measured from the hip's ground projection, with g = 9.81 m/s^2.
+    ``p_hip``, ``v_des`` and ``v`` are (x, y) pairs.
     """
-    if z0 <= 0.0 or g <= 0.0:
-        raise ValueError("z0 and g must be positive")
+    if z0 <= 0.0:
+        raise ValueError("z0 must be positive")
     (hx, hy), (dx, dy), (vx, vy) = p_hip, v_des, v
     ff = 0.5 * t_stance
-    fb = math.sqrt(z0 / g)
+    fb = math.sqrt(z0 / _GRAVITY)
     return hx + ff * dx + fb * (vx - dx), hy + ff * dy + fb * (vy - dy)

@@ -1,23 +1,23 @@
 """Convex model-predictive ground-force planning over linearized SRB dynamics.
 
 State per step is the 12-vector [p, rpy, v, omega_w]: world position,
-small-angle roll/pitch about the operating yaw, world velocity, world
-angular rate. The dynamics are linearized about the operating yaw and a
-reference position trajectory:
+small-angle roll/pitch/yaw, world velocity, world angular rate. The
+dynamics are linearized about the level, unyawed body and a reference
+position trajectory:
 
     p+     = p + dt v + dt^2/2 (sum f / m + g)
-    rpy+   = rpy + dt Rz(yaw)^T omega_w
+    rpy+   = rpy + dt omega_w
     v+     = v + dt (sum f / m + g)
-    omega+ = omega + dt I_w^-1 sum (p_f - p_ref) x f
+    omega+ = omega + dt I^-1 sum (p_f - p_ref) x f
 
-with I_w the body inertia rotated by the operating yaw. Force columns of
-swing feet are zero by construction. The horizon problem is condensed onto
+with I the body inertia. Force columns of swing feet are zero by
+construction. The horizon problem is condensed onto
 the stance forces and handed to the dense dual active-set QP solver together
 with per-step friction pyramids and normal-force bounds; the returned plan
 covers the whole horizon and the caller applies the first step.
 
 Within one plan A and c are fixed, and A = I + N with N^2 = 0 (N holds only
-the dt and dt Rz^T blocks), so the condensation is closed-form: A^l = I + l N,
+the two dt I blocks), so the condensation is closed-form: A^l = I + l N,
 and every force block of the prediction is B_i + l N B_i, formed for all steps
 and feet in one batched pass. ``linearize_srbd``, ``rollout`` and
 ``plan_cost`` take the same dynamics one step at a time; they are the
@@ -31,13 +31,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .balance import BodyModel, FrictionSpec, _friction_rows
+from .balance import GRAVITY_W, BodyModel, FrictionSpec, _friction_rows
 from .qpsolver import ActiveSetSolver, QpProblem, QpStatus
 
 __all__ = ["MpcConfig", "MpcInfeasibleError", "linearize_srbd", "solve_mpc",
            "rollout", "plan_cost"]
 
 NX = 12
+DT = 0.03   # s per horizon step
+# state weight of every step and force weight (times the identity)
+_Q_WEIGHT = np.diag([50.0, 50.0, 800.0, 400.0, 400.0, 100.0,
+                     60.0, 60.0, 80.0, 4.0, 4.0, 4.0])
+_R_WEIGHT = 1e-6
 
 
 class MpcInfeasibleError(RuntimeError):
@@ -46,35 +51,30 @@ class MpcInfeasibleError(RuntimeError):
 
 @dataclass
 class MpcConfig:
-    horizon: int
-    dt: float
-    q_weight: np.ndarray                  # (12, 12) state weight of every step
-    r_weight: float                       # force weight, times the identity
+    """One horizon of k = len(x_ref) steps of :data:`DT` seconds."""
+
     x_ref: np.ndarray                     # (k, 12) target states for steps 1..k
     contact: np.ndarray                   # (k, 4) scheduled contact per step
     feet: np.ndarray                      # (k, 4, 3) foot positions per step
-    op_yaw: float = 0.0
+    p_nom: np.ndarray                     # (k, 3) positions for the moment arms
     model: BodyModel = field(default_factory=BodyModel)
-    p_nom: np.ndarray | None = None       # (k, 3) positions for the moment arms;
-                                          # defaults to the x_ref positions
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        self.x_ref = np.asarray(self.x_ref, dtype=float).reshape(-1, NX)
         k = self.horizon
-        self.q_weight = np.asarray(self.q_weight, dtype=float).reshape(NX, NX)
-        self.r_weight = float(self.r_weight)
-        self.x_ref = np.asarray(self.x_ref, dtype=float).reshape(k, NX)
+        if k < 1:
+            raise ValueError("horizon must be at least 1")
         self.contact = np.asarray(self.contact, dtype=bool).reshape(k, 4)
         self.feet = np.asarray(self.feet, dtype=float).reshape(k, 4, 3)
-        if self.p_nom is not None:
-            self.p_nom = np.asarray(self.p_nom, dtype=float).reshape(k, 3)
+        self.p_nom = np.asarray(self.p_nom, dtype=float).reshape(k, 3)
+
+    @property
+    def horizon(self) -> int:
+        return len(self.x_ref)
 
 
-def linearize_srbd(op_yaw: float, feet: np.ndarray, model: BodyModel, dt: float,
-                   contact: np.ndarray, p_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def linearize_srbd(feet: np.ndarray, model: BodyModel, dt: float, contact: np.ndarray,
+                   p_ref: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One-step linear dynamics (A, B, c): x+ = A x + B u + c.
 
     ``feet`` is (4, 3), ``contact`` the per-foot booleans, ``p_ref`` the
@@ -84,14 +84,12 @@ def linearize_srbd(op_yaw: float, feet: np.ndarray, model: BodyModel, dt: float,
     feet = np.asarray(feet, dtype=float).reshape(4, 3)
     contact = np.asarray(contact, dtype=bool).reshape(4)
     p_ref = np.asarray(p_ref, dtype=float).reshape(3)
-    rz = so3.rot_z(op_yaw)
-    i_world = rz @ model.inertia @ rz.T
-    i_inv = np.linalg.inv(i_world)
+    i_inv = np.linalg.inv(model.inertia)
     m = model.mass
 
     a = np.eye(NX)
     a[0:3, 6:9] = dt * np.eye(3)
-    a[3:6, 9:12] = dt * rz.T
+    a[3:6, 9:12] = dt * np.eye(3)
 
     b = np.zeros((NX, 12))
     for i in range(4):
@@ -103,8 +101,8 @@ def linearize_srbd(op_yaw: float, feet: np.ndarray, model: BodyModel, dt: float,
         b[9:12, cols] = dt * (i_inv @ so3.hat(feet[i] - p_ref))
 
     c = np.zeros(NX)
-    c[0:3] = 0.5 * dt * dt * model.g_vec
-    c[6:9] = dt * model.g_vec
+    c[0:3] = 0.5 * dt * dt * GRAVITY_W
+    c[6:9] = dt * GRAVITY_W
     return a, b, c
 
 
@@ -116,22 +114,20 @@ def _condense(cfg: MpcConfig):
     step i <= j is A^(j-i) B_i = B_i + (j-i) N B_i. The columns follow the
     row-major order of ``cfg.contact``.
     """
-    k, dt, m = cfg.horizon, cfg.dt, cfg.model.mass
-    rz = so3.rot_z(cfg.op_yaw)
-    i_inv = np.linalg.inv(rz @ cfg.model.inertia @ rz.T)
+    k, dt, m = cfg.horizon, DT, cfg.model.mass
+    i_inv = np.linalg.inv(cfg.model.inertia)
     n_mat = np.zeros((NX, NX))
     n_mat[0:3, 6:9] = dt * np.eye(3)
-    n_mat[3:6, 9:12] = dt * rz.T
+    n_mat[3:6, 9:12] = dt * np.eye(3)
     c = np.zeros(NX)
-    c[0:3] = 0.5 * dt * dt * cfg.model.g_vec
-    c[6:9] = dt * cfg.model.g_vec
+    c[0:3] = 0.5 * dt * dt * GRAVITY_W
+    c[6:9] = dt * GRAVITY_W
     steps = np.arange(1.0, k + 1.0)
     sx = (np.eye(NX) + steps[:, None, None] * n_mat).reshape(k * NX, NX)
     sc = (steps[:, None] * c + (0.5 * steps * (steps - 1.0))[:, None] * (n_mat @ c)).reshape(-1)
 
     step, foot = np.nonzero(cfg.contact)
-    p_arm = cfg.x_ref[:, 0:3] if cfg.p_nom is None else cfg.p_nom
-    arm = cfg.feet[step, foot] - p_arm[step]
+    arm = cfg.feet[step, foot] - cfg.p_nom[step]
     hats = np.zeros((step.size, 3, 3))  # so3.hat of each moment arm
     hats[:, (2, 0, 1), (1, 2, 0)] = arm
     hats[:, (1, 2, 0), (2, 0, 1)] = -arm
@@ -162,9 +158,9 @@ def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec) -> np.ndar
 
     # the state cost is block-diagonal in the steps: sum_j su_j^T Q su_j
     resid0 = (sx @ x0 + sc - cfg.x_ref.reshape(-1)).reshape(k, NX)
-    h = 2.0 * (su.T @ (cfg.q_weight @ su.reshape(k, NX, nu)).reshape(k * NX, nu))
-    h[np.diag_indices(nu)] += 2.0 * cfg.r_weight
-    g = 2.0 * (su.T @ (resid0 @ cfg.q_weight.T).reshape(-1))
+    h = 2.0 * (su.T @ (_Q_WEIGHT @ su.reshape(k, NX, nu)).reshape(k * NX, nu))
+    h[np.diag_indices(nu)] += 2.0 * _R_WEIGHT
+    g = 2.0 * (su.T @ (resid0 @ _Q_WEIGHT.T).reshape(-1))
 
     # friction pyramid and bounds per stance force block
     c_ineq, d_ineq = _friction_rows(nu // 3, friction.mu, friction.f_min, friction.f_max)
@@ -181,9 +177,7 @@ def rollout(cfg: MpcConfig, x0: np.ndarray, plan: np.ndarray) -> np.ndarray:
     x = np.asarray(x0, dtype=float).reshape(NX)
     out = np.zeros((cfg.horizon, NX))
     for i in range(cfg.horizon):
-        p_arm = cfg.x_ref[i, 0:3] if cfg.p_nom is None else cfg.p_nom[i]
-        a, b, c = linearize_srbd(cfg.op_yaw, cfg.feet[i], cfg.model, cfg.dt,
-                                 cfg.contact[i], p_arm)
+        a, b, c = linearize_srbd(cfg.feet[i], cfg.model, DT, cfg.contact[i], cfg.p_nom[i])
         x = a @ x + b @ np.asarray(plan[i], dtype=float) + c
         out[i] = x
     return out
@@ -196,5 +190,5 @@ def plan_cost(cfg: MpcConfig, x0: np.ndarray, plan: np.ndarray) -> float:
     for i in range(cfg.horizon):
         e = xs[i] - cfg.x_ref[i]
         u = np.asarray(plan[i], dtype=float)
-        j += float(e @ cfg.q_weight @ e + (cfg.r_weight * u) @ u)
+        j += float(e @ _Q_WEIGHT @ e + (_R_WEIGHT * u) @ u)
     return j

@@ -82,9 +82,6 @@ class QpProblem:
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.h @ x + self.g @ x)
 
-    def max_violation(self, x: np.ndarray) -> float:
-        return float(np.max(self.c_ineq @ x - self.d_ineq, initial=0.0))
-
 
 @dataclass
 class QpResult:

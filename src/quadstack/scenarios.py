@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gait, so3, terrain
-from .balance import BalanceController, BodyModel, FrictionSpec, landing_switch
+from . import gait, mpc, so3, terrain
+from .balance import GRAVITY_W, BalanceController, BodyModel, FrictionSpec, landing_switch
 from .estimation import (ImuSample, OrientationFilter, kf_default_state, kf_predict,
                          kf_update, leg_measurements_batch, orientation_step)
 from .mpc import MpcConfig, solve_mpc
@@ -28,16 +28,16 @@ from .sim import SensorNoise, SimWorld
 from .state import DesiredState, RobotState
 from .swing import LegModel, SwingTrajectory
 from .terrain import PlaneCoeffs
-from .trajopt import (BodyReference, ContactPhase, JumpSpec, TimingProblem,
+from .trajopt import (F_MAX, BodyReference, ContactPhase, JumpSpec, TimingProblem,
                       check_constraints, export_reference, solve_timing)
 
 NOMINAL_Z = 0.45
-# trot MPC: horizon steps, seconds per step, ticks between replans (the
-# plan is also redone on every contact switch)
+DT = 1e-3              # s, control tick and simulator step of every scenario
+# trot MPC: horizon steps and ticks between replans (the plan is also
+# redone on every contact switch)
 MPC_HORIZON = 10
-MPC_DT = 0.03
 MPC_DECIMATION = 33
-_GRAVITY_W = np.array([0.0, 0.0, -9.81])
+_RECOVER_TIME = 1.2    # s that jump-sim runs past the end of the reference
 
 
 class ReplayLogError(ValueError):
@@ -157,6 +157,21 @@ def spin_spec(yaw_deg: float = 90.0, n_knots: int = 30, z0: float = NOMINAL_Z,
         sphere_radius=0.18, model=model)
 
 
+# Direction of the simulated accelerometer's bias: a property of the unit,
+# drawn once. The run seed moves only the white noise; the height error of
+# a trot on estimates swings by almost a factor of two with the bias
+# direction, which would hide any other change between two seeds.
+_ACCEL_BIAS_DIR = np.random.default_rng(0).normal(size=3)
+_ACCEL_BIAS_DIR /= np.linalg.norm(_ACCEL_BIAS_DIR)
+
+
+def sensor_noise(accel_std: float, gyro_std: float, accel_bias_mag: float) -> SensorNoise:
+    """IMU noise with an accelerometer bias of magnitude ``accel_bias_mag``
+    along :data:`_ACCEL_BIAS_DIR`."""
+    return SensorNoise(gyro_std=gyro_std, accel_std=accel_std,
+                       accel_bias=accel_bias_mag * _ACCEL_BIAS_DIR)
+
+
 # published contact timings for the 90-degree spinning jump, in units of
 # 10 ms; reported in summaries for context only
 SPIN90_REFERENCE_TIMINGS_10MS = (56, 31)
@@ -164,27 +179,24 @@ SPIN90_REFERENCE_TIMINGS_10MS = (56, 31)
 
 def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
               accel_bias_mag: float = 0.2, gyro_std: float = 0.005,
-              use_estimates: bool = True, dt: float = 1e-3,
               controller: str = "balance", log_every: int = 10,
               model: BodyModel | None = None) -> ScenarioResult:
     """Stand with the estimator in the loop.
 
-    ``controller`` is "balance" (force QP each step) or "hover" (exact
-    weight distribution, useful to benchmark the estimator on a strictly
-    stationary truth). The summary compares fused estimation errors against
-    prediction-only dead reckoning under the same accelerometer bias.
+    ``controller`` is "balance" (force QP each step on the estimated state)
+    or "hover" (exact weight distribution, useful to benchmark the
+    estimator on a strictly stationary truth). The summary compares fused
+    estimation errors against prediction-only dead reckoning under the same
+    accelerometer bias.
     """
     t_start = time.perf_counter()
     model = model or BodyModel()
     leg_model = LegModel()
-    rng = np.random.default_rng(seed)
-    bias_dir = rng.normal(size=3)
-    bias_dir /= np.linalg.norm(bias_dir)
-    noise = SensorNoise(gyro_std=gyro_std, accel_std=accel_std,
-                        accel_bias=accel_bias_mag * bias_dir)
+    noise = sensor_noise(accel_std, gyro_std, accel_bias_mag)
     feet = nominal_feet(leg_model)
     world = SimWorld(RobotState(pos=[0.0, 0.0, NOMINAL_Z], feet=feet), model,
-                     dt=dt, noise=noise, seed=seed, leg_model=leg_model)
+                     dt=DT, noise=noise, seed=seed, leg_model=leg_model)
+    dt = world.dt
     est = EstimatorLoop(world.state.rot, world.state.pos, feet, leg_model)
     # dead-reckoning baseline: mean-only integration of the same inputs
     pred_pos, pred_vel = world.state.pos.tolist(), [0.0, 0.0, 0.0]
@@ -206,12 +218,11 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
         qs, qds = world.synth_encoders()
         feet = est.kf.feet  # the ground heights are read under the KF's own feet
         est.step(imu, qs, qds, stance, ground.height(feet[:, 0], feet[:, 1]), dt)
-        u = (est.filter.r_hat @ imu.accel + _GRAVITY_W).tolist()
+        u = (est.filter.r_hat @ imu.accel + GRAVITY_W).tolist()
         pred_pos = [p + dt * v + 0.5 * dt * dt * ui for p, v, ui in zip(pred_pos, pred_vel, u)]
         pred_vel = [v + dt * ui for v, ui in zip(pred_vel, u)]
         if controller == "balance":
-            state = est.estimated_state() if use_estimates else world.state
-            forces = balancer.compute(state, des, stance)
+            forces = balancer.compute(est.estimated_state(), des, stance)
         else:
             forces = hover
 
@@ -252,17 +263,22 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
 
 
 class TrotDriver:
-    """Shared machinery for the trot scenarios (balance QP or MPC stance force)."""
+    """Shared machinery for the trot scenarios (balance QP or MPC stance force).
+
+    With ``use_estimates`` the controller runs on the estimator's state, fed
+    by sensors with the noise of :func:`sensor_noise`; without it, on the
+    true state, and the sensors are not read.
+    """
 
     def __init__(self, v_des=(1.0, 0.0), duration=5.0, seed=0, controller="balance",
                  preset="trot", period=0.3, z0=NOMINAL_Z, ground: PlaneCoeffs | None = None,
                  model: BodyModel | None = None, use_estimates=False,
-                 adapt_posture=False, ramp_time=0.8):
+                 adapt_posture=False, ramp_time=0.8, accel_std=0.0, gyro_std=0.0,
+                 accel_bias_mag=0.0):
         self.model = model or BodyModel()
         self.leg_model = LegModel()
         self.ground = ground or PlaneCoeffs()
         self.sched = gait.gait_preset(preset, period=period)
-        self.gains = gait.PhaseGainParams()
         self.v_des = np.asarray(v_des, dtype=float)
         self.ramp_time = ramp_time
         self.duration = duration
@@ -272,8 +288,11 @@ class TrotDriver:
         self.adapt_posture = adapt_posture
         feet = nominal_feet(self.leg_model, self.ground, z0)
         start_z = self.ground.height(0.0, 0.0) + z0
-        self.world = SimWorld(RobotState(pos=[0.0, 0.0, start_z], feet=feet),
-                              self.model, seed=seed, leg_model=self.leg_model)
+        noise = (sensor_noise(accel_std, gyro_std, accel_bias_mag)
+                 if use_estimates else None)
+        self.world = SimWorld(RobotState(pos=[0.0, 0.0, start_z], feet=feet), self.model,
+                              dt=DT, ground=self.ground, noise=noise, seed=seed,
+                              leg_model=self.leg_model)
         self.balance = BalanceController(self.model)
         self.friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=500.0)
         self.swing_trajs: dict[int, tuple[SwingTrajectory, float]] = {}
@@ -285,9 +304,6 @@ class TrotDriver:
         self.plane: PlaneCoeffs | None = None
         if adapt_posture:
             self._fit_contacts()
-        self.mpc_q = np.diag([50.0, 50.0, 800.0, 400.0, 400.0, 100.0,
-                              60.0, 60.0, 80.0, 4.0, 4.0, 4.0])
-        self.mpc_r = 1e-6
         self._mpc_plan = np.zeros((1, 12))
         self._mpc_contact = None
         # CoM reference (x, y): integrates the commanded velocity, gently
@@ -321,7 +337,7 @@ class TrotDriver:
 
     def desired(self, t, state: RobotState) -> DesiredState:
         contact, phis = self.schedule(t)
-        weights = [gait.total_weight(c, phi, self.gains) for c, phi in zip(contact, phis)]
+        weights = [gait.total_weight(c, phi) for c, phi in zip(contact, phis)]
         verts = gait.support_polygon(state.feet.tolist(), weights)
         poly_x, poly_y = gait.desired_com(verts)
         vx, vy = self.v_cmd(t)
@@ -366,7 +382,7 @@ class TrotDriver:
         t_stance = self.sched.stance_time()
         x_ref, contact, feet, p_nom = [], [], [], []
         for i in range(MPC_HORIZON):
-            ti = t + (i + 1) * MPC_DT
+            ti = t + (i + 1) * mpc.DT
             vx, vy = self.v_cmd(ti)
             dx, dy = vx * (ti - t), vy * (ti - t)
             contact_i = [gait.subphase(ti, self.sched, leg)[0] for leg in range(4)]
@@ -394,10 +410,8 @@ class TrotDriver:
             contact[0] = contact_now  # first step uses the realized contact set
             x0 = np.concatenate([state.pos, so3.matrix_to_rpy(state.rot),
                                  state.vel, state.rot @ state.omega])
-            cfg = MpcConfig(horizon=MPC_HORIZON, dt=MPC_DT,
-                            q_weight=self.mpc_q, r_weight=self.mpc_r,
-                            x_ref=x_ref, contact=contact, feet=feet,
-                            op_yaw=0.0, model=self.model, p_nom=p_nom)
+            cfg = MpcConfig(x_ref=x_ref, contact=contact, feet=feet, p_nom=p_nom,
+                            model=self.model)
             self._mpc_plan = solve_mpc(cfg, x0, self.friction)
             self._mpc_contact = contact_now
         return self._mpc_plan[0]
@@ -613,15 +627,15 @@ def run_jump_opt(spec: JumpSpec,
     return ScenarioResult(summary=summary, log=reference_log(ref)), ref
 
 
-def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
-                 z_land: float = NOMINAL_Z, seed: int = 0,
-                 dt: float = 1e-3) -> ScenarioResult:
+def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
+                 seed: int = 0) -> ScenarioResult:
     """Track an exported jump reference, then catch the landing.
 
     Stance tracking runs the Cartesian+joint reference-tracking torque law
     per leg and maps the torques back to ground reaction forces. After
     takeoff the legs hold the pre-landing pose; the force-threshold switch
-    hands over to the landing force controller, which recovers a stand.
+    hands over to the landing force controller, which recovers a stand
+    for :data:`_RECOVER_TIME` seconds past the end of the reference.
     """
     from .swing import (UnreachableError, grf_from_torque, jump_track_torque, leg_ik,
                         stance_torque)
@@ -630,10 +644,10 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
     model = spec.model
     leg_model = LegModel()
     world = SimWorld(RobotState(pos=spec.p_start, rot=spec.r_start,
-                                feet=spec.feet_start), model, dt=dt, seed=seed,
+                                feet=spec.feet_start), model, dt=DT, seed=seed,
                      leg_model=leg_model)
-    lander = BalanceController(model)
-    lander.friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=700.0)
+    dt = world.dt
+    lander = BalanceController(model, FrictionSpec(f_max=F_MAX))
     gains = {"kp_cart": (900.0,) * 3, "kd_cart": (20.0,) * 3,
              "kp_joint": (20.0,) * 3, "kd_joint": (0.5,) * 3}
 
@@ -650,7 +664,7 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
     landing_stance = np.zeros(4, dtype=bool)
     landed = False
     log = Logger()
-    duration = t_total + recover_time
+    duration = t_total + _RECOVER_TIME
     n = int(round(duration / dt))
     idx_max = len(ref.t) - 1
     dt_ref = max(ref.t[1] - ref.t[0], 1e-9)
@@ -714,7 +728,7 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, recover_time: float = 1.2,
                 fx, fy, fz = grf_from_torque(qs[leg], tau, state.rot, leg, leg_model).tolist()
                 # the ground cannot pull or exceed the hardware force budget;
                 # min(max(.)) keeps np.clip's result, signed zeros included
-                fz = min(max(fz, 0.0), spec.f_max)
+                fz = min(max(fz, 0.0), F_MAX)
                 lo, hi = -spec.mu * fz, spec.mu * fz
                 leg_forces += [min(max(fx, lo), hi), min(max(fy, lo), hi), fz]
             forces = np.array(leg_forces)

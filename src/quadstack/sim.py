@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import so3
-from .balance import BodyModel
+from .balance import GRAVITY_W, BodyModel
 from .estimation import ImuSample
 from .swing import LegModel, UnreachableError, ik_angles
 from .state import RobotState
@@ -124,7 +124,7 @@ class SimWorld:
             cx, cy, cz = _cross(lever, f)
             tx, ty, tz = tx + cx, ty + cy, tz + cz
         mass = model.mass
-        gx, gy, gz = model.g_vec.tolist()
+        gx, gy, gz = GRAVITY_W.tolist()
         acc = (fx / mass + gx, fy / mass + gy, fz / mass + gz)
 
         inertia, inv_inertia = model.inertia.tolist(), self._inv_inertia.tolist()
@@ -190,7 +190,7 @@ class SimWorld:
         gyro = self.state.omega.copy()
         if n.gyro_std > 0.0:
             gyro = gyro + self.rng.normal(size=3) * n.gyro_std
-        accel = self.state.rot.T @ (self.last_accel - self.model.g_vec) + n.accel_bias
+        accel = self.state.rot.T @ (self.last_accel - GRAVITY_W) + n.accel_bias
         if n.accel_std > 0.0:
             accel = accel + self.rng.normal(size=3) * n.accel_std
         return ImuSample(gyro=gyro, accel=accel)

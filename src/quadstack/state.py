@@ -34,15 +34,14 @@ class RobotState:
 
 @dataclass
 class DesiredState:
-    """Pose/twist targets for the balance-style controllers (world frame)."""
+    """Pose and velocity targets for the balance-style controllers (world
+    frame); the target body rate is zero."""
 
     pos: np.ndarray = field(default_factory=lambda: np.zeros(3))
     vel: np.ndarray = field(default_factory=lambda: np.zeros(3))
     rot: np.ndarray = field(default_factory=lambda: np.eye(3))
-    omega_world: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         self.pos = np.asarray(self.pos, dtype=float).reshape(3)
         self.vel = np.asarray(self.vel, dtype=float).reshape(3)
         self.rot = np.asarray(self.rot, dtype=float).reshape(3, 3)
-        self.omega_world = np.asarray(self.omega_world, dtype=float).reshape(3)

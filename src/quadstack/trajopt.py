@@ -21,8 +21,8 @@ phases carry no force variables at all. Kinematic reach is kept by a
 body-frame sphere constraint |R (p_f - p) - center|^2 <= r^2 at stance
 knots, friction by the pyramid multiplied through the normal force
 (requiring f_z >= f_min > 0 during stance), and the total duration by
-T_min <= sum T_i <= T_max. Optional per-phase duration bounds and a CoM box
-during contact are variable bounds.
+T_min <= sum T_i <= T_max. Per-phase duration floors and an optional CoM
+box during contact are variable bounds.
 
 Problem size, for phases i = 1..n_p with N_i intervals and n_i stance feet
 (N = sum N_i intervals, N + 1 knots):
@@ -56,7 +56,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded
 
 from . import so3
-from .balance import BodyModel
+from .balance import GRAVITY_W, BodyModel
 
 __all__ = [
     "ContactPhase",
@@ -77,6 +77,9 @@ __all__ = [
 ]
 
 _T_PHASE_MIN = 0.05   # vanishing phase guard, seconds
+_EPS_OMEGA, _EPS_FORCE, _EPS_ROT = 1e-2, 1e-6, 1.0   # cost weights: rates, forces, rotation
+F_MIN, F_MAX = 1.0, 700.0   # N, stance normal-force bounds; F_MIN > 0 as friction scales with f_z
+_REFERENCE_DT = 0.01   # s, sample interval of the exported body reference
 
 # augmented-Lagrangian outer loop
 _TOL = 1e-5                         # target max constraint violation
@@ -123,8 +126,7 @@ class SrbdState:
 class ContactPhase:
     feet: tuple[int, ...]          # stance foot indices, empty = flight
     n_knots: int = 30              # intervals in this phase
-    t_min: float = _T_PHASE_MIN    # per-phase duration bounds
-    t_max: float = np.inf
+    t_min: float = _T_PHASE_MIN    # duration floor; the spec's t_max bounds it above
     feet_pos: np.ndarray | None = None   # world footholds; None = spec.feet_start
 
     def __post_init__(self):
@@ -132,12 +134,13 @@ class ContactPhase:
         if self.n_knots < 2:
             raise SpecError("each phase needs at least 2 intervals")
         if self.t_min < _T_PHASE_MIN:
-            self.t_min = _T_PHASE_MIN
+            raise SpecError(f"phase duration floor {self.t_min} s is below {_T_PHASE_MIN} s")
         if self.feet_pos is not None:
             self.feet_pos = np.asarray(self.feet_pos, dtype=float).reshape(4, 3)
 
 
-_NOMINAL_FOOT_CENTERS = np.array([
+# body-frame centers of the feet's reachable spheres
+_SPHERE_CENTERS = np.array([
     [0.3, -0.128, -0.45],
     [0.3, 0.128, -0.45],
     [-0.3, -0.128, -0.45],
@@ -155,18 +158,12 @@ class JumpSpec:
     feet_start: np.ndarray                     # (4, 3) world stance positions
     t_min: float = 0.5
     t_max: float = 1.5
-    sphere_centers: np.ndarray = field(default_factory=lambda: _NOMINAL_FOOT_CENTERS.copy())
     sphere_radius: float = 0.16
     mu: float = 0.6
-    f_min: float = 1.0                          # > 0: friction is multiplied through f_z
-    f_max: float = 700.0
     com_min: np.ndarray | None = None           # CoM box during contact phases
     com_max: np.ndarray | None = None
     v_goal: np.ndarray | None = None            # optional final-velocity pin
     omega_goal: np.ndarray | None = None        # optional final body-rate pin
-    eps_omega: float = 1e-2
-    eps_force: float = 1e-6
-    eps_rot: float = 1.0
     model: BodyModel = field(default_factory=BodyModel)
 
     def __post_init__(self):
@@ -175,7 +172,6 @@ class JumpSpec:
         self.r_start = np.asarray(self.r_start, dtype=float).reshape(3, 3)
         self.r_goal = np.asarray(self.r_goal, dtype=float).reshape(3, 3)
         self.feet_start = np.asarray(self.feet_start, dtype=float).reshape(4, 3)
-        self.sphere_centers = np.asarray(self.sphere_centers, dtype=float).reshape(4, 3)
         if self.v_goal is not None:
             self.v_goal = np.asarray(self.v_goal, dtype=float).reshape(3)
         if self.omega_goal is not None:
@@ -184,8 +180,6 @@ class JumpSpec:
             raise SpecError("need at least one contact phase")
         if self.t_min >= self.t_max:
             raise SpecError("t_min must be below t_max")
-        if self.f_min <= 0.0:
-            raise SpecError("f_min must be positive (friction is multiplied through f_z)")
         for ph in self.phases:
             if any(f < 0 or f > 3 for f in ph.feet):
                 raise SpecError(f"bad foot index in phase {ph.feet}")
@@ -233,7 +227,7 @@ def srbd_residual(x_k: SrbdState, x_k1: SrbdState, f_k: np.ndarray,
         raise ValueError("h must be positive")
     f_k = np.asarray(f_k, dtype=float).reshape(4, 3)
     feet = np.asarray(feet, dtype=float).reshape(4, 3)
-    u = f_k.sum(axis=0) / model.mass + model.g_vec
+    u = f_k.sum(axis=0) / model.mass + GRAVITY_W
     c_vel = x_k1.vel - x_k.vel - h * u
     tau = np.zeros(3)
     for s in range(4):
@@ -325,7 +319,7 @@ class TimingProblem:
         self.nt_off = self.nf_off + self.n_force
         self.n_vars = self.nt_off + self.n_phases
 
-        self.f_scale = spec.model.mass * abs(spec.model.g_vec[2])
+        self.f_scale = spec.model.mass * abs(GRAVITY_W[2])
         self.ref_rots = np.stack([
             so3.interp_rotation(spec.r_start, spec.r_goal, k / self.n_int)
             for k in range(self.n_knots)
@@ -337,7 +331,7 @@ class TimingProblem:
         self.feet_cm = self.int_feet_pos.transpose(2, 1, 0)                # (3, 4, N)
         self.item_slot = self.fi_f * self.n_int + self.fi_j
         self.sk_pw_cm = self.sk_pw.T
-        self.sk_center_cm = spec.sphere_centers[self.sk_f].T
+        self.sk_center_cm = _SPHERE_CENTERS[self.sk_f].T
         self.int_nk = self.phase_nk[self.int_phase]
 
         self.n_goal_twist = (3 if spec.v_goal is not None else 0) + \
@@ -451,10 +445,10 @@ class TimingProblem:
         if spec.com_max is not None:
             hi_k[self.sk_knots, 0:3] = spec.com_max
         lo_f, hi_f = (b[self.nf_off:self.nt_off].reshape(-1, 3) for b in (lo, hi))
-        lo_f[:, 0:2], hi_f[:] = -spec.f_max / self.f_scale, spec.f_max / self.f_scale
-        lo_f[:, 2] = spec.f_min / self.f_scale
+        lo_f[:, 0:2], hi_f[:] = -F_MAX / self.f_scale, F_MAX / self.f_scale
+        lo_f[:, 2] = F_MIN / self.f_scale
         lo[self.nt_off:] = [ph.t_min for ph in spec.phases]
-        hi[self.nt_off:] = [min(ph.t_max, spec.t_max) for ph in spec.phases]
+        hi[self.nt_off:] = spec.t_max
         return lo, hi
 
     # -- vectorized evaluation ----------------------------------------------
@@ -483,7 +477,7 @@ class TimingProblem:
         st.om_k, st.r_k = st.omega[:, :-1], st.rots[..., :-1]
 
         st.fsum = forces.sum(axis=1)
-        st.u = st.fsum / spec.model.mass + spec.model.g_vec[:, None]
+        st.u = st.fsum / spec.model.mass + GRAVITY_W[:, None]
         # torque about the CoM per interval, world frame
         lever = st.p_k[:, None] - self.feet_cm                  # (3, 4, N)
         st.lever_items = lever.reshape(3, 4 * n_int)[:, self.item_slot]
@@ -592,9 +586,9 @@ class TimingProblem:
         # rotation error eps |log(ref^T R)^vee|^2 per knot, log(M)^vee = a(c) s
         s_vec, a_fac, _, _ = _log_factor(st.m_err)
         e_vecs = a_fac * s_vec
-        cost = float(spec.eps_omega * np.sum(omega * omega)
-                     + spec.eps_force * np.sum(st.f_cm * st.f_cm)
-                     + spec.eps_rot * float(np.sum(e_vecs * e_vecs)))
+        cost = float(_EPS_OMEGA * np.sum(omega * omega)
+                     + _EPS_FORCE * np.sum(st.f_cm * st.f_cm)
+                     + _EPS_ROT * float(np.sum(e_vecs * e_vecs)))
         if not need_grad:
             return cost, c_eq, ineq, None
         return cost, c_eq, ineq, partial(self._derivative_blocks, z.copy())
@@ -679,17 +673,17 @@ class TimingProblem:
                            self.n_vars + 1)[1:]
         grad[self.unit_vars] += y_eq[self.unit_rows]
         grad[self.nt_off:] += y_in[-1] - y_in[-2]
-        rot_grad, rot_hess = _rot_cost_derivatives(st.m_err, self.ref_rots, spec.eps_rot)
+        rot_grad, rot_hess = _rot_cost_derivatives(st.m_err, self.ref_rots)
         g_knots = grad[:self.nf_off].reshape(self.n_knots, 18)
-        g_knots[:, 6:9] += 2.0 * spec.eps_omega * st.omega.T
+        g_knots[:, 6:9] += 2.0 * _EPS_OMEGA * st.omega.T
         g_knots[:, 9:18] += rot_grad
-        grad[self.nf_off:self.nt_off] += 2.0 * spec.eps_force * fs * st.f_cm.T.ravel()
+        grad[self.nf_off:self.nt_off] += 2.0 * _EPS_FORCE * fs * st.f_cm.T.ravel()
 
         y = self._multipliers(y_eq, y_in)
         hess = np.zeros((self.n_knots, bs + 1, bs + 1))          # the duration last
         # cost
-        hess[:, 6 + ax, 6 + ax] = 2.0 * spec.eps_omega
-        hess[fi_j, ic + ax, ic + ax] = 2.0 * spec.eps_force * fs**2
+        hess[:, 6 + ax, 6 + ax] = 2.0 * _EPS_OMEGA
+        hess[fi_j, ic + ax, ic + ax] = 2.0 * _EPS_FORCE * fs**2
         hess[:, 9:18, 9:18] = rot_hess
 
         # position and velocity defects: linear in h, so only the duration
@@ -853,7 +847,7 @@ def _log_factor(m_err: np.ndarray):
     return _vee_star_batch(m_err), a, np.where(held, 0.0, a_c), np.where(held, 0.0, a_cc)
 
 
-def _rot_cost_derivatives(m_err: np.ndarray, ref: np.ndarray, eps_rot: float):
+def _rot_cost_derivatives(m_err: np.ndarray, ref: np.ndarray):
     """Gradient ``(n_knots, 9)`` and Hessian ``(n_knots, 9, 9)`` of the
     rotation-error cost in each knot's rotation entries.
 
@@ -866,9 +860,9 @@ def _rot_cost_derivatives(m_err: np.ndarray, ref: np.ndarray, eps_rot: float):
     """
     s_vec, a_fac, a_c, a_cc = _log_factor(m_err)
     s_sq = np.sum(s_vec * s_vec, axis=0)
-    q = eps_rot * a_fac * a_fac
-    q1 = eps_rot * a_fac * a_c                            # d q / d tr, times eps
-    q2 = eps_rot * 0.5 * (a_c * a_c + a_fac * a_cc)       # d^2 q / d tr^2, times eps
+    q = _EPS_ROT * a_fac * a_fac
+    q1 = _EPS_ROT * a_fac * a_c                           # d q / d tr, times eps
+    q2 = _EPS_ROT * 0.5 * (a_c * a_c + a_fac * a_cc)      # d^2 q / d tr^2, times eps
     n = len(ref)
     tau = ref.reshape(n, 9)                               # vec(ref I)
     ref_hat = (ref[:, None] @ _HAT_UNITS).reshape(n, 3, 9)   # vec(ref hat(e_i))
@@ -897,7 +891,7 @@ def initial_guess(problem: TimingProblem) -> np.ndarray:
     t_total0 = 0.5 * (spec.t_min + spec.t_max)
     durations = np.full(problem.n_phases, t_total0 / problem.n_phases)
     for i, ph in enumerate(spec.phases):
-        durations[i] = min(max(durations[i], ph.t_min), min(ph.t_max, spec.t_max))
+        durations[i] = min(max(durations[i], ph.t_min), spec.t_max)
     h_int = durations[problem.int_phase] / problem.phase_nk[problem.int_phase]
 
     # rotation schedule: flight intervals carry 5x the progress of stance
@@ -915,7 +909,7 @@ def initial_guess(problem: TimingProblem) -> np.ndarray:
         omega[j] = so3.log_map(rots[j].T @ rots[j + 1]) / h_int[j]
 
     forces = np.zeros((problem.n_int, 4, 3))
-    weight = spec.model.mass * abs(spec.model.g_vec[2])
+    weight = spec.model.mass * abs(GRAVITY_W[2])
     for j in range(problem.n_int):
         feet = problem.int_feet[j]
         for f in feet:
@@ -1298,7 +1292,7 @@ def check_constraints(spec: JumpSpec, sol: TimingSolution) -> dict:
                 fx, fy, fz = forces[j, f]
                 if f in ph.feet:
                     fric = max(fric, abs(fx) - spec.mu * fz, abs(fy) - spec.mu * fz)
-                    fz_bounds = max(fz_bounds, spec.f_min - fz, fz - spec.f_max)
+                    fz_bounds = max(fz_bounds, F_MIN - fz, fz - F_MAX)
                 else:
                     fric = max(fric, float(np.max(np.abs(forces[j, f]))))
             j += 1
@@ -1311,7 +1305,7 @@ def check_constraints(spec: JumpSpec, sol: TimingSolution) -> dict:
         for k in rng:
             if ph.feet:
                 for f in ph.feet:
-                    u = states[k].rot @ (feet_pos[f] - states[k].pos) - spec.sphere_centers[f]
+                    u = states[k].rot @ (feet_pos[f] - states[k].pos) - _SPHERE_CENTERS[f]
                     sphere = max(sphere, float(np.linalg.norm(u)) - spec.sphere_radius)
                 if spec.com_min is not None:
                     sphere_box = float(np.max(np.asarray(spec.com_min) - states[k].pos))
@@ -1333,14 +1327,14 @@ def check_constraints(spec: JumpSpec, sol: TimingSolution) -> dict:
     return report
 
 
-def export_reference(sol: TimingSolution, spec: JumpSpec, dt: float = 0.01) -> BodyReference:
-    """Sample the solution on a uniform grid for the tracking controller.
+def export_reference(sol: TimingSolution, spec: JumpSpec) -> BodyReference:
+    """Sample the solution every :data:`_REFERENCE_DT` seconds for the
+    tracking controller.
 
     Positions and velocities are interpolated linearly between knots,
     rotations along the geodesic; knot times are reproduced exactly.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    dt = _REFERENCE_DT
     knot_t = [0.0]
     for i, ph in enumerate(spec.phases):
         h = float(sol.durations[i]) / ph.n_knots

@@ -12,8 +12,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from quadstack import gait, so3
-from quadstack.balance import BalanceGains, BodyModel, FrictionSpec, balance_qp, build_force_model
+from quadstack import balance, gait, so3
+from quadstack.balance import BodyModel, FrictionSpec, balance_qp, build_force_model
 from quadstack.estimation import ImuSample, OrientationFilter, orientation_step
 from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpStatus
 from quadstack.scenarios import (hop_spec, nominal_feet, run_jump_sim,
@@ -140,12 +140,14 @@ class TestCriterion4:
                     best_f, best_x = f, x
         return best_x, best_f
 
-    def test_balance_qp(self):
+    def test_balance_qp(self, monkeypatch):
         model = BodyModel()
-        gains = BalanceGains(alpha=1e-9, beta=0.0)
         a, b_d = build_force_model([0.0, 0.0, 0.45], FEET, model,
                                    np.zeros(3), np.zeros(3))
-        f = balance_qp(a, b_d, np.zeros(12), gains, FrictionSpec(), np.ones(4, dtype=bool))
+        with monkeypatch.context() as weights:
+            weights.setattr(balance, "_ALPHA", 1e-9)
+            weights.setattr(balance, "_BETA", 0.0)
+            f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), np.ones(4, dtype=bool))
         hover_err = np.max(np.abs(f[2::3] - model.mass * G / 4.0))
         hover_ok = hover_err <= 0.5 and abs(f[2::3].sum() * 4 / 4 - 441.45) < 2.0
 
@@ -159,7 +161,7 @@ class TestCriterion4:
                 mask[0] = True
             a_i, b_i = build_force_model([0.0, 0.0, 0.45], FEET + rng.normal(size=(4, 3)) * 0.04,
                                          model, rng.normal(size=3) * 2, rng.normal(size=3))
-            fi = balance_qp(a_i, b_i, np.zeros(12), BalanceGains(), friction, mask)
+            fi = balance_qp(a_i, b_i, np.zeros(12), friction, mask)
             for leg in range(4):
                 fx, fy, fz = fi[3 * leg:3 * leg + 3]
                 if mask[leg]:
@@ -219,7 +221,6 @@ class TestCriterion4:
 class TestCriterion5:
     def test_support_polygon(self):
         sched = gait.gait_preset("trot", period=0.4)
-        params = gait.PhaseGainParams()
         feet_xy = FEET[:, 0:2]
         centroid = feet_xy.mean(axis=0)
         coms = []
@@ -228,7 +229,7 @@ class TestCriterion5:
             weights = []
             for leg in range(4):
                 c, phi = gait.subphase(t, sched, leg)
-                w = gait.total_weight(c, phi, params)
+                w = gait.total_weight(c, phi)
                 weights_ok &= -1e-12 <= w <= 1.0 + 1e-12
                 weights.append(w)
             verts = gait.support_polygon(feet_xy, np.array(weights))
@@ -331,7 +332,7 @@ class TestCriterion10:
         t0 = time.perf_counter()
         from quadstack.trajopt import export_reference
 
-        ref = export_reference(sol, spec, dt=0.01)
+        ref = export_reference(sol, spec)
         res = run_jump_sim(spec, ref)
         runtime = time.perf_counter() - t0
         s = res.summary

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quadstack import qpsolver, so3
+from quadstack import balance, qpsolver, so3
 from quadstack.balance import (
+    GRAVITY_W,
     BalanceController,
-    BalanceGains,
     BodyModel,
     ForceDistributionError,
     FrictionSpec,
@@ -29,6 +29,16 @@ def hover_desired():
     return DesiredState(pos=[0.0, 0.0, 0.45])
 
 
+@pytest.fixture
+def set_gains(monkeypatch):
+    """Sets balance gains and QP weights for one test: ``alpha=1e-9`` sets
+    ``balance._ALPHA``."""
+    def set_(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(balance, f"_{name.upper()}", value)
+    return set_
+
+
 def force_model_per_leg(p_c, feet, model, acc_lin, acc_ang, r=None):
     """build_force_model as the per-leg np.eye / so3.hat construction."""
     a = np.zeros((6, 12))
@@ -36,20 +46,20 @@ def force_model_per_leg(p_c, feet, model, acc_lin, acc_ang, r=None):
         a[0:3, 3 * i:3 * i + 3] = np.eye(3)
         a[3:6, 3 * i:3 * i + 3] = so3.hat(feet[i] - p_c)
     inertia = model.inertia if r is None else model.inertia_world(r)
-    b_d = np.concatenate([model.mass * (acc_lin - model.g_vec), inertia @ acc_ang])
+    b_d = np.concatenate([model.mass * (acc_lin - GRAVITY_W), inertia @ acc_ang])
     return a, b_d
 
 
-def balance_qp_gather(a, b_d, f_prev, gains, friction, stance_mask, solver):
+def balance_qp_gather(a, b_d, f_prev, friction, stance_mask, solver):
     """balance_qp with its stance columns gathered per call and the
     regularization added as (alpha + beta) * np.eye(n); returns the QP too."""
     stance = np.flatnonzero(stance_mask)
     cols = np.concatenate([[3 * i, 3 * i + 1, 3 * i + 2] for i in stance])
     a_s = a[:, cols]
-    s_w = gains.s_weight
-    h = 2.0 * (a_s.T @ s_w @ a_s + (gains.alpha + gains.beta) * np.eye(cols.size))
+    s_w = balance._S_WEIGHT
+    h = 2.0 * (a_s.T @ s_w @ a_s + (balance._ALPHA + balance._BETA) * np.eye(cols.size))
     c_ineq, d_ineq = _friction_rows(stance.size, friction.mu, friction.f_min, friction.f_max)
-    g = -2.0 * (a_s.T @ (s_w @ b_d) + gains.beta * f_prev[cols])
+    g = -2.0 * (a_s.T @ (s_w @ b_d) + balance._BETA * f_prev[cols])
     qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
     f = np.zeros(12)
     f[cols] = solver.solve(qp).x
@@ -71,22 +81,22 @@ ALL_MASKS = [np.array([(k >> leg) & 1 for leg in range(4)], dtype=bool) for k in
 
 class TestPdWrench:
     def test_zero_at_target(self):
-        acc_lin, acc_ang = pd_wrench(STAND, hover_desired(), BalanceGains())
+        acc_lin, acc_ang = pd_wrench(STAND, hover_desired())
         assert_allclose(acc_lin, np.zeros(3), atol=1e-12)
         assert_allclose(acc_ang, np.zeros(3), atol=1e-12)
 
-    def test_pure_position_error(self):
-        gains = BalanceGains(kp_pos=100 * np.eye(3), kd_pos=np.zeros((3, 3)))
+    def test_pure_position_error(self, set_gains):
+        set_gains(kp_pos=100 * np.eye(3), kd_pos=np.zeros((3, 3)))
         state = RobotState(pos=[-0.1, 0.0, 0.45], feet=FEET)
         des = DesiredState(pos=[0.0, 0.0, 0.45])
-        acc_lin, _ = pd_wrench(state, des, gains)
+        acc_lin, _ = pd_wrench(state, des)
         assert_allclose(acc_lin, [10.0, 0.0, 0.0], atol=1e-12)
 
-    def test_orientation_error_sign(self):
-        gains = BalanceGains(kp_orn=50 * np.eye(3), kd_orn=np.zeros((3, 3)))
+    def test_orientation_error_sign(self, set_gains):
+        set_gains(kp_orn=50 * np.eye(3), kd_orn=np.zeros((3, 3)))
         state = RobotState(pos=[0.0, 0.0, 0.45], rot=so3.rot_z(0.1), feet=FEET)
         des = DesiredState(pos=[0.0, 0.0, 0.45])  # rot = identity
-        _, acc_ang = pd_wrench(state, des, gains)
+        _, acc_ang = pd_wrench(state, des)
         assert_allclose(acc_ang, [0.0, 0.0, -5.0], atol=1e-9)
 
 
@@ -127,10 +137,10 @@ class TestForceModel:
 
 
 class TestBalanceQp:
-    def test_hover_distributes_weight_evenly(self):
-        gains = BalanceGains(alpha=1e-9, beta=0.0)
+    def test_hover_distributes_weight_evenly(self, set_gains):
+        set_gains(alpha=1e-9, beta=0.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
-        f = balance_qp(a, b_d, np.zeros(12), gains, FrictionSpec(), np.ones(4, dtype=bool))
+        f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), np.ones(4, dtype=bool))
         for i in range(4):
             assert_allclose(f[3 * i + 2], 45.0 * 9.81 / 4.0, atol=0.5)
             assert_allclose(f[3 * i:3 * i + 2], np.zeros(2), atol=0.5)
@@ -138,7 +148,7 @@ class TestBalanceQp:
     def test_swing_feet_exactly_zero(self):
         a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
         mask = np.array([True, False, False, True])
-        f = balance_qp(a, b_d, np.zeros(12), BalanceGains(), FrictionSpec(), mask)
+        f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), mask)
         assert np.all(f[3:9] == 0.0)
         assert f[2] > 0.0 and f[11] > 0.0
 
@@ -147,7 +157,7 @@ class TestBalanceQp:
         friction = FrictionSpec(mu=0.5, f_min=0.0, f_max=400.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
                                    np.array([30.0, 0.0, 0.0]), np.zeros(3))
-        f = balance_qp(a, b_d, np.zeros(12), BalanceGains(), friction,
+        f = balance_qp(a, b_d, np.zeros(12), friction,
                        np.ones(4, dtype=bool))
         for i in range(4):
             fx, fy, fz = f[3 * i:3 * i + 3]
@@ -155,29 +165,29 @@ class TestBalanceQp:
             assert abs(fy) <= friction.mu * fz + 1e-6
         assert abs(np.sum(f[0::3]) - 45.0 * 30.0) > 1.0  # clamped below command
 
-    def test_unconstrained_matches_least_squares(self):
+    def test_unconstrained_matches_least_squares(self, set_gains):
         # S = I, alpha -> 0, beta = 0, no active constraints: A F = b_d for
         # b_d in range(A); compare against the pseudo-inverse solution
-        gains = BalanceGains(s_weight=np.eye(6), alpha=1e-12, beta=0.0)
+        set_gains(s_weight=np.eye(6), alpha=1e-12, beta=0.0)
         friction = FrictionSpec(mu=5.0, f_min=0.0, f_max=1e5)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
                                    np.array([0.5, -0.2, 0.3]), np.array([0.1, 0.2, -0.1]))
-        f = balance_qp(a, b_d, np.zeros(12), gains, friction, np.ones(4, dtype=bool))
+        f = balance_qp(a, b_d, np.zeros(12), friction, np.ones(4, dtype=bool))
         assert_allclose(a @ f, b_d, atol=1e-5)
         f_ls = np.linalg.pinv(a) @ b_d
         assert_allclose(a @ f_ls, b_d, atol=1e-9)
 
-    def test_beta_slews_solution(self):
+    def test_beta_slews_solution(self, set_gains):
         # increasing beta monotonically shrinks the step from f_prev
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
                                    np.array([0.0, 0.0, 3.0]), np.zeros(3))
         a0, b0 = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
-        f_prev = balance_qp(a0, b0, np.zeros(12), BalanceGains(beta=0.0),
-                            FrictionSpec(), np.ones(4, dtype=bool))
+        set_gains(beta=0.0)
+        f_prev = balance_qp(a0, b0, np.zeros(12), FrictionSpec(), np.ones(4, dtype=bool))
         steps = []
         for beta in (0.0, 1e-3, 1e-2, 1e-1):
-            gains = BalanceGains(beta=beta)
-            f = balance_qp(a, b_d, f_prev, gains, FrictionSpec(), np.ones(4, dtype=bool))
+            set_gains(beta=beta)
+            f = balance_qp(a, b_d, f_prev, FrictionSpec(), np.ones(4, dtype=bool))
             steps.append(np.linalg.norm(f - f_prev))
         assert all(b <= a_ + 1e-9 for a_, b in zip(steps, steps[1:]))
 
@@ -192,7 +202,7 @@ class TestBalanceQp:
             acc = rng.normal(size=3) * 2.0
             ang = rng.normal(size=3) * 1.0
             a, b_d = build_force_model(STAND.pos, feet, MODEL, acc, ang)
-            f = balance_qp(a, b_d, np.zeros(12), BalanceGains(), friction, mask)
+            f = balance_qp(a, b_d, np.zeros(12), friction, mask)
             for i in range(4):
                 fx, fy, fz = f[3 * i:3 * i + 3]
                 if mask[i]:
@@ -207,7 +217,7 @@ class TestBalanceQp:
         friction = FrictionSpec(mu=0.3, f_min=0.0, f_max=150.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
                                    np.array([0.0, 0.0, 100.0]), np.zeros(3))
-        f = balance_qp(a, b_d, np.zeros(12), BalanceGains(), friction,
+        f = balance_qp(a, b_d, np.zeros(12), friction,
                        np.ones(4, dtype=bool))
         assert np.all(f[2::3] <= 150.0 + 1e-7)
 
@@ -228,7 +238,7 @@ class TestBalanceQp:
         a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.array([0.0, 0.0, 100.0]),
                                    np.zeros(3))
         with pytest.raises(ForceDistributionError, match="MAX_ITER"):
-            balance_qp(a, b_d, np.zeros(12), BalanceGains(), friction,
+            balance_qp(a, b_d, np.zeros(12), friction,
                        np.ones(4, dtype=bool), solver=solver)
         assert solver.calls == 1
 
@@ -246,9 +256,9 @@ class TestStanceSets:
                                            rng.normal(size=3) * scale)
                 f_prev = rng.normal(size=12) * 50.0
                 solver = RecordingSolver()
-                f = balance_qp(a, b_d, f_prev, BalanceGains(), friction, mask, solver=solver)
-                f_ref, qp_ref = balance_qp_gather(a, b_d, f_prev, BalanceGains(), friction,
-                                                  mask, ActiveSetSolver())
+                f = balance_qp(a, b_d, f_prev, friction, mask, solver=solver)
+                f_ref, qp_ref = balance_qp_gather(a, b_d, f_prev, friction, mask,
+                                                  ActiveSetSolver())
                 qp, = solver.problems
                 for name in ("h", "g", "c_ineq", "d_ineq"):
                     assert getattr(qp, name).tobytes() == getattr(qp_ref, name).tobytes(), name
@@ -258,13 +268,13 @@ class TestStanceSets:
         a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
         before = (_stance_cols.cache_info(), _friction_rows.cache_info())
         with pytest.raises(ValueError, match="stance"):
-            balance_qp(a, b_d, np.zeros(12), BalanceGains(), FrictionSpec(),
+            balance_qp(a, b_d, np.zeros(12), FrictionSpec(),
                        np.zeros(4, dtype=bool))
         assert (_stance_cols.cache_info(), _friction_rows.cache_info()) == before
 
     def test_friction_reassigned_after_construction_takes_effect(self):
-        # jump-sim's lander raises f_max from 500 to 700 N after construction;
-        # a 1 m height error asks for about 1,460 N per foot
+        # jump-sim's lander is built with f_max = 700 N, the trot's with the
+        # default 500 N; a 1 m height error asks for about 1,460 N per foot
         controller = BalanceController(MODEL)
         des = DesiredState(pos=STAND.pos + [0.0, 0.0, 1.0])
         stance = np.ones(4, dtype=bool)
@@ -273,6 +283,8 @@ class TestStanceSets:
         controller.friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=700.0)
         f = controller.compute(STAND, des, stance)
         assert_allclose(f[2::3], 700.0, atol=1e-7)
+        lander = BalanceController(MODEL, FrictionSpec(f_max=700.0))
+        assert_allclose(lander.compute(STAND, des, stance)[2::3], 700.0, atol=1e-7)
 
 
 class TestSwitches:

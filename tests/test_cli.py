@@ -217,6 +217,14 @@ class TestJump:
         assert code == 0
         assert summary["durations_s"][1] >= 0.6 - 1e-9
 
+    def test_flight_floor_below_the_minimum_is_config_error(self, tmp_path):
+        # a phase floor under the 0.05 s guard is refused, not silently raised
+        code, payload = run_cli(tmp_path, "jump-opt", "jump:\n  n_knots: 8\n  flight_min_s: 0.01\n")
+        assert code == 2
+        assert payload["kind"] == "config"
+        assert "0.01" in payload["error"]
+        assert not (tmp_path / "out" / "jump_ref.csv").exists()
+
     def test_hop_rejects_yaw_goal(self, tmp_path):
         code, payload = run_cli(tmp_path, "jump-opt", self.CFG + "  yaw_goal_deg: 45.0\n")
         assert code == 2
@@ -260,6 +268,28 @@ class TestTrot:
         logs = [cli.read_csv(tmp_path / d / "slope_log.csv") for d in ("default", "changed")]
         assert not np.array_equal(logs[0]["pz_m"], logs[1]["pz_m"])
         assert default["vel_rmse_mps"] != changed["vel_rmse_mps"]
+
+    @pytest.mark.parametrize("subcommand, log", [("trot", "trot_balance_log.csv"),
+                                                 ("mpc-trot", "trot_mpc_log.csv"),
+                                                 ("slope", "slope_log.csv")])
+    def test_noise_reaches_the_estimator(self, tmp_path, subcommand, log):
+        # with controller.use_estimates the noise config reaches the sensors
+        # the estimator reads; without it, a noise key is a config error
+        estimates = "controller:\n  use_estimates: true\n"
+        quiet = "noise:\n  accel_std: 0.0\n  gyro_std: 0.0\n  accel_bias: 0.0\n"
+        logs = []
+        for name, noise in (("noisy", ""), ("quiet", quiet)):
+            code, _ = run_cli(tmp_path, subcommand, estimates + noise,
+                              out_dir=str(tmp_path / name), duration_s=0.3)
+            assert code == 0
+            logs.append((tmp_path / name / log).read_bytes())
+        assert logs[0] != logs[1]
+        code, payload = run_cli(tmp_path, subcommand, "noise:\n  gyro_std: 0.01\n",
+                                duration_s=0.3)
+        assert code == 2
+        assert payload["kind"] == "config"
+        assert "noise.gyro_std" in payload["error"]
+        assert not (tmp_path / "out" / log).exists()
 
     def test_slope_rejects_mpc(self, tmp_path):
         code, payload = run_cli(tmp_path, "slope", "controller:\n  type: mpc\n")

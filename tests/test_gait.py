@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from quadstack import gait
 
 TROT = gait.gait_preset("trot", period=0.4)
-P = gait.PhaseGainParams()
 
 NOMINAL_FEET = np.array([[0.3, -0.128], [0.3, 0.128], [-0.3, -0.128], [-0.3, 0.128]])
 # ring neighbours of each leg, clockwise and counterclockwise viewed from above
@@ -32,10 +31,10 @@ def polygon_per_vertex(feet_xy, weights):
     return verts
 
 
-def footstep_numpy(p_hip, t_stance, v_des, v, z0, g=9.81):
+def footstep_numpy(p_hip, t_stance, v_des, v, z0):
     """footstep's formula on 2-vectors."""
     p_hip, v_des, v = (np.asarray(x, dtype=float) for x in (p_hip, v_des, v))
-    return p_hip + 0.5 * t_stance * v_des + np.sqrt(z0 / g) * (v - v_des)
+    return p_hip + 0.5 * t_stance * v_des + np.sqrt(z0 / 9.81) * (v - v_des)
 
 
 class TestSubphase:
@@ -66,35 +65,37 @@ class TestSubphase:
 
 class TestPhaseGains:
     def test_contact_mid(self):
-        assert_allclose(gait.phase_gain_contact(0.5, P), 0.9999994, atol=1e-6)
+        assert_allclose(gait.phase_gain_contact(0.5), 0.9999994, atol=1e-6)
 
     def test_contact_edge(self):
-        assert_allclose(gait.phase_gain_contact(0.0, P), 0.5, atol=1e-9)
+        assert_allclose(gait.phase_gain_contact(0.0), 0.5, atol=1e-9)
 
     def test_contact_symmetry(self):
         for phi in (0.1, 0.3, 0.45):
-            assert_allclose(gait.phase_gain_contact(phi, P),
-                            gait.phase_gain_contact(1.0 - phi, P), atol=1e-12)
+            assert_allclose(gait.phase_gain_contact(phi),
+                            gait.phase_gain_contact(1.0 - phi), atol=1e-12)
 
     def test_swing_edge(self):
-        assert_allclose(gait.phase_gain_swing(0.0, P), 0.5, atol=1e-9)
+        assert_allclose(gait.phase_gain_swing(0.0), 0.5, atol=1e-9)
 
     def test_swing_mid_near_zero(self):
-        assert gait.phase_gain_swing(0.5, P) < 1e-5
+        assert gait.phase_gain_swing(0.5) < 1e-5
 
     def test_swing_symmetry(self):
         for phi in (0.2, 0.35):
-            assert_allclose(gait.phase_gain_swing(phi, P),
-                            gait.phase_gain_swing(1.0 - phi, P), atol=1e-12)
+            assert_allclose(gait.phase_gain_swing(phi),
+                            gait.phase_gain_swing(1.0 - phi), atol=1e-12)
 
     def test_transition_continuity(self):
         # end of contact vs start of swing differ by ~erf tail only
-        assert abs(gait.total_weight(True, 1.0, P) - gait.total_weight(False, 0.0, P)) <= 1e-3
+        assert abs(gait.total_weight(True, 1.0) - gait.total_weight(False, 0.0)) <= 1e-3
 
     @given(st.floats(0.0, 1.0), st.floats(0.02, 1.0), st.booleans())
     def test_weight_in_unit_interval(self, phi, sigma, contact):
-        p = gait.PhaseGainParams(sigma, sigma, sigma, sigma)
-        w = gait.total_weight(contact, phi, p)
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_SIGMA_C0", "_SIGMA_C1", "_SIGMA_S0", "_SIGMA_S1"):
+                mp.setattr(gait, name, sigma)
+            w = gait.total_weight(contact, phi)
         assert -1e-12 <= w <= 1.0 + 1e-12
 
 
@@ -145,7 +146,7 @@ class TestPolygon:
         # point-symmetric, so the mean sits at the centroid at every phase
         for t in np.linspace(0.0, TROT.period, 81):
             weights = np.array([
-                gait.total_weight(*gait.subphase(t, TROT, leg), P) for leg in range(4)
+                gait.total_weight(*gait.subphase(t, TROT, leg)) for leg in range(4)
             ])
             com = gait.desired_com(gait.support_polygon(NOMINAL_FEET, weights))
             assert np.linalg.norm(com - NOMINAL_FEET.mean(axis=0)) <= 1e-9
@@ -155,7 +156,7 @@ class TestPolygon:
         coms = []
         for t in np.arange(0.15, 0.25, dt):
             weights = np.array([
-                gait.total_weight(*gait.subphase(t, TROT, leg), P) for leg in range(4)
+                gait.total_weight(*gait.subphase(t, TROT, leg)) for leg in range(4)
             ])
             coms.append(gait.desired_com(gait.support_polygon(NOMINAL_FEET, weights)))
         steps = np.linalg.norm(np.diff(np.array(coms), axis=0), axis=1)
@@ -188,7 +189,7 @@ class TestFloatArithmetic:
         rng = np.random.default_rng(4)
         for t in np.arange(0.0, 2.0 * TROT.period, 7e-3):
             feet_xy = NOMINAL_FEET + rng.normal(scale=0.05, size=(4, 2))
-            weights = np.array([gait.total_weight(*gait.subphase(t, TROT, leg), P)
+            weights = np.array([gait.total_weight(*gait.subphase(t, TROT, leg))
                                 for leg in range(4)])
             expected = polygon_per_vertex(feet_xy, weights)
             verts = gait.support_polygon(feet_xy, weights.tolist())
@@ -224,7 +225,7 @@ class TestFootstep:
         assert_allclose(out, [0.1, 0.2] + 0.5 * 0.25 * v, atol=1e-12)
 
     def test_capture_term_magnitude(self):
-        out = gait.footstep(np.zeros(2), 0.0, np.zeros(2), np.array([0.2, 0.0]), z0=0.3, g=9.81)
+        out = gait.footstep(np.zeros(2), 0.0, np.zeros(2), np.array([0.2, 0.0]), z0=0.3)
         assert_allclose(out, [np.sqrt(0.3 / 9.81) * 0.2, 0.0], atol=1e-6)
         assert_allclose(out[0], 0.0350, atol=2e-4)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quadstack import so3
-from quadstack.balance import BalanceGains, BodyModel, FrictionSpec, balance_qp, build_force_model
+from quadstack import balance, mpc, so3
+from quadstack.balance import GRAVITY_W, BodyModel, FrictionSpec, balance_qp, build_force_model
 from quadstack.mpc import MpcConfig, _condense, linearize_srbd, plan_cost, rollout, solve_mpc
 from quadstack.qpsolver import ActiveSetSolver, QpStatus
 from quadstack.sim import SimWorld
@@ -21,20 +21,31 @@ def stand_x0(z=0.45):
     return x
 
 
-def stand_cfg(horizon=8, dt=0.03, q=None, r=1e-7):
-    if q is None:
-        q = np.diag([150.0, 150.0, 400.0, 80.0, 80.0, 40.0,
-                     1.0, 1.0, 2.0, 4.0, 4.0, 2.0])
+STAND_Q = np.diag([150.0, 150.0, 400.0, 80.0, 80.0, 40.0,
+                   1.0, 1.0, 2.0, 4.0, 4.0, 2.0])
+
+
+@pytest.fixture
+def set_weights(monkeypatch):
+    """Sets the MPC's step and cost weights for one test."""
+    def set_(dt=0.03, q=STAND_Q, r=1e-7):
+        monkeypatch.setattr(mpc, "DT", dt)
+        monkeypatch.setattr(mpc, "_Q_WEIGHT", q)
+        monkeypatch.setattr(mpc, "_R_WEIGHT", r)
+    return set_
+
+
+def stand_cfg(horizon=8):
     x_ref = np.tile(stand_x0(), (horizon, 1))
     contact = np.ones((horizon, 4), dtype=bool)
     feet = np.tile(FEET, (horizon, 1, 1))
-    return MpcConfig(horizon=horizon, dt=dt, q_weight=q, r_weight=r,
-                     x_ref=x_ref, contact=contact, feet=feet, model=MODEL)
+    return MpcConfig(x_ref=x_ref, contact=contact, feet=feet, p_nom=x_ref[:, 0:3],
+                     model=MODEL)
 
 
 class TestLinearize:
     def test_ballistic_velocity_row(self):
-        a, b, c = linearize_srbd(0.0, FEET, MODEL, 0.03, np.ones(4, dtype=bool),
+        a, b, c = linearize_srbd(FEET, MODEL, 0.03, np.ones(4, dtype=bool),
                                  np.array([0.0, 0.0, 0.45]))
         x = stand_x0()
         x_next = a @ x + c  # zero forces
@@ -42,8 +53,7 @@ class TestLinearize:
 
     def test_swing_columns_zero(self):
         contact = np.array([True, False, True, True])
-        _, b, _ = linearize_srbd(0.0, FEET, MODEL, 0.03, contact,
-                                 np.array([0.0, 0.0, 0.45]))
+        _, b, _ = linearize_srbd(FEET, MODEL, 0.03, contact, np.array([0.0, 0.0, 0.45]))
         assert_allclose(b[:, 3:6], np.zeros((12, 3)), atol=0.0)
         assert np.any(b[:, 0:3] != 0.0)
 
@@ -65,8 +75,7 @@ class TestLinearize:
                                 world.state.vel, world.state.rot @ world.state.omega])
         x0 = np.concatenate([state.pos, so3.matrix_to_rpy(state.rot),
                              state.vel, state.rot @ state.omega])
-        a, b, c = linearize_srbd(0.0, FEET, MODEL, dt, np.ones(4, dtype=bool),
-                                 state.pos)
+        a, b, c = linearize_srbd(FEET, MODEL, dt, np.ones(4, dtype=bool), state.pos)
         return np.linalg.norm(a @ x0 + b @ forces + c - truth)
 
     def test_discretization_error_second_order_in_dt(self):
@@ -90,13 +99,16 @@ class TestLinearize:
 TROT = np.array([[True, False, False, True], [False, True, True, False]])
 
 
-def random_cfg(rng, contact, op_yaw=0.0, with_p_nom=False):
+def random_cfg(rng, contact, yaw=0.0, with_p_nom=False):
+    """A random plan for a body turned by ``yaw``: the reference yaw and the
+    footholds turn with it, while the dynamics stay linearized unyawed.
+    Without ``with_p_nom`` the moment arms are taken about the reference."""
     k = contact.shape[0]
     x_ref = np.tile(stand_x0(), (k, 1)) + rng.normal(scale=0.1, size=(k, 12))
-    feet = FEET + rng.normal(scale=0.05, size=(k, 4, 3))
-    p_nom = x_ref[:, 0:3] + rng.normal(scale=0.05, size=(k, 3)) if with_p_nom else None
-    return MpcConfig(horizon=k, dt=0.03, q_weight=np.eye(12), r_weight=1e-6, x_ref=x_ref,
-                     contact=contact, feet=feet, op_yaw=op_yaw, model=MODEL, p_nom=p_nom)
+    x_ref[:, 5] += yaw
+    feet = (FEET + rng.normal(scale=0.05, size=(k, 4, 3))) @ so3.rot_z(yaw).T
+    p_nom = x_ref[:, 0:3] + (rng.normal(scale=0.05, size=(k, 3)) if with_p_nom else 0.0)
+    return MpcConfig(x_ref=x_ref, contact=contact, feet=feet, p_nom=p_nom, model=MODEL)
 
 
 class TestCondense:
@@ -111,17 +123,19 @@ class TestCondense:
     }
 
     @pytest.mark.parametrize("name", sorted(SCHEDULES))
-    @pytest.mark.parametrize("op_yaw", [0.0, 0.7, -2.9])
+    @pytest.mark.parametrize("yaw", [0.0, 0.7, -2.9])
     @pytest.mark.parametrize("with_p_nom", [False, True])
-    def test_matches_per_step_rollout(self, name, op_yaw, with_p_nom):
+    def test_matches_per_step_rollout(self, name, yaw, with_p_nom):
         # the closed-form prediction against mpc.rollout, which composes the
-        # per-step linearize_srbd dynamics one step at a time
+        # per-step linearize_srbd dynamics one step at a time, for a body
+        # turned by yaw
         rng = np.random.default_rng(7)
         contact = self.SCHEDULES[name]
         k = contact.shape[0]
         for _ in range(3):
-            cfg = random_cfg(rng, contact, op_yaw, with_p_nom)
+            cfg = random_cfg(rng, contact, yaw, with_p_nom)
             x0 = stand_x0() + rng.normal(scale=0.2, size=12)
+            x0[5] += yaw
             plan = rng.normal(scale=80.0, size=(k, 12)) * np.repeat(contact, 3, axis=1)
             sx, su, sc = _condense(cfg)
             assert su.shape == (12 * k, 3 * int(contact.sum()))
@@ -131,13 +145,19 @@ class TestCondense:
             assert np.max(np.abs(pred - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("dt", [1e-3, 0.03, 0.25])
-    @pytest.mark.parametrize("op_yaw", [0.0, 0.4, np.pi / 2, -2.2])
-    def test_state_matrix_is_identity_plus_nilpotent(self, dt, op_yaw):
-        a, _, _ = linearize_srbd(op_yaw, FEET, MODEL, dt, np.ones(4, dtype=bool),
+    @pytest.mark.parametrize("yaw", [0.0, 0.4, np.pi / 2, -2.2])
+    def test_state_matrix_is_identity_plus_nilpotent(self, dt, yaw):
+        # for footholds turned by yaw as well: the state matrix does not
+        # depend on the heading
+        feet = FEET @ so3.rot_z(yaw).T
+        a, _, _ = linearize_srbd(feet, MODEL, dt, np.ones(4, dtype=bool),
                                  np.array([0.0, 0.0, 0.45]))
         n = a - np.eye(12)
         assert np.any(n != 0.0)
         assert np.array_equal(n @ n, np.zeros((12, 12)))
+        a0, _, _ = linearize_srbd(FEET, MODEL, dt, np.ones(4, dtype=bool),
+                                  np.array([0.0, 0.0, 0.45]))
+        assert np.array_equal(a, a0)
 
     def test_all_flight_plan_is_exact_zeros(self):
         cfg = random_cfg(np.random.default_rng(1), self.SCHEDULES["all_flight"])
@@ -147,11 +167,15 @@ class TestCondense:
 
 
 class TestSolve:
-    def test_static_stand_forces(self):
+    @pytest.fixture(autouse=True)
+    def stand_weights(self, set_weights):
+        set_weights()
+
+    def test_static_stand_forces(self, set_weights):
         # velocity-weighted Q keeps the horizon tail from shedding force
-        q = np.diag([50.0, 50.0, 100.0, 80.0, 80.0, 40.0,
-                     10.0, 10.0, 20.0, 4.0, 4.0, 2.0])
-        cfg = stand_cfg(q=q)
+        set_weights(q=np.diag([50.0, 50.0, 100.0, 80.0, 80.0, 40.0,
+                               10.0, 10.0, 20.0, 4.0, 4.0, 2.0]))
+        cfg = stand_cfg()
         plan = solve_mpc(cfg, stand_x0(), FrictionSpec())
         for i in range(cfg.horizon):
             for f in range(4):
@@ -201,13 +225,13 @@ class TestSolve:
         assert j_star <= plan_cost(cfg, x0, zero) + 1e-9
         assert j_star <= plan_cost(cfg, x0, grav) + 1e-9
 
-    def test_horizon_one_reduces_to_balance_qp(self):
+    def test_horizon_one_reduces_to_balance_qp(self, set_weights, monkeypatch):
         # Q = M S M / dt^2 on the velocity rows and R = alpha I make the
         # one-step plan identical to the stance-force QP with beta = 0
         dt = 0.02
         s_w = np.diag([1.0, 1.0, 1.0, 15.0, 15.0, 8.0])
         alpha = 1e-5
-        i_w = MODEL.inertia  # yaw = 0
+        i_w = MODEL.inertia
         m_blk = np.zeros((6, 6))
         m_blk[0:3, 0:3] = MODEL.mass * np.eye(3)
         m_blk[3:6, 3:6] = i_w
@@ -222,20 +246,22 @@ class TestSolve:
         x_ref[6:9] = v_ref
         x_ref[9:12] = w_ref
 
-        cfg = MpcConfig(horizon=1, dt=dt, q_weight=q, r_weight=alpha,
-                        x_ref=x_ref.reshape(1, 12),
-                        contact=np.ones((1, 4), dtype=bool),
-                        feet=FEET.reshape(1, 4, 3), model=MODEL)
+        set_weights(dt=dt, q=q, r=alpha)
+        cfg = MpcConfig(x_ref=x_ref.reshape(1, 12), contact=np.ones((1, 4), dtype=bool),
+                        feet=FEET.reshape(1, 4, 3), p_nom=x_ref[0:3].reshape(1, 3),
+                        model=MODEL)
         friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=400.0)
         plan = solve_mpc(cfg, x0, friction)
 
         b_d = np.concatenate([
-            MODEL.mass * ((v_ref - x0[6:9]) / dt - MODEL.g_vec),
+            MODEL.mass * ((v_ref - x0[6:9]) / dt - GRAVITY_W),
             i_w @ (w_ref - x0[9:12]) / dt,
         ])
         a, _ = build_force_model(x_ref[0:3], FEET, MODEL, np.zeros(3), np.zeros(3))
-        gains = BalanceGains(s_weight=s_w, alpha=alpha, beta=0.0)
-        f_bal = balance_qp(a, b_d, np.zeros(12), gains, friction, np.ones(4, dtype=bool))
+        monkeypatch.setattr(balance, "_S_WEIGHT", s_w)
+        monkeypatch.setattr(balance, "_ALPHA", alpha)
+        monkeypatch.setattr(balance, "_BETA", 0.0)
+        f_bal = balance_qp(a, b_d, np.zeros(12), friction, np.ones(4, dtype=bool))
         assert_allclose(plan[0], f_bal, atol=1e-5)
 
     def test_rollout_tracks_reference_stand(self):

@@ -111,33 +111,35 @@ JUMP_BOUNDARIES = ("swing.leg_ik", "swing.stance_torque", "swing.jump_track_torq
                    "swing.grf_from_torque", "sim.step", "sim.encoders")
 
 
-def _traced_jump_sim(spec, ref, **kw):
+def _traced_jump_sim(spec, ref):
     layers = _layers()
     tracer = layers.Tracer()
     try:
         layers.install(tracer, quadstack)
-        res = quadstack.scenarios.run_jump_sim(spec, ref, **kw)
+        res = quadstack.scenarios.run_jump_sim(spec, ref)
     finally:
         tracer.restore()
     return res, tracer.spans, layers.layer_metrics(tracer.spans)
 
 
-def test_jump_sim_calls_traced_boundaries():
+def test_jump_sim_calls_traced_boundaries(monkeypatch):
     # a jump loop that inlines a tracking helper makes swing.track_us_per_tick
     # read 0
+    monkeypatch.setattr(quadstack.scenarios, "_RECOVER_TIME", 0.0)
     spec = quadstack.scenarios.hop_spec(n_knots=4)
     _, ref = quadstack.scenarios.run_jump_opt(spec)
-    _, spans, metrics = _traced_jump_sim(spec, ref, recover_time=0.0)
+    _, spans, metrics = _traced_jump_sim(spec, ref)
     traced = {name for name, *_ in spans}
     missing = [name for name in JUMP_BOUNDARIES if name not in traced]
     assert not missing, f"no span recorded for {missing}"
     assert metrics["swing.track_us_per_tick"] > 0.0
 
 
-def test_jump_sim_counts_each_ik_fallback_tick():
+def test_jump_sim_counts_each_ik_fallback_tick(monkeypatch):
     # leg targets are kept per 10 ms reference sample, but only after leg_ik
     # succeeds: a target outside the workspace is retried and counted on every
     # stance tick, by the summary and by the tracer alike
+    monkeypatch.setattr(quadstack.scenarios, "_RECOVER_TIME", 0.0)
     spec = quadstack.scenarios.hop_spec(n_knots=4)
     n = 31
     forces = np.zeros((n, 12))
@@ -165,7 +167,7 @@ def test_jump_sim_counts_each_ik_fallback_tick():
     while t < ref.phase_times[0]:
         expected += failing[min(int(t / (ref.t[1] - ref.t[0])), n - 1)]
         t += 1e-3
-    res, _, metrics = _traced_jump_sim(spec, ref, recover_time=0.0)
+    res, _, metrics = _traced_jump_sim(spec, ref)
     assert res.summary["ik_fallbacks"] == expected > 0
     assert metrics["swing.ik_fallbacks"] == expected
 
@@ -325,3 +327,121 @@ def test_class_members_have_a_program_reader():
     assert not unexplained, f"class members with no program reader: {unexplained}"
     stale = [n for n in MEMBER_TEST_ONLY_ALLOWED if n not in declared or n not in unread]
     assert not stale, f"allowlist entries that are not test-only members: {stale}"
+
+
+# defaulted parameters and dataclass fields that only tests set, each with
+# the reason it stays
+SETTABLE_TEST_ONLY_ALLOWED = {
+    "cli.main.argv": "the entry point's arguments; the console script passes none",
+    "gait.polygon_vertex.eps": "degeneracy threshold of the reference step support_polygon "
+                               "is compared against",
+    "so3.vee.tol": "skewness tolerance of the inverse of hat, an oracle",
+    "scenarios.run_stand.controller": "the hover mode that criterion 2 runs",
+    "swing.LegModel.l1": "leg geometry, which every kinematics signature carries",
+    "swing.LegModel.l2": "leg geometry, which every kinematics signature carries",
+    "swing.LegModel.hip_offsets": "leg geometry, which every kinematics signature carries",
+    "trajopt.ContactPhase.feet_pos": "per-phase footholds of the jump corpus, "
+                                     "tested in test_trajopt.py",
+    "trajopt.TimingProblem._derivative_blocks.y_eq": "passed through functools.partial, "
+                                                     "which the guard does not follow",
+    "trajopt.TimingProblem._derivative_blocks.y_in": "passed through functools.partial, "
+                                                     "which the guard does not follow",
+}
+
+
+def _callee(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    return func.attr if isinstance(func, ast.Attribute) else None
+
+
+def _settable_values(tree, module: str):
+    """``(name, callee, position, keyword, own definition, field)`` for each
+    defaulted parameter of the module's functions and methods and each
+    defaulted dataclass field. ``callee`` is the name a call uses (the class
+    for a constructor or a field), ``position`` the index among the
+    positional arguments of such a call (None for keyword-only ones), and
+    the own definition the function, or the class of a constructor or
+    field."""
+    def visit(node, qual, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from fields(child, f"{qual}.{child.name}")
+                yield from visit(child, f"{qual}.{child.name}", child)
+            elif isinstance(child, ast.FunctionDef):
+                yield from params(child, qual, cls)
+                yield from visit(child, f"{qual}.{child.name}", None)
+
+    def params(fn, qual, cls):
+        method = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+        ctor = method and fn.name == "__init__"
+        prefix, callee, own = ((qual, cls.name, cls) if ctor else
+                               (f"{qual}.{fn.name}", fn.name, fn))
+        positional = [*fn.args.posonlyargs, *fn.args.args][1 if method else 0:]
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield f"{prefix}.{arg.arg}", callee, i, arg.arg, own, False
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield f"{prefix}.{arg.arg}", callee, None, arg.arg, own, False
+
+    def fields(cls, qual):
+        if not any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                   for d in cls.decorator_list):
+            return
+        names = [n for n in cls.body
+                 if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+        for i, node in enumerate(names):
+            if node.value is not None:
+                yield f"{qual}.{node.target.id}", cls.name, i, node.target.id, cls, True
+
+    yield from visit(tree, module, None)
+
+
+def _sets(call: ast.Call, position: int | None, keyword: str) -> bool:
+    """Whether a call passes the argument: by keyword, by position, or
+    through ``*`` or ``**``."""
+    if any(kw.arg is None or kw.arg == keyword for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    for i, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return i <= position
+    return position < len(call.args)
+
+
+def test_settable_values_have_a_program_setter():
+    # a defaulted parameter or dataclass field is set by the program,
+    # outside its own definition, or by the benchmark: by a call, or for a
+    # field by an attribute store outside its class. A value that only
+    # tests set is a module constant, or it is listed above
+    root = Path(__file__).resolve().parents[1]
+    src = root / "src" / "quadstack"
+    paths = sorted(src.glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    calls, stores = {}, {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stores.setdefault(node.attr, []).append(node)
+    unset, declared = [], set()
+    for path in sorted(src.glob("*.py")):
+        for name, callee, position, keyword, own, field in _settable_values(trees[path],
+                                                                             path.stem):
+            declared.add(name)
+            inside = set(ast.walk(own))
+            setters = [c for c in calls.get(callee, ()) if c not in inside
+                       and _sets(c, position, keyword)]
+            if field:
+                setters += [s for s in stores.get(keyword, ()) if s not in inside]
+            if not setters:
+                unset.append(name)
+    unexplained = [n for n in unset if n not in SETTABLE_TEST_ONLY_ALLOWED]
+    assert not unexplained, f"settable values with no program setter: {unexplained}"
+    stale = [n for n in SETTABLE_TEST_ONLY_ALLOWED if n not in declared or n not in unset]
+    assert not stale, f"allowlist entries that are not test-only settable values: {stale}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from quadstack import cli, gait, scenarios, sim
+from quadstack import cli, gait, mpc, scenarios, sim
 from quadstack.estimation import ImuSample
 from quadstack.scenarios import (ReplayLogError, hop_spec, reference_from_log, reference_log,
                                  run_estimate, run_jump_opt, run_jump_sim, run_stand, run_trot,
@@ -27,7 +27,7 @@ class TestStand:
     def test_estimator_in_the_loop(self):
         # controller consumes the estimates; errors stay within the stand
         # budget (1 cm position, 0.03 m/s velocity RMS)
-        res = run_stand(duration=3.0, controller="balance", use_estimates=True)
+        res = run_stand(duration=3.0, controller="balance")
         s = res.summary
         assert s["pos_rmse_m"] <= 0.01
         assert s["vel_rmse_mps"] <= 0.03
@@ -87,6 +87,19 @@ class TestTrot:
             assert col in res.log
 
 
+class TestSlope:
+    def test_stance_feet_lie_on_the_slope(self):
+        # the simulator's ground is the slope the controller plans on: every
+        # stance foot sits on z = 0.17 x, touchdowns included
+        res = scenarios.run_slope(duration=1.0, slope=0.17)
+        log = res.log
+        assert log["stance0"].size == 100 and not log["stance0"].all()
+        for leg in range(4):
+            stance = log[f"stance{leg}"] > 0.5
+            gap = log[f"foot{leg}z_m"][stance] - 0.17 * log[f"foot{leg}x_m"][stance]
+            assert np.max(np.abs(gap)) <= 1e-12, leg
+
+
 class TestEstimatedFeet:
     @pytest.mark.parametrize("scenario", ["stand", "trot"])
     def test_balance_receives_the_kf_feet(self, monkeypatch, scenario):
@@ -113,7 +126,7 @@ class TestEstimatedFeet:
         monkeypatch.setattr(sim.SimWorld, "synth_imu", recording_imu)
         monkeypatch.setattr(scenarios.BalanceController, "compute", recording_compute)
         if scenario == "stand":
-            run_stand(duration=0.2, controller="balance", use_estimates=True)
+            run_stand(duration=0.2, controller="balance")
         else:
             run_trot(duration=0.2, use_estimates=True)
         assert len(seen) == 200
@@ -130,8 +143,8 @@ def mpc_tables_per_leg(driver, t, state):
     def v_cmd(t):
         return driver.v_des * min(1.0, t / driver.ramp_time)
 
-    def footstep(p_hip, t_stance, v_des, v, z0, g=9.81):
-        return p_hip + 0.5 * t_stance * v_des + np.sqrt(z0 / g) * (v - v_des)
+    def footstep(p_hip, t_stance, v_des, v, z0):
+        return p_hip + 0.5 * t_stance * v_des + np.sqrt(z0 / 9.81) * (v - v_des)
 
     k = scenarios.MPC_HORIZON
     x_ref = np.zeros((k, 12))
@@ -140,7 +153,7 @@ def mpc_tables_per_leg(driver, t, state):
     feet = np.zeros((k, 4, 3))
     feet_now = state.feet.copy()
     for i in range(k):
-        ti = t + (i + 1) * scenarios.MPC_DT
+        ti = t + (i + 1) * mpc.DT
         for leg in range(4):
             c, _ = gait.subphase(ti, driver.sched, leg)
             contact[i, leg] = c
@@ -238,15 +251,16 @@ class TestJumpPipeline:
         assert sim_res.summary["final_height_error_m"] <= 0.03
         assert sim_res.summary["final_orientation_error_deg"] <= 5.0
 
-    def test_unreachable_reference_counts_ik_fallbacks(self):
+    def test_unreachable_reference_counts_ik_fallbacks(self, monkeypatch):
         # a hand-made stand reference whose body rises 0.5 m above the
         # footholds for samples 2-4: the stance legs cannot reach
+        monkeypatch.setattr(scenarios, "_RECOVER_TIME", 0.0)
         spec = hop_spec(n_knots=4)
-        reachable = run_jump_sim(spec, flat_stand_reference(spec), recover_time=0.0)
+        reachable = run_jump_sim(spec, flat_stand_reference(spec))
         assert reachable.summary["ik_fallbacks"] == 0
         ref = flat_stand_reference(spec)
         ref.pos[2:5, 2] += 0.5
-        raised = run_jump_sim(spec, ref, recover_time=0.0)
+        raised = run_jump_sim(spec, ref)
         # 4 legs on each tick that reads one of the raised samples
         assert raised.summary["ik_fallbacks"] % 4 == 0
         assert 4 * 25 <= raised.summary["ik_fallbacks"] <= 4 * 35
@@ -333,10 +347,11 @@ class TestLayerBoundaries:
         assert c["kf_update"] == n
         assert c["leg_measurements_batch"] == n + 1  # plus the initial foothold fix
 
-    def test_jump_sim_stance_ticks(self, calls):
+    def test_jump_sim_stance_ticks(self, calls, monkeypatch):
+        monkeypatch.setattr(scenarios, "_RECOVER_TIME", 0.0)
         spec = hop_spec(n_knots=4)
         ref = flat_stand_reference(spec)
-        run_jump_sim(spec, ref, recover_time=0.0)
+        run_jump_sim(spec, ref)
         c = calls()
         stance_ticks = sum(t < ref.phase_times[0] for t in c["step_times"])
         assert 0 < stance_ticks < c["ticks"]

@@ -158,8 +158,8 @@ class TestCost:
         n_int = len(sol.states) - 1
         refs = [so3.interp_rotation(spec.r_start, spec.r_goal, k / n_int)
                 for k in range(n_int + 1)]
-        cost = trajectory_cost(sol.states, sol.forces, refs, spec.eps_omega,
-                               spec.eps_force, spec.eps_rot)
+        cost = trajectory_cost(sol.states, sol.forces, refs, trajopt._EPS_OMEGA,
+                               trajopt._EPS_FORCE, trajopt._EPS_ROT)
         assert_allclose(cost, sol.cost, rtol=1e-12, atol=0.0)
 
     def test_log_factor_derivatives(self):
@@ -206,11 +206,12 @@ class TestBuild:
         with pytest.raises(SpecError):
             stand_spec(phases=[])
         with pytest.raises(SpecError):
-            stand_spec(f_min=0.0)
-        with pytest.raises(SpecError):
             stand_spec(phases=[ContactPhase(feet=(0, 9), n_knots=8)])
         with pytest.raises(SpecError):
             stand_spec(t_min=2.0, t_max=1.0)
+        # a phase floor below the vanishing-phase guard is refused, not raised
+        with pytest.raises(SpecError, match="below"):
+            ContactPhase(feet=(), n_knots=8, t_min=0.01)
 
     def test_gradient_matches_finite_differences(self):
         spec = hop_spec(n_knots=4, flight_min=0.1)
@@ -480,10 +481,11 @@ def legacy_tables(prob):
             lo[18 * k:18 * k + 3], hi[18 * k:18 * k + 3] = cmin, cmax
     for idx in force_index.values():
         col = prob.nf_off + idx
-        lo[col + 2], hi[col + 2] = spec.f_min / prob.f_scale, spec.f_max / prob.f_scale
-        lo[col:col + 2], hi[col:col + 2] = -spec.f_max / prob.f_scale, spec.f_max / prob.f_scale
+        f_min, f_max = trajopt.F_MIN / prob.f_scale, trajopt.F_MAX / prob.f_scale
+        lo[col + 2], hi[col + 2] = f_min, f_max
+        lo[col:col + 2], hi[col:col + 2] = -f_max, f_max
     for i, ph in enumerate(spec.phases):
-        lo[prob.nt_off + i], hi[prob.nt_off + i] = ph.t_min, min(ph.t_max, spec.t_max)
+        lo[prob.nt_off + i], hi[prob.nt_off + i] = ph.t_min, spec.t_max
     return {
         "fi_j": np.array([j for j, _f in force_index], dtype=int),
         "fi_f": np.array([f for _j, f in force_index], dtype=int),
@@ -500,14 +502,13 @@ class TestTables:
     def test_tables_match_the_dict_and_list_construction(self, box):
         # foot 0 steps between two stance phases, so a knot where both meet
         # takes the foothold of the interval it starts; feet are listed out
-        # of order, the CoM box has one side only, and the second phase's
-        # t_max lies above spec.t_max
+        # of order, and the CoM box has one side only
         moved = FEET.copy()
         moved[0] += [0.05, -0.02, 0.0]
         spec = stand_spec(phases=[
             ContactPhase(feet=(0, 1, 2, 3), n_knots=3),
-            ContactPhase(feet=(3, 0, 1), n_knots=3, feet_pos=moved, t_max=5.0),
-            ContactPhase(feet=(), n_knots=2, t_max=0.3),
+            ContactPhase(feet=(3, 0, 1), n_knots=3, feet_pos=moved),
+            ContactPhase(feet=(), n_knots=2),
             ContactPhase(feet=(2, 0), n_knots=2, feet_pos=moved),
         ], t_max=1.2, **box)
         prob = TimingProblem(spec)
@@ -658,29 +659,31 @@ class TestSolveHop:
 
 class TestExport:
 
-    def test_knots_reproduced(self, yaw_stand_solution):
+    def test_knots_reproduced(self, yaw_stand_solution, monkeypatch):
         spec, sol = yaw_stand_solution
         h = float(sol.durations[0]) / 8
-        ref = export_reference(sol, spec, dt=h)
+        monkeypatch.setattr(trajopt, "_REFERENCE_DT", h)
+        ref = export_reference(sol, spec)
         for k in range(9):
             assert_allclose(ref.pos[k], sol.states[k].pos, atol=1e-9)
             assert_allclose(ref.vel[k], sol.states[k].vel, atol=1e-9)
 
-    def test_midpoint_average(self, yaw_stand_solution):
+    def test_midpoint_average(self, yaw_stand_solution, monkeypatch):
         spec, sol = yaw_stand_solution
         h = float(sol.durations[0]) / 8
-        ref = export_reference(sol, spec, dt=h / 2)
+        monkeypatch.setattr(trajopt, "_REFERENCE_DT", h / 2)
+        ref = export_reference(sol, spec)
         assert_allclose(ref.pos[1], 0.5 * (sol.states[0].pos + sol.states[1].pos), atol=1e-9)
 
     def test_sample_count(self, yaw_stand_solution):
         spec, sol = yaw_stand_solution
-        dt = 0.01
-        ref = export_reference(sol, spec, dt=dt)
+        dt = trajopt._REFERENCE_DT
+        ref = export_reference(sol, spec)
         assert len(ref.t) == int(round(float(sol.durations.sum()) / dt)) + 1
 
     def test_rotations_orthonormal(self, yaw_stand_solution):
         spec, sol = yaw_stand_solution
-        ref = export_reference(sol, spec, dt=0.01)
+        ref = export_reference(sol, spec)
         for r in ref.rot[::5]:
             assert so3.orthonormality_defect(r) <= 1e-9
 

@@ -19,13 +19,14 @@ their own touchdown.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import so3
 from .qpsolver import ActiveSetSolver, QpProblem, QpStatus
-from .state import DesiredState, RobotState
+from .state import DesiredState, RobotState, unchecked
 
 __all__ = [
     "BodyModel",
@@ -41,13 +42,15 @@ __all__ = [
 CONTACT_FORCE_THRESHOLD = 20.0     # N, landing-switch default
 GRAVITY_W = np.array([0.0, 0.0, -9.81])   # m/s^2, gravitational acceleration, world frame
 GRAVITY_W.setflags(write=False)
+_GRAVITY_XYZ = tuple(GRAVITY_W.tolist())
 
-# PD gains on the CoM position and the body orientation, and the force QP's
-# weights: S on the wrench error, alpha on |F|^2, beta on |F - F_prev|^2
-_KP_POS = np.diag([50.0, 50.0, 120.0])
-_KD_POS = np.diag([15.0, 15.0, 25.0])
-_KP_ORN = np.diag([300.0, 300.0, 200.0])
-_KD_ORN = np.diag([40.0, 40.0, 30.0])
+# diagonals of the PD gains on the CoM position and the body orientation,
+# and the force QP's weights: S on the wrench error, alpha on |F|^2, beta on
+# |F - F_prev|^2
+_KP_POS = (50.0, 50.0, 120.0)
+_KD_POS = (15.0, 15.0, 25.0)
+_KP_ORN = (300.0, 300.0, 200.0)
+_KD_ORN = (40.0, 40.0, 30.0)
 _S_WEIGHT = np.diag([1.0, 1.0, 1.0, 20.0, 20.0, 10.0])
 _ALPHA = 1e-4
 _BETA = 1e-4
@@ -97,12 +100,34 @@ def pd_wrench(state: RobotState, des: DesiredState) -> tuple[np.ndarray, np.ndar
     Orientation feedback acts on log(R_d R^T), a world-frame axis-angle
     error, and the target body rate is zero; both outputs vanish when the
     state matches the target.
+
+    The gains are diagonal: each output entry is one product per term, in
+    floats, and ``+ 0.0`` gives a zero entry the +0.0 of a gain matrix's
+    product. log(R_d R^T) is :func:`so3.log_map`'s scalar path written
+    out; its near-pi branch calls ``log_map``. 3x3 products stay matmuls.
     """
-    acc_lin = _KP_POS @ (des.pos - state.pos) + _KD_POS @ (des.vel - state.vel)
-    err_rot = so3.log_map(des.rot @ state.rot.T)
+    err = des.rot @ state.rot.T
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = err.tolist()
+    tr = r00 + r11 + r22  # np.trace's order
+    if tr <= -1.0 + so3._NEAR_PI_TOL:
+        err_rot = so3.log_map(err).tolist()
+    else:
+        # arccos stays numpy: libm's acos differs from it in the last bit
+        theta = float(np.arccos(min(1.0, max(-1.0, (tr - 1.0) / 2.0))))
+        s = (r21 - r12, r02 - r20, r10 - r01)
+        if theta < so3._EPS_ANGLE:
+            f = 1.0 + theta * theta / 6.0
+            err_rot = [0.5 * x * f for x in s]
+        else:
+            f = theta / (2.0 * math.sin(theta))
+            err_rot = [f * x for x in s]
+    acc_lin = [kp * (d - p) + kd * (dv - v) + 0.0 for kp, kd, d, p, dv, v in zip(
+        _KP_POS, _KD_POS, des.pos.tolist(), state.pos.tolist(),
+        des.vel.tolist(), state.vel.tolist())]
     # 0.0 - w, not -w: the rate error keeps the signed zeros of a zero target
-    acc_ang = _KP_ORN @ err_rot + _KD_ORN @ (0.0 - state.omega_world())
-    return acc_lin, acc_ang
+    acc_ang = [kp * e + kd * (0.0 - w) + 0.0 for kp, kd, e, w in zip(
+        _KP_ORN, _KD_ORN, err_rot, state.omega_world().tolist())]
+    return np.array(acc_lin), np.array(acc_ang)
 
 
 def build_force_model(p_c: np.ndarray, feet: np.ndarray, model: BodyModel,
@@ -114,7 +139,8 @@ def build_force_model(p_c: np.ndarray, feet: np.ndarray, model: BodyModel,
     from a constant template, and the skew blocks are written from the lever
     arms computed as floats, the same bits as :func:`so3.hat` of the array
     difference. b_d = [m (acc_lin - g); I_w acc_ang] with the inertia
-    rotated to the world frame when ``r`` is given.
+    rotated to the world frame when ``r`` is given; its force rows are
+    taken in floats, the moment rows stay a matmul.
     """
     px, py, pz = np.asarray(p_c, dtype=float).reshape(3).tolist()
     r0, r1, r2 = [], [], []
@@ -126,14 +152,18 @@ def build_force_model(p_c: np.ndarray, feet: np.ndarray, model: BodyModel,
     a = _FORCE_TEMPLATE.copy()
     a[3:6] = (r0, r1, r2)
     inertia = model.inertia if r is None else model.inertia_world(r)
-    b_d = np.concatenate([model.mass * (np.asarray(acc_lin, dtype=float) - GRAVITY_W),
-                          inertia @ np.asarray(acc_ang, dtype=float)])
+    ax, ay, az = np.asarray(acc_lin, dtype=float).tolist()
+    gx, gy, gz = _GRAVITY_XYZ
+    m = model.mass
+    b_d = np.array([m * (ax - gx), m * (ay - gy), m * (az - gz),
+                    *(inertia @ np.asarray(acc_ang, dtype=float)).tolist()])
     return a, b_d
 
 
 @functools.lru_cache(maxsize=64)
 def _friction_rows(n_stance: int, mu: float, f_min: float, f_max: float):
-    """Pyramid and normal-bound rows C F <= d for n_stance feet, read-only."""
+    """Pyramid and normal-bound rows C F <= d for n_stance feet and the rows'
+    norms, read-only."""
     block = np.array([[1.0, 0.0, -mu], [0.0, 1.0, -mu], [-1.0, 0.0, -mu],
                       [0.0, -1.0, -mu], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
     rows = np.zeros((n_stance, 6, n_stance, 3))
@@ -141,9 +171,10 @@ def _friction_rows(n_stance: int, mu: float, f_min: float, f_max: float):
     rows[feet, :, feet, :] = block  # one block per foot on the diagonal
     rows = rows.reshape(6 * n_stance, 3 * n_stance)
     rhs = np.tile([0.0, 0.0, 0.0, 0.0, f_max, -f_min], n_stance)
-    rows.setflags(write=False)
-    rhs.setflags(write=False)
-    return rows, rhs
+    norms = np.linalg.norm(rows, axis=1)
+    for x in (rows, rhs, norms):
+        x.setflags(write=False)
+    return rows, rhs, norms
 
 
 @functools.lru_cache(maxsize=16)
@@ -180,9 +211,11 @@ def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
     h = a_s.T @ _S_WEIGHT @ a_s
     h.ravel()[::n + 1] += _ALPHA + _BETA
     h *= 2.0
-    c_ineq, d_ineq = _friction_rows(n // 3, friction.mu, friction.f_min, friction.f_max)
+    c_ineq, d_ineq, norms = _friction_rows(n // 3, friction.mu, friction.f_min, friction.f_max)
     g = -2.0 * (a_s.T @ (_S_WEIGHT @ np.asarray(b_d, dtype=float)) + _BETA * f_prev_s)
-    qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
+    # arrays of the shapes QpProblem checks, and the cached rows' norms
+    qp = unchecked(QpProblem, h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
+    qp.row_norms = norms
     res = solver.solve(qp)
     if res.status is not QpStatus.OPTIMAL:
         raise ForceDistributionError(f"force QP failed with status {res.status}")

@@ -185,7 +185,19 @@ def _duration(cfg: dict, default: float) -> float:
     return float(cfg["duration_s"]) if cfg["duration_s"] is not None else default
 
 
+def _reject_unread(cfg: dict, subcommand: str, *sections: str) -> None:
+    """A key of ``sections`` other than its default is a configuration
+    error: ``subcommand`` never reads it."""
+    for section in sections:
+        changed = [key for key, value in cfg[section].items()
+                   if value != DEFAULT_CONFIG[section][key]]
+        if changed:
+            raise ConfigError(f"{section}.{changed[0]} does not apply to {subcommand}")
+
+
 def cmd_stand(cfg: dict, out: Path) -> dict:
+    # stand always runs the balance controller on estimates
+    _reject_unread(cfg, "stand", "controller")
     res = scenarios.run_stand(
         duration=_duration(cfg, 10.0), seed=int(cfg["seed"]),
         accel_std=float(cfg["noise"]["accel_std"]),
@@ -256,6 +268,7 @@ def cmd_slope(cfg: dict, out: Path) -> dict:
 
 
 def cmd_estimate(cfg: dict, out: Path) -> dict:
+    _reject_unread(cfg, "estimate", "noise", "controller")
     src = cfg["estimate"]["input_csv"]
     if not src:
         raise ConfigError("estimate.input_csv is required for the estimate subcommand")
@@ -287,6 +300,7 @@ def _jump_spec(cfg: dict):
 
 
 def cmd_jump_opt(cfg: dict, out: Path) -> dict:
+    _reject_unread(cfg, "jump-opt", "noise", "controller")
     spec, context = _jump_spec(cfg)
     res, _ref = scenarios.run_jump_opt(spec, context_timings_10ms=context)
     write_csv(out / "jump_ref.csv", res.log)
@@ -296,6 +310,7 @@ def cmd_jump_opt(cfg: dict, out: Path) -> dict:
 def cmd_jump_sim(cfg: dict, out: Path) -> dict:
     """Track ``jump.reference_csv``, or ``<out_dir>/jump_ref.csv``, which is
     solved for and written first when it is absent."""
+    _reject_unread(cfg, "jump-sim", "noise", "controller")
     spec, _ = _jump_spec(cfg)
     ref_csv = cfg["jump"]["reference_csv"]
     if ref_csv and not Path(ref_csv).exists():

@@ -22,6 +22,7 @@ State ordering is fixed as above for serialization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import so3
+from .state import unchecked
 from .swing import LegModel, leg_fk, leg_jacobian
 
 _EYE3_X15 = 1.5 * np.eye(3)
@@ -63,6 +65,7 @@ R_VEL_DEFAULT = 1e-3            # (m/s)^2
 R_HEIGHT_DEFAULT = 1e-4         # m^2
 SWING_INFLATION_DEFAULT = 1e6
 _PRIOR_VAR = 1e-4              # m^2 and (m/s)^2, initial KF state variance
+_KAPPA_REF = 0.1               # 1/s, orientation-filter correction gain at |a| = g
 
 
 class SingularInnovationError(np.linalg.LinAlgError):
@@ -82,7 +85,6 @@ class ImuSample:
 @dataclass
 class OrientationFilter:
     r_hat: np.ndarray = field(default_factory=lambda: np.eye(3))
-    kappa_ref: float = 0.1
 
     def __post_init__(self):
         self.r_hat = np.asarray(self.r_hat, dtype=float).reshape(3, 3)
@@ -109,7 +111,7 @@ def orientation_step(f: OrientationFilter, imu: ImuSample, dt: float) -> Orienta
     wx, wy, wz = imu.gyro.tolist()
     a_norm = math.sqrt(ax * ax + ay * ay + az * az)
     if a_norm > 1e-9:
-        kappa = _kappa(a_norm, f.kappa_ref, _GRAVITY)
+        kappa = _kappa(a_norm, _KAPPA_REF, _GRAVITY)
         ax, ay, az = ax / a_norm, ay / a_norm, az / a_norm
         rx, ry, rz = f.r_hat[2].tolist()  # R^T e_z is the third row
         wx += kappa * (ay * rz - az * ry)
@@ -119,7 +121,7 @@ def orientation_step(f: OrientationFilter, imu: ImuSample, dt: float) -> Orienta
     # one polar-Newton step of renormalization: keeps the per-step
     # orthogonality defect at machine scale without an SVD
     r_new = r_new @ (_EYE3_X15 - 0.5 * (r_new.T @ r_new))
-    return OrientationFilter(r_hat=r_new, kappa_ref=f.kappa_ref)
+    return unchecked(OrientationFilter, r_hat=r_new)
 
 
 @dataclass
@@ -203,15 +205,10 @@ def leg_measurements_batch(qs: np.ndarray, qds: np.ndarray, r_hat: np.ndarray,
     return np.array(p_body) @ r_t, np.array(v_body) @ r_t
 
 
-_PROC_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _process_matrices(dt: float, q_p: np.ndarray):
-    q_p = np.asarray(q_p, dtype=float)
-    key = (dt, q_p.tobytes())
-    hit = _PROC_CACHE.get(key)
-    if hit is not None:
-        return hit
+@functools.lru_cache(maxsize=64)
+def _process_matrices(dt: float, stance: tuple[bool, ...], inflation: float):
+    """Transition A, its transpose and process covariance Q over ``dt``, a
+    swing foot's drift density scaled by ``inflation``; read-only."""
     a = np.eye(18)
     a[0:3, 3:6] = dt * np.eye(3)
     # exact discretization of white accel noise on the (p, v) block
@@ -220,12 +217,17 @@ def _process_matrices(dt: float, q_p: np.ndarray):
     q[0:3, 3:6] = Q_ACCEL_DEFAULT * dt**2 / 2.0 * np.eye(3)
     q[3:6, 0:3] = q[0:3, 3:6]
     q[3:6, 3:6] = Q_ACCEL_DEFAULT * dt * np.eye(3)
-    for i in range(4):
+    for i, on in enumerate(stance):
         s = 6 + 3 * i
-        q[s:s + 3, s:s + 3] = q_p[i] * dt * np.eye(3)
-    if len(_PROC_CACHE) < 64:
-        _PROC_CACHE[key] = (a, q)
-    return a, q
+        q_p = Q_FOOT_STANCE_DEFAULT if on else Q_FOOT_STANCE_DEFAULT * inflation
+        q[s:s + 3, s:s + 3] = q_p * dt * np.eye(3)
+    a.setflags(write=False)
+    q.setflags(write=False)
+    return a, a.T, q
+
+
+def _stance_key(in_stance) -> tuple[bool, ...]:
+    return tuple(np.asarray(in_stance, dtype=bool).reshape(4).tolist())
 
 
 def kf_predict(s: KfState, r_hat: np.ndarray, accel: np.ndarray, dt: float,
@@ -239,18 +241,15 @@ def kf_predict(s: KfState, r_hat: np.ndarray, accel: np.ndarray, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    q_p = np.where(in_stance, Q_FOOT_STANCE_DEFAULT,
-                   Q_FOOT_STANCE_DEFAULT * SWING_INFLATION_DEFAULT)
-
     u = (np.asarray(r_hat, dtype=float) @ np.asarray(accel, dtype=float) + _GRAVITY_W).tolist()
-    a, q = _process_matrices(dt, q_p)
+    a, a_t, q = _process_matrices(dt, _stance_key(in_stance), SWING_INFLATION_DEFAULT)
     mean = s.mean.copy()
     pos, vel = s.mean[0:3].tolist(), s.mean[3:6].tolist()
     mean[0:6] = ([p + (dt * v + 0.5 * dt * dt * ui) for p, v, ui in zip(pos, vel, u)]
                  + [v + dt * ui for v, ui in zip(vel, u)])
-    cov = a @ s.cov @ a.T + q
+    cov = a @ s.cov @ a_t + q
     cov = 0.5 * (cov + cov.T)
-    return KfState(mean=mean, cov=cov)
+    return unchecked(KfState, mean=mean, cov=cov)
 
 
 # measurement matrix is constant: rows per foot are [rel pos; rel vel; height]
@@ -267,8 +266,19 @@ def _measurement_matrix() -> np.ndarray:
 
 
 _H = _measurement_matrix()
+_H_T = _H.T
 # measurement variances of one stance foot's rows
 _R_FOOT = np.array([R_POS_DEFAULT] * 3 + [R_VEL_DEFAULT] * 3 + [R_HEIGHT_DEFAULT])
+
+
+@functools.lru_cache(maxsize=64)
+def _stance_r_diag(stance: tuple[bool, ...], inflation: float) -> np.ndarray:
+    """The (28,) measurement variances for the contact flags ``stance``, a
+    swing foot's rows scaled by ``inflation``; read-only."""
+    scale = np.array([1.0 if on else inflation for on in stance])
+    r_diag = (scale[:, None] * _R_FOOT).reshape(28)
+    r_diag.setflags(write=False)
+    return r_diag
 
 
 def kf_update(s: KfState, rel_pos: np.ndarray, rel_vel: np.ndarray,
@@ -286,13 +296,12 @@ def kf_update(s: KfState, rel_pos: np.ndarray, rel_vel: np.ndarray,
     # rows per foot: [rel pos; rel vel; height]. h(x) = -v_b on the velocity
     # rows: feet fixed => rel_vel = -v_b
     z = np.concatenate([rel_pos, rel_vel, np.reshape(contact_heights, (4, 1))], axis=1).reshape(28)
-    scale = np.where(in_stance, 1.0, SWING_INFLATION_DEFAULT)
-    r_diag = (scale[:, None] * _R_FOOT).reshape(28)
+    r_diag = _stance_r_diag(_stance_key(in_stance), SWING_INFLATION_DEFAULT)
 
     innovation = z - _H @ s.mean
-    pht = s.cov @ _H.T
+    pht = s.cov @ _H_T
     s_mat = _H @ pht
-    s_mat.flat[::29] += r_diag
+    s_mat.ravel()[::29] += r_diag
     # LAPACK Cholesky directly: the scipy.linalg wrappers cost more than
     # the 28x28 factorization itself
     factor, info = dpotrf(s_mat, lower=1, clean=0)
@@ -303,4 +312,4 @@ def kf_update(s: KfState, rel_pos: np.ndarray, rel_vel: np.ndarray,
     ikh = _EYE18 - k @ _H
     cov = ikh @ s.cov @ ikh.T + (k * r_diag) @ k.T  # Joseph form
     cov = 0.5 * (cov + cov.T)
-    return KfState(mean=mean, cov=cov)
+    return unchecked(KfState, mean=mean, cov=cov)

@@ -163,7 +163,7 @@ def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec) -> np.ndar
     g = 2.0 * (su.T @ (resid0 @ _Q_WEIGHT.T).reshape(-1))
 
     # friction pyramid and bounds per stance force block
-    c_ineq, d_ineq = _friction_rows(nu // 3, friction.mu, friction.f_min, friction.f_max)
+    c_ineq, d_ineq, _ = _friction_rows(nu // 3, friction.mu, friction.f_min, friction.f_max)
     qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
     res = ActiveSetSolver().solve(qp)
     if res.status is not QpStatus.OPTIMAL:

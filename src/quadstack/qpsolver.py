@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack, qr_delete
@@ -79,6 +80,12 @@ class QpProblem:
     def n(self) -> int:
         return self.g.shape[0]
 
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """Euclidean norm of each row of ``c_ineq``, formed on first use; a
+        caller that caches its rows may assign their cached norms instead."""
+        return np.linalg.norm(self.c_ineq, axis=1)
+
     def objective(self, x: np.ndarray) -> float:
         return float(0.5 * x @ self.h @ x + self.g @ x)
 
@@ -117,7 +124,8 @@ class ActiveSetSolver:
         except np.linalg.LinAlgError:
             l = np.linalg.cholesky(h + _REG * np.eye(n))
         c, d = qp.c_ineq, qp.d_ineq
-        norm = np.linalg.norm(c, axis=1)
+        # a row within tol of its bound, as a distance, is satisfied
+        tol = _TOL * qp.row_norms
         # the row normals and the unconstrained minimum in y = L^T x
         wg = _solved(lapack.dtrtrs(l.T, np.concatenate((c, qp.g[None])).T, lower=0, trans=1))
         w, y = wg[:, :-1], -wg[:, -1]
@@ -131,8 +139,7 @@ class ActiveSetSolver:
         it = 0
         while True:
             viol = w.T @ y - d
-            # a row within tol of its bound, as a distance, is satisfied
-            viol[viol <= _TOL * norm] = 0.0
+            viol[viol <= tol] = 0.0
             if work:
                 viol[work] = 0.0
             if not viol.any():

@@ -25,10 +25,10 @@ from .estimation import (ImuSample, OrientationFilter, kf_default_state, kf_pred
                          kf_update, leg_measurements_batch, orientation_step)
 from .mpc import MpcConfig, solve_mpc
 from .sim import SensorNoise, SimWorld
-from .state import DesiredState, RobotState
+from .state import DesiredState, RobotState, unchecked
 from .swing import LegModel, SwingTrajectory
 from .terrain import PlaneCoeffs
-from .trajopt import (F_MAX, BodyReference, ContactPhase, JumpSpec, TimingProblem,
+from .trajopt import (F_MAX, MU, BodyReference, ContactPhase, JumpSpec, TimingProblem,
                       check_constraints, export_reference, solve_timing)
 
 NOMINAL_Z = 0.45
@@ -122,8 +122,8 @@ class EstimatorLoop:
 
     def estimated_state(self) -> RobotState:
         # body rate taken straight from the gyro channel
-        return RobotState(pos=self.kf.pos, vel=self.kf.vel,
-                          rot=self.filter.r_hat, omega=self._last_gyro, feet=self.kf.feet)
+        return unchecked(RobotState, pos=self.kf.pos, vel=self.kf.vel,
+                         rot=self.filter.r_hat, omega=self._last_gyro, feet=self.kf.feet)
 
 
 def hop_spec(n_knots: int = 30, z0: float = NOMINAL_Z,
@@ -355,7 +355,7 @@ class TrotDriver:
         else:
             r_d = np.eye(3)
             pos_d = [cx, cy, self.ground.height(cx, cy) + self.z0]
-        return DesiredState(pos=np.array(pos_d), vel=np.array([vx, vy, 0.0]), rot=r_d)
+        return unchecked(DesiredState, pos=np.array(pos_d), vel=np.array([vx, vy, 0.0]), rot=r_d)
 
     def plan_swing(self, leg, t, state: RobotState):
         hip_w = state.pos + state.rot @ self.leg_model.hip(leg)
@@ -729,7 +729,7 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
                 # the ground cannot pull or exceed the hardware force budget;
                 # min(max(.)) keeps np.clip's result, signed zeros included
                 fz = min(max(fz, 0.0), F_MAX)
-                lo, hi = -spec.mu * fz, spec.mu * fz
+                lo, hi = -MU * fz, MU * fz
                 leg_forces += [min(max(fx, lo), hi), min(max(fy, lo), hi), fz]
             forces = np.array(leg_forces)
             stance_mask = np.ones(4, dtype=bool)

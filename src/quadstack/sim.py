@@ -29,7 +29,7 @@ from . import so3
 from .balance import GRAVITY_W, BodyModel
 from .estimation import ImuSample
 from .swing import LegModel, UnreachableError, ik_angles
-from .state import RobotState
+from .state import RobotState, unchecked
 from .terrain import PlaneCoeffs
 
 __all__ = ["SensorNoise", "SimWorld"]
@@ -193,7 +193,7 @@ class SimWorld:
         accel = self.state.rot.T @ (self.last_accel - GRAVITY_W) + n.accel_bias
         if n.accel_std > 0.0:
             accel = accel + self.rng.normal(size=3) * n.accel_std
-        return ImuSample(gyro=gyro, accel=accel)
+        return unchecked(ImuSample, gyro=gyro, accel=accel)
 
     def synth_encoders(self) -> tuple[np.ndarray, np.ndarray]:
         """Joint angles and rates, (4, 3) each, via leg IK of the body-frame feet.

@@ -95,9 +95,11 @@ def exp_exact(w: np.ndarray) -> np.ndarray:
     """Rodrigues formula for ``expm(hat(w))``; exactly orthonormal.
 
     I + a hat(w) + b hat(w)^2 with hat(w)^2 = w w^T - theta^2 I, evaluated
-    entrywise in scalars (the 1 kHz loops call this three times a tick).
+    entrywise in scalars (the 1 kHz loops call this up to three times a
+    tick); a list or tuple of floats is read without numpy.
     """
-    x, y, z = np.asarray(w, dtype=float).reshape(3).tolist()
+    x, y, z = (map(float, w) if isinstance(w, (list, tuple))
+               else np.asarray(w, dtype=float).reshape(3).tolist())
     t2 = x * x + y * y + z * z
     theta = math.sqrt(t2)
     if theta < _EPS_ANGLE:

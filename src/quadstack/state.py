@@ -7,6 +7,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def unchecked(cls, **fields):
+    """An instance of the dataclass ``cls`` from all of its fields, given in
+    the form ``__post_init__`` would bring them to (float arrays of the
+    declared shapes), which it then skips: the 1 kHz loops build their
+    arrays themselves and need no coercion."""
+    if fields.keys() != cls.__dataclass_fields__.keys():
+        raise TypeError(f"{cls.__name__} needs exactly the fields "
+                        f"{sorted(cls.__dataclass_fields__)}, got {sorted(fields)}")
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass
 class RobotState:
     """Body pose/twist plus foot positions, world frame (omega in body frame)."""

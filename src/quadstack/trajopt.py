@@ -79,6 +79,7 @@ __all__ = [
 _T_PHASE_MIN = 0.05   # vanishing phase guard, seconds
 _EPS_OMEGA, _EPS_FORCE, _EPS_ROT = 1e-2, 1e-6, 1.0   # cost weights: rates, forces, rotation
 F_MIN, F_MAX = 1.0, 700.0   # N, stance normal-force bounds; F_MIN > 0 as friction scales with f_z
+MU = 0.6                    # friction coefficient of the stance pyramids
 _REFERENCE_DT = 0.01   # s, sample interval of the exported body reference
 
 # augmented-Lagrangian outer loop
@@ -159,7 +160,6 @@ class JumpSpec:
     t_min: float = 0.5
     t_max: float = 1.5
     sphere_radius: float = 0.16
-    mu: float = 0.6
     com_min: np.ndarray | None = None           # CoM box during contact phases
     com_max: np.ndarray | None = None
     v_goal: np.ndarray | None = None            # optional final-velocity pin
@@ -576,7 +576,7 @@ class TimingProblem:
         c_eq = np.concatenate(eq_parts)
 
         # inequalities: friction pyramid per force variable block
-        fx, fy, mu_fz = st.f_cm[0], st.f_cm[1], spec.mu * st.f_cm[2]
+        fx, fy, mu_fz = st.f_cm[0], st.f_cm[1], MU * st.f_cm[2]
         fric = np.stack([fx - mu_fz, -fx - mu_fz, fy - mu_fz, -fy - mu_fz], axis=-1)
         sph = np.sum(st.u_sph * st.u_sph, axis=0) - spec.sphere_radius**2
         t_total = float(st.durations.sum())
@@ -619,9 +619,8 @@ class TimingProblem:
         fi_j, ic = self.fi_j[:, None], self.item_col[:, None]
         jac = np.zeros(self.block_rows.shape + self.block_cols.shape[1:])
         jac[:n, np.arange(18), bs + np.arange(18)] = 1.0          # knot j + 1 in its defects
-        mu = spec.mu
         jac[fi_j[:, :, None], self.fric_row[:, :, None], ic[:, :, None] + ax] = fs * np.array(
-            [[1.0, 0.0, -mu], [-1.0, 0.0, -mu], [0.0, 1.0, -mu], [0.0, -1.0, -mu]])
+            [[1.0, 0.0, -MU], [-1.0, 0.0, -MU], [0.0, 1.0, -MU], [0.0, -1.0, -MU]])
 
         # position and velocity defects
         jac[:n, ax, ax] = -1.0
@@ -1291,7 +1290,7 @@ def check_constraints(spec: JumpSpec, sol: TimingSolution) -> dict:
             for f in range(4):
                 fx, fy, fz = forces[j, f]
                 if f in ph.feet:
-                    fric = max(fric, abs(fx) - spec.mu * fz, abs(fy) - spec.mu * fz)
+                    fric = max(fric, abs(fx) - MU * fz, abs(fy) - MU * fz)
                     fz_bounds = max(fz_bounds, F_MIN - fz, fz - F_MAX)
                 else:
                     fric = max(fric, float(np.max(np.abs(forces[j, f]))))

@@ -12,7 +12,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from quadstack import balance, gait, so3
+from quadstack import balance, estimation, gait, so3
 from quadstack.balance import BodyModel, FrictionSpec, balance_qp, build_force_model
 from quadstack.estimation import ImuSample, OrientationFilter, orientation_step
 from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpStatus
@@ -42,12 +42,12 @@ def hop_solution():
 
 
 class TestCriterion1:
-    def test_orientation_filter_dedrift(self):
+    def test_orientation_filter_dedrift(self, monkeypatch):
         dt = 0.01
         t0 = time.perf_counter()
 
-        # stationary IMU, 10 degree initial pitch error
-        f = OrientationFilter(r_hat=so3.rot_y(np.deg2rad(10.0)), kappa_ref=0.1)
+        # stationary IMU, 10 degree initial pitch error, kappa_ref = 0.1
+        f = OrientationFilter(r_hat=so3.rot_y(np.deg2rad(10.0)))
         imu = ImuSample(gyro=np.zeros(3), accel=[0.0, 0.0, G])
         ts, errs = [], []
         for k in range(int(30.0 / dt)):
@@ -59,7 +59,8 @@ class TestCriterion1:
         filter_final = errs[-1]
 
         # gyro-only baseline with a 0.01 rad/s pitch-rate bias
-        g_only = OrientationFilter(kappa_ref=0.0)
+        monkeypatch.setattr(estimation, "_KAPPA_REF", 0.0)
+        g_only = OrientationFilter()
         imu_bias = ImuSample(gyro=[0.0, 0.01, 0.0], accel=[0.0, 0.0, G])
         for _ in range(int(60.0 / dt)):
             g_only = orientation_step(g_only, imu_bias, dt)

@@ -17,6 +17,7 @@ from quadstack.balance import (
     pd_wrench,
 )
 from quadstack.qpsolver import ActiveSetSolver, QpProblem
+from quadstack.scenarios import run_trot
 from quadstack.state import DesiredState, RobotState
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
@@ -58,7 +59,7 @@ def balance_qp_gather(a, b_d, f_prev, friction, stance_mask, solver):
     a_s = a[:, cols]
     s_w = balance._S_WEIGHT
     h = 2.0 * (a_s.T @ s_w @ a_s + (balance._ALPHA + balance._BETA) * np.eye(cols.size))
-    c_ineq, d_ineq = _friction_rows(stance.size, friction.mu, friction.f_min, friction.f_max)
+    c_ineq, d_ineq, _ = _friction_rows(stance.size, friction.mu, friction.f_min, friction.f_max)
     g = -2.0 * (a_s.T @ (s_w @ b_d) + balance._BETA * f_prev[cols])
     qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
     f = np.zeros(12)
@@ -79,6 +80,49 @@ class RecordingSolver(ActiveSetSolver):
 ALL_MASKS = [np.array([(k >> leg) & 1 for leg in range(4)], dtype=bool) for k in range(1, 16)]
 
 
+@pytest.fixture(scope="module")
+def trot_ticks():
+    """The pd_wrench calls ``(state, des, output)`` and the balance QP solves
+    ``(problem, solution)`` of a 0.3 s balance trot on estimates with the
+    CLI's default sensor noise."""
+    wrenches, solves = [], []
+    pd, solve = balance.pd_wrench, ActiveSetSolver.solve
+
+    def recording_pd(state, des):
+        out = pd(state, des)
+        wrenches.append((state.copy(), des, out))
+        return out
+
+    def recording_solve(self, qp):
+        res = solve(self, qp)
+        solves.append((qp, res.x))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(balance, "pd_wrench", recording_pd)
+        mp.setattr(ActiveSetSolver, "solve", recording_solve)
+        run_trot(duration=0.3, v_des=(0.9, 0.05), seed=1, use_estimates=True,
+                 accel_std=0.05, gyro_std=0.005, accel_bias_mag=0.2)
+    assert len(wrenches) == len(solves) == 300
+    return wrenches, solves
+
+
+def pd_wrench_matrix(state, des):
+    """pd_wrench as products with the 3x3 gain matrices and so3.log_map."""
+    kp_pos, kd_pos, kp_orn, kd_orn = (np.diag(k) for k in (
+        balance._KP_POS, balance._KD_POS, balance._KP_ORN, balance._KD_ORN))
+    acc_lin = kp_pos @ (des.pos - state.pos) + kd_pos @ (des.vel - state.vel)
+    err_rot = so3.log_map(des.rot @ state.rot.T)
+    acc_ang = kp_orn @ err_rot + kd_orn @ (0.0 - state.omega_world())
+    return acc_lin, acc_ang
+
+
+def assert_same_bits(got, want, case):
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape, case
+        assert x.tobytes() == y.tobytes(), (case, x, y)
+
+
 class TestPdWrench:
     def test_zero_at_target(self):
         acc_lin, acc_ang = pd_wrench(STAND, hover_desired())
@@ -86,18 +130,64 @@ class TestPdWrench:
         assert_allclose(acc_ang, np.zeros(3), atol=1e-12)
 
     def test_pure_position_error(self, set_gains):
-        set_gains(kp_pos=100 * np.eye(3), kd_pos=np.zeros((3, 3)))
+        set_gains(kp_pos=(100.0,) * 3, kd_pos=(0.0,) * 3)
         state = RobotState(pos=[-0.1, 0.0, 0.45], feet=FEET)
         des = DesiredState(pos=[0.0, 0.0, 0.45])
         acc_lin, _ = pd_wrench(state, des)
         assert_allclose(acc_lin, [10.0, 0.0, 0.0], atol=1e-12)
 
     def test_orientation_error_sign(self, set_gains):
-        set_gains(kp_orn=50 * np.eye(3), kd_orn=np.zeros((3, 3)))
+        set_gains(kp_orn=(50.0,) * 3, kd_orn=(0.0,) * 3)
         state = RobotState(pos=[0.0, 0.0, 0.45], rot=so3.rot_z(0.1), feet=FEET)
         des = DesiredState(pos=[0.0, 0.0, 0.45])  # rot = identity
         _, acc_ang = pd_wrench(state, des)
         assert_allclose(acc_ang, [0.0, 0.0, -5.0], atol=1e-9)
+
+    def test_recorded_ticks_match_matrix_formula_bit_for_bit(self, trot_ticks):
+        for i, (state, des, out) in enumerate(trot_ticks[0]):
+            assert_same_bits(out, pd_wrench_matrix(state, des), i)
+
+    def test_zero_target_gives_positive_zeros(self):
+        # every difference is a signed zero: -0.0 - 0.0 on x makes both PD
+        # terms -0.0, which the gain matrices' sums turn into +0.0
+        state = RobotState(pos=[0.0, -0.0, 0.45], vel=[0.0, 0.0, -0.0],
+                           omega=[-0.0, 0.0, -0.0], feet=FEET)
+        des = DesiredState(pos=[-0.0, 0.0, 0.45], vel=[-0.0, -0.0, 0.0])
+        got = pd_wrench(state, des)
+        assert_same_bits(got, pd_wrench_matrix(state, des), "zero target")
+        assert all(x.tobytes() == np.zeros(3).tobytes() for x in got)
+
+    def test_small_angle_branch_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for case in range(50):
+            # rotation errors below so3's series threshold of 1e-8 rad
+            w = rng.normal(size=3) * 10.0 ** rng.uniform(-12, -8.5)
+            state = RobotState(pos=rng.normal(size=3), vel=rng.normal(size=3),
+                               rot=so3.exp_exact(w), omega=rng.normal(size=3), feet=FEET)
+            des = DesiredState(pos=rng.normal(size=3), vel=rng.normal(size=3))
+            assert_same_bits(pd_wrench(state, des), pd_wrench_matrix(state, des), case)
+
+    def test_near_pi_branch_bit_for_bit(self):
+        for rot in (so3.rot_x(np.pi), so3.rot_z(np.pi - 1e-4),
+                    so3.exp_exact(np.array([1.0, -2.0, 0.5]) / np.sqrt(5.25) * (np.pi - 3e-4))):
+            state = RobotState(pos=[0.1, 0.0, 0.4], rot=rot, omega=[0.3, -0.2, 0.1], feet=FEET)
+            with pytest.warns(so3.NearPiWarning):
+                got = pd_wrench(state, hover_desired())
+            with pytest.warns(so3.NearPiWarning):
+                want = pd_wrench_matrix(state, hover_desired())
+            assert_same_bits(got, want, rot)
+
+    def test_random_states_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for case in range(300):
+            state = RobotState(pos=rng.normal(size=3), vel=rng.normal(size=3),
+                               rot=so3.exp_exact(rng.normal(size=3)),
+                               omega=rng.normal(size=3) * 3.0, feet=FEET)
+            des = DesiredState(pos=rng.normal(size=3), vel=rng.normal(size=3),
+                               rot=so3.exp_exact(rng.normal(size=3) * 0.2))
+            if case % 3 == 0:
+                des.pos[case % 2] = state.pos[case % 2]  # an exact zero error
+            assert_same_bits(pd_wrench(state, des), pd_wrench_matrix(state, des), case)
 
 
 class TestForceModel:
@@ -263,6 +353,15 @@ class TestStanceSets:
                 for name in ("h", "g", "c_ineq", "d_ineq"):
                     assert getattr(qp, name).tobytes() == getattr(qp_ref, name).tobytes(), name
                 assert f.tobytes() == f_ref.tobytes(), (mask, case)
+
+    def test_recorded_solves_match_a_validated_problem(self, trot_ticks):
+        # each recorded problem, rebuilt from lists so that QpProblem coerces
+        # and checks every field and the solver forms its own row norms
+        for i, (qp, x) in enumerate(trot_ticks[1]):
+            fresh = QpProblem(h=qp.h.tolist(), g=qp.g.tolist(), c_ineq=qp.c_ineq.tolist(),
+                              d_ineq=qp.d_ineq.tolist())
+            assert qp.row_norms.tobytes() == fresh.row_norms.tobytes(), i
+            assert ActiveSetSolver().solve(fresh).x.tobytes() == x.tobytes(), i
 
     def test_all_swing_raises_before_any_cache_lookup(self):
         a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))

@@ -66,6 +66,26 @@ class TestConfig:
         assert code == 2
         assert payload["kind"] == "config"
 
+    @pytest.mark.parametrize("subcommand, config_text, key", [
+        ("stand", "controller:\n  use_estimates: true\n", "controller.use_estimates"),
+        ("jump-opt", "noise:\n  gyro_std: 0.3\n", "noise.gyro_std"),
+        ("jump-sim", "controller:\n  type: mpc\n", "controller.type"),
+        ("estimate", "noise:\n  accel_bias: 0.0\n", "noise.accel_bias"),
+    ])
+    def test_unread_key_is_config_error(self, tmp_path, subcommand, config_text, key):
+        # a key the subcommand never reads fails before any work is done
+        code, payload = run_cli(tmp_path, subcommand, config_text)
+        assert code == 2
+        assert payload["kind"] == "config"
+        assert key in payload["error"] and subcommand in payload["error"]
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_default_valued_key_is_accepted(self, tmp_path):
+        # spelling out a default is not an error
+        code, _ = run_cli(tmp_path, "stand", "controller:\n  type: balance\n  use_estimates: false\n",
+                          duration_s=0.01)
+        assert code == 0
+
 
 class TestErrorKinds:
     @staticmethod

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import expm
+from scipy.linalg import cho_factor, cho_solve, expm
 
-from quadstack import estimation, so3
+from quadstack import estimation, scenarios, so3
 from quadstack.estimation import (
     ImuSample,
     KfState,
     OrientationFilter,
     Q_ACCEL_DEFAULT,
     Q_FOOT_STANCE_DEFAULT,
+    R_HEIGHT_DEFAULT,
+    R_POS_DEFAULT,
+    R_VEL_DEFAULT,
+    SWING_INFLATION_DEFAULT,
     SingularInnovationError,
     kf_default_state,
     kf_predict,
@@ -31,6 +35,110 @@ def stance_measurements(p_b, v_b, feet=FEET, in_stance=(True,) * 4):
     """Leg measurements of pinned feet: (rel_pos, rel_vel, heights, in_stance)."""
     return (feet - p_b, np.tile(-np.asarray(v_b, dtype=float), (4, 1)),
             feet[:, 2].copy(), np.array(in_stance, dtype=bool))
+
+
+@pytest.fixture(scope="module")
+def trot_kf_calls():
+    """The kf_predict and kf_update calls ``(arguments, output)`` of a 0.3 s
+    balance trot on estimates with the CLI's default sensor noise."""
+    calls = {"kf_predict": [], "kf_update": []}
+
+    def recording(name):
+        fn = getattr(scenarios, name)
+
+        def call(*args):
+            out = fn(*args)
+            calls[name].append((args, out))
+            return out
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(scenarios, name, recording(name))
+        scenarios.run_trot(duration=0.3, v_des=(0.9, 0.05), seed=1, use_estimates=True,
+                           accel_std=0.05, gyro_std=0.005, accel_bias_mag=0.2)
+    assert [len(c) for c in calls.values()] == [300, 300]
+    return calls
+
+
+def kf_predict_dense(s, r_hat, accel, dt, in_stance):
+    """kf_predict with its transition and process covariance formed per call."""
+    q_p = np.where(in_stance, Q_FOOT_STANCE_DEFAULT,
+                   Q_FOOT_STANCE_DEFAULT * SWING_INFLATION_DEFAULT)
+    a = np.eye(18)
+    a[0:3, 3:6] = dt * np.eye(3)
+    q = np.zeros((18, 18))
+    q[0:3, 0:3] = Q_ACCEL_DEFAULT * dt**3 / 3.0 * np.eye(3)
+    q[0:3, 3:6] = q[3:6, 0:3] = Q_ACCEL_DEFAULT * dt**2 / 2.0 * np.eye(3)
+    q[3:6, 3:6] = Q_ACCEL_DEFAULT * dt * np.eye(3)
+    for i in range(4):
+        q[6 + 3 * i:9 + 3 * i, 6 + 3 * i:9 + 3 * i] = q_p[i] * dt * np.eye(3)
+    u = r_hat @ accel + np.array([0.0, 0.0, -G])
+    mean = s.mean.copy()
+    mean[0:3] = s.mean[0:3] + (dt * s.mean[3:6] + 0.5 * dt * dt * u)
+    mean[3:6] = s.mean[3:6] + dt * u
+    cov = a @ s.cov @ a.T + q
+    return mean, 0.5 * (cov + cov.T)
+
+
+def kf_update_dense(s, rel_pos, rel_vel, heights, in_stance):
+    """kf_update with H and the measurement variances formed per call."""
+    h = np.zeros((28, 18))
+    for i in range(4):
+        h[7 * i:7 * i + 3, 0:3] = -np.eye(3)
+        h[7 * i:7 * i + 3, 6 + 3 * i:9 + 3 * i] = np.eye(3)
+        h[7 * i + 3:7 * i + 6, 3:6] = -np.eye(3)
+        h[7 * i + 6, 8 + 3 * i] = 1.0
+    r_foot = np.array([R_POS_DEFAULT] * 3 + [R_VEL_DEFAULT] * 3 + [R_HEIGHT_DEFAULT])
+    r_diag = np.repeat(np.where(in_stance, 1.0, SWING_INFLATION_DEFAULT), 7) * np.tile(r_foot, 4)
+    z = np.concatenate([rel_pos, rel_vel, heights[:, None]], axis=1).reshape(28)
+    innovation = z - h @ s.mean
+    pht = s.cov @ h.T
+    s_mat = h @ pht
+    s_mat[np.diag_indices(28)] += r_diag
+    k = cho_solve(cho_factor(s_mat, lower=True), pht.T).T
+    mean = s.mean + k @ innovation
+    ikh = np.eye(18) - k @ h
+    cov = ikh @ s.cov @ ikh.T + (k * r_diag) @ k.T
+    return mean, 0.5 * (cov + cov.T)
+
+
+class TestRecordedTrotTicks:
+    # the cached process matrices and variances against the formulas above
+
+    def test_predict_bit_for_bit(self, trot_kf_calls):
+        for i, (args, out) in enumerate(trot_kf_calls["kf_predict"]):
+            mean, cov = kf_predict_dense(*args)
+            assert out.mean.tobytes() == mean.tobytes(), i
+            assert out.cov.tobytes() == cov.tobytes(), i
+
+    def test_update_bit_for_bit(self, trot_kf_calls):
+        stances = set()
+        for i, (args, out) in enumerate(trot_kf_calls["kf_update"]):
+            stances.add(tuple(args[-1].tolist()))
+            mean, cov = kf_update_dense(*args)
+            assert out.mean.tobytes() == mean.tobytes(), i
+            assert out.cov.tobytes() == cov.tobytes(), i
+        assert len(stances) == 2  # each diagonal pair of the trot in swing
+
+    def test_cache_follows_the_stance_flags(self):
+        # the same call under each of the 16 stance sets, twice: the second
+        # pass reads the caches the first one filled
+        rng = np.random.default_rng(2)
+        s = kf_default_state(np.array([0.0, 0.0, 0.45]), FEET)
+        s = KfState(mean=s.mean + rng.normal(size=18) * 1e-3, cov=s.cov)
+        meas = (FEET - s.pos + rng.normal(size=(4, 3)) * 1e-3, rng.normal(size=(4, 3)) * 0.01,
+                np.zeros(4))
+        for _ in range(2):
+            for k in range(16):
+                stance = np.array([(k >> leg) & 1 for leg in range(4)], dtype=bool)
+                args = (s, so3.rot_z(0.1), np.array([0.1, 0.0, G]), 0.001, stance)
+                out = kf_predict(*args)
+                assert out.cov.tobytes() == kf_predict_dense(*args)[1].tobytes(), k
+                out = kf_update(out, *meas, stance)
+                mean, cov = kf_update_dense(kf_predict(*args), *meas, stance)
+                assert out.mean.tobytes() == mean.tobytes(), k
+                assert out.cov.tobytes() == cov.tobytes(), k
 
 
 class TestAdaptiveKappa:
@@ -147,7 +255,7 @@ class TestKfPredict:
         # the continuous (p, v) + feet model
         dt, q_v = 0.004, Q_ACCEL_DEFAULT
         q_p = np.array([1e-6, 1e-6, 1.0, 1e-6])
-        a_d, q_d = _process_matrices(dt, q_p)
+        a_d, _, q_d = _process_matrices(dt, (True, True, False, True), 1e6)
 
         a_c = np.zeros((18, 18))
         a_c[0:3, 3:6] = np.eye(3)
@@ -240,7 +348,7 @@ class TestKfUpdate:
         from quadstack.estimation import _H, _process_matrices
 
         dt = 0.001
-        a, q = _process_matrices(dt, np.full(4, 1e-6))
+        a, _, q = _process_matrices(dt, (True,) * 4, 1e6)
         r = np.diag(np.tile([1e-4] * 3 + [1e-3] * 3 + [1e-4], 4))
         p = np.eye(18) * 1e-4
         for _ in range(3000):

@@ -62,18 +62,28 @@ TROT_BOUNDARIES = ("gait.subphase", "gait.total_weight", "gait.support_polygon",
                    "scenarios.plan_swing", "swing.sample")
 
 
-@pytest.mark.parametrize("controller", ["balance", "mpc"])
-def test_trot_loop_calls_traced_boundaries(controller):
+# the estimator and balance layers of a balance trot on estimates
+ESTIMATE_BOUNDARIES = ("scenarios.estimator_step", "estimation.orient", "estimation.kf_predict",
+                       "estimation.kf_update", "estimation.legmeas", "sim.imu", "sim.encoders",
+                       "balance.compute", "qpsolver.solve")
+
+
+@pytest.mark.parametrize("controller, use_estimates", [
+    pytest.param("balance", False, id="balance"), pytest.param("mpc", False, id="mpc"),
+    pytest.param("balance", True, id="balance-estimates")])
+def test_trot_loop_calls_traced_boundaries(controller, use_estimates):
     layers = _layers()
     tracer = layers.Tracer()
     try:
         layers.install(tracer, quadstack)
-        quadstack.scenarios.run_trot(duration=0.2, controller=controller)
+        quadstack.scenarios.run_trot(duration=0.2, controller=controller,
+                                     use_estimates=use_estimates)
     finally:
         tracer.restore()
     # the MPC replan's layers: the tables, the condensed solve and its QP
     expected = TROT_BOUNDARIES + (("scenarios.mpc_tables", "mpc.solve", "qpsolver.solve")
                                   if controller == "mpc" else ())
+    expected += ESTIMATE_BOUNDARIES if use_estimates else ()
     traced = {name for name, *_ in tracer.spans}
     missing = [name for name in expected if name not in traced]
     assert not missing, f"no span recorded for {missing}"
@@ -83,6 +93,13 @@ def test_trot_loop_calls_traced_boundaries(controller):
     if controller == "mpc":
         for key in ("scenarios.mpc_tables_us", "mpc.build_ms", "qpsolver.mpc.iters"):
             assert metrics[key] > 0.0, key
+    if use_estimates:
+        for key in ("estimation.orient_us", "estimation.kf_predict_us", "estimation.kf_update_us",
+                    "estimation.legmeas_us", "sim.imu_us", "sim.encoders_us",
+                    "balance.compute_us_p50", "qpsolver.balance.solve_us_p50"):
+            assert metrics[key] > 0.0, key
+        # one top-level balance QP per tick, each inside balance.compute
+        assert metrics["qpsolver.balance.solves"] == metrics["scenarios.ticks"] == 200
 
 
 def test_timing_solve_calls_traced_boundaries():

@@ -12,6 +12,7 @@ from scipy.linalg.lapack import dtrtrs
 from quadstack import qpsolver
 from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpResult, QpStatus, _solved
 from quadstack.scenarios import run_trot
+from quadstack.state import unchecked
 
 # the solver keeps no state between solves
 solve = ActiveSetSolver().solve
@@ -86,6 +87,29 @@ def hat(v):
 
 
 class TestBasics:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(h=np.eye(3), g=np.zeros(2), c_ineq=np.zeros((0, 2)), d_ineq=np.zeros(0)), "H must"),
+        (dict(h=np.eye(2), g=np.zeros(2), c_ineq=np.zeros((3, 2)), d_ineq=np.zeros(2)), "one row"),
+        (dict(h=np.eye(2), g=np.zeros(2), c_ineq=np.zeros((1, 3)), d_ineq=np.zeros(1)), "reshape"),
+    ])
+    def test_bad_shapes_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            QpProblem(**fields)
+
+    def test_unchecked_problem_needs_every_field(self):
+        with pytest.raises(TypeError, match="c_ineq"):
+            unchecked(QpProblem, h=np.eye(2), g=np.zeros(2))
+
+    def test_row_norms_formed_once_or_assigned(self):
+        c = np.array([[3.0, 4.0], [0.0, -2.0]])
+        qp = QpProblem(h=np.eye(2), g=np.zeros(2), c_ineq=c, d_ineq=np.zeros(2))
+        assert qp.row_norms is qp.row_norms
+        assert qp.row_norms.tobytes() == np.linalg.norm(c, axis=1).tobytes()
+        qp = QpProblem(h=np.eye(2), g=np.zeros(2), c_ineq=c, d_ineq=np.zeros(2))
+        cached = np.array([5.0, 2.0])
+        qp.row_norms = cached
+        assert qp.row_norms is cached
+
     def test_projection_onto_orthant(self):
         # min |x - (-1, 2)|^2 s.t. x >= 0
         qp = QpProblem(h=2 * np.eye(2), g=np.array([2.0, -4.0]),

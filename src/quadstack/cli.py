@@ -6,6 +6,8 @@ directory; jump-sim always tracks the reference read from ``jump_ref.csv``
 (see :func:`cmd_jump_sim`). Configuration is a YAML key/value tree
 validated against the schema below (unknown keys are rejected); any leaf can
 be overridden through environment variables named QUADSTACK_<SECTION>__<KEY>.
+A key set to other than its default that the subcommand does not read (see
+``READS``) is rejected too, before the run starts.
 
 Exit codes: 0 success, 1 run failure (an error JSON is written), 2
 configuration error. A run failure is of kind "solver" when the scenario
@@ -107,21 +109,22 @@ def _merge_validate(defaults: dict, override: dict, path: str) -> dict:
     return out
 
 
+def _leaves(cfg: dict) -> dict:
+    """Dotted name -> value of each leaf of a config tree, in its order."""
+    return {name: value for key, node in cfg.items() for name, value in (
+        [(f"{key}.{k}", v) for k, v in node.items()] if isinstance(node, dict) else [(key, node)])}
+
+
 def _apply_env(cfg: dict) -> dict:
     """Overrides like QUADSTACK_NOISE__ACCEL_STD=0.1 (numbers parsed via YAML)."""
     for name, raw in os.environ.items():
         if not name.startswith(ENV_PREFIX):
             continue
-        keypath = name[len(ENV_PREFIX):].lower().split("__")
-        node = cfg
-        for part in keypath[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown config section in {name}")
-            node = node[part]
-        leaf = keypath[-1]
-        if leaf not in node:
+        key = name[len(ENV_PREFIX):].lower().replace("__", ".")
+        if key not in _leaves(cfg):
             raise ConfigError(f"unknown config key in {name}")
-        node[leaf] = yaml.safe_load(raw)
+        section, _, leaf = key.rpartition(".")
+        (cfg[section] if section else cfg)[leaf] = yaml.safe_load(raw)
     return cfg
 
 
@@ -129,12 +132,10 @@ def load_config(path: str | None) -> dict:
     override = {}
     if path is not None:
         with open(path) as fh:
-            loaded = yaml.safe_load(fh) or {}
-        if not isinstance(loaded, dict):
+            override = yaml.safe_load(fh) or {}
+        if not isinstance(override, dict):
             raise ConfigError("config root must be a mapping")
-        override = loaded
-    cfg = _merge_validate(DEFAULT_CONFIG, override, "")
-    return _apply_env(cfg)
+    return _apply_env(_merge_validate(DEFAULT_CONFIG, override, ""))
 
 
 # -- CSV log I/O -------------------------------------------------------------
@@ -185,19 +186,7 @@ def _duration(cfg: dict, default: float) -> float:
     return float(cfg["duration_s"]) if cfg["duration_s"] is not None else default
 
 
-def _reject_unread(cfg: dict, subcommand: str, *sections: str) -> None:
-    """A key of ``sections`` other than its default is a configuration
-    error: ``subcommand`` never reads it."""
-    for section in sections:
-        changed = [key for key, value in cfg[section].items()
-                   if value != DEFAULT_CONFIG[section][key]]
-        if changed:
-            raise ConfigError(f"{section}.{changed[0]} does not apply to {subcommand}")
-
-
 def cmd_stand(cfg: dict, out: Path) -> dict:
-    # stand always runs the balance controller on estimates
-    _reject_unread(cfg, "stand", "controller")
     res = scenarios.run_stand(
         duration=_duration(cfg, 10.0), seed=int(cfg["seed"]),
         accel_std=float(cfg["noise"]["accel_std"]),
@@ -209,26 +198,17 @@ def cmd_stand(cfg: dict, out: Path) -> dict:
 
 
 def _trot_args(cfg: dict) -> dict:
-    """``TrotDriver`` arguments shared by the trot and slope subcommands.
-
-    The sensors are read only by the estimator, so a ``noise.*`` key other
-    than its default needs ``controller.use_estimates``.
-    """
+    """``TrotDriver`` arguments shared by the trot and slope subcommands."""
     from .gait import _PRESETS
 
     if cfg["gait"]["preset"] not in _PRESETS:
         raise ConfigError(f"unknown gait preset: {cfg['gait']['preset']!r} "
                           f"(choose from {sorted(_PRESETS)})")
-    use_estimates = bool(cfg["controller"]["use_estimates"])
     noise = {key: float(value) for key, value in cfg["noise"].items()}
-    if not use_estimates:
-        changed = [key for key, value in noise.items() if value != DEFAULT_CONFIG["noise"][key]]
-        if changed:
-            raise ConfigError(f"noise.{changed[0]} applies only with controller.use_estimates")
     return dict(
         v_des=(float(cfg["command"]["vx_mps"]), float(cfg["command"]["vy_mps"])),
         seed=int(cfg["seed"]),
-        use_estimates=use_estimates,
+        use_estimates=bool(cfg["controller"]["use_estimates"]),
         preset=str(cfg["gait"]["preset"]),
         period=float(cfg["gait"]["period_s"]),
         z0=float(cfg["robot"]["z0_m"]), model=_body_model(cfg),
@@ -256,11 +236,6 @@ def cmd_mpc_trot(cfg: dict, out: Path) -> dict:
 
 
 def cmd_slope(cfg: dict, out: Path) -> dict:
-    # the posture adaptation acts through the balance controller's target;
-    # the MPC tracks its own flat-body reference and would ignore it
-    if cfg["controller"]["type"] != "balance":
-        raise ConfigError(f"slope runs the balance controller only, not "
-                          f"controller.type {cfg['controller']['type']!r}")
     res = scenarios.run_slope(duration=_duration(cfg, 4.0),
                               slope=float(cfg["slope"]["grade"]), **_trot_args(cfg))
     write_csv(out / "slope_log.csv", res.log)
@@ -268,7 +243,6 @@ def cmd_slope(cfg: dict, out: Path) -> dict:
 
 
 def cmd_estimate(cfg: dict, out: Path) -> dict:
-    _reject_unread(cfg, "estimate", "noise", "controller")
     src = cfg["estimate"]["input_csv"]
     if not src:
         raise ConfigError("estimate.input_csv is required for the estimate subcommand")
@@ -289,8 +263,6 @@ def _jump_spec(cfg: dict):
     if jump["flight_min_s"] is not None:
         kw["flight_min"] = float(jump["flight_min_s"])
     if jump["preset"] == "hop":
-        if jump["yaw_goal_deg"] is not None:
-            raise ConfigError("jump.yaw_goal_deg applies to the spin90 preset only")
         return scenarios.hop_spec(**kw), None
     if jump["preset"] == "spin90":
         if jump["yaw_goal_deg"] is not None:
@@ -300,7 +272,6 @@ def _jump_spec(cfg: dict):
 
 
 def cmd_jump_opt(cfg: dict, out: Path) -> dict:
-    _reject_unread(cfg, "jump-opt", "noise", "controller")
     spec, context = _jump_spec(cfg)
     res, _ref = scenarios.run_jump_opt(spec, context_timings_10ms=context)
     write_csv(out / "jump_ref.csv", res.log)
@@ -310,7 +281,6 @@ def cmd_jump_opt(cfg: dict, out: Path) -> dict:
 def cmd_jump_sim(cfg: dict, out: Path) -> dict:
     """Track ``jump.reference_csv``, or ``<out_dir>/jump_ref.csv``, which is
     solved for and written first when it is absent."""
-    _reject_unread(cfg, "jump-sim", "noise", "controller")
     spec, _ = _jump_spec(cfg)
     ref_csv = cfg["jump"]["reference_csv"]
     if ref_csv and not Path(ref_csv).exists():
@@ -337,6 +307,31 @@ COMMANDS = {
 }
 
 
+# The config keys each subcommand reads; a section stands for all its keys.
+# Every subcommand also reads seed and out_dir (see run).
+READS = {
+    "stand": ("duration_s", "robot.mass_kg", "robot.inertia_diag", "noise"),
+    "trot": ("duration_s", "robot", "gait", "command", "controller"),
+    "mpc-trot": ("duration_s", "robot", "gait", "command", "controller.use_estimates"),
+    "slope": ("duration_s", "robot", "gait", "command", "controller.use_estimates", "slope"),
+    "estimate": ("estimate",),
+    "jump-opt": ("robot", "jump.preset", "jump.n_knots", "jump.flight_min_s"),
+    "jump-sim": ("robot", "jump.preset", "jump.n_knots", "jump.flight_min_s", "jump.reference_csv"),
+}
+# keys also read where a subcommand reads the condition key and it holds
+READ_IF = {"noise": ("controller.use_estimates", True),
+           "jump.yaw_goal_deg": ("jump.preset", "spin90")}
+
+
+def read_keys(subcommand: str, leaves: dict) -> set[str]:
+    """The dotted leaves ``subcommand`` reads, given every leaf's value."""
+    named = {"seed", "out_dir", *READS[subcommand]}
+    for key, (cond, value) in READ_IF.items():
+        if {cond, cond.partition(".")[0]} & named and leaves[cond] == value:
+            named.add(key)
+    return {key for key in leaves if {key, key.partition(".")[0]} & named}
+
+
 def run(subcommand: str, config_path: str | None = None,
         overrides: dict | None = None) -> tuple[int, dict]:
     """Programmatic entry point; returns (exit code, summary/error dict)."""
@@ -348,6 +343,11 @@ def run(subcommand: str, config_path: str | None = None,
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         handler = COMMANDS[subcommand]
+        leaves, defaults = _leaves(cfg), _leaves(DEFAULT_CONFIG)
+        read = read_keys(subcommand, leaves)
+        unread = [key for key in leaves if key not in read and leaves[key] != defaults[key]]
+        if unread:
+            raise ConfigError(f"{unread[0]} does not apply to {subcommand}")
     except (ConfigError, KeyError, FileNotFoundError, yaml.YAMLError) as exc:
         return 2, {"error": str(exc), "kind": "config"}
 

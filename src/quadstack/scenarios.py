@@ -335,8 +335,8 @@ class TrotDriver:
         r_d, height = terrain.posture_from_plane(self.plane, yaw=0.0, z0=self.z0)
         self._posture = r_d, (self.plane.normal() * height).tolist()
 
-    def desired(self, t, state: RobotState) -> DesiredState:
-        contact, phis = self.schedule(t)
+    def desired(self, t, state: RobotState, contact, phis) -> DesiredState:
+        """The balance target at ``t``, given the schedule there."""
         weights = [gait.total_weight(c, phi) for c, phi in zip(contact, phis)]
         verts = gait.support_polygon(state.feet.tolist(), weights)
         poly_x, poly_y = gait.desired_com(verts)
@@ -369,10 +369,11 @@ class TrotDriver:
         traj = SwingTrajectory(state.feet[leg].copy(), target, duration)
         self.swing_trajs[leg] = (traj, t)
 
-    def mpc_tables(self, t, state: RobotState):
+    def mpc_tables(self, t, state: RobotState, contact_now):
         """Reference states, contact flags, footholds and moment-arm origins
-        over the MPC horizon, (k, 12), (k, 4), (k, 4, 3) and (k, 3)."""
-        swing_now = [not c for c in self.schedule(t)[0]]
+        over the MPC horizon, (k, 12), (k, 4), (k, 4, 3) and (k, 3), given
+        the scheduled contact flags at ``t``."""
+        swing_now = [not c for c in contact_now]
         px, py, pz = state.pos.tolist()
         feet_now = state.feet.tolist()
         # a leg now in swing lands under its hip advanced by the command
@@ -406,7 +407,7 @@ class TrotDriver:
 
     def mpc_forces(self, t, state: RobotState, step_idx, contact_now):
         if contact_now != self._mpc_contact or step_idx % MPC_DECIMATION == 0:
-            x_ref, contact, feet, p_nom = self.mpc_tables(t, state)
+            x_ref, contact, feet, p_nom = self.mpc_tables(t, state, contact_now)
             contact[0] = contact_now  # first step uses the realized contact set
             x0 = np.concatenate([state.pos, so3.matrix_to_rpy(state.rot),
                                  state.vel, state.rot @ state.omega])
@@ -428,7 +429,7 @@ class TrotDriver:
         speed_sum = 0.0
         for k in range(n):
             t = self.world.t
-            contact, _ = self.schedule(t)
+            contact, phis = self.schedule(t)
             mask = np.array(contact)
             state = self.world.state
 
@@ -448,13 +449,13 @@ class TrotDriver:
                 if contact_prev[leg] and not contact[leg]:
                     self.plan_swing(leg, t, ctrl_state)
                 if contact[leg] and not contact_prev[leg]:
-                    self.recent_contacts[leg] = state.feet[leg].copy()
+                    self.recent_contacts[leg] = ctrl_state.feet[leg].copy()
                     touchdown = True
             contact_prev = contact
             if touchdown and self.adapt_posture:
                 self._fit_contacts()
 
-            des = self.desired(t, ctrl_state)
+            des = self.desired(t, ctrl_state, contact, phis)
             if self.controller_type == "mpc":
                 forces = self.mpc_forces(t, ctrl_state, k, contact)
                 forces = forces * np.repeat(mask, 3)

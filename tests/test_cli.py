@@ -1,4 +1,5 @@
 import json
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ class TestConfig:
         ("jump-opt", "noise:\n  gyro_std: 0.3\n", "noise.gyro_std"),
         ("jump-sim", "controller:\n  type: mpc\n", "controller.type"),
         ("estimate", "noise:\n  accel_bias: 0.0\n", "noise.accel_bias"),
+        ("stand", "robot:\n  z0_m: 0.40\n", "robot.z0_m"),
+        ("stand", "gait:\n  period_s: 0.5\n", "gait.period_s"),
+        ("stand", "slope:\n  grade: 0.3\n", "slope.grade"),
+        ("trot", "slope:\n  grade: 0.3\n", "slope.grade"),
+        ("trot", "jump:\n  n_knots: 12\n", "jump.n_knots"),
+        ("jump-opt", "jump:\n  reference_csv: ref.csv\n", "jump.reference_csv"),
+        ("jump-opt", "estimate:\n  input_csv: log.csv\n", "estimate.input_csv"),
+        ("estimate", "robot:\n  mass_kg: 30.0\n", "robot.mass_kg"),
+        ("jump-sim", "duration_s: 2.0\n", "duration_s"),
+        ("mpc-trot", "controller:\n  type: mpc\n", "controller.type"),
     ])
     def test_unread_key_is_config_error(self, tmp_path, subcommand, config_text, key):
         # a key the subcommand never reads fails before any work is done
@@ -80,11 +91,85 @@ class TestConfig:
         assert key in payload["error"] and subcommand in payload["error"]
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_duration_flag_is_config_error_for_jump_opt(self, tmp_path, capsys):
+        # --duration sets duration_s, which the timing solve never reads
+        out = tmp_path / "out"
+        assert cli.main(["jump-opt", "--duration", "2", "--out-dir", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert "duration_s" in payload["error"] and "jump-opt" in payload["error"]
+        assert list(out.iterdir()) == []
+
+    def test_env_override_of_a_section_is_config_error(self, monkeypatch):
+        monkeypatch.setenv("QUADSTACK_NOISE", "0.1")
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(None)
+
     def test_default_valued_key_is_accepted(self, tmp_path):
         # spelling out a default is not an error
         code, _ = run_cli(tmp_path, "stand", "controller:\n  type: balance\n  use_estimates: false\n",
                           duration_s=0.01)
         assert code == 0
+
+
+class Recording(Mapping):
+    """A config tree that records the dotted name of every leaf read."""
+
+    def __init__(self, tree, reads, prefix=""):
+        self._tree, self._reads, self._prefix = tree, reads, prefix
+
+    def __getitem__(self, key):
+        value, name = self._tree[key], self._prefix + key
+        if isinstance(value, dict):
+            return Recording(value, self._reads, name + ".")
+        self._reads.add(name)
+        return value
+
+    def __iter__(self):
+        return iter(self._tree)
+
+    def __len__(self):
+        return len(self._tree)
+
+
+class TestReadTable:
+    def test_table_names_commands_and_config_keys(self):
+        # a stale or misspelled entry fails here, not as a key that is
+        # silently accepted or wrongly rejected
+        assert set(cli.READS) == set(cli.COMMANDS)
+        names = set(cli._leaves(cli.DEFAULT_CONFIG)) | set(cli.DEFAULT_CONFIG)
+        entries = [key for keys in cli.READS.values() for key in keys]
+        entries += [key for key, (cond, _) in cli.READ_IF.items() for key in (key, cond)]
+        assert [key for key in entries if key not in names] == []
+
+    @pytest.mark.parametrize("subcommand, values", [
+        ("stand", {}),
+        ("trot", {"controller.use_estimates": True}),
+        ("mpc-trot", {"controller.use_estimates": True}),
+        ("slope", {"controller.use_estimates": True}),
+        ("estimate", {}),
+        ("jump-opt", {"jump.preset": "hop"}),
+        ("jump-opt", {"jump.preset": "spin90"}),
+        ("jump-sim", {"jump.preset": "hop"}),
+        ("jump-sim", {"jump.preset": "spin90"}),
+    ])
+    def test_handlers_read_their_table_entry(self, tmp_path, monkeypatch, subcommand, values):
+        # each handler, with the scenarios stubbed out, reads exactly the
+        # leaves the table says it reads, plus seed and out_dir, which run reads
+        result = scenarios.ScenarioResult(summary={}, log={"t_s": np.zeros(2)})
+        for name in ("run_stand", "run_trot", "run_slope", "run_estimate", "run_jump_sim"):
+            monkeypatch.setattr(scenarios, name, lambda *args, **kw: result)
+        monkeypatch.setattr(scenarios, "run_jump_opt", lambda *args, **kw: (result, None))
+        monkeypatch.setattr(scenarios, "reference_from_log", lambda log: None)
+        log = tmp_path / "log.csv"
+        cli.write_csv(log, result.log)
+        cfg = cli.load_config(None)
+        cfg["estimate"]["input_csv"] = str(log) if subcommand == "estimate" else None
+        for name, value in values.items():
+            section, key = name.split(".")
+            cfg[section][key] = value
+        reads = set()
+        cli.COMMANDS[subcommand](Recording(cfg, reads), tmp_path)
+        assert reads | {"seed", "out_dir"} == cli.read_keys(subcommand, cli._leaves(cfg))
 
 
 class TestErrorKinds:
@@ -291,11 +376,12 @@ class TestTrot:
 
     @pytest.mark.parametrize("subcommand, log", [("trot", "trot_balance_log.csv"),
                                                  ("mpc-trot", "trot_mpc_log.csv"),
-                                                 ("slope", "slope_log.csv")])
+                                                 ("slope", "slope_log.csv"),
+                                                 ("stand", "stand_log.csv")])
     def test_noise_reaches_the_estimator(self, tmp_path, subcommand, log):
-        # with controller.use_estimates the noise config reaches the sensors
-        # the estimator reads; without it, a noise key is a config error
-        estimates = "controller:\n  use_estimates: true\n"
+        # the noise config reaches the sensors the estimator reads: always
+        # in stand, and with controller.use_estimates in the trots
+        estimates = "" if subcommand == "stand" else "controller:\n  use_estimates: true\n"
         quiet = "noise:\n  accel_std: 0.0\n  gyro_std: 0.0\n  accel_bias: 0.0\n"
         logs = []
         for name, noise in (("noisy", ""), ("quiet", quiet)):
@@ -304,6 +390,11 @@ class TestTrot:
             assert code == 0
             logs.append((tmp_path / name / log).read_bytes())
         assert logs[0] != logs[1]
+
+    @pytest.mark.parametrize("subcommand, log", [("trot", "trot_balance_log.csv"),
+                                                 ("mpc-trot", "trot_mpc_log.csv"),
+                                                 ("slope", "slope_log.csv")])
+    def test_noise_without_estimates_is_config_error(self, tmp_path, subcommand, log):
         code, payload = run_cli(tmp_path, subcommand, "noise:\n  gyro_std: 0.01\n",
                                 duration_s=0.3)
         assert code == 2

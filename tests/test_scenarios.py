@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from quadstack import cli, gait, mpc, scenarios, sim
+from quadstack import cli, gait, mpc, scenarios, sim, terrain
 from quadstack.estimation import ImuSample
 from quadstack.scenarios import (ReplayLogError, hop_spec, reference_from_log, reference_log,
-                                 run_estimate, run_jump_opt, run_jump_sim, run_stand, run_trot,
-                                 spin_spec)
+                                 run_estimate, run_jump_opt, run_jump_sim, run_slope, run_stand,
+                                 run_trot, spin_spec)
 from quadstack.swing import LegModel
 from quadstack.trajopt import BodyReference
 
@@ -134,6 +134,41 @@ class TestEstimatedFeet:
             assert np.array_equal(feet, kf_feet)
         assert not all(np.array_equal(kf_feet, true_feet) for _, kf_feet, true_feet in seen)
 
+    def test_slope_fits_the_kf_footholds(self, monkeypatch):
+        # on estimates, each touchdown records the KF's foot, not the
+        # simulator's, so slope's ground plane is fit to estimated footholds
+        fits, current = [], {}
+        step, imu, fit = scenarios.EstimatorLoop.step, sim.SimWorld.synth_imu, terrain.fit_plane
+
+        def recording_step(self, *args):
+            current["loop"] = self
+            return step(self, *args)
+
+        def recording_imu(self):
+            current["world"] = self
+            return imu(self)
+
+        def recording_fit(xy, z):
+            # the fit at start-up comes before the first tick
+            kf_feet, true_feet = ((current["loop"].kf.feet.copy(), current["world"].state.feet.copy())
+                                  if current else (None, None))
+            fits.append((np.column_stack([xy, z]), kf_feet, true_feet))
+            return fit(xy, z)
+
+        monkeypatch.setattr(scenarios.EstimatorLoop, "step", recording_step)
+        monkeypatch.setattr(sim.SimWorld, "synth_imu", recording_imu)
+        monkeypatch.setattr(terrain, "fit_plane", recording_fit)
+        run_slope(duration=0.8, use_estimates=True)
+        assert len(fits) >= 5   # start-up, then one fit per touchdown
+        for (before, _, _), (points, kf_feet, true_feet) in zip(fits, fits[1:]):
+            # the legs that just touched down hold the KF's foot, the others
+            # keep their footholds
+            touched = [leg for leg in range(4) if np.array_equal(points[leg], kf_feet[leg])]
+            kept = [leg for leg in range(4) if leg not in touched]
+            assert touched
+            assert np.array_equal(points[kept], before[kept])
+            assert not np.array_equal(points[touched], true_feet[touched])
+
 
 def mpc_tables_per_leg(driver, t, state):
     """TrotDriver.mpc_tables as the per-(step, leg) numpy loop it replaced."""
@@ -183,9 +218,9 @@ class TestMpcTables:
         calls = []
         original = scenarios.TrotDriver.mpc_tables
 
-        def recording(self, t, state):
+        def recording(self, t, state, contact_now):
             calls.append((t, state.copy(), self.p_ref_xy))
-            return original(self, t, state)
+            return original(self, t, state, contact_now)
 
         monkeypatch.setattr(scenarios.TrotDriver, "mpc_tables", recording)
         driver.run()
@@ -197,7 +232,7 @@ class TestMpcTables:
 
         for t, state, p_ref in calls:
             for driver.p_ref_xy in (None, p_ref):
-                got = driver.mpc_tables(t, state)
+                got = driver.mpc_tables(t, state, driver.schedule(t)[0])
                 want = mpc_tables_per_leg(driver, t, state)
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.shape == b.shape

@@ -177,6 +177,18 @@ def _friction_rows(n_stance: int, mu: float, f_min: float, f_max: float):
     return rows, rhs, norms
 
 
+def _friction_qp(h: np.ndarray, g: np.ndarray, friction: FrictionSpec) -> QpProblem:
+    """The QP min 1/2 F^T h F + g^T F over the forces of g.size / 3 stance
+    feet, under their cached friction-pyramid and normal-bound rows, with
+    the rows' cached norms; ``h`` and ``g`` are already float arrays of the
+    shapes QpProblem checks."""
+    c_ineq, d_ineq, norms = _friction_rows(g.size // 3, friction.mu, friction.f_min,
+                                           friction.f_max)
+    qp = unchecked(QpProblem, h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
+    qp.row_norms = norms
+    return qp
+
+
 @functools.lru_cache(maxsize=16)
 def _stance_cols(stance: tuple[bool, ...]) -> np.ndarray:
     """Indices of the stance feet's force components in F (12,), read-only."""
@@ -211,12 +223,8 @@ def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
     h = a_s.T @ _S_WEIGHT @ a_s
     h.ravel()[::n + 1] += _ALPHA + _BETA
     h *= 2.0
-    c_ineq, d_ineq, norms = _friction_rows(n // 3, friction.mu, friction.f_min, friction.f_max)
     g = -2.0 * (a_s.T @ (_S_WEIGHT @ np.asarray(b_d, dtype=float)) + _BETA * f_prev_s)
-    # arrays of the shapes QpProblem checks, and the cached rows' norms
-    qp = unchecked(QpProblem, h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
-    qp.row_norms = norms
-    res = solver.solve(qp)
+    res = solver.solve(_friction_qp(h, g, friction))
     if res.status is not QpStatus.OPTIMAL:
         raise ForceDistributionError(f"force QP failed with status {res.status}")
 

@@ -4,8 +4,9 @@ Subcommands: stand, trot, mpc-trot, slope, estimate, jump-opt, jump-sim.
 Each run writes a CSV time-series log and a JSON summary into the output
 directory; jump-sim always tracks the reference read from ``jump_ref.csv``
 (see :func:`cmd_jump_sim`). Configuration is a YAML key/value tree
-validated against the schema below (unknown keys are rejected); any leaf can
-be overridden through environment variables named QUADSTACK_<SECTION>__<KEY>.
+validated against the schema below (unknown keys, and values of another type
+than the default's, are rejected); any leaf can be overridden through
+environment variables named QUADSTACK_<SECTION>__<KEY>.
 A key set to other than its default that the subcommand does not read (see
 ``READS``) is rejected too, before the run starts.
 
@@ -84,6 +85,11 @@ DEFAULT_CONFIG: dict = {
 }
 
 
+# the type of each leaf whose default is null; null stays allowed there
+_NULL_TYPES = {"duration_s": float, "estimate.input_csv": str, "jump.flight_min_s": float,
+               "jump.yaw_goal_deg": float, "jump.reference_csv": str}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -105,8 +111,30 @@ def _merge_validate(defaults: dict, override: dict, path: str) -> dict:
                 raise ConfigError(f"config key {where} must be a mapping")
             out[key] = _merge_validate(defaults[key], value, where)
         else:
+            _check_type(where, defaults[key], value)
             out[key] = value
     return out
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_type(where: str, default, value) -> None:
+    """Reject a leaf value of other than its default's type: a bool takes
+    only a bool, a number an int or a float (never a bool), a list only
+    numbers, and a null default null or its type in ``_NULL_TYPES``."""
+    if default is None and value is None:
+        return
+    kind = _NULL_TYPES[where] if default is None else type(default)
+    if kind in (int, float):
+        ok, what = _is_number(value), "a number"
+    elif kind is list:
+        ok, what = isinstance(value, list) and all(map(_is_number, value)), "a list of numbers"
+    else:
+        ok, what = isinstance(value, kind), f"a {kind.__name__}"
+    if not ok:
+        raise ConfigError(f"config key {where} must be {what}, got {value!r}")
 
 
 def _leaves(cfg: dict) -> dict:
@@ -117,14 +145,17 @@ def _leaves(cfg: dict) -> dict:
 
 def _apply_env(cfg: dict) -> dict:
     """Overrides like QUADSTACK_NOISE__ACCEL_STD=0.1 (numbers parsed via YAML)."""
+    defaults = _leaves(DEFAULT_CONFIG)
     for name, raw in os.environ.items():
         if not name.startswith(ENV_PREFIX):
             continue
         key = name[len(ENV_PREFIX):].lower().replace("__", ".")
-        if key not in _leaves(cfg):
+        if key not in defaults:
             raise ConfigError(f"unknown config key in {name}")
+        value = yaml.safe_load(raw)
+        _check_type(key, defaults[key], value)
         section, _, leaf = key.rpartition(".")
-        (cfg[section] if section else cfg)[leaf] = yaml.safe_load(raw)
+        (cfg[section] if section else cfg)[leaf] = value
     return cfg
 
 

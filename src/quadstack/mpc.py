@@ -26,13 +26,14 @@ independent oracle the condensation is tested against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import so3
-from .balance import GRAVITY_W, BodyModel, FrictionSpec, _friction_rows
-from .qpsolver import ActiveSetSolver, QpProblem, QpStatus
+from .balance import GRAVITY_W, BodyModel, FrictionSpec, _friction_qp
+from .qpsolver import ActiveSetSolver, QpStatus
 
 __all__ = ["MpcConfig", "MpcInfeasibleError", "linearize_srbd", "solve_mpc",
            "rollout", "plan_cost"]
@@ -106,16 +107,12 @@ def linearize_srbd(feet: np.ndarray, model: BodyModel, dt: float, contact: np.nd
     return a, b, c
 
 
-def _condense(cfg: MpcConfig):
-    """Stack x_1..x_k as X = sx @ x0 + su @ U + sc over the stance force columns.
-
-    A = I + N with N^2 = 0, so A^l = I + l N: row block j of ``sx`` is
-    I + (j+1) N, and the block of step j in the columns of a force applied at
-    step i <= j is A^(j-i) B_i = B_i + (j-i) N B_i. The columns follow the
-    row-major order of ``cfg.contact``.
-    """
-    k, dt, m = cfg.horizon, DT, cfg.model.mass
-    i_inv = np.linalg.inv(cfg.model.inertia)
+@functools.lru_cache(maxsize=16)
+def _horizon_tables(k: int, dt: float, mass: float, inertia: tuple[float, ...]):
+    """The parts of the condensation that depend only on the horizon, the
+    step and the model, read-only: I^-1, N, ``sx``, ``sc``, the steps
+    0..k-1 and the two constant force blocks of B, (3, 1, 3) each."""
+    i_inv = np.linalg.inv(np.array(inertia).reshape(3, 3))
     n_mat = np.zeros((NX, NX))
     n_mat[0:3, 6:9] = dt * np.eye(3)
     n_mat[3:6, 9:12] = dt * np.eye(3)
@@ -125,18 +122,36 @@ def _condense(cfg: MpcConfig):
     steps = np.arange(1.0, k + 1.0)
     sx = (np.eye(NX) + steps[:, None, None] * n_mat).reshape(k * NX, NX)
     sc = (steps[:, None] * c + (0.5 * steps * (steps - 1.0))[:, None] * (n_mat @ c)).reshape(-1)
+    b_pos = 0.5 * dt * dt / mass * np.eye(3)[:, None]
+    b_vel = dt / mass * np.eye(3)[:, None]
+    tables = i_inv, n_mat, sx, sc, np.arange(k), b_pos, b_vel
+    for x in tables:
+        x.setflags(write=False)
+    return tables
 
+
+def _condense(cfg: MpcConfig):
+    """Stack x_1..x_k as X = sx @ x0 + su @ U + sc over the stance force columns.
+
+    A = I + N with N^2 = 0, so A^l = I + l N: row block j of ``sx`` is
+    I + (j+1) N, and the block of step j in the columns of a force applied at
+    step i <= j is A^(j-i) B_i = B_i + (j-i) N B_i. The columns follow the
+    row-major order of ``cfg.contact``.
+    """
+    k, dt = cfg.horizon, DT
+    i_inv, n_mat, sx, sc, step_of_row, b_pos, b_vel = _horizon_tables(
+        k, dt, cfg.model.mass, tuple(cfg.model.inertia.ravel().tolist()))
     step, foot = np.nonzero(cfg.contact)
     arm = cfg.feet[step, foot] - cfg.p_nom[step]
     hats = np.zeros((step.size, 3, 3))  # so3.hat of each moment arm
     hats[:, (2, 0, 1), (1, 2, 0)] = arm
     hats[:, (1, 2, 0), (2, 0, 1)] = -arm
     b = np.zeros((NX, step.size, 3))  # B_i in the columns of each stance force
-    b[0:3] = 0.5 * dt * dt / m * np.eye(3)[:, None]
-    b[6:9] = dt / m * np.eye(3)[:, None]
+    b[0:3] = b_pos
+    b[6:9] = b_vel
     b[9:12] = dt * (i_inv @ hats).transpose(1, 0, 2)
     b = b.reshape(NX, 3 * step.size)
-    lag = (np.arange(k)[:, None] - step.repeat(3))[:, None, :]  # (k, 1, nu)
+    lag = (step_of_row[:, None] - step.repeat(3))[:, None, :]  # (k, 1, nu)
     su = np.where(lag >= 0, b + lag * (n_mat @ b), 0.0)
     return sx, su.reshape(k * NX, 3 * step.size), sc
 
@@ -159,13 +174,11 @@ def solve_mpc(cfg: MpcConfig, x0: np.ndarray, friction: FrictionSpec) -> np.ndar
     # the state cost is block-diagonal in the steps: sum_j su_j^T Q su_j
     resid0 = (sx @ x0 + sc - cfg.x_ref.reshape(-1)).reshape(k, NX)
     h = 2.0 * (su.T @ (_Q_WEIGHT @ su.reshape(k, NX, nu)).reshape(k * NX, nu))
-    h[np.diag_indices(nu)] += 2.0 * _R_WEIGHT
+    h.ravel()[::nu + 1] += 2.0 * _R_WEIGHT  # the diagonal, in place
     g = 2.0 * (su.T @ (resid0 @ _Q_WEIGHT.T).reshape(-1))
 
     # friction pyramid and bounds per stance force block
-    c_ineq, d_ineq, _ = _friction_rows(nu // 3, friction.mu, friction.f_min, friction.f_max)
-    qp = QpProblem(h=h, g=g, c_ineq=c_ineq, d_ineq=d_ineq)
-    res = ActiveSetSolver().solve(qp)
+    res = ActiveSetSolver().solve(_friction_qp(h, g, friction))
     if res.status is not QpStatus.OPTIMAL:
         raise MpcInfeasibleError(f"force plan QP returned {res.status}")
     plan[cfg.contact] = res.x.reshape(-1, 3)

@@ -28,10 +28,17 @@ make room for proves the problem infeasible. Once the working set is final,
 one refinement step puts the working rows back on their bounds. Ties are
 broken in a fixed order, so identical inputs produce bitwise-identical
 outputs.
+
+The length-n products, the factorizations and the triangular solves are
+numpy and LAPACK calls, whose kernels set the bits. The bookkeeping on the
+working set (its multipliers, the ratio test, the step lengths) runs on
+Python floats: at the sizes posed here numpy's cost per call would exceed
+the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -99,6 +106,13 @@ class QpResult:
     lam_ineq: np.ndarray | None = None  # multipliers on every row, on OPTIMAL
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a contiguous float vector, by that function's
+    own formula (the square root of ``v.dot(v)``, same bits) without its
+    dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _solved(result: tuple[np.ndarray, int]) -> np.ndarray:
     """The solution of a LAPACK ``dtrtrs`` call, which must have succeeded.
 
@@ -124,51 +138,53 @@ class ActiveSetSolver:
         except np.linalg.LinAlgError:
             l = np.linalg.cholesky(h + _REG * np.eye(n))
         c, d = qp.c_ineq, qp.d_ineq
-        # a row within tol of its bound, as a distance, is satisfied
-        tol = _TOL * qp.row_norms
+        # a row within _TOL |row| of its bound, as a distance, is satisfied;
+        # the working rows, never picked, have an infinite threshold
+        thresh = _TOL * qp.row_norms
         # the row normals and the unconstrained minimum in y = L^T x
         wg = _solved(lapack.dtrtrs(l.T, np.concatenate((c, qp.g[None])).T, lower=0, trans=1))
         w, y = wg[:, :-1], -wg[:, -1]
 
         work: list[int] = []  # working rows
-        u = np.zeros(0)  # their multipliers
+        u: list[float] = []  # their multipliers
         # working normals = q r, in buffers that the factor updates fill,
         # allocated when the first row joins
         qf = rf = None
         q, r = np.zeros((n, 0)), np.zeros((0, 0))
         it = 0
-        while True:
-            viol = w.T @ y - d
-            viol[viol <= tol] = 0.0
-            if work:
-                viol[work] = 0.0
-            if not viol.any():
+        while d.size:  # with no rows the start is the optimum
+            viol = w.T.dot(y) - d
+            viol[viol <= thresh] = 0.0
+            p = int(viol.argmax())
+            if viol[p] == 0.0:  # every entry is 0.0 or above its threshold
                 break
-            p = int(np.argmax(viol))
-            n_p, u_p, full = w[:, p], 0.0, False
+            n_p, d_p, u_p, full = w[:, p], float(d[p]), 0.0, False
+            dep = (_DEP_TOL * _norm(n_p)) ** 2
             while not full:
                 if it == _MAX_ITER:
                     return _stopped(l, y, QpStatus.MAX_ITER, it, work)
                 it += 1
-                proj = q.T @ n_p
-                z = n_p - q @ proj  # primal step direction
-                dual = _solved(lapack.dtrtrs(r.T, proj, lower=1, trans=1)) if work else proj
-                # dual ratio test over the working rows
-                block = np.flatnonzero(dual > 0.0)
-                ratio = u[block] / dual[block]
-                drop = block[np.argmin(ratio)] if block.size else -1
-                t1 = np.min(ratio, initial=np.inf)
-                zz = z @ z
-                resid = n_p @ y - d[p]
-                t2 = resid / zz if zz > (_DEP_TOL * np.linalg.norm(n_p)) ** 2 else np.inf
-                if t1 == t2 == np.inf:
+                proj = q.T.dot(n_p)
+                z = n_p - q.dot(proj)  # primal step direction
+                dual = (_solved(lapack.dtrtrs(r.T, proj, lower=1, trans=1)) if work
+                        else proj).tolist()
+                # dual ratio test over the working rows: the first smallest
+                # u_i / dual_i with dual_i > 0, as np.argmin picks it
+                t1, drop = math.inf, -1
+                for i, (u_i, dual_i) in enumerate(zip(u, dual)):
+                    if dual_i > 0.0 and (ratio := u_i / dual_i) < t1:
+                        t1, drop = ratio, i
+                zz = float(z.dot(z))
+                t2 = (float(n_p.dot(y)) - d_p) / zz if zz > dep else math.inf
+                if t1 == t2 == math.inf:
                     # a dependent row that no multiplier can make room for
                     return _stopped(l, y, QpStatus.INFEASIBLE, it, work)
                 full = t2 <= t1
                 t = min(t1, t2)
-                if t2 < np.inf:
+                if t2 < math.inf:
                     y = y - t * z
-                u, u_p = u - t * dual, u_p + t
+                u = [u_i - t * dual_i for u_i, dual_i in zip(u, dual)]
+                u_p += t
                 k = len(work)
                 if full:
                     if qf is None:
@@ -176,21 +192,23 @@ class ActiveSetSolver:
                     # append n_p = q (proj + s) + |z| e_k to the factors,
                     # after one reorthogonalization pass s = q^T z; the row
                     # is cleared because qr_delete takes a triangular r
-                    s = q.T @ z
-                    z = z - q @ s
+                    s = q.T.dot(z)
+                    z = z - q.dot(s)
                     rf[k, :k] = 0.0
                     rf[:k, k] = proj + s
-                    rf[k, k] = np.linalg.norm(z)
-                    qf[:, k] = z / rf[k, k]
+                    rf[k, k] = z_norm = _norm(z)
+                    qf[:, k] = z / z_norm
                     work.append(p)
-                    u = np.append(u, u_p)
+                    u.append(u_p)
+                    thresh[p] = math.inf
                 else:
                     # Givens rotations restore the triangle without the
                     # column; with k = n the factors come back full-sized
                     qd, rd = qr_delete(q, r, drop, which="col", check_finite=False)
                     qf[:, :k - 1], rf[:k - 1, :k - 1] = qd[:, :k - 1], rd[:k - 1]
+                    thresh[work[drop]] = _TOL * qp.row_norms[work[drop]]
                     work.pop(drop)
-                    u = np.delete(u, drop)
+                    u.pop(drop)
                 q, r = qf[:, :len(work)], rf[:len(work), :len(work)]
 
         x = _solved(lapack.dtrtrs(l.T, y, lower=0))
@@ -198,8 +216,8 @@ class ActiveSetSolver:
         if work:
             # refinement: the smallest move in the H norm that puts the
             # working rows back on their bounds
-            resid = d[work] - c[work] @ x
-            v = q @ _solved(lapack.dtrtrs(r.T, resid, lower=1))
+            resid = d[work] - c[work].dot(x)
+            v = q.dot(_solved(lapack.dtrtrs(r.T, resid, lower=1)))
             x = x + _solved(lapack.dtrtrs(l.T, v, lower=0))
             lam[work] = np.maximum(u, 0.0)
         return QpResult(x=x, status=QpStatus.OPTIMAL, iterations=it,

@@ -216,8 +216,9 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
         world.step(forces, stance)
         imu = world.synth_imu()
         qs, qds = world.synth_encoders()
-        feet = est.kf.feet  # the ground heights are read under the KF's own feet
-        est.step(imu, qs, qds, stance, ground.height(feet[:, 0], feet[:, 1]), dt)
+        # the ground heights are read under the KF's own feet
+        heights = np.array([ground.height(x, y) for x, y, _ in est.kf.feet.tolist()])
+        est.step(imu, qs, qds, stance, heights, dt)
         u = (est.filter.r_hat @ imu.accel + GRAVITY_W).tolist()
         pred_pos = [p + dt * v + 0.5 * dt * dt * ui for p, v, ui in zip(pred_pos, pred_vel, u)]
         pred_vel = [v + dt * ui for v, ui in zip(pred_vel, u)]
@@ -381,29 +382,31 @@ class TrotDriver:
                 for leg in range(4) if swing_now[leg]}
         base_x, base_y = (px, py) if self.p_ref_xy is None else self.p_ref_xy
         t_stance = self.sched.stance_time()
+        sched, height, z0 = self.sched, self.ground.height, self.z0
+        # flat float lists, one step after another
         x_ref, contact, feet, p_nom = [], [], [], []
         for i in range(MPC_HORIZON):
             ti = t + (i + 1) * mpc.DT
             vx, vy = self.v_cmd(ti)
             dx, dy = vx * (ti - t), vy * (ti - t)
-            contact_i = [gait.subphase(ti, self.sched, leg)[0] for leg in range(4)]
-            feet_i = []
             for leg in range(4):
-                if contact_i[leg] and swing_now[leg]:
+                contact_leg = gait.subphase(ti, sched, leg)[0]
+                contact.append(contact_leg)
+                if contact_leg and swing_now[leg]:
                     hx, hy, _ = hips[leg]
-                    xy = gait.footstep((px + dx + hx, py + dy + hy), t_stance,
-                                       (vx, vy), (vx, vy), self.z0)
-                    feet_i.append([xy[0], xy[1], self.ground.height(*xy)])
+                    fx, fy = gait.footstep((px + dx + hx, py + dy + hy), t_stance,
+                                           (vx, vy), (vx, vy), z0)
+                    feet += (fx, fy, height(fx, fy))
                 else:
-                    feet_i.append(feet_now[leg])
+                    feet += feet_now[leg]
             com_x, com_y = base_x + dx, base_y + dy
-            x_ref.append([com_x, com_y, self.ground.height(com_x, com_y) + self.z0,
-                          0.0, 0.0, 0.0, vx, vy, 0.0, 0.0, 0.0, 0.0])
-            contact.append(contact_i)
-            feet.append(feet_i)
+            x_ref += (com_x, com_y, height(com_x, com_y) + z0,
+                      0.0, 0.0, 0.0, vx, vy, 0.0, 0.0, 0.0, 0.0)
             # moment arms about the predicted body path, not the target path
-            p_nom.append([px + dx, py + dy, pz])
-        return np.array(x_ref), np.array(contact), np.array(feet), np.array(p_nom)
+            p_nom += (px + dx, py + dy, pz)
+        k = MPC_HORIZON
+        return (np.array(x_ref).reshape(k, 12), np.array(contact).reshape(k, 4),
+                np.array(feet).reshape(k, 4, 3), np.array(p_nom).reshape(k, 3))
 
     def mpc_forces(self, t, state: RobotState, step_idx, contact_now):
         if contact_now != self._mpc_contact or step_idx % MPC_DECIMATION == 0:
@@ -411,8 +414,8 @@ class TrotDriver:
             contact[0] = contact_now  # first step uses the realized contact set
             x0 = np.concatenate([state.pos, so3.matrix_to_rpy(state.rot),
                                  state.vel, state.rot @ state.omega])
-            cfg = MpcConfig(x_ref=x_ref, contact=contact, feet=feet, p_nom=p_nom,
-                            model=self.model)
+            cfg = unchecked(MpcConfig, x_ref=x_ref, contact=contact, feet=feet,
+                            p_nom=p_nom, model=self.model)
             self._mpc_plan = solve_mpc(cfg, x0, self.friction)
             self._mpc_contact = contact_now
         return self._mpc_plan[0]
@@ -436,9 +439,9 @@ class TrotDriver:
             if self.est is not None:
                 imu = self.world.synth_imu()
                 qs, qds = self.world.synth_encoders()
-                feet = self.est.kf.feet
-                self.est.step(imu, qs, qds, mask, self.ground.height(feet[:, 0], feet[:, 1]),
-                              self.world.dt)
+                heights = np.array([self.ground.height(x, y)
+                                    for x, y, _ in self.est.kf.feet.tolist()])
+                self.est.step(imu, qs, qds, mask, heights, self.world.dt)
                 ctrl_state = self.est.estimated_state()
             else:
                 ctrl_state = state
@@ -457,8 +460,10 @@ class TrotDriver:
 
             des = self.desired(t, ctrl_state, contact, phis)
             if self.controller_type == "mpc":
+                # every contact switch replans, and the plan's first step
+                # takes the realized contact flags, so its swing entries are
+                # already exact zeros
                 forces = self.mpc_forces(t, ctrl_state, k, contact)
-                forces = forces * np.repeat(mask, 3)
             else:
                 forces = self.balance.compute(ctrl_state, des, mask)
 

@@ -40,6 +40,52 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.load_config(None)
 
+    @pytest.mark.parametrize("config_text, key", [
+        ('controller:\n  use_estimates: "false"\n', "controller.use_estimates"),
+        ("controller:\n  use_estimates: 1\n", "controller.use_estimates"),
+        ("robot:\n  mass_kg: true\n", "robot.mass_kg"),
+        ("robot:\n  mass_kg: null\n", "robot.mass_kg"),
+        ("robot:\n  inertia_diag: [0.35, true, 2.1]\n", "robot.inertia_diag"),
+        ("gait:\n  preset: 3\n", "gait.preset"),
+        ("duration_s: '2'\n", "duration_s"),
+        ("estimate:\n  input_csv: 5\n", "estimate.input_csv"),
+        ("jump:\n  flight_min_s: true\n", "jump.flight_min_s"),
+    ])
+    def test_value_of_another_type_is_config_error(self, tmp_path, config_text, key):
+        # a quoted "false" used to run the trot on estimates, bool("false")
+        # being True; a bool never stands for a number either
+        code, payload = run_cli(tmp_path, "trot", config_text)
+        assert code == 2
+        assert payload["kind"] == "config" and key in payload["error"]
+        assert not (tmp_path / "out").exists()
+
+    def test_env_override_keeps_its_type(self, monkeypatch):
+        monkeypatch.setenv("QUADSTACK_CONTROLLER__USE_ESTIMATES", "false")
+        assert cli.load_config(None)["controller"]["use_estimates"] is False
+        monkeypatch.setenv("QUADSTACK_CONTROLLER__USE_ESTIMATES", "true")
+        assert cli.load_config(None)["controller"]["use_estimates"] is True
+        monkeypatch.setenv("QUADSTACK_CONTROLLER__USE_ESTIMATES", "maybe")
+        with pytest.raises(cli.ConfigError, match="controller.use_estimates"):
+            cli.load_config(None)
+        monkeypatch.delenv("QUADSTACK_CONTROLLER__USE_ESTIMATES")
+        monkeypatch.setenv("QUADSTACK_NOISE__ACCEL_STD", "true")
+        with pytest.raises(cli.ConfigError, match="noise.accel_std"):
+            cli.load_config(None)
+
+    def test_null_default_takes_a_value_of_its_type(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("duration_s: 2\nestimate:\n  input_csv: log.csv\n"
+                        "jump:\n  flight_min_s: 0.28\n  yaw_goal_deg: 45\n"
+                        "  reference_csv: null\n")
+        cfg = cli.load_config(str(path))
+        assert cfg["duration_s"] == 2 and cfg["estimate"]["input_csv"] == "log.csv"
+        assert cfg["jump"]["flight_min_s"] == 0.28 and cfg["jump"]["yaw_goal_deg"] == 45
+        assert cfg["jump"]["reference_csv"] is None
+
+    def test_every_null_default_has_a_stated_type(self):
+        nulls = {key for key, value in cli._leaves(cli.DEFAULT_CONFIG).items() if value is None}
+        assert set(cli._NULL_TYPES) == nulls
+
     def test_estimate_requires_input(self, tmp_path):
         code, payload = run_cli(tmp_path, "estimate")
         assert code == 2

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +8,7 @@ from numpy.testing import assert_allclose
 from quadstack import balance, mpc, so3
 from quadstack.balance import GRAVITY_W, BodyModel, FrictionSpec, balance_qp, build_force_model
 from quadstack.mpc import MpcConfig, _condense, linearize_srbd, plan_cost, rollout, solve_mpc
-from quadstack.qpsolver import ActiveSetSolver, QpStatus
+from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpStatus
 from quadstack.sim import SimWorld
 from quadstack.state import RobotState
 
@@ -159,6 +162,34 @@ class TestCondense:
                                   np.array([0.0, 0.0, 0.45]))
         assert np.array_equal(a, a0)
 
+    def test_cached_tables_keep_the_bits_of_a_fresh_build(self, monkeypatch):
+        # the horizon tables are cached per horizon, step and model: two
+        # models and horizons 1 and 10, interleaved through solve_mpc, each
+        # condense to the bits of a build without the cache, and each
+        # prediction still matches the per-step rollout of its own model
+        other = BodyModel(mass=30.0, inertia=[[0.3, 0.01, 0.0], [0.01, 1.8, 0.02],
+                                              [0.0, 0.02, 1.9]])
+        rng = np.random.default_rng(11)
+        hits = mpc._horizon_tables.cache_info().hits
+        for model, k in [(MODEL, 10), (other, 10), (MODEL, 1), (other, 1)] * 2:
+            cfg = dataclasses.replace(random_cfg(rng, np.repeat(TROT, 5, axis=0)[:k]),
+                                      model=model)
+            x0 = stand_x0() + rng.normal(scale=0.05, size=12)
+            plan = solve_mpc(cfg, x0, FrictionSpec())
+            cached = _condense(cfg)
+            with monkeypatch.context() as m:
+                m.setattr(mpc, "_horizon_tables", mpc._horizon_tables.__wrapped__)
+                fresh = _condense(cfg)
+            for a, b in zip(cached, fresh):
+                assert a.tobytes() == b.tobytes()
+            sx, su, sc = cached
+            u = plan.reshape(k, 4, 3)[cfg.contact].reshape(-1)
+            pred = (sx @ x0 + su @ u + sc).reshape(k, 12)
+            oracle = rollout(cfg, x0, plan)
+            assert np.max(np.abs(pred - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        # every condense after solve_mpc's, and every one of the second round
+        assert mpc._horizon_tables.cache_info().hits >= hits + 12
+
     def test_all_flight_plan_is_exact_zeros(self):
         cfg = random_cfg(np.random.default_rng(1), self.SCHEDULES["all_flight"])
         plan = solve_mpc(cfg, stand_x0(), FrictionSpec())
@@ -187,6 +218,33 @@ class TestSolve:
         cfg.contact[2, :] = False
         plan = solve_mpc(cfg, stand_x0(), FrictionSpec())
         assert_allclose(plan[2], np.zeros(12), atol=0.0)
+
+    def test_qp_takes_the_cached_row_norms(self, monkeypatch):
+        # the friction rows come from a cache that holds their norms too;
+        # the QP must not form them again
+        def formed(qp):
+            raise AssertionError("QpProblem.row_norms formed again")
+        never = functools.cached_property(formed)
+        never.__set_name__(QpProblem, "row_norms")
+        monkeypatch.setattr(QpProblem, "row_norms", never)
+        problems = []
+        solve = ActiveSetSolver.solve
+
+        def recording_solve(self, qp):
+            problems.append(qp)
+            return solve(self, qp)
+
+        monkeypatch.setattr(ActiveSetSolver, "solve", recording_solve)
+        friction = FrictionSpec(mu=0.5, f_min=1.0, f_max=350.0)
+        for cfg in (stand_cfg(), random_cfg(np.random.default_rng(3), np.repeat(TROT, 5, axis=0))):
+            solve_mpc(cfg, stand_x0(), friction)
+        assert len(problems) == 2
+        for qp in problems:
+            _, _, norms = balance._friction_rows(qp.n // 3, 0.5, 1.0, 350.0)
+            assert qp.row_norms is norms
+        with pytest.raises(AssertionError, match="formed again"):
+            _ = QpProblem(h=np.eye(1), g=np.zeros(1), c_ineq=np.ones((1, 1)),
+                          d_ineq=np.zeros(1)).row_norms
 
     def test_friction_respected(self, monkeypatch):
         results = []

@@ -157,6 +157,14 @@ class TestBasics:
             _solved(dtrtrs(np.zeros((2, 2)), np.ones(2)))
 
 
+    def test_norm_keeps_the_bits_of_numpy_norm(self):
+        # the solver's vector norm is np.linalg.norm's own formula
+        rng = np.random.default_rng(8)
+        for _ in range(2000):
+            v = rng.normal(size=int(rng.integers(1, 130))) * 10.0 ** rng.uniform(-8.0, 8.0)
+            assert qpsolver._norm(v) == np.linalg.norm(v)
+
+
 class TestAgainstBruteForce:
     def test_random_coupled_problems(self):
         rng = np.random.default_rng(11)
@@ -561,6 +569,31 @@ class TestRowBlocks:
         res = solve(saturated)
         assert res.status is QpStatus.MAX_ITER
         assert_same_bits(res, stacked_reference_solve(saturated))
+
+    def test_trot_qps_keep_the_reference_bits(self, monkeypatch):
+        # the problems the stack poses: the MPC's cold n = 60, m = 120 QPs,
+        # some of whose paths drop rows, and the balance QPs of a trot on
+        # estimates
+        problems = []
+        original = ActiveSetSolver.solve
+
+        def recording_solve(self, qp):
+            problems.append(qp)
+            return original(self, qp)
+
+        monkeypatch.setattr(ActiveSetSolver, "solve", recording_solve)
+        run_trot(duration=1.0, controller="mpc")
+        n_mpc = len(problems)
+        run_trot(duration=0.3, use_estimates=True)
+        monkeypatch.undo()
+        assert n_mpc > 30 and len(problems) == n_mpc + 300
+        assert any(qp.n == 60 and len(qp.d_ineq) == 120 for qp in problems[:n_mpc])
+        drops = 0
+        for qp in problems:
+            res = solve(qp)
+            assert_same_bits(res, stacked_reference_solve(qp))
+            drops += res.iterations > len(res.active_set)
+        assert drops
 
     def test_zero_inequality_rows(self):
         # a problem with no rows is the unconstrained problem

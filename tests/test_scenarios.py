@@ -240,6 +240,28 @@ class TestMpcTables:
                     assert_array_equal(np.signbit(a), np.signbit(b))  # -0.0 vs 0.0
 
 
+    def test_applied_plan_step_is_exact_zero_on_swing_legs(self, monkeypatch):
+        # the trot applies the plan's first step without masking it: every
+        # contact switch replans with the realized flags, so the swing
+        # entries are already the +0.0 that the mask would give
+        driver = scenarios.TrotDriver(v_des=(0.9, -0.08), duration=1.0, controller="mpc")
+        applied = []
+        original = scenarios.TrotDriver.mpc_forces
+
+        def recording(self, t, state, step_idx, contact_now):
+            forces = original(self, t, state, step_idx, contact_now)
+            applied.append((contact_now, forces.copy()))
+            return forces
+
+        monkeypatch.setattr(scenarios.TrotDriver, "mpc_forces", recording)
+        driver.run()
+        assert len(applied) == 1000
+        assert sum(not all(contact) for contact, _ in applied) > 400
+        for contact, forces in applied:
+            masked = forces * np.repeat(contact, 3)
+            assert masked.tobytes() == forces.tobytes()
+
+
 class TestEstimateReplay:
     def test_missing_columns_rejected(self):
         with pytest.raises(ReplayLogError, match="missing columns"):

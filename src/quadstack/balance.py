@@ -258,5 +258,6 @@ def landing_switch(contact_forces: np.ndarray, t: float, t_posing: float) -> boo
     :data:`CONTACT_FORCE_THRESHOLD`."""
     if t < t_posing:
         return False
-    return bool(np.max(np.asarray(contact_forces, dtype=float)) >= CONTACT_FORCE_THRESHOLD)
+    forces = np.asarray(contact_forces, dtype=float).reshape(-1).tolist()
+    return max(forces) >= CONTACT_FORCE_THRESHOLD
 

@@ -39,6 +39,15 @@ MPC_HORIZON = 10
 MPC_DECIMATION = 33
 _RECOVER_TIME = 1.2    # s that jump-sim runs past the end of the reference
 
+# arrays the loops hand out on every tick, read-only so that a consumer
+# that writes into one raises instead of corrupting the next tick
+_IDENTITY = np.eye(3)
+_ZERO3 = np.zeros(3)
+_NO_FORCES = np.zeros(12)
+_ALL_STANCE = np.ones(4, dtype=bool)
+for _a in (_IDENTITY, _ZERO3, _NO_FORCES, _ALL_STANCE):
+    _a.setflags(write=False)
+
 
 class ReplayLogError(ValueError):
     """A replay log or a jump reference lacks what its reader needs."""
@@ -354,7 +363,7 @@ class TrotDriver:
             r_d, (ox, oy, oz) = self._posture
             pos_d = [cx + ox, cy + oy, self.plane.height(cx, cy) + oz]
         else:
-            r_d = np.eye(3)
+            r_d = _IDENTITY
             pos_d = [cx, cy, self.ground.height(cx, cy) + self.z0]
         return unchecked(DesiredState, pos=np.array(pos_d), vel=np.array([vx, vy, 0.0]), rot=r_d)
 
@@ -667,14 +676,14 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
     hold_pose_body = (spec.feet_start - spec.p_start).copy()
     hold_pose_body[:, 2] = -tuck_depth
 
-    landing_stance = np.zeros(4, dtype=bool)
+    landing_stance = [False] * 4
     landed = False
     log = Logger()
     duration = t_total + _RECOVER_TIME
     n = int(round(duration / dt))
     idx_max = len(ref.t) - 1
-    dt_ref = max(ref.t[1] - ref.t[0], 1e-9)
-    forces = np.zeros(12)
+    t_sample = float(ref.t[1] - ref.t[0])
+    dt_ref = max(t_sample, 1e-9)
     ik_fallbacks = 0
 
     # a leg's targets per reference sample, kept only when its IK succeeds:
@@ -709,19 +718,20 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
     for k in range(n):
         t = world.t
         state = world.state
-        i_ref = min(int(t / (ref.t[1] - ref.t[0])), idx_max)
+        i_ref = min(int(t / t_sample), idx_max)
         in_stance_phase = t < t_takeoff
 
         if landed:
-            des = DesiredState(
-                pos=np.array([*np.mean(state.feet[:, 0:2], axis=0), z_land]),
-                rot=r_land)
-            if landing_stance.any():
-                forces = lander.compute(state, des, landing_stance)
-                forces = forces * np.repeat(landing_stance, 3)
-            else:
-                forces = np.zeros(12)
-            stance_mask = landing_stance.copy()
+            # the mean of the four feet summed as np.mean(axis=0) sums it
+            (x0, y0, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = state.feet.tolist()
+            des = unchecked(DesiredState, pos=np.array([(x0 + x1 + x2 + x3) / 4,
+                                                        (y0 + y1 + y2 + y3) / 4, z_land]),
+                            vel=_ZERO3, rot=r_land)
+            # the balance QP eliminates the swing legs' forces, so their
+            # entries are already exact +0.0
+            forces = (lander.compute(state, des, landing_stance) if any(landing_stance)
+                      else _NO_FORCES)
+            stance_mask = landing_stance
             swing_targets = {i: state.pos + state.rot @ hold_pose_body[i]
                              for i in range(4) if not landing_stance[i]}
         elif in_stance_phase:
@@ -738,18 +748,18 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
                 lo, hi = -MU * fz, MU * fz
                 leg_forces += [min(max(fx, lo), hi), min(max(fy, lo), hi), fz]
             forces = np.array(leg_forces)
-            stance_mask = np.ones(4, dtype=bool)
+            stance_mask = _ALL_STANCE
             swing_targets = None
         else:
             # airborne: hold the pre-landing pose and wait for impact
-            forces = np.zeros(12)
-            stance_mask = landing_stance.copy()
+            forces = _NO_FORCES
+            stance_mask = landing_stance
             swing_targets = {i: state.pos + state.rot @ hold_pose_body[i]
                              for i in range(4) if not landing_stance[i]}
 
         world.step(forces, stance_mask, swing_targets)
         if world.t >= t_posing:
-            landing_stance |= world.touched_down
+            landing_stance = [a or b for a, b in zip(landing_stance, world.touched_down.tolist())]
             if not landed and landing_switch(world.contact_forces[2::3], world.t, t_posing):
                 landed = True
         if k % 10 == 0:

@@ -6,7 +6,8 @@ of the RK4-averaged body rate, so the ground truth is strictly more
 accurate than both the optimizer's Euler transcription and the estimator's
 models. Feet are kinematic: stance feet stay pinned where they are, swing
 feet follow the commanded targets. The measured constraint force equals the
-commanded force.
+commanded force. A non-finite commanded force or swing target raises
+``ValueError`` before the state moves.
 
 Sensors are synthesized from the true state: IMU (gyro plus accelerometer
 with the gravity reaction included, so a stationary upright reading is
@@ -21,14 +22,15 @@ Everything is deterministic for a fixed seed and configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import so3
-from .balance import GRAVITY_W, BodyModel
+from .balance import _GRAVITY_XYZ, GRAVITY_W, BodyModel
 from .estimation import ImuSample
-from .swing import LegModel, UnreachableError, ik_angles
+from .swing import LegModel, UnreachableError, _floats, ik_angles
 from .state import RobotState, unchecked
 from .terrain import PlaneCoeffs
 
@@ -44,20 +46,6 @@ def _ik_batch(p_body: np.ndarray, model: LegModel) -> np.ndarray:
         except UnreachableError as exc:
             raise UnreachableError(f"leg {leg}: {exc}") from None
     return np.array(q)
-
-
-def _mv(m, v):
-    """``m @ v`` for a 3x3 nested list and a 3-sequence of floats."""
-    x, y, z = v
-    return (m[0][0] * x + m[0][1] * y + m[0][2] * z,
-            m[1][0] * x + m[1][1] * y + m[1][2] * z,
-            m[2][0] * x + m[2][1] * y + m[2][2] * z)
-
-
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
 
 
 @dataclass
@@ -90,7 +78,9 @@ class SimWorld:
         self.contact_forces = np.zeros(12)      # commanded forces on stance feet
         self.touched_down = np.zeros(4, dtype=bool)
         self._q_prev: np.ndarray | None = None
-        self._inv_inertia = np.linalg.inv(self.model.inertia)
+        # the body constants of the step, as rows of floats
+        self._inertia = tuple(map(tuple, self.model.inertia.tolist()))
+        self._inv_inertia = tuple(map(tuple, np.linalg.inv(self.model.inertia).tolist()))
 
     # -- dynamics ----------------------------------------------------------
 
@@ -101,84 +91,121 @@ class SimWorld:
         ``stance_forces`` is the stacked 12-vector of world-frame GRFs
         (must be zero for swing feet); ``swing_targets`` maps swing leg
         indices to commanded world foot positions for the end of the step.
+        A non-finite force or target raises ``ValueError`` before the state
+        moves.
         """
-        stance_mask = np.asarray(stance_mask, dtype=bool).reshape(4)
-        stance = stance_mask.tolist()
-        f4 = np.asarray(stance_forces, dtype=float).reshape(4, 3)
+        stance = np.asarray(stance_mask, dtype=bool).reshape(4).tolist()
+        f = np.asarray(stance_forces, dtype=float).reshape(12).tolist()
+        if not all(map(math.isfinite, f)):
+            raise ValueError("non-finite stance force commanded")
+        targets = []  # (leg, x, y, z) of the swing legs that have a target
         if not all(stance):
-            for i, f in enumerate(f4.tolist()):
-                if not stance[i] and any(f):
+            for i in range(4):
+                if stance[i]:
+                    continue
+                if f[3 * i] or f[3 * i + 1] or f[3 * i + 2]:
                     raise ValueError(f"nonzero force commanded on swing leg {i}")
+                target = None if swing_targets is None else swing_targets.get(i)
+                if target is not None:
+                    x, y, z = _floats(target)
+                    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+                        raise ValueError(f"non-finite target commanded for swing leg {i}")
+                    targets.append((i, x, y, z))
 
         s = self.state
-        model = self.model
         dt = self.dt
-        # the rigid-body update runs on 3-vectors as float tuples: numpy's
-        # per-call cost would dominate at this size
+        # the rigid-body update runs on Python floats, in the operation order
+        # of the 3-vector formulas it stands for: numpy's per-call cost would
+        # dominate at this size
+        (px, py, pz), (vx, vy, vz) = s.pos.tolist(), s.vel.tolist()
+        o0, o1, o2 = s.omega.tolist()
+        feet = s.feet.tolist()
 
         # forces are zero-order held, so the world torque about the CoM (at
-        # the step start) is constant over the step
+        # the step start) is constant over the step: sum of lever x force
         fx = fy = fz = tx = ty = tz = 0.0
-        for f, lever in zip(f4.tolist(), (s.feet - s.pos).tolist()):
-            fx, fy, fz = fx + f[0], fy + f[1], fz + f[2]
-            cx, cy, cz = _cross(lever, f)
-            tx, ty, tz = tx + cx, ty + cy, tz + cz
-        mass = model.mass
-        gx, gy, gz = GRAVITY_W.tolist()
-        acc = (fx / mass + gx, fy / mass + gy, fz / mass + gz)
+        for i in range(4):
+            x, y, z = feet[i]
+            lx, ly, lz = x - px, y - py, z - pz
+            cx, cy, cz = f[3 * i:3 * i + 3]
+            fx, fy, fz = fx + cx, fy + cy, fz + cz
+            tx, ty, tz = (tx + (ly * cz - lz * cy), ty + (lz * cx - lx * cz),
+                          tz + (lx * cy - ly * cx))
+        mass = self.model.mass
+        gx, gy, gz = _GRAVITY_XYZ
+        ax, ay, az = fx / mass + gx, fy / mass + gy, fz / mass + gz
 
-        inertia, inv_inertia = model.inertia.tolist(), self._inv_inertia.tolist()
+        (i00, i01, i02), (i10, i11, i12), (i20, i21, i22) = self._inertia
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = self._inv_inertia
 
-        def omega_dot(tau_b, om):
-            cx, cy, cz = _cross(om, _mv(inertia, om))
-            return _mv(inv_inertia, (tau_b[0] - cx, tau_b[1] - cy, tau_b[2] - cz))
-
-        def ahead(h, k):
-            return (om0[0] + h * k[0], om0[1] + h * k[1], om0[2] + h * k[2])
+        def omega_dot(t0, t1, t2, w0, w1, w2):
+            # I^-1 (tau_b - w x I w)
+            l0 = i00 * w0 + i01 * w1 + i02 * w2
+            l1 = i10 * w0 + i11 * w1 + i12 * w2
+            l2 = i20 * w0 + i21 * w1 + i22 * w2
+            u0 = t0 - (w1 * l2 - w2 * l1)
+            u1 = t1 - (w2 * l0 - w0 * l2)
+            u2 = t2 - (w0 * l1 - w1 * l0)
+            return (j00 * u0 + j01 * u1 + j02 * u2,
+                    j10 * u0 + j11 * u1 + j12 * u2,
+                    j20 * u0 + j21 * u1 + j22 * u2)
 
         # RK4 on (p, v, Omega); rotation via exact exp of the averaged rate.
         # Translational part is exact for piecewise-constant force. The body
         # torque at R_half = R0 E and R_full = R0 E E is E^T (R^T tau_w) of
         # the stage before.
-        om0 = s.omega.tolist()
-        e_half_t = so3.exp_exact(s.omega * (dt / 2.0)).T.tolist()
-        tau_0 = _mv(s.rot.T.tolist(), (tx, ty, tz))
-        tau_half = _mv(e_half_t, tau_0)
-        k1 = omega_dot(tau_0, om0)
-        k2 = omega_dot(tau_half, ahead(0.5 * dt, k1))
-        k3 = omega_dot(tau_half, ahead(0.5 * dt, k2))
-        k4 = omega_dot(_mv(e_half_t, tau_half), ahead(dt, k3))
+        h = 0.5 * dt
+        e00, e01, e02, e10, e11, e12, e20, e21, e22 = so3._rodrigues(o0 * h, o1 * h, o2 * h)
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = s.rot.tolist()
+        a0 = r00 * tx + r10 * ty + r20 * tz
+        a1 = r01 * tx + r11 * ty + r21 * tz
+        a2 = r02 * tx + r12 * ty + r22 * tz
+        b0 = e00 * a0 + e10 * a1 + e20 * a2
+        b1 = e01 * a0 + e11 * a1 + e21 * a2
+        b2 = e02 * a0 + e12 * a1 + e22 * a2
+        k1 = omega_dot(a0, a1, a2, o0, o1, o2)
+        k2 = omega_dot(b0, b1, b2, o0 + h * k1[0], o1 + h * k1[1], o2 + h * k1[2])
+        k3 = omega_dot(b0, b1, b2, o0 + h * k2[0], o1 + h * k2[1], o2 + h * k2[2])
+        k4 = omega_dot(e00 * b0 + e10 * b1 + e20 * b2,
+                       e01 * b0 + e11 * b1 + e21 * b2,
+                       e02 * b0 + e12 * b1 + e22 * b2,
+                       o0 + dt * k3[0], o1 + dt * k3[1], o2 + dt * k3[2])
 
-        new_pos = [p + dt * v + 0.5 * dt * dt * a
-                   for p, v, a in zip(s.pos.tolist(), s.vel.tolist(), acc)]
-        new_vel = [v + dt * a for v, a in zip(s.vel.tolist(), acc)]
-        new_omega = [o + dt / 6.0 * (a + 2 * b + 2 * c + d)
-                     for o, a, b, c, d in zip(om0, k1, k2, k3, k4)]
-        new_rot = s.rot @ so3.exp_exact([0.5 * (o + n) * dt for o, n in zip(om0, new_omega)])
+        hdt2 = 0.5 * dt * dt
+        new_vz = vz + dt * az
+        s.pos = np.array((px + dt * vx + hdt2 * ax, py + dt * vy + hdt2 * ay,
+                          pz + dt * vz + hdt2 * az))
+        s.vel = np.array((vx + dt * ax, vy + dt * ay, new_vz))
+        sixth = dt / 6.0
+        n0 = o0 + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        n1 = o1 + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        n2 = o2 + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        s.omega = np.array((n0, n1, n2))
+        # R E stays a BLAS product, whose rounding a Python sum does not
+        # reproduce; ndarray.dot runs the same kernel as @ with less dispatch
+        s.rot = s.rot.dot(np.array(so3._rodrigues(
+            0.5 * (o0 + n0) * dt, 0.5 * (o1 + n1) * dt, 0.5 * (o2 + n2) * dt)).reshape(3, 3))
+        self.last_accel = np.array((ax, ay, az))
 
-        s.pos, s.vel, s.omega = np.array(new_pos), np.array(new_vel), np.array(new_omega)
-        s.rot = new_rot
-        self.last_accel = np.array(acc)
-
-        # feet: stance pinned, swing follow the command
-        sensor = np.where(stance_mask[:, None], f4, 0.0).reshape(12)
-        self.touched_down[:] = False
+        # feet: stance pinned, swing follow the command; the force channel
+        # reads the commanded force on stance legs and +0.0 on swing legs
+        sensor = []
         for i in range(4):
-            if not stance[i]:
-                target = None if swing_targets is None else swing_targets.get(i)
-                if target is not None:
-                    prev = s.feet[i].copy()
-                    s.feet[i] = np.asarray(target, dtype=float).reshape(3)
-                    ground_z = self.ground.height(s.feet[i, 0], s.feet[i, 1])
-                    if s.feet[i, 2] <= ground_z:
-                        # touchdown: clamp to the surface, report an
-                        # impulse-scale spike on the force channel
-                        s.feet[i, 2] = ground_z
-                        self.touched_down[i] = True
-                        v_impact = abs(prev[2] - s.feet[i, 2]) / dt + abs(s.vel[2])
-                        sensor[3 * i + 2] = model.mass / 4.0 * v_impact / dt
+            sensor += f[3 * i:3 * i + 3] if stance[i] else (0.0, 0.0, 0.0)
+        touched = [False] * 4
+        for i, x, y, z in targets:
+            ground_z = self.ground.height(x, y)
+            if z <= ground_z:
+                # touchdown: clamp to the surface, report an impulse-scale
+                # spike on the force channel
+                v_impact = abs(feet[i][2] - ground_z) / dt + abs(new_vz)
+                z = ground_z
+                touched[i] = True
+                sensor[3 * i + 2] = mass / 4.0 * v_impact / dt
+            s.feet[i] = (x, y, z)
 
-        self.contact_forces = sensor
+        self.touched_down = np.array(touched)
+        self.contact_forces = np.array(sensor)
         self.t += dt
         return self
 

@@ -6,8 +6,9 @@ frame. Axis-angle vectors are axis * angle in radians.
 Two exponentials are provided on purpose:
 
 * ``exp_exact``   closed-form Rodrigues formula, orthonormal to machine
-                  precision. Used by the simulator, the orientation filter,
-                  and as the oracle in tests.
+                  precision. Used by the orientation filter and as the
+                  oracle in tests; the simulator's step reads the same
+                  entries as floats from ``_rodrigues``.
 * ``exp_taylor4`` degree-4 Taylor polynomial of the matrix exponential,
                   deliberately NOT re-orthonormalized. The contact-timing
                   optimizer constrains rotation evolution with exactly this
@@ -91,15 +92,14 @@ def exp_taylor4(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a + a2 / 2.0 + a3 / 6.0 + (a3 @ a) / 24.0
 
 
-def exp_exact(w: np.ndarray) -> np.ndarray:
-    """Rodrigues formula for ``expm(hat(w))``; exactly orthonormal.
+def _rodrigues(x: float, y: float, z: float) -> tuple[float, ...]:
+    """The nine entries, row by row, of ``expm(hat((x, y, z)))`` by the
+    Rodrigues formula, in floats.
 
     I + a hat(w) + b hat(w)^2 with hat(w)^2 = w w^T - theta^2 I, evaluated
-    entrywise in scalars (the 1 kHz loops call this up to three times a
-    tick); a list or tuple of floats is read without numpy.
+    entrywise: the simulator's step takes its half-step rotation from here
+    without building an array.
     """
-    x, y, z = (map(float, w) if isinstance(w, (list, tuple))
-               else np.asarray(w, dtype=float).reshape(3).tolist())
     t2 = x * x + y * y + z * z
     theta = math.sqrt(t2)
     if theta < _EPS_ANGLE:
@@ -108,9 +108,20 @@ def exp_exact(w: np.ndarray) -> np.ndarray:
     else:
         a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / t2
     bxy, bxz, byz = b * x * y, b * x * z, b * y * z
-    return np.array([[1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y],
-                     [bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x],
-                     [bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y)]])
+    return (1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y,
+            bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x,
+            bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y))
+
+
+def exp_exact(w: np.ndarray) -> np.ndarray:
+    """Rodrigues formula for ``expm(hat(w))``; exactly orthonormal.
+
+    The entries come from :func:`_rodrigues`; a list or tuple of floats is
+    read without numpy (the orientation filter calls this once a tick).
+    """
+    x, y, z = (map(float, w) if isinstance(w, (list, tuple))
+               else np.asarray(w, dtype=float).reshape(3).tolist())
+    return np.array(_rodrigues(x, y, z)).reshape(3, 3)
 
 
 def log_map(r: np.ndarray) -> np.ndarray:

@@ -55,7 +55,9 @@ class LegModel:
 
 
 def _floats(v) -> list[float]:
-    return np.asarray(v, dtype=float).reshape(3).tolist()
+    """A 3-vector as Python floats; a list or tuple is read without numpy."""
+    return (list(map(float, v)) if isinstance(v, (list, tuple))
+            else np.asarray(v, dtype=float).reshape(3).tolist())
 
 
 def _foot_and_jacobian(q, leg: int, model: LegModel) -> tuple[tuple, np.ndarray]:

@@ -59,7 +59,7 @@ def test_benchmark_tracer_installs_and_restores():
 # inlines one of them makes its per-layer metric read 0
 TROT_BOUNDARIES = ("gait.subphase", "gait.total_weight", "gait.support_polygon",
                    "gait.desired_com", "gait.footstep", "scenarios.desired",
-                   "scenarios.plan_swing", "swing.sample")
+                   "scenarios.plan_swing", "swing.sample", "sim.step")
 
 
 # the estimator and balance layers of a balance trot on estimates
@@ -88,7 +88,9 @@ def test_trot_loop_calls_traced_boundaries(controller, use_estimates):
     missing = [name for name in expected if name not in traced]
     assert not missing, f"no span recorded for {missing}"
     metrics = layers.layer_metrics(tracer.spans)
-    for key in ("gait.us_per_tick", "scenarios.desired_us", "swing.sample_us"):
+    # one traced sim.step per tick: the tracer counts ticks by it
+    assert metrics["scenarios.ticks"] == 200
+    for key in ("gait.us_per_tick", "scenarios.desired_us", "swing.sample_us", "sim.step_us"):
         assert metrics[key] > 0.0, key
     if controller == "mpc":
         for key in ("scenarios.mpc_tables_us", "mpc.build_ms", "qpsolver.mpc.iters"):
@@ -99,7 +101,7 @@ def test_trot_loop_calls_traced_boundaries(controller, use_estimates):
                     "balance.compute_us_p50", "qpsolver.balance.solve_us_p50"):
             assert metrics[key] > 0.0, key
         # one top-level balance QP per tick, each inside balance.compute
-        assert metrics["qpsolver.balance.solves"] == metrics["scenarios.ticks"] == 200
+        assert metrics["qpsolver.balance.solves"] == 200
 
 
 def test_timing_solve_calls_traced_boundaries():

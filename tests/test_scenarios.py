@@ -322,6 +322,62 @@ class TestJumpPipeline:
         assert raised.summary["ik_fallbacks"] % 4 == 0
         assert 4 * 25 <= raised.summary["ik_fallbacks"] <= 4 * 35
 
+    def test_landing_tick_keeps_the_array_formulas(self, monkeypatch):
+        # the landing target's position is the float mean of the feet, with
+        # np.mean's bits; the balance QP's forces are applied without masking
+        # them: the QP eliminates the swing legs' forces, so their entries
+        # are already the +0.0 that the mask would give
+        applied = []
+        original = scenarios.BalanceController.compute
+
+        def recording(self, state, des, stance_mask):
+            forces = original(self, state, des, stance_mask)
+            mean = np.array([*np.mean(state.feet[:, 0:2], axis=0), scenarios.NOMINAL_Z])
+            applied.append((list(stance_mask), forces.copy(), des.pos.tobytes() == mean.tobytes()))
+            return forces
+
+        monkeypatch.setattr(scenarios.BalanceController, "compute", recording)
+        hop = hop_spec(n_knots=4)
+        run_jump_sim(hop, run_jump_opt(hop)[1])
+        # feet off the symmetric stance, where the order of the sum shows
+        monkeypatch.setattr(scenarios, "_RECOVER_TIME", 0.3)
+        spec = hop_spec(n_knots=4)
+        shift = np.random.default_rng(1).normal(size=(4, 3)) * [0.01, 0.01, 0.0]
+        spec.feet_start = spec.feet_start + shift
+        run_jump_sim(spec, flat_stand_reference(spec))
+        assert sum(not all(mask) for mask, *_ in applied) > 10
+        for mask, forces, same_mean in applied:
+            assert same_mean
+            assert (forces * np.repeat(mask, 3)).tobytes() == forces.tobytes()
+
+    def test_tick_constants_are_read_only(self, monkeypatch):
+        # the stance mask of a stance tick and the zero forces of an airborne
+        # tick are shared module arrays: a write into one raises
+        monkeypatch.setattr(scenarios, "_RECOVER_TIME", 0.0)
+        spec = hop_spec(n_knots=4)
+        ref = flat_stand_reference(spec)
+        shared = []
+        original = sim.SimWorld.step
+
+        def recording(world, forces, stance_mask, swing_targets=None):
+            for a in (forces, stance_mask):
+                if isinstance(a, np.ndarray) and not a.flags.writeable:
+                    shared.append((world.t < ref.phase_times[0], a.dtype))
+            return original(world, forces, stance_mask, swing_targets)
+
+        monkeypatch.setattr(sim.SimWorld, "step", recording)
+        run_jump_sim(spec, ref)
+        assert (True, np.dtype(bool)) in shared and (False, np.dtype(float)) in shared
+        for a in (scenarios._ALL_STANCE, scenarios._NO_FORCES):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+        driver = scenarios.TrotDriver(duration=0.01)
+        contact, phis = driver.schedule(0.0)
+        des = driver.desired(0.0, driver.world.state, contact, phis)
+        assert_array_equal(des.rot, np.eye(3))
+        with pytest.raises(ValueError, match="read-only"):
+            des.rot[0, 0] = 1.0
+
     def test_spin_spec_shape(self):
         spec = spin_spec(yaw_deg=45.0, n_knots=6)
         assert len(spec.phases) == 2

@@ -1,12 +1,15 @@
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quadstack.balance import BodyModel
+from quadstack import scenarios, so3
+from quadstack.balance import GRAVITY_W, BodyModel
 from quadstack.sim import SensorNoise, SimWorld
 from quadstack.state import RobotState
 from quadstack.swing import UnreachableError, leg_fk
-from quadstack import so3
+from quadstack.terrain import PlaneCoeffs
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
                  [-0.3, -0.128, 0.0], [-0.3, 0.128, 0.0]])
@@ -177,3 +180,207 @@ class TestSensors:
             samples.append(w.synth_imu().accel - [0.0, 0.0, G])
         std = np.array(samples).std(axis=0)
         assert_allclose(std, [0.05] * 3, rtol=0.1)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stance_force_raises_before_the_state_moves(self, bad):
+        w = stand_world()
+        f = hover_forces()
+        f[4] = bad
+        before = world_bits(w)
+        with pytest.raises(ValueError, match="non-finite stance force"):
+            w.step(f, np.ones(4, dtype=bool))
+        assert world_bits(w) == before
+
+    def test_nan_force_on_a_swing_leg_is_named_non_finite(self):
+        w = stand_world()
+        f = hover_forces()
+        f[0:3] = [0.0, np.nan, 0.0]
+        with pytest.raises(ValueError, match="non-finite stance force"):
+            w.step(f, np.array([False, True, True, True]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_swing_target_raises_before_the_state_moves(self, bad):
+        w = stand_world()
+        f = hover_forces()
+        f[3:6] = 0.0
+        target = FEET[1] + [0.05, 0.0, 0.04]
+        target[2] = bad
+        before = world_bits(w)
+        with pytest.raises(ValueError, match="non-finite target commanded for swing leg 1"):
+            w.step(f, np.array([True, False, True, True]), {1: target})
+        assert world_bits(w) == before
+
+
+# -- the step against its array formula ---------------------------------------
+
+
+def _mv(m, v):
+    x, y, z = v
+    return (m[0][0] * x + m[0][1] * y + m[0][2] * z,
+            m[1][0] * x + m[1][1] * y + m[1][2] * z,
+            m[2][0] * x + m[2][1] * y + m[2][2] * z)
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def step_reference(world, stance_forces, stance_mask, swing_targets=None):
+    """SimWorld.step as its array formula: the mask and forces through
+    numpy, the body constants read per call, both rotations from
+    so3.exp_exact, the force channel from np.where, the swing feet written
+    as arrays and their ground heights from numpy scalars."""
+    stance_mask = np.asarray(stance_mask, dtype=bool).reshape(4)
+    stance = stance_mask.tolist()
+    f4 = np.asarray(stance_forces, dtype=float).reshape(4, 3)
+    s, model, dt = world.state, world.model, world.dt
+    fx = fy = fz = tx = ty = tz = 0.0
+    for f, lever in zip(f4.tolist(), (s.feet - s.pos).tolist()):
+        fx, fy, fz = fx + f[0], fy + f[1], fz + f[2]
+        cx, cy, cz = _cross(lever, f)
+        tx, ty, tz = tx + cx, ty + cy, tz + cz
+    mass = model.mass
+    gx, gy, gz = GRAVITY_W.tolist()
+    acc = (fx / mass + gx, fy / mass + gy, fz / mass + gz)
+    inertia, inv_inertia = model.inertia.tolist(), np.linalg.inv(model.inertia).tolist()
+
+    def omega_dot(tau_b, om):
+        cx, cy, cz = _cross(om, _mv(inertia, om))
+        return _mv(inv_inertia, (tau_b[0] - cx, tau_b[1] - cy, tau_b[2] - cz))
+
+    def ahead(h, k):
+        return (om0[0] + h * k[0], om0[1] + h * k[1], om0[2] + h * k[2])
+
+    om0 = s.omega.tolist()
+    e_half_t = so3.exp_exact(s.omega * (dt / 2.0)).T.tolist()
+    tau_0 = _mv(s.rot.T.tolist(), (tx, ty, tz))
+    tau_half = _mv(e_half_t, tau_0)
+    k1 = omega_dot(tau_0, om0)
+    k2 = omega_dot(tau_half, ahead(0.5 * dt, k1))
+    k3 = omega_dot(tau_half, ahead(0.5 * dt, k2))
+    k4 = omega_dot(_mv(e_half_t, tau_half), ahead(dt, k3))
+    new_pos = [p + dt * v + 0.5 * dt * dt * a
+               for p, v, a in zip(s.pos.tolist(), s.vel.tolist(), acc)]
+    new_vel = [v + dt * a for v, a in zip(s.vel.tolist(), acc)]
+    new_omega = [o + dt / 6.0 * (a + 2 * b + 2 * c + d)
+                 for o, a, b, c, d in zip(om0, k1, k2, k3, k4)]
+    new_rot = s.rot @ so3.exp_exact([0.5 * (o + n) * dt for o, n in zip(om0, new_omega)])
+    s.pos, s.vel, s.omega = np.array(new_pos), np.array(new_vel), np.array(new_omega)
+    s.rot = new_rot
+    world.last_accel = np.array(acc)
+
+    sensor = np.where(stance_mask[:, None], f4, 0.0).reshape(12)
+    world.touched_down = np.zeros(4, dtype=bool)
+    for i in range(4):
+        if not stance[i]:
+            target = None if swing_targets is None else swing_targets.get(i)
+            if target is not None:
+                prev = s.feet[i].copy()
+                s.feet[i] = np.asarray(target, dtype=float).reshape(3)
+                ground_z = world.ground.height(s.feet[i, 0], s.feet[i, 1])
+                if s.feet[i, 2] <= ground_z:
+                    s.feet[i, 2] = ground_z
+                    world.touched_down[i] = True
+                    v_impact = abs(prev[2] - s.feet[i, 2]) / dt + abs(s.vel[2])
+                    sensor[3 * i + 2] = model.mass / 4.0 * v_impact / dt
+    world.contact_forces = sensor
+    world.t += dt
+
+
+def world_bits(world):
+    s = world.state
+    arrays = (s.pos, s.vel, s.rot, s.omega, s.feet, world.last_accel,
+              world.contact_forces, world.touched_down)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays] + [world.t]
+
+
+def assert_step_matches_reference(world, args, case):
+    got, want = copy.deepcopy(world), copy.deepcopy(world)
+    got.step(*args)
+    step_reference(want, *args)
+    assert world_bits(got) == world_bits(want), case
+    return got
+
+
+@pytest.fixture(scope="module")
+def recorded_ticks():
+    """The world before each step, and the step's arguments, of an MPC trot,
+    a balance trot on estimates with the CLI's default sensor noise, and a
+    hop from its takeoff on."""
+    ticks = {}
+    step = SimWorld.step
+
+    def recording(name):
+        def record(world, *args):
+            ticks.setdefault(name, []).append((copy.deepcopy(world), copy.deepcopy(args)))
+            return step(world, *args)
+        return record
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimWorld, "step", recording("mpc"))
+        scenarios.run_trot(duration=0.6, v_des=(0.8, 0.1), controller="mpc")
+        mp.setattr(SimWorld, "step", recording("estimates"))
+        scenarios.run_trot(duration=0.3, v_des=(0.9, 0.05), seed=1, use_estimates=True,
+                           accel_std=0.05, gyro_std=0.005, accel_bias_mag=0.2)
+        spec = scenarios.hop_spec(n_knots=4)
+        _, ref = scenarios.run_jump_opt(spec)
+        mp.setattr(scenarios, "_RECOVER_TIME", 0.3)
+        mp.setattr(SimWorld, "step", recording("hop"))
+        scenarios.run_jump_sim(spec, ref)
+    ticks["hop"] = [tick for tick in ticks["hop"] if tick[0].t >= ref.phase_times[0]]
+    return ticks
+
+
+class TestStepBitForBit:
+    @pytest.mark.parametrize("loop", ["mpc", "estimates", "hop"])
+    def test_recorded_ticks_match_array_formula(self, recorded_ticks, loop):
+        ticks = recorded_ticks[loop]
+        touchdowns = 0
+        for k, (world, args) in enumerate(ticks):
+            touchdowns += assert_step_matches_reference(world, args, (loop, k)).touched_down.sum()
+        targets = [args[2] for _, args in ticks if len(args) > 2 and args[2]]
+        assert len(ticks) >= 300 and targets
+        if loop == "hop":
+            # the airborne tail holds the legs by arrays and lands on them
+            assert touchdowns >= 4
+            assert all(isinstance(x, np.ndarray) for tg in targets for x in tg.values())
+        else:
+            assert all(isinstance(x, tuple) for tg in targets for x in tg.values())
+
+    def test_random_states_match_array_formula(self):
+        rng = np.random.default_rng(12)
+        clamps = signed_zero_swings = 0
+        for case in range(400):
+            a = rng.normal(size=(3, 3))
+            model = BodyModel(mass=rng.uniform(20.0, 60.0), inertia=a @ a.T + np.eye(3))
+            rate = rng.normal(size=3) * (1e-7 if case % 5 == 0 else 3.0)  # series branch too
+            state = RobotState(pos=[0.0, 0.0, 0.45] + rng.normal(size=3) * 0.05,
+                               vel=rng.normal(size=3), rot=so3.exp_exact(rng.normal(size=3)),
+                               omega=rate, feet=FEET + rng.normal(size=(4, 3)) * 0.03)
+            ground = PlaneCoeffs(*(rng.normal(size=3) * [0.01, 0.2, 0.2]))
+            world = SimWorld(state, model, ground=ground)
+            mask = rng.random(4) < 0.6
+            forces = rng.normal(size=12) * 100.0
+            swing_zero = -0.0 if case % 2 else 0.0
+            forces[np.repeat(~mask, 3)] = swing_zero
+            signed_zero_swings += bool(case % 2 and not mask.all())
+            targets = {}
+            for leg in np.flatnonzero(~mask):
+                if case % 7 == leg:
+                    continue  # a swing leg with no target
+                x, y = state.feet[leg, 0:2] + rng.normal(size=2) * 0.02
+                z = ground.height(x, y) + rng.normal() * 0.02  # below it: a touchdown
+                kind = (case + leg) % 3
+                target = (x, y, z) if kind == 0 else [x, y, z] if kind == 1 else np.array([x, y, z])
+                targets[int(leg)] = target
+            args = (forces, mask, None if case % 11 == 0 else targets)
+            got = assert_step_matches_reference(world, args, case)
+            clamps += got.touched_down.sum()
+            for leg in np.flatnonzero(~mask & ~got.touched_down):
+                # the force channel reads +0.0 on a swing leg, as np.where gives
+                assert not np.signbit(got.contact_forces[3 * leg:3 * leg + 3]).any()
+        assert clamps >= 50 and signed_zero_swings >= 50

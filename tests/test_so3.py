@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -93,6 +95,32 @@ class TestExp:
         for _ in range(50):
             w = RNG.normal(size=3) * 2.0
             assert so3.orthonormality_defect(so3.exp_exact(w)) <= 1e-12
+
+
+def exp_exact_entrywise(w):
+    """The Rodrigues formula I + a hat(w) + b (w w^T - theta^2 I), written
+    out entry by entry."""
+    x, y, z = np.asarray(w, dtype=float).tolist()
+    t2 = x * x + y * y + z * z
+    theta = math.sqrt(t2)
+    if theta < 1e-8:
+        a, b = 1.0 - t2 / 6.0, 0.5 - t2 / 24.0
+    else:
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / t2
+    return np.array([[1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
+                     [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
+                     [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)]])
+
+
+def test_exp_exact_keeps_the_entrywise_bits():
+    # the simulator's step reads the same entries from so3._rodrigues
+    rng = np.random.default_rng(3)
+    for case in range(2000):
+        w = rng.normal(size=3) * 10.0 ** rng.uniform(-12, 0.5)
+        want = exp_exact_entrywise(w)
+        for given_as in (w, w.tolist(), tuple(w.tolist())):
+            assert so3.exp_exact(given_as).tobytes() == want.tobytes(), case
+        assert np.array(so3._rodrigues(*w.tolist())).tobytes() == want.ravel().tobytes()
 
 
 class TestLog:

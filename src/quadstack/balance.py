@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 CONTACT_FORCE_THRESHOLD = 20.0     # N, landing-switch default
-GRAVITY_W = np.array([0.0, 0.0, -9.81])   # m/s^2, gravitational acceleration, world frame
+GRAVITY = 9.81                      # m/s^2, magnitude of the gravitational acceleration
+GRAVITY_W = np.array([0.0, 0.0, -GRAVITY])   # the same, as a world-frame vector
 GRAVITY_W.setflags(write=False)
 _GRAVITY_XYZ = tuple(GRAVITY_W.tolist())
 

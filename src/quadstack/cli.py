@@ -235,17 +235,20 @@ def _trot_args(cfg: dict) -> dict:
     if cfg["gait"]["preset"] not in _PRESETS:
         raise ConfigError(f"unknown gait preset: {cfg['gait']['preset']!r} "
                           f"(choose from {sorted(_PRESETS)})")
-    noise = {key: float(value) for key, value in cfg["noise"].items()}
-    return dict(
+    args = dict(
         v_des=(float(cfg["command"]["vx_mps"]), float(cfg["command"]["vy_mps"])),
         seed=int(cfg["seed"]),
         use_estimates=bool(cfg["controller"]["use_estimates"]),
         preset=str(cfg["gait"]["preset"]),
         period=float(cfg["gait"]["period_s"]),
         z0=float(cfg["robot"]["z0_m"]), model=_body_model(cfg),
-        ramp_time=float(cfg["command"]["ramp_s"]),
-        accel_std=noise["accel_std"], gyro_std=noise["gyro_std"],
-        accel_bias_mag=noise["accel_bias"])
+        ramp_time=float(cfg["command"]["ramp_s"]))
+    if args["use_estimates"]:
+        # the sensors are read only on estimates (READ_IF holds noise at its defaults)
+        noise = cfg["noise"]
+        args.update(accel_std=float(noise["accel_std"]), gyro_std=float(noise["gyro_std"]),
+                    accel_bias_mag=float(noise["accel_bias"]))
+    return args
 
 
 def _trot(cfg: dict, out: Path, controller: str) -> dict:

@@ -30,13 +30,12 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import so3
+from .balance import GRAVITY, GRAVITY_W
 from .state import unchecked
-from .swing import LegModel, leg_fk, leg_jacobian
+from .swing import L1, L2, _HIPS, leg_fk, leg_jacobian
 
 _EYE3_X15 = 1.5 * np.eye(3)
 _EYE18 = np.eye(18)
-_GRAVITY = 9.81
-_GRAVITY_W = np.array([0.0, 0.0, -_GRAVITY])
 
 __all__ = [
     "ImuSample",
@@ -111,7 +110,7 @@ def orientation_step(f: OrientationFilter, imu: ImuSample, dt: float) -> Orienta
     wx, wy, wz = imu.gyro.tolist()
     a_norm = math.sqrt(ax * ax + ay * ay + az * az)
     if a_norm > 1e-9:
-        kappa = _kappa(a_norm, _KAPPA_REF, _GRAVITY)
+        kappa = _kappa(a_norm, _KAPPA_REF, GRAVITY)
         ax, ay, az = ax / a_norm, ay / a_norm, az / a_norm
         rx, ry, rz = f.r_hat[2].tolist()  # R^T e_z is the third row
         wx += kappa * (ay * rz - az * ry)
@@ -156,34 +155,32 @@ def kf_default_state(p_b: np.ndarray, feet: np.ndarray) -> KfState:
 
 
 def leg_measurement_from_kinematics(q: np.ndarray, qd: np.ndarray, r_hat: np.ndarray,
-                                    gyro: np.ndarray, leg: int,
-                                    model: LegModel) -> tuple[np.ndarray, np.ndarray]:
+                                    gyro: np.ndarray, leg: int) -> tuple[np.ndarray, np.ndarray]:
     """One leg's measurement from encoders, the orientation estimate, and gyro.
 
     Returns the world-frame foot-minus-body position and velocity:
     rel_pos = R p_foot(q);  rel_vel = R (hat(gyro) p_foot(q) + J(q) qd).
     """
-    p_body = leg_fk(q, leg, model)
-    v_body = so3.hat(gyro) @ p_body + leg_jacobian(q, leg, model) @ np.asarray(qd, dtype=float)
+    p_body = leg_fk(q, leg)
+    v_body = so3.hat(gyro) @ p_body + leg_jacobian(q, leg) @ np.asarray(qd, dtype=float)
     r_hat = np.asarray(r_hat, dtype=float)
     return r_hat @ p_body, r_hat @ v_body
 
 
 def leg_measurements_batch(qs: np.ndarray, qds: np.ndarray, r_hat: np.ndarray,
-                           gyro: np.ndarray, model: LegModel) -> tuple[np.ndarray, np.ndarray]:
+                           gyro: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """World-frame foot-minus-body positions and velocities, (4, 3) each.
 
     :func:`leg_measurement_from_kinematics` for all four legs, in scalars
     (numpy's per-call cost dominates at this size); these arrays are the
     leg measurement of :func:`kf_update`.
     """
-    l1, l2 = model.l1, model.l2
+    l1, l2 = L1, L2
     gx, gy, gz = np.asarray(gyro, dtype=float).reshape(3).tolist()
     p_body, v_body = [], []
     for (q0, q1, q2), (qd0, qd1, qd2), (hx, hy, hz) in zip(
             np.asarray(qs, dtype=float).reshape(4, 3).tolist(),
-            np.asarray(qds, dtype=float).reshape(4, 3).tolist(),
-            np.asarray(model.hip_offsets, dtype=float).tolist()):
+            np.asarray(qds, dtype=float).reshape(4, 3).tolist(), _HIPS):
         s0, c0 = math.sin(q0), math.cos(q0)
         s1, c1 = math.sin(q1), math.cos(q1)
         s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
@@ -241,7 +238,7 @@ def kf_predict(s: KfState, r_hat: np.ndarray, accel: np.ndarray, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    u = (np.asarray(r_hat, dtype=float) @ np.asarray(accel, dtype=float) + _GRAVITY_W).tolist()
+    u = (np.asarray(r_hat, dtype=float) @ np.asarray(accel, dtype=float) + GRAVITY_W).tolist()
     a, a_t, q = _process_matrices(dt, _stance_key(in_stance), SWING_INFLATION_DEFAULT)
     mean = s.mean.copy()
     pos, vel = s.mean[0:3].tolist(), s.mean[3:6].tolist()

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .balance import GRAVITY
+
 __all__ = [
     "GaitSchedule",
     "DegenerateWeightsError",
@@ -43,7 +45,7 @@ _SIGMA_C0 = 0.1
 _SIGMA_C1 = 0.1
 _SIGMA_S0 = 0.1
 _SIGMA_S1 = 0.1
-_GRAVITY = 9.81   # m/s^2, of the footstep's pendulum feedback
+_WEIGHT_EPS = 1e-9   # a vertex's three weights summing to no more are all mid-swing
 
 
 class DegenerateWeightsError(ValueError):
@@ -143,11 +145,10 @@ def virtual_points(p_i: np.ndarray, p_prev: np.ndarray, p_next: np.ndarray,
 
 
 def polygon_vertex(p_i: np.ndarray, xi_minus: np.ndarray, xi_plus: np.ndarray,
-                   w_i: float, w_prev: float, w_next: float,
-                   eps: float = 1e-9) -> np.ndarray:
+                   w_i: float, w_prev: float, w_next: float) -> np.ndarray:
     """Predictive polygon vertex: weight-normalized blend of foot and virtual points."""
     denom = w_i + w_prev + w_next
-    if denom <= eps:
+    if denom <= _WEIGHT_EPS:
         raise DegenerateWeightsError("all three legs feeding this vertex are mid-swing")
     return (w_i * np.asarray(p_i, dtype=float)
             + w_prev * np.asarray(xi_minus, dtype=float)
@@ -171,7 +172,7 @@ def support_polygon(feet_xy, weights) -> list[tuple[float, float]]:
         i_prev, i_next = _CW_NEXT[i], _CCW_NEXT[i]
         w_i, w_prev, w_next = w[i], w[i_prev], w[i_next]
         denom = w_i + w_prev + w_next
-        if denom <= 1e-9:
+        if denom <= _WEIGHT_EPS:
             raise DegenerateWeightsError("all three legs feeding this vertex are mid-swing")
         w_rest = 1.0 - w_i
         vertex = []
@@ -196,12 +197,12 @@ def footstep(p_hip, t_stance: float, v_des, v, z0: float) -> tuple[float, float]
 
     Half-stance feedforward from the commanded velocity plus the
     inverted-pendulum velocity-feedback offset sqrt(z0/g)*(v - v_des),
-    measured from the hip's ground projection, with g = 9.81 m/s^2.
+    measured from the hip's ground projection, with g = :data:`~quadstack.balance.GRAVITY`.
     ``p_hip``, ``v_des`` and ``v`` are (x, y) pairs.
     """
     if z0 <= 0.0:
         raise ValueError("z0 must be positive")
     (hx, hy), (dx, dy), (vx, vy) = p_hip, v_des, v
     ff = 0.5 * t_stance
-    fb = math.sqrt(z0 / _GRAVITY)
+    fb = math.sqrt(z0 / GRAVITY)
     return hx + ff * dx + fb * (vx - dx), hy + ff * dy + fb * (vy - dy)

@@ -26,7 +26,7 @@ from .estimation import (ImuSample, OrientationFilter, kf_default_state, kf_pred
 from .mpc import MpcConfig, solve_mpc
 from .sim import SensorNoise, SimWorld
 from .state import DesiredState, RobotState, unchecked
-from .swing import LegModel, SwingTrajectory
+from .swing import HIP_OFFSETS, SwingTrajectory
 from .terrain import PlaneCoeffs
 from .trajopt import (F_MAX, MU, BodyReference, ContactPhase, JumpSpec, TimingProblem,
                       check_constraints, export_reference, solve_timing)
@@ -53,12 +53,11 @@ class ReplayLogError(ValueError):
     """A replay log or a jump reference lacks what its reader needs."""
 
 
-def nominal_feet(leg_model: LegModel, ground: PlaneCoeffs | None = None,
-                 z0: float = NOMINAL_Z) -> np.ndarray:
+def nominal_feet(ground: PlaneCoeffs | None = None) -> np.ndarray:
     """World foot positions under the hips on the ground surface."""
     feet = np.zeros((4, 3))
     for i in range(4):
-        hip = leg_model.hip(i)
+        hip = HIP_OFFSETS[i]
         feet[i, 0:2] = hip[0:2]
         feet[i, 2] = 0.0 if ground is None else ground.height(hip[0], hip[1])
     return feet
@@ -111,11 +110,9 @@ class EstimatorLoop:
     replay of :func:`run_estimate` feeds it a recorded log.
     """
 
-    def __init__(self, r_hat: np.ndarray, pos: np.ndarray, feet: np.ndarray,
-                 leg_model: LegModel):
+    def __init__(self, r_hat: np.ndarray, pos: np.ndarray, feet: np.ndarray):
         self.filter = OrientationFilter(r_hat=np.array(r_hat, dtype=float))
         self.kf = kf_default_state(pos, feet)
-        self.leg_model = leg_model
         self._last_gyro = np.zeros(3)
 
     def step(self, imu: ImuSample, qs: np.ndarray, qds: np.ndarray, stance_mask,
@@ -126,7 +123,7 @@ class EstimatorLoop:
         self.filter = orientation_step(self.filter, imu, dt)
         r_hat = self.filter.r_hat
         self.kf = kf_predict(self.kf, r_hat, imu.accel, dt, stance_mask)
-        rel_pos, rel_vel = leg_measurements_batch(qs, qds, r_hat, imu.gyro, self.leg_model)
+        rel_pos, rel_vel = leg_measurements_batch(qs, qds, r_hat, imu.gyro)
         self.kf = kf_update(self.kf, rel_pos, rel_vel, heights, stance_mask)
 
     def estimated_state(self) -> RobotState:
@@ -139,7 +136,7 @@ def hop_spec(n_knots: int = 30, z0: float = NOMINAL_Z,
              flight_min: float = 0.3, model: BodyModel | None = None) -> JumpSpec:
     """Vertical hop: push off, fly, land on the same footholds at rest."""
     model = model or BodyModel()
-    feet = nominal_feet(LegModel())
+    feet = nominal_feet()
     return JumpSpec(
         phases=[ContactPhase(feet=(0, 1, 2, 3), n_knots=n_knots),
                 ContactPhase(feet=(), n_knots=n_knots, t_min=flight_min),
@@ -155,7 +152,7 @@ def spin_spec(yaw_deg: float = 90.0, n_knots: int = 30, z0: float = NOMINAL_Z,
               flight_min: float = 0.25, model: BodyModel | None = None) -> JumpSpec:
     """Spinning jump: four-leg contact then flight, landing rotated in place."""
     model = model or BodyModel()
-    feet = nominal_feet(LegModel())
+    feet = nominal_feet()
     return JumpSpec(
         phases=[ContactPhase(feet=(0, 1, 2, 3), n_knots=n_knots),
                 ContactPhase(feet=(), n_knots=n_knots, t_min=flight_min)],
@@ -200,13 +197,12 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
     """
     t_start = time.perf_counter()
     model = model or BodyModel()
-    leg_model = LegModel()
     noise = sensor_noise(accel_std, gyro_std, accel_bias_mag)
-    feet = nominal_feet(leg_model)
+    feet = nominal_feet()
     world = SimWorld(RobotState(pos=[0.0, 0.0, NOMINAL_Z], feet=feet), model,
-                     dt=DT, noise=noise, seed=seed, leg_model=leg_model)
+                     dt=DT, noise=noise, seed=seed)
     dt = world.dt
-    est = EstimatorLoop(world.state.rot, world.state.pos, feet, leg_model)
+    est = EstimatorLoop(world.state.rot, world.state.pos, feet)
     # dead-reckoning baseline: mean-only integration of the same inputs
     pred_pos, pred_vel = world.state.pos.tolist(), [0.0, 0.0, 0.0]
     balancer = BalanceController(model)
@@ -277,7 +273,7 @@ class TrotDriver:
 
     With ``use_estimates`` the controller runs on the estimator's state, fed
     by sensors with the noise of :func:`sensor_noise`; without it, on the
-    true state, and the sensors are not read.
+    true state, and the sensors are not read: nonzero noise raises ValueError.
     """
 
     def __init__(self, v_des=(1.0, 0.0), duration=5.0, seed=0, controller="balance",
@@ -285,8 +281,9 @@ class TrotDriver:
                  model: BodyModel | None = None, use_estimates=False,
                  adapt_posture=False, ramp_time=0.8, accel_std=0.0, gyro_std=0.0,
                  accel_bias_mag=0.0):
+        if not use_estimates and (accel_std or gyro_std or accel_bias_mag):
+            raise ValueError("sensor noise is read only with use_estimates")
         self.model = model or BodyModel()
-        self.leg_model = LegModel()
         self.ground = ground or PlaneCoeffs()
         self.sched = gait.gait_preset(preset, period=period)
         self.v_des = np.asarray(v_des, dtype=float)
@@ -296,18 +293,17 @@ class TrotDriver:
         self.controller_type = controller
         self.use_estimates = use_estimates
         self.adapt_posture = adapt_posture
-        feet = nominal_feet(self.leg_model, self.ground, z0)
+        feet = nominal_feet(self.ground)
         start_z = self.ground.height(0.0, 0.0) + z0
         noise = (sensor_noise(accel_std, gyro_std, accel_bias_mag)
                  if use_estimates else None)
         self.world = SimWorld(RobotState(pos=[0.0, 0.0, start_z], feet=feet), self.model,
-                              dt=DT, ground=self.ground, noise=noise, seed=seed,
-                              leg_model=self.leg_model)
+                              dt=DT, ground=self.ground, noise=noise, seed=seed)
         self.balance = BalanceController(self.model)
         self.friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=500.0)
         self.swing_trajs: dict[int, tuple[SwingTrajectory, float]] = {}
-        self.est = (EstimatorLoop(self.world.state.rot, self.world.state.pos, feet,
-                                  self.leg_model) if use_estimates else None)
+        self.est = (EstimatorLoop(self.world.state.rot, self.world.state.pos, feet)
+                    if use_estimates else None)
         self.recent_contacts = feet.copy()
         # ground plane through recent_contacts and the posture it asks for;
         # refit only when a touchdown writes recent_contacts
@@ -368,7 +364,7 @@ class TrotDriver:
         return unchecked(DesiredState, pos=np.array(pos_d), vel=np.array([vx, vy, 0.0]), rot=r_d)
 
     def plan_swing(self, leg, t, state: RobotState):
-        hip_w = state.pos + state.rot @ self.leg_model.hip(leg)
+        hip_w = state.pos + state.rot @ HIP_OFFSETS[leg]
         # aim for the command at touchdown time (end of this swing)
         v_td = self.v_cmd(t + self.sched.swing_time())
         target_xy = gait.footstep(hip_w[0:2], self.sched.stance_time(),
@@ -387,7 +383,7 @@ class TrotDriver:
         px, py, pz = state.pos.tolist()
         feet_now = state.feet.tolist()
         # a leg now in swing lands under its hip advanced by the command
-        hips = {leg: (state.rot @ self.leg_model.hip(leg)).tolist()
+        hips = {leg: (state.rot @ HIP_OFFSETS[leg]).tolist()
                 for leg in range(4) if swing_now[leg]}
         base_x, base_y = (px, py) if self.p_ref_xy is None else self.p_ref_xy
         t_stance = self.sched.stance_time()
@@ -553,12 +549,11 @@ def run_estimate(log: dict[str, np.ndarray]) -> ScenarioResult:
         if est is None:
             # footholds fixed from the first sample under the orientation
             # the first filter step gives
-            model = LegModel()
             r_first = orientation_step(OrientationFilter(), imu, dt).r_hat
-            feet0, _ = leg_measurements_batch(qs[0], qds[0], r_first, imu.gyro, model)
+            feet0, _ = leg_measurements_batch(qs[0], qds[0], r_first, imu.gyro)
             p0 = np.array([log[f"p{ax}_m"][0] for ax in "xyz"]) if has_truth else \
                 np.array([0.0, 0.0, -np.mean(feet0[:, 2])])
-            est = EstimatorLoop(np.eye(3), p0, p0 + feet0, model)
+            est = EstimatorLoop(np.eye(3), p0, p0 + feet0)
         est.step(imu, qs[k], qds[k], stance[k], np.zeros(4), dt)
         kf = est.kf
         row = {"t_s": t[k]}
@@ -657,10 +652,8 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
 
     t_start = time.perf_counter()
     model = spec.model
-    leg_model = LegModel()
     world = SimWorld(RobotState(pos=spec.p_start, rot=spec.r_start,
-                                feet=spec.feet_start), model, dt=DT, seed=seed,
-                     leg_model=leg_model)
+                                feet=spec.feet_start), model, dt=DT, seed=seed)
     dt = world.dt
     lander = BalanceController(model, FrictionSpec(f_max=F_MAX))
     gains = {"kp_cart": (900.0,) * 3, "kd_cart": (20.0,) * 3,
@@ -697,14 +690,13 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
         pf_d = ref.rot[i_ref].T @ (foot_w - ref.pos[i_ref])
         vf_d = (ref.rot[i_next].T @ (foot_w - ref.pos[i_next]) - pf_d) / dt_ref
         try:
-            q_d, reached = leg_ik(pf_d, leg, leg_model), True
+            q_d, reached = leg_ik(pf_d, leg), True
         except UnreachableError:
             # the reference foot left the workspace: hold the measured
             # joint angles, and count it
             q_d, reached = q_meas, False
             ik_fallbacks += 1
-        tau_d = stance_torque(q_d, ref.forces[i_ref, 3 * leg:3 * leg + 3], ref.rot[i_ref],
-                              leg, leg_model)
+        tau_d = stance_torque(q_d, ref.forces[i_ref, 3 * leg:3 * leg + 3], ref.rot[i_ref], leg)
         refs = {"q_d": q_d.tolist(), "qd_d": (0.0, 0.0, 0.0), "p_foot_d": pf_d.tolist(),
                 "v_foot_d": vf_d.tolist(), "tau_d": tau_d.tolist()}
         if reached:
@@ -719,29 +711,15 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
         t = world.t
         state = world.state
         i_ref = min(int(t / t_sample), idx_max)
-        in_stance_phase = t < t_takeoff
 
-        if landed:
-            # the mean of the four feet summed as np.mean(axis=0) sums it
-            (x0, y0, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = state.feet.tolist()
-            des = unchecked(DesiredState, pos=np.array([(x0 + x1 + x2 + x3) / 4,
-                                                        (y0 + y1 + y2 + y3) / 4, z_land]),
-                            vel=_ZERO3, rot=r_land)
-            # the balance QP eliminates the swing legs' forces, so their
-            # entries are already exact +0.0
-            forces = (lander.compute(state, des, landing_stance) if any(landing_stance)
-                      else _NO_FORCES)
-            stance_mask = landing_stance
-            swing_targets = {i: state.pos + state.rot @ hold_pose_body[i]
-                             for i in range(4) if not landing_stance[i]}
-        elif in_stance_phase:
+        if t < t_takeoff:
             # reference tracking through the legs
             qs, qds = world.synth_encoders()
             leg_forces = []
             for leg in range(4):
                 refs = targets.get((i_ref, leg)) or leg_targets(leg, i_ref, qs[leg])
-                tau = jump_track_torque(qs[leg], qds[leg], refs, gains, leg, leg_model)
-                fx, fy, fz = grf_from_torque(qs[leg], tau, state.rot, leg, leg_model).tolist()
+                tau = jump_track_torque(qs[leg], qds[leg], refs, gains, leg)
+                fx, fy, fz = grf_from_torque(qs[leg], tau, state.rot, leg).tolist()
                 # the ground cannot pull or exceed the hardware force budget;
                 # min(max(.)) keeps np.clip's result, signed zeros included
                 fz = min(max(fz, 0.0), F_MAX)
@@ -751,8 +729,18 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
             stance_mask = _ALL_STANCE
             swing_targets = None
         else:
-            # airborne: hold the pre-landing pose and wait for impact
+            # airborne: hold the pre-landing pose and wait for impact; once
+            # landed (after t_posing), the lander drives the touched-down feet
             forces = _NO_FORCES
+            if landed and any(landing_stance):
+                # the mean of the four feet summed as np.mean(axis=0) sums it
+                (x0, y0, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = state.feet.tolist()
+                des = unchecked(DesiredState, pos=np.array([(x0 + x1 + x2 + x3) / 4,
+                                                            (y0 + y1 + y2 + y3) / 4, z_land]),
+                                vel=_ZERO3, rot=r_land)
+                # the balance QP eliminates the swing legs' forces, so their
+                # entries are already exact +0.0
+                forces = lander.compute(state, des, landing_stance)
             stance_mask = landing_stance
             swing_targets = {i: state.pos + state.rot @ hold_pose_body[i]
                              for i in range(4) if not landing_stance[i]}

@@ -30,19 +30,19 @@ import numpy as np
 from . import so3
 from .balance import _GRAVITY_XYZ, GRAVITY_W, BodyModel
 from .estimation import ImuSample
-from .swing import LegModel, UnreachableError, _floats, ik_angles
+from .swing import HIP_OFFSETS, UnreachableError, _floats, ik_angles
 from .state import RobotState, unchecked
 from .terrain import PlaneCoeffs
 
 __all__ = ["SensorNoise", "SimWorld"]
 
 
-def _ik_batch(p_body: np.ndarray, model: LegModel) -> np.ndarray:
+def _ik_batch(p_body: np.ndarray) -> np.ndarray:
     """Closed-form IK for all four legs (knee-forward branch), (4, 3)."""
     q = []
-    for leg, d in enumerate((p_body - model.hip_offsets).tolist()):
+    for leg, d in enumerate((p_body - HIP_OFFSETS).tolist()):
         try:
-            q.append(ik_angles(d, model))
+            q.append(ik_angles(d))
         except UnreachableError as exc:
             raise UnreachableError(f"leg {leg}: {exc}") from None
     return np.array(q)
@@ -63,7 +63,7 @@ class SimWorld:
 
     def __init__(self, state: RobotState, model: BodyModel, dt: float = 1e-3,
                  ground: PlaneCoeffs | None = None, noise: SensorNoise | None = None,
-                 seed: int = 0, leg_model: LegModel | None = None):
+                 seed: int = 0):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self.state = state.copy()
@@ -71,7 +71,6 @@ class SimWorld:
         self.dt = float(dt)
         self.ground = ground or PlaneCoeffs()
         self.noise = noise or SensorNoise()
-        self.leg_model = leg_model or LegModel()
         self.rng = np.random.default_rng(seed)
         self.t = 0.0
         self.last_accel = np.zeros(3)           # linear acceleration, world
@@ -232,7 +231,7 @@ class SimWorld:
         """
         s = self.state
         p_body = (s.feet - s.pos) @ s.rot  # rows: R^T (foot - p)
-        qs = _ik_batch(p_body, self.leg_model)
+        qs = _ik_batch(p_body)
         if self._q_prev is None:
             qds = np.zeros((4, 3))
         else:

@@ -47,6 +47,7 @@ __all__ = [
 
 _EPS_ANGLE = 1e-8          # below this, use series expansions
 _NEAR_PI_TOL = 1e-6        # trace(R) <= -1 + tol flags the angle-pi branch
+_SKEW_TOL = 1e-8           # largest ||M + M^T||_F that vee accepts
 
 
 class NonSkewError(ValueError):
@@ -67,14 +68,14 @@ def hat(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-def vee(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def vee(m: np.ndarray) -> np.ndarray:
     """Inverse of :func:`hat`.
 
-    Raises :class:`NonSkewError` if ``||m + m.T||_F`` exceeds ``tol``.
+    Raises :class:`NonSkewError` if ``||m + m.T||_F`` exceeds :data:`_SKEW_TOL`.
     """
     m = np.asarray(m, dtype=float).reshape(3, 3)
     defect = np.linalg.norm(m + m.T)
-    if defect > tol:
+    if defect > _SKEW_TOL:
         raise NonSkewError(f"matrix is not skew-symmetric: ||M + M^T|| = {defect:.3e}")
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 

@@ -3,7 +3,7 @@
 Joint order per leg is [abduction, hip pitch, knee pitch]. The abduction
 axis is the body x-axis through the hip; hip and knee rotate about the leg
 plane's y-axis. At q = 0 the leg hangs straight down: the foot sits at
-hip_offset - (0, 0, l1 + l2).
+HIP_OFFSETS[leg] - (0, 0, L1 + L2); the four legs share L1 and L2.
 
 Frames: everything here is in the body frame. Stance torque mapping and its
 inverse convert between world-frame ground reaction forces and joint
@@ -13,12 +13,10 @@ torques through the foot Jacobian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "LegModel",
     "UnreachableError",
     "leg_fk",
     "leg_ik",
@@ -32,26 +30,21 @@ __all__ = [
 
 _APEX = 0.08   # m, height of the swing clearance bump at mid-swing
 
+L1 = 0.34      # m, thigh: hip pitch axis to knee
+L2 = 0.34      # m, shank: knee to foot
+# body-frame hips FR, FL, BR, BL, read-only; _HIPS: its rows as float tuples
+HIP_OFFSETS = np.array([
+    [0.3, -0.128, 0.0],
+    [0.3, 0.128, 0.0],
+    [-0.3, -0.128, 0.0],
+    [-0.3, 0.128, 0.0],
+])
+HIP_OFFSETS.setflags(write=False)
+_HIPS = tuple(map(tuple, HIP_OFFSETS.tolist()))
+
 
 class UnreachableError(ValueError):
     """Commanded foot position lies outside the leg workspace."""
-
-
-@dataclass
-class LegModel:
-    """Geometry of one leg family (all four identical)."""
-
-    l1: float = 0.34
-    l2: float = 0.34
-    hip_offsets: np.ndarray = field(default_factory=lambda: np.array([
-        [0.3, -0.128, 0.0],   # FR
-        [0.3, 0.128, 0.0],    # FL
-        [-0.3, -0.128, 0.0],  # BR
-        [-0.3, 0.128, 0.0],   # BL
-    ]))
-
-    def hip(self, leg: int) -> np.ndarray:
-        return np.asarray(self.hip_offsets, dtype=float)[leg]
 
 
 def _floats(v) -> list[float]:
@@ -60,7 +53,7 @@ def _floats(v) -> list[float]:
             else np.asarray(v, dtype=float).reshape(3).tolist())
 
 
-def _foot_and_jacobian(q, leg: int, model: LegModel) -> tuple[tuple, np.ndarray]:
+def _foot_and_jacobian(q, leg: int) -> tuple[tuple, np.ndarray]:
     """Body-frame foot position (x, y, z) and the 3x3 foot Jacobian, in floats.
 
     The foot in the leg plane is (ux, 0, uz), turned about body x by the
@@ -69,13 +62,13 @@ def _foot_and_jacobian(q, leg: int, model: LegModel) -> tuple[tuple, np.ndarray]
     product's sum of zeros gives +0.0 for a -0.0 product.
     """
     q0, q1, q2 = q
-    l1, l2 = model.l1, model.l2
+    l1, l2 = L1, L2
     s0, c0 = math.sin(q0), math.cos(q0)
     s1, c1 = math.sin(q1), math.cos(q1)
     s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
     ux, uz = -l1 * s1 - l2 * s12, -l1 * c1 - l2 * c12
     ry, rz = -s0 * uz + 0.0, c0 * uz + 0.0
-    hx, hy, hz = model.hip(leg).tolist()
+    hx, hy, hz = _HIPS[leg]
     # columns: e_x x (turned foot), then rot_x times d(ux, uz)/dq1 = (uz, b1)
     # and d(ux, uz)/dq2 = (-l2 c12, b2)
     b1, b2 = l1 * s1 + l2 * s12, l2 * s12
@@ -85,31 +78,31 @@ def _foot_and_jacobian(q, leg: int, model: LegModel) -> tuple[tuple, np.ndarray]
     return (hx + ux, hy + ry, hz + rz), jac
 
 
-def leg_fk(q: np.ndarray, leg: int, model: LegModel) -> np.ndarray:
+def leg_fk(q: np.ndarray, leg: int) -> np.ndarray:
     """Body-frame foot position for joint angles ``q``."""
-    return np.array(_foot_and_jacobian(_floats(q), leg, model)[0])
+    return np.array(_foot_and_jacobian(_floats(q), leg)[0])
 
 
-def leg_jacobian(q: np.ndarray, leg: int, model: LegModel) -> np.ndarray:
+def leg_jacobian(q: np.ndarray, leg: int) -> np.ndarray:
     """Foot Jacobian d(foot)/dq, 3x3, body frame."""
-    return _foot_and_jacobian(_floats(q), leg, model)[1]
+    return _foot_and_jacobian(_floats(q), leg)[1]
 
 
-def leg_ik(p_body: np.ndarray, leg: int, model: LegModel) -> np.ndarray:
+def leg_ik(p_body: np.ndarray, leg: int) -> np.ndarray:
     """Joint angles placing the foot at the body-frame position ``p_body``.
 
     Returns the branch with the knee angle in [0, pi]. Raises
     :class:`UnreachableError` when the target leaves the annular
-    workspace |l1 - l2| <= r <= l1 + l2 about the hip.
+    workspace |L1 - L2| <= r <= L1 + L2 about the hip.
     """
-    d = np.asarray(p_body, dtype=float).reshape(3) - model.hip(leg)
-    return np.array(ik_angles(d.tolist(), model))
+    d = np.asarray(p_body, dtype=float).reshape(3) - HIP_OFFSETS[leg]
+    return np.array(ik_angles(d.tolist()))
 
 
-def ik_angles(d, model: LegModel) -> tuple[float, float, float]:
+def ik_angles(d) -> tuple[float, float, float]:
     """:func:`leg_ik` for the hip-to-foot vector ``d`` = (dx, dy, dz), in scalars."""
     dx, dy, dz = d
-    l1, l2 = model.l1, model.l2
+    l1, l2 = L1, L2
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
     if r > (l1 + l2) * (1.0 + 1e-9) or r < abs(l1 - l2) * (1.0 - 1e-9):
         raise UnreachableError(f"target at distance {r:.3f} m outside [{abs(l1-l2):.3f}, {l1+l2:.3f}]")
@@ -126,7 +119,7 @@ def ik_angles(d, model: LegModel) -> tuple[float, float, float]:
 
 
 def jump_track_torque(q: np.ndarray, qd: np.ndarray, refs: dict, gains: dict,
-                      leg: int, model: LegModel) -> np.ndarray:
+                      leg: int) -> np.ndarray:
     """Reference-tracking torque for jump execution.
 
     ``refs`` carries q_d, qd_d, p_foot_d, v_foot_d, tau_d (body-frame foot
@@ -136,7 +129,7 @@ def jump_track_torque(q: np.ndarray, qd: np.ndarray, refs: dict, gains: dict,
     is one product per row, done in floats; the products with J stay BLAS.
     """
     q, qd = _floats(q), _floats(qd)
-    p_f, j = _foot_and_jacobian(q, leg, model)
+    p_f, j = _foot_and_jacobian(q, leg)
     v_f = (j @ np.array(qd)).tolist()
     wrench = [kp * (p_d - p) + kd * (v_d - v) for kp, kd, p_d, p, v_d, v in zip(
         gains["kp_cart"], gains["kd_cart"], refs["p_foot_d"], p_f, refs["v_foot_d"], v_f)]
@@ -148,20 +141,20 @@ def jump_track_torque(q: np.ndarray, qd: np.ndarray, refs: dict, gains: dict,
 
 
 def stance_torque(q: np.ndarray, grf_world: np.ndarray, r_body: np.ndarray,
-                  leg: int, model: LegModel) -> np.ndarray:
+                  leg: int) -> np.ndarray:
     """Joint torques commanding a world-frame ground reaction force on the body.
 
     tau = -J^T R^T F: the leg pushes against the ground so that the
     reaction on the body equals ``grf_world``.
     """
-    _, j = _foot_and_jacobian(_floats(q), leg, model)
+    _, j = _foot_and_jacobian(_floats(q), leg)
     return -j.T @ (np.asarray(r_body, dtype=float).T @ np.asarray(grf_world, dtype=float))
 
 
 def grf_from_torque(q: np.ndarray, tau: np.ndarray, r_body: np.ndarray,
-                    leg: int, model: LegModel) -> np.ndarray:
+                    leg: int) -> np.ndarray:
     """Inverse of :func:`stance_torque`: world GRF implied by joint torques."""
-    _, j = _foot_and_jacobian(_floats(q), leg, model)
+    _, j = _foot_and_jacobian(_floats(q), leg)
     f_body = np.linalg.solve(j.T, -np.asarray(tau, dtype=float))
     return np.asarray(r_body, dtype=float) @ f_body
 

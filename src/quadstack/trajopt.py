@@ -57,6 +57,7 @@ from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded
 
 from . import so3
 from .balance import GRAVITY_W, BodyModel
+from .swing import HIP_OFFSETS
 
 __all__ = [
     "ContactPhase",
@@ -140,13 +141,8 @@ class ContactPhase:
             self.feet_pos = np.asarray(self.feet_pos, dtype=float).reshape(4, 3)
 
 
-# body-frame centers of the feet's reachable spheres
-_SPHERE_CENTERS = np.array([
-    [0.3, -0.128, -0.45],
-    [0.3, 0.128, -0.45],
-    [-0.3, -0.128, -0.45],
-    [-0.3, 0.128, -0.45],
-])
+# body-frame centers of the feet's reachable spheres, 0.45 m below the hips
+_SPHERE_CENTERS = HIP_OFFSETS - [0.0, 0.0, 0.45]
 
 
 @dataclass

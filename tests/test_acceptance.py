@@ -19,12 +19,11 @@ from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpStatus
 from quadstack.scenarios import (hop_spec, nominal_feet, run_jump_sim,
                                  run_stand, run_trot, spin_spec,
                                  SPIN90_REFERENCE_TIMINGS_10MS)
-from quadstack.swing import LegModel
 from quadstack.terrain import fit_plane
 from quadstack.trajopt import TimingProblem, check_constraints, solve_timing
 
 G = 9.81
-FEET = nominal_feet(LegModel())
+FEET = nominal_feet()
 
 
 def report(num, name, passed, detail=""):

@@ -23,7 +23,7 @@ from quadstack.estimation import (
     _kappa,
     _process_matrices,
 )
-from quadstack.swing import LegModel, leg_fk, leg_ik
+from quadstack.swing import HIP_OFFSETS, leg_fk, leg_ik
 
 G = 9.81
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
@@ -363,34 +363,32 @@ class TestKfUpdate:
 
 class TestLegMeasurementHelper:
     def test_matches_direct_kinematics(self):
-        model = LegModel()
         leg = 1
-        q = leg_ik(model.hip(leg) + np.array([0.02, 0.01, -0.4]), leg, model)
+        q = leg_ik(HIP_OFFSETS[leg] + np.array([0.02, 0.01, -0.4]), leg)
         qd = np.array([0.1, -0.2, 0.3])
         gyro = np.array([0.05, -0.1, 0.2])
         r_hat = so3.exp_exact([0.02, 0.05, -0.1])
-        rel_pos, rel_vel = leg_measurement_from_kinematics(q, qd, r_hat, gyro, leg, model)
-        assert_allclose(rel_pos, r_hat @ leg_fk(q, leg, model), atol=1e-12)
+        rel_pos, rel_vel = leg_measurement_from_kinematics(q, qd, r_hat, gyro, leg)
+        assert_allclose(rel_pos, r_hat @ leg_fk(q, leg), atol=1e-12)
         # numerical check of the velocity: differentiate R(t) p(q(t))
         eps = 1e-7
         q2 = q + eps * qd
         r2 = r_hat @ so3.exp_exact(gyro * eps)
-        v_fd = (r2 @ leg_fk(q2, leg, model) - r_hat @ leg_fk(q, leg, model)) / eps
+        v_fd = (r2 @ leg_fk(q2, leg) - r_hat @ leg_fk(q, leg)) / eps
         assert_allclose(rel_vel, v_fd, atol=1e-5)
 
     def test_batch_matches_per_leg(self):
         # the four-leg loop version against the per-leg reference
-        model = LegModel()
         rng = np.random.default_rng(12)
         for _ in range(20):
-            qs = np.array([leg_ik(model.hip(leg) + rng.uniform([-0.1, -0.1, -0.5], [0.1, 0.1, -0.3]),
-                                  leg, model) for leg in range(4)])
+            qs = np.array([leg_ik(HIP_OFFSETS[leg] + rng.uniform([-0.1, -0.1, -0.5], [0.1, 0.1, -0.3]),
+                                  leg) for leg in range(4)])
             qds = rng.normal(size=(4, 3))
             gyro = rng.normal(size=3) * 0.5
             r_hat = so3.exp_exact(rng.normal(size=3) * 0.3)
-            rel_pos, rel_vel = leg_measurements_batch(qs, qds, r_hat, gyro, model)
+            rel_pos, rel_vel = leg_measurements_batch(qs, qds, r_hat, gyro)
             for leg in range(4):
                 ref_pos, ref_vel = leg_measurement_from_kinematics(qs[leg], qds[leg], r_hat,
-                                                                   gyro, leg, model)
+                                                                   gyro, leg)
                 assert_allclose(rel_pos[leg], ref_pos, rtol=0.0, atol=1e-12)
                 assert_allclose(rel_vel[leg], ref_vel, rtol=0.0, atol=1e-12)

@@ -13,7 +13,7 @@ import pytest
 
 import quadstack
 from quadstack import so3
-from quadstack.swing import LegModel, UnreachableError, leg_ik
+from quadstack.swing import UnreachableError, leg_ik
 from quadstack.trajopt import BodyReference
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(quadstack.__path__))
@@ -170,13 +170,12 @@ def test_jump_sim_counts_each_ik_fallback_tick(monkeypatch):
     # samples 5-8 raise and pitch the body: the front feet leave the workspace
     ref.pos[5:9, 2] += 0.2
     ref.rot[5:9] = so3.rot_y(-0.2)
-    model = LegModel()
     failing = []
     for p, r in zip(ref.pos, ref.rot):
         legs_out = 0
         for leg, foot in enumerate(spec.feet_start):
             try:
-                leg_ik(r.T @ (foot - p), leg, model)
+                leg_ik(r.T @ (foot - p), leg)
             except UnreachableError:
                 legs_out += 1
         failing.append(legs_out)
@@ -352,13 +351,7 @@ def test_class_members_have_a_program_reader():
 # the reason it stays
 SETTABLE_TEST_ONLY_ALLOWED = {
     "cli.main.argv": "the entry point's arguments; the console script passes none",
-    "gait.polygon_vertex.eps": "degeneracy threshold of the reference step support_polygon "
-                               "is compared against",
-    "so3.vee.tol": "skewness tolerance of the inverse of hat, an oracle",
     "scenarios.run_stand.controller": "the hover mode that criterion 2 runs",
-    "swing.LegModel.l1": "leg geometry, which every kinematics signature carries",
-    "swing.LegModel.l2": "leg geometry, which every kinematics signature carries",
-    "swing.LegModel.hip_offsets": "leg geometry, which every kinematics signature carries",
     "trajopt.ContactPhase.feet_pos": "per-phase footholds of the jump corpus, "
                                      "tested in test_trajopt.py",
     "trajopt.TimingProblem._derivative_blocks.y_eq": "passed through functools.partial, "

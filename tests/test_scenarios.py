@@ -9,7 +9,7 @@ from quadstack.estimation import ImuSample
 from quadstack.scenarios import (ReplayLogError, hop_spec, reference_from_log, reference_log,
                                  run_estimate, run_jump_opt, run_jump_sim, run_slope, run_stand,
                                  run_trot, spin_spec)
-from quadstack.swing import LegModel
+from quadstack.swing import HIP_OFFSETS
 from quadstack.trajopt import BodyReference
 
 
@@ -85,6 +85,14 @@ class TestTrot:
         res = run_trot(duration=0.5)
         for col in ("t_s", "px_m", "vz_mps", "r00", "foot0x_m", "f3z_N", "stance0"):
             assert col in res.log
+
+    @pytest.mark.parametrize("noise", [{"accel_std": 0.1}, {"gyro_std": 0.01},
+                                       {"accel_bias_mag": 0.2}])
+    def test_noise_on_true_state_is_rejected(self, noise):
+        # on true state the sensors are not read, so noise there would be
+        # accepted and then ignored
+        with pytest.raises(ValueError, match="use_estimates"):
+            run_trot(duration=0.01, **noise)
 
 
 class TestSlope:
@@ -195,7 +203,7 @@ def mpc_tables_per_leg(driver, t, state):
         for leg in range(4):
             if contact[i, leg] and not schedule(t)[0][leg]:
                 hip_w = state.pos + np.array([*(v_cmd(ti) * (ti - t)), 0.0]) \
-                    + state.rot @ driver.leg_model.hip(leg)
+                    + state.rot @ HIP_OFFSETS[leg]
                 xy = footstep(hip_w[0:2], driver.sched.stance_time(),
                               v_cmd(ti), v_cmd(ti), driver.z0)
                 feet[i, leg] = [xy[0], xy[1], driver.ground.height(*xy)]
@@ -280,9 +288,8 @@ class TestEstimateReplay:
         # started from the stand's initial state and fed the logged sensor
         # stream reproduces the logged estimates bit for bit
         log = run_stand(duration=0.5, controller=controller, log_every=1).log
-        leg_model = LegModel()
         est = scenarios.EstimatorLoop(np.eye(3), [0.0, 0.0, scenarios.NOMINAL_Z],
-                                      scenarios.nominal_feet(leg_model), leg_model)
+                                      scenarios.nominal_feet())
         phat, vhat = [], []
         for k in range(len(log["t_s"])):
             imu = ImuSample(gyro=[log[f"gyro_{ax}_radps"][k] for ax in "xyz"],

@@ -155,7 +155,7 @@ class TestSensors:
         w = stand_world()
         qs, _ = w.synth_encoders()
         for i, q in enumerate(qs):
-            p_body = leg_fk(q, i, w.leg_model)
+            p_body = leg_fk(q, i)
             expected = w.state.rot.T @ (w.state.feet[i] - w.state.pos)
             assert_allclose(p_body, expected, atol=1e-9)
 

@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from quadstack import so3, swing
 from quadstack.swing import (
-    LegModel,
+    HIP_OFFSETS,
+    L1,
+    L2,
     SwingTrajectory,
     UnreachableError,
     grf_from_torque,
@@ -15,7 +17,6 @@ from quadstack.swing import (
     stance_torque,
 )
 
-MODEL = LegModel()
 RNG = np.random.default_rng(9)
 
 
@@ -24,20 +25,20 @@ def random_q(rng, n=1):
     return qs[0] if n == 1 else qs
 
 
-def leg_fk_numpy(q, leg, model):
+def leg_fk_numpy(q, leg):
     """leg_fk's formula: planar foot turned by rot_x about the hip."""
     q = np.asarray(q, dtype=float)
-    l1, l2 = model.l1, model.l2
+    l1, l2 = L1, L2
     s1, c1 = np.sin(q[1]), np.cos(q[1])
     s12, c12 = np.sin(q[1] + q[2]), np.cos(q[1] + q[2])
     foot = np.array([-l1 * s1, 0.0, -l1 * c1]) + np.array([-l2 * s12, 0.0, -l2 * c12])
-    return model.hip(leg) + so3.rot_x(q[0]) @ foot
+    return HIP_OFFSETS[leg] + so3.rot_x(q[0]) @ foot
 
 
-def leg_jacobian_numpy(q, leg, model):
+def leg_jacobian_numpy(q, leg):
     """leg_jacobian's formula: e_x x (turned foot), then the turned planar columns."""
     q = np.asarray(q, dtype=float)
-    l1, l2 = model.l1, model.l2
+    l1, l2 = L1, L2
     rx = so3.rot_x(q[0])
     s1, c1 = np.sin(q[1]), np.cos(q[1])
     s12, c12 = np.sin(q[1] + q[2]), np.cos(q[1] + q[2])
@@ -47,25 +48,25 @@ def leg_jacobian_numpy(q, leg, model):
                             rx @ np.array([-l2 * c12, 0.0, l2 * s12])])
 
 
-def jump_track_torque_numpy(q, qd, refs, gains, leg, model):
+def jump_track_torque_numpy(q, qd, refs, gains, leg):
     """jump_track_torque's formula with 3x3 diagonal gain matrices."""
     q, qd = np.asarray(q, dtype=float), np.asarray(qd, dtype=float)
-    j = leg_jacobian_numpy(q, leg, model)
+    j = leg_jacobian_numpy(q, leg)
     kp_c, kd_c, kp_j, kd_j = (np.diag(np.asarray(gains[k], dtype=float))
                               for k in ("kp_cart", "kd_cart", "kp_joint", "kd_joint"))
     r = {k: np.asarray(v, dtype=float) for k, v in refs.items()}
-    tau = j.T @ (kp_c @ (r["p_foot_d"] - leg_fk_numpy(q, leg, model))
+    tau = j.T @ (kp_c @ (r["p_foot_d"] - leg_fk_numpy(q, leg))
                  + kd_c @ (r["v_foot_d"] - j @ qd))
     tau = tau + r["tau_d"]
     return tau + kp_j @ (r["q_d"] - q) + kd_j @ (r["qd_d"] - qd)
 
 
-def stance_torque_numpy(q, grf_world, r_body, leg, model):
-    return -leg_jacobian_numpy(q, leg, model).T @ (r_body.T @ grf_world)
+def stance_torque_numpy(q, grf_world, r_body, leg):
+    return -leg_jacobian_numpy(q, leg).T @ (r_body.T @ grf_world)
 
 
-def grf_from_torque_numpy(q, tau, r_body, leg, model):
-    return r_body @ np.linalg.solve(leg_jacobian_numpy(q, leg, model).T, -tau)
+def grf_from_torque_numpy(q, tau, r_body, leg):
+    return r_body @ np.linalg.solve(leg_jacobian_numpy(q, leg).T, -tau)
 
 
 def assert_same_bits(got, want):
@@ -86,56 +87,56 @@ def workspace_qs(rng, n):
 class TestKinematics:
     def test_straight_leg(self):
         for leg in range(4):
-            foot = leg_fk(np.zeros(3), leg, MODEL)
-            assert_allclose(foot, MODEL.hip(leg) - [0.0, 0.0, 0.68], atol=1e-12)
+            foot = leg_fk(np.zeros(3), leg)
+            assert_allclose(foot, HIP_OFFSETS[leg] - [0.0, 0.0, 0.68], atol=1e-12)
 
     def test_abduction_rolls_leg_plane(self):
-        foot = leg_fk([np.pi / 2, 0.0, 0.0], 0, MODEL)
-        assert_allclose(foot, MODEL.hip(0) + [0.0, 0.68, 0.0], atol=1e-12)
+        foot = leg_fk([np.pi / 2, 0.0, 0.0], 0)
+        assert_allclose(foot, HIP_OFFSETS[0] + [0.0, 0.68, 0.0], atol=1e-12)
 
     def test_fk_ik_roundtrip(self):
         for _ in range(100):
             q = random_q(RNG)
             leg = int(RNG.integers(4))
-            p = leg_fk(q, leg, MODEL)
-            q2 = leg_ik(p, leg, MODEL)
-            assert_allclose(leg_fk(q2, leg, MODEL), p, atol=1e-9)
+            p = leg_fk(q, leg)
+            q2 = leg_ik(p, leg)
+            assert_allclose(leg_fk(q2, leg), p, atol=1e-9)
 
     def test_ik_unreachable(self):
         with pytest.raises(UnreachableError):
-            leg_ik(MODEL.hip(0) - [0.0, 0.0, 1.01 * 0.68], 0, MODEL)
+            leg_ik(HIP_OFFSETS[0] - [0.0, 0.0, 1.01 * 0.68], 0)
 
     def test_jacobian_matches_finite_differences(self):
         eps = 1e-7
         for _ in range(20):
             q = random_q(RNG)
             leg = int(RNG.integers(4))
-            j = leg_jacobian(q, leg, MODEL)
+            j = leg_jacobian(q, leg)
             j_fd = np.zeros((3, 3))
             for k in range(3):
                 dq = np.zeros(3)
                 dq[k] = eps
-                j_fd[:, k] = (leg_fk(q + dq, leg, MODEL) - leg_fk(q - dq, leg, MODEL)) / (2 * eps)
+                j_fd[:, k] = (leg_fk(q + dq, leg) - leg_fk(q - dq, leg)) / (2 * eps)
             assert_allclose(j, j_fd, atol=1e-6)
 
     def test_extended_leg_singular(self):
-        j = leg_jacobian([0.2, 0.4, 0.0], 0, MODEL)
+        j = leg_jacobian([0.2, 0.4, 0.0], 0)
         assert abs(np.linalg.det(j)) <= 1e-12
 
     def test_fk_and_jacobian_match_array_formulas(self):
         rng = np.random.default_rng(21)
         for i, q in enumerate(workspace_qs(rng, 400)):
             leg = i % 4
-            assert_same_bits(leg_fk(q, leg, MODEL), leg_fk_numpy(q, leg, MODEL))
-            assert_same_bits(leg_jacobian(q, leg, MODEL), leg_jacobian_numpy(q, leg, MODEL))
+            assert_same_bits(leg_fk(q, leg), leg_fk_numpy(q, leg))
+            assert_same_bits(leg_jacobian(q, leg), leg_jacobian_numpy(q, leg))
 
     def test_velocity_map_along_path(self):
         q0 = np.array([0.1, -0.4, 1.2])
         qd = np.array([0.3, 0.5, -0.7])
         dt = 1e-6
-        p_plus = leg_fk(q0 + dt * qd, 0, MODEL)
-        p_minus = leg_fk(q0 - dt * qd, 0, MODEL)
-        assert_allclose((p_plus - p_minus) / (2 * dt), leg_jacobian(q0, 0, MODEL) @ qd, atol=1e-7)
+        p_plus = leg_fk(q0 + dt * qd, 0)
+        p_minus = leg_fk(q0 - dt * qd, 0)
+        assert_allclose((p_plus - p_minus) / (2 * dt), leg_jacobian(q0, 0) @ qd, atol=1e-7)
 
 
 class TestJumpTracking:
@@ -144,18 +145,18 @@ class TestJumpTracking:
 
     def test_feedforward_passthrough(self):
         q = np.array([0.1, -0.6, 1.3])
-        j = leg_jacobian(q, 0, MODEL)
-        refs = {"q_d": q, "qd_d": np.zeros(3), "p_foot_d": leg_fk(q, 0, MODEL),
+        j = leg_jacobian(q, 0)
+        refs = {"q_d": q, "qd_d": np.zeros(3), "p_foot_d": leg_fk(q, 0),
                 "v_foot_d": j @ np.zeros(3), "tau_d": np.array([1.0, -2.0, 0.5])}
-        tau = jump_track_torque(q, np.zeros(3), refs, self.GAINS, 0, MODEL)
+        tau = jump_track_torque(q, np.zeros(3), refs, self.GAINS, 0)
         assert_allclose(tau, refs["tau_d"], atol=1e-12)
 
     def test_joint_only_error(self):
         q = np.array([0.0, -0.5, 1.0])
         dq = np.array([0.05, -0.02, 0.04])
-        refs = {"q_d": q + dq, "qd_d": np.zeros(3), "p_foot_d": leg_fk(q, 0, MODEL),
+        refs = {"q_d": q + dq, "qd_d": np.zeros(3), "p_foot_d": leg_fk(q, 0),
                 "v_foot_d": np.zeros(3), "tau_d": np.zeros(3)}
-        tau = jump_track_torque(q, np.zeros(3), refs, self.GAINS, 0, MODEL)
+        tau = jump_track_torque(q, np.zeros(3), refs, self.GAINS, 0)
         assert_allclose(tau, np.diag(self.GAINS["kp_joint"]) @ dq, atol=1e-12)
 
     def test_matches_array_formula(self):
@@ -165,12 +166,12 @@ class TestJumpTracking:
             leg = i % 4
             qd = rng.normal(scale=2.0, size=3)
             refs = {"q_d": q + rng.normal(scale=0.1, size=3), "qd_d": np.zeros(3),
-                    "p_foot_d": leg_fk(q, leg, MODEL) + rng.normal(scale=0.02, size=3),
+                    "p_foot_d": leg_fk(q, leg) + rng.normal(scale=0.02, size=3),
                     "v_foot_d": rng.normal(size=3), "tau_d": rng.normal(scale=20.0, size=3)}
-            want = jump_track_torque_numpy(q, qd, refs, gains, leg, MODEL)
-            assert_same_bits(jump_track_torque(q, qd, refs, gains, leg, MODEL), want)
+            want = jump_track_torque_numpy(q, qd, refs, gains, leg)
+            assert_same_bits(jump_track_torque(q, qd, refs, gains, leg), want)
             as_floats = {k: v.tolist() for k, v in refs.items()}
-            assert_same_bits(jump_track_torque(q, qd, as_floats, gains, leg, MODEL), want)
+            assert_same_bits(jump_track_torque(q, qd, as_floats, gains, leg), want)
 
 
 class TestStanceMapping:
@@ -180,18 +181,18 @@ class TestStanceMapping:
             leg = i % 4
             r = so3.exp_exact(rng.normal(scale=0.5, size=3))
             f = rng.normal(scale=[20.0, 20.0, 100.0])
-            tau = stance_torque(q, f, r, leg, MODEL)
-            assert_same_bits(tau, stance_torque_numpy(q, f, r, leg, MODEL))
+            tau = stance_torque(q, f, r, leg)
+            assert_same_bits(tau, stance_torque_numpy(q, f, r, leg))
             if q[2] != 0.0:  # a straight knee makes J singular
-                assert_same_bits(grf_from_torque(q, tau, r, leg, MODEL),
-                                 grf_from_torque_numpy(q, tau, r, leg, MODEL))
+                assert_same_bits(grf_from_torque(q, tau, r, leg),
+                                 grf_from_torque_numpy(q, tau, r, leg))
 
     def test_grf_roundtrip(self):
         q = np.array([0.1, -0.5, 1.2])
         r = so3.exp_exact([0.05, -0.1, 0.3])
         f = np.array([5.0, -3.0, 80.0])
-        tau = stance_torque(q, f, r, 0, MODEL)
-        assert_allclose(grf_from_torque(q, tau, r, 0, MODEL), f, atol=1e-9)
+        tau = stance_torque(q, f, r, 0)
+        assert_allclose(grf_from_torque(q, tau, r, 0), f, atol=1e-9)
 
 
 def swing_sample_numpy(p_start, p_end, duration, t):

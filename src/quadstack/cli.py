@@ -175,12 +175,10 @@ def load_config(path: str | None) -> dict:
 def write_csv(path: Path, log: dict[str, np.ndarray]) -> None:
     """Column-ordered CSV with a header row of names (units in the names)."""
     cols = list(log.keys())
-    arrays = [np.asarray(log[c], dtype=float) for c in cols]
-    n = len(arrays[0]) if arrays else 0
+    columns = [np.asarray(log[c], dtype=float).tolist() for c in cols]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for i in range(n):
-            fh.write(",".join(repr(float(a[i])) for a in arrays) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*columns))
 
 
 def read_csv(path: Path) -> dict[str, np.ndarray]:

@@ -74,8 +74,13 @@ class Logger:
         self.rows: dict[str, list] = {}
 
     def push(self, **cols):
-        for k, v in cols.items():
-            self.rows.setdefault(k, []).append(v)
+        self.push_row(cols, cols.values())
+
+    def push_row(self, names, values):
+        """Append ``values`` to the columns ``names``, in that order."""
+        rows = self.rows
+        for k, v in zip(names, values):
+            rows.setdefault(k, []).append(v)
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {k: np.asarray(v) for k, v in self.rows.items()}
@@ -94,13 +99,19 @@ _REFERENCE_COLS = (["t_s"] + _BODY_COLS
 
 def _log_state(log: Logger, world: SimWorld, extra: dict | None = None):
     s = world.state
-    kin = np.stack([s.pos, s.vel, s.omega], axis=1)                     # (axis, p/v/w)
-    feet = np.stack([s.feet, world.contact_forces.reshape(4, 3)], axis=2)  # (foot, axis, pos/force)
-    values = [world.t, *kin.ravel().tolist(), *s.rot.ravel().tolist(), *feet.ravel().tolist()]
-    cols = dict(zip(_STATE_COLS, values))
+    # the values in _STATE_COLS order: p, v, w per axis, then per foot and
+    # axis its position and force
+    values = [world.t]
+    for kin in zip(s.pos.tolist(), s.vel.tolist(), s.omega.tolist()):
+        values += kin
+    values += s.rot.ravel().tolist()
+    forces = world.contact_forces.tolist()
+    for f, foot in enumerate(s.feet.tolist()):
+        values += (foot[0], forces[3 * f], foot[1], forces[3 * f + 1],
+                   foot[2], forces[3 * f + 2])
+    log.push_row(_STATE_COLS, values)
     if extra:
-        cols.update(extra)
-    log.push(**cols)
+        log.push(**extra)
 
 
 class EstimatorLoop:
@@ -341,8 +352,10 @@ class TrotDriver:
         r_d, height = terrain.posture_from_plane(self.plane, yaw=0.0, z0=self.z0)
         self._posture = r_d, (self.plane.normal() * height).tolist()
 
-    def desired(self, t, state: RobotState, contact, phis) -> DesiredState:
-        """The balance target at ``t``, given the schedule there."""
+    def desired(self, t, state: RobotState, contact, phis) -> DesiredState | None:
+        """Advance the CoM reference ``p_ref_xy`` to ``t``, given the schedule
+        there, and return the balance target at ``t``; under the MPC, whose
+        horizon tables read only the reference, return None."""
         weights = [gait.total_weight(c, phi) for c, phi in zip(contact, phis)]
         verts = gait.support_polygon(state.feet.tolist(), weights)
         poly_x, poly_y = gait.desired_com(verts)
@@ -355,6 +368,8 @@ class TrotDriver:
         cx = ref_x + vx * dt + anchor * (poly_x - ref_x)
         cy = ref_y + vy * dt + anchor * (poly_y - ref_y)
         self.p_ref_xy = cx, cy
+        if self.controller_type == "mpc":
+            return None
         if self.adapt_posture:
             r_d, (ox, oy, oz) = self._posture
             pos_d = [cx + ox, cy + oy, self.plane.height(cx, cy) + oz]
@@ -482,7 +497,8 @@ class TrotDriver:
             px, py, pz = self.world.state.pos.tolist()
             height_err.append(pz - (self.ground.height(px, py) + self.z0))
             vel = self.world.state.vel
-            vel_err.append(np.linalg.norm(vel[0:2] - self.v_cmd(t)))
+            e = vel[0:2] - self.v_cmd(t)
+            vel_err.append(math.sqrt(e.dot(e)))  # np.linalg.norm's formula
             speed_sum += math.hypot(vel[0], vel[1])
             if k % 10 == 0:
                 _log_state(log, self.world, {

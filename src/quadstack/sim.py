@@ -7,7 +7,8 @@ accurate than both the optimizer's Euler transcription and the estimator's
 models. Feet are kinematic: stance feet stay pinned where they are, swing
 feet follow the commanded targets. The measured constraint force equals the
 commanded force. A non-finite commanded force or swing target raises
-``ValueError`` before the state moves.
+``ValueError`` before the state moves, and so does a step whose new body
+rate, velocity or position is non-finite (a diverged run).
 
 Sensors are synthesized from the true state: IMU (gyro plus accelerometer
 with the gravity reaction included, so a stationary upright reading is
@@ -90,8 +91,8 @@ class SimWorld:
         ``stance_forces`` is the stacked 12-vector of world-frame GRFs
         (must be zero for swing feet); ``swing_targets`` maps swing leg
         indices to commanded world foot positions for the end of the step.
-        A non-finite force or target raises ``ValueError`` before the state
-        moves.
+        A non-finite force or target, or a non-finite new body rate,
+        velocity or position, raises ``ValueError`` before the state moves.
         """
         stance = np.asarray(stance_mask, dtype=bool).reshape(4).tolist()
         f = np.asarray(stance_forces, dtype=float).reshape(12).tolist()
@@ -172,13 +173,19 @@ class SimWorld:
 
         hdt2 = 0.5 * dt * dt
         new_vz = vz + dt * az
-        s.pos = np.array((px + dt * vx + hdt2 * ax, py + dt * vy + hdt2 * ay,
-                          pz + dt * vz + hdt2 * az))
-        s.vel = np.array((vx + dt * ax, vy + dt * ay, new_vz))
+        new_pos = (px + dt * vx + hdt2 * ax, py + dt * vy + hdt2 * ay,
+                   pz + dt * vz + hdt2 * az)
+        new_vel = (vx + dt * ax, vy + dt * ay, new_vz)
         sixth = dt / 6.0
         n0 = o0 + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         n1 = o1 + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
         n2 = o2 + sixth * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        # the squared rate also bounds the angle of the rotation update
+        if not all(map(math.isfinite, (*new_pos, *new_vel, n0 * n0 + n1 * n1 + n2 * n2))):
+            raise ValueError(f"state diverged in the step to t = {self.t + dt:.4f} s: "
+                             "non-finite body rate, velocity or position")
+        s.pos = np.array(new_pos)
+        s.vel = np.array(new_vel)
         s.omega = np.array((n0, n1, n2))
         # R E stays a BLAS product, whose rounding a Python sum does not
         # reproduce; ndarray.dot runs the same kernel as @ with less dispatch

@@ -266,6 +266,21 @@ class TestCsvRoundTrip:
         header = path.read_text().splitlines()[0]
         assert header == "t_s,vx_mps"
 
+    def test_bytes_match_the_per_element_writer(self, tmp_path):
+        # the column writer against repr(float(a[i])) per element, on a
+        # recorded trot log plus bool, int, -0.0, subnormal and non-finite columns
+        log = dict(scenarios.run_trot(duration=0.3).log)
+        n = len(log["t_s"])
+        log["flag"] = np.arange(n) % 2 == 0
+        log["count"] = np.arange(n)
+        log["odd"] = np.resize([-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e300], n)
+        path = tmp_path / "log.csv"
+        cli.write_csv(path, log)
+        arrays = [np.asarray(a, dtype=float) for a in log.values()]
+        lines = [",".join(log) + "\n"]
+        lines += [",".join(repr(float(a[i])) for a in arrays) + "\n" for i in range(n)]
+        assert path.read_bytes() == "".join(lines).encode()
+
 
 class TestStand:
     def test_stand_writes_artifacts(self, tmp_path):

@@ -94,6 +94,16 @@ class TestTrot:
         with pytest.raises(ValueError, match="use_estimates"):
             run_trot(duration=0.01, **noise)
 
+    def test_mpc_ticks_advance_the_reference_without_a_target(self):
+        # the MPC's horizon tables read only the CoM reference: desired
+        # advances it as on a balance tick and builds no balance target
+        drivers = [scenarios.TrotDriver(duration=0.01, controller=c) for c in ("balance", "mpc")]
+        for t in (0.0, 0.001, 0.002):
+            contact, phis = drivers[0].schedule(t)
+            balance, mpc_des = (d.desired(t, d.world.state, contact, phis) for d in drivers)
+            assert balance is not None and mpc_des is None
+            assert drivers[0].p_ref_xy == drivers[1].p_ref_xy
+
 
 class TestSlope:
     def test_stance_feet_lie_on_the_slope(self):

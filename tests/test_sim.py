@@ -212,6 +212,29 @@ class TestNonFinite:
             w.step(f, np.array([True, False, True, True]), {1: target})
         assert world_bits(w) == before
 
+    def test_diverged_state_raises_before_it_is_stored(self):
+        # 1e9 N on every axis of every foot spins the body up until the
+        # rate is NaN in the third step, which raises instead of storing it
+        w = stand_world()
+        f = np.full(12, 1e9)
+        for _ in range(2):
+            w.step(f, np.ones(4, dtype=bool))
+        assert np.all(np.isfinite(w.state.omega))
+        before = world_bits(w)
+        with pytest.raises(ValueError, match=r"diverged in the step to t = 0\.0030 s"):
+            w.step(f, np.ones(4, dtype=bool))
+        assert world_bits(w) == before
+
+    def test_overflowing_rate_raises_before_the_rotation_update(self):
+        # the rate overflows within the step; its rotation update used to
+        # end in "math domain error" from the Rodrigues formula's sin(inf)
+        w = SimWorld(RobotState(pos=[0.0, 0.0, 0.45], feet=FEET, omega=[1e36, 1.0, 0.0]),
+                     BodyModel())
+        before = world_bits(w)
+        with pytest.raises(ValueError, match=r"diverged in the step to t = 0\.0010 s"):
+            w.step(hover_forces(), np.ones(4, dtype=bool))
+        assert world_bits(w) == before
+
 
 # -- the step against its array formula ---------------------------------------
 

@@ -15,11 +15,14 @@ stops where the dual ratio test drives a working multiplier to zero, and that
 row is dropped.
 
 With H = L L^T the steps are taken in y = L^T x, where the Hessian is the
-identity. A QR factorization of the working normals L^-1 C^T gives both step
-directions: the primal step is the part of the new normal orthogonal to the
-working normals, the dual step its coefficients on them. The factors are
-updated, not recomputed (Golub & Van Loan, Matrix Computations, on updating
-QR factorizations): a row that joins appends its primal step, normalized, as
+identity. The violations are measured in x, as C x - d, and only the row
+that is picked has its normal L^-1 c_p formed in y: no solve transforms
+every row, so a solve costs little more than its rows that bind. A QR
+factorization of the working normals gives both step directions: the
+primal step is the part of the new normal orthogonal to the working
+normals, the dual step its coefficients on them. The factors are updated,
+not recomputed (Golub & Van Loan, Matrix Computations, on updating QR
+factorizations): a row that joins appends its primal step, normalized, as
 the new column of Q, and a dropped row is removed by Givens rotations
 (``scipy.linalg.qr_delete``). A row whose primal step vanishes is linearly
 dependent on the working set (as a foot's four pyramid faces are at F = 0)
@@ -30,10 +33,12 @@ broken in a fixed order, so identical inputs produce bitwise-identical
 outputs.
 
 The length-n products, the factorizations and the triangular solves are
-numpy and LAPACK calls, whose kernels set the bits. The bookkeeping on the
-working set (its multipliers, the ratio test, the step lengths) runs on
-Python floats: at the sizes posed here numpy's cost per call would exceed
-the arithmetic.
+numpy and LAPACK calls, whose kernels set the bits. H is factored once by
+SciPy's LAPACK ``dpotrf``, which reads only its lower triangle, the LAPACK
+of the estimator's ``dpotrf``/``dpotrs``; each solve with the factor is one
+``dtrtrs`` column. The bookkeeping on the working set (its multipliers, the
+ratio test, the step lengths) runs on Python floats: at the sizes posed here
+numpy's cost per call would exceed the arithmetic.
 """
 
 from __future__ import annotations
@@ -116,8 +121,9 @@ def _norm(v: np.ndarray) -> float:
 def _solved(result: tuple[np.ndarray, int]) -> np.ndarray:
     """The solution of a LAPACK ``dtrtrs`` call, which must have succeeded.
 
-    The factors here are C-ordered and ``dtrtrs`` reads Fortran order, so
-    each call passes the transpose with ``lower`` and ``trans`` flipped, as
+    ``dtrtrs`` reads Fortran order. The Cholesky factor is passed as
+    ``dpotrf`` returns it; the QR factor r is C-ordered, so each call passes
+    its transpose with ``lower`` and ``trans`` flipped. Both are what
     ``scipy.linalg.solve_triangular`` does (same bits), without that
     wrapper's input checks and dispatch.
     """
@@ -132,18 +138,14 @@ class ActiveSetSolver:
 
     def solve(self, qp: QpProblem) -> QpResult:
         n = qp.n
-        h = 0.5 * (qp.h + qp.h.T)
-        try:
-            l = np.linalg.cholesky(h)
-        except np.linalg.LinAlgError:
-            l = np.linalg.cholesky(h + _REG * np.eye(n))
+        l = _cholesky(qp.h)
         c, d = qp.c_ineq, qp.d_ineq
         # a row within _TOL |row| of its bound, as a distance, is satisfied;
         # the working rows, never picked, have an infinite threshold
         thresh = _TOL * qp.row_norms
-        # the row normals and the unconstrained minimum in y = L^T x
-        wg = _solved(lapack.dtrtrs(l.T, np.concatenate((c, qp.g[None])).T, lower=0, trans=1))
-        w, y = wg[:, :-1], -wg[:, -1]
+        # the unconstrained minimum, in y = L^T x and in x
+        y = -_solved(lapack.dtrtrs(l, qp.g, lower=1))
+        x = _solved(lapack.dtrtrs(l, y, lower=1, trans=1))
 
         work: list[int] = []  # working rows
         u: list[float] = []  # their multipliers
@@ -153,12 +155,13 @@ class ActiveSetSolver:
         q, r = np.zeros((n, 0)), np.zeros((0, 0))
         it = 0
         while d.size:  # with no rows the start is the optimum
-            viol = w.T.dot(y) - d
+            viol = c.dot(x) - d
             viol[viol <= thresh] = 0.0
             p = int(viol.argmax())
             if viol[p] == 0.0:  # every entry is 0.0 or above its threshold
                 break
-            n_p, d_p, u_p, full = w[:, p], float(d[p]), 0.0, False
+            # the picked row's normal in y
+            n_p, d_p, u_p, full = _solved(lapack.dtrtrs(l, c[p], lower=1)), float(d[p]), 0.0, False
             dep = (_DEP_TOL * _norm(n_p)) ** 2
             while not full:
                 if it == _MAX_ITER:
@@ -210,20 +213,33 @@ class ActiveSetSolver:
                     work.pop(drop)
                     u.pop(drop)
                 q, r = qf[:, :len(work)], rf[:len(work), :len(work)]
+            x = _solved(lapack.dtrtrs(l, y, lower=1, trans=1))
 
-        x = _solved(lapack.dtrtrs(l.T, y, lower=0))
         lam = np.zeros(len(d))
         if work:
             # refinement: the smallest move in the H norm that puts the
             # working rows back on their bounds
             resid = d[work] - c[work].dot(x)
             v = q.dot(_solved(lapack.dtrtrs(r.T, resid, lower=1)))
-            x = x + _solved(lapack.dtrtrs(l.T, v, lower=0))
+            x = x + _solved(lapack.dtrtrs(l, v, lower=1, trans=1))
             lam[work] = np.maximum(u, 0.0)
         return QpResult(x=x, status=QpStatus.OPTIMAL, iterations=it,
                         active_set=sorted(work), lam_ineq=lam)
 
 
+def _cholesky(h: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L of ``h`` from LAPACK ``dpotrf``, which
+    reads only the lower triangle, in Fortran order with the strict upper
+    triangle left as it was: the triangular solves read only L. A factor
+    that fails is retried once with ``_REG`` on the diagonal."""
+    l, info = lapack.dpotrf(h, lower=1, clean=0)
+    if info > 0:
+        l, info = lapack.dpotrf(h + _REG * np.eye(h.shape[0]), lower=1, clean=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"Hessian is not positive definite: dpotrf info {info}")
+    return l
+
+
 def _stopped(l, y, status, it, work) -> QpResult:
-    x = _solved(lapack.dtrtrs(l.T, y, lower=0))
+    x = _solved(lapack.dtrtrs(l, y, lower=1, trans=1))
     return QpResult(x=x, status=status, iterations=it, active_set=sorted(work))

@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
-from scipy.linalg import qr_delete, solve_triangular
+from scipy.linalg import cholesky, lapack, qr_delete, solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
-from quadstack import qpsolver
+from quadstack import qpsolver, scenarios
 from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpResult, QpStatus, _solved
-from quadstack.scenarios import run_trot
+from quadstack.scenarios import hop_spec, run_jump_opt, run_jump_sim, run_trot
 from quadstack.state import unchecked
 
 # the solver keeps no state between solves
@@ -434,10 +434,123 @@ class TestFactorUpdates:
             assert_kkt_certificate(qp, res)
 
 
-def stacked_reference_solve(qp: QpProblem) -> QpResult:
-    """The dual active-set loop with the row normals and g stacked by vstack,
-    the factor buffers allocated up front and the result built from index
-    arrays. Every path of ``ActiveSetSolver.solve`` returns its bits."""
+def recorded_qps(run) -> list[QpProblem]:
+    """The QPs that ``run()`` poses to the solver, in order."""
+    problems = []
+    original = ActiveSetSolver.solve
+
+    def recording_solve(self, qp):
+        problems.append(qp)
+        return original(self, qp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ActiveSetSolver, "solve", recording_solve)
+        run()
+    return problems
+
+
+@pytest.fixture(scope="module")
+def stack_qps():
+    """The QPs the stack poses, by source: the cold n = 60, m = 120 QPs of a
+    1 s MPC trot, the balance QPs of a 0.3 s trot on estimates and the
+    lander's QPs of one hop landing, run 0.3 s past the reference."""
+    spec = hop_spec(n_knots=4)
+    _, ref = run_jump_opt(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_RECOVER_TIME", 0.3)
+        landing = recorded_qps(lambda: run_jump_sim(spec, ref))
+    return {"mpc": recorded_qps(lambda: run_trot(duration=1.0, controller="mpc")),
+            "estimates": recorded_qps(lambda: run_trot(duration=0.3, use_estimates=True)),
+            "landing": landing}
+
+
+def primal_reference_solve(qp: QpProblem) -> QpResult:
+    """The dual active-set loop with the violations measured in x, each
+    picked row's normal solved for when it is picked, the factor buffers
+    allocated up front and the result built from index arrays. Every path
+    of ``ActiveSetSolver.solve`` returns its bits."""
+    n = qp.n
+    try:
+        l = cholesky(qp.h, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        l = cholesky(qp.h + qpsolver._REG * np.eye(n), lower=True, check_finite=False)
+    c, d = qp.c_ineq, qp.d_ineq
+    norm = np.linalg.norm(c, axis=1)
+    y = -solve_triangular(l, qp.g, lower=True)
+    x = solve_triangular(l, y, lower=True, trans="T")
+
+    def stopped(status):
+        return QpResult(x=solve_triangular(l, y, lower=True, trans="T"), status=status,
+                        iterations=it, active_set=sorted(work))
+
+    work, u = [], np.zeros(0)
+    qf, rf = np.zeros((n, n), order="F"), np.zeros((n, n))
+    q, r = qf[:, :0], rf[:0, :0]
+    it = 0
+    while True:
+        viol = c @ x - d
+        viol[viol <= qpsolver._TOL * norm] = 0.0
+        viol[work] = 0.0
+        if not viol.any():
+            break
+        p = int(np.argmax(viol))
+        n_p, u_p, full = solve_triangular(l, c[p], lower=True), 0.0, False
+        while not full:
+            if it == qpsolver._MAX_ITER:
+                return stopped(QpStatus.MAX_ITER)
+            it += 1
+            proj = q.T @ n_p
+            z = n_p - q @ proj
+            dual = _solved(dtrtrs(r.T, proj, lower=1, trans=1)) if work else proj
+            block = np.flatnonzero(dual > 0.0)
+            ratio = u[block] / dual[block]
+            drop = block[np.argmin(ratio)] if block.size else -1
+            t1 = np.min(ratio, initial=np.inf)
+            zz = z @ z
+            resid = n_p @ y - d[p]
+            t2 = resid / zz if zz > (qpsolver._DEP_TOL * np.linalg.norm(n_p)) ** 2 else np.inf
+            if t1 == t2 == np.inf:
+                return stopped(QpStatus.INFEASIBLE)
+            full = t2 <= t1
+            t = min(t1, t2)
+            if t2 < np.inf:
+                y = y - t * z
+            u, u_p = u - t * dual, u_p + t
+            k = len(work)
+            if full:
+                s = q.T @ z
+                z = z - q @ s
+                rf[k, :k] = 0.0
+                rf[:k, k] = proj + s
+                rf[k, k] = np.linalg.norm(z)
+                qf[:, k] = z / rf[k, k]
+                work.append(p)
+                u = np.append(u, u_p)
+            else:
+                qd, rd = qr_delete(q, r, drop, which="col", check_finite=False)
+                qf[:, :k - 1], rf[:k - 1, :k - 1] = qd[:, :k - 1], rd[:k - 1]
+                work.pop(drop)
+                u = np.delete(u, drop)
+            q, r = qf[:, :len(work)], rf[:len(work), :len(work)]
+        x = solve_triangular(l, y, lower=True, trans="T")
+
+    if work:
+        resid = d[work] - c[work] @ x
+        v = q @ _solved(dtrtrs(r.T, resid, lower=1))
+        x = x + solve_triangular(l, v, lower=True, trans="T")
+    active = np.array(work, dtype=int)
+    lam = np.zeros(len(d))
+    lam[active] = np.maximum(u, 0.0)
+    return QpResult(x=x, status=QpStatus.OPTIMAL, iterations=it,
+                    active_set=sorted(active.tolist()), lam_ineq=lam)
+
+
+def dual_space_reference_solve(qp: QpProblem) -> QpResult:
+    """The dual active-set loop with every row normal and g transformed up
+    front, stacked by vstack, and the violations measured in y = L^T x, on
+    a NumPy Cholesky factor of the symmetrized H. It is the same method as
+    ``ActiveSetSolver.solve`` in other arithmetic: an oracle to within
+    rounding, not to the bit."""
     n = qp.n
     h = 0.5 * (qp.h + qp.h.T)
     try:
@@ -547,7 +660,7 @@ class TestRowBlocks:
         for qps in self.random_qps(rng, 60):
             for qp in qps:
                 res = solve(qp)
-                assert_same_bits(res, stacked_reference_solve(qp))
+                assert_same_bits(res, primal_reference_solve(qp))
                 iterations += res.iterations
         # rows move in and out of the working set
         assert iterations
@@ -555,7 +668,7 @@ class TestRowBlocks:
     def test_paths_that_drop_rows_keep_the_reference_bits(self):
         for qp in random_vertex_qps(np.random.default_rng(2), 40):
             for p in (qp, faces_at_scale(qp)):
-                assert_same_bits(solve(p), stacked_reference_solve(p))
+                assert_same_bits(solve(p), primal_reference_solve(p))
 
     def test_stopped_solves_keep_the_reference_bits(self, monkeypatch):
         c, d = friction_box_constraints(1, mu=0.6, f_min=0.0, f_max=120.0)
@@ -564,34 +677,23 @@ class TestRowBlocks:
         saturated = QpProblem(h=np.eye(3), g=np.array([0.0, 0.0, -500.0]), c_ineq=c, d_ineq=d)
         res = solve(infeasible)
         assert res.status is QpStatus.INFEASIBLE
-        assert_same_bits(res, stacked_reference_solve(infeasible))
+        assert_same_bits(res, primal_reference_solve(infeasible))
         monkeypatch.setattr(qpsolver, "_MAX_ITER", 0)
         res = solve(saturated)
         assert res.status is QpStatus.MAX_ITER
-        assert_same_bits(res, stacked_reference_solve(saturated))
+        assert_same_bits(res, primal_reference_solve(saturated))
 
-    def test_trot_qps_keep_the_reference_bits(self, monkeypatch):
+    def test_trot_qps_keep_the_reference_bits(self, stack_qps):
         # the problems the stack poses: the MPC's cold n = 60, m = 120 QPs,
-        # some of whose paths drop rows, and the balance QPs of a trot on
-        # estimates
-        problems = []
-        original = ActiveSetSolver.solve
-
-        def recording_solve(self, qp):
-            problems.append(qp)
-            return original(self, qp)
-
-        monkeypatch.setattr(ActiveSetSolver, "solve", recording_solve)
-        run_trot(duration=1.0, controller="mpc")
-        n_mpc = len(problems)
-        run_trot(duration=0.3, use_estimates=True)
-        monkeypatch.undo()
-        assert n_mpc > 30 and len(problems) == n_mpc + 300
-        assert any(qp.n == 60 and len(qp.d_ineq) == 120 for qp in problems[:n_mpc])
+        # some of whose paths drop rows, the balance QPs of a trot on
+        # estimates and the lander's
+        mpc_qps = stack_qps["mpc"]
+        assert len(mpc_qps) > 30 and len(stack_qps["estimates"]) == 300
+        assert any(qp.n == 60 and len(qp.d_ineq) == 120 for qp in mpc_qps)
         drops = 0
-        for qp in problems:
+        for qp in [qp for qps in stack_qps.values() for qp in qps]:
             res = solve(qp)
-            assert_same_bits(res, stacked_reference_solve(qp))
+            assert_same_bits(res, primal_reference_solve(qp))
             drops += res.iterations > len(res.active_set)
         assert drops
 
@@ -606,4 +708,73 @@ class TestRowBlocks:
         assert res.iterations == 0 and res.active_set == []
         assert res.lam_ineq.shape == (0,)
         assert_allclose(res.x, np.linalg.solve(h, -g), atol=1e-12)
-        assert_same_bits(res, stacked_reference_solve(empty))
+        assert_same_bits(res, primal_reference_solve(empty))
+
+
+class TestAgainstDualSpaceOracle:
+    """The solver measures the violations in x and solves for each picked
+    row's normal; the oracle transforms every row up front and measures in
+    y. The two differ in rounding only."""
+
+    @pytest.mark.parametrize("source", ["mpc", "estimates", "landing"])
+    def test_stack_qps_match_the_oracle(self, stack_qps, source):
+        steps = 0
+        for qp in stack_qps[source]:
+            res, ref = solve(qp), dual_space_reference_solve(qp)
+            assert res.status is ref.status
+            assert res.iterations == ref.iterations
+            assert np.max(np.abs(res.x - ref.x)) <= 1e-9 * np.max(np.abs(ref.x))
+            # where rows tie in the pick (a foot's pyramid faces at F = 0)
+            # the two may take different ones, each on its bound at x
+            for i in set(res.active_set) ^ set(ref.active_set):
+                slack = qp.d_ineq[i] - qp.c_ineq[i] @ res.x
+                assert abs(slack) <= 1e-9 * qp.row_norms[i] * np.max(np.abs(res.x))
+            steps += res.iterations
+        assert steps or source == "estimates"
+
+
+class TestCostShape:
+    """H is factored once, and every triangular solve with its factor is
+    one column: the unconstrained minimum, x after each picked row's steps,
+    and the normal of each picked row, never every row's."""
+
+    @staticmethod
+    def count_lapack(monkeypatch) -> dict[str, list]:
+        """(args, kwargs, result) of each ``lapack.dpotrf`` and ``dtrtrs`` call."""
+        calls = {"dpotrf": [], "dtrtrs": []}
+        for name, log in calls.items():
+            def counting(*args, _fn=getattr(lapack, name), _log=log, **kwargs):
+                out = _fn(*args, **kwargs)
+                _log.append((args, kwargs, out))
+                return out
+            monkeypatch.setattr(lapack, name, counting)
+        return calls
+
+    def test_feasible_start_factors_once_and_solves_two_columns(self, stack_qps, monkeypatch):
+        # a trot on estimates takes no step: its unconstrained minima are feasible
+        qps = stack_qps["estimates"][:50]
+        for qp in qps:
+            calls = self.count_lapack(monkeypatch)
+            res = solve(qp)
+            monkeypatch.undo()
+            assert res.iterations == 0
+            assert len(calls["dpotrf"]) == 1
+            assert [args[1].shape for args, _, _ in calls["dtrtrs"]] == [(qp.n,), (qp.n,)]
+
+    def test_one_normal_solve_per_picked_row(self, stack_qps, monkeypatch):
+        for qp in stack_qps["mpc"]:
+            calls = self.count_lapack(monkeypatch)
+            res = solve(qp)
+            monkeypatch.undo()
+            assert res.status is QpStatus.OPTIMAL
+            # every pick ends in a join and every other step is a drop
+            picks = (res.iterations + len(res.active_set)) // 2
+            (_, _, (l, _)), = calls["dpotrf"]
+            with_l = [(args[1], kwargs.get("trans", 0)) for args, kwargs, _ in calls["dtrtrs"]
+                      if args[0] is l]
+            assert all(b.shape == (qp.n,) for b, _ in with_l)
+            forward = [b for b, trans in with_l if not trans]
+            assert forward[0] is qp.g and len(forward) == 1 + picks
+            assert all(np.any(np.all(qp.c_ineq == b, axis=1)) for b in forward[1:])
+            # x at the start, after each picked row and in the refinement
+            assert len(with_l) - len(forward) == 1 + picks + bool(res.active_set)

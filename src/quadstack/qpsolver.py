@@ -53,7 +53,7 @@ from scipy.linalg import lapack, qr_delete
 
 __all__ = ["QpProblem", "QpStatus", "QpResult", "ActiveSetSolver"]
 
-_REG = 1e-9  # Hessian regularization added when Cholesky fails
+_REG = 1e-9  # Hessian regularization added when the Cholesky factor fails
 # a row whose primal step is below this fraction of its normal (both in y) is
 # linearly dependent on the working set
 _DEP_TOL = 1e-9
@@ -138,7 +138,13 @@ class ActiveSetSolver:
 
     def solve(self, qp: QpProblem) -> QpResult:
         n = qp.n
-        l = _cholesky(qp.h)
+        # H = L L^T from H's lower triangle, as dpotrf returns it (Fortran
+        # order, the strict upper triangle unread by the solves below)
+        l, info = lapack.dpotrf(qp.h, lower=1, clean=0)
+        if info > 0:
+            l, info = lapack.dpotrf(qp.h + _REG * np.eye(n), lower=1, clean=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"Hessian is not positive definite: dpotrf info {info}")
         c, d = qp.c_ineq, qp.d_ineq
         # a row within _TOL |row| of its bound, as a distance, is satisfied;
         # the working rows, never picked, have an infinite threshold
@@ -161,7 +167,8 @@ class ActiveSetSolver:
             if viol[p] == 0.0:  # every entry is 0.0 or above its threshold
                 break
             # the picked row's normal in y
-            n_p, d_p, u_p, full = _solved(lapack.dtrtrs(l, c[p], lower=1)), float(d[p]), 0.0, False
+            n_p = _solved(lapack.dtrtrs(l, c[p], lower=1))
+            d_p, u_p, full = float(d[p]), 0.0, False
             dep = (_DEP_TOL * _norm(n_p)) ** 2
             while not full:
                 if it == _MAX_ITER:
@@ -225,19 +232,6 @@ class ActiveSetSolver:
             lam[work] = np.maximum(u, 0.0)
         return QpResult(x=x, status=QpStatus.OPTIMAL, iterations=it,
                         active_set=sorted(work), lam_ineq=lam)
-
-
-def _cholesky(h: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor L of ``h`` from LAPACK ``dpotrf``, which
-    reads only the lower triangle, in Fortran order with the strict upper
-    triangle left as it was: the triangular solves read only L. A factor
-    that fails is retried once with ``_REG`` on the diagonal."""
-    l, info = lapack.dpotrf(h, lower=1, clean=0)
-    if info > 0:
-        l, info = lapack.dpotrf(h + _REG * np.eye(h.shape[0]), lower=1, clean=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"Hessian is not positive definite: dpotrf info {info}")
-    return l
 
 
 def _stopped(l, y, status, it, work) -> QpResult:

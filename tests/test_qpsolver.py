@@ -124,6 +124,29 @@ class TestBasics:
         res = solve(qp)
         assert_allclose(res.x, [1.0, 2.0], atol=1e-10)
 
+    def test_hessian_read_from_its_lower_triangle(self):
+        # the upper triangle is never read, on the first factor or on the
+        # regularized retry that a singular H takes
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(4, 4))
+        for h in (a @ a.T + np.eye(4), np.diag([1.0, 2.0, 0.0, 3.0])):
+            g, c = rng.normal(size=4), rng.normal(size=(5, 4))
+            d = c @ rng.normal(size=4) + 0.1
+            upper_nan = h.copy()
+            upper_nan[np.triu_indices(4, 1)] = np.nan
+            r1 = solve(QpProblem(h=h, g=g, c_ineq=c, d_ineq=d))
+            r2 = solve(QpProblem(h=upper_nan, g=g, c_ineq=c, d_ineq=d))
+            assert r1.status is r2.status is QpStatus.OPTIMAL
+            assert r1.x.tobytes() == r2.x.tobytes()
+            assert_kkt_certificate(QpProblem(h=h + qpsolver._REG * np.eye(4), g=g, c_ineq=c,
+                                             d_ineq=d), r1)
+
+    def test_indefinite_hessian_raises(self):
+        qp = QpProblem(h=np.diag([1.0, -1.0]), g=np.zeros(2), c_ineq=np.zeros((0, 2)),
+                       d_ineq=np.zeros(0))
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            solve(qp)
+
     def test_infeasible_flagged(self):
         # x <= -1 and -x <= 0 cannot both hold
         qp = QpProblem(h=np.eye(1), g=np.zeros(1),

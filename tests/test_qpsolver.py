@@ -438,16 +438,8 @@ class TestFactorUpdates:
             assert_solves_with_faces_at_scale(qp)
         assert drops
 
-    def test_every_mpc_trot_qp_has_a_kkt_certificate(self, monkeypatch):
-        results = []
-        original = ActiveSetSolver.solve
-
-        def recording_solve(self, qp):
-            results.append((qp, original(self, qp)))
-            return results[-1][1]
-
-        monkeypatch.setattr(ActiveSetSolver, "solve", recording_solve)
-        run_trot(duration=1.0, controller="mpc")
+    def test_every_mpc_trot_qp_has_a_kkt_certificate(self, stack_qps):
+        results = [(qp, solve(qp)) for qp in stack_qps["mpc"]]
         assert len(results) > 30
         # some of these paths drop rows: more steps than working rows
         assert any(res.iterations > len(res.active_set) for _, res in results)

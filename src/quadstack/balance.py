@@ -19,7 +19,6 @@ their own touchdown.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +35,8 @@ __all__ = [
     "build_force_model",
     "BalanceController",
     "balance_qp",
-    "landing_switch",
 ]
 
-CONTACT_FORCE_THRESHOLD = 20.0     # N, landing-switch default
 GRAVITY = 9.81                      # m/s^2, magnitude of the gravitational acceleration
 GRAVITY_W = np.array([0.0, 0.0, -GRAVITY])   # the same, as a world-frame vector
 GRAVITY_W.setflags(write=False)
@@ -104,24 +101,13 @@ def pd_wrench(state: RobotState, des: DesiredState) -> tuple[np.ndarray, np.ndar
 
     The gains are diagonal: each output entry is one product per term, in
     floats, and ``+ 0.0`` gives a zero entry the +0.0 of a gain matrix's
-    product. log(R_d R^T) is :func:`so3.log_map`'s scalar path written
-    out; its near-pi branch calls ``log_map``. 3x3 products stay matmuls.
+    product. log(R_d R^T) is :func:`so3.log_map`'s scalar path; its near-pi
+    branch calls ``log_map``. 3x3 products stay matmuls.
     """
     err = des.rot @ state.rot.T
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = err.tolist()
-    tr = r00 + r11 + r22  # np.trace's order
-    if tr <= -1.0 + so3._NEAR_PI_TOL:
+    err_rot = so3._log_rows(err.tolist())
+    if err_rot is None:
         err_rot = so3.log_map(err).tolist()
-    else:
-        # arccos stays numpy: libm's acos differs from it in the last bit
-        theta = float(np.arccos(min(1.0, max(-1.0, (tr - 1.0) / 2.0))))
-        s = (r21 - r12, r02 - r20, r10 - r01)
-        if theta < so3._EPS_ANGLE:
-            f = 1.0 + theta * theta / 6.0
-            err_rot = [0.5 * x * f for x in s]
-        else:
-            f = theta / (2.0 * math.sin(theta))
-            err_rot = [f * x for x in s]
     acc_lin = [kp * (d - p) + kd * (dv - v) + 0.0 for kp, kd, d, p, dv, v in zip(
         _KP_POS, _KD_POS, des.pos.tolist(), state.pos.tolist(),
         des.vel.tolist(), state.vel.tolist())]
@@ -252,13 +238,4 @@ class BalanceController:
                        solver=self._solver)
         self.f_prev = f
         return f
-
-
-def landing_switch(contact_forces: np.ndarray, t: float, t_posing: float) -> bool:
-    """True once past the posing instant and any foot force reaches
-    :data:`CONTACT_FORCE_THRESHOLD`."""
-    if t < t_posing:
-        return False
-    forces = np.asarray(contact_forces, dtype=float).reshape(-1).tolist()
-    return max(forces) >= CONTACT_FORCE_THRESHOLD
 

@@ -39,12 +39,8 @@ LEG_NAMES = ("FR", "FL", "BR", "BL")
 _CCW_NEXT = {0: 1, 1: 3, 3: 2, 2: 0}
 _CW_NEXT = {v: k for k, v in _CCW_NEXT.items()}
 
-# erf widths of the phase weights, in units of a subphase: contact gain at
-# its start and end, swing gain at its start and end
-_SIGMA_C0 = 0.1
-_SIGMA_C1 = 0.1
-_SIGMA_S0 = 0.1
-_SIGMA_S1 = 0.1
+# erf width of the phase weights at either end of a subphase, in units of it
+_SIGMA = 0.1
 _WEIGHT_EPS = 1e-9   # a vertex's three weights summing to no more are all mid-swing
 
 
@@ -109,21 +105,21 @@ def subphase(t: float, sched: GaitSchedule, leg: int) -> tuple[bool, float]:
 
 
 def phase_gain_contact(phi: float) -> float:
-    """Contact weighting 0.5*[erf(phi/(s0*sqrt2)) + erf((1-phi)/(s1*sqrt2))].
+    """Contact weighting 0.5*[erf(phi/(s*sqrt2)) + erf((1-phi)/(s*sqrt2))].
 
     Near 1 in mid-contact, ~0.5 at either end of the contact subphase.
     """
-    return 0.5 * (math.erf(phi / (_SIGMA_C0 * math.sqrt(2.0)))
-                  + math.erf((1.0 - phi) / (_SIGMA_C1 * math.sqrt(2.0))))
+    return 0.5 * (math.erf(phi / (_SIGMA * math.sqrt(2.0)))
+                  + math.erf((1.0 - phi) / (_SIGMA * math.sqrt(2.0))))
 
 
 def phase_gain_swing(phi: float) -> float:
-    """Swing weighting 0.5*[2 + erf(-phi/(s0*sqrt2)) + erf((phi-1)/(s1*sqrt2))].
+    """Swing weighting 0.5*[2 + erf(-phi/(s*sqrt2)) + erf((phi-1)/(s*sqrt2))].
 
     Near 0 in mid-swing, ~0.5 at either end of the swing subphase.
     """
-    return 0.5 * (2.0 + math.erf(-phi / (_SIGMA_S0 * math.sqrt(2.0)))
-                  + math.erf((phi - 1.0) / (_SIGMA_S1 * math.sqrt(2.0))))
+    return 0.5 * (2.0 + math.erf(-phi / (_SIGMA * math.sqrt(2.0)))
+                  + math.erf((phi - 1.0) / (_SIGMA * math.sqrt(2.0))))
 
 
 def total_weight(in_contact: bool, phi: float) -> float:

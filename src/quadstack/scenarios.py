@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gait, mpc, so3, terrain
-from .balance import GRAVITY_W, BalanceController, BodyModel, FrictionSpec, landing_switch
+from .balance import GRAVITY_W, BalanceController, BodyModel, FrictionSpec
 from .estimation import (ImuSample, OrientationFilter, kf_default_state, kf_predict,
                          kf_update, leg_measurements_batch, orientation_step)
 from .mpc import MpcConfig, solve_mpc
@@ -38,6 +38,8 @@ DT = 1e-3              # s, control tick and simulator step of every scenario
 MPC_HORIZON = 10
 MPC_DECIMATION = 33
 _RECOVER_TIME = 1.2    # s that jump-sim runs past the end of the reference
+# 1/s, rate at which the trot's CoM reference is pulled to the support polygon
+_ANCHOR_RATE = 0.2
 
 # arrays the loops hand out on every tick, read-only so that a consumer
 # that writes into one raises instead of corrupting the next tick
@@ -311,7 +313,6 @@ class TrotDriver:
         self.world = SimWorld(RobotState(pos=[0.0, 0.0, start_z], feet=feet), self.model,
                               dt=DT, ground=self.ground, noise=noise, seed=seed)
         self.balance = BalanceController(self.model)
-        self.friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=500.0)
         self.swing_trajs: dict[int, tuple[SwingTrajectory, float]] = {}
         self.est = (EstimatorLoop(self.world.state.rot, self.world.state.pos, feet)
                     if use_estimates else None)
@@ -327,7 +328,6 @@ class TrotDriver:
         # anchored to the predictive support polygon (pure polygon tracking at
         # speed leaves the position term fighting the velocity command)
         self.p_ref_xy: tuple[float, float] | None = None
-        self.anchor_rate = 0.2  # 1/s
 
     def v_cmd(self, t: float) -> tuple[float, float]:
         """Commanded velocity (vx, vy) with a spin-up ramp from standstill."""
@@ -364,7 +364,7 @@ class TrotDriver:
         if self.p_ref_xy is None:
             self.p_ref_xy = poly_x, poly_y
         ref_x, ref_y = self.p_ref_xy
-        anchor = self.anchor_rate * dt
+        anchor = _ANCHOR_RATE * dt
         cx = ref_x + vx * dt + anchor * (poly_x - ref_x)
         cy = ref_y + vy * dt + anchor * (poly_y - ref_y)
         self.p_ref_xy = cx, cy
@@ -436,7 +436,7 @@ class TrotDriver:
                                  state.vel, state.rot @ state.omega])
             cfg = unchecked(MpcConfig, x_ref=x_ref, contact=contact, feet=feet,
                             p_nom=p_nom, model=self.model)
-            self._mpc_plan = solve_mpc(cfg, x0, self.friction)
+            self._mpc_plan = solve_mpc(cfg, x0, FrictionSpec())
             self._mpc_contact = contact_now
         return self._mpc_plan[0]
 
@@ -659,9 +659,10 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
 
     Stance tracking runs the Cartesian+joint reference-tracking torque law
     per leg and maps the torques back to ground reaction forces. After
-    takeoff the legs hold the pre-landing pose; the force-threshold switch
-    hands over to the landing force controller, which recovers a stand
-    for :data:`_RECOVER_TIME` seconds past the end of the reference.
+    takeoff the legs hold the pre-landing pose; each leg joins the landing
+    stance at the simulator's ``touched_down`` for it, and the landing force
+    controller drives the stance legs to recover a stand for
+    :data:`_RECOVER_TIME` seconds past the end of the reference.
     """
     from .swing import (UnreachableError, grf_from_torque, jump_track_torque, leg_ik,
                         stance_torque)
@@ -678,7 +679,6 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
     # takeoff = end of the first contact block
     t_takeoff = float(ref.phase_times[0])
     t_total = float(ref.t[-1])
-    t_posing = t_takeoff + 0.05
     # pre-landing pose: legs tucked under the hips so the feet clear the
     # ground until the body has actually descended toward touchdown
     tuck_depth = 0.33
@@ -686,7 +686,6 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
     hold_pose_body[:, 2] = -tuck_depth
 
     landing_stance = [False] * 4
-    landed = False
     log = Logger()
     duration = t_total + _RECOVER_TIME
     n = int(round(duration / dt))
@@ -746,9 +745,9 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
             swing_targets = None
         else:
             # airborne: hold the pre-landing pose and wait for impact; once
-            # landed (after t_posing), the lander drives the touched-down feet
+            # landed, the lander drives the touched-down feet
             forces = _NO_FORCES
-            if landed and any(landing_stance):
+            if any(landing_stance):
                 # the mean of the four feet summed as np.mean(axis=0) sums it
                 (x0, y0, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = state.feet.tolist()
                 des = unchecked(DesiredState, pos=np.array([(x0 + x1 + x2 + x3) / 4,
@@ -762,19 +761,16 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
                              for i in range(4) if not landing_stance[i]}
 
         world.step(forces, stance_mask, swing_targets)
-        if world.t >= t_posing:
-            landing_stance = [a or b for a, b in zip(landing_stance, world.touched_down.tolist())]
-            if not landed and landing_switch(world.contact_forces[2::3], world.t, t_posing):
-                landed = True
+        landing_stance = [a or b for a, b in zip(landing_stance, world.touched_down.tolist())]
         if k % 10 == 0:
-            _log_state(log, world, {"landed": float(landed)})
+            _log_state(log, world, {"landed": float(any(landing_stance))})
 
     rpy = so3.matrix_to_rpy(world.state.rot)
     orient_err = np.linalg.norm(so3.log_map(r_land @ world.state.rot.T))
     summary = {
         "scenario": "jump-sim",
         "takeoff_time_s": t_takeoff,
-        "landed": bool(landed),
+        "landed": any(landing_stance),
         "final_orientation_error_deg": float(np.rad2deg(orient_err)),
         "final_height_error_m": float(abs(world.state.pos[2] - z_land)),
         "final_speed_mps": float(np.linalg.norm(world.state.vel)),

@@ -13,10 +13,11 @@ rate, velocity or position is non-finite (a diverged run).
 Sensors are synthesized from the true state: IMU (gyro plus accelerometer
 with the gravity reaction included, so a stationary upright reading is
 (0, 0, g)), joint encoders via leg inverse kinematics, and a per-foot
-contact force channel. When a swing foot's commanded target crosses the
-ground plane, the foot is clamped to the surface and the contact channel
-reports an impulse-scale spike for that step, which is what the landing
-switch listens for.
+contact force channel that reads the commanded force (+0.0 on swing legs).
+A swing target at or below the ground is clamped to the surface.
+``touched_down`` reports each swing's touchdown once: on the first target at
+or below the ground after one above it, or else at the leg's switch to
+stance. A swing whose targets never rise above the ground reports none.
 
 Everything is deterministic for a fixed seed and configuration.
 """
@@ -77,6 +78,10 @@ class SimWorld:
         self.last_accel = np.zeros(3)           # linear acceleration, world
         self.contact_forces = np.zeros(12)      # commanded forces on stance feet
         self.touched_down = np.zeros(4, dtype=bool)
+        # per leg: a target of this swing was above the ground, and this
+        # swing has reported its touchdown
+        self.airborne = [False] * 4
+        self.landed = [False] * 4
         self._q_prev: np.ndarray | None = None
         # the body constants of the step, as rows of floats
         self._inertia = tuple(map(tuple, self.model.inertia.tolist()))
@@ -172,10 +177,9 @@ class SimWorld:
                        o0 + dt * k3[0], o1 + dt * k3[1], o2 + dt * k3[2])
 
         hdt2 = 0.5 * dt * dt
-        new_vz = vz + dt * az
         new_pos = (px + dt * vx + hdt2 * ax, py + dt * vy + hdt2 * ay,
                    pz + dt * vz + hdt2 * az)
-        new_vel = (vx + dt * ax, vy + dt * ay, new_vz)
+        new_vel = (vx + dt * ax, vy + dt * ay, vz + dt * az)
         sixth = dt / 6.0
         n0 = o0 + sixth * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         n1 = o1 + sixth * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
@@ -194,20 +198,28 @@ class SimWorld:
         self.last_accel = np.array((ax, ay, az))
 
         # feet: stance pinned, swing follow the command; the force channel
-        # reads the commanded force on stance legs and +0.0 on swing legs
-        sensor = []
+        # reads the commanded force on stance legs and +0.0 on swing legs. A
+        # swing that has not touched down by its switch to stance does so there
+        airborne, landed = self.airborne, self.landed
+        sensor, touched = [], [False] * 4
         for i in range(4):
-            sensor += f[3 * i:3 * i + 3] if stance[i] else (0.0, 0.0, 0.0)
-        touched = [False] * 4
+            if stance[i]:
+                sensor += f[3 * i:3 * i + 3]
+                touched[i] = airborne[i]
+                airborne[i] = landed[i] = False
+            else:
+                sensor += (0.0, 0.0, 0.0)
         for i, x, y, z in targets:
             ground_z = self.ground.height(x, y)
-            if z <= ground_z:
-                # touchdown: clamp to the surface, report an impulse-scale
-                # spike on the force channel
-                v_impact = abs(feet[i][2] - ground_z) / dt + abs(new_vz)
+            if z > ground_z:
+                airborne[i] = not landed[i]
+            else:
+                # clamp to the surface; the first contact after a target
+                # above it is the touchdown
                 z = ground_z
-                touched[i] = True
-                sensor[3 * i + 2] = mass / 4.0 * v_impact / dt
+                if airborne[i]:
+                    touched[i] = landed[i] = True
+                    airborne[i] = False
             s.feet[i] = (x, y, z)
 
         self.touched_down = np.array(touched)

@@ -125,6 +125,23 @@ def exp_exact(w: np.ndarray) -> np.ndarray:
     return np.array(_rodrigues(x, y, z)).reshape(3, 3)
 
 
+def _log_rows(r: list) -> list[float] | None:
+    """:func:`log_map` on the rows of ``r`` as float lists, as three floats
+    with the array formula's bits; None near the half-turn. arccos stays
+    numpy: libm's acos differs from it in the last bit."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    tr = r00 + r11 + r22  # np.trace's order
+    if tr <= -1.0 + _NEAR_PI_TOL:
+        return None
+    theta = float(np.arccos(min(1.0, max(-1.0, (tr - 1.0) / 2.0))))
+    s = (r21 - r12, r02 - r20, r10 - r01)
+    if theta < _EPS_ANGLE:
+        f = 1.0 + theta * theta / 6.0
+        return [0.5 * x * f for x in s]
+    f = theta / (2.0 * math.sin(theta))
+    return [f * x for x in s]
+
+
 def log_map(r: np.ndarray) -> np.ndarray:
     """Axis-angle vector ``w`` with ``exp_exact(w) == r``, angle in [0, pi].
 
@@ -133,28 +150,24 @@ def log_map(r: np.ndarray) -> np.ndarray:
     :class:`NearPiWarning` is emitted; the result is still a valid branch.
     """
     r = np.asarray(r, dtype=float).reshape(3, 3)
-    tr = float(np.trace(r))
-    c = min(1.0, max(-1.0, (tr - 1.0) / 2.0))
+    w = _log_rows(r.tolist())
+    if w is not None:
+        return np.array(w)
+    warnings.warn("rotation angle within tolerance of pi; axis sign is fragile",
+                  NearPiWarning, stacklevel=2)
+    c = min(1.0, max(-1.0, (float(np.trace(r)) - 1.0) / 2.0))
     theta = float(np.arccos(c))
     s = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-
-    if tr <= -1.0 + _NEAR_PI_TOL:
-        warnings.warn("rotation angle within tolerance of pi; axis sign is fragile",
-                      NearPiWarning, stacklevel=2)
-        # R = I + (1 - cos)* (uu^T - I) => uu^T = (sym(R) - cos*I) / (1 - cos)
-        sym = 0.5 * (r + r.T)
-        uut = (sym - c * np.eye(3)) / (1.0 - c)
-        i = int(np.argmax(np.diag(uut)))
-        u = uut[:, i] / np.sqrt(max(uut[i, i], 1e-15))
-        u /= np.linalg.norm(u)
-        # align with the (tiny) skew part when it is informative
-        if np.dot(u, s) < 0.0:
-            u = -u
-        return theta * u
-
-    if theta < _EPS_ANGLE:
-        return 0.5 * s * (1.0 + theta * theta / 6.0)
-    return (theta / (2.0 * np.sin(theta))) * s
+    # R = I + (1 - cos)* (uu^T - I) => uu^T = (sym(R) - cos*I) / (1 - cos)
+    sym = 0.5 * (r + r.T)
+    uut = (sym - c * np.eye(3)) / (1.0 - c)
+    i = int(np.argmax(np.diag(uut)))
+    u = uut[:, i] / np.sqrt(max(uut[i, i], 1e-15))
+    u /= np.linalg.norm(u)
+    # align with the (tiny) skew part when it is informative
+    if np.dot(u, s) < 0.0:
+        u = -u
+    return theta * u
 
 
 def rotation_error(r_ref: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -13,7 +13,6 @@ from quadstack.balance import (
     _stance_cols,
     balance_qp,
     build_force_model,
-    landing_switch,
     pd_wrench,
 )
 from quadstack.qpsolver import ActiveSetSolver, QpProblem
@@ -385,13 +384,3 @@ class TestStanceSets:
         lander = BalanceController(MODEL, FrictionSpec(f_max=700.0))
         assert_allclose(lander.compute(STAND, des, stance)[2::3], 700.0, atol=1e-7)
 
-
-class TestSwitches:
-    def test_landing_switch_gates_on_time(self):
-        assert not landing_switch([1000.0, 0.0, 0.0, 0.0], t=0.1, t_posing=0.5)
-
-    def test_landing_switch_needs_force(self):
-        assert not landing_switch([5.0, 5.0, 5.0, 5.0], t=1.0, t_posing=0.5)
-
-    def test_landing_switch_fires(self):
-        assert landing_switch([0.0, 40.0, 0.0, 0.0], t=1.0, t_posing=0.5)

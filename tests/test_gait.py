@@ -93,8 +93,7 @@ class TestPhaseGains:
     @given(st.floats(0.0, 1.0), st.floats(0.02, 1.0), st.booleans())
     def test_weight_in_unit_interval(self, phi, sigma, contact):
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_SIGMA_C0", "_SIGMA_C1", "_SIGMA_S0", "_SIGMA_S1"):
-                mp.setattr(gait, name, sigma)
+            mp.setattr(gait, "_SIGMA", sigma)
             w = gait.total_weight(contact, phi)
         assert -1e-12 <= w <= 1.0 + 1e-12
 

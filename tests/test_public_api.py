@@ -350,6 +350,8 @@ def test_class_members_have_a_program_reader():
 # defaulted parameters and dataclass fields that only tests set, each with
 # the reason it stays
 SETTABLE_TEST_ONLY_ALLOWED = {
+    "balance.FrictionSpec.f_min": "the pyramids' lower normal-force bound: every controller "
+                                  "runs with 0, test_mpc.py checks a positive one",
     "cli.main.argv": "the entry point's arguments; the console script passes none",
     "scenarios.run_stand.controller": "the hover mode that criterion 2 runs",
     "trajopt.ContactPhase.feet_pos": "per-phase footholds of the jump corpus, "

@@ -118,6 +118,42 @@ class TestSlope:
             assert np.max(np.abs(gap)) <= 1e-12, leg
 
 
+class TestTouchdowns:
+    @pytest.mark.parametrize("ground", ["flat", "slope"])
+    def test_each_planned_swing_reports_one_touchdown_at_its_end(self, monkeypatch, ground):
+        # on estimates a swing starts at the KF's foot, which may lie under
+        # the ground: that liftoff is not a touchdown
+        steps = []
+        step = sim.SimWorld.step
+
+        def recording(world, forces, stance_mask, swing_targets=None):
+            step(world, forces, stance_mask, swing_targets)
+            steps.append((list(stance_mask), world.touched_down.tolist()))
+            return world
+
+        monkeypatch.setattr(sim.SimWorld, "step", recording)
+        if ground == "flat":
+            run_trot(duration=1.0, v_des=(1.0, 0.0), use_estimates=True)
+        else:
+            run_slope(duration=1.0, v_des=(1.0, 0.0), use_estimates=True)
+        stance = np.array([mask for mask, _ in steps])
+        touched = np.array([flags for _, flags in steps])
+        planned = 0
+        for leg in range(4):
+            swing = ~stance[:, leg]
+            liftoffs = np.flatnonzero(swing[1:] & ~swing[:-1]) + 1
+            switches = np.flatnonzero(~swing[1:] & swing[:-1]) + 1
+            # the swings that lift off and switch to stance within the run
+            swings = [(k0, switches[switches > k0][0]) for k0 in liftoffs
+                      if (switches > k0).any()]
+            events = np.flatnonzero(touched[:, leg])
+            assert len(events) == len(swings), leg
+            for (k0, k1), k in zip(swings, events):
+                assert k0 + (k1 - k0) / 2 <= k <= k1, (leg, k0, k, k1)
+            planned += len(swings)
+        assert planned == 10
+
+
 class TestEstimatedFeet:
     @pytest.mark.parametrize("scenario", ["stand", "trot"])
     def test_balance_receives_the_kf_feet(self, monkeypatch, scenario):

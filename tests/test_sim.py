@@ -118,14 +118,60 @@ class TestFeet:
         assert_allclose(w.state.feet[0], target, atol=1e-12)
 
     def test_touchdown_clamps_and_spikes(self):
+        # the force channel holds the commanded force: +0.0 on the landing leg
         w = stand_world()
         f = hover_forces()
         f[0:3] = 0.0
-        below = FEET[0] + [0.0, 0.0, -0.02]
-        w.step(f, np.array([False, True, True, True]), {0: below})
-        assert w.touched_down[0]
+        swing = np.array([False, True, True, True])
+        w.step(f, swing, {0: FEET[0] + [0.0, 0.0, 0.03]})
+        assert not w.touched_down.any()
+        w.step(f, swing, {0: FEET[0] + [0.0, 0.0, -0.02]})
+        assert w.touched_down.tolist() == [True, False, False, False]
         assert w.state.feet[0][2] == 0.0
-        assert w.contact_forces[2] >= 20.0
+        assert w.contact_forces[0:3].tobytes() == np.zeros(3).tobytes()
+
+
+SLOPE = PlaneCoeffs(0.02, 0.17, -0.05)
+
+
+def touchdown_flags(*swings, ground=SLOPE):
+    """Leg 0's touched_down flags over each swing, whose targets lie the
+    given heights above the ground at one point, and the stance step after it."""
+    w = SimWorld(RobotState(pos=[0.0, 0.0, 0.45], feet=FEET), BodyModel(), ground=ground)
+    f = hover_forces()
+    f[0:3] = 0.0
+    x, y = 0.31, -0.128
+    ground_z = ground.height(x, y)
+    flags = []
+    for heights in swings:
+        for dz in heights:
+            w.step(f, np.array([False, True, True, True]), {0: (x, y, ground_z + dz)})
+            assert w.state.feet[0][2] == max(ground_z + dz, ground_z)  # clamped
+            flags.append(bool(w.touched_down[0]))
+        w.step(hover_forces(), np.ones(4, dtype=bool))
+        flags.append(bool(w.touched_down[0]))
+    return flags
+
+
+class TestTouchdown:
+    def test_swing_starting_below_the_ground_reports_nothing(self):
+        # an estimated foot below the ground starts the swing there
+        assert touchdown_flags([-0.004, -0.001, 0.0]) == [False] * 4
+        assert touchdown_flags([-0.004, 0.03, 0.01, 0.0]) == [False] * 3 + [True, False]
+
+    def test_swing_ending_on_the_ground_reports_once(self):
+        assert touchdown_flags([0.03, 0.01, 0.0, 0.0]) == [False, False, True, False, False]
+        assert touchdown_flags([0.03, 0.0], ground=PlaneCoeffs()) == [False, True, False]
+
+    def test_swing_ending_one_ulp_above_reports_at_the_stance_switch(self):
+        ulp = np.spacing(SLOPE.height(0.31, -0.128))
+        assert touchdown_flags([0.03, ulp]) == [False, False, True]
+
+    def test_no_swing_reports_twice(self):
+        # a foot that touches, rises and comes down again in one swing
+        assert touchdown_flags([0.03, 0.0, 0.02, -0.01, 0.01]) == [False, True] + [False] * 4
+        # and each later swing reports its own touchdown
+        assert touchdown_flags(*[[0.03, 0.0, 0.02, 0.0]] * 3) == [False, True, False, False, False] * 3
 
 
 class TestSensors:
@@ -256,7 +302,8 @@ def step_reference(world, stance_forces, stance_mask, swing_targets=None):
     """SimWorld.step as its array formula: the mask and forces through
     numpy, the body constants read per call, both rotations from
     so3.exp_exact, the force channel from np.where, the swing feet written
-    as arrays and their ground heights from numpy scalars."""
+    as arrays and their ground heights from numpy scalars, and the touchdown
+    rule as one phase per leg."""
     stance_mask = np.asarray(stance_mask, dtype=bool).reshape(4)
     stance = stance_mask.tolist()
     f4 = np.asarray(stance_forces, dtype=float).reshape(4, 3)
@@ -297,19 +344,30 @@ def step_reference(world, stance_forces, stance_mask, swing_targets=None):
     world.last_accel = np.array(acc)
 
     sensor = np.where(stance_mask[:, None], f4, 0.0).reshape(12)
+    # per leg: "ground" until a target of the swing rises above the ground,
+    # "air" until the swing touches down, then "landed" until stance
+    phase = ["air" if a else "landed" if d else "ground"
+             for a, d in zip(world.airborne, world.landed)]
     world.touched_down = np.zeros(4, dtype=bool)
     for i in range(4):
-        if not stance[i]:
-            target = None if swing_targets is None else swing_targets.get(i)
-            if target is not None:
-                prev = s.feet[i].copy()
-                s.feet[i] = np.asarray(target, dtype=float).reshape(3)
-                ground_z = world.ground.height(s.feet[i, 0], s.feet[i, 1])
-                if s.feet[i, 2] <= ground_z:
-                    s.feet[i, 2] = ground_z
+        if stance[i]:
+            world.touched_down[i] = phase[i] == "air"
+            phase[i] = "ground"
+            continue
+        target = None if swing_targets is None else swing_targets.get(i)
+        if target is not None:
+            s.feet[i] = np.asarray(target, dtype=float).reshape(3)
+            ground_z = world.ground.height(s.feet[i, 0], s.feet[i, 1])
+            if s.feet[i, 2] > ground_z:
+                if phase[i] == "ground":
+                    phase[i] = "air"
+            else:
+                s.feet[i, 2] = ground_z
+                if phase[i] == "air":
                     world.touched_down[i] = True
-                    v_impact = abs(prev[2] - s.feet[i, 2]) / dt + abs(s.vel[2])
-                    sensor[3 * i + 2] = model.mass / 4.0 * v_impact / dt
+                    phase[i] = "landed"
+    world.airborne = [p == "air" for p in phase]
+    world.landed = [p == "landed" for p in phase]
     world.contact_forces = sensor
     world.t += dt
 
@@ -318,7 +376,8 @@ def world_bits(world):
     s = world.state
     arrays = (s.pos, s.vel, s.rot, s.omega, s.feet, world.last_accel,
               world.contact_forces, world.touched_down)
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays] + [world.t]
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+            + [world.t, list(world.airborne), list(world.landed)])
 
 
 def assert_step_matches_reference(world, args, case):
@@ -376,7 +435,7 @@ class TestStepBitForBit:
 
     def test_random_states_match_array_formula(self):
         rng = np.random.default_rng(12)
-        clamps = signed_zero_swings = 0
+        touchdowns = signed_zero_swings = 0
         for case in range(400):
             a = rng.normal(size=(3, 3))
             model = BodyModel(mass=rng.uniform(20.0, 60.0), inertia=a @ a.T + np.eye(3))
@@ -386,6 +445,10 @@ class TestStepBitForBit:
                                omega=rate, feet=FEET + rng.normal(size=(4, 3)) * 0.03)
             ground = PlaneCoeffs(*(rng.normal(size=3) * [0.01, 0.2, 0.2]))
             world = SimWorld(state, model, ground=ground)
+            # each leg on the ground, in the air, or landed in its swing
+            airborne = rng.random(4) < 0.6
+            world.airborne = airborne.tolist()
+            world.landed = (~airborne & (rng.random(4) < 0.5)).tolist()
             mask = rng.random(4) < 0.6
             forces = rng.normal(size=12) * 100.0
             swing_zero = -0.0 if case % 2 else 0.0
@@ -396,14 +459,15 @@ class TestStepBitForBit:
                 if case % 7 == leg:
                     continue  # a swing leg with no target
                 x, y = state.feet[leg, 0:2] + rng.normal(size=2) * 0.02
-                z = ground.height(x, y) + rng.normal() * 0.02  # below it: a touchdown
+                z = ground.height(x, y) + rng.normal() * 0.02  # below it: clamped
                 kind = (case + leg) % 3
                 target = (x, y, z) if kind == 0 else [x, y, z] if kind == 1 else np.array([x, y, z])
                 targets[int(leg)] = target
             args = (forces, mask, None if case % 11 == 0 else targets)
             got = assert_step_matches_reference(world, args, case)
-            clamps += got.touched_down.sum()
-            for leg in np.flatnonzero(~mask & ~got.touched_down):
-                # the force channel reads +0.0 on a swing leg, as np.where gives
-                assert not np.signbit(got.contact_forces[3 * leg:3 * leg + 3]).any()
-        assert clamps >= 50 and signed_zero_swings >= 50
+            touchdowns += got.touched_down.sum()
+            for leg in np.flatnonzero(~mask):
+                # the force channel reads +0.0 on a swing leg, as np.where
+                # gives, touchdown or not
+                assert got.contact_forces[3 * leg:3 * leg + 3].tobytes() == np.zeros(3).tobytes()
+        assert touchdowns >= 50 and signed_zero_swings >= 50

@@ -123,7 +123,38 @@ def test_exp_exact_keeps_the_entrywise_bits():
         assert np.array(so3._rodrigues(*w.tolist())).tobytes() == want.ravel().tobytes()
 
 
+def log_map_array_formula(r):
+    """log_map off the half-turn as array operations: np.trace, the skew
+    part as an array, np.sin, and the scale times the array."""
+    r = np.asarray(r, dtype=float).reshape(3, 3)
+    theta = float(np.arccos(min(1.0, max(-1.0, (float(np.trace(r)) - 1.0) / 2.0))))
+    s = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+    if theta < so3._EPS_ANGLE:
+        return 0.5 * s * (1.0 + theta * theta / 6.0)
+    return (theta / (2.0 * np.sin(theta))) * s
+
+
 class TestLog:
+    def test_matches_the_array_formula_bit_for_bit(self):
+        # off the half-turn log_map runs on floats; rotations of small,
+        # medium and near-pi angles, and not exactly orthonormal matrices
+        rng = np.random.default_rng(3)
+        checked = 0
+        for case in range(20_000):
+            axis = rng.normal(size=3)
+            angle = (1e-9, 1e-5, 0.3, 2.0, np.pi - 1e-3)[case % 5] * rng.random()
+            r = so3.exp_exact(axis / np.linalg.norm(axis) * angle)
+            if case % 3 == 0:
+                r = r + rng.normal(size=(3, 3)) * 1e-9
+            if np.trace(r) <= -1.0 + so3._NEAR_PI_TOL:
+                continue
+            want = log_map_array_formula(r)
+            assert so3.log_map(r).tobytes() == want.tobytes(), case
+            assert np.array(so3._log_rows(r.tolist())).tobytes() == want.tobytes(), case
+            checked += 1
+        assert checked >= 19_000
+        assert so3._log_rows(so3.exp_exact([np.pi, 0.0, 0.0]).tolist()) is None
+
     def test_identity(self):
         assert_allclose(so3.log_map(np.eye(3)), np.zeros(3))
 

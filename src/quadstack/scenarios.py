@@ -682,8 +682,7 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
     # pre-landing pose: legs tucked under the hips so the feet clear the
     # ground until the body has actually descended toward touchdown
     tuck_depth = 0.33
-    hold_pose_body = (spec.feet_start - spec.p_start).copy()
-    hold_pose_body[:, 2] = -tuck_depth
+    hold_pose_body = [(x, y, -tuck_depth) for x, y, _ in (spec.feet_start - spec.p_start).tolist()]
 
     landing_stance = [False] * 4
     log = Logger()
@@ -705,14 +704,14 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
         pf_d = ref.rot[i_ref].T @ (foot_w - ref.pos[i_ref])
         vf_d = (ref.rot[i_next].T @ (foot_w - ref.pos[i_next]) - pf_d) / dt_ref
         try:
-            q_d, reached = leg_ik(pf_d, leg), True
+            q_d, reached = leg_ik(pf_d, leg).tolist(), True
         except UnreachableError:
             # the reference foot left the workspace: hold the measured
             # joint angles, and count it
             q_d, reached = q_meas, False
             ik_fallbacks += 1
         tau_d = stance_torque(q_d, ref.forces[i_ref, 3 * leg:3 * leg + 3], ref.rot[i_ref], leg)
-        refs = {"q_d": q_d.tolist(), "qd_d": (0.0, 0.0, 0.0), "p_foot_d": pf_d.tolist(),
+        refs = {"q_d": q_d, "qd_d": (0.0, 0.0, 0.0), "p_foot_d": pf_d.tolist(),
                 "v_foot_d": vf_d.tolist(), "tau_d": tau_d.tolist()}
         if reached:
             targets[i_ref, leg] = refs
@@ -730,11 +729,12 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
         if t < t_takeoff:
             # reference tracking through the legs
             qs, qds = world.synth_encoders()
+            qs, qds, rot = qs.tolist(), qds.tolist(), state.rot.tolist()
             leg_forces = []
             for leg in range(4):
                 refs = targets.get((i_ref, leg)) or leg_targets(leg, i_ref, qs[leg])
                 tau = jump_track_torque(qs[leg], qds[leg], refs, gains, leg)
-                fx, fy, fz = grf_from_torque(qs[leg], tau, state.rot, leg).tolist()
+                fx, fy, fz = grf_from_torque(qs[leg], tau, rot, leg).tolist()
                 # the ground cannot pull or exceed the hardware force budget;
                 # min(max(.)) keeps np.clip's result, signed zeros included
                 fz = min(max(fz, 0.0), F_MAX)
@@ -757,8 +757,13 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
                 # entries are already exact +0.0
                 forces = lander.compute(state, des, landing_stance)
             stance_mask = landing_stance
-            swing_targets = {i: state.pos + state.rot @ hold_pose_body[i]
-                             for i in range(4) if not landing_stance[i]}
+            # held feet at pos + rot @ hold, each row of the product summed
+            # left to right
+            pos, rot = state.pos.tolist(), state.rot.tolist()
+            swing_targets = {i: tuple(p + (a * hx + b * hy + c * hz)
+                                      for p, (a, b, c) in zip(pos, rot))
+                             for i, (hx, hy, hz) in enumerate(hold_pose_body)
+                             if not landing_stance[i]}
 
         world.step(forces, stance_mask, swing_targets)
         landing_stance = [a or b for a, b in zip(landing_stance, world.touched_down.tolist())]

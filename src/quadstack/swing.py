@@ -49,12 +49,23 @@ class UnreachableError(ValueError):
 
 def _floats(v) -> list[float]:
     """A 3-vector as Python floats; a list or tuple is read without numpy."""
-    return (list(map(float, v)) if isinstance(v, (list, tuple))
-            else np.asarray(v, dtype=float).reshape(3).tolist())
+    if isinstance(v, (list, tuple)):
+        x, y, z = v
+        return [float(x), float(y), float(z)]
+    return np.asarray(v, dtype=float).reshape(3).tolist()
 
 
-def _foot_and_jacobian(q, leg: int) -> tuple[tuple, np.ndarray]:
-    """Body-frame foot position (x, y, z) and the 3x3 foot Jacobian, in floats.
+def _rows(m) -> list[list[float]]:
+    """A 3x3 matrix as rows of Python floats; a list or tuple of rows is read
+    without numpy."""
+    if isinstance(m, (list, tuple)):
+        return [[float(a), float(b), float(c)] for a, b, c in m]
+    return np.asarray(m, dtype=float).reshape(3, 3).tolist()
+
+
+def _foot_and_jacobian(q, leg: int) -> tuple[tuple, tuple]:
+    """Body-frame foot position (x, y, z) and the rows of the 3x3 foot
+    Jacobian, in floats.
 
     The foot in the leg plane is (ux, 0, uz), turned about body x by the
     abduction q0. Each row of ``rot_x(q0) @ (a, 0, b)`` has one nonzero
@@ -72,9 +83,9 @@ def _foot_and_jacobian(q, leg: int) -> tuple[tuple, np.ndarray]:
     # columns: e_x x (turned foot), then rot_x times d(ux, uz)/dq1 = (uz, b1)
     # and d(ux, uz)/dq2 = (-l2 c12, b2)
     b1, b2 = l1 * s1 + l2 * s12, l2 * s12
-    jac = np.array([[0.0, uz, -l2 * c12],
-                    [-rz, -s0 * b1 + 0.0, -s0 * b2 + 0.0],
-                    [ry, c0 * b1 + 0.0, c0 * b2 + 0.0]])
+    jac = ((0.0, uz, -l2 * c12),
+           (-rz, -s0 * b1 + 0.0, -s0 * b2 + 0.0),
+           (ry, c0 * b1 + 0.0, c0 * b2 + 0.0))
     return (hx + ux, hy + ry, hz + rz), jac
 
 
@@ -85,7 +96,7 @@ def leg_fk(q: np.ndarray, leg: int) -> np.ndarray:
 
 def leg_jacobian(q: np.ndarray, leg: int) -> np.ndarray:
     """Foot Jacobian d(foot)/dq, 3x3, body frame."""
-    return _foot_and_jacobian(_floats(q), leg)[1]
+    return np.array(_foot_and_jacobian(_floats(q), leg)[1])
 
 
 def leg_ik(p_body: np.ndarray, leg: int) -> np.ndarray:
@@ -125,15 +136,16 @@ def jump_track_torque(q: np.ndarray, qd: np.ndarray, refs: dict, gains: dict,
     ``refs`` carries q_d, qd_d, p_foot_d, v_foot_d, tau_d (body-frame foot
     targets, feedforward torque); ``gains`` carries kp_cart, kd_cart,
     kp_joint, kd_joint (diagonal gains, 3 values each). Cartesian PD plus
-    the feedforward, plus a joint-space PD. A diagonal gain times a vector
-    is one product per row, done in floats; the products with J stay BLAS.
+    the feedforward, plus a joint-space PD, all in floats: each row of
+    J qd and J^T w is summed left to right.
     """
     q, qd = _floats(q), _floats(qd)
-    p_f, j = _foot_and_jacobian(q, leg)
-    v_f = (j @ np.array(qd)).tolist()
-    wrench = [kp * (p_d - p) + kd * (v_d - v) for kp, kd, p_d, p, v_d, v in zip(
-        gains["kp_cart"], gains["kd_cart"], refs["p_foot_d"], p_f, refs["v_foot_d"], v_f)]
-    tau_ff = (j.T @ np.array(wrench)).tolist()
+    (x, y, z), ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = _foot_and_jacobian(q, leg)
+    u0, u1, u2 = qd
+    v_f = (a0 * u0 + a1 * u1 + a2 * u2, b0 * u0 + b1 * u1 + b2 * u2, c0 * u0 + c1 * u1 + c2 * u2)
+    w0, w1, w2 = [kp * (p_d - p) + kd * (v_d - v) for kp, kd, p_d, p, v_d, v in zip(
+        gains["kp_cart"], gains["kd_cart"], refs["p_foot_d"], (x, y, z), refs["v_foot_d"], v_f)]
+    tau_ff = (a0 * w0 + b0 * w1 + c0 * w2, a1 * w0 + b1 * w1 + c1 * w2, a2 * w0 + b2 * w1 + c2 * w2)
     return np.array([t + t_d + kp * (q_d - qi) + kd * (qd_d - qdi)
                      for t, t_d, kp, q_d, qi, kd, qd_d, qdi in zip(
                          tau_ff, refs["tau_d"], gains["kp_joint"], refs["q_d"], q,
@@ -145,18 +157,41 @@ def stance_torque(q: np.ndarray, grf_world: np.ndarray, r_body: np.ndarray,
     """Joint torques commanding a world-frame ground reaction force on the body.
 
     tau = -J^T R^T F: the leg pushes against the ground so that the
-    reaction on the body equals ``grf_world``.
+    reaction on the body equals ``grf_world``. In floats, each row summed
+    left to right.
     """
-    _, j = _foot_and_jacobian(_floats(q), leg)
-    return -j.T @ (np.asarray(r_body, dtype=float).T @ np.asarray(grf_world, dtype=float))
+    _, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = _foot_and_jacobian(_floats(q), leg)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _rows(r_body)
+    g0, g1, g2 = _floats(grf_world)
+    f0, f1, f2 = (r00 * g0 + r10 * g1 + r20 * g2, r01 * g0 + r11 * g1 + r21 * g2,
+                  r02 * g0 + r12 * g1 + r22 * g2)
+    return np.array([-(a0 * f0 + b0 * f1 + c0 * f2), -(a1 * f0 + b1 * f1 + c1 * f2),
+                     -(a2 * f0 + b2 * f1 + c2 * f2)])
 
 
 def grf_from_torque(q: np.ndarray, tau: np.ndarray, r_body: np.ndarray,
                     leg: int) -> np.ndarray:
-    """Inverse of :func:`stance_torque`: world GRF implied by joint torques."""
-    _, j = _foot_and_jacobian(_floats(q), leg)
-    f_body = np.linalg.solve(j.T, -np.asarray(tau, dtype=float))
-    return np.asarray(r_body, dtype=float) @ f_body
+    """Inverse of :func:`stance_torque`: world GRF implied by joint torques.
+
+    Solves J^T f = -tau in closed form: the cofactor matrix K of J satisfies
+    J^T K = det(J) I, and K's rows are cross products of J's rows. A
+    Jacobian whose determinant is exactly zero, as at q = (0, 0, 0), raises
+    ``np.linalg.LinAlgError`` as ``np.linalg.solve`` does.
+    """
+    _, ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = _foot_and_jacobian(_floats(q), leg)
+    k00, k01, k02 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+    k10, k11, k12 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+    k20, k21, k22 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    det = a0 * k00 + a1 * k01 + a2 * k02
+    if det == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    t0, t1, t2 = _floats(tau)
+    f0 = -(k00 * t0 + k01 * t1 + k02 * t2) / det
+    f1 = -(k10 * t0 + k11 * t1 + k12 * t2) / det
+    f2 = -(k20 * t0 + k21 * t1 + k22 * t2) / det
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _rows(r_body)
+    return np.array([r00 * f0 + r01 * f1 + r02 * f2, r10 * f0 + r11 * f1 + r12 * f2,
+                     r20 * f0 + r21 * f1 + r22 * f2])
 
 
 class SwingTrajectory:

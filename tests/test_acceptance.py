@@ -342,3 +342,22 @@ class TestCriterion10:
                       f"(orient {s['final_orientation_error_deg']:.2f} deg, "
                       f"height err {s['final_height_error_m'] * 1000:.1f} mm, "
                       f"runtime {runtime:.1f}s)")
+
+    def test_landing_keeps_its_recorded_values(self, hop_solution):
+        # the jump loop's float arithmetic moves forces by rounding only: a
+        # move that flipped a touchdown would shift the first landed sample
+        # or the final errors (values recorded with the numpy force maps)
+        spec, sol, _ = hop_solution
+        from quadstack.trajopt import export_reference
+
+        res = run_jump_sim(spec, export_reference(sol, spec))
+        landed = np.flatnonzero(res.log["landed"] > 0.5)
+        assert landed[0] == 107 and res.log["t_s"][107] == pytest.approx(1.071, abs=1e-9)
+        s = res.summary
+        assert s["takeoff_time_s"] == pytest.approx(0.743675940069246, abs=1e-12)
+        recorded = {"final_orientation_error_deg": 1.4757013644976663e-10,
+                    "final_height_error_m": 3.3318734259379923e-06,
+                    "final_speed_mps": 8.46749213754422e-06,
+                    "final_rate_radps": 3.0528083361473755e-11}
+        for key, value in recorded.items():
+            assert s[key] == pytest.approx(value, abs=1e-9), key

@@ -9,7 +9,7 @@ from quadstack.estimation import ImuSample
 from quadstack.scenarios import (ReplayLogError, hop_spec, reference_from_log, reference_log,
                                  run_estimate, run_jump_opt, run_jump_sim, run_slope, run_stand,
                                  run_trot, spin_spec)
-from quadstack.swing import HIP_OFFSETS
+from quadstack.swing import HIP_OFFSETS, grf_from_torque
 from quadstack.trajopt import BodyReference
 
 
@@ -402,6 +402,69 @@ class TestJumpPipeline:
         for mask, forces, same_mean in applied:
             assert same_mean
             assert (forces * np.repeat(mask, 3)).tobytes() == forces.tobytes()
+
+    def test_held_foot_targets_in_floats(self, monkeypatch):
+        # an airborne leg holds the tucked pose: pos + rot @ hold as float
+        # tuples, each row of the product summed left to right
+        monkeypatch.setattr(scenarios, "_RECOVER_TIME", 0.3)
+        spec = hop_spec(n_knots=4)
+        hold = spec.feet_start - spec.p_start
+        hold[:, 2] = -0.33
+        held = []
+        step = sim.SimWorld.step
+
+        def recording(world, forces, stance_mask, swing_targets=None):
+            if swing_targets:
+                held.append((world.state.pos.copy(), world.state.rot.copy(), swing_targets))
+            return step(world, forces, stance_mask, swing_targets)
+
+        monkeypatch.setattr(sim.SimWorld, "step", recording)
+        run_jump_sim(spec, run_jump_opt(spec)[1])
+        assert len(held) > 100
+        for pos, rot, targets in held:
+            for leg, target in targets.items():
+                (p0, p1, p2), (hx, hy, hz) = pos.tolist(), hold[leg].tolist()
+                want = tuple(p + (a * hx + b * hy + c * hz)
+                             for p, (a, b, c) in zip((p0, p1, p2), rot.tolist()))
+                assert np.array(target).tobytes() == np.array(want).tobytes()
+                assert_allclose(target, pos + rot @ hold[leg], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad, clamped", [
+        ((np.inf, -np.inf, np.inf), (scenarios.MU * scenarios.F_MAX,
+                                     -scenarios.MU * scenarios.F_MAX, scenarios.F_MAX)),
+        ((-np.inf, np.inf, -np.inf), (-0.0, 0.0, 0.0)),
+    ], ids=["pushing", "pulling"])
+    def test_infinite_force_map_is_clamped(self, monkeypatch, bad, clamped):
+        # an infinite force from the torque-to-force map is clamped into the
+        # friction pyramid under the force budget, and the tick goes on
+        monkeypatch.setattr(scenarios, "_RECOVER_TIME", 0.0)
+        calls = []
+
+        def once_infinite(q, tau, r_body, leg):
+            calls.append(leg)
+            return np.array(bad) if len(calls) == 1 else grf_from_torque(q, tau, r_body, leg)
+
+        stepped = []
+        step = sim.SimWorld.step
+
+        def recording(world, forces, *args):
+            stepped.append(np.array(forces, dtype=float))
+            return step(world, forces, *args)
+
+        # run_jump_sim imports the force map from quadstack.swing on each call
+        monkeypatch.setattr("quadstack.swing.grf_from_torque", once_infinite)
+        monkeypatch.setattr(sim.SimWorld, "step", recording)
+        spec = hop_spec(n_knots=4)
+        run_jump_sim(spec, flat_stand_reference(spec))
+        assert stepped[0][0:3].tobytes() == np.array(clamped).tobytes()  # signed zeros too
+
+    def test_nan_force_map_stops_at_the_step(self, monkeypatch):
+        # a NaN passes the clamps and the simulator's finite check raises
+        # before the state moves
+        monkeypatch.setattr("quadstack.swing.grf_from_torque", lambda *args: np.full(3, np.nan))
+        spec = hop_spec(n_knots=4)
+        with pytest.raises(ValueError, match="non-finite stance force"):
+            run_jump_sim(spec, flat_stand_reference(spec))
 
     def test_tick_constants_are_read_only(self, monkeypatch):
         # the stance mask of a stance tick and the zero forces of an airborne

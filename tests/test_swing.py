@@ -69,6 +69,56 @@ def grf_from_torque_numpy(q, tau, r_body, leg):
     return r_body @ np.linalg.solve(leg_jacobian_numpy(q, leg).T, -tau)
 
 
+def rows(m):
+    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
+
+
+def mat_vec(m, v):
+    """m @ v for 3x3 rows m, each row summed left to right in Python floats."""
+    return [m[i][0] * v[0] + m[i][1] * v[1] + m[i][2] * v[2] for i in range(3)]
+
+
+def transpose(m):
+    return [[m[k][i] for k in range(3)] for i in range(3)]
+
+
+def jump_track_torque_floats(q, qd, refs, gains, leg):
+    """jump_track_torque's formula in Python floats: J qd and J^T w summed
+    left to right per row, each diagonal gain one product per row."""
+    q, qd = [float(x) for x in q], [float(x) for x in qd]
+    r = {k: [float(x) for x in v] for k, v in refs.items()}
+    g = {k: [float(x) for x in v] for k, v in gains.items()}
+    j, p = rows(leg_jacobian(q, leg)), leg_fk(q, leg).tolist()
+    v = mat_vec(j, qd)
+    w = [g["kp_cart"][i] * (r["p_foot_d"][i] - p[i]) + g["kd_cart"][i] * (r["v_foot_d"][i] - v[i])
+         for i in range(3)]
+    t = mat_vec(transpose(j), w)
+    return np.array([t[i] + r["tau_d"][i] + g["kp_joint"][i] * (r["q_d"][i] - q[i])
+                     + g["kd_joint"][i] * (r["qd_d"][i] - qd[i]) for i in range(3)])
+
+
+def stance_torque_floats(q, grf_world, r_body, leg):
+    """-J^T (R^T F) in Python floats."""
+    f_body = mat_vec(transpose(rows(r_body)), [float(x) for x in grf_world])
+    return np.array([-t for t in mat_vec(transpose(rows(leg_jacobian(q, leg))), f_body)])
+
+
+def grf_from_torque_floats(q, tau, r_body, leg):
+    """R f with J^T f = -tau solved by the cofactors of J: row i of the
+    cofactor matrix is the cross product of J's rows i + 1 and i + 2."""
+    j = rows(leg_jacobian(q, leg))
+    cof = [[u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+           for u, v in ((j[1], j[2]), (j[2], j[0]), (j[0], j[1]))]
+    det = j[0][0] * cof[0][0] + j[0][1] * cof[0][1] + j[0][2] * cof[0][2]
+    f_body = [-x / det for x in mat_vec(cof, [float(t) for t in tau])]
+    return np.array(mat_vec(rows(r_body), f_body))
+
+
+def assert_relative(got, want, rtol=1e-12):
+    """Largest entry difference within rtol of the largest entry."""
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
 def assert_same_bits(got, want):
     got = np.asarray(got)
     assert got.shape == want.shape
@@ -168,10 +218,12 @@ class TestJumpTracking:
             refs = {"q_d": q + rng.normal(scale=0.1, size=3), "qd_d": np.zeros(3),
                     "p_foot_d": leg_fk(q, leg) + rng.normal(scale=0.02, size=3),
                     "v_foot_d": rng.normal(size=3), "tau_d": rng.normal(scale=20.0, size=3)}
-            want = jump_track_torque_numpy(q, qd, refs, gains, leg)
+            want = jump_track_torque_floats(q, qd, refs, gains, leg)
             assert_same_bits(jump_track_torque(q, qd, refs, gains, leg), want)
             as_floats = {k: v.tolist() for k, v in refs.items()}
-            assert_same_bits(jump_track_torque(q, qd, as_floats, gains, leg), want)
+            assert_same_bits(jump_track_torque(q.tolist(), qd.tolist(), as_floats, gains, leg),
+                             want)
+            assert_relative(want, jump_track_torque_numpy(q, qd, refs, gains, leg))
 
 
 class TestStanceMapping:
@@ -182,10 +234,49 @@ class TestStanceMapping:
             r = so3.exp_exact(rng.normal(scale=0.5, size=3))
             f = rng.normal(scale=[20.0, 20.0, 100.0])
             tau = stance_torque(q, f, r, leg)
-            assert_same_bits(tau, stance_torque_numpy(q, f, r, leg))
-            if q[2] != 0.0:  # a straight knee makes J singular
-                assert_same_bits(grf_from_torque(q, tau, r, leg),
-                                 grf_from_torque_numpy(q, tau, r, leg))
+            assert_same_bits(tau, stance_torque_floats(q, f, r, leg))
+            assert_same_bits(stance_torque(q.tolist(), f.tolist(), r.tolist(), leg), tau)
+            assert_relative(tau, stance_torque_numpy(q, f, r, leg))
+            if q[2] == 0.0:
+                # a straight knee makes J singular: both solves raise
+                for grf in (grf_from_torque, grf_from_torque_numpy):
+                    with pytest.raises(np.linalg.LinAlgError):
+                        grf(q, tau, r, leg)
+                continue
+            got = grf_from_torque(q, tau, r, leg)
+            assert_same_bits(got, grf_from_torque_floats(q, tau, r, leg))
+            assert_same_bits(grf_from_torque(q.tolist(), tau.tolist(), r.tolist(), leg), got)
+            # any two solves differ by up to about eps * cond(J); within 1e-4
+            # rad of a straight knee cond(J) reaches 1e7, and 1e-12 is out of
+            # reach of LAPACK's own solve
+            bent = q[2] > 1e-3
+            rtol = 1e-12 if bent else 1e-15 * np.linalg.cond(leg_jacobian(q, leg))
+            assert_relative(got, grf_from_torque_numpy(q, tau, r, leg), rtol)
+
+    def test_singular_and_non_finite(self):
+        r = so3.exp_exact([0.05, -0.1, 0.3])
+        tau = np.array([1.0, -2.0, 3.0])
+        # at q = 0 the leg hangs straight and J has rank 2
+        assert np.linalg.matrix_rank(leg_jacobian(np.zeros(3), 0)) == 2
+        for grf in (grf_from_torque, grf_from_torque_numpy):
+            with pytest.raises(np.linalg.LinAlgError):
+                grf(np.zeros(3), tau, r, 0)
+        # a non-finite torque gives a non-finite force, without raising,
+        # as np.linalg.solve does: the jump loop's clamps and the
+        # simulator's finite check handle it
+        q, bad = np.array([0.1, -0.5, 1.2]), np.array([np.nan, 0.0, 0.0])
+        assert np.isnan(grf_from_torque(q, bad, r, 0)).all()
+        assert np.isnan(grf_from_torque_numpy(q, bad, r, 0)).all()
+
+    def test_no_linalg_solve(self, monkeypatch):
+        def solve(*args):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        q = np.array([0.1, -0.5, 1.2])
+        r = so3.exp_exact([0.05, -0.1, 0.3])
+        f = np.array([5.0, -3.0, 80.0])
+        assert_allclose(grf_from_torque(q, stance_torque(q, f, r, 0), r, 0), f, atol=1e-9)
 
     def test_grf_roundtrip(self):
         q = np.array([0.1, -0.5, 1.2])

@@ -41,6 +41,7 @@ GRAVITY = 9.81                      # m/s^2, magnitude of the gravitational acce
 GRAVITY_W = np.array([0.0, 0.0, -GRAVITY])   # the same, as a world-frame vector
 GRAVITY_W.setflags(write=False)
 _GRAVITY_XYZ = tuple(GRAVITY_W.tolist())
+MU = 0.6                            # friction coefficient of every stance pyramid
 
 # diagonals of the PD gains on the CoM position and the body orientation,
 # and the force QP's weights: S on the wrench error, alpha on |F|^2, beta on
@@ -83,7 +84,7 @@ class BodyModel:
 
 @dataclass
 class FrictionSpec:
-    mu: float = 0.6
+    mu: float = MU
     f_min: float = 0.0
     f_max: float = 500.0
 

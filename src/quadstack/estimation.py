@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -32,14 +32,13 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from . import so3
 from .balance import GRAVITY, GRAVITY_W
 from .state import unchecked
-from .swing import L1, L2, _HIPS, leg_fk, leg_jacobian
+from .swing import _foot_and_jacobian, leg_fk, leg_jacobian
 
 _EYE3_X15 = 1.5 * np.eye(3)
 _EYE18 = np.eye(18)
 
 __all__ = [
     "ImuSample",
-    "OrientationFilter",
     "KfState",
     "SingularInnovationError",
     "orientation_step",
@@ -81,14 +80,6 @@ class ImuSample:
         self.accel = np.asarray(self.accel, dtype=float).reshape(3)
 
 
-@dataclass
-class OrientationFilter:
-    r_hat: np.ndarray = field(default_factory=lambda: np.eye(3))
-
-    def __post_init__(self):
-        self.r_hat = np.asarray(self.r_hat, dtype=float).reshape(3, 3)
-
-
 def _kappa(a_norm: float, kappa_ref: float, gravity: float) -> float:
     """Correction gain shrinking as the accelerometer norm departs from g:
     kappa_ref * clamp(1 - |a_norm - g| / g, 0, 1)."""
@@ -98,8 +89,9 @@ def _kappa(a_norm: float, kappa_ref: float, gravity: float) -> float:
     return kappa_ref * min(1.0, max(0.0, 1.0 - ratio))
 
 
-def orientation_step(f: OrientationFilter, imu: ImuSample, dt: float) -> OrientationFilter:
-    """One filter update: R <- R exp((gyro + kappa * w_corr) dt), re-orthonormalized.
+def orientation_step(r_hat: np.ndarray, imu: ImuSample, dt: float) -> np.ndarray:
+    """One filter update of the (3, 3) estimate ``r_hat``:
+    R <- R exp((gyro + kappa * w_corr) dt), re-orthonormalized.
 
     w_corr = (a/|a|) x R^T e_z rotates the estimated gravity direction toward
     the measured one; it carries no yaw information when upright.
@@ -112,15 +104,14 @@ def orientation_step(f: OrientationFilter, imu: ImuSample, dt: float) -> Orienta
     if a_norm > 1e-9:
         kappa = _kappa(a_norm, _KAPPA_REF, GRAVITY)
         ax, ay, az = ax / a_norm, ay / a_norm, az / a_norm
-        rx, ry, rz = f.r_hat[2].tolist()  # R^T e_z is the third row
+        rx, ry, rz = r_hat[2].tolist()  # R^T e_z is the third row
         wx += kappa * (ay * rz - az * ry)
         wy += kappa * (az * rx - ax * rz)
         wz += kappa * (ax * ry - ay * rx)
-    r_new = f.r_hat @ so3.exp_exact((wx * dt, wy * dt, wz * dt))
+    r_new = r_hat @ so3.exp_exact((wx * dt, wy * dt, wz * dt))
     # one polar-Newton step of renormalization: keeps the per-step
     # orthogonality defect at machine scale without an SVD
-    r_new = r_new @ (_EYE3_X15 - 0.5 * (r_new.T @ r_new))
-    return unchecked(OrientationFilter, r_hat=r_new)
+    return r_new @ (_EYE3_X15 - 0.5 * (r_new.T @ r_new))
 
 
 @dataclass
@@ -171,33 +162,21 @@ def leg_measurements_batch(qs: np.ndarray, qds: np.ndarray, r_hat: np.ndarray,
                            gyro: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """World-frame foot-minus-body positions and velocities, (4, 3) each.
 
-    :func:`leg_measurement_from_kinematics` for all four legs, in scalars
-    (numpy's per-call cost dominates at this size); these arrays are the
-    leg measurement of :func:`kf_update`.
+    :func:`leg_measurement_from_kinematics` for all four legs, in floats
+    (numpy's per-call cost dominates at this size) from each leg's foot and
+    Jacobian rows, each row of J qd summed left to right; these arrays are
+    the leg measurement of :func:`kf_update`.
     """
-    l1, l2 = L1, L2
     gx, gy, gz = np.asarray(gyro, dtype=float).reshape(3).tolist()
     p_body, v_body = [], []
-    for (q0, q1, q2), (qd0, qd1, qd2), (hx, hy, hz) in zip(
+    for leg, (q, (u0, u1, u2)) in enumerate(zip(
             np.asarray(qs, dtype=float).reshape(4, 3).tolist(),
-            np.asarray(qds, dtype=float).reshape(4, 3).tolist(), _HIPS):
-        s0, c0 = math.sin(q0), math.cos(q0)
-        s1, c1 = math.sin(q1), math.cos(q1)
-        s12, c12 = math.sin(q1 + q2), math.cos(q1 + q2)
-        # foot in the leg plane (ux, uz), turned about body x by the abduction
-        ux = -l1 * s1 - l2 * s12
-        uz = -l1 * c1 - l2 * c12
-        ry, rz = -s0 * uz, c0 * uz
-        px, py, pz = hx + ux, hy + ry, hz + rz
-        # v = gyro x p + J(q) qd. The abduction rate turns (ux, ry, rz) about
-        # body x; the planar rates move (ux, uz), with d ux/d q1 = uz and
-        # d uz/d q1 = -ux
-        dux = uz * qd1 - l2 * c12 * qd2
-        duz = -ux * qd1 + l2 * s12 * qd2
+            np.asarray(qds, dtype=float).reshape(4, 3).tolist())):
+        (px, py, pz), ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = _foot_and_jacobian(q, leg)
         p_body.append((px, py, pz))
-        v_body.append(((gy * pz - gz * py) + dux,
-                       (gz * px - gx * pz) - (rz * qd0 + s0 * duz),
-                       (gx * py - gy * px) + (ry * qd0 + c0 * duz)))
+        v_body.append(((gy * pz - gz * py) + (a0 * u0 + a1 * u1 + a2 * u2),
+                       (gz * px - gx * pz) + (b0 * u0 + b1 * u1 + b2 * u2),
+                       (gx * py - gy * px) + (c0 * u0 + c1 * u1 + c2 * u2)))
     r_t = np.asarray(r_hat, dtype=float).T
     return np.array(p_body) @ r_t, np.array(v_body) @ r_t
 

@@ -20,15 +20,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gait, mpc, so3, terrain
-from .balance import GRAVITY_W, BalanceController, BodyModel, FrictionSpec
-from .estimation import (ImuSample, OrientationFilter, kf_default_state, kf_predict,
-                         kf_update, leg_measurements_batch, orientation_step)
+from .balance import GRAVITY_W, MU, BalanceController, BodyModel, FrictionSpec
+from .estimation import (ImuSample, kf_default_state, kf_predict, kf_update,
+                         leg_measurements_batch, orientation_step)
 from .mpc import MpcConfig, solve_mpc
 from .sim import SensorNoise, SimWorld
 from .state import DesiredState, RobotState, unchecked
 from .swing import HIP_OFFSETS, SwingTrajectory
 from .terrain import PlaneCoeffs
-from .trajopt import (F_MAX, MU, BodyReference, ContactPhase, JumpSpec, TimingProblem,
+from .trajopt import (F_MAX, BodyReference, ContactPhase, JumpSpec, TimingProblem,
                       check_constraints, export_reference, solve_timing)
 
 NOMINAL_Z = 0.45
@@ -117,32 +117,34 @@ def _log_state(log: Logger, world: SimWorld, extra: dict | None = None):
 
 
 class EstimatorLoop:
-    """Orientation filter + KF over one stream of IMU and encoder samples.
+    """Orientation filter + KF over one stream of IMU and encoder samples,
+    on the known terrain ``ground``.
 
     The live scenarios feed it the simulated sensors tick by tick; the
     replay of :func:`run_estimate` feeds it a recorded log.
     """
 
-    def __init__(self, r_hat: np.ndarray, pos: np.ndarray, feet: np.ndarray):
-        self.filter = OrientationFilter(r_hat=np.array(r_hat, dtype=float))
+    def __init__(self, r_hat: np.ndarray, pos: np.ndarray, feet: np.ndarray,
+                 ground: PlaneCoeffs):
+        self.r_hat = np.array(r_hat, dtype=float)
+        self.ground = ground
         self.kf = kf_default_state(pos, feet)
         self._last_gyro = np.zeros(3)
 
-    def step(self, imu: ImuSample, qs: np.ndarray, qds: np.ndarray, stance_mask,
-             heights: np.ndarray, dt: float):
-        """One estimator tick on the IMU sample, the (4, 3) encoder arrays and
-        the (4,) ground heights under the feet."""
+    def step(self, imu: ImuSample, qs: np.ndarray, qds: np.ndarray, stance_mask, dt: float):
+        """One estimator tick on the IMU sample and the (4, 3) encoder arrays;
+        the contact heights are the ground's under the KF's own feet."""
         self._last_gyro = imu.gyro.copy()
-        self.filter = orientation_step(self.filter, imu, dt)
-        r_hat = self.filter.r_hat
+        self.r_hat = r_hat = orientation_step(self.r_hat, imu, dt)
         self.kf = kf_predict(self.kf, r_hat, imu.accel, dt, stance_mask)
         rel_pos, rel_vel = leg_measurements_batch(qs, qds, r_hat, imu.gyro)
+        heights = np.array([self.ground.height(x, y) for x, y, _ in self.kf.feet.tolist()])
         self.kf = kf_update(self.kf, rel_pos, rel_vel, heights, stance_mask)
 
     def estimated_state(self) -> RobotState:
         # body rate taken straight from the gyro channel
         return unchecked(RobotState, pos=self.kf.pos, vel=self.kf.vel,
-                         rot=self.filter.r_hat, omega=self._last_gyro, feet=self.kf.feet)
+                         rot=self.r_hat, omega=self._last_gyro, feet=self.kf.feet)
 
 
 def hop_spec(n_knots: int = 30, z0: float = NOMINAL_Z,
@@ -215,13 +217,12 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
     world = SimWorld(RobotState(pos=[0.0, 0.0, NOMINAL_Z], feet=feet), model,
                      dt=DT, noise=noise, seed=seed)
     dt = world.dt
-    est = EstimatorLoop(world.state.rot, world.state.pos, feet)
+    est = EstimatorLoop(world.state.rot, world.state.pos, feet, world.ground)
     # dead-reckoning baseline: mean-only integration of the same inputs
     pred_pos, pred_vel = world.state.pos.tolist(), [0.0, 0.0, 0.0]
     balancer = BalanceController(model)
     des = DesiredState(pos=[0.0, 0.0, NOMINAL_Z])
     stance = np.ones(4, dtype=bool)
-    ground = world.ground
 
     log = Logger()
     n = int(round(duration / dt))
@@ -234,10 +235,8 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
         world.step(forces, stance)
         imu = world.synth_imu()
         qs, qds = world.synth_encoders()
-        # the ground heights are read under the KF's own feet
-        heights = np.array([ground.height(x, y) for x, y, _ in est.kf.feet.tolist()])
-        est.step(imu, qs, qds, stance, heights, dt)
-        u = (est.filter.r_hat @ imu.accel + GRAVITY_W).tolist()
+        est.step(imu, qs, qds, stance, dt)
+        u = (est.r_hat @ imu.accel + GRAVITY_W).tolist()
         pred_pos = [p + dt * v + 0.5 * dt * dt * ui for p, v, ui in zip(pred_pos, pred_vel, u)]
         pred_vel = [v + dt * ui for v, ui in zip(pred_vel, u)]
         if controller == "balance":
@@ -304,7 +303,6 @@ class TrotDriver:
         self.duration = duration
         self.z0 = z0
         self.controller_type = controller
-        self.use_estimates = use_estimates
         self.adapt_posture = adapt_posture
         feet = nominal_feet(self.ground)
         start_z = self.ground.height(0.0, 0.0) + z0
@@ -314,7 +312,7 @@ class TrotDriver:
                               dt=DT, ground=self.ground, noise=noise, seed=seed)
         self.balance = BalanceController(self.model)
         self.swing_trajs: dict[int, tuple[SwingTrajectory, float]] = {}
-        self.est = (EstimatorLoop(self.world.state.rot, self.world.state.pos, feet)
+        self.est = (EstimatorLoop(self.world.state.rot, self.world.state.pos, feet, self.ground)
                     if use_estimates else None)
         self.recent_contacts = feet.copy()
         # ground plane through recent_contacts and the posture it asks for;
@@ -459,9 +457,7 @@ class TrotDriver:
             if self.est is not None:
                 imu = self.world.synth_imu()
                 qs, qds = self.world.synth_encoders()
-                heights = np.array([self.ground.height(x, y)
-                                    for x, y, _ in self.est.kf.feet.tolist()])
-                self.est.step(imu, qs, qds, mask, heights, self.world.dt)
+                self.est.step(imu, qs, qds, mask, self.world.dt)
                 ctrl_state = self.est.estimated_state()
             else:
                 ctrl_state = state
@@ -565,12 +561,12 @@ def run_estimate(log: dict[str, np.ndarray]) -> ScenarioResult:
         if est is None:
             # footholds fixed from the first sample under the orientation
             # the first filter step gives
-            r_first = orientation_step(OrientationFilter(), imu, dt).r_hat
+            r_first = orientation_step(_IDENTITY, imu, dt)
             feet0, _ = leg_measurements_batch(qs[0], qds[0], r_first, imu.gyro)
             p0 = np.array([log[f"p{ax}_m"][0] for ax in "xyz"]) if has_truth else \
                 np.array([0.0, 0.0, -np.mean(feet0[:, 2])])
-            est = EstimatorLoop(np.eye(3), p0, p0 + feet0)
-        est.step(imu, qs[k], qds[k], stance[k], np.zeros(4), dt)
+            est = EstimatorLoop(np.eye(3), p0, p0 + feet0, PlaneCoeffs())
+        est.step(imu, qs[k], qds[k], stance[k], dt)
         kf = est.kf
         row = {"t_s": t[k]}
         for i, ax in enumerate("xyz"):

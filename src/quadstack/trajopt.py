@@ -56,7 +56,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cho_solve_banded, cholesky_banded
 
 from . import so3
-from .balance import GRAVITY_W, BodyModel
+from .balance import GRAVITY_W, MU, BodyModel
 from .swing import HIP_OFFSETS
 
 __all__ = [
@@ -80,7 +80,6 @@ __all__ = [
 _T_PHASE_MIN = 0.05   # vanishing phase guard, seconds
 _EPS_OMEGA, _EPS_FORCE, _EPS_ROT = 1e-2, 1e-6, 1.0   # cost weights: rates, forces, rotation
 F_MIN, F_MAX = 1.0, 700.0   # N, stance normal-force bounds; F_MIN > 0 as friction scales with f_z
-MU = 0.6                    # friction coefficient of the stance pyramids
 _REFERENCE_DT = 0.01   # s, sample interval of the exported body reference
 
 # augmented-Lagrangian outer loop
@@ -310,7 +309,6 @@ class TimingProblem:
         # the first row of each stance knot
         self.sk_knots, self.sk_start = np.unique(self.sk_k, return_index=True)
 
-        self.nk_off = 0
         self.nf_off = 18 * self.n_knots
         self.nt_off = self.nf_off + self.n_force
         self.n_vars = self.nt_off + self.n_phases
@@ -1082,8 +1080,8 @@ class _AugmentedLagrangian:
                  s_eq: np.ndarray, s_in: np.ndarray, rho: float):
         self.problem, self.structure = problem, structure
         self.s_eq, self.s_in = s_eq, s_in
-        self.lam = np.zeros(problem.n_eq)
-        self.mu = np.zeros(problem.n_ineq)
+        self.lam_eq = np.zeros(problem.n_eq)
+        self.lam_in = np.zeros(problem.n_ineq)
         self.rho = rho
         self._point = None             # (derivative handle, multipliers, active rows)
 
@@ -1091,12 +1089,12 @@ class _AugmentedLagrangian:
         cost, c_eq, c_in, derivatives = self.problem._eval(z, need_grad=True)
         cs_eq = self.s_eq * c_eq
         cs_in = self.s_in * c_in
-        rho, mu = self.rho, self.mu
-        y_eq = self.lam + rho * cs_eq
-        y_in = np.maximum(0.0, mu + rho * cs_in)
+        rho, lam_in = self.rho, self.lam_in
+        y_eq = self.lam_eq + rho * cs_eq
+        y_in = np.maximum(0.0, lam_in + rho * cs_in)
         self._point = (derivatives, (self.s_eq * y_eq, self.s_in * y_in), y_in > 0.0)
-        return (cost + self.lam @ cs_eq + 0.5 * rho * float(cs_eq @ cs_eq)
-                + float(np.sum(y_in**2 - mu**2)) / (2.0 * rho))
+        return (cost + self.lam_eq @ cs_eq + 0.5 * rho * float(cs_eq @ cs_eq)
+                + float(np.sum(y_in**2 - lam_in**2)) / (2.0 * rho))
 
     def derivatives(self):
         """Gradient and Newton matrix at the point of the last :meth:`value`.
@@ -1222,8 +1220,8 @@ def solve_timing(problem: TimingProblem) -> TimingSolution:
             best = (viol, z.copy())
         if viol <= _TOL:
             break
-        al.lam = al.lam + al.rho * s_eq * c_eq
-        al.mu = np.maximum(0.0, al.mu + al.rho * s_in * c_in)
+        al.lam_eq = al.lam_eq + al.rho * s_eq * c_eq
+        al.lam_in = np.maximum(0.0, al.lam_in + al.rho * s_in * c_in)
         if outer % 2 == 0:
             al.rho = min(al.rho * _RHO_GROWTH, _RHO_MAX)
 

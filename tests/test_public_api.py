@@ -352,6 +352,8 @@ def test_class_members_have_a_program_reader():
 SETTABLE_TEST_ONLY_ALLOWED = {
     "balance.FrictionSpec.f_min": "the pyramids' lower normal-force bound: every controller "
                                   "runs with 0, test_mpc.py checks a positive one",
+    "balance.FrictionSpec.mu": "the pyramids' friction coefficient: every controller runs "
+                               "with MU, tests vary it to make the pyramid bind",
     "cli.main.argv": "the entry point's arguments; the console script passes none",
     "scenarios.run_stand.controller": "the hover mode that criterion 2 runs",
     "trajopt.ContactPhase.feet_pos": "per-phase footholds of the jump corpus, "
@@ -459,3 +461,29 @@ def test_settable_values_have_a_program_setter():
     assert not unexplained, f"settable values with no program setter: {unexplained}"
     stale = [n for n in SETTABLE_TEST_ONLY_ALLOWED if n not in declared or n not in unset]
     assert not stale, f"allowlist entries that are not test-only settable values: {stale}"
+
+
+# attributes stored on self in src/ that no code in src/ loads, each with
+# the reason it stays
+INSTANCE_ATTR_TEST_ONLY_ALLOWED = {}
+
+
+def test_instance_attributes_are_read():
+    # an attribute a method stores on self is loaded somewhere in src/
+    # (``x.name`` for any ``x``), or it is listed above
+    src = Path(__file__).resolve().parents[1] / "src" / "quadstack"
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(src.glob("*.py"))}
+    loads = sum((_attribute_loads(tree) for tree in trees.values()), Counter())
+    stored = set()
+    for path, tree in trees.items():
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    stored.add(f"{path.stem}.{cls.name}.{node.attr}")
+    unread = sorted(n for n in stored if loads[n.rpartition(".")[2]] == 0)
+    unexplained = [n for n in unread if n not in INSTANCE_ATTR_TEST_ONLY_ALLOWED]
+    assert not unexplained, f"instance attributes stored but never read: {unexplained}"
+    stale = [n for n in INSTANCE_ATTR_TEST_ONLY_ALLOWED if n not in unread]
+    assert not stale, f"allowlist entries that are not unread instance attributes: {stale}"

@@ -335,7 +335,7 @@ class TestEstimateReplay:
         # stream reproduces the logged estimates bit for bit
         log = run_stand(duration=0.5, controller=controller, log_every=1).log
         est = scenarios.EstimatorLoop(np.eye(3), [0.0, 0.0, scenarios.NOMINAL_Z],
-                                      scenarios.nominal_feet())
+                                      scenarios.nominal_feet(), terrain.PlaneCoeffs())
         phat, vhat = [], []
         for k in range(len(log["t_s"])):
             imu = ImuSample(gyro=[log[f"gyro_{ax}_radps"][k] for ax in "xyz"],
@@ -343,7 +343,7 @@ class TestEstimateReplay:
             qs = np.array([[log[f"q{leg}{j}_rad"][k] for j in range(3)] for leg in range(4)])
             qds = np.array([[log[f"qd{leg}{j}_radps"][k] for j in range(3)] for leg in range(4)])
             stance = np.array([log[f"stance{leg}"][k] > 0.5 for leg in range(4)])
-            est.step(imu, qs, qds, stance, np.zeros(4), 1e-3)
+            est.step(imu, qs, qds, stance, 1e-3)
             phat.append(est.kf.pos.copy())
             vhat.append(est.kf.vel.copy())
         assert len(phat) == 500

@@ -445,7 +445,9 @@ class TrotDriver:
         n = int(round(self.duration / self.world.dt))
         log = Logger()
         height_err, vel_err = [], []
-        contact_prev, _ = self.schedule(0.0)
+        # all stance before the first tick: a leg scheduled in swing at t = 0
+        # plans its swing there
+        contact_prev = (True,) * 4
         forces = np.zeros(12)
         speed_sum = 0.0
         for k in range(n):

@@ -119,10 +119,11 @@ class TestSlope:
 
 
 class TestTouchdowns:
-    @pytest.mark.parametrize("ground", ["flat", "slope"])
-    def test_each_planned_swing_reports_one_touchdown_at_its_end(self, monkeypatch, ground):
+    @pytest.mark.parametrize("case", ["flat", "slope", "truth"])
+    def test_each_planned_swing_reports_one_touchdown_at_its_end(self, monkeypatch, case):
         # on estimates a swing starts at the KF's foot, which may lie under
-        # the ground: that liftoff is not a touchdown
+        # the ground: that liftoff is not a touchdown. A leg scheduled in
+        # swing at t = 0 plans its swing on the first tick, so it lands too
         steps = []
         step = sim.SimWorld.step
 
@@ -132,16 +133,20 @@ class TestTouchdowns:
             return world
 
         monkeypatch.setattr(sim.SimWorld, "step", recording)
-        if ground == "flat":
+        if case == "flat":
             run_trot(duration=1.0, v_des=(1.0, 0.0), use_estimates=True)
-        else:
+        elif case == "slope":
             run_slope(duration=1.0, v_des=(1.0, 0.0), use_estimates=True)
+        else:
+            run_trot(duration=0.5)
         stance = np.array([mask for mask, _ in steps])
         touched = np.array([flags for _, flags in steps])
+        assert stance[0].tolist() == [True, False, False, True]
         planned = 0
         for leg in range(4):
             swing = ~stance[:, leg]
-            liftoffs = np.flatnonzero(swing[1:] & ~swing[:-1]) + 1
+            # a leg in swing on the first tick lifts off there
+            liftoffs = np.flatnonzero(swing & ~np.concatenate([[False], swing[:-1]]))
             switches = np.flatnonzero(~swing[1:] & swing[:-1]) + 1
             # the swings that lift off and switch to stance within the run
             swings = [(k0, switches[switches > k0][0]) for k0 in liftoffs
@@ -151,7 +156,7 @@ class TestTouchdowns:
             for (k0, k1), k in zip(swings, events):
                 assert k0 + (k1 - k0) / 2 <= k <= k1, (leg, k0, k, k1)
             planned += len(swings)
-        assert planned == 10
+        assert planned == (6 if case == "truth" else 12)
 
 
 class TestEstimatedFeet:

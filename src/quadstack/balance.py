@@ -120,7 +120,7 @@ def pd_wrench(state: RobotState, des: DesiredState) -> tuple[np.ndarray, np.ndar
 
 def build_force_model(p_c: np.ndarray, feet: np.ndarray, model: BodyModel,
                       acc_lin: np.ndarray, acc_ang: np.ndarray,
-                      r: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                      r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Force/moment map A (6x12) and target wrench b_d (6,).
 
     A = [I I I I; hat(p_1 - p_c) ... hat(p_4 - p_c)]: the identity rows come
@@ -139,7 +139,7 @@ def build_force_model(p_c: np.ndarray, feet: np.ndarray, model: BodyModel,
         r2 += (-y, x, 0.0)
     a = _FORCE_TEMPLATE.copy()
     a[3:6] = (r0, r1, r2)
-    inertia = model.inertia if r is None else model.inertia_world(r)
+    inertia = model.inertia_world(r)
     ax, ay, az = np.asarray(acc_lin, dtype=float).tolist()
     gx, gy, gz = _GRAVITY_XYZ
     m = model.mass

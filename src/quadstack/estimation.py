@@ -80,13 +80,11 @@ class ImuSample:
         self.accel = np.asarray(self.accel, dtype=float).reshape(3)
 
 
-def _kappa(a_norm: float, kappa_ref: float, gravity: float) -> float:
+def _kappa(a_norm: float) -> float:
     """Correction gain shrinking as the accelerometer norm departs from g:
-    kappa_ref * clamp(1 - |a_norm - g| / g, 0, 1)."""
-    if gravity <= 0.0:
-        raise ValueError("gravity must be positive")
-    ratio = abs(a_norm - gravity) / gravity
-    return kappa_ref * min(1.0, max(0.0, 1.0 - ratio))
+    _KAPPA_REF * clamp(1 - |a_norm - g| / g, 0, 1)."""
+    ratio = abs(a_norm - GRAVITY) / GRAVITY
+    return _KAPPA_REF * min(1.0, max(0.0, 1.0 - ratio))
 
 
 def orientation_step(r_hat: np.ndarray, imu: ImuSample, dt: float) -> np.ndarray:
@@ -102,7 +100,7 @@ def orientation_step(r_hat: np.ndarray, imu: ImuSample, dt: float) -> np.ndarray
     wx, wy, wz = imu.gyro.tolist()
     a_norm = math.sqrt(ax * ax + ay * ay + az * az)
     if a_norm > 1e-9:
-        kappa = _kappa(a_norm, _KAPPA_REF, GRAVITY)
+        kappa = _kappa(a_norm)
         ax, ay, az = ax / a_norm, ay / a_norm, az / a_norm
         rx, ry, rz = r_hat[2].tolist()  # R^T e_z is the third row
         wx += kappa * (ay * rz - az * ry)

@@ -55,7 +55,6 @@ class GaitSchedule:
     period: float
     offsets: tuple[float, float, float, float]
     stance_fraction: float
-    name: str = "custom"
 
     def __post_init__(self):
         if self.period <= 0.0:
@@ -80,13 +79,13 @@ _PRESETS = {
 }
 
 
-def gait_preset(name: str, period: float = 0.4) -> GaitSchedule:
+def gait_preset(name: str, period: float) -> GaitSchedule:
     """Built-in gaits: trot, pace, bound, stand."""
     try:
         offsets, stance = _PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown gait preset {name!r}; choose from {sorted(_PRESETS)}") from None
-    return GaitSchedule(period=period, offsets=offsets, stance_fraction=stance, name=name)
+    return GaitSchedule(period=period, offsets=offsets, stance_fraction=stance)
 
 
 def subphase(t: float, sched: GaitSchedule, leg: int) -> tuple[bool, float]:

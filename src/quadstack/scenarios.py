@@ -347,8 +347,8 @@ class TrotDriver:
 
     def _fit_contacts(self):
         self.plane = terrain.fit_plane(self.recent_contacts[:, 0:2], self.recent_contacts[:, 2])
-        r_d, height = terrain.posture_from_plane(self.plane, yaw=0.0, z0=self.z0)
-        self._posture = r_d, (self.plane.normal() * height).tolist()
+        self._posture = (terrain.posture_from_plane(self.plane),
+                         (self.plane.normal() * self.z0).tolist())
 
     def desired(self, t, state: RobotState, contact, phis) -> DesiredState | None:
         """Advance the CoM reference ``p_ref_xy`` to ``t``, given the schedule
@@ -671,8 +671,6 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
                                 feet=spec.feet_start), model, dt=DT, seed=seed)
     dt = world.dt
     lander = BalanceController(model, FrictionSpec(f_max=F_MAX))
-    gains = {"kp_cart": (900.0,) * 3, "kd_cart": (20.0,) * 3,
-             "kp_joint": (20.0,) * 3, "kd_joint": (0.5,) * 3}
 
     # takeoff = end of the first contact block
     t_takeoff = float(ref.phase_times[0])
@@ -691,9 +689,9 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
     dt_ref = max(t_sample, 1e-9)
     ik_fallbacks = 0
 
-    # a leg's targets per reference sample, kept only when its IK succeeds:
-    # a fallback is recomputed, and counted, on every tick
-    targets: dict[tuple[int, int], dict] = {}
+    # a leg's tracking targets per reference sample, kept only when its IK
+    # succeeds: a fallback is recomputed, and counted, on every tick
+    targets: dict[tuple[int, int], tuple] = {}
 
     def leg_targets(leg, i_ref, q_meas):
         nonlocal ik_fallbacks
@@ -709,8 +707,7 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
             q_d, reached = q_meas, False
             ik_fallbacks += 1
         tau_d = stance_torque(q_d, ref.forces[i_ref, 3 * leg:3 * leg + 3], ref.rot[i_ref], leg)
-        refs = {"q_d": q_d, "qd_d": (0.0, 0.0, 0.0), "p_foot_d": pf_d.tolist(),
-                "v_foot_d": vf_d.tolist(), "tau_d": tau_d.tolist()}
+        refs = q_d, pf_d.tolist(), vf_d.tolist(), tau_d.tolist()
         if reached:
             targets[i_ref, leg] = refs
         return refs
@@ -731,7 +728,7 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
             leg_forces = []
             for leg in range(4):
                 refs = targets.get((i_ref, leg)) or leg_targets(leg, i_ref, qs[leg])
-                tau = jump_track_torque(qs[leg], qds[leg], refs, gains, leg)
+                tau = jump_track_torque(qs[leg], qds[leg], *refs, leg)
                 fx, fy, fz = grf_from_torque(qs[leg], tau, rot, leg).tolist()
                 # the ground cannot pull or exceed the hardware force budget;
                 # min(max(.)) keeps np.clip's result, signed zeros included
@@ -795,5 +792,5 @@ def run_slope(duration=4.0, slope=0.17, v_des=(0.3, 0.0), seed=0, **kw) -> Scena
     res.summary["slope_true"] = slope
     res.summary["slope_estimate"] = float(plane.a1)
     res.summary["pitch_desired_deg"] = float(np.rad2deg(
-        so3.matrix_to_rpy(terrain.posture_from_plane(plane, 0.0, driver.z0)[0])[1]))
+        so3.matrix_to_rpy(terrain.posture_from_plane(plane))[1]))
     return res

@@ -29,6 +29,11 @@ __all__ = [
 ]
 
 _APEX = 0.08   # m, height of the swing clearance bump at mid-swing
+# jump_track_torque's diagonal gains: foot position and velocity, joint angle and rate
+_KP_CART = (900.0,) * 3
+_KD_CART = (20.0,) * 3
+_KP_JOINT = (20.0,) * 3
+_KD_JOINT = (0.5,) * 3
 
 L1 = 0.34      # m, thigh: hip pitch axis to knee
 L2 = 0.34      # m, shank: knee to foot
@@ -129,27 +134,27 @@ def ik_angles(d) -> tuple[float, float, float]:
     return q0, q1, q2
 
 
-def jump_track_torque(q: np.ndarray, qd: np.ndarray, refs: dict, gains: dict,
+def jump_track_torque(q: np.ndarray, qd: np.ndarray, q_d, p_foot_d, v_foot_d, tau_d,
                       leg: int) -> np.ndarray:
     """Reference-tracking torque for jump execution.
 
-    ``refs`` carries q_d, qd_d, p_foot_d, v_foot_d, tau_d (body-frame foot
-    targets, feedforward torque); ``gains`` carries kp_cart, kd_cart,
-    kp_joint, kd_joint (diagonal gains, 3 values each). Cartesian PD plus
-    the feedforward, plus a joint-space PD, all in floats: each row of
-    J qd and J^T w is summed left to right.
+    Tracks the joint angles ``q_d`` at zero joint rate, the body-frame foot
+    position and velocity ``p_foot_d`` and ``v_foot_d``, with the
+    feedforward torque ``tau_d``: a Cartesian PD on the foot with gains
+    ``_KP_CART`` and ``_KD_CART``, mapped through J^T, plus a joint-space PD
+    with ``_KP_JOINT`` and ``_KD_JOINT``, all in floats: each row of J qd
+    and J^T w is summed left to right.
     """
     q, qd = _floats(q), _floats(qd)
     (x, y, z), ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = _foot_and_jacobian(q, leg)
     u0, u1, u2 = qd
     v_f = (a0 * u0 + a1 * u1 + a2 * u2, b0 * u0 + b1 * u1 + b2 * u2, c0 * u0 + c1 * u1 + c2 * u2)
     w0, w1, w2 = [kp * (p_d - p) + kd * (v_d - v) for kp, kd, p_d, p, v_d, v in zip(
-        gains["kp_cart"], gains["kd_cart"], refs["p_foot_d"], (x, y, z), refs["v_foot_d"], v_f)]
+        _KP_CART, _KD_CART, p_foot_d, (x, y, z), v_foot_d, v_f)]
     tau_ff = (a0 * w0 + b0 * w1 + c0 * w2, a1 * w0 + b1 * w1 + c1 * w2, a2 * w0 + b2 * w1 + c2 * w2)
-    return np.array([t + t_d + kp * (q_d - qi) + kd * (qd_d - qdi)
-                     for t, t_d, kp, q_d, qi, kd, qd_d, qdi in zip(
-                         tau_ff, refs["tau_d"], gains["kp_joint"], refs["q_d"], q,
-                         gains["kd_joint"], refs["qd_d"], qd)])
+    return np.array([t + t_d + kp * (qi_d - qi) + kd * (0.0 - qdi)
+                     for t, t_d, kp, qi_d, qi, kd, qdi in zip(
+                         tau_ff, tau_d, _KP_JOINT, q_d, q, _KD_JOINT, qd)])
 
 
 def stance_torque(q: np.ndarray, grf_world: np.ndarray, r_body: np.ndarray,

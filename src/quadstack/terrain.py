@@ -4,8 +4,8 @@ The ground under the robot is modeled as a plane z = a0 + a1*x + a2*y fit
 to the most recent contact point of each leg by least squares (with a
 pseudo-inverse, so collinear footholds degrade gracefully to the
 minimum-norm solution). The fitted plane drives a desired body orientation
-(body z along the plane normal, commanded yaw preserved) and a desired
-height measured along the normal.
+(body z along the plane normal, zero yaw); the trot holds its nominal
+height along the same normal.
 """
 
 from __future__ import annotations
@@ -55,14 +55,10 @@ def fit_plane(foot_xy: np.ndarray, foot_z: np.ndarray) -> PlaneCoeffs:
     return PlaneCoeffs(*a)
 
 
-def posture_from_plane(a: PlaneCoeffs, yaw: float, z0: float) -> tuple[np.ndarray, float]:
-    """Desired body rotation and CoM height for standing on the fitted plane.
-
-    The body z-axis is aligned with the plane normal by the minimal tilt
-    rotation, then the commanded yaw is applied about the world z-axis, so
-    changing ``yaw`` changes only the yaw factor. The returned height is the
-    nominal height ``z0`` measured along the plane normal.
-    """
+def posture_from_plane(a: PlaneCoeffs) -> np.ndarray:
+    """Desired body rotation for standing on the fitted plane: the minimal
+    tilt rotation that aligns the body z-axis with the plane normal, at
+    zero yaw."""
     if abs(a.a1) >= _MAX_SLOPE or abs(a.a2) >= _MAX_SLOPE:
         raise SlopeTooSteepError(f"slopes out of range: a1={a.a1}, a2={a.a2}")
     n = a.normal()
@@ -73,10 +69,6 @@ def posture_from_plane(a: PlaneCoeffs, yaw: float, z0: float) -> tuple[np.ndarra
     axis = np.cross(z_axis, n)
     s = np.linalg.norm(axis)
     if s < 1e-12:
-        r_tilt = np.eye(3)
-    else:
-        angle = np.arctan2(s, float(n @ z_axis))
-        r_tilt = so3.exp_exact(axis / s * angle)
-    r_d = r_tilt @ so3.rot_z(yaw)
-    return r_d, float(z0)
-
+        return np.eye(3)
+    angle = np.arctan2(s, float(n @ z_axis))
+    return so3.exp_exact(axis / s * angle)

@@ -143,7 +143,7 @@ class TestCriterion4:
     def test_balance_qp(self, monkeypatch):
         model = BodyModel()
         a, b_d = build_force_model([0.0, 0.0, 0.45], FEET, model,
-                                   np.zeros(3), np.zeros(3))
+                                   np.zeros(3), np.zeros(3), np.eye(3))
         with monkeypatch.context() as weights:
             weights.setattr(balance, "_ALPHA", 1e-9)
             weights.setattr(balance, "_BETA", 0.0)
@@ -160,7 +160,8 @@ class TestCriterion4:
             if not mask.any():
                 mask[0] = True
             a_i, b_i = build_force_model([0.0, 0.0, 0.45], FEET + rng.normal(size=(4, 3)) * 0.04,
-                                         model, rng.normal(size=3) * 2, rng.normal(size=3))
+                                         model, rng.normal(size=3) * 2, rng.normal(size=3),
+                                         np.eye(3))
             fi = balance_qp(a_i, b_i, np.zeros(12), friction, mask)
             for leg in range(4):
                 fx, fy, fz = fi[3 * leg:3 * leg + 3]

@@ -39,14 +39,13 @@ def set_gains(monkeypatch):
     return set_
 
 
-def force_model_per_leg(p_c, feet, model, acc_lin, acc_ang, r=None):
+def force_model_per_leg(p_c, feet, model, acc_lin, acc_ang, r):
     """build_force_model as the per-leg np.eye / so3.hat construction."""
     a = np.zeros((6, 12))
     for i in range(4):
         a[0:3, 3 * i:3 * i + 3] = np.eye(3)
         a[3:6, 3 * i:3 * i + 3] = so3.hat(feet[i] - p_c)
-    inertia = model.inertia if r is None else model.inertia_world(r)
-    b_d = np.concatenate([model.mass * (acc_lin - GRAVITY_W), inertia @ acc_ang])
+    b_d = np.concatenate([model.mass * (acc_lin - GRAVITY_W), model.inertia_world(r) @ acc_ang])
     return a, b_d
 
 
@@ -192,20 +191,20 @@ class TestPdWrench:
 class TestForceModel:
     def test_zero_lever_arm(self):
         feet = np.vstack([STAND.pos, FEET[1:]])
-        a, _ = build_force_model(STAND.pos, feet, MODEL, np.zeros(3), np.zeros(3))
+        a, _ = build_force_model(STAND.pos, feet, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
         assert_allclose(a[3:6, 0:3], np.zeros((3, 3)), atol=1e-12)
 
     def test_hover_wrench(self):
-        _, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
+        _, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
         assert_allclose(b_d[0:3], [0.0, 0.0, 45.0 * 9.81], atol=1e-12)
         assert_allclose(b_d[0:3], [0.0, 0.0, 441.45], atol=1e-10)
         assert_allclose(b_d[3:6], np.zeros(3), atol=1e-12)
 
     def test_translation_invariance(self):
-        a1, _ = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
+        a1, _ = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
         shift = np.array([1.0, -2.0, 0.3])
         a2, _ = build_force_model(STAND.pos + shift, FEET + shift, MODEL,
-                                  np.zeros(3), np.zeros(3))
+                                  np.zeros(3), np.zeros(3), np.eye(3))
         assert_allclose(a1, a2, atol=1e-12)
 
     def test_matches_per_leg_construction_bit_for_bit(self):
@@ -218,9 +217,9 @@ class TestForceModel:
             if case % 7 == 0:
                 feet[:, 2] = p_c[2]  # a lever arm in the body's plane
             acc_lin, acc_ang = rng.normal(size=3), rng.normal(size=3)
-            r = so3.exp_exact(rng.normal(size=3)) if case % 2 else None
-            got = build_force_model(p_c, feet, MODEL, acc_lin, acc_ang, r=r)
-            want = force_model_per_leg(p_c, feet, MODEL, acc_lin, acc_ang, r=r)
+            r = so3.exp_exact(rng.normal(size=3)) if case % 2 else np.eye(3)
+            got = build_force_model(p_c, feet, MODEL, acc_lin, acc_ang, r)
+            want = force_model_per_leg(p_c, feet, MODEL, acc_lin, acc_ang, r)
             for x, y in zip(got, want):
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), case
 
@@ -228,14 +227,14 @@ class TestForceModel:
 class TestBalanceQp:
     def test_hover_distributes_weight_evenly(self, set_gains):
         set_gains(alpha=1e-9, beta=0.0)
-        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
+        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
         f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), np.ones(4, dtype=bool))
         for i in range(4):
             assert_allclose(f[3 * i + 2], 45.0 * 9.81 / 4.0, atol=0.5)
             assert_allclose(f[3 * i:3 * i + 2], np.zeros(2), atol=0.5)
 
     def test_swing_feet_exactly_zero(self):
-        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
+        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
         mask = np.array([True, False, False, True])
         f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), mask)
         assert np.all(f[3:9] == 0.0)
@@ -245,7 +244,7 @@ class TestBalanceQp:
         # huge lateral acceleration: tangential forces saturate at mu * Fz
         friction = FrictionSpec(mu=0.5, f_min=0.0, f_max=400.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
-                                   np.array([30.0, 0.0, 0.0]), np.zeros(3))
+                                   np.array([30.0, 0.0, 0.0]), np.zeros(3), np.eye(3))
         f = balance_qp(a, b_d, np.zeros(12), friction,
                        np.ones(4, dtype=bool))
         for i in range(4):
@@ -259,8 +258,8 @@ class TestBalanceQp:
         # b_d in range(A); compare against the pseudo-inverse solution
         set_gains(s_weight=np.eye(6), alpha=1e-12, beta=0.0)
         friction = FrictionSpec(mu=5.0, f_min=0.0, f_max=1e5)
-        a, b_d = build_force_model(STAND.pos, FEET, MODEL,
-                                   np.array([0.5, -0.2, 0.3]), np.array([0.1, 0.2, -0.1]))
+        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.array([0.5, -0.2, 0.3]),
+                                   np.array([0.1, 0.2, -0.1]), np.eye(3))
         f = balance_qp(a, b_d, np.zeros(12), friction, np.ones(4, dtype=bool))
         assert_allclose(a @ f, b_d, atol=1e-5)
         f_ls = np.linalg.pinv(a) @ b_d
@@ -269,8 +268,8 @@ class TestBalanceQp:
     def test_beta_slews_solution(self, set_gains):
         # increasing beta monotonically shrinks the step from f_prev
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
-                                   np.array([0.0, 0.0, 3.0]), np.zeros(3))
-        a0, b0 = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
+                                   np.array([0.0, 0.0, 3.0]), np.zeros(3), np.eye(3))
+        a0, b0 = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
         set_gains(beta=0.0)
         f_prev = balance_qp(a0, b0, np.zeros(12), FrictionSpec(), np.ones(4, dtype=bool))
         steps = []
@@ -290,7 +289,7 @@ class TestBalanceQp:
                 mask[0] = True
             acc = rng.normal(size=3) * 2.0
             ang = rng.normal(size=3) * 1.0
-            a, b_d = build_force_model(STAND.pos, feet, MODEL, acc, ang)
+            a, b_d = build_force_model(STAND.pos, feet, MODEL, acc, ang, np.eye(3))
             f = balance_qp(a, b_d, np.zeros(12), friction, mask)
             for i in range(4):
                 fx, fy, fz = f[3 * i:3 * i + 3]
@@ -305,7 +304,7 @@ class TestBalanceQp:
         # unreachable wrench with tight bounds: the normal forces stop at f_max
         friction = FrictionSpec(mu=0.3, f_min=0.0, f_max=150.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
-                                   np.array([0.0, 0.0, 100.0]), np.zeros(3))
+                                   np.array([0.0, 0.0, 100.0]), np.zeros(3), np.eye(3))
         f = balance_qp(a, b_d, np.zeros(12), friction,
                        np.ones(4, dtype=bool))
         assert np.all(f[2::3] <= 150.0 + 1e-7)
@@ -325,7 +324,7 @@ class TestBalanceQp:
         solver = CountingSolver()
         friction = FrictionSpec(mu=0.3, f_min=0.0, f_max=150.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.array([0.0, 0.0, 100.0]),
-                                   np.zeros(3))
+                                   np.zeros(3), np.eye(3))
         with pytest.raises(ForceDistributionError, match="MAX_ITER"):
             balance_qp(a, b_d, np.zeros(12), friction,
                        np.ones(4, dtype=bool), solver=solver)
@@ -342,7 +341,7 @@ class TestStanceSets:
                 # the larger wrenches saturate the bounds: rows join the working set
                 scale = 40.0 if case % 2 else 1.0
                 a, b_d = build_force_model(STAND.pos, feet, MODEL, rng.normal(size=3) * scale,
-                                           rng.normal(size=3) * scale)
+                                           rng.normal(size=3) * scale, np.eye(3))
                 f_prev = rng.normal(size=12) * 50.0
                 solver = RecordingSolver()
                 f = balance_qp(a, b_d, f_prev, friction, mask, solver=solver)
@@ -363,7 +362,7 @@ class TestStanceSets:
             assert ActiveSetSolver().solve(fresh).x.tobytes() == x.tobytes(), i
 
     def test_all_swing_raises_before_any_cache_lookup(self):
-        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3))
+        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
         before = (_stance_cols.cache_info(), _friction_rows.cache_info())
         with pytest.raises(ValueError, match="stance"):
             balance_qp(a, b_d, np.zeros(12), FrictionSpec(),

@@ -142,19 +142,19 @@ class TestRecordedTrotTicks:
 
 class TestAdaptiveKappa:
     def test_at_rest(self):
-        assert_allclose(_kappa(G, 0.1, G), 0.1)
+        assert_allclose(_kappa(G), estimation._KAPPA_REF)
 
     def test_double_gravity(self):
-        assert_allclose(_kappa(2 * G, 0.1, G), 0.0)
+        assert_allclose(_kappa(2 * G), 0.0)
 
     def test_zero_accel(self):
-        assert_allclose(_kappa(0.0, 0.1, G), 0.0)
+        assert_allclose(_kappa(0.0), 0.0)
 
     def test_range(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            k = _kappa(float(np.linalg.norm(rng.normal(size=3) * 15.0)), 0.1, G)
-            assert 0.0 <= k <= 0.1
+            k = _kappa(float(np.linalg.norm(rng.normal(size=3) * 15.0)))
+            assert 0.0 <= k <= estimation._KAPPA_REF
 
 
 class TestOrientationFilter:

@@ -57,7 +57,7 @@ class TestSubphase:
         assert_allclose(np.diff(phis), np.diff(phis)[0], atol=1e-9)
 
     def test_stand_preset_always_contact(self):
-        stand = gait.gait_preset("stand")
+        stand = gait.gait_preset("stand", 0.4)
         for t in np.linspace(0.0, 2.0, 50):
             for leg in range(4):
                 assert gait.subphase(t, stand, leg)[0]

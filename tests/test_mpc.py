@@ -315,7 +315,7 @@ class TestSolve:
             MODEL.mass * ((v_ref - x0[6:9]) / dt - GRAVITY_W),
             i_w @ (w_ref - x0[9:12]) / dt,
         ])
-        a, _ = build_force_model(x_ref[0:3], FEET, MODEL, np.zeros(3), np.zeros(3))
+        a, _ = build_force_model(x_ref[0:3], FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
         monkeypatch.setattr(balance, "_S_WEIGHT", s_w)
         monkeypatch.setattr(balance, "_ALPHA", alpha)
         monkeypatch.setattr(balance, "_BETA", 0.0)

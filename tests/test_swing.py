@@ -58,7 +58,7 @@ def jump_track_torque_numpy(q, qd, refs, gains, leg):
     tau = j.T @ (kp_c @ (r["p_foot_d"] - leg_fk_numpy(q, leg))
                  + kd_c @ (r["v_foot_d"] - j @ qd))
     tau = tau + r["tau_d"]
-    return tau + kp_j @ (r["q_d"] - q) + kd_j @ (r["qd_d"] - qd)
+    return tau + kp_j @ (r["q_d"] - q) + kd_j @ (np.zeros(3) - qd)
 
 
 def stance_torque_numpy(q, grf_world, r_body, leg):
@@ -94,7 +94,7 @@ def jump_track_torque_floats(q, qd, refs, gains, leg):
          for i in range(3)]
     t = mat_vec(transpose(j), w)
     return np.array([t[i] + r["tau_d"][i] + g["kp_joint"][i] * (r["q_d"][i] - q[i])
-                     + g["kd_joint"][i] * (r["qd_d"][i] - qd[i]) for i in range(3)])
+                     + g["kd_joint"][i] * (0.0 - qd[i]) for i in range(3)])
 
 
 def stance_torque_floats(q, grf_world, r_body, leg):
@@ -190,40 +190,42 @@ class TestKinematics:
 
 
 class TestJumpTracking:
-    GAINS = {"kp_cart": np.full(3, 500.0), "kd_cart": np.full(3, 10.0),
-             "kp_joint": np.full(3, 30.0), "kd_joint": np.full(3, 1.0)}
+    GAINS = {"kp_cart": (500.0,) * 3, "kd_cart": (10.0,) * 3,
+             "kp_joint": (30.0,) * 3, "kd_joint": (1.0,) * 3}
+
+    @pytest.fixture(autouse=True)
+    def gains(self, monkeypatch):
+        # gains other than the program's: each term must read its own constant
+        for name, value in self.GAINS.items():
+            monkeypatch.setattr(swing, f"_{name.upper()}", value)
 
     def test_feedforward_passthrough(self):
         q = np.array([0.1, -0.6, 1.3])
         j = leg_jacobian(q, 0)
-        refs = {"q_d": q, "qd_d": np.zeros(3), "p_foot_d": leg_fk(q, 0),
-                "v_foot_d": j @ np.zeros(3), "tau_d": np.array([1.0, -2.0, 0.5])}
-        tau = jump_track_torque(q, np.zeros(3), refs, self.GAINS, 0)
-        assert_allclose(tau, refs["tau_d"], atol=1e-12)
+        tau_d = np.array([1.0, -2.0, 0.5])
+        tau = jump_track_torque(q, np.zeros(3), q, leg_fk(q, 0), j @ np.zeros(3), tau_d, 0)
+        assert_allclose(tau, tau_d, atol=1e-12)
 
     def test_joint_only_error(self):
         q = np.array([0.0, -0.5, 1.0])
         dq = np.array([0.05, -0.02, 0.04])
-        refs = {"q_d": q + dq, "qd_d": np.zeros(3), "p_foot_d": leg_fk(q, 0),
-                "v_foot_d": np.zeros(3), "tau_d": np.zeros(3)}
-        tau = jump_track_torque(q, np.zeros(3), refs, self.GAINS, 0)
+        tau = jump_track_torque(q, np.zeros(3), q + dq, leg_fk(q, 0), np.zeros(3), np.zeros(3), 0)
         assert_allclose(tau, np.diag(self.GAINS["kp_joint"]) @ dq, atol=1e-12)
 
     def test_matches_array_formula(self):
         rng = np.random.default_rng(22)
-        gains = {k: tuple(v.tolist()) for k, v in self.GAINS.items()}
         for i, q in enumerate(workspace_qs(rng, 200)):
             leg = i % 4
             qd = rng.normal(scale=2.0, size=3)
-            refs = {"q_d": q + rng.normal(scale=0.1, size=3), "qd_d": np.zeros(3),
+            refs = {"q_d": q + rng.normal(scale=0.1, size=3),
                     "p_foot_d": leg_fk(q, leg) + rng.normal(scale=0.02, size=3),
                     "v_foot_d": rng.normal(size=3), "tau_d": rng.normal(scale=20.0, size=3)}
-            want = jump_track_torque_floats(q, qd, refs, gains, leg)
-            assert_same_bits(jump_track_torque(q, qd, refs, gains, leg), want)
+            want = jump_track_torque_floats(q, qd, refs, self.GAINS, leg)
+            assert_same_bits(jump_track_torque(q, qd, **refs, leg=leg), want)
             as_floats = {k: v.tolist() for k, v in refs.items()}
-            assert_same_bits(jump_track_torque(q.tolist(), qd.tolist(), as_floats, gains, leg),
+            assert_same_bits(jump_track_torque(q.tolist(), qd.tolist(), **as_floats, leg=leg),
                              want)
-            assert_relative(want, jump_track_torque_numpy(q, qd, refs, gains, leg))
+            assert_relative(want, jump_track_torque_numpy(q, qd, refs, self.GAINS, leg))
 
 
 class TestStanceMapping:

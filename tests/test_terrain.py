@@ -73,29 +73,27 @@ class TestFitPlane:
 
 class TestPosture:
     def test_flat_ground(self):
-        r, h = posture_from_plane(PlaneCoeffs(), yaw=0.0, z0=0.45)
-        assert_allclose(r, np.eye(3), atol=1e-12)
-        assert h == 0.45
+        assert_allclose(posture_from_plane(PlaneCoeffs()), np.eye(3), atol=1e-12)
 
     def test_uphill_pitch(self):
         slope = np.tan(np.deg2rad(10.0))
-        r, _ = posture_from_plane(PlaneCoeffs(0.0, slope, 0.0), yaw=0.0, z0=0.45)
+        r = posture_from_plane(PlaneCoeffs(0.0, slope, 0.0))
         rpy = so3.matrix_to_rpy(r)
         assert_allclose(np.rad2deg(rpy[1]), -10.0, atol=1e-9)
         assert abs(rpy[0]) <= 1e-9
 
     def test_body_z_along_normal(self):
         a = PlaneCoeffs(0.1, 0.3, -0.2)
-        r, _ = posture_from_plane(a, yaw=0.7, z0=0.4)
+        r = posture_from_plane(a)
         assert_allclose(r @ [0.0, 0.0, 1.0], a.normal(), atol=1e-12)
 
-    def test_yaw_changes_only_yaw_factor(self):
-        a = PlaneCoeffs(0.0, 0.2, 0.1)
-        r0, _ = posture_from_plane(a, yaw=0.0, z0=0.4)
-        r1, _ = posture_from_plane(a, yaw=1.1, z0=0.4)
-        assert_allclose(r1, r0 @ so3.rot_z(1.1), atol=1e-12)
+    def test_tilt_axis_is_horizontal(self):
+        # the minimal tilt turns about a horizontal axis: no yaw is added
+        r = posture_from_plane(PlaneCoeffs(0.0, 0.2, 0.1))
+        axis = so3.log_map(r)
+        assert abs(axis[2]) <= 1e-12 and np.linalg.norm(axis) > 0.1
 
     def test_steep_slope_rejected(self):
         with pytest.raises(SlopeTooSteepError):
-            posture_from_plane(PlaneCoeffs(0.0, 50.0, 0.0), yaw=0.0, z0=0.4)
+            posture_from_plane(PlaneCoeffs(0.0, 50.0, 0.0))
 

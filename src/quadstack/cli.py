@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 import traceback
@@ -205,23 +206,53 @@ def write_summary(path: Path, summary: dict) -> None:
 # -- subcommands --------------------------------------------------------------
 
 
+def _positive(where: str, value) -> float:
+    """A config number as a float, finite and above 0."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"config key {where} must be finite and positive, got {value!r}")
+    return value
+
+
+def _at_least(where: str, value, low: float) -> float:
+    """A config number as a float, finite and at least ``low``."""
+    value = float(value)
+    if not low <= value < math.inf:
+        raise ConfigError(f"config key {where} must be finite and at least {low}, got {value!r}")
+    return value
+
+
 def _body_model(cfg: dict) -> BodyModel:
     robot = cfg["robot"]
-    return BodyModel(mass=float(robot["mass_kg"]),
-                     inertia=np.diag([float(x) for x in robot["inertia_diag"]]))
+    if len(robot["inertia_diag"]) != 3:
+        raise ConfigError(f"config key robot.inertia_diag must have 3 entries, "
+                          f"got {robot['inertia_diag']!r}")
+    return BodyModel(mass=_positive("robot.mass_kg", robot["mass_kg"]),
+                     inertia=np.diag([_positive("robot.inertia_diag", x)
+                                      for x in robot["inertia_diag"]]))
 
 
 def _duration(cfg: dict, default: float) -> float:
-    return float(cfg["duration_s"]) if cfg["duration_s"] is not None else default
+    """``duration_s``, at least one control tick, or ``default`` when null."""
+    if cfg["duration_s"] is None:
+        return default
+    return _at_least("duration_s", cfg["duration_s"], scenarios.DT)
+
+
+def _noise(cfg: dict) -> dict:
+    """The sensor-noise arguments of the scenarios, each at least 0."""
+    noise = cfg["noise"]
+    return dict(accel_std=_at_least("noise.accel_std", noise["accel_std"], 0.0),
+                gyro_std=_at_least("noise.gyro_std", noise["gyro_std"], 0.0),
+                accel_bias_mag=_at_least("noise.accel_bias", noise["accel_bias"], 0.0))
 
 
 def cmd_stand(cfg: dict, out: Path) -> dict:
+    noise = _noise(cfg)
     res = scenarios.run_stand(
         duration=_duration(cfg, 10.0), seed=int(cfg["seed"]),
-        accel_std=float(cfg["noise"]["accel_std"]),
-        gyro_std=float(cfg["noise"]["gyro_std"]),
-        accel_bias_mag=float(cfg["noise"]["accel_bias"]),
-        model=_body_model(cfg), log_every=1)
+        accel_std=noise["accel_std"], gyro_std=noise["gyro_std"],
+        accel_bias_mag=noise["accel_bias_mag"], model=_body_model(cfg), log_every=1)
     write_csv(out / "stand_log.csv", res.log)
     return res.summary
 
@@ -231,21 +262,19 @@ def _trot_args(cfg: dict) -> dict:
     from .gait import _PRESETS
 
     if cfg["gait"]["preset"] not in _PRESETS:
-        raise ConfigError(f"unknown gait preset: {cfg['gait']['preset']!r} "
+        raise ConfigError(f"unknown gait.preset: {cfg['gait']['preset']!r} "
                           f"(choose from {sorted(_PRESETS)})")
     args = dict(
         v_des=(float(cfg["command"]["vx_mps"]), float(cfg["command"]["vy_mps"])),
         seed=int(cfg["seed"]),
         use_estimates=bool(cfg["controller"]["use_estimates"]),
         preset=str(cfg["gait"]["preset"]),
-        period=float(cfg["gait"]["period_s"]),
-        z0=float(cfg["robot"]["z0_m"]), model=_body_model(cfg),
+        period=_positive("gait.period_s", cfg["gait"]["period_s"]),
+        z0=_positive("robot.z0_m", cfg["robot"]["z0_m"]), model=_body_model(cfg),
         ramp_time=float(cfg["command"]["ramp_s"]))
     if args["use_estimates"]:
         # the sensors are read only on estimates (READ_IF holds noise at its defaults)
-        noise = cfg["noise"]
-        args.update(accel_std=float(noise["accel_std"]), gyro_std=float(noise["gyro_std"]),
-                    accel_bias_mag=float(noise["accel_bias"]))
+        args.update(_noise(cfg))
     return args
 
 
@@ -290,7 +319,7 @@ def _jump_spec(cfg: dict):
     """The preset's spec and its published timings; a ``jump.*`` key left
     null keeps the preset's own value."""
     jump = cfg["jump"]
-    kw = dict(n_knots=int(jump["n_knots"]), z0=float(cfg["robot"]["z0_m"]),
+    kw = dict(n_knots=int(jump["n_knots"]), z0=_positive("robot.z0_m", cfg["robot"]["z0_m"]),
               model=_body_model(cfg))
     if jump["flight_min_s"] is not None:
         kw["flight_min"] = float(jump["flight_min_s"])

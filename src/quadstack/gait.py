@@ -75,12 +75,11 @@ _PRESETS = {
     "trot": ((0.0, 0.5, 0.5, 0.0), 0.5),
     "pace": ((0.0, 0.5, 0.0, 0.5), 0.5),
     "bound": ((0.0, 0.0, 0.5, 0.5), 0.5),
-    "stand": ((0.0, 0.0, 0.0, 0.0), 0.999),  # legs practically never swing
 }
 
 
 def gait_preset(name: str, period: float) -> GaitSchedule:
-    """Built-in gaits: trot, pace, bound, stand."""
+    """Built-in gaits: trot, pace, bound."""
     try:
         offsets, stance = _PRESETS[name]
     except KeyError:

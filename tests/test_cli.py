@@ -4,7 +4,7 @@ from collections.abc import Mapping
 import numpy as np
 import pytest
 
-from quadstack import cli, scenarios
+from quadstack import cli, gait, scenarios
 from quadstack.balance import ForceDistributionError
 from quadstack.mpc import MpcInfeasibleError
 from quadstack.trajopt import BodyReference, NoConvergenceError
@@ -58,6 +58,31 @@ class TestConfig:
         assert code == 2
         assert payload["kind"] == "config" and key in payload["error"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("subcommand, config_text, duration, key", [
+        ("trot", None, 0.0, "duration_s"),
+        ("trot", None, -1.0, "duration_s"),
+        ("slope", "duration_s: 0\n", None, "duration_s"),
+        ("stand", None, -1.0, "duration_s"),
+        ("trot", "gait:\n  period_s: 0.0\n", None, "gait.period_s"),
+        ("trot", "gait:\n  period_s: -0.3\n", None, "gait.period_s"),
+        ("trot", "gait:\n  preset: stand\n", None, "gait.preset"),
+        ("trot", "robot:\n  mass_kg: 0\n", None, "robot.mass_kg"),
+        ("trot", "robot:\n  z0_m: 0\n", None, "robot.z0_m"),
+        ("jump-opt", "robot:\n  z0_m: 0\n", None, "robot.z0_m"),
+        ("trot", "robot:\n  inertia_diag: [0.35, 2.1]\n", None, "robot.inertia_diag"),
+        ("stand", "robot:\n  inertia_diag: [0.35, 2.1, .inf]\n", None, "robot.inertia_diag"),
+        ("stand", "noise:\n  accel_std: -0.05\n", None, "noise.accel_std"),
+        ("trot", "controller:\n  use_estimates: true\nnoise:\n  gyro_std: .nan\n", None,
+         "noise.gyro_std"),
+    ])
+    def test_out_of_range_value_is_config_error(self, tmp_path, subcommand, config_text,
+                                                duration, key):
+        # read where the handler reads it, so the --duration flag, which
+        # bypasses the type check, is checked too
+        code, payload = run_cli(tmp_path, subcommand, config_text, duration_s=duration)
+        assert code == 2, payload
+        assert payload["kind"] == "config" and key in payload["error"]
 
     def test_env_override_keeps_its_type(self, monkeypatch):
         monkeypatch.setenv("QUADSTACK_CONTROLLER__USE_ESTIMATES", "false")
@@ -401,10 +426,12 @@ class TestJump:
 
 class TestTrot:
     def test_gait_preset_accepted(self, tmp_path):
-        code, summary = run_cli(tmp_path, "trot", "gait:\n  preset: stand\n",
-                                duration_s=0.5)
-        assert code == 0
-        assert summary["height_rms_m"] <= 1e-3  # all-stance preset stands still
+        # every preset the config accepts completes a balance trot
+        for preset in gait._PRESETS:
+            code, summary = run_cli(tmp_path, "trot", f"gait:\n  preset: {preset}\n",
+                                    out_dir=str(tmp_path / preset), duration_s=0.5)
+            assert code == 0, (preset, summary)
+            assert np.isfinite(summary["height_rms_m"]), preset
 
     def test_unknown_gait_preset_rejected(self, tmp_path):
         code, payload = run_cli(tmp_path, "trot", "gait:\n  preset: gallop\n")

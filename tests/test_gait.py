@@ -56,12 +56,6 @@ class TestSubphase:
         phis = [gait.subphase(t, TROT, 0)[1] for t in ts]
         assert_allclose(np.diff(phis), np.diff(phis)[0], atol=1e-9)
 
-    def test_stand_preset_always_contact(self):
-        stand = gait.gait_preset("stand", 0.4)
-        for t in np.linspace(0.0, 2.0, 50):
-            for leg in range(4):
-                assert gait.subphase(t, stand, leg)[0]
-
 
 class TestPhaseGains:
     def test_contact_mid(self):

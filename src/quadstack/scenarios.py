@@ -487,7 +487,7 @@ class TrotDriver:
 
             swing_targets = {}
             for leg in range(4):
-                if not contact[leg] and leg in self.swing_trajs:
+                if not contact[leg]:
                     traj, t0 = self.swing_trajs[leg]
                     swing_targets[leg] = traj.sample(t + self.world.dt - t0)[0]
             self.world.step(forces, mask, swing_targets)

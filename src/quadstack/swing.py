@@ -210,11 +210,11 @@ class SwingTrajectory:
     def __init__(self, p_start: np.ndarray, p_end: np.ndarray, duration: float):
         if duration <= 0.0:
             raise ValueError("duration must be positive")
-        self.p0 = np.asarray(p_start, dtype=float).reshape(3)
-        self.p1 = np.asarray(p_end, dtype=float).reshape(3)
+        p0 = np.asarray(p_start, dtype=float).reshape(3)
+        p1 = np.asarray(p_end, dtype=float).reshape(3)
         self.duration = float(duration)
-        self._p0 = self.p0.tolist()
-        self._delta = (self.p1 - self.p0).tolist()
+        self._p0 = p0.tolist()
+        self._delta = (p1 - p0).tolist()
 
     def _s(self, u: float) -> tuple[float, float, float]:
         s = u**3 * (10.0 - 15.0 * u + 6.0 * u * u)

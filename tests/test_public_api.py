@@ -4,7 +4,9 @@ boundaries the benchmark patches."""
 import ast
 import importlib
 import importlib.util
+import itertools
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -487,3 +489,20 @@ def test_instance_attributes_are_read():
     assert not unexplained, f"instance attributes stored but never read: {unexplained}"
     stale = [n for n in INSTANCE_ATTR_TEST_ONLY_ALLOWED if n not in unread]
     assert not stale, f"allowlist entries that are not unread instance attributes: {stale}"
+
+
+def test_readme_constants_exist():
+    # each name in the README's table of module constants: ``module.name``
+    # in a row's first cell, and the bare names after it in the same module
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = readme.index("| constant | value |") + 2
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), readme[start:]))
+    assert rows
+    missing = []
+    for row in rows:
+        for name in re.findall(r"`([\w.]+)`", row.split("|")[1]):
+            if "." in name:
+                module, _, name = name.rpartition(".")
+            if not hasattr(importlib.import_module(f"quadstack.{module}"), name):
+                missing.append(f"{module}.{name}")
+    assert not missing, f"README constants that do not exist: {missing}"

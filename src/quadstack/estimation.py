@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from . import so3
 from .balance import GRAVITY, GRAVITY_W
@@ -201,6 +201,9 @@ def _process_matrices(dt: float, stance: tuple[bool, ...], inflation: float):
 
 
 def _stance_key(in_stance) -> tuple[bool, ...]:
+    """The cache key of the (4,) contact flags; a tuple passes unchanged."""
+    if type(in_stance) is tuple:
+        return in_stance
     return tuple(np.asarray(in_stance, dtype=bool).reshape(4).tolist())
 
 
@@ -266,24 +269,32 @@ def kf_update(s: KfState, rel_pos: np.ndarray, rel_vel: np.ndarray,
     with covariance scaled by :data:`SWING_INFLATION_DEFAULT` so they carry
     (numerically) no information. Raises :class:`SingularInnovationError`
     if the innovation covariance cannot be factorized.
-    """
-    # rows per foot: [rel pos; rel vel; height]. h(x) = -v_b on the velocity
-    # rows: feet fixed => rel_vel = -v_b
-    z = np.concatenate([rel_pos, rel_vel, np.reshape(contact_heights, (4, 1))], axis=1).reshape(28)
-    r_diag = _stance_r_diag(_stance_key(in_stance), SWING_INFLATION_DEFAULT)
 
-    innovation = z - _H @ s.mean
+    The gain is formed from the Cholesky factor L of S = H P H^T + R: one
+    triangular solve gives W = L^-1 H P and w = L^-1 nu, so the mean gains
+    W^T w and the covariance becomes P - W^T W, which equals the Joseph form
+    for the optimal gain. numpy forms W^T W as a symmetric rank-k product,
+    so a symmetric P stays exactly symmetric.
+    """
+    r_diag = _stance_r_diag(_stance_key(in_stance), SWING_INFLATION_DEFAULT)
     pht = s.cov @ _H_T
     s_mat = _H @ pht
     s_mat.ravel()[::29] += r_diag
-    # LAPACK Cholesky directly: the scipy.linalg wrappers cost more than
-    # the 28x28 factorization itself
+    # LAPACK directly: the scipy.linalg wrappers cost more than the 28x28
+    # factorization itself
     factor, info = dpotrf(s_mat, lower=1, clean=0)
     if info != 0:
         raise SingularInnovationError("innovation covariance not positive definite")
-    k = dpotrs(factor, pht.T, lower=1)[0].T  # P H^T S^-1
-    mean = s.mean + k @ innovation
-    ikh = _EYE18 - k @ _H
-    cov = ikh @ s.cov @ ikh.T + (k * r_diag) @ k.T  # Joseph form
-    cov = 0.5 * (cov + cov.T)
-    return unchecked(KfState, mean=mean, cov=cov)
+    # right-hand side [H P | nu], filled by rows of its transpose; the
+    # innovation nu = z - H x has per foot [rel pos; rel vel; height], and
+    # h(x) = -v_b on the velocity rows: feet fixed => rel_vel = -v_b
+    rhs_t = np.empty((19, 28))
+    rhs_t[:18] = pht
+    z = rhs_t[18].reshape(4, 7)
+    z[:, 0:3] = rel_pos
+    z[:, 3:6] = rel_vel
+    z[:, 6] = contact_heights
+    rhs_t[18] -= _H @ s.mean
+    w = dtrtrs(factor, rhs_t.T, lower=1, overwrite_b=1)[0]
+    w_p = w[:, :18]
+    return unchecked(KfState, mean=s.mean + w_p.T @ w[:, 18], cov=s.cov - w_p.T @ w_p)

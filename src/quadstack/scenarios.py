@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gait, mpc, so3, terrain
 from .balance import GRAVITY_W, MU, BalanceController, BodyModel, FrictionSpec
-from .estimation import (ImuSample, kf_default_state, kf_predict, kf_update,
+from .estimation import (ImuSample, _stance_key, kf_default_state, kf_predict, kf_update,
                          leg_measurements_batch, orientation_step)
 from .mpc import MpcConfig, solve_mpc
 from .sim import SensorNoise, SimWorld
@@ -135,11 +135,12 @@ class EstimatorLoop:
         """One estimator tick on the IMU sample and the (4, 3) encoder arrays;
         the contact heights are the ground's under the KF's own feet."""
         self._last_gyro = imu.gyro.copy()
+        stance = _stance_key(stance_mask)  # the KF caches' key, formed once
         self.r_hat = r_hat = orientation_step(self.r_hat, imu, dt)
-        self.kf = kf_predict(self.kf, r_hat, imu.accel, dt, stance_mask)
+        self.kf = kf_predict(self.kf, r_hat, imu.accel, dt, stance)
         rel_pos, rel_vel = leg_measurements_batch(qs, qds, r_hat, imu.gyro)
         heights = np.array([self.ground.height(x, y) for x, y, _ in self.kf.feet.tolist()])
-        self.kf = kf_update(self.kf, rel_pos, rel_vel, heights, stance_mask)
+        self.kf = kf_update(self.kf, rel_pos, rel_vel, heights, stance)
 
     def estimated_state(self) -> RobotState:
         # body rate taken straight from the gyro channel

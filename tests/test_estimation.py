@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import cho_factor, cho_solve, expm
+from scipy.linalg import cholesky, expm, solve_triangular
 
 from quadstack import estimation, scenarios, so3
 from quadstack.estimation import (
@@ -80,26 +80,50 @@ def kf_predict_dense(s, r_hat, accel, dt, in_stance):
     return mean, 0.5 * (cov + cov.T)
 
 
-def kf_update_dense(s, rel_pos, rel_vel, heights, in_stance):
-    """kf_update with H and the measurement variances formed per call."""
+def measurement_matrix():
+    """The (28, 18) H: per foot, relative position, relative velocity, height."""
     h = np.zeros((28, 18))
     for i in range(4):
         h[7 * i:7 * i + 3, 0:3] = -np.eye(3)
         h[7 * i:7 * i + 3, 6 + 3 * i:9 + 3 * i] = np.eye(3)
         h[7 * i + 3:7 * i + 6, 3:6] = -np.eye(3)
         h[7 * i + 6, 8 + 3 * i] = 1.0
+    return h
+
+
+def measurement_terms(s, rel_pos, rel_vel, heights, in_stance):
+    """H, the (28,) measurement variances and the innovation, formed per call."""
+    h = measurement_matrix()
     r_foot = np.array([R_POS_DEFAULT] * 3 + [R_VEL_DEFAULT] * 3 + [R_HEIGHT_DEFAULT])
     r_diag = np.repeat(np.where(in_stance, 1.0, SWING_INFLATION_DEFAULT), 7) * np.tile(r_foot, 4)
-    z = np.concatenate([rel_pos, rel_vel, heights[:, None]], axis=1).reshape(28)
-    innovation = z - h @ s.mean
+    z = np.concatenate([rel_pos, rel_vel, np.reshape(heights, (4, 1))], axis=1).reshape(28)
+    return h, r_diag, z - h @ s.mean
+
+
+def kf_update_dense(s, rel_pos, rel_vel, heights, in_stance):
+    """kf_update with H and the measurement variances formed per call, through
+    scipy.linalg's wrappers of the same LAPACK kernels."""
+    h, r_diag, innovation = measurement_terms(s, rel_pos, rel_vel, heights, in_stance)
     pht = s.cov @ h.T
     s_mat = h @ pht
     s_mat[np.diag_indices(28)] += r_diag
-    k = cho_solve(cho_factor(s_mat, lower=True), pht.T).T
-    mean = s.mean + k @ innovation
+    w = solve_triangular(cholesky(s_mat, lower=True), np.column_stack([pht.T, innovation]),
+                         lower=True)
+    w_p = w[:, :18]
+    return s.mean + w_p.T @ w[:, 18], s.cov - w_p.T @ w_p
+
+
+def kf_update_joseph(s, rel_pos, rel_vel, heights, in_stance):
+    """The textbook update: gain K = P H^T S^-1, Joseph-form covariance."""
+    h, r_diag, innovation = measurement_terms(s, rel_pos, rel_vel, heights, in_stance)
+    s_mat = h @ s.cov @ h.T + np.diag(r_diag)
+    k = np.linalg.solve(s_mat, h @ s.cov).T
     ikh = np.eye(18) - k @ h
-    cov = ikh @ s.cov @ ikh.T + (k * r_diag) @ k.T
-    return mean, 0.5 * (cov + cov.T)
+    return s.mean + k @ innovation, ikh @ s.cov @ ikh.T + k @ np.diag(r_diag) @ k.T
+
+
+def all_stance_sets():
+    return [tuple(bool((k >> leg) & 1) for leg in range(4)) for k in range(16)]
 
 
 class TestRecordedTrotTicks:
@@ -114,7 +138,7 @@ class TestRecordedTrotTicks:
     def test_update_bit_for_bit(self, trot_kf_calls):
         stances = set()
         for i, (args, out) in enumerate(trot_kf_calls["kf_update"]):
-            stances.add(tuple(args[-1].tolist()))
+            stances.add(args[-1])
             mean, cov = kf_update_dense(*args)
             assert out.mean.tobytes() == mean.tobytes(), i
             assert out.cov.tobytes() == cov.tobytes(), i
@@ -139,6 +163,19 @@ class TestRecordedTrotTicks:
                 assert out.mean.tobytes() == mean.tobytes(), k
                 assert out.cov.tobytes() == cov.tobytes(), k
 
+
+    def test_update_matches_the_joseph_form(self, trot_kf_calls):
+        # an independent oracle: each recorded prior and measurement under
+        # every stance set, against the textbook gain and Joseph form
+        def rel_err(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+        for i, (args, _) in enumerate(trot_kf_calls["kf_update"]):
+            for stance in all_stance_sets():
+                out = kf_update(*args[:-1], stance)
+                mean, cov = kf_update_joseph(*args[:-1], stance)
+                assert rel_err(out.mean, mean) <= 1e-12, (i, stance)
+                assert rel_err(out.cov, cov) <= 1e-12, (i, stance)
 
 class TestAdaptiveKappa:
     def test_at_rest(self):
@@ -316,6 +353,38 @@ class TestKfUpdate:
             s = kf_update(s, *meas)
             assert_allclose(s.cov, s.cov.T, atol=1e-12)
             assert np.min(np.linalg.eigvalsh(s.cov)) >= -1e-10
+
+    def test_cov_exactly_symmetric_psd_over_a_trot(self):
+        # 2 s of diagonal pairs alternating every 0.15 s; the swing feet keep
+        # their rows, with lifted and moving measurements
+        rng = np.random.default_rng(4)
+        p_b = np.array([0.0, 0.0, 0.45])
+        s = kf_default_state(p_b, FEET)
+        pairs = ((True, False, False, True), (False, True, True, False))
+        for k in range(2000):
+            stance = pairs[(k // 150) % 2]
+            s = kf_predict(s, np.eye(3), [0.0, 0.0, G] + rng.normal(size=3) * 0.05, 0.001,
+                           stance)
+            feet = FEET.copy()
+            feet[~np.array(stance), 2] = 0.08 * np.sin(np.pi * (k % 150) / 150)
+            rel_pos, rel_vel, heights, _ = stance_measurements(
+                p_b + rng.normal(size=3) * 0.001, rng.normal(size=3) * 0.01, feet)
+            s = kf_update(s, rel_pos, rel_vel, heights, stance)
+            assert np.array_equal(s.cov, s.cov.T), k
+            assert np.min(np.linalg.eigvalsh(s.cov)) >= -1e-10, k
+
+    def test_tuple_and_array_stance_agree(self):
+        rng = np.random.default_rng(5)
+        s = kf_default_state(np.array([0.0, 0.0, 0.45]), FEET)
+        meas = (FEET - s.pos + rng.normal(size=(4, 3)) * 1e-3, rng.normal(size=(4, 3)) * 0.01,
+                np.zeros(4))
+        for stance in all_stance_sets():
+            outs = []
+            for flags in (stance, np.array(stance)):
+                prior = kf_predict(s, so3.rot_z(0.1), np.array([0.1, 0.0, G]), 0.001, flags)
+                outs.append(kf_update(prior, *meas, flags))
+            assert outs[0].mean.tobytes() == outs[1].mean.tobytes(), stance
+            assert outs[0].cov.tobytes() == outs[1].cov.tobytes(), stance
 
     def test_bias_rejection_closed_loop(self):
         # constant accelerometer bias: fused velocity stays bounded while

@@ -542,7 +542,9 @@ class TimingProblem:
         search may hold it for every trial and call it only where it stops.
         """
         spec = self.spec
-        z = np.asarray(z, dtype=float)
+        # the handle keeps this point's state, which must not share the
+        # caller's array (st.durations is a view of z)
+        z = np.array(z, dtype=float) if need_grad else np.asarray(z, dtype=float)
         st = self._state(z)
         pos, vel, omega, rots, h = st.pos, st.vel, st.omega, st.rots, st.h
 
@@ -585,11 +587,12 @@ class TimingProblem:
                      + _EPS_ROT * float(np.sum(e_vecs * e_vecs)))
         if not need_grad:
             return cost, c_eq, ineq, None
-        return cost, c_eq, ineq, partial(self._derivative_blocks, z.copy())
+        return cost, c_eq, ineq, partial(self._derivative_blocks, st)
 
-    def _derivative_blocks(self, z: np.ndarray, y_eq: np.ndarray | None = None,
+    def _derivative_blocks(self, st: SimpleNamespace, y_eq: np.ndarray | None = None,
                            y_in: np.ndarray | None = None):
-        """Exact constraint Jacobian, Lagrangian Hessian and gradient.
+        """Exact constraint Jacobian, Lagrangian Hessian and gradient at the
+        point whose :meth:`_state` is ``st``.
 
         Returns ``(jac, hess, grad)``. ``jac`` has shape ``block_rows.shape +
         (n_cols,)``: the derivatives of each block's rows in its variables
@@ -603,7 +606,6 @@ class TimingProblem:
         included. Without multipliers both are None.
         """
         spec = self.spec
-        st = self._state(z)
         n, n_items, bs = self.n_int, self.n_force // 3, self.block_size
         m, fs = spec.model.mass, self.f_scale
         inertia, inv_i = self.inertia_cm, self.inv_inertia_cm
@@ -1035,38 +1037,50 @@ class _BorderedSystem:
         self.scale = max(1.0, float(np.max(np.abs(band[-1]), initial=0.0)),
                          float(np.max(np.abs(np.diag(corner)), initial=0.0)))
 
-    def step(self, g: np.ndarray, fixed: np.ndarray, delta: float):
-        """Newton step -(K + delta I)^-1 g over the free variables, or None.
+    def masked(self, g: np.ndarray, fixed: np.ndarray):
+        """The Newton step -(K + delta I)^-1 g over the free variables as a
+        function of delta: the step, or None if the damped matrix is not
+        positive definite.
 
-        Fixed variables keep a zero step. None means the damped matrix is
-        not positive definite.
+        Fixed variables keep a zero step. Their rows and columns are masked
+        out of the band, border and right-hand side here, once; each delta
+        then adds delta on the free diagonal of a copy and factors it. The
+        band is masked in place, so a system serves one set of fixed
+        variables.
         """
         n_x, u = self.band.shape[1], self.band.shape[0] - 1
         mx = np.empty(n_x)
         mx[self.pos] = ~fixed[:n_x]
         mt = (~fixed[n_x:]).astype(float)
-        ab = self.band.copy()
+        band = self.band
         for d in range(u):
             s = u - d
-            ab[d, s:] *= mx[:-s] * mx[s:]
-        ab[u] = ab[u] * mx + (1.0 - mx) + delta * mx
+            band[d, s:] *= mx[:-s] * mx[s:]
+        band[u] = band[u] * mx + (1.0 - mx)
         c = self.border * mx[:, None] * mt
-        dmat = self.corner * np.outer(mt, mt) + np.diag(1.0 - mt + delta * mt)
+        corner, corner_diag = self.corner * np.outer(mt, mt), 1.0 - mt
         rhs = np.empty((n_x, 1 + len(mt)))
         rhs[self.pos, 0] = -g[:n_x]
         rhs[:, 0] *= mx
         rhs[:, 1:] = c
-        try:
-            factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-            y = cho_solve_banded((factor, False), rhs, overwrite_b=True, check_finite=False)
-            schur = np.linalg.cholesky(dmat - c.T @ y[:, 1:])
-        except np.linalg.LinAlgError:
-            return None
-        dt = cho_solve((schur, True), -g[n_x:] * mt - c.T @ y[:, 0], check_finite=False)
-        out = np.empty(len(g))
-        out[:n_x] = (y[:, 0] - y[:, 1:] @ dt)[self.pos]
-        out[n_x:] = dt
-        return out if np.all(np.isfinite(out)) else None
+        g_t = -g[n_x:] * mt
+
+        def step(delta: float):
+            ab = band.copy()
+            ab[u] += delta * mx
+            dmat = corner + np.diag(corner_diag + delta * mt)
+            try:
+                factor = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+                y = cho_solve_banded((factor, False), rhs, check_finite=False)
+                schur = np.linalg.cholesky(dmat - c.T @ y[:, 1:])
+            except np.linalg.LinAlgError:
+                return None
+            dt = cho_solve((schur, True), g_t - c.T @ y[:, 0], check_finite=False)
+            out = np.empty(len(g))
+            out[:n_x] = (y[:, 0] - y[:, 1:] @ dt)[self.pos]
+            out[n_x:] = dt
+            return out if np.all(np.isfinite(out)) else None
+        return step
 
 
 class _AugmentedLagrangian:
@@ -1139,8 +1153,9 @@ def minimize(al: _AugmentedLagrangian, z: np.ndarray, lo: np.ndarray,
         newton_matrix = None           # frees the blocks before the next ones are formed
         nit += 1
         free = ~fixed
+        step = system.masked(g, fixed)
         while delta <= _DELTA_MAX * system.scale:
-            d = system.step(g, fixed, delta)
+            d = step(delta)
             if d is not None and (g[free] @ d[free] < 0.0 or not np.any(g[free])):
                 break
             delta = max(10.0 * delta, _DELTA_FLOOR * system.scale)
@@ -1179,7 +1194,7 @@ def _row_scales(problem: TimingProblem, z: np.ndarray, structure: _KktStructure)
     (friction rows carry the force scale, the angular rows the inverse
     inertia); equilibrating them keeps the penalty Hessian workable.
     """
-    jac = problem._derivative_blocks(z)[0]
+    jac = problem._derivative_blocks(problem._state(z))[0]
     scales = 1.0 / np.clip(structure.row_norms(jac), _ROW_NORM_MIN, _ROW_NORM_MAX)
     return scales[:problem.n_eq], scales[problem.n_eq:]
 

@@ -231,7 +231,7 @@ class TestBuild:
             return val, (y_eq, y_in)
 
         # the AL gradient is the Lagrangian's at y = (lam + rho c_eq, max(0, mu + rho c_in))
-        g = prob._derivative_blocks(z, *al(z)[1])[2]
+        g = prob._derivative_blocks(prob._state(z), *al(z)[1])[2]
         eps = 1e-5
         for i in rng.choice(prob.n_vars, size=60, replace=False):
             zp = z.copy(); zp[i] += eps
@@ -248,7 +248,7 @@ class TestBuild:
         assert prob._eval(z, need_grad=False)[3] is None
         z_seen = z.copy()
         z[:] = 0.0                       # the handle keeps its own point
-        for a, b in zip(derivatives(*y), prob._derivative_blocks(z_seen, *y)):
+        for a, b in zip(derivatives(*y), prob._derivative_blocks(prob._state(z_seen), *y)):
             assert np.array_equal(a, b)
 
 
@@ -323,7 +323,7 @@ class TestNewtonStructure:
                 zp[i] += eps
                 zm[i] -= eps
                 fd[:, i] = (self.constraints(prob, zp) - self.constraints(prob, zm)) / (2 * eps)
-            jac = prob._derivative_blocks(z)[0]
+            jac = prob._derivative_blocks(prob._state(z))[0]
             padding = (prob.block_rows[:, :, None] < 0) | (prob.block_cols[:, None, :] < 0)
             assert not np.any(jac[padding])
             assert not np.any(jac[:, ~prob.block_pattern])     # the band layout's pattern
@@ -340,18 +340,18 @@ class TestNewtonStructure:
                 zp, zm = z.copy(), z.copy()
                 zp[i] += eps
                 zm[i] -= eps
-                fd[:, i] = (prob._derivative_blocks(zp, *y)[2]
-                            - prob._derivative_blocks(zm, *y)[2]) / (2 * eps)
+                fd[:, i] = (prob._derivative_blocks(prob._state(zp), *y)[2]
+                            - prob._derivative_blocks(prob._state(zm), *y)[2]) / (2 * eps)
             fd = 0.5 * (fd + fd.T)
-            jac, hess, _ = prob._derivative_blocks(z, *y)
+            jac, hess, _ = prob._derivative_blocks(prob._state(z), *y)
             lagrangian = dense_matrix(structure.assemble(jac, hess, np.zeros(structure.n_rows)),
                                       structure)
             assert_allclose(lagrangian, fd, atol=1e-6 * np.max(np.abs(fd)))
             # the Gauss-Newton term adds J^T W J exactly
             w = np.random.default_rng(8).uniform(0.0, 2.0, structure.n_rows)
-            j_full = dense_jacobian(prob, prob._derivative_blocks(z)[0])
-            full = dense_matrix(structure.assemble(*prob._derivative_blocks(z, *y)[:2], w),
-                                structure)
+            j_full = dense_jacobian(prob, prob._derivative_blocks(prob._state(z))[0])
+            blocks = prob._derivative_blocks(prob._state(z), *y)
+            full = dense_matrix(structure.assemble(*blocks[:2], w), structure)
             assert_allclose(full - lagrangian, j_full.T @ (w[:, None] * j_full),
                             atol=1e-9 * np.max(np.abs(full)))
 
@@ -391,13 +391,17 @@ class BowlMerit:
             s = n_x - 1 - d
             band[d, s:] = h[np.arange(n_x - s), np.arange(s, n_x)]
         out = _BorderedSystem(band, h[:n_x, n_x:], h[n_x:, n_x:], np.arange(n_x))
-        step = out.step
+        masked = out.masked
 
-        def recorded(g, fixed, delta):
-            self.deltas.append(delta)
-            return step(g, fixed, delta)
+        def recorded(g, fixed):
+            step = masked(g, fixed)
 
-        out.step = recorded
+            def at(delta):
+                self.deltas.append(delta)
+                return step(delta)
+            return at
+
+        out.masked = recorded
         return out
 
 
@@ -444,7 +448,7 @@ class TestProjectedNewton:
         assert res.merit_evals == 1 + trajopt._MAX_BACKTRACKS
 
         singular = BowlMerit()        # no damping gives a factorization
-        singular.system = lambda h: SimpleNamespace(scale=1.0, step=lambda g, fixed, delta: None)
+        singular.system = lambda h: SimpleNamespace(scale=1.0, masked=lambda g, fixed: lambda d: None)
         res = trajopt.minimize(singular, x0, *free)
         assert (res.stop, res.nit, res.merit_evals) == ("no descent direction", 1, 1)
         assert np.array_equal(res.x, x0)

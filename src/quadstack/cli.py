@@ -222,6 +222,14 @@ def _at_least(where: str, value, low: float) -> float:
     return value
 
 
+def _finite(where: str, value) -> float:
+    """A config number as a float, finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {where} must be finite, got {value!r}")
+    return value
+
+
 def _body_model(cfg: dict) -> BodyModel:
     robot = cfg["robot"]
     if len(robot["inertia_diag"]) != 3:
@@ -264,14 +272,16 @@ def _trot_args(cfg: dict) -> dict:
     if cfg["gait"]["preset"] not in _PRESETS:
         raise ConfigError(f"unknown gait.preset: {cfg['gait']['preset']!r} "
                           f"(choose from {sorted(_PRESETS)})")
+    command = cfg["command"]
     args = dict(
-        v_des=(float(cfg["command"]["vx_mps"]), float(cfg["command"]["vy_mps"])),
+        v_des=(_finite("command.vx_mps", command["vx_mps"]),
+               _finite("command.vy_mps", command["vy_mps"])),
         seed=int(cfg["seed"]),
         use_estimates=bool(cfg["controller"]["use_estimates"]),
         preset=str(cfg["gait"]["preset"]),
         period=_positive("gait.period_s", cfg["gait"]["period_s"]),
         z0=_positive("robot.z0_m", cfg["robot"]["z0_m"]), model=_body_model(cfg),
-        ramp_time=float(cfg["command"]["ramp_s"]))
+        ramp_time=_at_least("command.ramp_s", command["ramp_s"], 0.0))
     if args["use_estimates"]:
         # the sensors are read only on estimates (READ_IF holds noise at its defaults)
         args.update(_noise(cfg))
@@ -298,7 +308,8 @@ def cmd_mpc_trot(cfg: dict, out: Path) -> dict:
 
 def cmd_slope(cfg: dict, out: Path) -> dict:
     res = scenarios.run_slope(duration=_duration(cfg, 4.0),
-                              slope=float(cfg["slope"]["grade"]), **_trot_args(cfg))
+                              slope=_finite("slope.grade", cfg["slope"]["grade"]),
+                              **_trot_args(cfg))
     write_csv(out / "slope_log.csv", res.log)
     return res.summary
 
@@ -322,12 +333,12 @@ def _jump_spec(cfg: dict):
     kw = dict(n_knots=int(jump["n_knots"]), z0=_positive("robot.z0_m", cfg["robot"]["z0_m"]),
               model=_body_model(cfg))
     if jump["flight_min_s"] is not None:
-        kw["flight_min"] = float(jump["flight_min_s"])
+        kw["flight_min"] = _positive("jump.flight_min_s", jump["flight_min_s"])
     if jump["preset"] == "hop":
         return scenarios.hop_spec(**kw), None
     if jump["preset"] == "spin90":
         if jump["yaw_goal_deg"] is not None:
-            kw["yaw_deg"] = float(jump["yaw_goal_deg"])
+            kw["yaw_deg"] = _finite("jump.yaw_goal_deg", jump["yaw_goal_deg"])
         return scenarios.spin_spec(**kw), scenarios.SPIN90_REFERENCE_TIMINGS_10MS
     raise ConfigError(f"unknown jump preset: {jump['preset']!r}")
 

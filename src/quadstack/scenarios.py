@@ -296,6 +296,8 @@ class TrotDriver:
                  accel_bias_mag=0.0):
         if not use_estimates and (accel_std or gyro_std or accel_bias_mag):
             raise ValueError("sensor noise is read only with use_estimates")
+        if not ramp_time >= 0.0:
+            raise ValueError(f"ramp_time must be non-negative, got {ramp_time!r}")
         self.model = model or BodyModel()
         self.ground = ground or PlaneCoeffs()
         self.sched = gait.gait_preset(preset, period=period)

@@ -57,6 +57,11 @@ class SensorNoise:
     accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
+        # a negative std would read as no noise at all in synth_imu
+        for name in ("gyro_std", "accel_std"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {getattr(self, name)!r}")
         self.accel_bias = np.asarray(self.accel_bias, dtype=float).reshape(3)
 
 

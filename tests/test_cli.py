@@ -75,6 +75,14 @@ class TestConfig:
         ("stand", "noise:\n  accel_std: -0.05\n", None, "noise.accel_std"),
         ("trot", "controller:\n  use_estimates: true\nnoise:\n  gyro_std: .nan\n", None,
          "noise.gyro_std"),
+        ("trot", "command:\n  vx_mps: .nan\n", None, "command.vx_mps"),
+        ("mpc-trot", "command:\n  vy_mps: -.inf\n", None, "command.vy_mps"),
+        ("trot", "command:\n  ramp_s: -1.0\n", None, "command.ramp_s"),
+        ("slope", "slope:\n  grade: .inf\n", None, "slope.grade"),
+        ("jump-sim", "jump:\n  preset: spin90\n  yaw_goal_deg: .nan\n", None,
+         "jump.yaw_goal_deg"),
+        ("jump-opt", "jump:\n  flight_min_s: 0.0\n", None, "jump.flight_min_s"),
+        ("jump-sim", "jump:\n  flight_min_s: -0.3\n", None, "jump.flight_min_s"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, subcommand, config_text,
                                                 duration, key):

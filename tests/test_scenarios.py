@@ -94,6 +94,12 @@ class TestTrot:
         with pytest.raises(ValueError, match="use_estimates"):
             run_trot(duration=0.01, **noise)
 
+    @pytest.mark.parametrize("ramp_time", [-1.0, np.nan])
+    def test_negative_ramp_is_rejected(self, ramp_time):
+        # v_cmd would read it as no ramp
+        with pytest.raises(ValueError, match="ramp_time"):
+            scenarios.TrotDriver(duration=0.01, ramp_time=ramp_time)
+
     def test_mpc_ticks_advance_the_reference_without_a_target(self):
         # the MPC's horizon tables read only the CoM reference: desired
         # advances it as on a balance tick and builds no balance target

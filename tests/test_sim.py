@@ -228,6 +228,15 @@ class TestSensors:
         assert_allclose(std, [0.05] * 3, rtol=0.1)
 
 
+    @pytest.mark.parametrize("std", [{"accel_std": -0.05}, {"gyro_std": -0.01},
+                                     {"gyro_std": np.nan}, {"accel_std": np.inf}])
+    def test_negative_or_non_finite_std_is_rejected(self, std):
+        # synth_imu adds noise only for a positive std, so a negative one
+        # would give a noise-free sensor
+        with pytest.raises(ValueError, match=next(iter(std))):
+            SensorNoise(**std)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_stance_force_raises_before_the_state_moves(self, bad):

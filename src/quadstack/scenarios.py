@@ -1,10 +1,13 @@
-"""Closed-loop scenario drivers.
+"""Scenario drivers: each returns a :class:`ScenarioResult`, a time-series
+log (column name -> array, names carry units) and a summary dict, which the
+CLI writes to CSV/JSON and the acceptance suite reads.
 
-Each driver wires the simulator, estimator, planners, and force controllers
-into a runnable scenario and returns a :class:`ScenarioResult` holding the
-time-series log (column name -> array, names carry units) and a summary
-dict. The CLI serializes these to CSV/JSON; the acceptance suite calls the
-drivers directly.
+The stand, the trots and the jump run in one closed loop,
+:func:`_closed_loop`, which owns the simulator, the estimator, the log and
+the run time; each tick senses, estimates, controls and steps. A scenario
+supplies the policy: the balance QP or ``hover`` for the stand,
+:class:`TrotDriver` for the trots, the stance tracker plus the lander for
+the jump.
 
 The log schemas live here too, among them the jump reference that
 :func:`reference_log` writes and :func:`reference_from_log` reads back bit
@@ -19,14 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gait, mpc, so3, terrain
+from . import gait, mpc, so3, swing, terrain
 from .balance import GRAVITY_W, MU, BalanceController, BodyModel, FrictionSpec
 from .estimation import (ImuSample, _stance_key, kf_default_state, kf_predict, kf_update,
                          leg_measurements_batch, orientation_step)
 from .mpc import MpcConfig, solve_mpc
 from .sim import SensorNoise, SimWorld
 from .state import DesiredState, RobotState, unchecked
-from .swing import HIP_OFFSETS, SwingTrajectory
+from .swing import HIP_OFFSETS, SwingTrajectory, UnreachableError
 from .terrain import PlaneCoeffs
 from .trajopt import (F_MAX, BodyReference, ContactPhase, JumpSpec, TimingProblem,
                       check_constraints, export_reference, solve_timing)
@@ -57,12 +60,14 @@ class ReplayLogError(ValueError):
 
 def nominal_feet(ground: PlaneCoeffs | None = None) -> np.ndarray:
     """World foot positions under the hips on the ground surface."""
-    feet = np.zeros((4, 3))
-    for i in range(4):
-        hip = HIP_OFFSETS[i]
-        feet[i, 0:2] = hip[0:2]
-        feet[i, 2] = 0.0 if ground is None else ground.height(hip[0], hip[1])
+    feet = HIP_OFFSETS.copy()
+    if ground is not None:
+        feet[:, 2] = [ground.height(x, y) for x, y, _ in feet.tolist()]
     return feet
+
+
+def _rms(a) -> float:
+    return float(np.sqrt(np.mean(np.square(a))))
 
 
 @dataclass
@@ -71,21 +76,10 @@ class ScenarioResult:
     log: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-class Logger:
-    def __init__(self):
-        self.rows: dict[str, list] = {}
-
-    def push(self, **cols):
-        self.push_row(cols, cols.values())
-
-    def push_row(self, names, values):
-        """Append ``values`` to the columns ``names``, in that order."""
-        rows = self.rows
-        for k, v in zip(names, values):
-            rows.setdefault(k, []).append(v)
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {k: np.asarray(v) for k, v in self.rows.items()}
+def _append(log: dict[str, list], names, values):
+    """Append ``values`` to the columns ``names`` of ``log``, in that order."""
+    for name, v in zip(names, values):
+        log.setdefault(name, []).append(v)
 
 
 _BODY_COLS = ([f"{c}{ax}_{u}" for ax in "xyz" for c, u in (("p", "m"), ("v", "mps"), ("w", "radps"))]
@@ -97,32 +91,36 @@ _STATE_COLS = (["t_s"] + _BODY_COLS
 # end time of the contact phase the row's time falls in
 _REFERENCE_COLS = (["t_s"] + _BODY_COLS
                    + [f"f{f}{ax}_N" for f in range(4) for ax in "xyz"] + ["phase_end_s"])
+# the stand's own columns: the estimate, the IMU sample, and per leg its
+# stance flag and encoder angles and rates
+_STAND_COLS = [f"{c}_{ax}_{u}" for c, u in (("phat", "m"), ("vhat", "mps"), ("gyro", "radps"),
+                                            ("accel", "mps2")) for ax in "xyz"]
+for _leg in range(4):
+    _STAND_COLS += [f"stance{_leg}"] + [f"{c}{_leg}{j}_{u}" for j in range(3)
+                                        for c, u in (("q", "rad"), ("qd", "radps"))]
 
 
-def _log_state(log: Logger, world: SimWorld, extra: dict | None = None):
+def _log_state(log: dict[str, list], world: SimWorld, names, values):
+    """Log the world's time and state, then ``values`` in the columns ``names``."""
     s = world.state
-    # the values in _STATE_COLS order: p, v, w per axis, then per foot and
+    # the row in _STATE_COLS order: p, v, w per axis, then per foot and
     # axis its position and force
-    values = [world.t]
+    row = [world.t]
     for kin in zip(s.pos.tolist(), s.vel.tolist(), s.omega.tolist()):
-        values += kin
-    values += s.rot.ravel().tolist()
+        row += kin
+    row += s.rot.ravel().tolist()
     forces = world.contact_forces.tolist()
     for f, foot in enumerate(s.feet.tolist()):
-        values += (foot[0], forces[3 * f], foot[1], forces[3 * f + 1],
-                   foot[2], forces[3 * f + 2])
-    log.push_row(_STATE_COLS, values)
-    if extra:
-        log.push(**extra)
+        row += (foot[0], forces[3 * f], foot[1], forces[3 * f + 1],
+                foot[2], forces[3 * f + 2])
+    _append(log, _STATE_COLS, row)
+    _append(log, names, values)
 
 
 class EstimatorLoop:
-    """Orientation filter + KF over one stream of IMU and encoder samples,
-    on the known terrain ``ground``.
-
-    The live scenarios feed it the simulated sensors tick by tick; the
-    replay of :func:`run_estimate` feeds it a recorded log.
-    """
+    """Orientation filter + KF over one stream of IMU and encoder samples on
+    the known terrain ``ground``: the simulated sensors, tick by tick, or a
+    recorded log in the replay of :func:`run_estimate`."""
 
     def __init__(self, r_hat: np.ndarray, pos: np.ndarray, feet: np.ndarray,
                  ground: PlaneCoeffs):
@@ -148,11 +146,55 @@ class EstimatorLoop:
                          rot=self.r_hat, omega=self._last_gyro, feet=self.kf.feet)
 
 
+def _closed_loop(policy, start: RobotState, model: BodyModel, *, ground: PlaneCoeffs | None,
+                 noise: SensorNoise | None, seed: int, duration: float, log_every: int,
+                 log_before_step: bool) -> ScenarioResult:
+    """Run ``policy`` on the simulated robot from ``start`` for ``duration``.
+
+    Tick ``k``, at time ``t``, senses, estimates, controls and steps:
+    ``policy.stance(t)`` gives the stance mask; with ``noise`` the sensor
+    ``sample`` (imu, qs, qds) feeds the estimator, without it no sensor is
+    read and the policy sees the true state; ``policy.control(k, t, state,
+    sample, world)`` gives the forces and swing targets; the simulator steps
+    once. ``policy.record(world)`` gives the tick's
+    values of ``policy.COLUMNS``, logged with the state every ``log_every``
+    ticks: after the step, or with ``log_before_step`` before it, so that
+    the row holds the state the sensors read.
+    """
+    t_start = time.perf_counter()
+    world = SimWorld(start, model, dt=DT, ground=ground, noise=noise, seed=seed)
+    est = (None if noise is None else
+           EstimatorLoop(world.state.rot, world.state.pos, world.state.feet, world.ground))
+    log = {}
+
+    def record(k):
+        values = policy.record(world)
+        if k % log_every == 0:
+            _log_state(log, world, policy.COLUMNS, values)
+
+    state, sample = world.state, None
+    for k in range(int(round(duration / DT))):
+        t = world.t
+        mask = policy.stance(t)
+        if est is not None:
+            imu = world.synth_imu()
+            qs, qds = world.synth_encoders()
+            est.step(imu, qs, qds, mask, DT)
+            state, sample = est.estimated_state(), (imu, qs, qds)
+        forces, swing_targets = policy.control(k, t, state, sample, world)
+        if log_before_step:
+            record(k)
+        world.step(forces, mask, swing_targets)
+        if not log_before_step:
+            record(k)
+    summary = policy.summary(world)
+    summary["runtime_s"] = time.perf_counter() - t_start
+    return ScenarioResult(summary=summary, log={k: np.asarray(v) for k, v in log.items()})
+
+
 def hop_spec(n_knots: int = 30, z0: float = NOMINAL_Z,
              flight_min: float = 0.3, model: BodyModel | None = None) -> JumpSpec:
     """Vertical hop: push off, fly, land on the same footholds at rest."""
-    model = model or BodyModel()
-    feet = nominal_feet()
     return JumpSpec(
         phases=[ContactPhase(feet=(0, 1, 2, 3), n_knots=n_knots),
                 ContactPhase(feet=(), n_knots=n_knots, t_min=flight_min),
@@ -160,23 +202,21 @@ def hop_spec(n_knots: int = 30, z0: float = NOMINAL_Z,
         p_start=[0.0, 0.0, z0], r_start=np.eye(3),
         p_goal=[0.0, 0.0, z0], r_goal=np.eye(3),
         v_goal=np.zeros(3), omega_goal=np.zeros(3),
-        feet_start=feet, t_min=0.5, t_max=1.8,
-        com_min=[-0.2, -0.2, 0.25], com_max=[0.2, 0.2, z0], model=model)
+        feet_start=nominal_feet(), t_min=0.5, t_max=1.8,
+        com_min=[-0.2, -0.2, 0.25], com_max=[0.2, 0.2, z0], model=model or BodyModel())
 
 
 def spin_spec(yaw_deg: float = 90.0, n_knots: int = 30, z0: float = NOMINAL_Z,
               flight_min: float = 0.25, model: BodyModel | None = None) -> JumpSpec:
     """Spinning jump: four-leg contact then flight, landing rotated in place."""
-    model = model or BodyModel()
-    feet = nominal_feet()
     return JumpSpec(
         phases=[ContactPhase(feet=(0, 1, 2, 3), n_knots=n_knots),
                 ContactPhase(feet=(), n_knots=n_knots, t_min=flight_min)],
         p_start=[0.0, 0.0, z0], r_start=np.eye(3),
         p_goal=[0.0, 0.0, z0], r_goal=so3.rot_z(np.deg2rad(yaw_deg)),
-        feet_start=feet, t_min=0.5, t_max=1.5,
+        feet_start=nominal_feet(), t_min=0.5, t_max=1.5,
         com_min=[-0.25, -0.25, 0.25], com_max=[0.25, 0.25, z0],
-        sphere_radius=0.18, model=model)
+        sphere_radius=0.18, model=model or BodyModel())
 
 
 # Direction of the simulated accelerometer's bias: a property of the unit,
@@ -188,8 +228,7 @@ _ACCEL_BIAS_DIR /= np.linalg.norm(_ACCEL_BIAS_DIR)
 
 
 def sensor_noise(accel_std: float, gyro_std: float, accel_bias_mag: float) -> SensorNoise:
-    """IMU noise with an accelerometer bias of magnitude ``accel_bias_mag``
-    along :data:`_ACCEL_BIAS_DIR`."""
+    """IMU noise, its accelerometer bias ``accel_bias_mag`` along :data:`_ACCEL_BIAS_DIR`."""
     return SensorNoise(gyro_std=gyro_std, accel_std=accel_std,
                        accel_bias=accel_bias_mag * _ACCEL_BIAS_DIR)
 
@@ -197,6 +236,64 @@ def sensor_noise(accel_std: float, gyro_std: float, accel_bias_mag: float) -> Se
 # published contact timings for the 90-degree spinning jump, in units of
 # 10 ms; reported in summaries for context only
 SPIN90_REFERENCE_TIMINGS_10MS = (56, 31)
+
+
+class _StandPolicy:
+    """The balance QP on the estimate, or ``hover``, the exact weight
+    distribution. Records the truth, the estimate and the dead reckoning
+    (mean-only integration) of the same IMU, [pos, vel] per tick."""
+
+    COLUMNS = _STAND_COLS
+
+    def __init__(self, model: BodyModel, controller: str, duration: float):
+        self.duration = duration
+        self.balancer = BalanceController(model) if controller == "balance" else None
+        self.des = DesiredState(pos=[0.0, 0.0, NOMINAL_Z])
+        self.hover = np.tile([0.0, 0.0, model.weight / 4.0], 4)
+        self.pred_pos, self.pred_vel = [0.0, 0.0, NOMINAL_Z], [0.0, 0.0, 0.0]
+        self.truth, self.fused, self.pred = [], [], []
+
+    def stance(self, t):
+        return _ALL_STANCE
+
+    def control(self, k, t, state, sample, world):
+        self._tick = state, sample
+        if self.balancer is None:
+            return self.hover, None
+        return self.balancer.compute(state, self.des, _ALL_STANCE), None
+
+    def record(self, world):
+        state, (imu, qs, qds) = self._tick
+        u = (state.rot @ imu.accel + GRAVITY_W).tolist()
+        self.pred_pos = [p + DT * v + 0.5 * DT * DT * ui
+                         for p, v, ui in zip(self.pred_pos, self.pred_vel, u)]
+        self.pred_vel = [v + DT * ui for v, ui in zip(self.pred_vel, u)]
+        self.pred.append(self.pred_pos + self.pred_vel)
+        self.truth.append(world.state.pos.tolist() + world.state.vel.tolist())
+        self.fused.append(state.pos.tolist() + state.vel.tolist())
+        values = self.fused[-1] + imu.gyro.tolist() + imu.accel.tolist()
+        for q, qd in zip(qs.tolist(), qds.tolist()):
+            values += (1.0, q[0], qd[0], q[1], qd[1], q[2], qd[2])
+        return values
+
+    def summary(self, world):
+        truth = np.array(self.truth)
+
+        def rmse(rows, cols):
+            # RMS over ticks of the Euclidean error norm
+            err = np.array(rows)[:, cols] - truth[:, cols]
+            return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
+
+        pos, vel = slice(0, 3), slice(3, 6)
+        return {
+            "scenario": "stand",
+            "duration_s": self.duration,
+            "height_error_final_m": abs(world.state.pos[2] - NOMINAL_Z),
+            "pos_rmse_m": rmse(self.fused, pos),
+            "vel_rmse_mps": rmse(self.fused, vel),
+            "pred_only_pos_rmse_m": rmse(self.pred, pos),
+            "pred_only_vel_rmse_mps": rmse(self.pred, vel),
+        }
 
 
 def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
@@ -209,80 +306,18 @@ def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
     or "hover" (exact weight distribution, useful to benchmark the
     estimator on a strictly stationary truth). The summary compares fused
     estimation errors against prediction-only dead reckoning under the same
-    accelerometer bias.
+    accelerometer bias. A log row holds the state at a tick's sensing
+    instant, that tick's sensor sample and the estimate from it.
     """
-    t_start = time.perf_counter()
     model = model or BodyModel()
-    noise = sensor_noise(accel_std, gyro_std, accel_bias_mag)
-    feet = nominal_feet()
-    world = SimWorld(RobotState(pos=[0.0, 0.0, NOMINAL_Z], feet=feet), model,
-                     dt=DT, noise=noise, seed=seed)
-    dt = world.dt
-    est = EstimatorLoop(world.state.rot, world.state.pos, feet, world.ground)
-    # dead-reckoning baseline: mean-only integration of the same inputs
-    pred_pos, pred_vel = world.state.pos.tolist(), [0.0, 0.0, 0.0]
-    balancer = BalanceController(model)
-    des = DesiredState(pos=[0.0, 0.0, NOMINAL_Z])
-    stance = np.ones(4, dtype=bool)
-
-    log = Logger()
-    n = int(round(duration / dt))
-    # per step: truth, fused and prediction-only estimates as [pos, vel]
-    truth, fused, pred = np.empty((n, 6)), np.empty((n, 6)), np.empty((n, 6))
-    hover = np.zeros(12)
-    hover[2::3] = model.weight / 4.0
-    forces = hover.copy()
-    for k in range(n):
-        world.step(forces, stance)
-        imu = world.synth_imu()
-        qs, qds = world.synth_encoders()
-        est.step(imu, qs, qds, stance, dt)
-        u = (est.r_hat @ imu.accel + GRAVITY_W).tolist()
-        pred_pos = [p + dt * v + 0.5 * dt * dt * ui for p, v, ui in zip(pred_pos, pred_vel, u)]
-        pred_vel = [v + dt * ui for v, ui in zip(pred_vel, u)]
-        if controller == "balance":
-            forces = balancer.compute(est.estimated_state(), des, stance)
-        else:
-            forces = hover
-
-        truth[k, 0:3], truth[k, 3:6] = world.state.pos, world.state.vel
-        fused[k] = est.kf.mean[0:6]
-        pred[k, 0:3], pred[k, 3:6] = pred_pos, pred_vel
-        if k % log_every == 0:
-            extra = {
-                "phat_x_m": est.kf.pos[0], "phat_y_m": est.kf.pos[1], "phat_z_m": est.kf.pos[2],
-                "vhat_x_mps": est.kf.vel[0], "vhat_y_mps": est.kf.vel[1], "vhat_z_mps": est.kf.vel[2],
-                "gyro_x_radps": imu.gyro[0], "gyro_y_radps": imu.gyro[1], "gyro_z_radps": imu.gyro[2],
-                "accel_x_mps2": imu.accel[0], "accel_y_mps2": imu.accel[1], "accel_z_mps2": imu.accel[2],
-            }
-            for leg in range(4):
-                extra[f"stance{leg}"] = 1.0
-                for j in range(3):
-                    extra[f"q{leg}{j}_rad"] = qs[leg, j]
-                    extra[f"qd{leg}{j}_radps"] = qds[leg, j]
-            _log_state(log, world, extra)
-
-    def rmse(est_cols, cols):
-        # RMS over steps of the Euclidean error norm
-        err = est_cols[:, cols] - truth[:, cols]
-        return float(np.sqrt(np.mean(np.sum(err * err, axis=1))))
-
-    pos, vel = slice(0, 3), slice(3, 6)
-    summary = {
-        "scenario": "stand",
-        "duration_s": duration,
-        "height_error_final_m": abs(world.state.pos[2] - NOMINAL_Z),
-        "pos_rmse_m": rmse(fused, pos),
-        "vel_rmse_mps": rmse(fused, vel),
-        "pred_only_pos_rmse_m": rmse(pred, pos),
-        "pred_only_vel_rmse_mps": rmse(pred, vel),
-        "runtime_s": time.perf_counter() - t_start,
-    }
-    return ScenarioResult(summary=summary, log=log.arrays())
+    return _closed_loop(_StandPolicy(model, controller, duration),
+                        RobotState(pos=[0.0, 0.0, NOMINAL_Z], feet=nominal_feet()), model,
+                        ground=None, noise=sensor_noise(accel_std, gyro_std, accel_bias_mag),
+                        seed=seed, duration=duration, log_every=log_every, log_before_step=True)
 
 
 class TrotDriver:
-    """Shared machinery for the trot scenarios (balance QP or MPC stance force).
+    """The trot policy (balance QP or MPC stance force) and its run.
 
     With ``use_estimates`` the controller runs on the estimator's state, fed
     by sensors with the noise of :func:`sensor_noise`; without it, on the
@@ -302,33 +337,29 @@ class TrotDriver:
         self.ground = ground or PlaneCoeffs()
         self.sched = gait.gait_preset(preset, period=period)
         self.v_des = np.asarray(v_des, dtype=float)
-        self.ramp_time = ramp_time
-        self.duration = duration
-        self.z0 = z0
-        self.controller_type = controller
-        self.adapt_posture = adapt_posture
+        self.ramp_time, self.duration, self.seed, self.z0 = ramp_time, duration, seed, z0
+        self.controller_type, self.adapt_posture = controller, adapt_posture
         feet = nominal_feet(self.ground)
-        start_z = self.ground.height(0.0, 0.0) + z0
-        noise = (sensor_noise(accel_std, gyro_std, accel_bias_mag)
-                 if use_estimates else None)
-        self.world = SimWorld(RobotState(pos=[0.0, 0.0, start_z], feet=feet), self.model,
-                              dt=DT, ground=self.ground, noise=noise, seed=seed)
+        self.start = RobotState(pos=[0.0, 0.0, self.ground.height(0.0, 0.0) + z0], feet=feet)
+        self.noise = (sensor_noise(accel_std, gyro_std, accel_bias_mag)
+                      if use_estimates else None)
         self.balance = BalanceController(self.model)
         self.swing_trajs: dict[int, tuple[SwingTrajectory, float]] = {}
-        self.est = (EstimatorLoop(self.world.state.rot, self.world.state.pos, feet, self.ground)
-                    if use_estimates else None)
         self.recent_contacts = feet.copy()
         # ground plane through recent_contacts and the posture it asks for;
         # refit only when a touchdown writes recent_contacts
         self.plane: PlaneCoeffs | None = None
         if adapt_posture:
             self._fit_contacts()
-        self._mpc_plan = np.zeros((1, 12))
-        self._mpc_contact = None
+        self._mpc_contact = None  # the first tick plans
         # CoM reference (x, y): integrates the commanded velocity, gently
         # anchored to the predictive support polygon (pure polygon tracking at
         # speed leaves the position term fighting the velocity command)
         self.p_ref_xy: tuple[float, float] | None = None
+        # the tick's contact flags (see stance): all stance before the first
+        # tick, so a leg scheduled in swing at t = 0 plans its swing there
+        self._contact = (True,) * 4
+        self._height_err, self._vel_err, self._speed_sum = [], [], 0.0
 
     def v_cmd(self, t: float) -> tuple[float, float]:
         """Commanded velocity (vx, vy) with a spin-up ramp from standstill."""
@@ -345,8 +376,7 @@ class TrotDriver:
 
     def schedule(self, t):
         """Scheduled contact flags and subphase progress of the four legs."""
-        contact, phis = zip(*[gait.subphase(t, self.sched, leg) for leg in range(4)])
-        return contact, phis
+        return tuple(zip(*[gait.subphase(t, self.sched, leg) for leg in range(4)]))
 
     def _fit_contacts(self):
         self.plane = terrain.fit_plane(self.recent_contacts[:, 0:2], self.recent_contacts[:, 2])
@@ -361,13 +391,12 @@ class TrotDriver:
         verts = gait.support_polygon(state.feet.tolist(), weights)
         poly_x, poly_y = gait.desired_com(verts)
         vx, vy = self.v_cmd(t)
-        dt = self.world.dt
         if self.p_ref_xy is None:
             self.p_ref_xy = poly_x, poly_y
         ref_x, ref_y = self.p_ref_xy
-        anchor = _ANCHOR_RATE * dt
-        cx = ref_x + vx * dt + anchor * (poly_x - ref_x)
-        cy = ref_y + vy * dt + anchor * (poly_y - ref_y)
+        anchor = _ANCHOR_RATE * DT
+        cx = ref_x + vx * DT + anchor * (poly_x - ref_x)
+        cy = ref_y + vy * DT + anchor * (poly_y - ref_y)
         self.p_ref_xy = cx, cy
         if self.controller_type == "mpc":
             return None
@@ -385,10 +414,8 @@ class TrotDriver:
         v_td = self.v_cmd(t + self.sched.swing_time())
         target_xy = gait.footstep(hip_w[0:2], self.sched.stance_time(),
                                   v_td, state.vel[0:2], self.z0)
-        target = np.array([target_xy[0], target_xy[1],
-                           self.ground.height(*target_xy)])
-        duration = self.sched.swing_time()
-        traj = SwingTrajectory(state.feet[leg].copy(), target, duration)
+        target = np.array([*target_xy, self.ground.height(*target_xy)])
+        traj = SwingTrajectory(state.feet[leg].copy(), target, self.sched.swing_time())
         self.swing_trajs[leg] = (traj, t)
 
     def mpc_tables(self, t, state: RobotState, contact_now):
@@ -441,88 +468,74 @@ class TrotDriver:
             self._mpc_contact = contact_now
         return self._mpc_plan[0]
 
-    # -- main loop ------------------------------------------------------------
+    # -- the policy of the closed loop ----------------------------------------
+    COLUMNS = ("stance0", "stance1", "stance2", "stance3")
 
-    def run(self) -> ScenarioResult:
-        t_start = time.perf_counter()
-        n = int(round(self.duration / self.world.dt))
-        log = Logger()
-        height_err, vel_err = [], []
-        # all stance before the first tick: a leg scheduled in swing at t = 0
-        # plans its swing there
-        contact_prev = (True,) * 4
-        forces = np.zeros(12)
-        speed_sum = 0.0
-        for k in range(n):
-            t = self.world.t
-            contact, phis = self.schedule(t)
-            mask = np.array(contact)
-            state = self.world.state
+    def stance(self, t):
+        """The scheduled stance mask at ``t``; keeps the tick's schedule."""
+        self._t, self._contact_prev = t, self._contact
+        self._contact, self._phis = self.schedule(t)
+        self._mask = np.array(self._contact)
+        return self._mask
 
-            if self.est is not None:
-                imu = self.world.synth_imu()
-                qs, qds = self.world.synth_encoders()
-                self.est.step(imu, qs, qds, mask, self.world.dt)
-                ctrl_state = self.est.estimated_state()
-            else:
-                ctrl_state = state
+    def control(self, k, t, state, sample, world):
+        contact, contact_prev = self._contact, self._contact_prev
+        # liftoff events start swing trajectories, which give the swing legs'
+        # targets for the end of the tick; touchdowns record contacts
+        touchdown, swing_targets = False, {}
+        for leg in range(4):
+            if contact_prev[leg] and not contact[leg]:
+                self.plan_swing(leg, t, state)
+            if contact[leg] and not contact_prev[leg]:
+                self.recent_contacts[leg] = state.feet[leg].copy()
+                touchdown = True
+            if not contact[leg]:
+                traj, t0 = self.swing_trajs[leg]
+                swing_targets[leg] = traj.sample(t + DT - t0)[0]
+        if touchdown and self.adapt_posture:
+            self._fit_contacts()
 
-            # liftoff events start swing trajectories; touchdowns record contacts
-            touchdown = False
-            for leg in range(4):
-                if contact_prev[leg] and not contact[leg]:
-                    self.plan_swing(leg, t, ctrl_state)
-                if contact[leg] and not contact_prev[leg]:
-                    self.recent_contacts[leg] = ctrl_state.feet[leg].copy()
-                    touchdown = True
-            contact_prev = contact
-            if touchdown and self.adapt_posture:
-                self._fit_contacts()
+        des = self.desired(t, state, contact, self._phis)
+        if self.controller_type == "mpc":
+            # every contact switch replans, and the plan's first step takes the
+            # realized contact flags, so its swing entries are exact zeros
+            return self.mpc_forces(t, state, k, contact), swing_targets
+        return self.balance.compute(state, des, self._mask), swing_targets
 
-            des = self.desired(t, ctrl_state, contact, phis)
-            if self.controller_type == "mpc":
-                # every contact switch replans, and the plan's first step
-                # takes the realized contact flags, so its swing entries are
-                # already exact zeros
-                forces = self.mpc_forces(t, ctrl_state, k, contact)
-            else:
-                forces = self.balance.compute(ctrl_state, des, mask)
+    def record(self, world):
+        px, py, pz = world.state.pos.tolist()
+        self._height_err.append(pz - (self.ground.height(px, py) + self.z0))
+        vel = world.state.vel
+        e = vel[0:2] - self.v_cmd(self._t)
+        self._vel_err.append(math.sqrt(e.dot(e)))  # np.linalg.norm's formula
+        self._speed_sum += math.hypot(vel[0], vel[1])
+        return [float(c) for c in self._contact]
 
-            swing_targets = {}
-            for leg in range(4):
-                if not contact[leg]:
-                    traj, t0 = self.swing_trajs[leg]
-                    swing_targets[leg] = traj.sample(t + self.world.dt - t0)[0]
-            self.world.step(forces, mask, swing_targets)
-
-            px, py, pz = self.world.state.pos.tolist()
-            height_err.append(pz - (self.ground.height(px, py) + self.z0))
-            vel = self.world.state.vel
-            e = vel[0:2] - self.v_cmd(t)
-            vel_err.append(math.sqrt(e.dot(e)))  # np.linalg.norm's formula
-            speed_sum += math.hypot(vel[0], vel[1])
-            if k % 10 == 0:
-                _log_state(log, self.world, {
-                    "stance0": float(contact[0]), "stance1": float(contact[1]),
-                    "stance2": float(contact[2]), "stance3": float(contact[3]),
-                })
-
-        def rms(a):
-            return float(np.sqrt(np.mean(np.square(a))))
-
+    def summary(self, world):
+        n = len(self._height_err)
         summary = {
             "scenario": f"trot/{self.controller_type}",
             "duration_s": self.duration,
             "v_command_mps": float(np.linalg.norm(self.v_des)),
-            "height_rms_m": rms(height_err),
-            "vel_rmse_mps": rms(vel_err),
-            "mean_speed_mps": speed_sum / max(n, 1),
-            "runtime_s": time.perf_counter() - t_start,
+            "height_rms_m": _rms(self._height_err),
+            "vel_rmse_mps": _rms(self._vel_err),
+            "mean_speed_mps": self._speed_sum / max(n, 1),
         }
-        if self.adapt_posture and n > 0:
-            summary["slope_fit_error_final"] = float(abs(self.plane.a1 - self.ground.a1)
-                                                     + abs(self.plane.a2 - self.ground.a2))
-        return ScenarioResult(summary=summary, log=log.arrays())
+        if self.adapt_posture:
+            # the slope: the plane fitted to the footholds and its posture
+            plane = self.plane
+            summary.update(scenario="slope", slope_true=self.ground.a1,
+                           slope_estimate=float(plane.a1), pitch_desired_deg=float(
+                               np.rad2deg(so3.matrix_to_rpy(self._posture[0])[1])))
+            if n > 0:
+                summary["slope_fit_error_final"] = float(abs(plane.a1 - self.ground.a1)
+                                                         + abs(plane.a2 - self.ground.a2))
+        return summary
+
+    def run(self) -> ScenarioResult:
+        return _closed_loop(self, self.start, self.model, ground=self.ground, noise=self.noise,
+                            seed=self.seed, duration=self.duration, log_every=10,
+                            log_before_step=False)
 
 
 def run_trot(duration=5.0, v_des=(1.0, 0.0), seed=0, controller="balance",
@@ -539,6 +552,9 @@ REPLAY_COLUMNS = (
     + [f"qd{leg}{j}_radps" for leg in range(4) for j in range(3)]
     + [f"stance{leg}" for leg in range(4)]
 )
+# the replay's log: per sample its time and the estimated position and velocity
+_ESTIMATE_COLS = ["t_s"] + [f"{c}_{ax}_{u}" for ax in "xyz"
+                           for c, u in (("phat", "m"), ("vhat", "mps"))]
 
 
 def run_estimate(log: dict[str, np.ndarray]) -> ScenarioResult:
@@ -557,7 +573,10 @@ def run_estimate(log: dict[str, np.ndarray]) -> ScenarioResult:
     qs, qds = table[:, 7:19].reshape(n, 4, 3), table[:, 19:31].reshape(n, 4, 3)
     stance = table[:, 31:35] > 0.5
     has_truth = all(f"p{ax}_m" in log for ax in "xyz")
-    out = Logger()
+    if has_truth:
+        truth = np.column_stack([log[f"{c}{ax}_{u}"] for c, u in (("p", "m"), ("v", "mps"))
+                                 for ax in "xyz"])
+    out = {}
     pos_err, vel_err = [], []
     est = None
     for k in range(n):
@@ -568,27 +587,20 @@ def run_estimate(log: dict[str, np.ndarray]) -> ScenarioResult:
             # the first filter step gives
             r_first = orientation_step(_IDENTITY, imu, dt)
             feet0, _ = leg_measurements_batch(qs[0], qds[0], r_first, imu.gyro)
-            p0 = np.array([log[f"p{ax}_m"][0] for ax in "xyz"]) if has_truth else \
-                np.array([0.0, 0.0, -np.mean(feet0[:, 2])])
+            p0 = truth[0, 0:3] if has_truth else np.array([0.0, 0.0, -np.mean(feet0[:, 2])])
             est = EstimatorLoop(np.eye(3), p0, p0 + feet0, PlaneCoeffs())
         est.step(imu, qs[k], qds[k], stance[k], dt)
         kf = est.kf
-        row = {"t_s": t[k]}
-        for i, ax in enumerate("xyz"):
-            row[f"phat_{ax}_m"] = kf.pos[i]
-            row[f"vhat_{ax}_mps"] = kf.vel[i]
-        out.push(**row)
+        (px, py, pz), (vx, vy, vz) = kf.pos.tolist(), kf.vel.tolist()
+        _append(out, _ESTIMATE_COLS, (t[k], px, vx, py, vy, pz, vz))
         if has_truth:
-            truth_p = np.array([log[f"p{ax}_m"][k] for ax in "xyz"])
-            truth_v = np.array([log[f"v{ax}_mps"][k] for ax in "xyz"])
-            pos_err.append(np.linalg.norm(kf.pos - truth_p))
-            vel_err.append(np.linalg.norm(kf.vel - truth_v))
+            pos_err.append(np.linalg.norm(kf.pos - truth[k, 0:3]))
+            vel_err.append(np.linalg.norm(kf.vel - truth[k, 3:6]))
     summary = {"scenario": "estimate", "samples": n,
                "runtime_s": time.perf_counter() - t_start}
     if has_truth:
-        summary["pos_rmse_m"] = float(np.sqrt(np.mean(np.square(pos_err))))
-        summary["vel_rmse_mps"] = float(np.sqrt(np.mean(np.square(vel_err))))
-    return ScenarioResult(summary=summary, log=out.arrays())
+        summary["pos_rmse_m"], summary["vel_rmse_mps"] = _rms(pos_err), _rms(vel_err)
+    return ScenarioResult(summary=summary, log={k: np.asarray(v) for k, v in out.items()})
 
 
 def reference_log(ref: BodyReference) -> dict[str, np.ndarray]:
@@ -629,8 +641,7 @@ def run_jump_opt(spec: JumpSpec,
     """Solve a contact-timing problem and export the sampled body reference,
     logged as :func:`reference_log` writes it."""
     t_start = time.perf_counter()
-    problem = TimingProblem(spec)
-    sol = solve_timing(problem)
+    sol = solve_timing(TimingProblem(spec))
     report = check_constraints(spec, sol)
     ref = export_reference(sol, spec)
     summary = {
@@ -654,6 +665,113 @@ def run_jump_opt(spec: JumpSpec,
     return ScenarioResult(summary=summary, log=reference_log(ref)), ref
 
 
+class _JumpPolicy:
+    """The stance tracker until takeoff, then the lander (see :func:`run_jump_sim`)."""
+
+    COLUMNS = ("landed",)
+
+    def __init__(self, spec: JumpSpec, ref: BodyReference, z_land: float):
+        self.spec, self.ref, self.z_land = spec, ref, z_land
+        self.lander = BalanceController(spec.model, FrictionSpec(f_max=F_MAX))
+        # takeoff = end of the first contact block
+        self.t_takeoff = float(ref.phase_times[0])
+        # pre-landing pose: legs tucked 0.33 m under the hips so the feet clear
+        # the ground until the body has actually descended toward touchdown
+        self.hold_pose_body = [(x, y, -0.33)
+                               for x, y, _ in (spec.feet_start - spec.p_start).tolist()]
+        self.landing_stance, self.ik_fallbacks = [False] * 4, 0
+        self.idx_max, self.t_sample = len(ref.t) - 1, float(ref.t[1] - ref.t[0])
+        self.dt_ref = max(self.t_sample, 1e-9)
+        # a leg's tracking targets per reference sample, kept only when its IK
+        # succeeds: a fallback is recomputed, and counted, on every tick
+        self.targets: dict[tuple[int, int], tuple] = {}
+        # goal posture for the landing recovery
+        self.r_land = so3.rot_z(so3.matrix_to_rpy(spec.r_goal)[2])
+
+    def leg_targets(self, leg, i_ref, q_meas):
+        ref = self.ref
+        i_next = min(i_ref + 1, self.idx_max)
+        foot_w = self.spec.feet_start[leg]
+        pf_d = ref.rot[i_ref].T @ (foot_w - ref.pos[i_ref])
+        vf_d = (ref.rot[i_next].T @ (foot_w - ref.pos[i_next]) - pf_d) / self.dt_ref
+        try:
+            q_d, reached = swing.leg_ik(pf_d, leg).tolist(), True
+        except UnreachableError:
+            # the reference foot left the workspace: hold the measured
+            # joint angles, and count it
+            q_d, reached = q_meas, False
+            self.ik_fallbacks += 1
+        tau_d = swing.stance_torque(q_d, ref.forces[i_ref, 3 * leg:3 * leg + 3],
+                                    ref.rot[i_ref], leg)
+        refs = q_d, pf_d.tolist(), vf_d.tolist(), tau_d.tolist()
+        if reached:
+            self.targets[i_ref, leg] = refs
+        return refs
+
+    def stance(self, t):
+        return _ALL_STANCE if t < self.t_takeoff else self.landing_stance
+
+    def control(self, k, t, state, sample, world):
+        if t < self.t_takeoff:
+            # reference tracking through the legs, on the encoders
+            i_ref = min(int(t / self.t_sample), self.idx_max)
+            qs, qds = world.synth_encoders()
+            qs, qds, rot = qs.tolist(), qds.tolist(), state.rot.tolist()
+            leg_forces = []
+            for leg in range(4):
+                refs = self.targets.get((i_ref, leg)) or self.leg_targets(leg, i_ref, qs[leg])
+                tau = swing.jump_track_torque(qs[leg], qds[leg], *refs, leg)
+                fx, fy, fz = swing.grf_from_torque(qs[leg], tau, rot, leg).tolist()
+                # the ground cannot pull or exceed the hardware force budget;
+                # min(max(.)) keeps np.clip's result, signed zeros included
+                fz = min(max(fz, 0.0), F_MAX)
+                lo, hi = -MU * fz, MU * fz
+                leg_forces += [min(max(fx, lo), hi), min(max(fy, lo), hi), fz]
+            return np.array(leg_forces), None
+
+        # airborne: hold the pre-landing pose and wait for impact; once
+        # landed, the lander drives the touched-down feet
+        forces = _NO_FORCES
+        landing_stance = self.landing_stance
+        if any(landing_stance):
+            # the mean of the four feet summed as np.mean(axis=0) sums it
+            (x0, y0, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = state.feet.tolist()
+            des = unchecked(DesiredState, pos=np.array([(x0 + x1 + x2 + x3) / 4,
+                                                        (y0 + y1 + y2 + y3) / 4, self.z_land]),
+                            vel=_ZERO3, rot=self.r_land)
+            # the balance QP eliminates the swing legs' forces, so their
+            # entries are already exact +0.0
+            forces = self.lander.compute(state, des, landing_stance)
+        # held feet at pos + rot @ hold, each row of the product summed
+        # left to right
+        pos, rot = state.pos.tolist(), state.rot.tolist()
+        swing_targets = {i: tuple(p + (a * hx + b * hy + c * hz)
+                                  for p, (a, b, c) in zip(pos, rot))
+                         for i, (hx, hy, hz) in enumerate(self.hold_pose_body)
+                         if not landing_stance[i]}
+        return forces, swing_targets
+
+    def record(self, world):
+        self.landing_stance = [a or b for a, b in zip(self.landing_stance,
+                                                      world.touched_down.tolist())]
+        return (float(any(self.landing_stance)),)
+
+    def summary(self, world):
+        s = world.state
+        orient_err = float(np.rad2deg(np.linalg.norm(so3.log_map(self.r_land @ s.rot.T))))
+        height_err = float(abs(s.pos[2] - self.z_land))
+        return {
+            "scenario": "jump-sim",
+            "takeoff_time_s": self.t_takeoff,
+            "landed": any(self.landing_stance),
+            "final_orientation_error_deg": orient_err,
+            "final_height_error_m": height_err,
+            "final_speed_mps": float(np.linalg.norm(s.vel)),
+            "final_rate_radps": float(np.linalg.norm(s.omega)),
+            "ik_fallbacks": self.ik_fallbacks,
+        }
+
+
 def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
                  seed: int = 0) -> ScenarioResult:
     """Track an exported jump reference, then catch the landing.
@@ -661,139 +779,18 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
     Stance tracking runs the Cartesian+joint reference-tracking torque law
     per leg and maps the torques back to ground reaction forces. After
     takeoff the legs hold the pre-landing pose; each leg joins the landing
-    stance at the simulator's ``touched_down`` for it, and the landing force
-    controller drives the stance legs to recover a stand for
+    stance at the simulator's ``touched_down`` for it, and the lander drives
+    the stance legs to a stand at ``z_land`` with the goal's yaw for
     :data:`_RECOVER_TIME` seconds past the end of the reference.
     """
-    from .swing import (UnreachableError, grf_from_torque, jump_track_torque, leg_ik,
-                        stance_torque)
-
-    t_start = time.perf_counter()
-    model = spec.model
-    world = SimWorld(RobotState(pos=spec.p_start, rot=spec.r_start,
-                                feet=spec.feet_start), model, dt=DT, seed=seed)
-    dt = world.dt
-    lander = BalanceController(model, FrictionSpec(f_max=F_MAX))
-
-    # takeoff = end of the first contact block
-    t_takeoff = float(ref.phase_times[0])
-    t_total = float(ref.t[-1])
-    # pre-landing pose: legs tucked under the hips so the feet clear the
-    # ground until the body has actually descended toward touchdown
-    tuck_depth = 0.33
-    hold_pose_body = [(x, y, -tuck_depth) for x, y, _ in (spec.feet_start - spec.p_start).tolist()]
-
-    landing_stance = [False] * 4
-    log = Logger()
-    duration = t_total + _RECOVER_TIME
-    n = int(round(duration / dt))
-    idx_max = len(ref.t) - 1
-    t_sample = float(ref.t[1] - ref.t[0])
-    dt_ref = max(t_sample, 1e-9)
-    ik_fallbacks = 0
-
-    # a leg's tracking targets per reference sample, kept only when its IK
-    # succeeds: a fallback is recomputed, and counted, on every tick
-    targets: dict[tuple[int, int], tuple] = {}
-
-    def leg_targets(leg, i_ref, q_meas):
-        nonlocal ik_fallbacks
-        i_next = min(i_ref + 1, idx_max)
-        foot_w = spec.feet_start[leg]
-        pf_d = ref.rot[i_ref].T @ (foot_w - ref.pos[i_ref])
-        vf_d = (ref.rot[i_next].T @ (foot_w - ref.pos[i_next]) - pf_d) / dt_ref
-        try:
-            q_d, reached = leg_ik(pf_d, leg).tolist(), True
-        except UnreachableError:
-            # the reference foot left the workspace: hold the measured
-            # joint angles, and count it
-            q_d, reached = q_meas, False
-            ik_fallbacks += 1
-        tau_d = stance_torque(q_d, ref.forces[i_ref, 3 * leg:3 * leg + 3], ref.rot[i_ref], leg)
-        refs = q_d, pf_d.tolist(), vf_d.tolist(), tau_d.tolist()
-        if reached:
-            targets[i_ref, leg] = refs
-        return refs
-
-    # goal posture for the landing recovery
-    yaw_goal = so3.matrix_to_rpy(spec.r_goal)[2]
-    r_land = so3.rot_z(yaw_goal)
-
-    for k in range(n):
-        t = world.t
-        state = world.state
-        i_ref = min(int(t / t_sample), idx_max)
-
-        if t < t_takeoff:
-            # reference tracking through the legs
-            qs, qds = world.synth_encoders()
-            qs, qds, rot = qs.tolist(), qds.tolist(), state.rot.tolist()
-            leg_forces = []
-            for leg in range(4):
-                refs = targets.get((i_ref, leg)) or leg_targets(leg, i_ref, qs[leg])
-                tau = jump_track_torque(qs[leg], qds[leg], *refs, leg)
-                fx, fy, fz = grf_from_torque(qs[leg], tau, rot, leg).tolist()
-                # the ground cannot pull or exceed the hardware force budget;
-                # min(max(.)) keeps np.clip's result, signed zeros included
-                fz = min(max(fz, 0.0), F_MAX)
-                lo, hi = -MU * fz, MU * fz
-                leg_forces += [min(max(fx, lo), hi), min(max(fy, lo), hi), fz]
-            forces = np.array(leg_forces)
-            stance_mask = _ALL_STANCE
-            swing_targets = None
-        else:
-            # airborne: hold the pre-landing pose and wait for impact; once
-            # landed, the lander drives the touched-down feet
-            forces = _NO_FORCES
-            if any(landing_stance):
-                # the mean of the four feet summed as np.mean(axis=0) sums it
-                (x0, y0, _), (x1, y1, _), (x2, y2, _), (x3, y3, _) = state.feet.tolist()
-                des = unchecked(DesiredState, pos=np.array([(x0 + x1 + x2 + x3) / 4,
-                                                            (y0 + y1 + y2 + y3) / 4, z_land]),
-                                vel=_ZERO3, rot=r_land)
-                # the balance QP eliminates the swing legs' forces, so their
-                # entries are already exact +0.0
-                forces = lander.compute(state, des, landing_stance)
-            stance_mask = landing_stance
-            # held feet at pos + rot @ hold, each row of the product summed
-            # left to right
-            pos, rot = state.pos.tolist(), state.rot.tolist()
-            swing_targets = {i: tuple(p + (a * hx + b * hy + c * hz)
-                                      for p, (a, b, c) in zip(pos, rot))
-                             for i, (hx, hy, hz) in enumerate(hold_pose_body)
-                             if not landing_stance[i]}
-
-        world.step(forces, stance_mask, swing_targets)
-        landing_stance = [a or b for a, b in zip(landing_stance, world.touched_down.tolist())]
-        if k % 10 == 0:
-            _log_state(log, world, {"landed": float(any(landing_stance))})
-
-    rpy = so3.matrix_to_rpy(world.state.rot)
-    orient_err = np.linalg.norm(so3.log_map(r_land @ world.state.rot.T))
-    summary = {
-        "scenario": "jump-sim",
-        "takeoff_time_s": t_takeoff,
-        "landed": any(landing_stance),
-        "final_orientation_error_deg": float(np.rad2deg(orient_err)),
-        "final_height_error_m": float(abs(world.state.pos[2] - z_land)),
-        "final_speed_mps": float(np.linalg.norm(world.state.vel)),
-        "final_rate_radps": float(np.linalg.norm(world.state.omega)),
-        "ik_fallbacks": ik_fallbacks,
-        "runtime_s": time.perf_counter() - t_start,
-    }
-    return ScenarioResult(summary=summary, log=log.arrays())
+    return _closed_loop(_JumpPolicy(spec, ref, z_land),
+                        RobotState(pos=spec.p_start, rot=spec.r_start, feet=spec.feet_start),
+                        spec.model, ground=None, noise=None, seed=seed,
+                        duration=float(ref.t[-1]) + _RECOVER_TIME, log_every=10,
+                        log_before_step=False)
 
 
 def run_slope(duration=4.0, slope=0.17, v_des=(0.3, 0.0), seed=0, **kw) -> ScenarioResult:
     """Trot up a planar slope with terrain fitting and posture adjustment."""
-    ground = PlaneCoeffs(0.0, slope, 0.0)
-    driver = TrotDriver(v_des=v_des, duration=duration, seed=seed,
-                        ground=ground, adapt_posture=True, **kw)
-    res = driver.run()
-    plane = driver.plane
-    res.summary["scenario"] = "slope"
-    res.summary["slope_true"] = slope
-    res.summary["slope_estimate"] = float(plane.a1)
-    res.summary["pitch_desired_deg"] = float(np.rad2deg(
-        so3.matrix_to_rpy(terrain.posture_from_plane(plane))[1]))
-    return res
+    return TrotDriver(v_des=v_des, duration=duration, seed=seed,
+                      ground=PlaneCoeffs(0.0, slope, 0.0), adapt_posture=True, **kw).run()

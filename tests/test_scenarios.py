@@ -106,7 +106,7 @@ class TestTrot:
         drivers = [scenarios.TrotDriver(duration=0.01, controller=c) for c in ("balance", "mpc")]
         for t in (0.0, 0.001, 0.002):
             contact, phis = drivers[0].schedule(t)
-            balance, mpc_des = (d.desired(t, d.world.state, contact, phis) for d in drivers)
+            balance, mpc_des = (d.desired(t, d.start, contact, phis) for d in drivers)
             assert balance is not None and mpc_des is None
             assert drivers[0].p_ref_xy == drivers[1].p_ref_xy
 
@@ -290,7 +290,7 @@ class TestMpcTables:
         monkeypatch.setattr(scenarios.TrotDriver, "mpc_tables", recording)
         driver.run()
         monkeypatch.undo()
-        ticks = [round(t / driver.world.dt) for t, _, _ in calls]
+        ticks = [round(t / scenarios.DT) for t, _, _ in calls]
         assert ticks[0] == 0 and 33 in ticks and max(ticks) > 800
         assert 150 in ticks and 300 in ticks  # liftoffs of legs 0 and 3, then of 1 and 2
         assert 66 in ticks  # mid-stance of legs 0 and 3, no switch
@@ -500,7 +500,7 @@ class TestJumpPipeline:
                 a[0] = a[0]
         driver = scenarios.TrotDriver(duration=0.01)
         contact, phis = driver.schedule(0.0)
-        des = driver.desired(0.0, driver.world.state, contact, phis)
+        des = driver.desired(0.0, driver.start, contact, phis)
         assert_array_equal(des.rot, np.eye(3))
         with pytest.raises(ValueError, match="read-only"):
             des.rot[0, 0] = 1.0

@@ -12,8 +12,9 @@ A key set to other than its default that the subcommand does not read (see
 
 Exit codes: 0 success, 1 run failure (an error JSON is written), 2
 configuration error. A run failure is of kind "solver" when the scenario
-failed on its inputs (a solver status, an unreachable foot, terrain or gait
-weights the controller cannot use, an unusable replay log or jump reference)
+failed on its inputs (a solver status, an unreachable foot, a simulated
+state outside the simulator's model, terrain or gait weights the controller
+cannot use, an unusable replay log or jump reference)
 and of kind "internal" for any other exception, which points at a defect of
 the program.
 """
@@ -36,6 +37,7 @@ from . import scenarios
 from .balance import BodyModel, ForceDistributionError
 from .gait import DegenerateWeightsError
 from .mpc import MpcInfeasibleError
+from .sim import BreachError
 from .swing import UnreachableError
 from .terrain import SlopeTooSteepError
 from .trajopt import NoConvergenceError, SpecError
@@ -97,7 +99,7 @@ class ConfigError(ValueError):
 
 # exceptions by which a scenario fails on its inputs: reported as kind "solver"
 RUN_FAILURES = (NoConvergenceError, MpcInfeasibleError, ForceDistributionError,
-                np.linalg.LinAlgError, UnreachableError, SlopeTooSteepError,
+                np.linalg.LinAlgError, UnreachableError, BreachError, SlopeTooSteepError,
                 DegenerateWeightsError, scenarios.ReplayLogError)
 
 

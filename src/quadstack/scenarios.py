@@ -41,6 +41,10 @@ DT = 1e-3              # s, control tick and simulator step of every scenario
 MPC_HORIZON = 10
 MPC_DECIMATION = 33
 _RECOVER_TIME = 1.2    # s that jump-sim runs past the end of the reference
+# a jump has landed when a leg touched down and its final pose is within
+# these bounds of the goal: orientation error and CoM height error
+LANDED_ORIENT_DEG = 5.0
+LANDED_HEIGHT_M = 0.03
 # 1/s, rate at which the trot's CoM reference is pulled to the support polygon
 _ANCHOR_RATE = 0.2
 
@@ -156,7 +160,7 @@ def _closed_loop(policy, start: RobotState, model: BodyModel, *, ground: PlaneCo
     ``sample`` (imu, qs, qds) feeds the estimator, without it no sensor is
     read and the policy sees the true state; ``policy.control(k, t, state,
     sample, world)`` gives the forces and swing targets; the simulator steps
-    once. ``policy.record(world)`` gives the tick's
+    once and checks its support. ``policy.record(world)`` gives the tick's
     values of ``policy.COLUMNS``, logged with the state every ``log_every``
     ticks: after the step, or with ``log_before_step`` before it, so that
     the row holds the state the sensors read.
@@ -185,6 +189,7 @@ def _closed_loop(policy, start: RobotState, model: BodyModel, *, ground: PlaneCo
         if log_before_step:
             record(k)
         world.step(forces, mask, swing_targets)
+        world.check_support(mask)
         if not log_before_step:
             record(k)
     summary = policy.summary(world)
@@ -763,7 +768,9 @@ class _JumpPolicy:
         return {
             "scenario": "jump-sim",
             "takeoff_time_s": self.t_takeoff,
-            "landed": any(self.landing_stance),
+            # touched down, and came to rest at the goal's height and yaw
+            "landed": (any(self.landing_stance) and orient_err <= LANDED_ORIENT_DEG
+                       and height_err <= LANDED_HEIGHT_M),
             "final_orientation_error_deg": orient_err,
             "final_height_error_m": height_err,
             "final_speed_mps": float(np.linalg.norm(s.vel)),
@@ -781,7 +788,9 @@ def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
     takeoff the legs hold the pre-landing pose; each leg joins the landing
     stance at the simulator's ``touched_down`` for it, and the lander drives
     the stance legs to a stand at ``z_land`` with the goal's yaw for
-    :data:`_RECOVER_TIME` seconds past the end of the reference.
+    :data:`_RECOVER_TIME` s past the reference. The log's ``landed`` reads 1
+    once a leg has touched down; the summary's also needs the final pose
+    within :data:`LANDED_ORIENT_DEG` and :data:`LANDED_HEIGHT_M` of the goal.
     """
     return _closed_loop(_JumpPolicy(spec, ref, z_land),
                         RobotState(pos=spec.p_start, rot=spec.r_start, feet=spec.feet_start),

@@ -8,7 +8,10 @@ models. Feet are kinematic: stance feet stay pinned where they are, swing
 feet follow the commanded targets. The measured constraint force equals the
 commanded force. A non-finite commanded force or swing target raises
 ``ValueError`` before the state moves, and so does a step whose new body
-rate, velocity or position is non-finite (a diverged run).
+rate, velocity or position is non-finite (a diverged run). The model holds
+only while every stance foot lies within its leg's reach of its hip and the
+body's CoM lies above the ground: :meth:`SimWorld.check_support` raises
+:class:`BreachError` where it does not.
 
 Sensors are synthesized from the true state: IMU (gyro plus accelerometer
 with the gravity reaction included, so a stationary upright reading is
@@ -32,11 +35,18 @@ import numpy as np
 from . import so3
 from .balance import _GRAVITY_XYZ, GRAVITY_W, BodyModel
 from .estimation import ImuSample
-from .swing import HIP_OFFSETS, UnreachableError, _floats, ik_angles
+from .swing import _HIPS, HIP_OFFSETS, L1, L2, UnreachableError, _floats, ik_angles
 from .state import RobotState, unchecked
 from .terrain import PlaneCoeffs
 
-__all__ = ["SensorNoise", "SimWorld"]
+__all__ = ["BreachError", "SensorNoise", "SimWorld"]
+
+_REACH = L1 + L2   # m, hip to foot of a straight leg
+
+
+class BreachError(RuntimeError):
+    """The state left what the simulator models: a stance foot beyond its
+    leg's reach, or the body's CoM under the ground."""
 
 
 def _ik_batch(p_body: np.ndarray) -> np.ndarray:
@@ -231,6 +241,29 @@ class SimWorld:
         self.contact_forces = np.array(sensor)
         self.t += dt
         return self
+
+    def check_support(self, stance_mask) -> None:
+        """Raise :class:`BreachError` if the body's CoM lies below the ground
+        under it, or a stance foot of ``stance_mask`` lies farther than
+        ``L1 + L2`` from its hip, pos + R HIP_OFFSETS[leg]."""
+        s = self.state
+        px, py, pz = s.pos.tolist()
+        ground_z = self.ground.height(px, py)
+        if pz < ground_z:
+            raise BreachError(f"body CoM {ground_z - pz:.3f} m below the ground "
+                              f"at t = {self.t:.3f} s")
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = s.rot.tolist()
+        for leg, (x, y, z) in enumerate(s.feet.tolist()):
+            if not stance_mask[leg]:
+                continue
+            hx, hy, hz = _HIPS[leg]
+            dx = x - (px + (r00 * hx + r01 * hy + r02 * hz))
+            dy = y - (py + (r10 * hx + r11 * hy + r12 * hz))
+            dz = z - (pz + (r20 * hx + r21 * hy + r22 * hz))
+            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if dist > _REACH:
+                raise BreachError(f"stance foot of leg {leg} is {dist:.3f} m from its hip at "
+                                  f"t = {self.t:.3f} s, beyond the leg's reach of {_REACH:.2f} m")
 
     # -- sensors -----------------------------------------------------------
 

@@ -452,6 +452,16 @@ class TestTrot:
         assert summary["height_rms_m"] <= 0.02
         assert (tmp_path / "out" / "trot_balance_log.csv").exists()
 
+    def test_trot_past_the_legs_reach_is_a_solver_failure(self, tmp_path):
+        # at 3 m/s the stance feet fall behind the hips: the simulator stops
+        # where a stance foot leaves its leg's reach instead of applying its
+        # force, and the run fails naming the leg, the time and the distance
+        code, payload = run_cli(tmp_path, "trot", "command:\n  vx_mps: 3.0\n")
+        assert code == 1
+        assert payload["kind"] == "solver" and payload["type"] == "BreachError"
+        assert payload["error"].startswith("stance foot of leg 0 is 0.68")
+        assert "at t = 0.710 s, beyond the leg's reach of 0.68 m" in payload["error"]
+
     def test_slope_estimates_grade(self, tmp_path):
         code, summary = run_cli(tmp_path, "slope", duration_s=2.0)
         assert code == 0

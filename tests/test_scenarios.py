@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -468,6 +469,42 @@ class TestJumpPipeline:
         spec = hop_spec(n_knots=4)
         run_jump_sim(spec, flat_stand_reference(spec))
         assert stepped[0][0:3].tobytes() == np.array(clamped).tobytes()  # signed zeros too
+
+    def test_landed_judges_the_final_pose(self, monkeypatch):
+        # a hand-made stand reference "takes off" at 0.25 s: the body drops
+        # onto its tucked legs, which touch down at 0.411 s. The log's landed
+        # column reads 1 from the first touchdown on; the summary's landed
+        # also needs the final pose within the landing bounds, which 0.3 s
+        # of recovery does not reach and 1.2 s does
+        spec = hop_spec(n_knots=4)
+        ref = flat_stand_reference(spec)
+        full = run_jump_sim(spec, ref).summary
+        assert full["landed"] is True
+        assert full["final_height_error_m"] <= scenarios.LANDED_HEIGHT_M
+        monkeypatch.setattr(scenarios, "_RECOVER_TIME", 0.3)
+        short = run_jump_sim(spec, ref)
+        assert short.log["landed"][-1] == 1.0
+        assert short.summary["final_orientation_error_deg"] <= scenarios.LANDED_ORIENT_DEG
+        assert short.summary["final_height_error_m"] > scenarios.LANDED_HEIGHT_M
+        assert short.summary["landed"] is False
+
+    @pytest.mark.slow
+    def test_diagonal_jump_does_not_pass_as_landed(self):
+        # spin_spec's settings with a 0.2 m diagonal goal and no turn: the
+        # solve converges, but the robot lands moving sideways and rolls
+        # over; the run stops on the simulator's support check (a run
+        # failure of kind "solver" in the CLI) or reports landed: false
+        spec = spin_spec(yaw_deg=0.0)
+        spec.p_goal = np.array([0.2, 0.2, scenarios.NOMINAL_Z])
+        opt_res, ref = run_jump_opt(spec)
+        assert opt_res.summary["checker_max_violation"] <= 1e-4
+        try:
+            summary = run_jump_sim(spec, ref).summary
+        except sim.BreachError as exc:
+            assert isinstance(exc, cli.RUN_FAILURES)
+            assert re.search(r"stance foot of leg \d is 0\.\d+ m from its hip at t = \d\.\d+ s", str(exc))
+        else:
+            assert summary["landed"] is False
 
     def test_nan_force_map_stops_at_the_step(self, monkeypatch):
         # a NaN passes the clamps and the simulator's finite check raises

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from quadstack import scenarios, so3
 from quadstack.balance import GRAVITY_W, BodyModel
-from quadstack.sim import SensorNoise, SimWorld
+from quadstack.sim import BreachError, SensorNoise, SimWorld
 from quadstack.state import RobotState
 from quadstack.swing import UnreachableError, leg_fk
 from quadstack.terrain import PlaneCoeffs
@@ -129,6 +129,39 @@ class TestFeet:
         assert w.touched_down.tolist() == [True, False, False, False]
         assert w.state.feet[0][2] == 0.0
         assert w.contact_forces[0:3].tobytes() == np.zeros(3).tobytes()
+
+
+class TestSupportCheck:
+    def test_nominal_stand_passes(self):
+        w = stand_world()
+        w.step(hover_forces(), np.ones(4, dtype=bool))
+        w.check_support(np.ones(4, dtype=bool))
+
+    def test_stance_foot_beyond_reach_raises(self):
+        # 0.75 m under its hip, each foot is out of the 0.68 m reach: a
+        # stance foot raises, a swing foot does not
+        w = stand_world(z=0.75)
+        w.check_support(np.zeros(4, dtype=bool))
+        with pytest.raises(BreachError, match=r"stance foot of leg 2 is 0\.750 m from its hip "
+                                              r"at t = 0\.000 s, beyond the leg's reach of 0\.68 m"):
+            w.check_support(np.array([False, False, True, True]))
+
+    def test_reach_is_measured_from_the_rotated_hip(self):
+        # 0.67 m under the hips every foot is in reach; rolled by 0.1 rad,
+        # the body lifts its left hips (legs 1 and 3) by 0.128 sin(0.1) m,
+        # 0.683 m from their feet
+        w = stand_world(z=0.67)
+        w.check_support(np.ones(4, dtype=bool))
+        w.state.rot = so3.rot_x(0.1)
+        w.check_support(np.array([True, False, True, False]))
+        with pytest.raises(BreachError, match=r"leg 1 is 0\.683 m"):
+            w.check_support(np.ones(4, dtype=bool))
+
+    def test_com_below_the_ground_raises(self):
+        w = SimWorld(RobotState(pos=[0.0, 0.0, 0.1], feet=FEET), BodyModel(),
+                     ground=PlaneCoeffs(0.2, 0.0, 0.0))
+        with pytest.raises(BreachError, match=r"body CoM 0\.100 m below the ground at t = 0\.000 s"):
+            w.check_support(np.zeros(4, dtype=bool))
 
 
 SLOPE = PlaneCoeffs(0.02, 0.17, -0.05)

@@ -506,3 +506,23 @@ def test_readme_constants_exist():
             if not hasattr(importlib.import_module(f"quadstack.{module}"), name):
                 missing.append(f"{module}.{name}")
     assert not missing, f"README constants that do not exist: {missing}"
+
+
+
+def test_one_closed_loop():
+    # the scenarios share one closed loop: scenarios.py builds one SimWorld
+    # and steps it in one place, so a second copy of the loop fails here
+    tree = ast.parse((Path(quadstack.__file__).resolve().parent / "scenarios.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    builds = [node for node in calls if name(node.func) == "SimWorld"]
+    assert len(builds) == 1, f"{len(builds)} SimWorld constructions"
+    worlds = [target for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and node.value is builds[0] for target in node.targets]
+    assert len(worlds) == 1, "the SimWorld is not bound to one name"
+    steps = [node for node in calls if name(node.func) == "step"
+             and isinstance(node.func, ast.Attribute) and name(node.func.value) == name(worlds[0])]
+    assert len(steps) == 1, f"{len(steps)} calls of the world's step"

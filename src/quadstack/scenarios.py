@@ -189,7 +189,7 @@ def _closed_loop(policy, start: RobotState, model: BodyModel, *, ground: PlaneCo
         if log_before_step:
             record(k)
         world.step(forces, mask, swing_targets)
-        world.check_support(mask)
+        world.check_support()
         if not log_before_step:
             record(k)
     summary = policy.summary(world)
@@ -514,7 +514,7 @@ class TrotDriver:
         e = vel[0:2] - self.v_cmd(self._t)
         self._vel_err.append(math.sqrt(e.dot(e)))  # np.linalg.norm's formula
         self._speed_sum += math.hypot(vel[0], vel[1])
-        return [float(c) for c in self._contact]
+        return list(map(float, self._contact))
 
     def summary(self, world):
         n = len(self._height_err)

@@ -97,6 +97,7 @@ class SimWorld:
         # swing has reported its touchdown
         self.airborne = [False] * 4
         self.landed = [False] * 4
+        self.stance = [False] * 4               # the stance flags of the last step
         self._q_prev: np.ndarray | None = None
         # the body constants of the step, as rows of floats
         self._inertia = tuple(map(tuple, self.model.inertia.tolist()))
@@ -239,12 +240,13 @@ class SimWorld:
 
         self.touched_down = np.array(touched)
         self.contact_forces = np.array(sensor)
+        self.stance = stance
         self.t += dt
         return self
 
-    def check_support(self, stance_mask) -> None:
+    def check_support(self) -> None:
         """Raise :class:`BreachError` if the body's CoM lies below the ground
-        under it, or a stance foot of ``stance_mask`` lies farther than
+        under it, or a foot the last step held in stance lies farther than
         ``L1 + L2`` from its hip, pos + R HIP_OFFSETS[leg]."""
         s = self.state
         px, py, pz = s.pos.tolist()
@@ -253,17 +255,17 @@ class SimWorld:
             raise BreachError(f"body CoM {ground_z - pz:.3f} m below the ground "
                               f"at t = {self.t:.3f} s")
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = s.rot.tolist()
-        for leg, (x, y, z) in enumerate(s.feet.tolist()):
-            if not stance_mask[leg]:
-                continue
-            hx, hy, hz = _HIPS[leg]
-            dx = x - (px + (r00 * hx + r01 * hy + r02 * hz))
-            dy = y - (py + (r10 * hx + r11 * hy + r12 * hz))
-            dz = z - (pz + (r20 * hx + r21 * hy + r22 * hz))
-            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if dist > _REACH:
-                raise BreachError(f"stance foot of leg {leg} is {dist:.3f} m from its hip at "
-                                  f"t = {self.t:.3f} s, beyond the leg's reach of {_REACH:.2f} m")
+        for leg, (x, y, z), (hx, hy, hz), stance in zip(range(4), s.feet.tolist(), _HIPS,
+                                                          self.stance):
+            if stance:
+                dx = x - (px + (r00 * hx + r01 * hy + r02 * hz))
+                dy = y - (py + (r10 * hx + r11 * hy + r12 * hz))
+                dz = z - (pz + (r20 * hx + r21 * hy + r22 * hz))
+                dist2 = dx * dx + dy * dy + dz * dz
+                if dist2 > _REACH * _REACH:
+                    raise BreachError(f"stance foot of leg {leg} is {math.sqrt(dist2):.3f} m "
+                                      f"from its hip at t = {self.t:.3f} s, beyond the leg's "
+                                      f"reach of {_REACH:.2f} m")
 
     # -- sensors -----------------------------------------------------------
 

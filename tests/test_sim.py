@@ -134,34 +134,41 @@ class TestFeet:
 class TestSupportCheck:
     def test_nominal_stand_passes(self):
         w = stand_world()
+        w.check_support()
         w.step(hover_forces(), np.ones(4, dtype=bool))
-        w.check_support(np.ones(4, dtype=bool))
+        assert w.stance == [True] * 4
+        w.check_support()
 
     def test_stance_foot_beyond_reach_raises(self):
-        # 0.75 m under its hip, each foot is out of the 0.68 m reach: a
-        # stance foot raises, a swing foot does not
+        # 0.75 m under its hip, each foot is out of the 0.68 m reach: a foot
+        # the step held in stance raises, a swing foot does not
         w = stand_world(z=0.75)
-        w.check_support(np.zeros(4, dtype=bool))
+        w.step(np.zeros(12), np.zeros(4, dtype=bool))
+        w.check_support()
+        w.step(np.zeros(12), np.array([False, False, True, True]))
         with pytest.raises(BreachError, match=r"stance foot of leg 2 is 0\.750 m from its hip "
-                                              r"at t = 0\.000 s, beyond the leg's reach of 0\.68 m"):
-            w.check_support(np.array([False, False, True, True]))
+                                              r"at t = 0\.002 s, beyond the leg's reach of 0\.68 m"):
+            w.check_support()
 
     def test_reach_is_measured_from_the_rotated_hip(self):
         # 0.67 m under the hips every foot is in reach; rolled by 0.1 rad,
         # the body lifts its left hips (legs 1 and 3) by 0.128 sin(0.1) m,
         # 0.683 m from their feet
         w = stand_world(z=0.67)
-        w.check_support(np.ones(4, dtype=bool))
+        w.step(np.zeros(12), np.ones(4, dtype=bool))
+        w.check_support()
         w.state.rot = so3.rot_x(0.1)
-        w.check_support(np.array([True, False, True, False]))
+        w.step(np.zeros(12), np.array([True, False, True, False]))
+        w.check_support()
+        w.step(np.zeros(12), np.ones(4, dtype=bool))
         with pytest.raises(BreachError, match=r"leg 1 is 0\.683 m"):
-            w.check_support(np.ones(4, dtype=bool))
+            w.check_support()
 
     def test_com_below_the_ground_raises(self):
         w = SimWorld(RobotState(pos=[0.0, 0.0, 0.1], feet=FEET), BodyModel(),
                      ground=PlaneCoeffs(0.2, 0.0, 0.0))
         with pytest.raises(BreachError, match=r"body CoM 0\.100 m below the ground at t = 0\.000 s"):
-            w.check_support(np.zeros(4, dtype=bool))
+            w.check_support()
 
 
 SLOPE = PlaneCoeffs(0.02, 0.17, -0.05)

@@ -233,7 +233,8 @@ _ACCEL_BIAS_DIR /= np.linalg.norm(_ACCEL_BIAS_DIR)
 
 
 def sensor_noise(accel_std: float, gyro_std: float, accel_bias_mag: float) -> SensorNoise:
-    """IMU noise, its accelerometer bias ``accel_bias_mag`` along :data:`_ACCEL_BIAS_DIR`."""
+    """IMU noise with an accelerometer bias of magnitude ``accel_bias_mag``
+    along :data:`_ACCEL_BIAS_DIR`."""
     return SensorNoise(gyro_std=gyro_std, accel_std=accel_std,
                        accel_bias=accel_bias_mag * _ACCEL_BIAS_DIR)
 

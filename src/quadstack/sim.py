@@ -252,11 +252,11 @@ class SimWorld:
         px, py, pz = s.pos.tolist()
         ground_z = self.ground.height(px, py)
         if pz < ground_z:
-            raise BreachError(f"body CoM {ground_z - pz:.3f} m below the ground "
+            raise BreachError(f"body CoM {ground_z - pz:.3g} m below the ground "
                               f"at t = {self.t:.3f} s")
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = s.rot.tolist()
-        for leg, (x, y, z), (hx, hy, hz), stance in zip(range(4), s.feet.tolist(), _HIPS,
-                                                          self.stance):
+        for leg, ((x, y, z), (hx, hy, hz), stance) in enumerate(zip(s.feet.tolist(), _HIPS,
+                                                                      self.stance)):
             if stance:
                 dx = x - (px + (r00 * hx + r01 * hy + r02 * hz))
                 dy = y - (py + (r10 * hx + r11 * hy + r12 * hz))

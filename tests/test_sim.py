@@ -167,7 +167,7 @@ class TestSupportCheck:
     def test_com_below_the_ground_raises(self):
         w = SimWorld(RobotState(pos=[0.0, 0.0, 0.1], feet=FEET), BodyModel(),
                      ground=PlaneCoeffs(0.2, 0.0, 0.0))
-        with pytest.raises(BreachError, match=r"body CoM 0\.100 m below the ground at t = 0\.000 s"):
+        with pytest.raises(BreachError, match=r"body CoM 0\.1 m below the ground at t = 0\.000 s"):
             w.check_support()
 
 

@@ -255,14 +255,15 @@ class SimWorld:
             raise BreachError(f"body CoM {ground_z - pz:.3g} m below the ground "
                               f"at t = {self.t:.3f} s")
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = s.rot.tolist()
-        for leg, ((x, y, z), (hx, hy, hz), stance) in enumerate(zip(s.feet.tolist(), _HIPS,
-                                                                      self.stance)):
-            if stance:
+        feet, stance, reach2 = s.feet.tolist(), self.stance, _REACH * _REACH
+        for leg in range(4):
+            if stance[leg]:
+                (x, y, z), (hx, hy, hz) = feet[leg], _HIPS[leg]
                 dx = x - (px + (r00 * hx + r01 * hy + r02 * hz))
                 dy = y - (py + (r10 * hx + r11 * hy + r12 * hz))
                 dz = z - (pz + (r20 * hx + r21 * hy + r22 * hz))
                 dist2 = dx * dx + dy * dy + dz * dz
-                if dist2 > _REACH * _REACH:
+                if dist2 > reach2:
                     raise BreachError(f"stance foot of leg {leg} is {math.sqrt(dist2):.3f} m "
                                       f"from its hip at t = {self.t:.3f} s, beyond the leg's "
                                       f"reach of {_REACH:.2f} m")

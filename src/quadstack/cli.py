@@ -37,7 +37,7 @@ from . import scenarios
 from .balance import BodyModel, ForceDistributionError
 from .gait import DegenerateWeightsError
 from .mpc import MpcInfeasibleError
-from .sim import BreachError
+from .sim import BreachError, SensorNoise
 from .swing import UnreachableError
 from .terrain import SlopeTooSteepError
 from .trajopt import NoConvergenceError, SpecError
@@ -224,6 +224,14 @@ def _at_least(where: str, value, low: float) -> float:
     return value
 
 
+def _whole(where: str, value) -> int:
+    """A config number as an int, whole and at least 0."""
+    if not ((isinstance(value, int) or value.is_integer()) and value >= 0):
+        raise ConfigError(f"config key {where} must be a whole number of at least 0, "
+                          f"got {value!r}")
+    return int(value)
+
+
 def _finite(where: str, value) -> float:
     """A config number as a float, finite."""
     value = float(value)
@@ -249,20 +257,18 @@ def _duration(cfg: dict, default: float) -> float:
     return _at_least("duration_s", cfg["duration_s"], scenarios.DT)
 
 
-def _noise(cfg: dict) -> dict:
-    """The sensor-noise arguments of the scenarios, each at least 0."""
+def _noise(cfg: dict) -> SensorNoise:
+    """The sensors' noise, each figure at least 0, drawn from the run's seed."""
     noise = cfg["noise"]
-    return dict(accel_std=_at_least("noise.accel_std", noise["accel_std"], 0.0),
-                gyro_std=_at_least("noise.gyro_std", noise["gyro_std"], 0.0),
-                accel_bias_mag=_at_least("noise.accel_bias", noise["accel_bias"], 0.0))
+    return scenarios.sensor_noise(_at_least("noise.accel_std", noise["accel_std"], 0.0),
+                                  _at_least("noise.gyro_std", noise["gyro_std"], 0.0),
+                                  _at_least("noise.accel_bias", noise["accel_bias"], 0.0),
+                                  cfg["seed"])
 
 
 def cmd_stand(cfg: dict, out: Path) -> dict:
-    noise = _noise(cfg)
-    res = scenarios.run_stand(
-        duration=_duration(cfg, 10.0), seed=int(cfg["seed"]),
-        accel_std=noise["accel_std"], gyro_std=noise["gyro_std"],
-        accel_bias_mag=noise["accel_bias_mag"], model=_body_model(cfg), log_every=1)
+    res = scenarios.run_stand(noise=_noise(cfg), duration=_duration(cfg, 10.0),
+                              model=_body_model(cfg), log_every=1)
     write_csv(out / "stand_log.csv", res.log)
     return res.summary
 
@@ -278,15 +284,12 @@ def _trot_args(cfg: dict) -> dict:
     args = dict(
         v_des=(_finite("command.vx_mps", command["vx_mps"]),
                _finite("command.vy_mps", command["vy_mps"])),
-        seed=int(cfg["seed"]),
-        use_estimates=bool(cfg["controller"]["use_estimates"]),
         preset=str(cfg["gait"]["preset"]),
         period=_positive("gait.period_s", cfg["gait"]["period_s"]),
         z0=_positive("robot.z0_m", cfg["robot"]["z0_m"]), model=_body_model(cfg),
-        ramp_time=_at_least("command.ramp_s", command["ramp_s"], 0.0))
-    if args["use_estimates"]:
+        ramp_time=_at_least("command.ramp_s", command["ramp_s"], 0.0),
         # the sensors are read only on estimates (READ_IF holds noise at its defaults)
-        args.update(_noise(cfg))
+        noise=_noise(cfg) if cfg["controller"]["use_estimates"] else None)
     return args
 
 
@@ -332,8 +335,8 @@ def _jump_spec(cfg: dict):
     """The preset's spec and its published timings; a ``jump.*`` key left
     null keeps the preset's own value."""
     jump = cfg["jump"]
-    kw = dict(n_knots=int(jump["n_knots"]), z0=_positive("robot.z0_m", cfg["robot"]["z0_m"]),
-              model=_body_model(cfg))
+    kw = dict(n_knots=_whole("jump.n_knots", jump["n_knots"]),
+              z0=_positive("robot.z0_m", cfg["robot"]["z0_m"]), model=_body_model(cfg))
     if jump["flight_min_s"] is not None:
         kw["flight_min"] = _positive("jump.flight_min_s", jump["flight_min_s"])
     if jump["preset"] == "hop":
@@ -364,8 +367,7 @@ def cmd_jump_sim(cfg: dict, out: Path) -> dict:
         opt_res, _ref = scenarios.run_jump_opt(spec)
         write_csv(ref_csv, opt_res.log)
     ref = scenarios.reference_from_log(read_csv(ref_csv))
-    res = scenarios.run_jump_sim(spec, ref, z_land=float(cfg["robot"]["z0_m"]),
-                                 seed=int(cfg["seed"]))
+    res = scenarios.run_jump_sim(spec, ref)
     write_csv(out / "jump_sim_log.csv", res.log)
     return res.summary
 
@@ -414,6 +416,7 @@ def run(subcommand: str, config_path: str | None = None,
         for key, value in (overrides or {}).items():
             if value is not None:
                 cfg[key] = value
+        cfg["seed"] = _whole("seed", cfg["seed"])
         out = Path(cfg["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         handler = COMMANDS[subcommand]
@@ -436,7 +439,7 @@ def run(subcommand: str, config_path: str | None = None,
         err = {"error": str(exc), "kind": "internal", "type": type(exc).__name__,
                "scenario": subcommand, "traceback": traceback.format_exc()}
     else:
-        summary["seed"] = int(cfg["seed"])
+        summary["seed"] = cfg["seed"]
         write_summary(out / f"{subcommand.replace('-', '_')}_summary.json", summary)
         return 0, summary
     write_summary(out / f"{subcommand.replace('-', '_')}_error.json", err)

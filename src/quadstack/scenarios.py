@@ -5,9 +5,8 @@ CLI writes to CSV/JSON and the acceptance suite reads.
 The stand, the trots and the jump run in one closed loop,
 :func:`_closed_loop`, which owns the simulator, the estimator, the log and
 the run time; each tick senses, estimates, controls and steps. A scenario
-supplies the policy: the balance QP or ``hover`` for the stand,
-:class:`TrotDriver` for the trots, the stance tracker plus the lander for
-the jump.
+supplies the policy: the balance QP for the stand, :class:`TrotDriver` for
+the trots, the stance tracker plus the lander for the jump.
 
 The log schemas live here too, among them the jump reference that
 :func:`reference_log` writes and :func:`reference_from_log` reads back bit
@@ -151,7 +150,7 @@ class EstimatorLoop:
 
 
 def _closed_loop(policy, start: RobotState, model: BodyModel, *, ground: PlaneCoeffs | None,
-                 noise: SensorNoise | None, seed: int, duration: float, log_every: int,
+                 noise: SensorNoise | None, duration: float, log_every: int,
                  log_before_step: bool) -> ScenarioResult:
     """Run ``policy`` on the simulated robot from ``start`` for ``duration``.
 
@@ -166,7 +165,7 @@ def _closed_loop(policy, start: RobotState, model: BodyModel, *, ground: PlaneCo
     the row holds the state the sensors read.
     """
     t_start = time.perf_counter()
-    world = SimWorld(start, model, dt=DT, ground=ground, noise=noise, seed=seed)
+    world = SimWorld(start, model, dt=DT, ground=ground, noise=noise)
     est = (None if noise is None else
            EstimatorLoop(world.state.rot, world.state.pos, world.state.feet, world.ground))
     log = {}
@@ -225,18 +224,19 @@ def spin_spec(yaw_deg: float = 90.0, n_knots: int = 30, z0: float = NOMINAL_Z,
 
 
 # Direction of the simulated accelerometer's bias: a property of the unit,
-# drawn once. The run seed moves only the white noise; the height error of
+# drawn once. The noise seed moves only the white noise; the height error of
 # a trot on estimates swings by almost a factor of two with the bias
 # direction, which would hide any other change between two seeds.
 _ACCEL_BIAS_DIR = np.random.default_rng(0).normal(size=3)
 _ACCEL_BIAS_DIR /= np.linalg.norm(_ACCEL_BIAS_DIR)
 
 
-def sensor_noise(accel_std: float, gyro_std: float, accel_bias_mag: float) -> SensorNoise:
+def sensor_noise(accel_std: float, gyro_std: float, accel_bias_mag: float,
+                 seed: int) -> SensorNoise:
     """IMU noise with an accelerometer bias of magnitude ``accel_bias_mag``
-    along :data:`_ACCEL_BIAS_DIR`."""
+    along :data:`_ACCEL_BIAS_DIR`, its white noise drawn from ``seed``."""
     return SensorNoise(gyro_std=gyro_std, accel_std=accel_std,
-                       accel_bias=accel_bias_mag * _ACCEL_BIAS_DIR)
+                       accel_bias=accel_bias_mag * _ACCEL_BIAS_DIR, seed=seed)
 
 
 # published contact timings for the 90-degree spinning jump, in units of
@@ -245,17 +245,16 @@ SPIN90_REFERENCE_TIMINGS_10MS = (56, 31)
 
 
 class _StandPolicy:
-    """The balance QP on the estimate, or ``hover``, the exact weight
-    distribution. Records the truth, the estimate and the dead reckoning
-    (mean-only integration) of the same IMU, [pos, vel] per tick."""
+    """The balance QP on the estimate. Records the truth, the estimate and
+    the dead reckoning (mean-only integration) of the same IMU, [pos, vel]
+    per tick."""
 
     COLUMNS = _STAND_COLS
 
-    def __init__(self, model: BodyModel, controller: str, duration: float):
+    def __init__(self, model: BodyModel, duration: float):
         self.duration = duration
-        self.balancer = BalanceController(model) if controller == "balance" else None
+        self.balancer = BalanceController(model)
         self.des = DesiredState(pos=[0.0, 0.0, NOMINAL_Z])
-        self.hover = np.tile([0.0, 0.0, model.weight / 4.0], 4)
         self.pred_pos, self.pred_vel = [0.0, 0.0, NOMINAL_Z], [0.0, 0.0, 0.0]
         self.truth, self.fused, self.pred = [], [], []
 
@@ -264,8 +263,6 @@ class _StandPolicy:
 
     def control(self, k, t, state, sample, world):
         self._tick = state, sample
-        if self.balancer is None:
-            return self.hover, None
         return self.balancer.compute(state, self.des, _ALL_STANCE), None
 
     def record(self, world):
@@ -302,60 +299,53 @@ class _StandPolicy:
         }
 
 
-def run_stand(duration: float = 10.0, seed: int = 0, accel_std: float = 0.05,
-              accel_bias_mag: float = 0.2, gyro_std: float = 0.005,
-              controller: str = "balance", log_every: int = 10,
+def run_stand(*, noise: SensorNoise, duration: float = 10.0, log_every: int = 10,
               model: BodyModel | None = None) -> ScenarioResult:
-    """Stand with the estimator in the loop.
+    """Stand with the estimator in the loop, on sensors with ``noise``.
 
-    ``controller`` is "balance" (force QP each step on the estimated state)
-    or "hover" (exact weight distribution, useful to benchmark the
-    estimator on a strictly stationary truth). The summary compares fused
-    estimation errors against prediction-only dead reckoning under the same
-    accelerometer bias. A log row holds the state at a tick's sensing
-    instant, that tick's sensor sample and the estimate from it.
+    The balance QP runs each tick on the estimated state. The summary
+    compares fused estimation errors against prediction-only dead reckoning
+    under the same accelerometer bias. A log row holds the state at a tick's
+    sensing instant, that tick's sensor sample and the estimate from it.
     """
     model = model or BodyModel()
-    return _closed_loop(_StandPolicy(model, controller, duration),
+    return _closed_loop(_StandPolicy(model, duration),
                         RobotState(pos=[0.0, 0.0, NOMINAL_Z], feet=nominal_feet()), model,
-                        ground=None, noise=sensor_noise(accel_std, gyro_std, accel_bias_mag),
-                        seed=seed, duration=duration, log_every=log_every, log_before_step=True)
+                        ground=None, noise=noise, duration=duration, log_every=log_every,
+                        log_before_step=True)
 
 
 class TrotDriver:
     """The trot policy (balance QP or MPC stance force) and its run.
 
-    With ``use_estimates`` the controller runs on the estimator's state, fed
-    by sensors with the noise of :func:`sensor_noise`; without it, on the
-    true state, and the sensors are not read: nonzero noise raises ValueError.
+    With ``noise`` the controller runs on the estimator's state, fed by
+    sensors with that noise; with None, on the true state, and the sensors
+    are not read. With a ``slope`` grade the ground is the plane z = slope x
+    and the posture follows the plane fitted to the footholds; with None
+    the ground is flat and the posture level.
     """
 
-    def __init__(self, v_des=(1.0, 0.0), duration=5.0, seed=0, controller="balance",
-                 preset="trot", period=0.3, z0=NOMINAL_Z, ground: PlaneCoeffs | None = None,
-                 model: BodyModel | None = None, use_estimates=False,
-                 adapt_posture=False, ramp_time=0.8, accel_std=0.0, gyro_std=0.0,
-                 accel_bias_mag=0.0):
-        if not use_estimates and (accel_std or gyro_std or accel_bias_mag):
-            raise ValueError("sensor noise is read only with use_estimates")
+    def __init__(self, *, noise: SensorNoise | None, v_des=(1.0, 0.0), duration=5.0,
+                 controller="balance", preset="trot", period=0.3, z0=NOMINAL_Z,
+                 slope: float | None = None, model: BodyModel | None = None, ramp_time=0.8):
         if not ramp_time >= 0.0:
             raise ValueError(f"ramp_time must be non-negative, got {ramp_time!r}")
         self.model = model or BodyModel()
-        self.ground = ground or PlaneCoeffs()
+        self.ground = PlaneCoeffs() if slope is None else PlaneCoeffs(0.0, slope, 0.0)
         self.sched = gait.gait_preset(preset, period=period)
         self.v_des = np.asarray(v_des, dtype=float)
-        self.ramp_time, self.duration, self.seed, self.z0 = ramp_time, duration, seed, z0
-        self.controller_type, self.adapt_posture = controller, adapt_posture
+        self.ramp_time, self.duration, self.z0 = ramp_time, duration, z0
+        self.controller_type, self.noise = controller, noise
         feet = nominal_feet(self.ground)
         self.start = RobotState(pos=[0.0, 0.0, self.ground.height(0.0, 0.0) + z0], feet=feet)
-        self.noise = (sensor_noise(accel_std, gyro_std, accel_bias_mag)
-                      if use_estimates else None)
         self.balance = BalanceController(self.model)
         self.swing_trajs: dict[int, tuple[SwingTrajectory, float]] = {}
         self.recent_contacts = feet.copy()
-        # ground plane through recent_contacts and the posture it asks for;
-        # refit only when a touchdown writes recent_contacts
+        # on a slope, the ground plane through recent_contacts and the
+        # posture it asks for; refit only when a touchdown writes
+        # recent_contacts. None on flat ground
         self.plane: PlaneCoeffs | None = None
-        if adapt_posture:
+        if slope is not None:
             self._fit_contacts()
         self._mpc_contact = None  # the first tick plans
         # CoM reference (x, y): integrates the commanded velocity, gently
@@ -406,7 +396,7 @@ class TrotDriver:
         self.p_ref_xy = cx, cy
         if self.controller_type == "mpc":
             return None
-        if self.adapt_posture:
+        if self.plane is not None:
             r_d, (ox, oy, oz) = self._posture
             pos_d = [cx + ox, cy + oy, self.plane.height(cx, cy) + oz]
         else:
@@ -498,7 +488,7 @@ class TrotDriver:
             if not contact[leg]:
                 traj, t0 = self.swing_trajs[leg]
                 swing_targets[leg] = traj.sample(t + DT - t0)[0]
-        if touchdown and self.adapt_posture:
+        if touchdown and self.plane is not None:
             self._fit_contacts()
 
         des = self.desired(t, state, contact, self._phis)
@@ -527,7 +517,7 @@ class TrotDriver:
             "vel_rmse_mps": _rms(self._vel_err),
             "mean_speed_mps": self._speed_sum / max(n, 1),
         }
-        if self.adapt_posture:
+        if self.plane is not None:
             # the slope: the plane fitted to the footholds and its posture
             plane = self.plane
             summary.update(scenario="slope", slope_true=self.ground.a1,
@@ -540,14 +530,12 @@ class TrotDriver:
 
     def run(self) -> ScenarioResult:
         return _closed_loop(self, self.start, self.model, ground=self.ground, noise=self.noise,
-                            seed=self.seed, duration=self.duration, log_every=10,
-                            log_before_step=False)
+                            duration=self.duration, log_every=10, log_before_step=False)
 
 
-def run_trot(duration=5.0, v_des=(1.0, 0.0), seed=0, controller="balance",
-             use_estimates=False, **kw) -> ScenarioResult:
-    return TrotDriver(v_des=v_des, duration=duration, seed=seed,
-                      controller=controller, use_estimates=use_estimates, **kw).run()
+def run_trot(*, noise: SensorNoise | None, **kw) -> ScenarioResult:
+    """Run :class:`TrotDriver` with ``noise`` and the keywords ``kw``."""
+    return TrotDriver(noise=noise, **kw).run()
 
 
 REPLAY_COLUMNS = (
@@ -676,8 +664,9 @@ class _JumpPolicy:
 
     COLUMNS = ("landed",)
 
-    def __init__(self, spec: JumpSpec, ref: BodyReference, z_land: float):
-        self.spec, self.ref, self.z_land = spec, ref, z_land
+    def __init__(self, spec: JumpSpec, ref: BodyReference):
+        self.spec, self.ref = spec, ref
+        self.z_land = float(spec.p_goal[2])  # the goal's height, the lander's target
         self.lander = BalanceController(spec.model, FrictionSpec(f_max=F_MAX))
         # takeoff = end of the first contact block
         self.t_takeoff = float(ref.phase_times[0])
@@ -780,27 +769,26 @@ class _JumpPolicy:
         }
 
 
-def run_jump_sim(spec: JumpSpec, ref: BodyReference, z_land: float = NOMINAL_Z,
-                 seed: int = 0) -> ScenarioResult:
+def run_jump_sim(spec: JumpSpec, ref: BodyReference) -> ScenarioResult:
     """Track an exported jump reference, then catch the landing.
 
     Stance tracking runs the Cartesian+joint reference-tracking torque law
     per leg and maps the torques back to ground reaction forces. After
     takeoff the legs hold the pre-landing pose; each leg joins the landing
     stance at the simulator's ``touched_down`` for it, and the lander drives
-    the stance legs to a stand at ``z_land`` with the goal's yaw for
+    the stance legs to a stand at the goal's height and yaw for
     :data:`_RECOVER_TIME` s past the reference. The log's ``landed`` reads 1
     once a leg has touched down; the summary's also needs the final pose
     within :data:`LANDED_ORIENT_DEG` and :data:`LANDED_HEIGHT_M` of the goal.
     """
-    return _closed_loop(_JumpPolicy(spec, ref, z_land),
+    return _closed_loop(_JumpPolicy(spec, ref),
                         RobotState(pos=spec.p_start, rot=spec.r_start, feet=spec.feet_start),
-                        spec.model, ground=None, noise=None, seed=seed,
+                        spec.model, ground=None, noise=None,
                         duration=float(ref.t[-1]) + _RECOVER_TIME, log_every=10,
                         log_before_step=False)
 
 
-def run_slope(duration=4.0, slope=0.17, v_des=(0.3, 0.0), seed=0, **kw) -> ScenarioResult:
+def run_slope(*, noise: SensorNoise | None, duration=4.0, slope=0.17, v_des=(0.3, 0.0),
+              **kw) -> ScenarioResult:
     """Trot up a planar slope with terrain fitting and posture adjustment."""
-    return TrotDriver(v_des=v_des, duration=duration, seed=seed,
-                      ground=PlaneCoeffs(0.0, slope, 0.0), adapt_posture=True, **kw).run()
+    return TrotDriver(noise=noise, v_des=v_des, duration=duration, slope=slope, **kw).run()

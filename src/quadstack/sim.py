@@ -22,7 +22,7 @@ A swing target at or below the ground is clamped to the surface.
 or below the ground after one above it, or else at the leg's switch to
 stance. A swing whose targets never rise above the ground reports none.
 
-Everything is deterministic for a fixed seed and configuration.
+Everything is deterministic for a fixed noise seed and configuration.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ class SensorNoise:
     gyro_std: float = 0.0          # rad/s
     accel_std: float = 0.0         # m/s^2
     accel_bias: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    seed: int = 0                  # of the generator that draws the white noise
 
     def __post_init__(self):
         # a negative std would read as no noise at all in synth_imu
@@ -79,8 +80,7 @@ class SimWorld:
     """Owns the true robot state, the ground plane, sensors, and the clock."""
 
     def __init__(self, state: RobotState, model: BodyModel, dt: float = 1e-3,
-                 ground: PlaneCoeffs | None = None, noise: SensorNoise | None = None,
-                 seed: int = 0):
+                 ground: PlaneCoeffs | None = None, noise: SensorNoise | None = None):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         self.state = state.copy()
@@ -88,7 +88,7 @@ class SimWorld:
         self.dt = float(dt)
         self.ground = ground or PlaneCoeffs()
         self.noise = noise or SensorNoise()
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(self.noise.seed)
         self.t = 0.0
         self.last_accel = np.zeros(3)           # linear acceleration, world
         self.contact_forces = np.zeros(12)      # commanded forces on stance feet

@@ -48,6 +48,7 @@ not share code with the solver path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
@@ -1349,7 +1350,9 @@ def export_reference(sol: TimingSolution, spec: JumpSpec) -> BodyReference:
         knot_t.extend(knot_t[-1] + h * (np.arange(ph.n_knots) + 1.0))
     knot_t = np.asarray(knot_t)
     total = knot_t[-1]
-    n = int(round(total / dt)) + 1
+    # the last sample falls on the final knot, after a shorter interval if
+    # need be; a total within 1e-4 dt above a multiple of dt adds none
+    n = math.ceil(total / dt - 1e-4) + 1
     ts = np.minimum(np.arange(n) * dt, total)
 
     pos = np.zeros((n, 3))

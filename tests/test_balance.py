@@ -16,7 +16,7 @@ from quadstack.balance import (
     pd_wrench,
 )
 from quadstack.qpsolver import ActiveSetSolver, QpProblem
-from quadstack.scenarios import run_trot
+from quadstack.scenarios import run_trot, sensor_noise
 from quadstack.state import DesiredState, RobotState
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
@@ -99,8 +99,7 @@ def trot_ticks():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(balance, "pd_wrench", recording_pd)
         mp.setattr(ActiveSetSolver, "solve", recording_solve)
-        run_trot(duration=0.3, v_des=(0.9, 0.05), seed=1, use_estimates=True,
-                 accel_std=0.05, gyro_std=0.005, accel_bias_mag=0.2)
+        run_trot(noise=sensor_noise(0.05, 0.005, 0.2, seed=1), duration=0.3, v_des=(0.9, 0.05))
     assert len(wrenches) == len(solves) == 300
     return wrenches, solves
 

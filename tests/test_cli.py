@@ -83,6 +83,9 @@ class TestConfig:
          "jump.yaw_goal_deg"),
         ("jump-opt", "jump:\n  flight_min_s: 0.0\n", None, "jump.flight_min_s"),
         ("jump-sim", "jump:\n  flight_min_s: -0.3\n", None, "jump.flight_min_s"),
+        ("trot", "seed: -1\n", None, "seed"),
+        ("stand", "seed: 1.5\n", None, "seed"),
+        ("jump-opt", "jump:\n  n_knots: 2.5\n", None, "jump.n_knots"),
     ])
     def test_out_of_range_value_is_config_error(self, tmp_path, subcommand, config_text,
                                                 duration, key):
@@ -302,7 +305,7 @@ class TestCsvRoundTrip:
     def test_bytes_match_the_per_element_writer(self, tmp_path):
         # the column writer against repr(float(a[i])) per element, on a
         # recorded trot log plus bool, int, -0.0, subnormal and non-finite columns
-        log = dict(scenarios.run_trot(duration=0.3).log)
+        log = dict(scenarios.run_trot(noise=None, duration=0.3).log)
         n = len(log["t_s"])
         log["flag"] = np.arange(n) % 2 == 0
         log["count"] = np.arange(n)
@@ -461,6 +464,23 @@ class TestTrot:
         assert payload["kind"] == "solver" and payload["type"] == "BreachError"
         assert payload["error"].startswith("stance foot of leg 0 is 0.68")
         assert "at t = 0.710 s, beyond the leg's reach of 0.68 m" in payload["error"]
+
+    def test_the_seed_draws_only_the_sensor_noise(self, tmp_path):
+        # on true state no sensor is read: the seed changes only its record
+        # in the summary. On estimates it draws the sensors' white noise
+        runs = {}
+        for estimates in ("false", "true"):
+            for seed in (0, 7):
+                out = tmp_path / f"{estimates}-{seed}"
+                code, summary = run_cli(
+                    tmp_path, "trot", f"seed: {seed}\ncontroller:\n  use_estimates: {estimates}\n",
+                    out_dir=str(out), duration_s=0.3)
+                assert code == 0, summary
+                assert summary.pop("seed") == seed
+                summary.pop("runtime_s")
+                runs[estimates, seed] = summary, (out / "trot_balance_log.csv").read_bytes()
+        assert runs["false", 0] == runs["false", 7]
+        assert runs["true", 0][1] != runs["true", 7][1]
 
     def test_slope_estimates_grade(self, tmp_path):
         code, summary = run_cli(tmp_path, "slope", duration_s=2.0)

@@ -54,8 +54,8 @@ def trot_kf_calls():
     with pytest.MonkeyPatch.context() as mp:
         for name in calls:
             mp.setattr(scenarios, name, recording(name))
-        scenarios.run_trot(duration=0.3, v_des=(0.9, 0.05), seed=1, use_estimates=True,
-                           accel_std=0.05, gyro_std=0.005, accel_bias_mag=0.2)
+        scenarios.run_trot(noise=scenarios.sensor_noise(0.05, 0.005, 0.2, seed=1),
+                           duration=0.3, v_des=(0.9, 0.05))
     assert [len(c) for c in calls.values()] == [300, 300]
     return calls
 

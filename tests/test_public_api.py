@@ -15,6 +15,7 @@ import pytest
 
 import quadstack
 from quadstack import so3
+from quadstack.sim import SensorNoise
 from quadstack.swing import UnreachableError, leg_ik
 from quadstack.trajopt import BodyReference
 
@@ -70,22 +71,21 @@ ESTIMATE_BOUNDARIES = ("scenarios.estimator_step", "estimation.orient", "estimat
                        "balance.compute", "qpsolver.solve")
 
 
-@pytest.mark.parametrize("controller, use_estimates", [
-    pytest.param("balance", False, id="balance"), pytest.param("mpc", False, id="mpc"),
-    pytest.param("balance", True, id="balance-estimates")])
-def test_trot_loop_calls_traced_boundaries(controller, use_estimates):
+@pytest.mark.parametrize("controller, noise", [
+    pytest.param("balance", None, id="balance"), pytest.param("mpc", None, id="mpc"),
+    pytest.param("balance", SensorNoise(), id="balance-estimates")])
+def test_trot_loop_calls_traced_boundaries(controller, noise):
     layers = _layers()
     tracer = layers.Tracer()
     try:
         layers.install(tracer, quadstack)
-        quadstack.scenarios.run_trot(duration=0.2, controller=controller,
-                                     use_estimates=use_estimates)
+        quadstack.scenarios.run_trot(duration=0.2, controller=controller, noise=noise)
     finally:
         tracer.restore()
     # the MPC replan's layers: the tables, the condensed solve and its QP
     expected = TROT_BOUNDARIES + (("scenarios.mpc_tables", "mpc.solve", "qpsolver.solve")
                                   if controller == "mpc" else ())
-    expected += ESTIMATE_BOUNDARIES if use_estimates else ()
+    expected += ESTIMATE_BOUNDARIES if noise is not None else ()
     traced = {name for name, *_ in tracer.spans}
     missing = [name for name in expected if name not in traced]
     assert not missing, f"no span recorded for {missing}"
@@ -97,7 +97,7 @@ def test_trot_loop_calls_traced_boundaries(controller, use_estimates):
     if controller == "mpc":
         for key in ("scenarios.mpc_tables_us", "mpc.build_ms", "qpsolver.mpc.iters"):
             assert metrics[key] > 0.0, key
-    if use_estimates:
+    if noise is not None:
         for key in ("estimation.orient_us", "estimation.kf_predict_us", "estimation.kf_update_us",
                     "estimation.legmeas_us", "sim.imu_us", "sim.encoders_us",
                     "balance.compute_us_p50", "qpsolver.balance.solve_us_p50"):
@@ -357,7 +357,6 @@ SETTABLE_TEST_ONLY_ALLOWED = {
     "balance.FrictionSpec.mu": "the pyramids' friction coefficient: every controller runs "
                                "with MU, tests vary it to make the pyramid bind",
     "cli.main.argv": "the entry point's arguments; the console script passes none",
-    "scenarios.run_stand.controller": "the hover mode that criterion 2 runs",
     "trajopt.ContactPhase.feet_pos": "per-phase footholds of the jump corpus, "
                                      "tested in test_trajopt.py",
     "trajopt.TimingProblem._derivative_blocks.y_eq": "passed through functools.partial, "

@@ -12,6 +12,7 @@ from scipy.linalg.lapack import dtrtrs
 from quadstack import qpsolver, scenarios
 from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpResult, QpStatus, _solved
 from quadstack.scenarios import hop_spec, run_jump_opt, run_jump_sim, run_trot
+from quadstack.sim import SensorNoise
 from quadstack.state import unchecked
 
 # the solver keeps no state between solves
@@ -474,8 +475,8 @@ def stack_qps():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "_RECOVER_TIME", 0.3)
         landing = recorded_qps(lambda: run_jump_sim(spec, ref))
-    return {"mpc": recorded_qps(lambda: run_trot(duration=1.0, controller="mpc")),
-            "estimates": recorded_qps(lambda: run_trot(duration=0.3, use_estimates=True)),
+    return {"mpc": recorded_qps(lambda: run_trot(noise=None, duration=1.0, controller="mpc")),
+            "estimates": recorded_qps(lambda: run_trot(noise=SensorNoise(), duration=0.3)),
             "landing": landing}
 
 

@@ -6,12 +6,24 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from quadstack import cli, gait, mpc, scenarios, sim, terrain
+from quadstack.balance import BodyModel
 from quadstack.estimation import ImuSample
 from quadstack.scenarios import (ReplayLogError, hop_spec, reference_from_log, reference_log,
                                  run_estimate, run_jump_opt, run_jump_sim, run_slope, run_stand,
-                                 run_trot, spin_spec)
+                                 run_trot, sensor_noise, spin_spec)
+from quadstack.sim import SensorNoise
 from quadstack.swing import HIP_OFFSETS, grf_from_torque
 from quadstack.trajopt import BodyReference
+
+# the stand's sensor noise at the CLI's default figures
+STAND_NOISE = sensor_noise(0.05, 0.005, 0.2, seed=0)
+
+
+def even_weight_split(monkeypatch):
+    """Replace the stand's balance QP by the even weight split, which holds
+    the truth strictly stationary."""
+    even = np.tile([0.0, 0.0, BodyModel().weight / 4.0], 4)
+    monkeypatch.setattr(scenarios.BalanceController, "compute", lambda self, *args: even)
 
 
 def flat_stand_reference(spec, n=31):
@@ -28,38 +40,37 @@ class TestStand:
     def test_estimator_in_the_loop(self):
         # controller consumes the estimates; errors stay within the stand
         # budget (1 cm position, 0.03 m/s velocity RMS)
-        res = run_stand(duration=3.0, controller="balance")
+        res = run_stand(noise=STAND_NOISE, duration=3.0)
         s = res.summary
         assert s["pos_rmse_m"] <= 0.01
         assert s["vel_rmse_mps"] <= 0.03
         assert s["height_error_final_m"] <= 1e-3
 
     def test_height_drift_over_5s(self):
-        res = run_stand(duration=5.0, controller="balance", accel_std=0.0,
-                        gyro_std=0.0, accel_bias_mag=0.0)
+        res = run_stand(noise=SensorNoise(), duration=5.0)
         assert res.summary["height_error_final_m"] <= 1e-3
 
     def test_deterministic_logs(self):
         logs = []
         for _ in range(2):
-            res = run_stand(duration=0.5, seed=11)
+            res = run_stand(noise=dataclasses.replace(STAND_NOISE, seed=11), duration=0.5)
             logs.append(res.log)
         for k in logs[0]:
             assert np.array_equal(logs[0][k], logs[1][k]), k
 
     def test_seed_changes_noise(self):
-        a = run_stand(duration=0.3, seed=1).log["accel_x_mps2"]
-        b = run_stand(duration=0.3, seed=2).log["accel_x_mps2"]
+        a, b = (run_stand(noise=dataclasses.replace(STAND_NOISE, seed=seed), duration=0.3)
+                .log["accel_x_mps2"] for seed in (1, 2))
         assert not np.array_equal(a, b)
 
 
 class TestTrot:
     def test_estimator_in_loop_trot_stays_up(self):
-        res = run_trot(duration=2.0, v_des=(0.5, 0.0), use_estimates=True)
+        res = run_trot(noise=SensorNoise(), duration=2.0, v_des=(0.5, 0.0))
         assert res.summary["height_rms_m"] <= 0.03
 
     def test_zero_velocity_trot_stays_put(self):
-        res = run_trot(duration=2.0, v_des=(0.0, 0.0))
+        res = run_trot(noise=None, duration=2.0, v_des=(0.0, 0.0))
         log = res.log
         assert np.max(np.abs(log["px_m"])) <= 0.05
         assert res.summary["height_rms_m"] <= 0.01
@@ -67,7 +78,7 @@ class TestTrot:
     def test_mean_speed_averages_ticks(self):
         # the trot accelerates from rest, so the final speed is well above
         # the mean; the log samples every tenth tick
-        res = run_trot(duration=0.5, v_des=(1.0, 0.0))
+        res = run_trot(noise=None, duration=0.5, v_des=(1.0, 0.0))
         logged = np.hypot(res.log["vx_mps"], res.log["vy_mps"])
         assert logged[-1] > 2.0 * res.summary["mean_speed_mps"]
         assert_allclose(res.summary["mean_speed_mps"], np.mean(logged), atol=0.01)
@@ -75,36 +86,31 @@ class TestTrot:
     def test_repeated_runs_write_identical_logs(self):
         # the balance and MPC trots run in turn, twice: no module-level
         # cache (stance columns, friction rows) carries state between runs
-        runs = [run_trot(duration=0.3, use_estimates=True), run_trot(duration=0.3, controller="mpc"),
-                run_trot(duration=0.3, use_estimates=True), run_trot(duration=0.3, controller="mpc")]
+        runs = [run_trot(noise=SensorNoise(), duration=0.3),
+                run_trot(noise=None, duration=0.3, controller="mpc"),
+                run_trot(noise=SensorNoise(), duration=0.3),
+                run_trot(noise=None, duration=0.3, controller="mpc")]
         for first, again in ((runs[0], runs[2]), (runs[1], runs[3])):
             assert first.log.keys() == again.log.keys()
             for k in first.log:
                 assert np.asarray(first.log[k]).tobytes() == np.asarray(again.log[k]).tobytes(), k
 
     def test_trot_log_schema(self):
-        res = run_trot(duration=0.5)
+        res = run_trot(noise=None, duration=0.5)
         for col in ("t_s", "px_m", "vz_mps", "r00", "foot0x_m", "f3z_N", "stance0"):
             assert col in res.log
-
-    @pytest.mark.parametrize("noise", [{"accel_std": 0.1}, {"gyro_std": 0.01},
-                                       {"accel_bias_mag": 0.2}])
-    def test_noise_on_true_state_is_rejected(self, noise):
-        # on true state the sensors are not read, so noise there would be
-        # accepted and then ignored
-        with pytest.raises(ValueError, match="use_estimates"):
-            run_trot(duration=0.01, **noise)
 
     @pytest.mark.parametrize("ramp_time", [-1.0, np.nan])
     def test_negative_ramp_is_rejected(self, ramp_time):
         # v_cmd would read it as no ramp
         with pytest.raises(ValueError, match="ramp_time"):
-            scenarios.TrotDriver(duration=0.01, ramp_time=ramp_time)
+            scenarios.TrotDriver(noise=None, duration=0.01, ramp_time=ramp_time)
 
     def test_mpc_ticks_advance_the_reference_without_a_target(self):
         # the MPC's horizon tables read only the CoM reference: desired
         # advances it as on a balance tick and builds no balance target
-        drivers = [scenarios.TrotDriver(duration=0.01, controller=c) for c in ("balance", "mpc")]
+        drivers = [scenarios.TrotDriver(noise=None, duration=0.01, controller=c)
+                   for c in ("balance", "mpc")]
         for t in (0.0, 0.001, 0.002):
             contact, phis = drivers[0].schedule(t)
             balance, mpc_des = (d.desired(t, d.start, contact, phis) for d in drivers)
@@ -116,7 +122,7 @@ class TestSlope:
     def test_stance_feet_lie_on_the_slope(self):
         # the simulator's ground is the slope the controller plans on: every
         # stance foot sits on z = 0.17 x, touchdowns included
-        res = scenarios.run_slope(duration=1.0, slope=0.17)
+        res = scenarios.run_slope(noise=None, duration=1.0, slope=0.17)
         log = res.log
         assert log["stance0"].size == 100 and not log["stance0"].all()
         for leg in range(4):
@@ -141,11 +147,11 @@ class TestTouchdowns:
 
         monkeypatch.setattr(sim.SimWorld, "step", recording)
         if case == "flat":
-            run_trot(duration=1.0, v_des=(1.0, 0.0), use_estimates=True)
+            run_trot(noise=SensorNoise(), duration=1.0, v_des=(1.0, 0.0))
         elif case == "slope":
-            run_slope(duration=1.0, v_des=(1.0, 0.0), use_estimates=True)
+            run_slope(noise=SensorNoise(), duration=1.0, v_des=(1.0, 0.0))
         else:
-            run_trot(duration=0.5)
+            run_trot(noise=None, duration=0.5)
         stance = np.array([mask for mask, _ in steps])
         touched = np.array([flags for _, flags in steps])
         assert stance[0].tolist() == [True, False, False, True]
@@ -169,7 +175,7 @@ class TestTouchdowns:
 class TestEstimatedFeet:
     @pytest.mark.parametrize("scenario", ["stand", "trot"])
     def test_balance_receives_the_kf_feet(self, monkeypatch, scenario):
-        # under use_estimates the controller's feet are the KF's own foot
+        # on estimates the controller's feet are the KF's own foot
         # states, not the simulator's
         seen, current = [], {}
         step, imu, compute = (scenarios.EstimatorLoop.step, sim.SimWorld.synth_imu,
@@ -192,9 +198,9 @@ class TestEstimatedFeet:
         monkeypatch.setattr(sim.SimWorld, "synth_imu", recording_imu)
         monkeypatch.setattr(scenarios.BalanceController, "compute", recording_compute)
         if scenario == "stand":
-            run_stand(duration=0.2, controller="balance")
+            run_stand(noise=STAND_NOISE, duration=0.2)
         else:
-            run_trot(duration=0.2, use_estimates=True)
+            run_trot(noise=SensorNoise(), duration=0.2)
         assert len(seen) == 200
         for feet, kf_feet, _ in seen:
             assert np.array_equal(feet, kf_feet)
@@ -224,7 +230,7 @@ class TestEstimatedFeet:
         monkeypatch.setattr(scenarios.EstimatorLoop, "step", recording_step)
         monkeypatch.setattr(sim.SimWorld, "synth_imu", recording_imu)
         monkeypatch.setattr(terrain, "fit_plane", recording_fit)
-        run_slope(duration=0.8, use_estimates=True)
+        run_slope(noise=SensorNoise(), duration=0.8)
         assert len(fits) >= 5   # start-up, then one fit per touchdown
         for (before, _, _), (points, kf_feet, true_feet) in zip(fits, fits[1:]):
             # the legs that just touched down hold the KF's foot, the others
@@ -280,7 +286,8 @@ class TestMpcTables:
     def test_matches_per_leg_loop(self, monkeypatch):
         # record the state of every replan of a 1 s MPC trot: t = 0, the
         # 0.8 s command ramp, liftoff ticks, mid-stance and past the ramp
-        driver = scenarios.TrotDriver(v_des=(0.9, -0.08), duration=1.0, controller="mpc")
+        driver = scenarios.TrotDriver(noise=None, v_des=(0.9, -0.08), duration=1.0,
+                                      controller="mpc")
         calls = []
         original = scenarios.TrotDriver.mpc_tables
 
@@ -310,7 +317,8 @@ class TestMpcTables:
         # the trot applies the plan's first step without masking it: every
         # contact switch replans with the realized flags, so the swing
         # entries are already the +0.0 that the mask would give
-        driver = scenarios.TrotDriver(v_des=(0.9, -0.08), duration=1.0, controller="mpc")
+        driver = scenarios.TrotDriver(noise=None, v_des=(0.9, -0.08), duration=1.0,
+                                      controller="mpc")
         applied = []
         original = scenarios.TrotDriver.mpc_forces
 
@@ -333,19 +341,23 @@ class TestEstimateReplay:
         with pytest.raises(ReplayLogError, match="missing columns"):
             run_estimate({"t_s": np.zeros(3)})
 
-    def test_replay_matches_online(self):
-        online = run_stand(duration=1.0, controller="hover", log_every=1)
+    def test_replay_matches_online(self, monkeypatch):
+        even_weight_split(monkeypatch)
+        online = run_stand(noise=STAND_NOISE, duration=1.0, log_every=1)
         replay = run_estimate(online.log)
         # both estimators see identical sensor streams
         assert_allclose(replay.summary["vel_rmse_mps"],
                         online.summary["vel_rmse_mps"], rtol=0.3, atol=5e-4)
 
     @pytest.mark.parametrize("controller", ["hover", "balance"])
-    def test_logged_stream_reproduces_the_live_estimates(self, controller):
+    def test_logged_stream_reproduces_the_live_estimates(self, monkeypatch, controller):
         # the live loop and the replay are one pipeline: an EstimatorLoop
         # started from the stand's initial state and fed the logged sensor
-        # stream reproduces the logged estimates bit for bit
-        log = run_stand(duration=0.5, controller=controller, log_every=1).log
+        # stream reproduces the logged estimates bit for bit, on a hovering
+        # (even weight split) and on a balancing stand
+        if controller == "hover":
+            even_weight_split(monkeypatch)
+        log = run_stand(noise=STAND_NOISE, duration=0.5, log_every=1).log
         est = scenarios.EstimatorLoop(np.eye(3), [0.0, 0.0, scenarios.NOMINAL_Z],
                                       scenarios.nominal_feet(), terrain.PlaneCoeffs())
         phat, vhat = [], []
@@ -535,7 +547,7 @@ class TestJumpPipeline:
         for a in (scenarios._ALL_STANCE, scenarios._NO_FORCES):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0]
-        driver = scenarios.TrotDriver(duration=0.01)
+        driver = scenarios.TrotDriver(noise=None, duration=0.01)
         contact, phis = driver.schedule(0.0)
         des = driver.desired(0.0, driver.start, contact, phis)
         assert_array_equal(des.rot, np.eye(3))
@@ -608,13 +620,13 @@ class TestLayerBoundaries:
         return take
 
     def test_estimated_state_trot(self, calls):
-        run_trot(duration=0.05, use_estimates=True)
+        run_trot(noise=SensorNoise(), duration=0.05)
         c = calls()
         assert c["ticks"] == 50
         assert c["synth_encoders"] == c["leg_measurements_batch"] == c["kf_update"] == 50
 
     def test_estimate_replay(self, calls):
-        log = run_stand(duration=0.05, controller="hover", log_every=1).log
+        log = run_stand(noise=STAND_NOISE, duration=0.05, log_every=1).log
         calls()
         run_estimate(log)
         c = calls()

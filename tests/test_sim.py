@@ -16,9 +16,9 @@ FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
 G = 9.81
 
 
-def stand_world(seed=0, noise=None, dt=1e-3, z=0.45):
+def stand_world(noise=None, dt=1e-3, z=0.45):
     state = RobotState(pos=[0.0, 0.0, z], feet=FEET)
-    return SimWorld(state, BodyModel(), dt=dt, noise=noise, seed=seed)
+    return SimWorld(state, BodyModel(), dt=dt, noise=noise)
 
 
 def hover_forces(model=BodyModel()):
@@ -91,7 +91,7 @@ class TestDynamics:
     def test_determinism(self):
         runs = []
         for _ in range(2):
-            w = stand_world(seed=42, noise=SensorNoise(gyro_std=0.01, accel_std=0.05))
+            w = stand_world(noise=SensorNoise(gyro_std=0.01, accel_std=0.05, seed=42))
             log = []
             for _ in range(100):
                 w.step(hover_forces(), np.ones(4, dtype=bool))
@@ -259,7 +259,7 @@ class TestSensors:
             w.synth_encoders()
 
     def test_noise_statistics(self):
-        w = stand_world(noise=SensorNoise(accel_std=0.05), seed=3)
+        w = stand_world(noise=SensorNoise(accel_std=0.05, seed=3))
         samples = []
         for _ in range(2000):
             w.step(hover_forces(), np.ones(4, dtype=bool))
@@ -453,10 +453,10 @@ def recorded_ticks():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SimWorld, "step", recording("mpc"))
-        scenarios.run_trot(duration=0.6, v_des=(0.8, 0.1), controller="mpc")
+        scenarios.run_trot(noise=None, duration=0.6, v_des=(0.8, 0.1), controller="mpc")
         mp.setattr(SimWorld, "step", recording("estimates"))
-        scenarios.run_trot(duration=0.3, v_des=(0.9, 0.05), seed=1, use_estimates=True,
-                           accel_std=0.05, gyro_std=0.005, accel_bias_mag=0.2)
+        scenarios.run_trot(noise=scenarios.sensor_noise(0.05, 0.005, 0.2, seed=1),
+                           duration=0.3, v_des=(0.9, 0.05))
         spec = scenarios.hop_spec(n_knots=4)
         _, ref = scenarios.run_jump_opt(spec)
         mp.setattr(scenarios, "_RECOVER_TIME", 0.3)

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -684,6 +685,16 @@ class TestExport:
         dt = trajopt._REFERENCE_DT
         ref = export_reference(sol, spec)
         assert len(ref.t) == int(round(float(sol.durations.sum()) / dt)) + 1
+
+    def test_grid_ends_on_the_final_knot(self, yaw_stand_solution):
+        # a total that is no multiple of the sample interval ends the grid
+        # with one shorter interval, on the final knot
+        spec, sol = yaw_stand_solution
+        durations = sol.durations * (0.634 / sol.durations.sum())
+        ref = export_reference(dataclasses.replace(sol, durations=durations), spec)
+        assert len(ref.t) == 65
+        assert_allclose(ref.t[-2:], [0.63, 0.634], rtol=1e-12)
+        assert_allclose(ref.pos[-1], sol.states[-1].pos, rtol=0.0, atol=1e-15)
 
     def test_rotations_orthonormal(self, yaw_stand_solution):
         spec, sol = yaw_stand_solution

@@ -14,12 +14,25 @@ exactly zero force.
 The same controller doubles as the landing controller: the caller sets the
 stance mask from detected contacts, and swing legs stay force-free until
 their own touchdown.
+
+:meth:`BalanceController.compute` runs in one pass from the state to the
+QP. The PD law returns floats, which the force model reads as they are;
+the force map is built on the stance legs' columns only, in the Fortran
+layout that a column gather of the 6x12 map has, and the swing legs'
+variables never exist. The products whose rounding sets the forces' bits
+stay BLAS and LAPACK calls: R_d R^T, R omega, R I R^T, I_w acc_ang,
+A_s^T S A_s and A_s^T (S b_d), as ``ndarray.dot`` (the kernel ``@`` runs,
+with less dispatch), and the solver's ``dpotrf`` and ``dtrtrs``. A
+C-ordered A_s would change the bits of A_s^T S A_s.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -54,10 +67,6 @@ _S_WEIGHT = np.diag([1.0, 1.0, 1.0, 20.0, 20.0, 10.0])
 _ALPHA = 1e-4
 _BETA = 1e-4
 
-# rows 0-2 of the force map: every foot force enters the net force as is
-_FORCE_TEMPLATE = np.vstack([np.hstack([np.eye(3)] * 4), np.zeros((3, 12))])
-_FORCE_TEMPLATE.setflags(write=False)
-
 
 class ForceDistributionError(RuntimeError):
     """The force QP ended without an optimum (infeasible, iteration limit, dependent rows)."""
@@ -72,10 +81,14 @@ class BodyModel:
 
     def __post_init__(self):
         self.inertia = np.asarray(self.inertia, dtype=float).reshape(3, 3)
+        if not 0.0 < self.mass < math.inf:
+            raise ValueError(f"mass must be finite and positive, got {self.mass!r}")
+        if not np.isfinite(self.inertia).all():
+            raise ValueError(f"inertia must be finite, got {self.inertia.tolist()!r}")
 
     def inertia_world(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        return r @ self.inertia @ r.T
+        """R I R^T for a (3, 3) float array R."""
+        return r.dot(self.inertia).dot(r.T)
 
     @property
     def weight(self) -> float:
@@ -89,12 +102,14 @@ class FrictionSpec:
     f_max: float = 500.0
 
     def __post_init__(self):
-        if self.mu <= 0.0 or self.f_min < 0.0 or self.f_min >= self.f_max:
-            raise ValueError("need mu > 0 and 0 <= f_min < f_max")
+        # written so that NaN fails every comparison
+        if not (0.0 < self.mu < math.inf and 0.0 <= self.f_min < self.f_max):
+            raise ValueError(f"need a finite mu > 0 and 0 <= f_min < f_max, got {self!r}")
 
 
-def pd_wrench(state: RobotState, des: DesiredState) -> tuple[np.ndarray, np.ndarray]:
-    """Desired linear and angular accelerations from the PD law.
+def pd_wrench(state: RobotState, des: DesiredState) -> tuple[list[float], list[float]]:
+    """Desired linear and angular accelerations from the PD law, as two
+    lists of three floats.
 
     Orientation feedback acts on log(R_d R^T), a world-frame axis-angle
     error, and the target body rate is zero; both outputs vanish when the
@@ -103,9 +118,10 @@ def pd_wrench(state: RobotState, des: DesiredState) -> tuple[np.ndarray, np.ndar
     The gains are diagonal: each output entry is one product per term, in
     floats, and ``+ 0.0`` gives a zero entry the +0.0 of a gain matrix's
     product. log(R_d R^T) is :func:`so3.log_map`'s scalar path; its near-pi
-    branch calls ``log_map``. 3x3 products stay matmuls.
+    branch calls ``log_map``. R_d R^T and the world rate R omega stay BLAS
+    products.
     """
-    err = des.rot @ state.rot.T
+    err = des.rot.dot(state.rot.T)
     err_rot = so3._log_rows(err.tolist())
     if err_rot is None:
         err_rot = so3.log_map(err).tolist()
@@ -115,37 +131,42 @@ def pd_wrench(state: RobotState, des: DesiredState) -> tuple[np.ndarray, np.ndar
     # 0.0 - w, not -w: the rate error keeps the signed zeros of a zero target
     acc_ang = [kp * e + kd * (0.0 - w) + 0.0 for kp, kd, e, w in zip(
         _KP_ORN, _KD_ORN, err_rot, state.omega_world().tolist())]
-    return np.array(acc_lin), np.array(acc_ang)
+    return acc_lin, acc_ang
 
 
 def build_force_model(p_c: np.ndarray, feet: np.ndarray, model: BodyModel,
-                      acc_lin: np.ndarray, acc_ang: np.ndarray,
-                      r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Force/moment map A (6x12) and target wrench b_d (6,).
+                      acc_lin: Sequence[float], acc_ang: Sequence[float], r: np.ndarray,
+                      legs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Force/moment map A_s (6 x 3 len(legs)) of the stance legs ``legs``
+    and target wrench b_d (6,).
 
-    A = [I I I I; hat(p_1 - p_c) ... hat(p_4 - p_c)]: the identity rows come
-    from a constant template, and the skew blocks are written from the lever
-    arms computed as floats, the same bits as :func:`so3.hat` of the array
-    difference. b_d = [m (acc_lin - g); I_w acc_ang] with the inertia
-    rotated to the world frame when ``r`` is given; its force rows are
-    taken in floats, the moment rows stay a matmul.
+    A_s holds the columns of A = [I I I I; hat(p_1 - p_c) ... hat(p_4 - p_c)]
+    that the legs' forces multiply, in Fortran order, the layout a column
+    gather ``A[:, cols]`` gives: the QP's products read it as such, and a
+    C-ordered A_s changes their bits. The columns are written from the
+    lever arms computed as floats, the same bits as :func:`so3.hat` of the
+    array difference. b_d = [m (acc_lin - g); I_w acc_ang] with the inertia
+    rotated to the world frame by ``r``; its force rows are taken in
+    floats, the moment rows stay a BLAS product. ``p_c`` is a (3,) and
+    ``feet`` a (4, 3) float array.
     """
-    px, py, pz = np.asarray(p_c, dtype=float).reshape(3).tolist()
-    r0, r1, r2 = [], [], []
-    for fx, fy, fz in np.asarray(feet, dtype=float).reshape(4, 3).tolist():
+    px, py, pz = p_c.tolist()
+    rows = feet.tolist()
+    cols = []
+    for leg in legs:
+        fx, fy, fz = rows[leg]
         x, y, z = fx - px, fy - py, fz - pz
-        r0 += (0.0, -z, y)
-        r1 += (z, 0.0, -x)
-        r2 += (-y, x, 0.0)
-    a = _FORCE_TEMPLATE.copy()
-    a[3:6] = (r0, r1, r2)
-    inertia = model.inertia_world(r)
-    ax, ay, az = np.asarray(acc_lin, dtype=float).tolist()
+        # the leg's three columns: e_k over the k-th column of hat(p_leg - p_c)
+        cols += (1.0, 0.0, 0.0, 0.0, z, -y,
+                 0.0, 1.0, 0.0, -z, 0.0, x,
+                 0.0, 0.0, 1.0, y, -x, 0.0)
+    a_s = np.array(cols).reshape(-1, 6).T
+    ax, ay, az = acc_lin
     gx, gy, gz = _GRAVITY_XYZ
     m = model.mass
     b_d = np.array([m * (ax - gx), m * (ay - gy), m * (az - gz),
-                    *(inertia @ np.asarray(acc_ang, dtype=float)).tolist()])
-    return a, b_d
+                    *model.inertia_world(r).dot(np.array(acc_ang, dtype=float)).tolist()])
+    return a_s, b_d
 
 
 @functools.lru_cache(maxsize=64)
@@ -178,40 +199,37 @@ def _friction_qp(h: np.ndarray, g: np.ndarray, friction: FrictionSpec) -> QpProb
 
 
 @functools.lru_cache(maxsize=16)
-def _stance_cols(stance: tuple[bool, ...]) -> np.ndarray:
-    """Indices of the stance feet's force components in F (12,), read-only."""
-    cols = np.array([3 * i + k for i, on in enumerate(stance) if on for k in range(3)])
+def _stance_cols(legs: tuple[int, ...]) -> np.ndarray:
+    """Indices of the legs' force components in F (12,), read-only."""
+    cols = np.array([3 * i + k for i in legs for k in range(3)])
     cols.setflags(write=False)
     return cols
 
 
-def balance_qp(a: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
-               friction: FrictionSpec, stance_mask: np.ndarray,
-               solver: ActiveSetSolver | None = None) -> np.ndarray:
+def balance_qp(a_s: np.ndarray, b_d: np.ndarray, f_prev: np.ndarray,
+               friction: FrictionSpec, legs: tuple[int, ...],
+               solver: ActiveSetSolver) -> np.ndarray:
     """Distribute foot forces minimizing the weighted wrench error.
 
     min (A F - b_d)^T S (A F - b_d) + alpha |F|^2 + beta |F - F_prev|^2
     s.t. friction pyramid and normal bounds per stance foot; F = 0 on swing
-    feet (their variables are eliminated, so the zeros are exact).
+    feet. Only the stance legs ``legs`` have variables: ``a_s`` is A on
+    their force columns (see :func:`build_force_model`), ``f_prev`` the
+    previous F (12,), and the swing legs' entries of the returned F (12,)
+    are exact zeros.
 
     A QP that ends without an optimum (infeasible, iteration limit,
     dependent working set) raises :class:`ForceDistributionError`.
     """
-    stance = tuple(np.asarray(stance_mask, dtype=bool).reshape(4).tolist())
-    if not any(stance):
+    if not legs:
         raise ValueError("at least one stance leg required")
-    f_prev = np.zeros(12) if f_prev is None else np.asarray(f_prev, dtype=float).reshape(12)
-    solver = solver or ActiveSetSolver()
-
-    cols = _stance_cols(stance)
-    a_s = a[:, cols]
-    f_prev_s = f_prev[cols]
+    cols = _stance_cols(legs)
     n = cols.size
     # 2 (A_s^T S A_s + (alpha + beta) I), with the identity added in place
-    h = a_s.T @ _S_WEIGHT @ a_s
+    h = a_s.T.dot(_S_WEIGHT).dot(a_s)
     h.ravel()[::n + 1] += _ALPHA + _BETA
     h *= 2.0
-    g = -2.0 * (a_s.T @ (_S_WEIGHT @ np.asarray(b_d, dtype=float)) + _BETA * f_prev_s)
+    g = -2.0 * (a_s.T.dot(_S_WEIGHT.dot(b_d)) + _BETA * f_prev[cols])
     res = solver.solve(_friction_qp(h, g, friction))
     if res.status is not QpStatus.OPTIMAL:
         raise ForceDistributionError(f"force QP failed with status {res.status}")
@@ -232,11 +250,13 @@ class BalanceController:
 
     def compute(self, state: RobotState, des: DesiredState,
                 stance_mask: np.ndarray) -> np.ndarray:
+        """The forces F (12,) for ``state`` under the (4,) stance mask: the
+        PD law, the force map on the stance legs and the QP in one pass."""
+        legs = tuple(compress(range(4), np.asarray(stance_mask, dtype=bool).reshape(4).tolist()))
         acc_lin, acc_ang = pd_wrench(state, des)
-        a, b_d = build_force_model(state.pos, state.feet, self.model,
-                                   acc_lin, acc_ang, r=state.rot)
-        f = balance_qp(a, b_d, self.f_prev, self.friction, stance_mask,
-                       solver=self._solver)
-        self.f_prev = f
+        a_s, b_d = build_force_model(state.pos, state.feet, self.model,
+                                     acc_lin, acc_ang, state.rot, legs)
+        self.f_prev = f = balance_qp(a_s, b_d, self.f_prev, self.friction, legs,
+                                     self._solver)
         return f
 

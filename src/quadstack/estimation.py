@@ -94,7 +94,7 @@ def orientation_step(r_hat: np.ndarray, imu: ImuSample, dt: float) -> np.ndarray
     w_corr = (a/|a|) x R^T e_z rotates the estimated gravity direction toward
     the measured one; it carries no yaw information when upright.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     ax, ay, az = imu.accel.tolist()
     wx, wy, wz = imu.gyro.tolist()
@@ -216,7 +216,7 @@ def kf_predict(s: KfState, r_hat: np.ndarray, accel: np.ndarray, dt: float,
     scaled by :data:`SWING_INFLATION_DEFAULT`, so it is free to move. The
     body's is :data:`Q_ACCEL_DEFAULT`.
     """
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise ValueError("dt must be positive")
     u = (np.asarray(r_hat, dtype=float) @ np.asarray(accel, dtype=float) + GRAVITY_W).tolist()
     a, a_t, q = _process_matrices(dt, _stance_key(in_stance), SWING_INFLATION_DEFAULT)

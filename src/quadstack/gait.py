@@ -57,7 +57,7 @@ class GaitSchedule:
     stance_fraction: float
 
     def __post_init__(self):
-        if self.period <= 0.0:
+        if not self.period > 0.0:
             raise ValueError("period must be positive")
         if not 0.0 < self.stance_fraction < 1.0:
             raise ValueError("stance fraction must be in (0, 1)")
@@ -194,7 +194,7 @@ def footstep(p_hip, t_stance: float, v_des, v, z0: float) -> tuple[float, float]
     measured from the hip's ground projection, with g = :data:`~quadstack.balance.GRAVITY`.
     ``p_hip``, ``v_des`` and ``v`` are (x, y) pairs.
     """
-    if z0 <= 0.0:
+    if not z0 > 0.0:
         raise ValueError("z0 must be positive")
     (hx, hy), (dx, dy), (vx, vy) = p_hip, v_des, v
     ff = 0.5 * t_stance

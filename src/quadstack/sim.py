@@ -81,7 +81,7 @@ class SimWorld:
 
     def __init__(self, state: RobotState, model: BodyModel, dt: float = 1e-3,
                  ground: PlaneCoeffs | None = None, noise: SensorNoise | None = None):
-        if dt <= 0.0:
+        if not dt > 0.0:
             raise ValueError("dt must be positive")
         self.state = state.copy()
         self.model = model
@@ -98,7 +98,11 @@ class SimWorld:
         self.airborne = [False] * 4
         self.landed = [False] * 4
         self.stance = [False] * 4               # the stance flags of the last step
-        self._q_prev: np.ndarray | None = None
+        # the last encoder sample, (t, angles, rates)
+        self._encoders: tuple[float, np.ndarray, np.ndarray] | None = None
+        # the state's pos and feet arrays as the last step left them, with
+        # their floats: the support check reads these while the arrays stand
+        self._kept: tuple | None = None
         # the body constants of the step, as rows of floats
         self._inertia = tuple(map(tuple, self.model.inertia.tolist()))
         self._inv_inertia = tuple(map(tuple, np.linalg.inv(self.model.inertia).tolist()))
@@ -241,21 +245,32 @@ class SimWorld:
         self.touched_down = np.array(touched)
         self.contact_forces = np.array(sensor)
         self.stance = stance
+        # the stance rows of feet are the pinned feet after the step
+        self._kept = (s.pos, s.feet, new_pos, feet)
         self.t += dt
         return self
 
     def check_support(self) -> None:
         """Raise :class:`BreachError` if the body's CoM lies below the ground
         under it, or a foot the last step held in stance lies farther than
-        ``L1 + L2`` from its hip, pos + R HIP_OFFSETS[leg]."""
+        ``L1 + L2`` from its hip, pos + R HIP_OFFSETS[leg].
+
+        The position and the feet are the floats the last step wrote while
+        ``state.pos`` and ``state.feet`` are the arrays it left there; an
+        array assigned since (or a check before any step) is read anew.
+        """
         s = self.state
-        px, py, pz = s.pos.tolist()
+        kept = self._kept
+        if kept is not None and kept[0] is s.pos and kept[1] is s.feet:
+            (px, py, pz), feet = kept[2], kept[3]
+        else:
+            (px, py, pz), feet = s.pos.tolist(), s.feet.tolist()
         ground_z = self.ground.height(px, py)
         if pz < ground_z:
             raise BreachError(f"body CoM {ground_z - pz:.3g} m below the ground "
                               f"at t = {self.t:.3f} s")
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = s.rot.tolist()
-        feet, stance, reach2 = s.feet.tolist(), self.stance, _REACH * _REACH
+        stance, reach2 = self.stance, _REACH * _REACH
         for leg in range(4):
             if stance[leg]:
                 (x, y, z), (hx, hy, hz) = feet[leg], _HIPS[leg]
@@ -282,19 +297,24 @@ class SimWorld:
         return unchecked(ImuSample, gyro=gyro, accel=accel)
 
     def synth_encoders(self) -> tuple[np.ndarray, np.ndarray]:
-        """Joint angles and rates, (4, 3) each, via leg IK of the body-frame feet.
+        """Joint angles and rates, (4, 3) each, via leg IK of the body-frame
+        feet; read-only arrays.
 
-        Velocities are backward differences of the joint angles, matching
-        how encoder velocities are produced in practice. Raises
+        Velocities are backward differences of the joint angles against the
+        sample of the last earlier read (zero on the first), matching how
+        encoder velocities are produced in practice. A read at an unchanged
+        ``t`` returns that time's sample again. Raises
         :class:`quadstack.swing.UnreachableError` if a commanded foot left
         the workspace.
         """
+        last = self._encoders
+        if last is not None and last[0] == self.t:
+            return last[1], last[2]
         s = self.state
         p_body = (s.feet - s.pos) @ s.rot  # rows: R^T (foot - p)
         qs = _ik_batch(p_body)
-        if self._q_prev is None:
-            qds = np.zeros((4, 3))
-        else:
-            qds = (qs - self._q_prev) / self.dt
-        self._q_prev = qs.copy()
+        qds = np.zeros((4, 3)) if last is None else (qs - last[1]) / self.dt
+        qs.setflags(write=False)
+        qds.setflags(write=False)
+        self._encoders = (self.t, qs, qds)
         return qs, qds

@@ -38,7 +38,7 @@ class RobotState:
         self.feet = np.asarray(self.feet, dtype=float).reshape(4, 3)
 
     def omega_world(self) -> np.ndarray:
-        return self.rot @ self.omega
+        return self.rot.dot(self.omega)
 
     def copy(self) -> "RobotState":
         return RobotState(self.pos.copy(), self.vel.copy(), self.rot.copy(),

@@ -208,7 +208,7 @@ class SwingTrajectory:
     """
 
     def __init__(self, p_start: np.ndarray, p_end: np.ndarray, duration: float):
-        if duration <= 0.0:
+        if not duration > 0.0:
             raise ValueError("duration must be positive")
         p0 = np.asarray(p_start, dtype=float).reshape(3)
         p1 = np.asarray(p_end, dtype=float).reshape(3)

@@ -146,12 +146,12 @@ class TestCriterion4:
 
     def test_balance_qp(self, monkeypatch):
         model = BodyModel()
-        a, b_d = build_force_model([0.0, 0.0, 0.45], FEET, model,
-                                   np.zeros(3), np.zeros(3), np.eye(3))
+        p_c, legs = np.array([0.0, 0.0, 0.45]), (0, 1, 2, 3)
+        a, b_d = build_force_model(p_c, FEET, model, np.zeros(3), np.zeros(3), np.eye(3), legs)
         with monkeypatch.context() as weights:
             weights.setattr(balance, "_ALPHA", 1e-9)
             weights.setattr(balance, "_BETA", 0.0)
-            f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), np.ones(4, dtype=bool))
+            f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), legs, ActiveSetSolver())
         hover_err = np.max(np.abs(f[2::3] - model.mass * G / 4.0))
         hover_ok = hover_err <= 0.5 and abs(f[2::3].sum() * 4 / 4 - 441.45) < 2.0
 
@@ -163,10 +163,11 @@ class TestCriterion4:
             mask = rng.uniform(size=4) < 0.75
             if not mask.any():
                 mask[0] = True
-            a_i, b_i = build_force_model([0.0, 0.0, 0.45], FEET + rng.normal(size=(4, 3)) * 0.04,
+            legs = tuple(np.flatnonzero(mask).tolist())
+            a_i, b_i = build_force_model(p_c, FEET + rng.normal(size=(4, 3)) * 0.04,
                                          model, rng.normal(size=3) * 2, rng.normal(size=3),
-                                         np.eye(3))
-            fi = balance_qp(a_i, b_i, np.zeros(12), friction, mask)
+                                         np.eye(3), legs)
+            fi = balance_qp(a_i, b_i, np.zeros(12), friction, legs, ActiveSetSolver())
             for leg in range(4):
                 fx, fy, fz = fi[3 * leg:3 * leg + 3]
                 if mask[leg]:

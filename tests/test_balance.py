@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quadstack import balance, qpsolver, so3
+from quadstack import balance, qpsolver, scenarios, so3
 from quadstack.balance import (
     GRAVITY_W,
     BalanceController,
@@ -16,13 +16,14 @@ from quadstack.balance import (
     pd_wrench,
 )
 from quadstack.qpsolver import ActiveSetSolver, QpProblem
-from quadstack.scenarios import run_trot, sensor_noise
+from quadstack.scenarios import hop_spec, run_jump_opt, run_jump_sim, run_trot, sensor_noise
 from quadstack.state import DesiredState, RobotState
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
                  [-0.3, -0.128, 0.0], [-0.3, 0.128, 0.0]])
 MODEL = BodyModel()
 STAND = RobotState(pos=[0.0, 0.0, 0.45], feet=FEET)
+ALL_LEGS = (0, 1, 2, 3)
 
 
 def hover_desired():
@@ -45,7 +46,7 @@ def force_model_per_leg(p_c, feet, model, acc_lin, acc_ang, r):
     for i in range(4):
         a[0:3, 3 * i:3 * i + 3] = np.eye(3)
         a[3:6, 3 * i:3 * i + 3] = so3.hat(feet[i] - p_c)
-    b_d = np.concatenate([model.mass * (acc_lin - GRAVITY_W), model.inertia_world(r) @ acc_ang])
+    b_d = np.concatenate([model.mass * (acc_lin - GRAVITY_W), r @ model.inertia @ r.T @ acc_ang])
     return a, b_d
 
 
@@ -78,17 +79,21 @@ class RecordingSolver(ActiveSetSolver):
 ALL_MASKS = [np.array([(k >> leg) & 1 for leg in range(4)], dtype=bool) for k in range(1, 16)]
 
 
-@pytest.fixture(scope="module")
-def trot_ticks():
-    """The pd_wrench calls ``(state, des, output)`` and the balance QP solves
-    ``(problem, solution)`` of a 0.3 s balance trot on estimates with the
-    CLI's default sensor noise."""
-    wrenches, solves = [], []
-    pd, solve = balance.pd_wrench, ActiveSetSolver.solve
+def legs_of(mask):
+    return tuple(np.flatnonzero(mask).tolist())
 
-    def recording_pd(state, des):
-        out = pd(state, des)
-        wrenches.append((state.copy(), des, out))
+
+def recorded_computes(run):
+    """The ``BalanceController.compute`` calls ``(state, des, stance mask,
+    f_prev before, forces)`` and the QP solves ``(problem, solution)`` that
+    ``run()`` makes."""
+    computes, solves = [], []
+    compute, solve = BalanceController.compute, ActiveSetSolver.solve
+
+    def recording_compute(self, state, des, stance_mask):
+        f_prev = self.f_prev
+        out = compute(self, state, des, stance_mask)
+        computes.append((state.copy(), des, stance_mask.copy(), f_prev, out))
         return out
 
     def recording_solve(self, qp):
@@ -97,11 +102,31 @@ def trot_ticks():
         return res
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(balance, "pd_wrench", recording_pd)
+        mp.setattr(BalanceController, "compute", recording_compute)
         mp.setattr(ActiveSetSolver, "solve", recording_solve)
-        run_trot(noise=sensor_noise(0.05, 0.005, 0.2, seed=1), duration=0.3, v_des=(0.9, 0.05))
-    assert len(wrenches) == len(solves) == 300
-    return wrenches, solves
+        run()
+    return computes, solves
+
+
+@pytest.fixture(scope="module")
+def trot_ticks():
+    """The balance computes and QP solves of a 0.3 s balance trot on
+    estimates with the CLI's default sensor noise."""
+    computes, solves = recorded_computes(lambda: run_trot(
+        noise=sensor_noise(0.05, 0.005, 0.2, seed=1), duration=0.3, v_des=(0.9, 0.05)))
+    assert len(computes) == len(solves) == 300
+    return computes, solves
+
+
+@pytest.fixture(scope="module")
+def hop_landing():
+    """The lander's computes of a 4-knot hop, run 0.3 s past its reference."""
+    spec = hop_spec(n_knots=4)
+    _, ref = run_jump_opt(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_RECOVER_TIME", 0.3)
+        computes, _ = recorded_computes(lambda: run_jump_sim(spec, ref))
+    return computes
 
 
 def pd_wrench_matrix(state, des):
@@ -110,8 +135,21 @@ def pd_wrench_matrix(state, des):
         balance._KP_POS, balance._KD_POS, balance._KP_ORN, balance._KD_ORN))
     acc_lin = kp_pos @ (des.pos - state.pos) + kd_pos @ (des.vel - state.vel)
     err_rot = so3.log_map(des.rot @ state.rot.T)
-    acc_ang = kp_orn @ err_rot + kd_orn @ (0.0 - state.omega_world())
+    acc_ang = kp_orn @ err_rot + kd_orn @ (0.0 - state.rot @ state.omega)
     return acc_lin, acc_ang
+
+
+def pd_arrays(state, des):
+    """pd_wrench's two float lists as arrays."""
+    return tuple(np.array(x) for x in pd_wrench(state, des))
+
+
+def compute_reference(state, des, mask, f_prev, model, friction):
+    """BalanceController.compute as the composition of the array formulas:
+    the gain matrices, the per-leg 6x12 map and the column gather."""
+    acc_lin, acc_ang = pd_wrench_matrix(state, des)
+    a, b_d = force_model_per_leg(state.pos, state.feet, model, acc_lin, acc_ang, state.rot)
+    return balance_qp_gather(a, b_d, f_prev, friction, mask, ActiveSetSolver())[0]
 
 
 def assert_same_bits(got, want, case):
@@ -141,8 +179,8 @@ class TestPdWrench:
         assert_allclose(acc_ang, [0.0, 0.0, -5.0], atol=1e-9)
 
     def test_recorded_ticks_match_matrix_formula_bit_for_bit(self, trot_ticks):
-        for i, (state, des, out) in enumerate(trot_ticks[0]):
-            assert_same_bits(out, pd_wrench_matrix(state, des), i)
+        for i, (state, des, *_) in enumerate(trot_ticks[0]):
+            assert_same_bits(pd_arrays(state, des), pd_wrench_matrix(state, des), i)
 
     def test_zero_target_gives_positive_zeros(self):
         # every difference is a signed zero: -0.0 - 0.0 on x makes both PD
@@ -150,7 +188,7 @@ class TestPdWrench:
         state = RobotState(pos=[0.0, -0.0, 0.45], vel=[0.0, 0.0, -0.0],
                            omega=[-0.0, 0.0, -0.0], feet=FEET)
         des = DesiredState(pos=[-0.0, 0.0, 0.45], vel=[-0.0, -0.0, 0.0])
-        got = pd_wrench(state, des)
+        got = pd_arrays(state, des)
         assert_same_bits(got, pd_wrench_matrix(state, des), "zero target")
         assert all(x.tobytes() == np.zeros(3).tobytes() for x in got)
 
@@ -162,14 +200,14 @@ class TestPdWrench:
             state = RobotState(pos=rng.normal(size=3), vel=rng.normal(size=3),
                                rot=so3.exp_exact(w), omega=rng.normal(size=3), feet=FEET)
             des = DesiredState(pos=rng.normal(size=3), vel=rng.normal(size=3))
-            assert_same_bits(pd_wrench(state, des), pd_wrench_matrix(state, des), case)
+            assert_same_bits(pd_arrays(state, des), pd_wrench_matrix(state, des), case)
 
     def test_near_pi_branch_bit_for_bit(self):
         for rot in (so3.rot_x(np.pi), so3.rot_z(np.pi - 1e-4),
                     so3.exp_exact(np.array([1.0, -2.0, 0.5]) / np.sqrt(5.25) * (np.pi - 3e-4))):
             state = RobotState(pos=[0.1, 0.0, 0.4], rot=rot, omega=[0.3, -0.2, 0.1], feet=FEET)
             with pytest.warns(so3.NearPiWarning):
-                got = pd_wrench(state, hover_desired())
+                got = pd_arrays(state, hover_desired())
             with pytest.warns(so3.NearPiWarning):
                 want = pd_wrench_matrix(state, hover_desired())
             assert_same_bits(got, want, rot)
@@ -184,26 +222,26 @@ class TestPdWrench:
                                rot=so3.exp_exact(rng.normal(size=3) * 0.2))
             if case % 3 == 0:
                 des.pos[case % 2] = state.pos[case % 2]  # an exact zero error
-            assert_same_bits(pd_wrench(state, des), pd_wrench_matrix(state, des), case)
+            assert_same_bits(pd_arrays(state, des), pd_wrench_matrix(state, des), case)
 
 
 class TestForceModel:
     def test_zero_lever_arm(self):
         feet = np.vstack([STAND.pos, FEET[1:]])
-        a, _ = build_force_model(STAND.pos, feet, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
+        a, _ = build_force_model(STAND.pos, feet, MODEL, np.zeros(3), np.zeros(3), np.eye(3), ALL_LEGS)
         assert_allclose(a[3:6, 0:3], np.zeros((3, 3)), atol=1e-12)
 
     def test_hover_wrench(self):
-        _, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
+        _, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3), ALL_LEGS)
         assert_allclose(b_d[0:3], [0.0, 0.0, 45.0 * 9.81], atol=1e-12)
         assert_allclose(b_d[0:3], [0.0, 0.0, 441.45], atol=1e-10)
         assert_allclose(b_d[3:6], np.zeros(3), atol=1e-12)
 
     def test_translation_invariance(self):
-        a1, _ = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
+        a1, _ = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3), ALL_LEGS)
         shift = np.array([1.0, -2.0, 0.3])
         a2, _ = build_force_model(STAND.pos + shift, FEET + shift, MODEL,
-                                  np.zeros(3), np.zeros(3), np.eye(3))
+                                  np.zeros(3), np.zeros(3), np.eye(3), ALL_LEGS)
         assert_allclose(a1, a2, atol=1e-12)
 
     def test_matches_per_leg_construction_bit_for_bit(self):
@@ -217,35 +255,40 @@ class TestForceModel:
                 feet[:, 2] = p_c[2]  # a lever arm in the body's plane
             acc_lin, acc_ang = rng.normal(size=3), rng.normal(size=3)
             r = so3.exp_exact(rng.normal(size=3)) if case % 2 else np.eye(3)
-            got = build_force_model(p_c, feet, MODEL, acc_lin, acc_ang, r)
-            want = force_model_per_leg(p_c, feet, MODEL, acc_lin, acc_ang, r)
-            for x, y in zip(got, want):
-                assert x.shape == y.shape and x.tobytes() == y.tobytes(), case
+            mask = ALL_MASKS[case % 15]
+            a_s, b_d = build_force_model(p_c, feet, MODEL, acc_lin.tolist(), acc_ang.tolist(), r,
+                                         legs_of(mask))
+            a, b_want = force_model_per_leg(p_c, feet, MODEL, acc_lin, acc_ang, r)
+            # the stance columns in the layout of the column gather
+            a_want = a[:, _stance_cols(legs_of(mask))]
+            assert a_s.flags.f_contiguous and a_want.flags.f_contiguous, case
+            for x, y in ((a_s, a_want), (b_d, b_want)):
+                assert x.shape == y.shape and x.tobytes(order="A") == y.tobytes(order="A"), case
 
 
 class TestBalanceQp:
     def test_hover_distributes_weight_evenly(self, set_gains):
         set_gains(alpha=1e-9, beta=0.0)
-        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
-        f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), np.ones(4, dtype=bool))
+        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3), ALL_LEGS)
+        f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), ALL_LEGS, ActiveSetSolver())
         for i in range(4):
             assert_allclose(f[3 * i + 2], 45.0 * 9.81 / 4.0, atol=0.5)
             assert_allclose(f[3 * i:3 * i + 2], np.zeros(2), atol=0.5)
 
     def test_swing_feet_exactly_zero(self):
-        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
-        mask = np.array([True, False, False, True])
-        f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), mask)
-        assert np.all(f[3:9] == 0.0)
+        legs = (0, 3)
+        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3),
+                                   legs)
+        f = balance_qp(a, b_d, np.zeros(12), FrictionSpec(), legs, ActiveSetSolver())
+        assert f[3:9].tobytes() == np.zeros(6).tobytes()
         assert f[2] > 0.0 and f[11] > 0.0
 
     def test_friction_clamps_lateral_commands(self):
         # huge lateral acceleration: tangential forces saturate at mu * Fz
         friction = FrictionSpec(mu=0.5, f_min=0.0, f_max=400.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
-                                   np.array([30.0, 0.0, 0.0]), np.zeros(3), np.eye(3))
-        f = balance_qp(a, b_d, np.zeros(12), friction,
-                       np.ones(4, dtype=bool))
+                                   np.array([30.0, 0.0, 0.0]), np.zeros(3), np.eye(3), ALL_LEGS)
+        f = balance_qp(a, b_d, np.zeros(12), friction, ALL_LEGS, ActiveSetSolver())
         for i in range(4):
             fx, fy, fz = f[3 * i:3 * i + 3]
             assert abs(fx) <= friction.mu * fz + 1e-6
@@ -258,8 +301,8 @@ class TestBalanceQp:
         set_gains(s_weight=np.eye(6), alpha=1e-12, beta=0.0)
         friction = FrictionSpec(mu=5.0, f_min=0.0, f_max=1e5)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.array([0.5, -0.2, 0.3]),
-                                   np.array([0.1, 0.2, -0.1]), np.eye(3))
-        f = balance_qp(a, b_d, np.zeros(12), friction, np.ones(4, dtype=bool))
+                                   np.array([0.1, 0.2, -0.1]), np.eye(3), ALL_LEGS)
+        f = balance_qp(a, b_d, np.zeros(12), friction, ALL_LEGS, ActiveSetSolver())
         assert_allclose(a @ f, b_d, atol=1e-5)
         f_ls = np.linalg.pinv(a) @ b_d
         assert_allclose(a @ f_ls, b_d, atol=1e-9)
@@ -267,14 +310,15 @@ class TestBalanceQp:
     def test_beta_slews_solution(self, set_gains):
         # increasing beta monotonically shrinks the step from f_prev
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
-                                   np.array([0.0, 0.0, 3.0]), np.zeros(3), np.eye(3))
-        a0, b0 = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
+                                   np.array([0.0, 0.0, 3.0]), np.zeros(3), np.eye(3), ALL_LEGS)
+        a0, b0 = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3),
+                                   ALL_LEGS)
         set_gains(beta=0.0)
-        f_prev = balance_qp(a0, b0, np.zeros(12), FrictionSpec(), np.ones(4, dtype=bool))
+        f_prev = balance_qp(a0, b0, np.zeros(12), FrictionSpec(), ALL_LEGS, ActiveSetSolver())
         steps = []
         for beta in (0.0, 1e-3, 1e-2, 1e-1):
             set_gains(beta=beta)
-            f = balance_qp(a, b_d, f_prev, FrictionSpec(), np.ones(4, dtype=bool))
+            f = balance_qp(a, b_d, f_prev, FrictionSpec(), ALL_LEGS, ActiveSetSolver())
             steps.append(np.linalg.norm(f - f_prev))
         assert all(b <= a_ + 1e-9 for a_, b in zip(steps, steps[1:]))
 
@@ -288,8 +332,8 @@ class TestBalanceQp:
                 mask[0] = True
             acc = rng.normal(size=3) * 2.0
             ang = rng.normal(size=3) * 1.0
-            a, b_d = build_force_model(STAND.pos, feet, MODEL, acc, ang, np.eye(3))
-            f = balance_qp(a, b_d, np.zeros(12), friction, mask)
+            a, b_d = build_force_model(STAND.pos, feet, MODEL, acc, ang, np.eye(3), legs_of(mask))
+            f = balance_qp(a, b_d, np.zeros(12), friction, legs_of(mask), ActiveSetSolver())
             for i in range(4):
                 fx, fy, fz = f[3 * i:3 * i + 3]
                 if mask[i]:
@@ -303,9 +347,8 @@ class TestBalanceQp:
         # unreachable wrench with tight bounds: the normal forces stop at f_max
         friction = FrictionSpec(mu=0.3, f_min=0.0, f_max=150.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL,
-                                   np.array([0.0, 0.0, 100.0]), np.zeros(3), np.eye(3))
-        f = balance_qp(a, b_d, np.zeros(12), friction,
-                       np.ones(4, dtype=bool))
+                                   np.array([0.0, 0.0, 100.0]), np.zeros(3), np.eye(3), ALL_LEGS)
+        f = balance_qp(a, b_d, np.zeros(12), friction, ALL_LEGS, ActiveSetSolver())
         assert np.all(f[2::3] <= 150.0 + 1e-7)
 
     def test_iteration_limit_raises_without_backoff(self, monkeypatch):
@@ -323,10 +366,9 @@ class TestBalanceQp:
         solver = CountingSolver()
         friction = FrictionSpec(mu=0.3, f_min=0.0, f_max=150.0)
         a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.array([0.0, 0.0, 100.0]),
-                                   np.zeros(3), np.eye(3))
+                                   np.zeros(3), np.eye(3), ALL_LEGS)
         with pytest.raises(ForceDistributionError, match="MAX_ITER"):
-            balance_qp(a, b_d, np.zeros(12), friction,
-                       np.ones(4, dtype=bool), solver=solver)
+            balance_qp(a, b_d, np.zeros(12), friction, ALL_LEGS, solver)
         assert solver.calls == 1
 
 
@@ -339,11 +381,13 @@ class TestStanceSets:
                 feet = FEET + rng.normal(size=(4, 3)) * 0.05
                 # the larger wrenches saturate the bounds: rows join the working set
                 scale = 40.0 if case % 2 else 1.0
-                a, b_d = build_force_model(STAND.pos, feet, MODEL, rng.normal(size=3) * scale,
-                                           rng.normal(size=3) * scale, np.eye(3))
+                acc_lin, acc_ang = rng.normal(size=3) * scale, rng.normal(size=3) * scale
+                a_s, b_d = build_force_model(STAND.pos, feet, MODEL, acc_lin, acc_ang, np.eye(3),
+                                             legs_of(mask))
                 f_prev = rng.normal(size=12) * 50.0
                 solver = RecordingSolver()
-                f = balance_qp(a, b_d, f_prev, friction, mask, solver=solver)
+                f = balance_qp(a_s, b_d, f_prev, friction, legs_of(mask), solver)
+                a, _ = force_model_per_leg(STAND.pos, feet, MODEL, acc_lin, acc_ang, np.eye(3))
                 f_ref, qp_ref = balance_qp_gather(a, b_d, f_prev, friction, mask,
                                                   ActiveSetSolver())
                 qp, = solver.problems
@@ -361,12 +405,12 @@ class TestStanceSets:
             assert ActiveSetSolver().solve(fresh).x.tobytes() == x.tobytes(), i
 
     def test_all_swing_raises_before_any_cache_lookup(self):
-        a, b_d = build_force_model(STAND.pos, FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
+        controller = BalanceController(MODEL)
         before = (_stance_cols.cache_info(), _friction_rows.cache_info())
         with pytest.raises(ValueError, match="stance"):
-            balance_qp(a, b_d, np.zeros(12), FrictionSpec(),
-                       np.zeros(4, dtype=bool))
+            controller.compute(STAND, hover_desired(), np.zeros(4, dtype=bool))
         assert (_stance_cols.cache_info(), _friction_rows.cache_info()) == before
+        assert controller.f_prev.tobytes() == np.zeros(12).tobytes()
 
     def test_friction_reassigned_after_construction_takes_effect(self):
         # jump-sim's lander is built with f_max = 700 N, the trot's with the
@@ -382,3 +426,54 @@ class TestStanceSets:
         lander = BalanceController(MODEL, FrictionSpec(f_max=700.0))
         assert_allclose(lander.compute(STAND, des, stance)[2::3], 700.0, atol=1e-7)
 
+
+
+class TestOnePass:
+    """BalanceController.compute against the composition of the array
+    formulas (gain matrices, the per-leg 6x12 map, the column gather): the
+    same forces, byte for byte, and the same f_prev after each call."""
+
+    @staticmethod
+    def assert_replay_matches(computes, model, friction):
+        # one controller carries f_prev from call to call, from zero
+        assert computes[0][3].tobytes() == np.zeros(12).tobytes()
+        assert all(a[4] is b[3] for a, b in zip(computes, computes[1:]))
+        controller, f_ref = BalanceController(model, friction), np.zeros(12)
+        for i, (state, des, mask, _, out) in enumerate(computes):
+            f = controller.compute(state, des, mask)
+            f_ref = compute_reference(state, des, mask, f_ref, model, friction)
+            assert f.tobytes() == f_ref.tobytes() == out.tobytes(), i
+            assert controller.f_prev.tobytes() == f_ref.tobytes(), i
+
+    def test_trot_ticks_on_estimates(self, trot_ticks):
+        computes = trot_ticks[0]
+        assert {len(legs_of(c[2])) for c in computes} == {2}
+        self.assert_replay_matches(computes, MODEL, FrictionSpec())
+
+    def test_hop_landing_ticks(self, hop_landing):
+        assert sum(all(c[2]) for c in hop_landing) > 300
+        self.assert_replay_matches(hop_landing, hop_spec(n_knots=4).model,
+                                   FrictionSpec(f_max=scenarios.F_MAX))
+
+    def test_every_stance_set_at_random_states(self):
+        rng = np.random.default_rng(12)
+        friction = FrictionSpec(mu=0.6, f_min=0.0, f_max=300.0)
+        controller = BalanceController(MODEL, friction)
+        for mask in ALL_MASKS:
+            for case in range(4):
+                state = RobotState(pos=STAND.pos + rng.normal(size=3) * 0.05,
+                                   vel=rng.normal(size=3) * 0.5,
+                                   rot=so3.exp_exact(rng.normal(size=3) * 0.2),
+                                   omega=rng.normal(size=3),
+                                   feet=FEET + rng.normal(size=(4, 3)) * 0.05)
+                # the larger errors saturate the bounds: rows join the working set
+                scale = 0.3 if case % 2 else 0.02
+                des = DesiredState(pos=state.pos + rng.normal(size=3) * scale,
+                                   vel=rng.normal(size=3) * scale,
+                                   rot=so3.exp_exact(rng.normal(size=3) * scale))
+                f_prev = rng.normal(size=12) * 50.0
+                controller.f_prev = f_prev
+                f = controller.compute(state, des, mask)
+                want = compute_reference(state, des, mask, f_prev, MODEL, friction)
+                assert f.tobytes() == want.tobytes(), (mask, case)
+                assert controller.f_prev is f

@@ -315,11 +315,13 @@ class TestSolve:
             MODEL.mass * ((v_ref - x0[6:9]) / dt - GRAVITY_W),
             i_w @ (w_ref - x0[9:12]) / dt,
         ])
-        a, _ = build_force_model(x_ref[0:3], FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3))
+        legs = (0, 1, 2, 3)
+        a, _ = build_force_model(x_ref[0:3], FEET, MODEL, np.zeros(3), np.zeros(3), np.eye(3),
+                                 legs)
         monkeypatch.setattr(balance, "_S_WEIGHT", s_w)
         monkeypatch.setattr(balance, "_ALPHA", alpha)
         monkeypatch.setattr(balance, "_BETA", 0.0)
-        f_bal = balance_qp(a, b_d, np.zeros(12), friction, np.ones(4, dtype=bool))
+        f_bal = balance_qp(a, b_d, np.zeros(12), friction, legs, ActiveSetSolver())
         assert_allclose(plan[0], f_bal, atol=1e-5)
 
     def test_rollout_tracks_reference_stand(self):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from quadstack import scenarios, so3
-from quadstack.balance import GRAVITY_W, BodyModel
+from quadstack import gait, scenarios, so3
+from quadstack.balance import GRAVITY_W, BodyModel, FrictionSpec
+from quadstack.estimation import ImuSample, kf_default_state, kf_predict, orientation_step
 from quadstack.sim import BreachError, SensorNoise, SimWorld
 from quadstack.state import RobotState
-from quadstack.swing import UnreachableError, leg_fk
+from quadstack.swing import SwingTrajectory, UnreachableError, leg_fk
 from quadstack.terrain import PlaneCoeffs
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
@@ -164,6 +165,21 @@ class TestSupportCheck:
         with pytest.raises(BreachError, match=r"leg 1 is 0\.683 m"):
             w.check_support()
 
+    def test_state_written_after_the_step_is_checked(self):
+        # the check reads the step's floats only while the state holds the
+        # arrays the step left there
+        w = stand_world()
+        w.step(hover_forces(), np.ones(4, dtype=bool))
+        w.check_support()
+        w.state.pos = np.array([0.0, 0.0, -0.1])
+        with pytest.raises(BreachError, match=r"body CoM 0\.1 m below the ground at t = 0\.001 s"):
+            w.check_support()
+        w.state.pos = np.array([0.0, 0.0, 0.45])
+        w.check_support()
+        w.state.feet = FEET - [0.0, 0.0, 0.3]
+        with pytest.raises(BreachError, match=r"stance foot of leg 0 is 0\.750 m"):
+            w.check_support()
+
     def test_com_below_the_ground_raises(self):
         w = SimWorld(RobotState(pos=[0.0, 0.0, 0.1], feet=FEET), BodyModel(),
                      ground=PlaneCoeffs(0.2, 0.0, 0.0))
@@ -249,8 +265,21 @@ class TestSensors:
         w = stand_world()
         w.synth_encoders()
         w.state.pos[2] -= 0.001  # body drops 1 mm in one step
+        w.step(hover_forces(), np.ones(4, dtype=bool))
         _, qds = w.synth_encoders()
         assert any(np.max(np.abs(qd)) > 0.0 for qd in qds)
+
+    def test_two_reads_in_one_tick_agree(self):
+        # the rates difference against the previous tick's sample, not
+        # against the previous read
+        w = stand_world()
+        w.synth_encoders()
+        w.state.vel = np.array([0.3, 0.0, 0.0])
+        w.step(hover_forces(), np.ones(4, dtype=bool))
+        first, second = w.synth_encoders(), w.synth_encoders()
+        assert np.max(np.abs(first[1])) > 0.5
+        for a, b in zip(first, second):
+            assert a.tobytes() == b.tobytes()
 
     def test_unreachable_raises(self):
         w = stand_world()
@@ -275,6 +304,32 @@ class TestSensors:
         # would give a noise-free sensor
         with pytest.raises(ValueError, match=next(iter(std))):
             SensorNoise(**std)
+
+
+# constructors and steps of the physics, each given a value that is NaN or
+# not positive
+BAD_PHYSICS = {
+    "friction-mu-nan": lambda: FrictionSpec(mu=np.nan),
+    "friction-f_max-nan": lambda: FrictionSpec(f_max=np.nan),
+    "body-mass-negative": lambda: BodyModel(mass=-1.0),
+    "body-mass-nan": lambda: BodyModel(mass=np.nan),
+    "body-inertia-inf": lambda: BodyModel(inertia=np.diag([0.35, np.inf, 2.1])),
+    "sim-dt-nan": lambda: SimWorld(RobotState(pos=[0.0, 0.0, 0.45], feet=FEET), BodyModel(),
+                                   dt=np.nan),
+    "gait-period-nan": lambda: gait.gait_preset("trot", period=np.nan),
+    "swing-duration-nan": lambda: SwingTrajectory(FEET[0], FEET[0] + [0.1, 0.0, 0.0], np.nan),
+    "orientation-dt-nan": lambda: orientation_step(
+        np.eye(3), ImuSample(gyro=np.zeros(3), accel=[0.0, 0.0, G]), np.nan),
+    "kf-dt-nan": lambda: kf_predict(kf_default_state(np.zeros(3), FEET), np.eye(3),
+                                    np.array([0.0, 0.0, G]), np.nan, (True,) * 4),
+}
+
+
+@pytest.mark.parametrize("make", BAD_PHYSICS.values(), ids=BAD_PHYSICS.keys())
+def test_nan_or_non_positive_physics_is_rejected(make):
+    # each guard is written so that NaN fails it
+    with pytest.raises(ValueError):
+        make()
 
 
 class TestNonFinite:

@@ -257,7 +257,9 @@ class SimWorld:
 
         The position and the feet are the floats the last step wrote while
         ``state.pos`` and ``state.feet`` are the arrays it left there; an
-        array assigned since (or a check before any step) is read anew.
+        array assigned since (or a check before any step) is read anew. A
+        caller that moves the state assigns new arrays: an element written
+        into those arrays in place is seen from the next step on.
         """
         s = self.state
         kept = self._kept

@@ -85,6 +85,15 @@ class BodyModel:
             raise ValueError(f"mass must be finite and positive, got {self.mass!r}")
         if not np.isfinite(self.inertia).all():
             raise ValueError(f"inertia must be finite, got {self.inertia.tolist()!r}")
+        # an inertia of no rigid body steps with a drifting rate and no error;
+        # the Cholesky factor exists only for a positive definite one
+        not_spd = f"inertia must be symmetric positive definite, got {self.inertia.tolist()!r}"
+        if (self.inertia != self.inertia.T).any():
+            raise ValueError(not_spd)
+        try:
+            np.linalg.cholesky(self.inertia)
+        except np.linalg.LinAlgError:
+            raise ValueError(not_spd) from None
 
     def inertia_world(self, r: np.ndarray) -> np.ndarray:
         """R I R^T for a (3, 3) float array R."""

@@ -350,7 +350,7 @@ def _jump_spec(cfg: dict):
 
 def cmd_jump_opt(cfg: dict, out: Path) -> dict:
     spec, context = _jump_spec(cfg)
-    res, _ref = scenarios.run_jump_opt(spec, context_timings_10ms=context)
+    res = scenarios.run_jump_opt(spec, context_timings_10ms=context)
     write_csv(out / "jump_ref.csv", res.log)
     return res.summary
 
@@ -364,7 +364,7 @@ def cmd_jump_sim(cfg: dict, out: Path) -> dict:
         raise ConfigError(f"jump.reference_csv not found: {ref_csv}")
     ref_csv = Path(ref_csv or out / "jump_ref.csv")
     if not ref_csv.exists():
-        opt_res, _ref = scenarios.run_jump_opt(spec)
+        opt_res = scenarios.run_jump_opt(spec)
         write_csv(ref_csv, opt_res.log)
     ref = scenarios.reference_from_log(read_csv(ref_csv))
     res = scenarios.run_jump_sim(spec, ref)

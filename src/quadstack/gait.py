@@ -32,8 +32,6 @@ __all__ = [
     "footstep",
 ]
 
-LEG_NAMES = ("FR", "FL", "BR", "BL")
-
 # ring of legs counterclockwise viewed from above (x forward, y left):
 # FR -> FL -> BL -> BR -> FR
 _CCW_NEXT = {0: 1, 1: 3, 3: 2, 2: 0}

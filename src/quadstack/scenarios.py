@@ -159,10 +159,11 @@ def _closed_loop(policy, start: RobotState, model: BodyModel, *, ground: PlaneCo
     ``sample`` (imu, qs, qds) feeds the estimator, without it no sensor is
     read and the policy sees the true state; ``policy.control(k, t, state,
     sample, world)`` gives the forces and swing targets; the simulator steps
-    once and checks its support. ``policy.record(world)`` gives the tick's
-    values of ``policy.COLUMNS``, logged with the state every ``log_every``
-    ticks: after the step, or with ``log_before_step`` before it, so that
-    the row holds the state the sensors read.
+    once, and raises ``sim.BreachError`` on a step that leaves its model.
+    ``policy.record(world)`` gives the tick's values of ``policy.COLUMNS``,
+    logged with the state every ``log_every`` ticks: after the step, or with
+    ``log_before_step`` before it, so that the row holds the state the
+    sensors read.
     """
     t_start = time.perf_counter()
     world = SimWorld(start, model, dt=DT, ground=ground, noise=noise)
@@ -188,7 +189,6 @@ def _closed_loop(policy, start: RobotState, model: BodyModel, *, ground: PlaneCo
         if log_before_step:
             record(k)
         world.step(forces, mask, swing_targets)
-        world.check_support()
         if not log_before_step:
             record(k)
     summary = policy.summary(world)
@@ -487,7 +487,7 @@ class TrotDriver:
                 touchdown = True
             if not contact[leg]:
                 traj, t0 = self.swing_trajs[leg]
-                swing_targets[leg] = traj.sample(t + DT - t0)[0]
+                swing_targets[leg] = traj.sample(t + DT - t0)
         if touchdown and self.plane is not None:
             self._fit_contacts()
 
@@ -630,10 +630,10 @@ def reference_from_log(log: dict[str, np.ndarray]) -> BodyReference:
                          forces=table[:, 19:31], phase_times=np.unique(table[:, 31]))
 
 
-def run_jump_opt(spec: JumpSpec,
-                 context_timings_10ms: tuple | None = None) -> tuple[ScenarioResult, BodyReference]:
+def run_jump_opt(spec: JumpSpec, context_timings_10ms: tuple | None = None) -> ScenarioResult:
     """Solve a contact-timing problem and export the sampled body reference,
-    logged as :func:`reference_log` writes it."""
+    logged as :func:`reference_log` writes it; :func:`reference_from_log`
+    reads it back."""
     t_start = time.perf_counter()
     sol = solve_timing(TimingProblem(spec))
     report = check_constraints(spec, sol)
@@ -656,7 +656,7 @@ def run_jump_opt(spec: JumpSpec,
         # published reference timings for this jump family, context only
         summary["reference_timings_10ms"] = list(context_timings_10ms)
         summary["our_timings_10ms"] = [round(float(x) * 100.0, 1) for x in sol.durations]
-    return ScenarioResult(summary=summary, log=reference_log(ref)), ref
+    return ScenarioResult(summary=summary, log=reference_log(ref))
 
 
 class _JumpPolicy:

@@ -10,8 +10,8 @@ commanded force. A non-finite commanded force or swing target raises
 ``ValueError`` before the state moves, and so does a step whose new body
 rate, velocity or position is non-finite (a diverged run). The model holds
 only while every stance foot lies within its leg's reach of its hip and the
-body's CoM lies above the ground: :meth:`SimWorld.check_support` raises
-:class:`BreachError` where it does not.
+body's CoM lies above the ground: a step that ends where it does not stores
+its state and then raises :class:`BreachError`.
 
 Sensors are synthesized from the true state: IMU (gyro plus accelerometer
 with the gravity reaction included, so a stationary upright reading is
@@ -97,12 +97,8 @@ class SimWorld:
         # swing has reported its touchdown
         self.airborne = [False] * 4
         self.landed = [False] * 4
-        self.stance = [False] * 4               # the stance flags of the last step
         # the last encoder sample, (t, angles, rates)
         self._encoders: tuple[float, np.ndarray, np.ndarray] | None = None
-        # the state's pos and feet arrays as the last step left them, with
-        # their floats: the support check reads these while the arrays stand
-        self._kept: tuple | None = None
         # the body constants of the step, as rows of floats
         self._inertia = tuple(map(tuple, self.model.inertia.tolist()))
         self._inv_inertia = tuple(map(tuple, np.linalg.inv(self.model.inertia).tolist()))
@@ -110,7 +106,7 @@ class SimWorld:
     # -- dynamics ----------------------------------------------------------
 
     def step(self, stance_forces: np.ndarray, stance_mask: np.ndarray,
-             swing_targets: dict[int, np.ndarray] | None = None) -> "SimWorld":
+             swing_targets: dict[int, np.ndarray] | None = None) -> None:
         """Advance one step under the commanded stance forces.
 
         ``stance_forces`` is the stacked 12-vector of world-frame GRFs
@@ -118,6 +114,10 @@ class SimWorld:
         indices to commanded world foot positions for the end of the step.
         A non-finite force or target, or a non-finite new body rate,
         velocity or position, raises ``ValueError`` before the state moves.
+        A step that ends with the body's CoM below the ground under it, or
+        with a stance foot farther than ``L1 + L2`` from its hip, pos +
+        R HIP_OFFSETS[leg], stores its state and advances ``t``, then
+        raises :class:`BreachError`.
         """
         stance = np.asarray(stance_mask, dtype=bool).reshape(4).tolist()
         f = np.asarray(stance_forces, dtype=float).reshape(12).tolist()
@@ -244,35 +244,17 @@ class SimWorld:
 
         self.touched_down = np.array(touched)
         self.contact_forces = np.array(sensor)
-        self.stance = stance
-        # the stance rows of feet are the pinned feet after the step
-        self._kept = (s.pos, s.feet, new_pos, feet)
         self.t += dt
-        return self
 
-    def check_support(self) -> None:
-        """Raise :class:`BreachError` if the body's CoM lies below the ground
-        under it, or a foot the last step held in stance lies farther than
-        ``L1 + L2`` from its hip, pos + R HIP_OFFSETS[leg].
-
-        The position and the feet are the floats the last step wrote while
-        ``state.pos`` and ``state.feet`` are the arrays it left there; an
-        array assigned since (or a check before any step) is read anew. A
-        caller that moves the state assigns new arrays: an element written
-        into those arrays in place is seen from the next step on.
-        """
-        s = self.state
-        kept = self._kept
-        if kept is not None and kept[0] is s.pos and kept[1] is s.feet:
-            (px, py, pz), feet = kept[2], kept[3]
-        else:
-            (px, py, pz), feet = s.pos.tolist(), s.feet.tolist()
+        # the support check, on the new position and the stance feet, which
+        # the step left pinned where they were
+        px, py, pz = new_pos
         ground_z = self.ground.height(px, py)
         if pz < ground_z:
             raise BreachError(f"body CoM {ground_z - pz:.3g} m below the ground "
                               f"at t = {self.t:.3f} s")
         (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = s.rot.tolist()
-        stance, reach2 = self.stance, _REACH * _REACH
+        reach2 = _REACH * _REACH
         for leg in range(4):
             if stance[leg]:
                 (x, y, z), (hx, hy, hz) = feet[leg], _HIPS[leg]

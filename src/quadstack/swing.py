@@ -216,25 +216,12 @@ class SwingTrajectory:
         self._p0 = p0.tolist()
         self._delta = (p1 - p0).tolist()
 
-    def _s(self, u: float) -> tuple[float, float, float]:
-        s = u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
-        ds = 30.0 * u * u * (1.0 - u) ** 2
-        dds = 60.0 * u * (1.0 - 3.0 * u + 2.0 * u * u)
-        return s, ds, dds
-
-    def sample(self, t: float) -> tuple[tuple[float, float, float], ...]:
-        """Position, velocity, acceleration at time ``t`` since liftoff, as
-        (x, y, z) tuples. Python floats in the operation order of the 3-vector
-        formula, bump added to every axis (zero in x and y)."""
+    def sample(self, t: float) -> tuple[float, float, float]:
+        """Position (x, y, z) at time ``t`` since liftoff. Python floats in
+        the operation order of the 3-vector formula, bump added to every
+        axis (zero in x and y)."""
         u = min(1.0, max(0.0, t / self.duration))
-        s, ds, dds = self._s(u)
-        inv = 1.0 / self.duration
+        s = u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
         bump = 16.0 * u * u * (1.0 - u) ** 2
-        dbump = 32.0 * u * (1.0 - u) * (1.0 - 2.0 * u)
-        ddbump = 32.0 * (1.0 - 6.0 * u + 6.0 * u * u)
         (x0, y0, z0), (dx, dy, dz) = self._p0, self._delta
-        k_vel, k_acc = ds * inv, dds * inv * inv
-        pos = (x0 + s * dx + 0.0, y0 + s * dy + 0.0, z0 + s * dz + _APEX * bump)
-        vel = (k_vel * dx + 0.0, k_vel * dy + 0.0, k_vel * dz + _APEX * dbump * inv)
-        acc = (k_acc * dx + 0.0, k_acc * dy + 0.0, k_acc * dz + _APEX * ddbump * inv * inv)
-        return pos, vel, acc
+        return (x0 + s * dx + 0.0, y0 + s * dy + 0.0, z0 + s * dz + _APEX * bump)

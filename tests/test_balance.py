@@ -16,7 +16,8 @@ from quadstack.balance import (
     pd_wrench,
 )
 from quadstack.qpsolver import ActiveSetSolver, QpProblem
-from quadstack.scenarios import hop_spec, run_jump_opt, run_jump_sim, run_trot, sensor_noise
+from quadstack.scenarios import (hop_spec, reference_from_log, run_jump_opt, run_jump_sim,
+                                 run_trot, sensor_noise)
 from quadstack.state import DesiredState, RobotState
 
 FEET = np.array([[0.3, -0.128, 0.0], [0.3, 0.128, 0.0],
@@ -122,7 +123,7 @@ def trot_ticks():
 def hop_landing():
     """The lander's computes of a 4-knot hop, run 0.3 s past its reference."""
     spec = hop_spec(n_knots=4)
-    _, ref = run_jump_opt(spec)
+    ref = reference_from_log(run_jump_opt(spec).log)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "_RECOVER_TIME", 0.3)
         computes, _ = recorded_computes(lambda: run_jump_sim(spec, ref))
@@ -223,6 +224,18 @@ class TestPdWrench:
             if case % 3 == 0:
                 des.pos[case % 2] = state.pos[case % 2]  # an exact zero error
             assert_same_bits(pd_arrays(state, des), pd_wrench_matrix(state, des), case)
+
+
+class TestBodyModel:
+    @pytest.mark.parametrize("inertia", [np.diag([0.35, -2.1, 2.1]),
+                                         [[0.35, 0.01, 0.0], [0.0, 2.1, 0.0], [0.0, 0.0, 2.1]],
+                                         [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]],
+                             ids=["negative", "asymmetric", "indefinite"])
+    def test_inertia_must_be_symmetric_positive_definite(self, inertia):
+        # the negative diagonal used to step 100 ticks with a drifting body
+        # rate and raise nothing
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            BodyModel(inertia=inertia)
 
 
 class TestForceModel:

@@ -240,7 +240,7 @@ class TestReadTable:
         result = scenarios.ScenarioResult(summary={}, log={"t_s": np.zeros(2)})
         for name in ("run_stand", "run_trot", "run_slope", "run_estimate", "run_jump_sim"):
             monkeypatch.setattr(scenarios, name, lambda *args, **kw: result)
-        monkeypatch.setattr(scenarios, "run_jump_opt", lambda *args, **kw: (result, None))
+        monkeypatch.setattr(scenarios, "run_jump_opt", lambda *args, **kw: result)
         monkeypatch.setattr(scenarios, "reference_from_log", lambda log: None)
         log = tmp_path / "log.csv"
         cli.write_csv(log, result.log)

@@ -148,7 +148,7 @@ def test_jump_sim_calls_traced_boundaries(monkeypatch):
     # read 0
     monkeypatch.setattr(quadstack.scenarios, "_RECOVER_TIME", 0.0)
     spec = quadstack.scenarios.hop_spec(n_knots=4)
-    _, ref = quadstack.scenarios.run_jump_opt(spec)
+    ref = quadstack.scenarios.reference_from_log(quadstack.scenarios.run_jump_opt(spec).log)
     _, spans, metrics = _traced_jump_sim(spec, ref)
     traced = {name for name, *_ in spans}
     missing = [name for name in JUMP_BOUNDARIES if name not in traced]

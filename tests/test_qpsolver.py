@@ -11,7 +11,7 @@ from scipy.linalg.lapack import dtrtrs
 
 from quadstack import qpsolver, scenarios
 from quadstack.qpsolver import ActiveSetSolver, QpProblem, QpResult, QpStatus, _solved
-from quadstack.scenarios import hop_spec, run_jump_opt, run_jump_sim, run_trot
+from quadstack.scenarios import hop_spec, reference_from_log, run_jump_opt, run_jump_sim, run_trot
 from quadstack.sim import SensorNoise
 from quadstack.state import unchecked
 
@@ -471,7 +471,7 @@ def stack_qps():
     1 s MPC trot, the balance QPs of a 0.3 s trot on estimates and the
     lander's QPs of one hop landing, run 0.3 s past the reference."""
     spec = hop_spec(n_knots=4)
-    _, ref = run_jump_opt(spec)
+    ref = reference_from_log(run_jump_opt(spec).log)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scenarios, "_RECOVER_TIME", 0.3)
         landing = recorded_qps(lambda: run_jump_sim(spec, ref))

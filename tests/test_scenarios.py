@@ -13,7 +13,7 @@ from quadstack.scenarios import (ReplayLogError, hop_spec, reference_from_log, r
                                  run_trot, sensor_noise, spin_spec)
 from quadstack.sim import SensorNoise
 from quadstack.swing import HIP_OFFSETS, grf_from_torque
-from quadstack.trajopt import BodyReference
+from quadstack.trajopt import BodyReference, TimingProblem, export_reference, solve_timing
 
 # the stand's sensor noise at the CLI's default figures
 STAND_NOISE = sensor_noise(0.05, 0.005, 0.2, seed=0)
@@ -378,7 +378,8 @@ class TestEstimateReplay:
 class TestJumpPipeline:
     def test_small_hop_end_to_end(self):
         spec = hop_spec(n_knots=8, flight_min=0.25)
-        opt_res, ref = run_jump_opt(spec)
+        opt_res = run_jump_opt(spec)
+        ref = reference_from_log(opt_res.log)
         assert opt_res.summary["checker_max_violation"] <= 1e-4
         sim_res = run_jump_sim(spec, ref)
         assert sim_res.summary["landed"]
@@ -415,7 +416,7 @@ class TestJumpPipeline:
 
         monkeypatch.setattr(scenarios.BalanceController, "compute", recording)
         hop = hop_spec(n_knots=4)
-        run_jump_sim(hop, run_jump_opt(hop)[1])
+        run_jump_sim(hop, reference_from_log(run_jump_opt(hop).log))
         # feet off the symmetric stance, where the order of the sum shows
         monkeypatch.setattr(scenarios, "_RECOVER_TIME", 0.3)
         spec = hop_spec(n_knots=4)
@@ -443,7 +444,7 @@ class TestJumpPipeline:
             return step(world, forces, stance_mask, swing_targets)
 
         monkeypatch.setattr(sim.SimWorld, "step", recording)
-        run_jump_sim(spec, run_jump_opt(spec)[1])
+        run_jump_sim(spec, reference_from_log(run_jump_opt(spec).log))
         assert len(held) > 100
         for pos, rot, targets in held:
             for leg, target in targets.items():
@@ -508,7 +509,8 @@ class TestJumpPipeline:
         # failure of kind "solver" in the CLI) or reports landed: false
         spec = spin_spec(yaw_deg=0.0)
         spec.p_goal = np.array([0.2, 0.2, scenarios.NOMINAL_Z])
-        opt_res, ref = run_jump_opt(spec)
+        opt_res = run_jump_opt(spec)
+        ref = reference_from_log(opt_res.log)
         assert opt_res.summary["checker_max_violation"] <= 1e-4
         try:
             summary = run_jump_sim(spec, ref).summary
@@ -576,7 +578,8 @@ class TestReferenceLog:
         self.assert_round_trip(flat_stand_reference(hop_spec(n_knots=4)), tmp_path)
 
     def test_solved_reference(self, tmp_path):
-        _, ref = run_jump_opt(hop_spec(n_knots=8))
+        spec = hop_spec(n_knots=8)
+        ref = export_reference(solve_timing(TimingProblem(spec)), spec)
         assert len(ref.phase_times) == 3
         self.assert_round_trip(ref, tmp_path)
 
